@@ -21,6 +21,28 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// waitApplied blocks until each of the given nodes has applied every
+// cycle any of them has ordered so far. A reply proves that the SERVING
+// node committed the operation; the other replicas commit the same cycle
+// in their own time, so a test that inspects them right after an ack must
+// wait for them first.
+func waitApplied(t *testing.T, c *livecluster.Cluster, nodes ...int) {
+	t.Helper()
+	var target uint64
+	for _, i := range nodes {
+		target = max(target, c.Node(i).Ordered())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, i := range nodes {
+		for c.Node(i).Committed() < target {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d has applied cycle %d, want %d", i, c.Node(i).Committed(), target)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func TestClusterDown(t *testing.T) {
 	cl, err := client.New(client.Config{
 		Endpoints:   []string{"127.0.0.1:1"}, // reserved port: nothing listens
@@ -178,6 +200,7 @@ func TestFailoverRetriesPendingOpsOnce(t *testing.T) {
 	// No duplicate application: each surviving replica applied exactly
 	// n+1 writes (the session-establishing one plus the pipeline), and
 	// every key holds its own sequence value.
+	waitApplied(t, c, 1, 2)
 	for _, node := range []int{1, 2} {
 		var logLen uint64
 		var vals [n][]byte
@@ -253,6 +276,7 @@ func TestExactlyOnceAcrossReplyLoss(t *testing.T) {
 		c.InspectStore(node, func(st *kvstore.Store) { n = st.LogLen() })
 		return n
 	}
+	waitApplied(t, c, 0, 1, 2) // node 0 acked the write; base must include it
 	base := logLenAt(1)
 
 	// Inject the reply-loss fault, then pipeline writes through node 0:
@@ -289,6 +313,7 @@ func TestExactlyOnceAcrossReplyLoss(t *testing.T) {
 
 	// Zero duplicate applies: the surviving replicas' logs grew by
 	// exactly the pipeline, and every key holds its own value.
+	waitApplied(t, c, 1, 2)
 	for _, node := range []int{1, 2} {
 		if got := logLenAt(node); got != base+n {
 			t.Fatalf("node %d applied %d writes, want %d (duplicate apply)", node, got, base+n)
@@ -419,6 +444,7 @@ func TestEndSessionLifecycle(t *testing.T) {
 	if cl.SessionID() != 0 {
 		t.Fatal("session survived EndSession client-side")
 	}
+	waitApplied(t, c, 0, 1, 2) // node 0 acked; 1 and 2 may not have committed yet
 	for i := 0; i < 3; i++ {
 		var has bool
 		c.Runner(i).Invoke(func() { has = c.Node(i).Sessions().Has(old) })

@@ -11,7 +11,8 @@
 //	canopus-bench -exp live -quick -json fresh.json
 //	benchdiff -baseline BENCH_live.json -live fresh.json -only 'allocs_per_request|closed_p50_ms'
 //
-// Bench mode parses custom metrics (Mreq/s, median-ms) from `go test
+// Bench mode parses custom metrics (Mreq/s, median-ms, and the
+// micro-benchmarks' per-frame and per-entry counts) from `go test
 // -bench` lines; benchmarks absent from the baseline are reported but
 // not gated (new benchmarks are fine), while baseline entries missing
 // from the run fail the gate (a deleted or renamed benchmark means the
@@ -54,6 +55,13 @@ var unitMetric = map[string]string{
 	"Mreq/s":    "mreq_per_s",
 	"median-ms": "median_ms",
 	"mean-ms":   "mean_ms",
+	// The replication-plane micro-benchmarks (transport BenchmarkRecvBurst,
+	// raftlite BenchmarkBroadcastRoundTrip, wire BenchmarkDecodeRaftAppend)
+	// report counts that do not depend on the machine.
+	"frames/read":   "frames_per_read",
+	"msgs/entry":    "msgs_per_entry",
+	"allocs/entry":  "allocs_per_entry",
+	"allocs/append": "allocs_per_append",
 }
 
 func main() {

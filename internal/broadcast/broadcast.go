@@ -32,7 +32,8 @@ import (
 type Callbacks struct {
 	// Deliver hands up one broadcast payload from origin. For a given
 	// origin, deliveries arrive in the origin's send order, and all live
-	// members deliver the same sequence.
+	// members deliver the same sequence. The payload is immutable and
+	// the owner may keep it (it is also what the Raft log retains).
 	Deliver func(origin wire.NodeID, payload wire.Message)
 	// PeerFailed reports a crashed super-leaf peer, exactly once per
 	// incarnation, after the failure cut is established (i.e. no further
@@ -49,7 +50,9 @@ type Broadcaster interface {
 	Broadcast(payload wire.Message)
 	// Handle processes an incoming message, returning true if it was a
 	// broadcast-layer message (consumed), false if the owner should
-	// interpret it.
+	// interpret it. m is lent for the call (engine.Machine.Recv's rule):
+	// neither implementation keeps it — only the payloads it carries,
+	// which are immutable and are what Deliver hands up.
 	Handle(from wire.NodeID, m wire.Message) bool
 	// Tick drives heartbeats, elections and failure detection; the owner
 	// calls it on a periodic timer.

@@ -323,7 +323,6 @@ func (n *Node) freePlan(p *applyPlan) {
 	clear(p.events)
 	p.outcomes, p.txnEvents, p.events = p.outcomes[:0], p.txnEvents[:0], p.events[:0]
 	p.expired, p.expiredKeys = p.expired[:0], p.expiredKeys[:0]
-	p.evArena = p.evArena[:0]
 	if set := p.set; set != nil {
 		p.set = nil
 		clear(set.reqs)

@@ -228,8 +228,10 @@ type TxnMachine interface {
 	StateMachine
 	// ApplyWriteAt is ApplyWrite plus metadata: the write is recorded as
 	// of the given commit cycle, and a non-zero owner binds the key to
-	// that session (ephemeral).
-	ApplyWriteAt(req *wire.Request, cycle, owner uint64)
+	// that session (ephemeral). It returns the machine's own copy of the
+	// written value (nil for a delete), which must never change again:
+	// the cycle's events carry it, and their consumers may keep it.
+	ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte
 	// ModCycle returns the commit cycle that last wrote key (0 when
 	// absent or untracked).
 	ModCycle(key uint64) uint64
@@ -272,8 +274,10 @@ type Callbacks struct {
 	// plain writes and deletes, committed transaction ops, and the
 	// automatic deletions of an expired session's ephemeral keys. Cycles
 	// with no events still fire (evs empty or nil) so consumers can
-	// advance their cycle watermark. The slice and the value bytes it
-	// references are only valid during the call. In serial mode it fires
+	// advance their cycle watermark. The slice is only valid during the
+	// call; the value bytes are immutable and may be retained (they are
+	// the state machine's own stored copies, see
+	// TxnMachine.ApplyWriteAt). In serial mode it fires
 	// inside the machine turn; with ApplyWorkers > 0 it fires on the
 	// node's apply executor, before the cycle's reply batch.
 	OnEvents func(cycle uint64, evs []wire.Event)

@@ -49,8 +49,11 @@ type ShardedMachine interface {
 // apply, or (comp >= 0) one of this node's own reads, whose result lands
 // in the plan's completion value slot comp.
 type planOp struct {
-	req  *wire.Request
-	comp int32 // completion-value index for reads/txns; -1 for writes
+	req *wire.Request
+	// stored is, once a write has applied, the state machine's own
+	// immutable copy of its value: what the cycle's event carries.
+	stored []byte
+	comp   int32 // completion-value index for reads/txns; -1 for writes
 	// dup marks a duplicate transaction whose result resolves at apply
 	// time from the session table (the original applied in an earlier
 	// plan, and plans apply strictly in cycle order).
@@ -90,11 +93,9 @@ type applyPlan struct {
 	expired     []uint64
 	expiredKeys []uint64
 	// outcomes records each non-duplicate transaction's verdict in apply
-	// order; committed ops' events sit in txnEvents[start:start+count]
-	// with values copied into evArena (decode scratch does not survive).
+	// order; committed ops' events sit in txnEvents[start:start+count].
 	outcomes  []txnOutcome
 	txnEvents []wire.Event
-	evArena   []byte
 	// events is the cycle's key-change event list in committed total
 	// order, built by buildPlanEvents just before delivery.
 	events []wire.Event
@@ -423,10 +424,15 @@ func (n *Node) applyShardSlice(p *applyPlan, shard ShardedMachine, workers, w in
 			if p.snapshot {
 				n.tm.ApplyWriteAt(op.req, op.req.Seq, op.req.Client)
 			} else {
-				n.tm.ApplyWriteAt(op.req, p.cycle, 0)
+				op.stored = n.tm.ApplyWriteAt(op.req, p.cycle, 0)
 			}
 		} else {
 			n.sm.ApplyWrite(op.req)
+			if n.cbs.OnEvents != nil && op.req.Val != nil {
+				// A plain StateMachine does not say what it stored, and the
+				// request's bytes are recycled with the plan.
+				op.stored = append([]byte(nil), op.req.Val...)
+			}
 		}
 	}
 }

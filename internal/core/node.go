@@ -135,6 +135,13 @@ type Node struct {
 	// exec is the background apply stage; nil in serial mode
 	// (Config.ApplyWorkers == 0).
 	exec *executor
+	// applyBlocked is the cycle up to which starts are owed because the
+	// apply stage lagged when they were asked for (canStart's
+	// backpressure); tick retries them. The trigger that asked — a peer's
+	// round-1 delivery, a fetch — does not come again on an idle node, and
+	// without the retry the super-leaf would wait for this node's round 1
+	// for ever. Always 0 in serial mode.
+	applyBlocked uint64
 
 	// Replicated client sessions (see session.go): the dedup table is
 	// replicated state, updated only at commit boundaries; the rest is
@@ -444,6 +451,9 @@ func (n *Node) tick() {
 	}
 	n.lastTick = n.env.Now()
 	n.checkStall()
+	if n.applyBlocked > n.started {
+		n.tryStartCycles(n.applyBlocked)
+	}
 	n.bc.Tick()
 	n.retryFetches()
 	n.driveEvictions()
@@ -623,8 +633,12 @@ func (n *Node) SubmitFluid(reads, writes, bytes uint32, samples []wire.ArrivalSa
 // tryStartCycles starts cycles in sequence up to target, subject to the
 // pipelining bound, the join barrier and super-leaf health.
 func (n *Node) tryStartCycles(target uint64) {
-	for n.canStart(n.started+1) && n.started+1 <= target {
+	for n.started+1 <= target && n.canStart(n.started+1) {
 		n.startCycle(n.started + 1)
+	}
+	if n.applyBlocked == n.started+1 && target > n.applyBlocked {
+		// Backpressure cut the sequence short: owe all of it.
+		n.applyBlocked = target
 	}
 }
 
@@ -642,8 +656,9 @@ func (n *Node) canStart(k uint64) bool {
 		// Apply backpressure: ordering paces against the applied
 		// watermark too, so a slow apply stage bounds the executor's
 		// plan queue instead of letting it (and the retained cycle
-		// state) grow without limit. The cycle timer re-triggers once
-		// the executor catches up.
+		// state) grow without limit. tick starts the cycle once the
+		// executor has caught up.
+		n.applyBlocked = k
 		return false
 	}
 	if n.stallAfter != 0 && k > n.stallAfter && n.committed < n.stallAfter {

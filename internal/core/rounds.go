@@ -224,18 +224,22 @@ func (n *Node) mergeRound(c *cycle) bool {
 	target := n.tree.Ancestor(n.sl, r)
 	ownBranch := n.tree.Ancestor(n.sl, r-1)
 	children := n.tree.Children(target)
-	props := make([]*wire.Proposal, 0, len(children))
-	for _, u := range children {
-		var p *wire.Proposal
+	state := func(u string) *wire.Proposal {
 		if u == ownBranch {
-			p = c.states[r-1]
-		} else {
-			p = c.child[u]
+			return c.states[r-1]
 		}
-		if p == nil {
+		return c.child[u]
+	}
+	// advance retries this on every delivery: find out whether the round
+	// can finish before allocating anything for it.
+	for _, u := range children {
+		if state(u) == nil {
 			return false
 		}
-		props = append(props, p)
+	}
+	props := make([]*wire.Proposal, 0, len(children))
+	for _, u := range children {
+		props = append(props, state(u))
 	}
 	sort.Slice(props, func(i, j int) bool {
 		if props[i].Num != props[j].Num {

@@ -67,14 +67,8 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 					owner = req.Client
 				}
 				treq.Op, treq.Key, treq.Val = top.Op, top.Key, top.Val
-				n.tm.ApplyWriteAt(&treq, p.cycle, owner)
-				// Event values must outlive the decode scratch: copy into
-				// the plan's arena (delete events carry no value).
-				var val []byte
-				if top.Op != wire.OpDelete && top.Val != nil {
-					p.evArena = append(p.evArena, top.Val...)
-					val = p.evArena[len(p.evArena)-len(top.Val):]
-				}
+				// The event carries the store's copy, not the decode scratch.
+				val := n.tm.ApplyWriteAt(&treq, p.cycle, owner)
 				p.txnEvents = append(p.txnEvents, wire.Event{Op: top.Op, Key: top.Key, Val: val})
 			}
 		}
@@ -128,15 +122,15 @@ func (n *Node) applyExpiry(p *applyPlan) {
 // buildPlanEvents renders the cycle's key-change event list in
 // committed total order: plan ops front to back (plain mutations
 // directly, transactions from their recorded outcomes), then the
-// expiry tail's deletions. Event values alias plan-owned memory —
-// valid until freePlan, i.e. through the OnEvents call.
+// expiry tail's deletions. Event values are the state machine's own
+// stored copies (planOp.stored), which outlive the plan.
 func (n *Node) buildPlanEvents(p *applyPlan) {
 	oi := 0
 	for i := range p.ops {
 		op := &p.ops[i]
 		switch op.req.Op {
 		case wire.OpWrite:
-			p.events = append(p.events, wire.Event{Op: wire.OpWrite, Key: op.req.Key, Val: op.req.Val})
+			p.events = append(p.events, wire.Event{Op: wire.OpWrite, Key: op.req.Key, Val: op.stored})
 		case wire.OpDelete:
 			p.events = append(p.events, wire.Event{Op: wire.OpDelete, Key: op.req.Key})
 		case wire.OpTxn:

@@ -43,7 +43,10 @@ type Env interface {
 	// across destinations, FIFO per (src,dst) pair, and reliable while
 	// both endpoints are alive (paper assumption A2: messages are
 	// eventually delivered to a live receiver, and nodes fail by
-	// crashing).
+	// crashing). m belongs to the driver from here on and must never be
+	// modified again: the simulator delivers the pointer itself, later,
+	// and the live runner encodes a message handed to Send several times
+	// in a row only once. Sending one message to several nodes is fine.
 	Send(to NodeID, m wire.Message)
 	// Multicast delivers m to every node in to. Under the simulator this
 	// models switch-assisted replication: the sender serializes the
@@ -65,6 +68,23 @@ type Machine interface {
 	// environment the machine will run in.
 	Init(env Env)
 	// Recv handles one message from another node.
+	//
+	// Ownership: m is lent, read-only, for the duration of the call. The
+	// simulator hands the same pointer to every recipient; the live
+	// runner decodes Raft control traffic (RaftAppend — including its
+	// Entries slice —, RaftAppendReply, ProposalRequest) into
+	// per-connection scratch it reuses once the turn is over. A machine
+	// that needs any of it later copies what it keeps, by value, before
+	// returning (raftlite copies log entries; core keeps a request's
+	// VNode string, which is never scratch). Entry payloads and every
+	// other message kind are immutable heap objects and may be retained
+	// as they are — that is how a delivered Proposal lives on in the
+	// Raft log and the cycle state without a copy.
+	//
+	// The live runner calls Recv once per frame, in arrival order, for
+	// all frames one socket read returned, inside a single turn: sends
+	// made by any of those calls are flushed together when the last one
+	// returns.
 	Recv(from NodeID, m wire.Message)
 	// Timer handles a timer previously scheduled with Env.After.
 	Timer(tag TimerTag)

@@ -152,8 +152,10 @@ func NewHub(o Options) *Hub {
 // Publish consumes one committed cycle's events, in commit order —
 // wire it to core.Callbacks.OnEvents (or Node.SetOnEvents). Empty
 // cycles must be published too: they advance the resume watermark.
-// The events (and their values) need only be valid for the call; the
-// hub copies what it retains. Live sinks run inside this call.
+// The evs slice need only be valid for the call, but the value bytes
+// must never change afterwards: the history shares them instead of
+// copying (core hands over the store's own copy of each written value,
+// which is immutable). Live sinks run inside this call.
 func (h *Hub) Publish(cycle uint64, evs []wire.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -200,17 +202,13 @@ func (h *Hub) Publish(cycle uint64, evs []wire.Event) {
 	}
 }
 
-// retain copies one cycle's events into the history ring and evicts
-// from the front until the bounds hold.
+// retain adds one cycle's events to the history ring — the event list is
+// copied, the immutable values are shared — and evicts from the front
+// until the bounds hold.
 func (h *Hub) retain(cycle uint64, evs []wire.Event) {
-	rec := cycleRecord{cycle: cycle, evs: make([]wire.Event, len(evs))}
+	rec := cycleRecord{cycle: cycle, evs: append([]wire.Event(nil), evs...)}
 	for i := range evs {
-		e := evs[i]
-		if e.Val != nil {
-			e.Val = append([]byte(nil), e.Val...)
-		}
-		rec.evs[i] = e
-		rec.bytes += 17 + len(e.Val)
+		rec.bytes += 17 + len(evs[i].Val)
 	}
 	h.hist = append(h.hist, rec)
 	h.histBytes += rec.bytes

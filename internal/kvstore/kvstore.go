@@ -98,12 +98,19 @@ func (s *Store) ShardOf(key uint64) int {
 // ApplyWrite implements core.StateMachine. OpDelete requests remove the
 // key; anything else stores the value. Concurrent calls are permitted
 // only for keys in distinct shards.
-func (s *Store) ApplyWrite(req *wire.Request) {
+func (s *Store) ApplyWrite(req *wire.Request) { s.apply(req) }
+
+// apply is ApplyWrite, returning the store's own copy of the written
+// value (nil for a delete). The copy is never modified again — a later
+// write to the key stores a fresh one — so Read, the event plane and
+// anything else may share it for as long as they like.
+func (s *Store) apply(req *wire.Request) []byte {
 	sh := &s.shards[s.ShardOf(req.Key)]
+	var v []byte
 	if req.Op == wire.OpDelete {
 		delete(sh.data, req.Key)
 	} else {
-		v := make([]byte, len(req.Val))
+		v = make([]byte, len(req.Val))
 		copy(v, req.Val)
 		sh.data[req.Key] = v
 	}
@@ -120,6 +127,7 @@ func (s *Store) ApplyWrite(req *wire.Request) {
 		h.Write(req.Val)
 		sh.logDigest = h.Sum64()
 	}
+	return v
 }
 
 // Read implements core.StateMachine. Concurrent calls are permitted only

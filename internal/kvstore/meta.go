@@ -25,8 +25,10 @@ type keyMeta struct {
 // ApplyWriteAt is ApplyWrite plus metadata stamping: the write is
 // recorded as of commit cycle, and a non-zero owner binds the key to
 // that session (ephemeral). A plain write (owner 0) clears any existing
-// binding. Concurrency contract is the same as ApplyWrite.
-func (s *Store) ApplyWriteAt(req *wire.Request, cycle, owner uint64) {
+// binding. It returns the store's own immutable copy of the written
+// value (nil for a delete), which callers may retain instead of copying
+// req.Val again. Concurrency contract is the same as ApplyWrite.
+func (s *Store) ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte {
 	sh := &s.shards[s.ShardOf(req.Key)]
 	if req.Op == wire.OpDelete {
 		sh.dropMeta(req.Key)
@@ -45,7 +47,7 @@ func (s *Store) ApplyWriteAt(req *wire.Request, cycle, owner uint64) {
 			sh.attachOwner(owner, req.Key)
 		}
 	}
-	s.ApplyWrite(req)
+	return s.apply(req)
 }
 
 func (sh *shard) dropMeta(key uint64) {

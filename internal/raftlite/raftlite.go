@@ -125,6 +125,11 @@ type Raft struct {
 	lastOffTerm uint64
 	commit      uint64
 	applied     uint64
+	// verified is how far this member's log is known to equal the current
+	// term's leader's: the longest prefix an accepted AppendEntries of this
+	// term covered. Entries past it may be a deposed leader's leftovers, so
+	// they are neither acknowledged nor committed on the leader's say-so.
+	verified uint64
 
 	nextIndex  map[wire.NodeID]uint64
 	matchIndex map[wire.NodeID]uint64
@@ -251,6 +256,7 @@ func (r *Raft) Tick() {
 func (r *Raft) startElection() {
 	r.role = Candidate
 	r.term++
+	r.verified = 0
 	r.votedFor = r.cfg.Self
 	r.setLeader(wire.NoNode)
 	r.votes = map[wire.NodeID]bool{r.cfg.Self: true}
@@ -305,6 +311,7 @@ func (r *Raft) stepDown(term uint64, leader wire.NodeID) {
 	if term > r.term {
 		r.term = term
 		r.votedFor = wire.NoNode
+		r.verified = 0
 	}
 	r.role = Follower
 	r.votes = nil
@@ -313,18 +320,31 @@ func (r *Raft) stepDown(term uint64, leader wire.NodeID) {
 }
 
 // replicateAll sends AppendEntries to every peer and schedules the next
-// heartbeat.
+// heartbeat. Followers at the same nextIndex — the normal case — are sent
+// one shared message, which the live transport then encodes once.
 func (r *Raft) replicateAll() {
 	r.nextHeartbeat = r.io.Now() + r.cfg.HeartbeatInterval
+	var shared *wire.RaftAppend
 	for _, p := range r.cfg.Peers {
 		if p != r.cfg.Self {
-			r.sendAppend(p)
+			shared = r.sendAppend(p, shared)
 		}
 	}
 	r.matchIndex[r.cfg.Self] = r.LastIndex()
 }
 
-func (r *Raft) sendAppend(to wire.NodeID) {
+// appendBox lets a one-entry AppendEntries — the shape of every broadcast
+// — come out of a single allocation.
+type appendBox struct {
+	m   wire.RaftAppend
+	one [1]wire.RaftEntry
+}
+
+// sendAppend sends to its next AppendEntries and returns the message.
+// reuse, when non-nil, is a message built earlier in the same pass (so
+// from the same term, commit index and log); it is sent as it is if it
+// starts where this follower needs it to.
+func (r *Raft) sendAppend(to wire.NodeID, reuse *wire.RaftAppend) *wire.RaftAppend {
 	next := r.nextIndex[to]
 	if next == 0 {
 		next = 1
@@ -337,31 +357,43 @@ func (r *Raft) sendAppend(to wire.NodeID) {
 		next = r.offset + 1
 	}
 	prev := next - 1
-	m := &wire.RaftAppend{
-		Group:     r.cfg.Group,
-		Term:      r.term,
-		Leader:    r.cfg.Self,
-		PrevIndex: prev,
-		PrevTerm:  r.termAt(prev),
-		Commit:    r.commit,
-		Base:      r.offset,
-	}
-	if last := r.LastIndex(); next <= last {
-		end := next + maxAppendEntries
-		if end > last+1 {
-			end = last + 1
+	m := reuse
+	if m == nil || m.PrevIndex != prev {
+		box := &appendBox{m: wire.RaftAppend{
+			Group:     r.cfg.Group,
+			Term:      r.term,
+			Leader:    r.cfg.Self,
+			PrevIndex: prev,
+			PrevTerm:  r.termAt(prev),
+			Commit:    r.commit,
+			Base:      r.offset,
+		}}
+		m = &box.m
+		if last := r.LastIndex(); next <= last {
+			end := next + maxAppendEntries
+			if end > last+1 {
+				end = last + 1
+			}
+			// A copy: the log is compacted and truncated in place, and the
+			// simulator delivers this message later.
+			m.Entries = append(box.one[:0], r.log[next-r.offset-1:end-r.offset-1]...)
 		}
-		m.Entries = append(m.Entries, r.log[next-r.offset-1:end-r.offset-1]...)
+	}
+	if n := uint64(len(m.Entries)); n > 0 {
 		// Optimistic pipelining: assume delivery and advance nextIndex
 		// immediately so subsequent proposals send only new entries
 		// instead of the whole unacknowledged suffix. A rejection resets
 		// nextIndex from the follower's hint.
-		r.nextIndex[to] = end
+		r.nextIndex[to] = next + n
 	}
 	r.io.Send(to, m)
+	return m
 }
 
-// Handle processes one incoming message for this group.
+// Handle processes one incoming message for this group. m is only read,
+// and only during the call: log entries are copied out of an AppendEntries
+// by value, and all that stays referenced is their immutable payloads —
+// so the caller may decode m into scratch it reuses afterwards.
 func (r *Raft) Handle(from wire.NodeID, m wire.Message) {
 	switch v := m.(type) {
 	case *wire.RaftAppend:
@@ -437,16 +469,22 @@ func (r *Raft) onAppend(m *wire.RaftAppend) {
 		}
 		r.log = append(r.log, m.Entries[i])
 	}
-	if m.Commit > r.commit {
-		last := r.LastIndex()
-		r.commit = m.Commit
-		if r.commit > last {
-			r.commit = last
-		}
+	// The message vouches for the prefix it covered and no further. The
+	// log may extend past it — a deposed leader's suffix that this shorter
+	// message did not reach and so did not truncate. Acknowledging that
+	// suffix would put matchIndex beyond the leader's own log (termAt then
+	// indexes out of range); committing it would deliver entries the group
+	// never agreed on.
+	covered := m.PrevIndex + uint64(len(m.Entries))
+	if covered > r.verified {
+		r.verified = covered
+	}
+	if c := min(m.Commit, r.verified); c > r.commit {
+		r.commit = c
 		r.apply()
 	}
 	r.io.Send(m.Leader, &wire.RaftAppendReply{
-		Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: true, Match: r.LastIndex(),
+		Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: true, Match: covered,
 	})
 }
 
@@ -467,7 +505,7 @@ func (r *Raft) onAppendReply(m *wire.RaftAppendReply) {
 		}
 		r.advanceCommit()
 		if r.nextIndex[m.From] <= r.LastIndex() {
-			r.sendAppend(m.From)
+			r.sendAppend(m.From, nil)
 		}
 		return
 	}
@@ -481,7 +519,7 @@ func (r *Raft) onAppendReply(m *wire.RaftAppendReply) {
 	} else if r.nextIndex[m.From] > 1 {
 		r.nextIndex[m.From]--
 	}
-	r.sendAppend(m.From)
+	r.sendAppend(m.From, nil)
 }
 
 func (r *Raft) advanceCommit() {
@@ -501,6 +539,7 @@ func (r *Raft) advanceCommit() {
 			// Followers learn the new commit index immediately rather
 			// than waiting a heartbeat, keeping broadcast latency at one
 			// round trip plus one one-way hop.
+			var notify *wire.RaftAppend // shared by peers at one matchIndex
 			for _, p := range r.cfg.Peers {
 				if p != r.cfg.Self {
 					// A freshly (re-)added peer's matchIndex can trail the
@@ -510,11 +549,14 @@ func (r *Raft) advanceCommit() {
 					if prev < r.offset {
 						prev = r.offset
 					}
-					r.io.Send(p, &wire.RaftAppend{
-						Group: r.cfg.Group, Term: r.term, Leader: r.cfg.Self,
-						PrevIndex: prev, PrevTerm: r.termAt(prev),
-						Commit: r.commit, Base: r.offset,
-					})
+					if notify == nil || notify.PrevIndex != prev {
+						notify = &wire.RaftAppend{
+							Group: r.cfg.Group, Term: r.term, Leader: r.cfg.Self,
+							PrevIndex: prev, PrevTerm: r.termAt(prev),
+							Commit: r.commit, Base: r.offset,
+						}
+					}
+					r.io.Send(p, notify)
 				}
 			}
 			break
@@ -553,7 +595,12 @@ func (r *Raft) maybeCompact() {
 	}
 	drop := horizon - r.offset
 	r.lastOffTerm = r.termAt(horizon)
-	r.log = append([]wire.RaftEntry(nil), r.log[drop:]...)
+	// In place: slide the kept entries to the front of the same backing
+	// array (nothing else aliases it — messages carry copies) and zero the
+	// vacated tail so dropped payloads can be collected.
+	kept := copy(r.log, r.log[drop:])
+	clear(r.log[kept:])
+	r.log = r.log[:kept]
 	r.offset = horizon
 }
 

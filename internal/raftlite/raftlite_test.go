@@ -16,6 +16,7 @@ type net struct {
 	queue   []envelope
 	deliver map[wire.NodeID][]wire.Message
 	dead    map[wire.NodeID]bool
+	drop    func(envelope) bool // when set, loses the messages it matches
 }
 
 type envelope struct {
@@ -59,7 +60,7 @@ func (w *net) pump() {
 	for len(w.queue) > 0 {
 		e := w.queue[0]
 		w.queue = w.queue[1:]
-		if w.dead[e.to] || w.dead[e.from] {
+		if w.dead[e.to] || w.dead[e.from] || (w.drop != nil && w.drop(e)) {
 			continue
 		}
 		w.members[e.to].Handle(e.from, e.msg)
@@ -285,5 +286,97 @@ func TestSetPeersQuorumChange(t *testing.T) {
 	w.pump()
 	if len(w.deliver[1]) != 1 {
 		t.Fatal("post-reconfiguration commit failed")
+	}
+}
+
+// staleSuffixNet builds the state both stale-suffix tests start from: five
+// members, leader 0 dead, member 1 holding three entries of term 1 that
+// reached nobody else, and a new leader (one of 2, 3, 4) whose first
+// AppendEntries to member 1 — the one that would truncate the suffix — is
+// lost, so the first thing member 1 hears from it is the commit notice for
+// the new term's barrier: PrevIndex 0, no entries.
+func staleSuffixNet(t *testing.T) (w *net, leader wire.NodeID) {
+	t.Helper()
+	w = newNet(5, 0)
+	w.pump()
+	for _, id := range []wire.NodeID{2, 3, 4} {
+		w.dead[id] = true
+	}
+	for s := uint64(1); s <= 3; s++ {
+		w.members[0].Propose(&wire.Ping{From: 0, Seq: s})
+	}
+	w.pump()
+	if got := w.members[1].LastIndex(); got != 4 {
+		t.Fatalf("member 1 holds %d entries, want 4 (barrier + 3); test premise broken", got)
+	}
+	w.dead[0] = true
+	for _, id := range []wire.NodeID{2, 3, 4} {
+		w.dead[id] = false
+	}
+	w.drop = func(e envelope) bool {
+		a, ok := e.msg.(*wire.RaftAppend)
+		return ok && e.to == 1 && len(a.Entries) > 0
+	}
+	leader = wire.NoNode
+	for i := 0; i < 40 && leader == wire.NoNode; i++ {
+		w.tickAll(5 * time.Millisecond)
+		for _, id := range []wire.NodeID{2, 3, 4} {
+			if r := w.members[id]; r.Role() == Leader && r.CommitIndex() == r.LastIndex() {
+				leader = id
+			}
+		}
+	}
+	if leader == wire.NoNode {
+		t.Fatal("no new leader committed its barrier; test premise broken")
+	}
+	w.drop = nil
+	return w, leader
+}
+
+// TestAckCoversOnlyTheLeadersPrefix is the regression test for the panic
+// the benchmark found (index out of range in termAt from advanceCommit):
+// a follower used to acknowledge with its own LastIndex, so a follower
+// with a stale suffix pushed the new leader's matchIndex past the end of
+// the leader's log, and the next commit notice or append indexed there.
+func TestAckCoversOnlyTheLeadersPrefix(t *testing.T) {
+	w, leader := staleSuffixNet(t)
+	l := w.members[leader]
+	if m := l.matchIndex[1]; m > l.LastIndex() {
+		t.Fatalf("leader %v has matchIndex[1]=%d beyond its own log (%d entries)", leader, m, l.LastIndex())
+	}
+	// Both of these indexed out of range before the fix.
+	if err := l.Propose(&wire.Ping{From: leader, Seq: 100}); err != nil {
+		t.Fatal(err)
+	}
+	w.pump()
+	for i := 0; i < 10; i++ {
+		w.tickAll(10 * time.Millisecond)
+	}
+	f := w.members[1]
+	if f.LastIndex() != l.LastIndex() {
+		t.Fatalf("member 1 has %d entries, leader %d: the stale suffix was never replaced", f.LastIndex(), l.LastIndex())
+	}
+	for idx := f.offset + 1; idx <= f.LastIndex(); idx++ {
+		if f.termAt(idx) != l.termAt(idx) {
+			t.Fatalf("member 1's entry %d has term %d, the leader's %d", idx, f.termAt(idx), l.termAt(idx))
+		}
+	}
+	got := w.deliver[1]
+	if len(got) == 0 || got[len(got)-1].(*wire.Ping).Seq != 100 {
+		t.Fatalf("member 1 did not deliver the new leader's entry: %v", got)
+	}
+}
+
+// TestStaleSuffixIsNeverCommitted pins the twin of the ack bug: the commit
+// notice names the leader's commit index, and a follower that clamped it
+// to its own LastIndex delivered whatever stale entries sat at those
+// indexes — entries no other member ever delivers.
+func TestStaleSuffixIsNeverCommitted(t *testing.T) {
+	w, _ := staleSuffixNet(t)
+	for i := 0; i < 10; i++ {
+		w.tickAll(10 * time.Millisecond)
+	}
+	if got := w.deliver[1]; len(got) != 0 {
+		t.Fatalf("member 1 delivered %d entries of the dead leader's uncommitted suffix (first: %+v)", len(got), got[0])
 	}
 }

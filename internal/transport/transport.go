@@ -6,10 +6,16 @@
 // so protocol code stays lock-free.
 //
 // Sends are coalesced: messages emitted during one machine turn (one
-// Invoke, Recv or Timer callback) are encoded back to back into a pooled
-// per-peer buffer and handed to that peer's writer goroutine when the
-// turn ends, so a turn costs one buffer flush per destination — not one
-// syscall and one allocation per frame.
+// Invoke or Timer callback, or every Recv of one socket read) are encoded
+// back to back into a pooled per-peer buffer and handed to that peer's
+// writer goroutine when the turn ends, so a turn costs one buffer flush
+// per destination — not one syscall and one allocation per frame.
+//
+// Receives are batched the same way: a reader decodes every complete
+// frame one socket read returned and delivers them in a single machine
+// turn, so the replies to a burst leave in one vectored write per peer.
+// Raft control messages are decoded into per-connection scratch that is
+// reused after the turn (see engine.Machine.Recv for the ownership rule).
 package transport
 
 import (
@@ -56,6 +62,14 @@ type Runner struct {
 	// guarded by mu (sends only happen inside machine turns).
 	pending map[wire.NodeID][]byte
 	scratch []byte // multicast encode-once buffer, guarded by mu
+	// lastSent remembers where this turn's most recent Send encoded its
+	// frame, so the same message sent to the next peer is copied, not
+	// encoded again. Guarded by mu; cleared when the turn ends.
+	lastSent struct {
+		m        wire.Message
+		to       wire.NodeID
+		off, end int
+	}
 
 	connMu sync.Mutex
 	conns  map[wire.NodeID]*peerConn
@@ -102,6 +116,7 @@ type runnerStats struct {
 	writes   atomic.Uint64 // vectored batch writes issued
 	bytesOut atomic.Uint64 // payload bytes written to peers
 	bytesIn  atomic.Uint64 // frame bytes (header+body) read from peers
+	reads    atomic.Uint64 // socket reads that delivered at least one frame
 	connects atomic.Uint64 // outbound peer transitions to up (dial successes)
 	resets   atomic.Uint64 // outbound peer transitions to down (lost conns)
 }
@@ -125,6 +140,9 @@ func (r *Runner) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label)
 	reg.CounterFunc("canopus_transport_received_bytes_total",
 		"Frame bytes (header and body) read from peer connections.",
 		r.stats.bytesIn.Load, labels...)
+	reg.CounterFunc("canopus_transport_read_turns_total",
+		"Socket reads from peers that completed at least one frame (one machine turn each).",
+		r.stats.reads.Load, labels...)
 	reg.CounterFunc("canopus_transport_peer_connects_total",
 		"Outbound peer connection establishments (first dials and redials).",
 		r.stats.connects.Load, labels...)
@@ -201,6 +219,14 @@ type peerConn struct {
 	inflight    int // bytes taken off the queue but not yet written
 	dropped     uint64
 	wake        chan struct{} // 1-buffered writer doorbell
+
+	// iov and wr belong to the writer goroutine: iov is the reusable
+	// backing array for a vectored write's buffer list, wr the header
+	// net.Buffers.WriteTo consumes. Living here (not on writeBatch's
+	// stack, which WriteTo's pointer receiver would force to the heap)
+	// makes a socket write allocate nothing.
+	iov [][]byte
+	wr  net.Buffers
 }
 
 // NewRunner creates a runner for node id listening on listen, with the
@@ -359,12 +385,27 @@ func (r *Runner) After(d time.Duration, tag engine.TimerTag) {
 // per-peer buffer; delivery is asynchronous and failures drop the
 // message (protocol retries recover, exactly as on a lossy-at-crash
 // network).
+//
+// A message sent to several peers in a row (a Raft leader replicating
+// one entry, an emulator answering several fetches of one state) is
+// encoded once and copied for the rest: messages are immutable once
+// sent, so the same pointer (every wire.Message is one) means the same
+// bytes.
 func (r *Runner) Send(to wire.NodeID, m wire.Message) {
 	buf, ok := r.pending[to]
 	if !ok {
 		buf = wire.EncodePool.Get(8 + m.WireSize())
 	}
-	r.pending[to] = appendFrame(buf, r.id, m)
+	off := len(buf)
+	if last := &r.lastSent; last.m == m {
+		// Appending a buffer's own sub-slice to itself is well defined.
+		buf = append(buf, r.pending[last.to][last.off:last.end]...)
+	} else {
+		buf = appendFrame(buf, r.id, m)
+		last.m = m
+	}
+	r.pending[to] = buf
+	r.lastSent.to, r.lastSent.off, r.lastSent.end = to, off, len(buf)
 }
 
 // Multicast implements engine.Env (no switch assist on plain TCP: it is
@@ -398,6 +439,7 @@ func appendFrame(b []byte, from wire.NodeID, m wire.Message) []byte {
 // Called with r.mu held at the end of every machine turn; it performs no
 // syscalls and never blocks on the network.
 func (r *Runner) flushTurn() {
+	r.lastSent.m = nil // the frame it points into is about to change hands
 	if len(r.pending) == 0 {
 		return
 	}
@@ -470,7 +512,6 @@ func (r *Runner) peer(to wire.NodeID) *peerConn {
 func (r *Runner) writeLoop(to wire.NodeID, pc *peerConn) {
 	var conn net.Conn
 	var lastDialFail time.Time
-	var scratch net.Buffers // reused vectored-write header array
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -490,7 +531,7 @@ func (r *Runner) writeLoop(to wire.NodeID, pc *peerConn) {
 			if len(batch) == 0 {
 				break
 			}
-			conn = r.writeBatch(conn, to, batch, &scratch, &lastDialFail)
+			conn = r.writeBatch(conn, to, pc, batch, &lastDialFail)
 			pc.mu.Lock()
 			pc.inflight = 0
 			if pc.spare == nil {
@@ -506,10 +547,9 @@ func (r *Runner) writeLoop(to wire.NodeID, pc *peerConn) {
 // writeBatch writes one batch of turn buffers to the peer, dialing if
 // needed, and returns the (possibly new or closed) connection. Buffers
 // are returned to the encode pool afterwards regardless of outcome; the
-// batch slice itself is the caller's to recycle. scratch is the reused
-// net.Buffers header array (WriteTo consumes the elements, so the batch
-// slice cannot be handed to it directly).
-func (r *Runner) writeBatch(conn net.Conn, to wire.NodeID, batch [][]byte, scratch *net.Buffers, lastDialFail *time.Time) net.Conn {
+// batch slice itself is the caller's to recycle (WriteTo consumes the
+// list it is given, so the batch is copied into pc.iov first).
+func (r *Runner) writeBatch(conn net.Conn, to wire.NodeID, pc *peerConn, batch [][]byte, lastDialFail *time.Time) net.Conn {
 	defer func() {
 		for _, b := range batch {
 			wire.EncodePool.Put(b)
@@ -533,9 +573,10 @@ func (r *Runner) writeBatch(conn net.Conn, to wire.NodeID, batch [][]byte, scrat
 		r.markPeer(to, true)
 	}
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	bufs := append((*scratch)[:0], batch...)
-	*scratch = bufs[:0] // keep the original header; WriteTo consumes its copy
-	n, err := bufs.WriteTo(conn)
+	pc.iov = append(pc.iov[:0], batch...)
+	pc.wr = pc.iov
+	n, err := pc.wr.WriteTo(conn)
+	clear(pc.iov) // do not pin buffers that go back to the pool
 	r.stats.bytesOut.Add(uint64(n))
 	if err != nil {
 		conn.Close()
@@ -546,6 +587,22 @@ func (r *Runner) writeBatch(conn net.Conn, to wire.NodeID, batch [][]byte, scrat
 	return conn
 }
 
+// readBufSize is a reader's initial buffer: room for the frames of a few
+// cycles, so that one read syscall usually returns a whole burst. A larger
+// frame grows the buffer to fit.
+const readBufSize = 64 << 10
+
+// inbound is one decoded frame awaiting delivery.
+type inbound struct {
+	from wire.NodeID
+	msg  wire.Message
+}
+
+// readLoop serves one accepted connection: each socket read is followed
+// by decoding every complete frame received so far (off the machine
+// lock) and delivering them in one machine turn. A frame that is
+// oversized or does not decode closes the connection — after the frames
+// ahead of it have been delivered.
 func (r *Runner) readLoop(conn net.Conn) {
 	defer conn.Close()
 	r.inMu.Lock()
@@ -565,43 +622,95 @@ func (r *Runner) readLoop(conn net.Conn) {
 		delete(r.inConns, conn)
 		r.inMu.Unlock()
 	}()
-	var hdr [8]byte
-	var body []byte // reused across frames; decoded messages never alias it
+	var (
+		buf  = make([]byte, readBufSize)
+		have int          // buf[:have] is received and not yet consumed
+		dec  wire.Decoder // scratch for this connection's control traffic
+		turn []inbound    // reused across reads
+	)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		n, err := conn.Read(buf[have:])
+		have += n
+		var used int
+		var bad error
+		turn, used, bad = r.decodeFrames(&dec, buf[:have], turn[:0])
+		r.deliver(turn)
+		clear(turn) // decoded messages must not outlive their turn here
+		dec.Reset()
+		if bad != nil {
+			r.Logf("transport: %v", bad)
+			return
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				select {
 				case <-r.done:
 				default:
-					r.Logf("transport: read header: %v", err)
+					r.Logf("transport: read: %v", err)
 				}
 			}
 			return
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		from := wire.NodeID(int32(binary.LittleEndian.Uint32(hdr[4:8])))
-		if size > maxFrame {
-			r.Logf("transport: oversized frame (%d bytes) from %v", size, from)
-			return
+		// Keep the partial frame at the tail, at the front of a buffer
+		// large enough to hold all of it.
+		rest := buf[used:have]
+		if need := frameLen(rest); need > len(buf) {
+			buf = make([]byte, need)
 		}
-		if uint32(cap(body)) < size {
-			body = make([]byte, size)
-		}
-		body = body[:size]
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		r.stats.bytesIn.Add(uint64(8 + size))
-		msg, _, err := wire.Decode(body)
-		if err != nil {
-			r.Logf("transport: decode from %v: %v", from, err)
-			return
-		}
-		r.mu.Lock()
-		if !r.closed && r.machine != nil {
-			r.machine.Recv(from, msg)
-			r.flushTurn()
-		}
-		r.mu.Unlock()
+		have = copy(buf, rest)
 	}
+}
+
+// frameLen returns the total length (header and body) of the frame that
+// starts b, or 0 while its header is incomplete.
+func frameLen(b []byte) int {
+	if len(b) < 8 {
+		return 0
+	}
+	return 8 + int(binary.LittleEndian.Uint32(b))
+}
+
+// decodeFrames appends every complete frame at the front of b to turn
+// and returns how many bytes they took. It stops early, with an error, at
+// a frame that is oversized or undecodable.
+func (r *Runner) decodeFrames(dec *wire.Decoder, b []byte, turn []inbound) ([]inbound, int, error) {
+	used := 0
+	for {
+		size := frameLen(b[used:])
+		if size == 0 {
+			return turn, used, nil
+		}
+		from := wire.NodeID(int32(binary.LittleEndian.Uint32(b[used+4:])))
+		if size-8 > maxFrame {
+			return turn, used, fmt.Errorf("oversized frame (%d bytes) from %v", size-8, from)
+		}
+		if size > len(b)-used {
+			return turn, used, nil
+		}
+		msg, _, err := dec.Decode(b[used+8 : used+size])
+		if err != nil {
+			return turn, used, fmt.Errorf("decode from %v: %w", from, err)
+		}
+		r.stats.bytesIn.Add(uint64(size))
+		turn = append(turn, inbound{from: from, msg: msg})
+		used += size
+	}
+}
+
+// deliver hands one read's frames to the machine in a single turn: one
+// lock acquisition, one Recv per frame in arrival order, one flush.
+func (r *Runner) deliver(turn []inbound) {
+	if len(turn) == 0 {
+		return
+	}
+	r.stats.reads.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || r.machine == nil {
+		return
+	}
+	for i := range turn {
+		r.machine.Recv(turn[i].from, turn[i].msg)
+	}
+	r.flushTurn()
 }

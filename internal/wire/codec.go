@@ -120,14 +120,30 @@ func (r *reader) boolean() bool {
 
 func (r *reader) node() NodeID { return NodeID(int32(r.u32())) }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return r.strInterned(nil) }
+
+// maxInterned bounds a Decoder's vnode-ID table; a deployment has far
+// fewer vnodes, so only a corrupt or hostile peer ever reaches it.
+const maxInterned = 1024
+
+// strInterned reads a length-prefixed string. With a table, a string
+// already in it is returned without allocating, and a new one is
+// remembered while the table has room.
+func (r *reader) strInterned(table map[string]string) string {
 	n := int(r.u16())
 	if r.err != nil || r.off+n > len(r.b) {
 		r.fail()
 		return ""
 	}
-	v := string(r.b[r.off : r.off+n])
+	raw := r.b[r.off : r.off+n]
 	r.off += n
+	if v, ok := table[string(raw)]; ok { // no allocation: map lookup by converted bytes
+		return v
+	}
+	v := string(raw)
+	if table != nil && len(table) < maxInterned {
+		table[v] = v
+	}
 	return v
 }
 
@@ -190,12 +206,43 @@ func appendRequest(b []byte, q *Request) []byte {
 	return putBytes(b, q.Val)
 }
 
-func readRequest(r *reader, q *Request) {
-	q.Client = r.u64()
-	q.Seq = r.u64()
-	q.Op = Op(r.u8())
-	q.Key = r.u64()
-	q.Val = r.bytes()
+// readRequests decodes len(reqs) requests. Their values are carved from
+// one allocation sized by a pre-scan of the length prefixes, so a batch
+// costs one value allocation instead of one per request; the values are
+// immutable and live as long as any of them is referenced.
+func readRequests(r *reader, reqs []Request) {
+	var arena []byte
+	if total := r.valueBytes(len(reqs)); total > 0 {
+		arena = make([]byte, 0, total)
+	}
+	for i := range reqs {
+		q := &reqs[i]
+		q.Client = r.u64()
+		q.Seq = r.u64()
+		q.Op = Op(r.u8())
+		q.Key = r.u64()
+		q.Val = r.bytesArena(&arena)
+	}
+}
+
+// valueBytes sums the value lengths of the n requests encoded at the
+// cursor without consuming them. A framing error yields 0: the decode
+// that follows reports it.
+func (r *reader) valueBytes(n int) int {
+	off, total := r.off, 0
+	for i := 0; i < n; i++ {
+		off += requestFixedSize
+		if r.err != nil || off > len(r.b) {
+			return 0
+		}
+		l := int(binary.LittleEndian.Uint32(r.b[off-4:]))
+		if l > len(r.b)-off {
+			return 0
+		}
+		off += l
+		total += l
+	}
+	return total
 }
 
 const sampleSize = 8 + 4 + 1
@@ -243,9 +290,7 @@ func readBatch(r *reader) *Batch {
 	if explicit {
 		n := r.count(requestFixedSize)
 		bt.Reqs = make([]Request, n)
-		for i := 0; i < n; i++ {
-			readRequest(r, &bt.Reqs[i])
-		}
+		readRequests(r, bt.Reqs)
 	}
 	bt.NumRead = r.u32()
 	bt.NumWrite = r.u32()
@@ -409,13 +454,13 @@ func (p *ProposalRequest) AppendTo(b []byte) []byte {
 	return putNode(b, p.From)
 }
 
-func readProposalRequest(r *reader) *ProposalRequest {
-	p := &ProposalRequest{}
+// readProposalRequest decodes into p. vnodes, when non-nil, interns the
+// vnode ID (see Decoder).
+func readProposalRequest(r *reader, p *ProposalRequest, vnodes map[string]string) {
 	p.Cycle = r.u64()
 	p.Round = r.u8()
-	p.VNode = r.str()
+	p.VNode = r.strInterned(vnodes)
 	p.From = r.node()
-	return p
 }
 
 // --- Raft ---
@@ -479,8 +524,9 @@ func (m *RaftAppend) AppendTo(b []byte) []byte {
 	return b
 }
 
-func readRaftAppend(r *reader) *RaftAppend {
-	m := &RaftAppend{}
+// readRaftAppend decodes into m, appending its entries to entries (which
+// m.Entries then sub-slices) and returning the grown slice.
+func readRaftAppend(r *reader, m *RaftAppend, entries []RaftEntry) []RaftEntry {
 	m.Group = r.u64()
 	m.Term = r.u64()
 	m.Leader = r.node()
@@ -489,10 +535,15 @@ func readRaftAppend(r *reader) *RaftAppend {
 	m.Commit = r.u64()
 	m.Base = r.u64()
 	n := r.count(9)
+	start := len(entries)
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Entries = append(m.Entries, readEntry(r))
+		entries = append(entries, readEntry(r))
 	}
-	return m
+	m.Entries = nil
+	if len(entries) > start {
+		m.Entries = entries[start:len(entries):len(entries)]
+	}
+	return entries
 }
 
 func (m *RaftAppendReply) WireSize() int { return 1 + 8 + 8 + 4 + 1 + 8 }
@@ -506,14 +557,12 @@ func (m *RaftAppendReply) AppendTo(b []byte) []byte {
 	return putU64(b, m.Match)
 }
 
-func readRaftAppendReply(r *reader) *RaftAppendReply {
-	m := &RaftAppendReply{}
+func readRaftAppendReply(r *reader, m *RaftAppendReply) {
 	m.Group = r.u64()
 	m.Term = r.u64()
 	m.From = r.node()
 	m.Success = r.boolean()
 	m.Match = r.u64()
-	return m
 }
 
 func (m *RaftVote) WireSize() int { return 1 + 8 + 8 + 4 + 8 + 8 }
@@ -985,9 +1034,7 @@ func readJoinReply(r *reader) *JoinReply {
 	ns := r.count(requestFixedSize)
 	if ns > 0 {
 		m.Snapshot = make([]Request, ns)
-		for i := 0; i < ns; i++ {
-			readRequest(r, &m.Snapshot[i])
-		}
+		readRequests(r, m.Snapshot)
 	}
 	m.StateBytes = r.u32()
 	nsess := r.count(sessionStateFixed)
@@ -1056,11 +1103,17 @@ func Decode(b []byte) (Message, int, error) {
 	case KindProposal:
 		m = readProposal(r)
 	case KindProposalRequest:
-		m = readProposalRequest(r)
+		v := &ProposalRequest{}
+		readProposalRequest(r, v, nil)
+		m = v
 	case KindRaftAppend:
-		m = readRaftAppend(r)
+		v := &RaftAppend{}
+		readRaftAppend(r, v, nil)
+		m = v
 	case KindRaftAppendReply:
-		m = readRaftAppendReply(r)
+		v := &RaftAppendReply{}
+		readRaftAppendReply(r, v)
+		m = v
 	case KindRaftVote:
 		m = readRaftVote(r)
 	case KindRaftVoteReply:

@@ -66,6 +66,13 @@ func FuzzCodec(f *testing.F) {
 	f.Add([]byte{0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := Decode(data)
+		// The scratch-backed Decoder is the same codec: same verdict, same
+		// length, same message.
+		var d Decoder
+		dm, dn, derr := d.Decode(data)
+		if (derr == nil) != (err == nil) || dn != n {
+			t.Fatalf("Decoder: (%d, %v), Decode: (%d, %v)", dn, derr, n, err)
+		}
 		if err != nil {
 			return
 		}
@@ -75,6 +82,9 @@ func FuzzCodec(f *testing.F) {
 		enc := m.AppendTo(nil)
 		if !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n consumed %x\n re-enc   %x", data[:n], enc)
+		}
+		if denc := dm.AppendTo(nil); !bytes.Equal(denc, enc) {
+			t.Fatalf("Decoder's message re-encodes differently:\n Decode  %x\n Decoder %x", enc, denc)
 		}
 		m2, n2, err := Decode(enc)
 		if err != nil {

@@ -5,14 +5,18 @@
 // Messages serve double duty:
 //
 //   - On the real TCP transport they are encoded with AppendTo and decoded
-//     with Decode (length-prefixed framing lives in internal/transport).
+//     with Decode, or by a connection's Decoder, which reuses scratch for
+//     Raft control traffic (length-prefixed framing lives in
+//     internal/transport).
 //   - On the discrete-event simulator they are passed by pointer and only
 //     WireSize is consulted, so the cost of a message on a link is modeled
 //     without actually serializing it.
 //
 // Because the simulator hands the same message pointer to several
 // recipients, received messages must be treated as read-only; protocol
-// code copies any slice it needs to mutate.
+// code copies any slice it needs to mutate. Because a Decoder reuses its
+// scratch, a receiver also copies, by value, what it keeps of a message
+// (engine.Machine.Recv states the rule in full).
 package wire
 
 import "fmt"
