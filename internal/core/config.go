@@ -5,8 +5,10 @@
 // consensus cycles of h rounds (h = LOT height). In round 1 a node
 // reliably broadcasts its pending request batch inside its super-leaf; in
 // round i it obtains the states of its height-i ancestor's children —
-// fetched once per super-leaf by representatives and re-broadcast to
-// peers — and merges them by proposal number into the height-i state.
+// pushed once per super-leaf by one of their emulators to a
+// representative (which pulls them only when the push fails to arrive)
+// and re-broadcast to peers — and merges them by proposal number into
+// the height-i state.
 // After round h every live node holds the same total order (Theorem 1).
 //
 // Reads are never disseminated: a node buffers each read at its arrival
@@ -61,9 +63,11 @@ type Config struct {
 	// pipelining.
 	MaxInFlight int
 
-	// FetchTimeout is how long a representative waits for a vnode state
-	// before retrying another emulator. Default 50ms; wide-area
-	// deployments should exceed the largest one-way delay.
+	// FetchTimeout is how long a representative waits, from the start of
+	// a cycle, for a pushed vnode state before it pulls it, and then for
+	// the answer before it asks another emulator. Default 50ms; wide-area
+	// deployments should exceed the largest one-way delay plus the spread
+	// of the super-leaves' cycle starts.
 	FetchTimeout time.Duration
 
 	// TickInterval drives heartbeats, elections and fetch-retry checks.
@@ -77,11 +81,6 @@ type Config struct {
 	// LeaseTTL is the lease lifetime in cycles after activation.
 	// Default 8.
 	LeaseTTL int
-
-	// RedundantFetch makes every representative fetch every missing
-	// vnode state (the Figure 2 example behaviour) instead of splitting
-	// vnodes across representatives by the §4.5 modulo rule.
-	RedundantFetch bool
 
 	// SessionIdleCycles is the replicated client-session idle bound: a
 	// session with no committed mutation for this many consensus cycles

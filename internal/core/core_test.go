@@ -41,6 +41,9 @@ type clusterOpts struct {
 	// onEvicted, when set, becomes each node's Callbacks.OnEvicted (the
 	// eviction tests restart the node through the join protocol from it).
 	onEvicted func(tc *testCluster, id wire.NodeID)
+	// wan, when non-zero, puts every rack in its own datacenter with this
+	// one-way delay between any two.
+	wan time.Duration
 }
 
 func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
@@ -50,6 +53,9 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 	}
 	sim := netsim.NewSim()
 	topo := netsim.SingleDC(o.racks, o.perRack, netsim.Params{})
+	if o.wan > 0 {
+		topo = netsim.MultiDC(o.racks, o.perRack, netsim.Params{WANDelay: netsim.UniformWANDelay(o.racks, o.wan)})
+	}
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), o.seed)
 
 	sls := make([][]wire.NodeID, o.racks)
@@ -229,7 +235,7 @@ func TestReadDoesNotSeeOwnLaterWrite(t *testing.T) {
 
 func TestSelfSynchronization(t *testing.T) {
 	// Only one node receives a request; all others must be dragged into
-	// the cycle by proposals and proposal-requests (§4.4).
+	// the cycle by proposals and pushed states (§4.4).
 	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3})
 	tc.submitAt(time.Millisecond, 4, wr(9, 1, 1, 1))
 	tc.run(time.Second)

@@ -121,18 +121,3 @@ func TestLinearizableHistory(t *testing.T) {
 		t.Fatalf("history is not linearizable: %+v", history)
 	}
 }
-
-func TestRedundantFetchMode(t *testing.T) {
-	cfg := Config{RedundantFetch: true, NumReps: 2}
-	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, cfg: cfg})
-	for i := 0; i < 9; i++ {
-		tc.submitAt(time.Millisecond, wire.NodeID(i), wr(uint64(i+1), 1, uint64(i), 1))
-	}
-	tc.run(time.Second)
-	for i, st := range tc.stores {
-		if st.LogLen() != 9 {
-			t.Fatalf("node %d applied %d, want 9", i, st.LogLen())
-		}
-	}
-	tc.requireAgreement()
-}

@@ -16,9 +16,14 @@ type nodeStats struct {
 	// run's wall time it gives the cycle rate.
 	cycleStarts  atomic.Uint64
 	cycleCommits atomic.Uint64
-	// fetchRetries counts cross-super-leaf fetches re-issued after a
-	// timeout (§4.6's emulator rotation) — the live signal that a remote
-	// super-leaf is slow or partitioned.
+	// statePushes counts vnode states this node pushed to another
+	// super-leaf's representative (one per state, consuming leaf and
+	// cycle across the whole deployment on a healthy run).
+	statePushes atomic.Uint64
+	// fetchRetries counts pulls sent because a deadline expired — the
+	// pushed state, or the answer to the previous pull, did not arrive in
+	// time (§4.6's emulator rotation). It is the live signal that a
+	// remote super-leaf is slow or partitioned, and 0 on a healthy run.
 	fetchRetries atomic.Uint64
 	// stalls counts transitions into the §6 stalled state.
 	stalls atomic.Uint64
@@ -91,8 +96,11 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.GaugeFunc("canopus_core_leases_active",
 		"Keys with an active write lease (§7.2).",
 		func() float64 { return float64(n.stats.leasesActive.Load()) }, labels...)
+	reg.CounterFunc("canopus_core_state_pushes_total",
+		"Vnode states pushed to another super-leaf's representative.",
+		n.stats.statePushes.Load, labels...)
 	reg.CounterFunc("canopus_core_fetch_retries_total",
-		"Cross-super-leaf fetches re-issued after a timeout (§4.6 emulator rotation).",
+		"Vnode states pulled because they did not arrive before the fetch timeout (§4.6 emulator rotation).",
 		n.stats.fetchRetries.Load, labels...)
 	reg.CounterFunc("canopus_core_stalls_total",
 		"Transitions into the stalled state (§6).",

@@ -38,18 +38,23 @@ type cycle struct {
 
 	// r1 collects round-1 proposals per super-leaf origin.
 	r1 map[wire.NodeID]*wire.Proposal
+	// own is the round-1 proposal this node broadcast: root catch-up
+	// (recovery.go) abandons it and requeues what it carried.
+	own *wire.Proposal
 	// states[h] is the height-h vnode state, computed at the end of
 	// round h; index 0 is unused.
 	states []*wire.Proposal
-	// child holds fetched or peer-rebroadcast vnode states by vnode ID.
+	// child holds pushed, pulled or peer-rebroadcast vnode states by
+	// vnode ID.
 	child map[string]*wire.Proposal
-	// fetchAttempt counts emulator retries per vnode.
+	// fetchAttempt counts the pulls this node sent per vnode.
 	fetchAttempt map[string]int
-	// fetchDeadline is the per-vnode retry deadline for fetches this
-	// node issued.
+	// fetchDeadline is, per vnode this node is responsible for, when it
+	// stops waiting for the state to arrive and pulls (again).
 	fetchDeadline map[string]time.Duration
 	// rebroadcast marks vnode states this node has already re-broadcast
-	// to its peers, so duplicate fetch responses are not re-proposed.
+	// to its peers, so a second copy (push and pull, two pulls) is not
+	// re-proposed.
 	rebroadcast map[string]bool
 	// waiting buffers proposal-requests that arrived before the
 	// requested state was computed (§4.2: "it buffers the request
@@ -668,10 +673,11 @@ func (n *Node) canStart(k uint64) bool {
 }
 
 // startCycle begins cycle k: snapshot the accumulated request set, build
-// and reliably broadcast the round-1 proposal, and issue all remote
-// fetches this node is responsible for (emulators buffer requests for
-// states they have not yet computed, so fetches for every round go out
-// immediately — the Figure 2 pattern).
+// and reliably broadcast the round-1 proposal, and arm the deadlines of
+// the remote states this node is responsible for. It sends no request:
+// the emulators of those states push them as soon as they are computed
+// (pushState), and started this cycle at the same timer tick or start it
+// on receiving this leaf's push.
 func (n *Node) startCycle(k uint64) {
 	c := n.ensureCycle(k)
 	n.started = k
@@ -709,8 +715,9 @@ func (n *Node) startCycle(k uint64) {
 		p.Sessions = n.pendingSessions
 		n.pendingSessions = nil
 	}
+	c.own = p
 	n.bc.Broadcast(p)
-	n.issueFetches(c)
+	n.armFetches(c)
 }
 
 // takeAccum converts the accumulated requests into the proposal batch
@@ -819,7 +826,7 @@ func (n *Node) freeCycle(c *cycle) {
 	clear(c.rebroadcast)
 	clear(c.sealed)
 	clear(c.evict)
-	c.states = nil
+	c.states, c.own = nil, nil
 	n.cycleFree = append(n.cycleFree, c)
 }
 
@@ -885,9 +892,24 @@ func (n *Node) DebugCycle(k uint64) string {
 			}
 		}
 	}
+	// Per remote vnode: how the state reached this leaf (pushed or pulled
+	// to this node, or rebroadcast by a peer), else the pull deadline
+	// armed here, and the number of pulls this node sent.
 	fd := ""
-	for u, d := range c.fetchDeadline {
-		fd += fmt.Sprintf(" %s@%v(a%d)", u, d, c.fetchAttempt[u])
+	for _, u := range n.tree.Remote(n.sl) {
+		pulls := c.fetchAttempt[u]
+		switch dl, armed := c.fetchDeadline[u]; {
+		case c.rebroadcast[u] && pulls == 0:
+			fd += fmt.Sprintf(" %s:pushed", u)
+		case c.rebroadcast[u]:
+			fd += fmt.Sprintf(" %s:pulled(a%d)", u, pulls)
+		case c.child[u] != nil:
+			fd += fmt.Sprintf(" %s:peer(a%d)", u, pulls)
+		case armed:
+			fd += fmt.Sprintf(" %s@%v(a%d)", u, dl, pulls)
+		default:
+			fd += fmt.Sprintf(" %s:unarmed(a%d)", u, pulls)
+		}
 	}
 	return fmt.Sprintf("cycle %d: started=%v round=%d complete=%v r1=%d children=%d waiting=%d missing=[%s] fetches=[%s]",
 		k, c.started, c.round, c.complete, len(c.r1), len(c.child), len(c.waiting), miss, fd)

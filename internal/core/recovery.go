@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"canopus/internal/wire"
@@ -151,6 +152,10 @@ func (n *Node) onRootState(p *wire.Proposal) {
 	if set := n.proposed[p.Cycle]; set != nil && !orderContainsSet(p.Batches, n.cfg.Self, set) {
 		n.requeueSet(p.Cycle, set)
 	}
+	// The same goes for what startCycle moved into that proposal besides
+	// requests: a session registration dropped here is a client that
+	// waits for ever.
+	n.requeueUpdates(c.own, p)
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "root-catchup", p.Cycle, p.VNode)
 	}
@@ -180,6 +185,39 @@ func (n *Node) requeueSet(cyc uint64, set *ownSet) {
 	clear(set.arrivals)
 	set.reqs, set.arrivals, set.writes = set.reqs[:0], set.arrivals[:0], 0
 	ownSetPool.Put(set)
+}
+
+// requeueUpdates returns the session, membership and lease updates of
+// own — this node's abandoned round-1 proposal — to the pending queues,
+// ahead of newer ones, except those the installed root carries too (round
+// 1 completed elsewhere with the proposal).
+func (n *Node) requeueUpdates(own, root *wire.Proposal) {
+	if own == nil {
+		return
+	}
+	n.pendingSessions = append(missingFrom(own.Sessions, root.Sessions), n.pendingSessions...)
+	n.pendingLeases = append(missingFrom(own.Leases, root.Leases), n.pendingLeases...)
+	updates := missingFrom(own.Updates, root.Updates)
+	for _, u := range updates {
+		// A join rides again under a new cycle: let noteUpdates re-stamp
+		// its sponsorship, or the commit would never answer the joiner.
+		if s, ok := n.sponsoring[u.Node]; ok && !u.Leave && s.cycle == own.Cycle {
+			s.cycle = 0
+			n.sponsoring[u.Node] = s
+		}
+	}
+	n.pendingUpdates = append(updates, n.pendingUpdates...)
+}
+
+// missingFrom returns the elements of own that have lacks, in order.
+func missingFrom[T comparable](own, have []T) []T {
+	var out []T
+	for _, x := range own {
+		if !slices.Contains(have, x) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // orderContainsSet reports whether the committed order includes a batch

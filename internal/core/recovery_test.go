@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"canopus/internal/kvstore"
 	"canopus/internal/netsim"
 	"canopus/internal/wire"
 )
@@ -185,4 +186,61 @@ func TestWANPartitionStallsThenHeals(t *testing.T) {
 		}
 	}
 	tc.requireAgreement()
+}
+
+// TestRootCatchUpRequeuesSessionRegistration is benchmark Known defect 4:
+// after a power loss the replicas' disks end at different cycles, and a
+// session registered on the laggard before it has caught up rides a
+// round-1 proposal that root catch-up abandons. The registration must be
+// proposed again, not dropped with the proposal.
+func TestRootCatchUpRequeuesSessionRegistration(t *testing.T) {
+	tc, fakes := durableCluster(t, clusterOpts{racks: 1, perRack: 3})
+	for i := 0; i < 12; i++ {
+		tc.submitAt(time.Duration(1+i*20)*time.Millisecond, wire.NodeID(i%3), wr(uint64(1+i%3), uint64(1+i/3), uint64(i), uint64(i)))
+	}
+	tc.run(500 * time.Millisecond)
+	logged := len(fakes[0].cycles)
+	if logged < 8 {
+		t.Fatalf("only %d cycles logged before the power loss", logged)
+	}
+
+	// Power loss: every node restarts from its own log, which on node 1
+	// is one cycle short and on node 2 three.
+	const laggard = 2
+	for i, short := range []int{0, 1, 3} {
+		id := wire.NodeID(i)
+		tc.runner.Crash(id)
+		st := kvstore.NewLogged()
+		node := NewNode(Config{Tree: tc.tree, Self: id}, st, Callbacks{})
+		for j := 0; j < logged-short; j++ {
+			msg, _, err := wire.Decode(fakes[i].roots[j])
+			if err != nil {
+				t.Fatalf("node %d record %d does not decode: %v", i, j, err)
+			}
+			if err := node.ReplayCommit(fakes[i].cycles[j], msg.(*wire.Proposal)); err != nil {
+				t.Fatalf("node %d replay: %v", i, err)
+			}
+		}
+		tc.nodes[i], tc.stores[i] = node, st
+		tc.runner.Restart(id, node)
+	}
+
+	var session uint64
+	registered := false
+	tc.sim.At(tc.sim.Now()+time.Millisecond, func() {
+		tc.nodes[laggard].RegisterSession(func(id uint64, ok bool) { session, registered = id, ok })
+	})
+	tc.run(tc.sim.Now() + 3*time.Second)
+
+	if !registered {
+		t.Fatal("session registered on the laggard during catch-up was never answered")
+	}
+	if got := tc.nodes[laggard].Committed(); got <= uint64(logged) {
+		t.Fatalf("laggard never caught up: committed %d, peers restarted at %d", got, logged)
+	}
+	for i, n := range tc.nodes {
+		if !n.Sessions().Has(session) {
+			t.Fatalf("node %d does not know session %x", i, session)
+		}
+	}
 }

@@ -122,17 +122,18 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 		}
 	}
 	// Representative takeover (RCanopus §3, restricted to crash-stop):
-	// fetches the modulo rule assigned to the dead peer would otherwise
-	// wait for the slow escalation path, because no survivor set a retry
-	// deadline for them. Every surviving representative immediately
-	// re-drives the in-flight cycles by issuing all their missing
-	// fetches; the duplication is one round of redundant requests, the
-	// cut guarantees every survivor eventually does the same.
+	// states pushed to the dead peer are lost, and the ones the modulo
+	// rule assigned to it would otherwise wait for the slow escalation
+	// path, because no survivor armed a deadline for them. Every
+	// surviving representative immediately re-drives the in-flight cycles
+	// by pulling all their missing states; the duplication is one round
+	// of redundant requests, the cut guarantees every survivor eventually
+	// does the same.
 	n.reassignFetches()
 }
 
-// reassignFetches force-issues every missing fetch of every in-flight
-// cycle, provided this node is a representative of the effective (post
+// reassignFetches pulls every missing state of every in-flight cycle,
+// provided this node is a representative of the effective (post
 // failure-cut) membership.
 func (n *Node) reassignFetches() {
 	if !n.liveRepresentative() {
@@ -140,7 +141,7 @@ func (n *Node) reassignFetches() {
 	}
 	for k := n.committed + 1; k <= n.started; k++ {
 		if c, ok := n.cycles[k]; ok && c.started && !c.complete {
-			n.issueFetchesWith(c, true)
+			n.pullMissing(c)
 		}
 	}
 }
@@ -213,12 +214,13 @@ func (n *Node) finishRound1(c *cycle) {
 		DebugHook(n.cfg.Self, "r1-done", c.id, "")
 	}
 	n.serveWaiting(c)
+	n.pushState(c, 1)
 }
 
 // mergeRound attempts to finish round c.round (≥2): the state of the
 // height-r ancestor is the merge of its children's states, one of which
 // (this node's own branch) was computed locally last round and the rest
-// of which arrive by fetch + rebroadcast.
+// of which arrive by push (or fallback pull) + rebroadcast.
 func (n *Node) mergeRound(c *cycle) bool {
 	r := c.round
 	target := n.tree.Ancestor(n.sl, r)
@@ -253,6 +255,7 @@ func (n *Node) mergeRound(c *cycle) bool {
 		DebugHook(n.cfg.Self, "round-done", c.id, target)
 	}
 	n.serveWaiting(c)
+	n.pushState(c, r)
 	return true
 }
 
@@ -336,39 +339,92 @@ func (n *Node) stateFor(c *cycle, v string) *wire.Proposal {
 	return c.states[vn.Height]
 }
 
-// issueFetches sends proposal-requests for every remote vnode state this
-// node is responsible for fetching, across all rounds of cycle c.
-// Responsibility follows the §4.5 modulo rule unless RedundantFetch is
-// set; `force` (used by the retry path's escalation) overrides it.
-func (n *Node) issueFetches(c *cycle) { n.issueFetchesWith(c, false) }
+// pushState sends cycle c's just-computed height-r state — that of this
+// node's own ancestor u — to the super-leaves that merge it: every leaf
+// under a sibling of u. One emulator of u pushes per (cycle, leaf), see
+// pusherFor, to the representative the §4.5 modulo rule makes
+// responsible for u in that leaf; the receiver handles it as a fetch
+// response. Views can disagree for a cycle or two around a membership
+// change, and then two emulators push (the receiver drops the duplicate)
+// or none does (the receiver pulls on its deadline).
+func (n *Node) pushState(c *cycle, r int) {
+	if r >= n.tree.Height {
+		return // the root state is the result, nobody merges it
+	}
+	p := c.states[r]
+	for _, sib := range n.tree.Children(n.tree.Ancestor(n.sl, r+1)) {
+		if sib == p.VNode {
+			continue
+		}
+		for _, sl := range n.tree.DescendantSuperLeaves(sib) {
+			if n.pusherFor(p.VNode, c.id, sl) != n.cfg.Self {
+				continue
+			}
+			to := n.view.RepresentativeFor(sl, p.VNode, n.cfg.NumReps)
+			if to == wire.NoNode {
+				continue // the whole leaf is dead in the view
+			}
+			if DebugHook != nil {
+				DebugHook(n.cfg.Self, "push", c.id, p.VNode)
+			}
+			n.stats.statePushes.Add(1)
+			n.env.Send(to, p)
+		}
+	}
+}
 
-func (n *Node) issueFetchesWith(c *cycle, force bool) {
+// pusherFor returns the emulator of vnode u that pushes u's state of
+// cycle cyc to super-leaf sl: the committed view's emulators of u take
+// turns by cycle and leaf, so every emulator computes the same answer
+// without communication. Peers beyond this leaf's failure cut are passed
+// over — the view lists them until their Leave commits, and until then
+// the cycles they would have pushed would each wait out a FetchTimeout.
+func (n *Node) pusherFor(u string, cyc uint64, sl int) wire.NodeID {
+	turn := cyc + uint64(sl)
+	e := n.view.EmulatorAt(u, turn)
+	for k := len(n.closedPeers); k > 0 && n.closedPeers[e]; k-- {
+		turn++
+		e = n.view.EmulatorAt(u, turn)
+	}
+	return e
+}
+
+// armFetches runs at cycle start: for every remote vnode state the §4.5
+// modulo rule makes this node responsible for, it arms the deadline
+// after which the state, normally pushed by one of its emulators, is
+// pulled instead. The pull goes out at once where the push cannot
+// arrive: remote pushers aim at the committed view's representative, and
+// a peer beyond the failure cut stays in that view until its Leave
+// commits.
+func (n *Node) armFetches(c *cycle) {
+	if n.tree.Height < 2 {
+		return
+	}
 	// One membership scan per call, not per vnode: this runs for every
 	// started cycle, and simulations run millions of them.
 	reps := n.effectiveReps()
-	isRep := false
-	for _, r := range reps {
-		if r == n.cfg.Self {
-			isRep = true
+	for _, u := range n.tree.Remote(n.sl) {
+		if c.child[u] != nil || c.rebroadcast[u] || n.repFor(reps, u) != n.cfg.Self {
+			continue
 		}
+		if n.closedPeers[n.view.RepresentativeFor(n.sl, u, n.cfg.NumReps)] {
+			n.sendFetch(c, u)
+			continue
+		}
+		if c.fetchDeadline == nil {
+			c.fetchDeadline = make(map[string]time.Duration)
+		}
+		c.fetchDeadline[u] = c.startedAt + n.cfg.FetchTimeout
 	}
-	for r := 2; r <= n.tree.Height; r++ {
-		target := n.tree.Ancestor(n.sl, r)
-		ownBranch := n.tree.Ancestor(n.sl, r-1)
-		for _, u := range n.tree.Children(target) {
-			if u == ownBranch || c.child[u] != nil {
-				continue
-			}
-			if !force && !n.cfg.RedundantFetch {
-				if n.repFor(reps, u) != n.cfg.Self {
-					continue
-				}
-			} else {
-				// Redundant mode: every live representative fetches.
-				if !isRep {
-					continue
-				}
-			}
+}
+
+// pullMissing requests every remote vnode state cycle c still lacks,
+// whatever the modulo rule says; callers check that this node is a live
+// representative. It serves representative takeover and the retry path's
+// escalation.
+func (n *Node) pullMissing(c *cycle) {
+	for _, u := range n.tree.Remote(n.sl) {
+		if c.child[u] == nil {
 			n.sendFetch(c, u)
 		}
 	}
@@ -395,14 +451,14 @@ func (n *Node) effectiveReps() []wire.NodeID {
 	return reps
 }
 
-// repFor returns the representative responsible for fetching vnode u's
-// state, via the §4.5 modulo rule over the given effective
+// repFor returns the representative responsible for vnode u's state in
+// this super-leaf, via the §4.5 modulo rule over the given effective
 // representative set (callers hoist effectiveReps out of their loops).
 func (n *Node) repFor(reps []wire.NodeID, u string) wire.NodeID {
 	if len(reps) == 0 {
 		return wire.NoNode
 	}
-	return reps[n.tree.Ordinal(u)%len(reps)]
+	return reps[n.tree.RepSlot(n.sl, u)%len(reps)]
 }
 
 // liveRepresentative reports whether this node is an effective
@@ -416,10 +472,10 @@ func (n *Node) liveRepresentative() bool {
 	return false
 }
 
-// sendFetch asks one emulator of vnode u for its state in cycle c,
-// rotating through the emulation table on retries (§4.6: "if the chosen
-// emulator does not respond before a timeout ... picks another live
-// emulator from the table").
+// sendFetch pulls: it asks one emulator of vnode u for its state in
+// cycle c, rotating through the emulation table from one pull to the
+// next (§4.6: "if the chosen emulator does not respond before a timeout
+// ... picks another live emulator from the table").
 func (n *Node) sendFetch(c *cycle, u string) {
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "fetch", c.id, u)
@@ -427,6 +483,8 @@ func (n *Node) sendFetch(c *cycle, u string) {
 	ems := n.view.Emulators(u)
 	if c.fetchAttempt == nil {
 		c.fetchAttempt = make(map[string]int)
+	}
+	if c.fetchDeadline == nil {
 		c.fetchDeadline = make(map[string]time.Duration)
 	}
 	if len(ems) == 0 {
@@ -442,8 +500,8 @@ func (n *Node) sendFetch(c *cycle, u string) {
 	}
 	attempt := c.fetchAttempt[u]
 	c.fetchAttempt[u] = attempt + 1
-	if attempt > 0 {
-		n.stats.fetchRetries.Add(1)
+	if dl, armed := c.fetchDeadline[u]; armed && n.env.Now() >= dl {
+		n.stats.fetchRetries.Add(1) // the state did not arrive in time
 	}
 	// Spread first attempts across emulators so a popular vnode's load
 	// is balanced, deterministically per (cycle, vnode, node).
@@ -463,6 +521,9 @@ func (n *Node) sendFetch(c *cycle, u string) {
 // for a vnode state. Requests for already-committed cycles — a lagging
 // super-leaf catching up — are served from the retained state window.
 func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
+	if DebugHook != nil {
+		DebugHook(n.cfg.Self, "fetch-req", m.Cycle, m.VNode)
+	}
 	if m.Cycle <= n.committed {
 		if states := n.recent[m.Cycle]; states != nil {
 			if vn := n.tree.VNode(m.VNode); vn != nil && vn.Height < len(states) && states[vn.Height] != nil {
@@ -485,10 +546,11 @@ func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
 	c.waiting = append(c.waiting, pendingReq{from: from, vnode: m.VNode})
 }
 
-// onFetchResponse handles a directly addressed vnode state this node
-// requested: record it and rebroadcast to super-leaf peers. The state is
-// consumed on broadcast delivery so that every member — including this
-// one — incorporates it at an agreed point.
+// onFetchResponse handles a directly addressed vnode state — pushed by
+// one of its emulators, or the answer to a pull: record it and
+// rebroadcast to super-leaf peers. The state is consumed on broadcast
+// delivery so that every member — including this one — incorporates it
+// at an agreed point.
 func (n *Node) onFetchResponse(p *wire.Proposal) {
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "fetch-resp", p.Cycle, p.VNode)
@@ -507,7 +569,7 @@ func (n *Node) onFetchResponse(p *wire.Proposal) {
 	}
 	c := n.ensureCycle(p.Cycle)
 	if c.child[p.VNode] != nil || c.rebroadcast[p.VNode] {
-		return // a redundant fetch (or an earlier response) beat us to it
+		return // a peer's rebroadcast (or an earlier copy) beat this one to it
 	}
 	if c.sealed[p.VNode] && !p.Resolve {
 		return // slot sealed by an eviction round; only a Resolve passes
@@ -520,11 +582,13 @@ func (n *Node) onFetchResponse(p *wire.Proposal) {
 	n.bc.Broadcast(p)
 }
 
-// retryFetches re-issues overdue fetches. If a cycle has been stuck far
-// beyond the fetch timeout, every representative escalates to fetching
-// all missing states regardless of the modulo assignment, covering the
-// case where membership churn made representatives briefly disagree
-// about responsibilities.
+// retryFetches pulls the states whose deadline has passed: the first
+// time because the push did not arrive, after that because the pull went
+// unanswered. If a cycle has been stuck far beyond the fetch timeout,
+// every representative escalates to pulling all missing states
+// regardless of the modulo assignment, covering the case where
+// membership churn made representatives briefly disagree about
+// responsibilities.
 func (n *Node) retryFetches() {
 	now := n.env.Now()
 	liveRep := n.liveRepresentative() // once per pass, not per cycle
@@ -559,7 +623,7 @@ func (n *Node) retryFetches() {
 			n.sendFetch(c, u)
 		}
 		if liveRep && now-c.startedAt > 4*n.cfg.FetchTimeout {
-			n.issueFetchesWith(c, true)
+			n.pullMissing(c)
 		}
 	}
 }

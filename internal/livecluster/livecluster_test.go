@@ -158,6 +158,24 @@ func TestStaleReadsSkipConsensus(t *testing.T) {
 		c.Runner(i).Invoke(func() { k = c.Node(i).Committed() })
 		return k
 	}
+	// The Put is acknowledged while the cycles pipelined behind its own
+	// are still in flight: sample the watermark only once every node has
+	// committed all it started, or their commits are blamed on the reads.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle := true
+		for i := 0; i < 3; i++ {
+			c.Runner(i).Invoke(func() {
+				n := c.Node(i)
+				idle = idle && n.Started() == n.Committed() && n.Committed() == c.Node(0).Ordered()
+			})
+		}
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cluster did not go idle after the write")
+		}
+	}
 	before := committedAt(0)
 
 	// A burst of Stale reads: all answered, none starts a cycle.

@@ -48,7 +48,7 @@ type SuperLeaf struct {
 // VNode is one virtual internal node.
 type VNode struct {
 	ID       string
-	Ordinal  int // dense index used for deterministic representative assignment
+	Ordinal  int // dense tree-wide index in preorder
 	Height   int // 1 = super-leaf parent; tree height = root's height
 	Parent   string
 	Children []string // child vnode IDs; empty at height 1
@@ -68,6 +68,9 @@ type Tree struct {
 	ancestors [][]string
 	// descSLs[vnodeID] lists the super-leaf indexes under each vnode.
 	descSLs map[string][]int
+	// remote[sl] lists the vnodes whose states super-leaf sl merges from
+	// other branches, in round order (see Remote).
+	remote [][]string
 }
 
 // New builds a LOT for the given configuration.
@@ -174,6 +177,16 @@ func New(cfg Config) (*Tree, error) {
 		}
 		t.ancestors[sl] = anc
 	}
+	t.remote = make([][]string, n)
+	for sl, anc := range t.ancestors {
+		for h := 1; h < height; h++ {
+			for _, c := range t.vnodes[anc[h]].Children {
+				if c != anc[h-1] {
+					t.remote[sl] = append(t.remote[sl], c)
+				}
+			}
+		}
+	}
 	return t, nil
 }
 
@@ -210,6 +223,30 @@ func (t *Tree) Children(id string) []string { return t.vnodes[id].Children }
 // DescendantSuperLeaves returns the indexes of super-leaves under vnode id.
 func (t *Tree) DescendantSuperLeaves(id string) []int { return t.descSLs[id] }
 
+// Remote returns the vnodes whose states super-leaf sl obtains from other
+// super-leaves in the course of a cycle: for each round r = 2..Height, the
+// children of its height-r ancestor other than its own height-(r-1)
+// ancestor, in round order. Empty for a height-1 tree. The returned slice
+// must not be modified.
+func (t *Tree) Remote(sl int) []string { return t.remote[sl] }
+
+// RepSlot returns the dividend of the §4.5 modulo rule for vnode id in
+// super-leaf sl: the representative at index RepSlot mod the number of
+// representatives is responsible for id's state there. It is id's position
+// in Remote(sl), so the states a super-leaf merges alternate over its
+// representatives whatever their global numbering — the modulo of the
+// tree-wide Ordinal would hand both remote states of the middle one of
+// three super-leaves (ordinals 1 and 3) to the same representative of
+// two. For a vnode sl does not merge it is that Ordinal.
+func (t *Tree) RepSlot(sl int, id string) int {
+	for i, u := range t.remote[sl] {
+		if u == id {
+			return i
+		}
+	}
+	return t.vnodes[id].Ordinal
+}
+
 // AllNodes returns every configured pnode in ascending ID order.
 func (t *Tree) AllNodes() []wire.NodeID {
 	var out []wire.NodeID
@@ -219,11 +256,6 @@ func (t *Tree) AllNodes() []wire.NodeID {
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
-
-// Ordinal returns the dense index of vnode id, used for the deterministic
-// vnode-to-representative assignment (paper §4.5: "the modulo of each
-// vnode ID by the number of representatives").
-func (t *Tree) Ordinal(id string) int { return t.vnodes[id].Ordinal }
 
 // String renders the tree in the style of Figure 1.
 func (t *Tree) String() string {

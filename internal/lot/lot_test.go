@@ -162,11 +162,18 @@ func TestRepresentativesDeterministic(t *testing.T) {
 	if len(reps) != 2 || reps[0] != 0 || reps[1] != 1 {
 		t.Fatalf("reps = %v, want [0 1]", reps)
 	}
-	// Modulo assignment spreads vnodes across representatives.
-	r12 := v.RepresentativeFor(0, "1.2", 2)
-	r13 := v.RepresentativeFor(0, "1.3", 2)
-	if r12 == r13 {
-		t.Fatalf("both vnodes assigned to %v", r12)
+	// Modulo assignment spreads the vnodes a super-leaf merges across its
+	// representatives — in every super-leaf, the middle one included,
+	// whose remote vnodes 1.1 and 1.3 have tree-wide ordinals of one
+	// parity.
+	for sl := 0; sl < 3; sl++ {
+		remote := tree.Remote(sl)
+		if len(remote) != 2 {
+			t.Fatalf("super-leaf %d merges %v, want 2 vnodes", sl, remote)
+		}
+		if a, b := v.RepresentativeFor(sl, remote[0], 2), v.RepresentativeFor(sl, remote[1], 2); a == b {
+			t.Fatalf("super-leaf %d: both %v assigned to %v", sl, remote, a)
+		}
 	}
 	// Representative failure promotes the next member.
 	v.Apply([]wire.MemberUpdate{{Node: 0, Leave: true}})
@@ -200,5 +207,34 @@ func TestParsePath(t *testing.T) {
 		if _, err := ParsePath(bad); err == nil {
 			t.Errorf("ParsePath(%q) accepted", bad)
 		}
+	}
+}
+
+func TestRemoteAndEmulatorAt(t *testing.T) {
+	// 4 super-leaves, fanout 2: height 3. Super-leaf 0 (1.1.1) merges its
+	// sibling leaf in round 2 and the other half of the tree in round 3.
+	tree := mustTree(t, 4, 3, 2)
+	if got := tree.Remote(0); len(got) != 2 || got[0] != "1.1.2" || got[1] != "1.2" {
+		t.Fatalf("Remote(0) = %v, want [1.1.2 1.2]", got)
+	}
+	if got := tree.Remote(3); len(got) != 2 || got[0] != "1.2.1" || got[1] != "1.1" {
+		t.Fatalf("Remote(3) = %v, want [1.2.1 1.1]", got)
+	}
+	if got := mustTree(t, 1, 3, 0).Remote(0); len(got) != 0 {
+		t.Fatalf("height-1 tree: Remote(0) = %v, want none", got)
+	}
+	v := NewView(tree)
+	v.Apply([]wire.MemberUpdate{{Node: 1, Leave: true}})
+	for _, id := range []string{"1.1.1", "1.1", "1"} {
+		ems := v.Emulators(id)
+		for i := 0; i < 2*len(ems); i++ {
+			if got := v.EmulatorAt(id, uint64(i)); got != ems[i%len(ems)] {
+				t.Fatalf("EmulatorAt(%s, %d) = %v, want %v", id, i, got, ems[i%len(ems)])
+			}
+		}
+	}
+	v.Apply([]wire.MemberUpdate{{Node: 0, Leave: true}, {Node: 2, Leave: true}})
+	if got := v.EmulatorAt("1.1.1", 7); got != wire.NoNode {
+		t.Fatalf("EmulatorAt of a dead leaf = %v, want NoNode", got)
 	}
 }

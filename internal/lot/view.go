@@ -114,6 +114,29 @@ func (v *View) Emulators(id string) []wire.NodeID {
 	return out
 }
 
+// EmulatorAt returns element i mod n of Emulators(id), n being its length,
+// without building the slice; NoNode when no emulator is live. Callers
+// use it to elect one emulator per (cycle, consumer) from the view alone.
+func (v *View) EmulatorAt(id string, i uint64) wire.NodeID {
+	sls := v.tree.DescendantSuperLeaves(id)
+	n := 0
+	for _, sl := range sls {
+		n += len(v.members[sl])
+	}
+	if n == 0 {
+		return wire.NoNode
+	}
+	k := int(i % uint64(n))
+	for _, sl := range sls {
+		m := v.members[sl]
+		if k < len(m) {
+			return m[k]
+		}
+		k -= len(m)
+	}
+	return wire.NoNode // unreachable: k < n
+}
+
 // Representatives returns the k representatives of super-leaf sl: the k
 // lowest-ID live members. The choice is a deterministic function of the
 // membership view, so — because all nodes hold identical views at a cycle
@@ -128,14 +151,16 @@ func (v *View) Representatives(sl, k int) []wire.NodeID {
 }
 
 // RepresentativeFor returns which representative of super-leaf sl is
-// responsible for fetching the state of vnode target, via the paper's
-// modulo rule, or NoNode if the super-leaf has no live members.
+// responsible for the state of vnode target — receives it when pushed,
+// pulls it when it fails to arrive — via the paper's modulo rule (§4.5:
+// "the modulo of each vnode ID by the number of representatives", the ID
+// being Tree.RepSlot), or NoNode if the super-leaf has no live members.
 func (v *View) RepresentativeFor(sl int, target string, k int) wire.NodeID {
 	reps := v.Representatives(sl, k)
 	if len(reps) == 0 {
 		return wire.NoNode
 	}
-	return reps[v.tree.Ordinal(target)%len(reps)]
+	return reps[v.tree.RepSlot(sl, target)%len(reps)]
 }
 
 // SuperLeafFailed reports whether super-leaf sl can no longer sustain the
