@@ -62,6 +62,12 @@ var unitMetric = map[string]string{
 	"msgs/entry":    "msgs_per_entry",
 	"allocs/entry":  "allocs_per_entry",
 	"allocs/append": "allocs_per_append",
+	// The fixed cost of a consensus cycle (core BenchmarkCycleFixedCost)
+	// and of arming a timer (transport BenchmarkTimerRearm).
+	"allocs/cycle":      "allocs_per_cycle",
+	"allocs/node-cycle": "allocs_per_node_cycle",
+	"msgs/cycle":        "msgs_per_cycle",
+	"allocs/After":      "allocs_per_after",
 }
 
 func main() {

@@ -25,6 +25,7 @@ package broadcast
 import (
 	"time"
 
+	"canopus/internal/raftlite"
 	"canopus/internal/wire"
 )
 
@@ -39,6 +40,9 @@ type Callbacks struct {
 	// incarnation, after the failure cut is established (i.e. no further
 	// deliveries from that origin will follow).
 	PeerFailed func(peer wire.NodeID)
+	// RaftStats, when non-nil, is where the Raft flavour counts the
+	// AppendEntries and replies its groups send; the owner exports it.
+	RaftStats *raftlite.Stats
 }
 
 // Broadcaster is the reliable-broadcast abstraction the Canopus core

@@ -68,8 +68,9 @@ func (b *Raft) openGroup(origin wire.NodeID, inc uint32) {
 		LeaderChanged: func(_ uint64, leader wire.NodeID) {
 			b.leaderChanged(g, leader)
 		},
-		Now:  b.env.Now,
-		Rand: b.env.Rand(),
+		Now:   b.env.Now,
+		Rand:  b.env.Rand(),
+		Stats: b.cbs.RaftStats,
 	})
 }
 

@@ -104,8 +104,7 @@ func (n *Node) commit(c *cycle) {
 	}
 	n.freeCycle(c)
 	if old := c.id - n.retention(); old > 0 && old <= c.id {
-		delete(n.recent, old)
-		delete(n.recentChild, old)
+		n.dropRecent(old)
 	}
 	if n.stallAfter != 0 && n.committed >= n.stallAfter {
 		n.stallAfter = 0
@@ -118,6 +117,18 @@ func (n *Node) commit(c *cycle) {
 	if n.pendingCount() > 0 && n.started == n.committed && n.paceAllows() {
 		n.tryStartCycles(n.started + 1)
 	}
+}
+
+// dropRecent forgets committed cycle old's retained states: it left the
+// window in which a lagging super-leaf can still ask for them. The states
+// slice (not the states) is reused by a later cycle.
+func (n *Node) dropRecent(old uint64) {
+	if states, ok := n.recent[old]; ok && len(n.statesFree) < n.cfg.MaxInFlight+4 {
+		clear(states)
+		n.statesFree = append(n.statesFree, states)
+	}
+	delete(n.recent, old)
+	delete(n.recentChild, old)
 }
 
 // resolveOrder walks the cycle's total order and produces its applyPlan.

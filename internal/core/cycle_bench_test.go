@@ -1,0 +1,212 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"canopus/internal/engine"
+	"canopus/internal/lot"
+	"canopus/internal/wire"
+)
+
+// cycleNet hosts a deployment for BenchmarkCycleFixedCost: virtual time,
+// zero latency, and — unlike netsim.Runner, which hands the receiver the
+// sender's pointer and itself allocates four objects per message — every
+// message crosses encoded and is decoded the way the live transport's
+// readers do it (one wire.Decoder per receiver, reset after the turn). The
+// driver allocates nothing in steady state, so what the benchmark counts
+// is what the protocol and the codec allocate.
+type cycleNet struct {
+	now    time.Duration
+	nodes  []*Node
+	envs   []*cycleEnv
+	dec    []wire.Decoder
+	buf    []byte
+	queue  []cycleMsg
+	timers []cycleTimer
+	msgs   int
+}
+
+type cycleMsg struct {
+	from, to wire.NodeID
+	off, end int
+}
+
+type cycleTimer struct {
+	at  time.Duration
+	to  wire.NodeID
+	tag engine.TimerTag
+}
+
+type cycleEnv struct {
+	net *cycleNet
+	id  wire.NodeID
+	rng *rand.Rand
+}
+
+func (e *cycleEnv) ID() wire.NodeID    { return e.id }
+func (e *cycleEnv) Now() time.Duration { return e.net.now }
+func (e *cycleEnv) Rand() *rand.Rand   { return e.rng }
+
+func (e *cycleEnv) Send(to wire.NodeID, m wire.Message) {
+	w := e.net
+	off := len(w.buf)
+	w.buf = m.AppendTo(w.buf)
+	w.queue = append(w.queue, cycleMsg{from: e.id, to: to, off: off, end: len(w.buf)})
+}
+
+func (e *cycleEnv) Multicast(to []wire.NodeID, m wire.Message) {
+	for _, dst := range to {
+		e.Send(dst, m)
+	}
+}
+
+func (e *cycleEnv) After(d time.Duration, tag engine.TimerTag) {
+	e.net.timers = append(e.net.timers, cycleTimer{at: e.net.now + d, to: e.id, tag: tag})
+}
+
+// cycleSM is a state machine that stores nothing: the benchmark measures
+// what a cycle costs, not what a write costs the store.
+type cycleSM struct{}
+
+func (cycleSM) ApplyWrite(*wire.Request) {}
+func (cycleSM) Read(uint64) []byte       { return nil }
+func (cycleSM) Snapshot() []wire.Request { return nil }
+
+// benchInterval is the cycle and tick interval of the deployment, the one
+// harness.Live and the repository's benchmark run.
+const benchInterval = 2 * time.Millisecond
+
+func newCycleNet(tb testing.TB, leaves, perLeaf int) *cycleNet {
+	sls := make([][]wire.NodeID, leaves)
+	for l := range sls {
+		for i := 0; i < perLeaf; i++ {
+			sls[l] = append(sls[l], wire.NodeID(l*perLeaf+i))
+		}
+	}
+	tree, err := lot.New(lot.Config{SuperLeaves: sls, Fanout: leaves})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &cycleNet{dec: make([]wire.Decoder, leaves*perLeaf)}
+	for i := 0; i < leaves*perLeaf; i++ {
+		id := wire.NodeID(i)
+		w.nodes = append(w.nodes, NewNode(Config{
+			Tree: tree, Self: id,
+			CycleInterval: benchInterval, TickInterval: benchInterval, MaxBatch: 4096,
+		}, cycleSM{}, Callbacks{}))
+		w.envs = append(w.envs, &cycleEnv{net: w, id: id, rng: rand.New(rand.NewSource(int64(i) + 11))})
+	}
+	for i, n := range w.nodes {
+		n.Init(w.envs[i])
+	}
+	w.pump(tb)
+	return w
+}
+
+// pump delivers queued messages, and those their handling sends, until
+// none is left.
+func (w *cycleNet) pump(tb testing.TB) {
+	for i := 0; i < len(w.queue); i++ {
+		e := w.queue[i]
+		m, _, err := w.dec[e.to].Decode(w.buf[e.off:e.end])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w.nodes[e.to].Recv(e.from, m)
+		w.dec[e.to].Reset()
+		w.msgs++
+	}
+	w.queue, w.buf = w.queue[:0], w.buf[:0]
+}
+
+// advance moves the clock by d, firing the timers that fall due in order.
+func (w *cycleNet) advance(tb testing.TB, d time.Duration) {
+	end := w.now + d
+	for {
+		next := -1
+		for i, t := range w.timers {
+			if t.at <= end && (next < 0 || t.at < w.timers[next].at) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		t := w.timers[next]
+		w.timers = append(w.timers[:next], w.timers[next+1:]...)
+		w.now = t.at
+		w.nodes[t.to].Timer(t.tag)
+		w.pump(tb)
+	}
+	w.now = end
+}
+
+// cycleFixedCostCeilings are the committed ceilings of
+// BenchmarkCycleFixedCost, per topology: heap objects per node and cycle
+// (17.1 and 11.3 today; 34.9 and 20.7 before PR 19), and messages per
+// cycle, which are exact: 15 broadcasts of 6 messages and 6 pushed states
+// on 3 x 3, 3 broadcasts on 1 x 3 (126 and 24 while commit notices were
+// answered). A change that needs more of either spends what a faster
+// cycle clock would have to pay for (ROADMAP "Latency budget", PR 19) and
+// says so by raising a number here.
+var cycleFixedCostCeilings = map[string]struct{ allocsPerNodeCycle, msgsPerCycle float64 }{
+	"3x3": {allocsPerNodeCycle: 18, msgsPerCycle: 96},
+	"1x3": {allocsPerNodeCycle: 12, msgsPerCycle: 18},
+}
+
+// BenchmarkCycleFixedCost is one consensus cycle that orders one 128-byte
+// write submitted at one node, everything else idle: the cost of a cycle
+// that a request count does not amortize. It reports heap objects per
+// cycle and per node and cycle, and messages per cycle, and fails above
+// cycleFixedCostCeilings.
+func BenchmarkCycleFixedCost(b *testing.B) {
+	for _, topo := range []struct{ leaves, perLeaf int }{{3, 3}, {1, 3}} {
+		name := fmt.Sprintf("%dx%d", topo.leaves, topo.perLeaf)
+		b.Run(name, func(b *testing.B) {
+			w := newCycleNet(b, topo.leaves, topo.perLeaf)
+			val := make([]byte, 128)
+			seq := uint64(0)
+			round := func() {
+				seq++
+				w.nodes[0].Submit(wire.Request{Client: 1, Seq: seq, Op: wire.OpWrite, Key: seq % 1024, Val: val})
+				w.pump(b)
+				w.advance(b, benchInterval)
+			}
+			for i := 0; i < 512; i++ {
+				round() // fill the pools, reach the raft logs' compacting steady state
+			}
+			const runs = 200
+			msgs, committed := w.msgs, w.nodes[0].Ordered()
+			allocs := testing.AllocsPerRun(runs, round)
+			cycles := float64(w.nodes[0].Ordered() - committed)
+			if cycles != runs+1 { // AllocsPerRun runs once to warm up
+				b.Fatalf("%d rounds committed %v cycles; the benchmark wants one each", runs+1, cycles)
+			}
+			for _, n := range w.nodes {
+				if n.Ordered() != w.nodes[0].Ordered() {
+					b.Fatalf("node %v ordered %d cycles, node 0 %d", n.ID(), n.Ordered(), w.nodes[0].Ordered())
+				}
+			}
+			perCycle := float64(w.msgs-msgs) / cycles
+			perNode := allocs / float64(len(w.nodes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.ReportMetric(allocs, "allocs/cycle")
+			b.ReportMetric(perNode, "allocs/node-cycle")
+			b.ReportMetric(perCycle, "msgs/cycle")
+			ceil := cycleFixedCostCeilings[name]
+			if perNode > ceil.allocsPerNodeCycle {
+				b.Fatalf("a cycle allocates %.1f objects per node, ceiling %v", perNode, ceil.allocsPerNodeCycle)
+			}
+			if perCycle > ceil.msgsPerCycle {
+				b.Fatalf("a cycle takes %.1f messages, ceiling %v", perCycle, ceil.msgsPerCycle)
+			}
+		})
+	}
+}

@@ -252,13 +252,14 @@ func (e *executor) close() {
 // time.
 func (e *executor) run() {
 	defer close(e.stopped)
+	var spare []execCmd // the batch drained last, its backing array reused
 	for {
 		e.mu.Lock()
 		for len(e.queue) == 0 && !e.closed {
 			e.cond.Wait()
 		}
 		queue := e.queue
-		e.queue = nil
+		e.queue = spare[:0]
 		closed := e.closed
 		e.mu.Unlock()
 
@@ -266,6 +267,8 @@ func (e *executor) run() {
 			e.handle(c)
 		}
 		e.flushDurable()
+		clear(queue) // plans and callbacks must not outlive their handling here
+		spare = queue
 		if closed {
 			e.mu.Lock()
 			rest := e.queue

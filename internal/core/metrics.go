@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"canopus/internal/metrics"
+	"canopus/internal/raftlite"
 )
 
 // nodeStats are the node's always-on operational counters: atomic
@@ -51,6 +52,9 @@ type nodeStats struct {
 	// leavesDead mirrors len(n.leafDeadAt) — super-leaves currently
 	// excluded from the merge.
 	leavesDead atomic.Int64
+	// raft counts the reliable-broadcast traffic this node's Raft groups
+	// send, by message kind (the broadcaster's groups share it).
+	raft raftlite.Stats
 }
 
 // depth reports the apply executor's command backlog (plans and reads
@@ -134,6 +138,24 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.CounterFunc("canopus_core_evicted_self_total",
 		"Evicted notices this node acted on (halt until re-join).",
 		n.stats.evictedSelf.Load, labels...)
+	// The intra-leaf broadcast's messages by kind: with
+	// canopus_transport_writes_total they attribute a cycle's socket
+	// writes to the appends, notices, heartbeats and replies behind them.
+	for _, k := range []struct {
+		kind string
+		load func() uint64
+	}{
+		{"entries", n.stats.raft.AppendsEntries.Load},
+		{"notice", n.stats.raft.AppendsNotice.Load},
+		{"heartbeat", n.stats.raft.AppendsHeartbeat.Load},
+	} {
+		reg.CounterFunc("canopus_raft_appends_total",
+			"AppendEntries sent by this node's broadcast groups: with log entries, as commit notices, as idle heartbeats.",
+			k.load, append(append([]metrics.Label{}, labels...), metrics.Label{Key: "kind", Value: k.kind})...)
+	}
+	reg.CounterFunc("canopus_raft_replies_total",
+		"AppendEntries replies sent by this node's broadcast groups (commit notices and idle heartbeats are not answered).",
+		n.stats.raft.Replies.Load, labels...)
 	reg.GaugeFunc("canopus_core_leaves_dead",
 		"Super-leaves currently evicted from the merge in this node's view.",
 		func() float64 { return float64(n.stats.leavesDead.Load()) }, labels...)

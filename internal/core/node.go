@@ -60,6 +60,9 @@ type cycle struct {
 	// requested state was computed (§4.2: "it buffers the request
 	// message and replies ... only after computing the state").
 	waiting []pendingReq
+	// props is the merges' sort buffer (finishRound1, mergeRound), empty
+	// between them.
+	props []*wire.Proposal
 
 	// sealed marks vnode IDs this leaf has sealed for this cycle during
 	// an eviction round (see leaf.go): plain states for a sealed vnode
@@ -92,6 +95,8 @@ type Node struct {
 	cbs Callbacks
 
 	closedPeers map[wire.NodeID]bool
+	// repsBuf backs effectiveReps' result.
+	repsBuf []wire.NodeID
 
 	// Request accumulation for the next cycle to start.
 	accum ownSet
@@ -112,6 +117,8 @@ type Node struct {
 	// lagging super-leaves can still be answered (a super-leaf can trail
 	// the fastest one by up to the pipelining bound).
 	recent map[uint64][]*wire.Proposal
+	// statesFree recycles the states slices that left recent.
+	statesFree [][]*wire.Proposal
 	// recentChild retains committed cycles' fetched child states (the
 	// cycle's child map, stolen at commit) so eviction queries for gap
 	// cycles — cycles the dead leaf may already have served state for —
@@ -371,6 +378,7 @@ func (n *Node) initBroadcast(members []wire.NodeID, incarnations map[wire.NodeID
 	cbs := broadcast.Callbacks{
 		Deliver:    n.onDeliver,
 		PeerFailed: n.onPeerFailed,
+		RaftStats:  &n.stats.raft,
 	}
 	switch n.cfg.Broadcast {
 	case BroadcastSwitch:
@@ -803,18 +811,24 @@ func (n *Node) ensureCycle(k uint64) *cycle {
 			sealed:        c.sealed,
 			evict:         c.evict,
 			waiting:       c.waiting[:0],
+			props:         c.props,
 		}
 	} else {
 		c = &cycle{}
 	}
 	c.id = k
-	c.states = make([]*wire.Proposal, n.tree.Height+1)
+	if last := len(n.statesFree) - 1; last >= 0 {
+		c.states, n.statesFree = n.statesFree[last], n.statesFree[:last]
+	} else {
+		c.states = make([]*wire.Proposal, n.tree.Height+1)
+	}
 	n.cycles[k] = c
 	return c
 }
 
 // freeCycle recycles a committed cycle's skeleton. Its states slice is
-// NOT recycled — n.recent retains it to answer late fetches.
+// NOT recycled here — n.recent retains it to answer late fetches, and
+// hands it back when the retention window has passed (dropRecent).
 func (n *Node) freeCycle(c *cycle) {
 	if len(n.cycleFree) >= n.cfg.MaxInFlight+4 {
 		return

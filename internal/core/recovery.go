@@ -78,7 +78,7 @@ func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	states[n.tree.Height] = root
 	n.recent[cycle] = states
 	if old := cycle - n.retention(); old > 0 && old <= cycle {
-		delete(n.recent, old)
+		n.dropRecent(old)
 	}
 	n.recovered = true
 	n.stats.replayed.Add(1)

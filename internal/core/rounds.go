@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -198,17 +200,13 @@ func (n *Node) round1Complete(c *cycle) bool {
 // state: order proposals by (proposal number, origin) and concatenate
 // their request sets (§4.2).
 func (n *Node) finishRound1(c *cycle) {
-	props := make([]*wire.Proposal, 0, len(c.r1))
+	props := c.props[:0]
 	for _, p := range c.r1 {
 		props = append(props, p)
 	}
-	sort.Slice(props, func(i, j int) bool {
-		if props[i].Num != props[j].Num {
-			return props[i].Num < props[j].Num
-		}
-		return props[i].Origin < props[j].Origin
-	})
+	slices.SortFunc(props, mergeOrder)
 	c.states[1] = n.mergeProposals(c.id, 1, n.tree.Ancestor(n.sl, 1), props)
+	c.releaseProps(props)
 	c.round = 2
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "r1-done", c.id, "")
@@ -239,17 +237,13 @@ func (n *Node) mergeRound(c *cycle) bool {
 			return false
 		}
 	}
-	props := make([]*wire.Proposal, 0, len(children))
+	props := c.props[:0]
 	for _, u := range children {
 		props = append(props, state(u))
 	}
-	sort.Slice(props, func(i, j int) bool {
-		if props[i].Num != props[j].Num {
-			return props[i].Num < props[j].Num
-		}
-		return props[i].VNode < props[j].VNode
-	})
+	slices.SortFunc(props, mergeOrder)
 	c.states[r] = n.mergeProposals(c.id, uint8(r), target, props)
+	c.releaseProps(props)
 	c.round = r + 1
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "round-done", c.id, target)
@@ -257,6 +251,21 @@ func (n *Node) mergeRound(c *cycle) bool {
 	n.serveWaiting(c)
 	n.pushState(c, r)
 	return true
+}
+
+// mergeOrder is the order in which a merge concatenates its inputs (§4.2):
+// ascending proposal number, ties broken by vnode ID, then origin. Round-1
+// proposals all have the empty vnode ID and distinct origins, vnode states
+// distinct vnode IDs, so it is total on either.
+func mergeOrder(a, b *wire.Proposal) int {
+	return cmp.Or(cmp.Compare(a.Num, b.Num), cmp.Compare(a.VNode, b.VNode), cmp.Compare(a.Origin, b.Origin))
+}
+
+// releaseProps returns a merge's sort buffer to the cycle, emptied so a
+// pooled cycle pins no proposal.
+func (c *cycle) releaseProps(props []*wire.Proposal) {
+	clear(props)
+	c.props = props[:0]
 }
 
 // mergeProposals builds the state of vnode target from its ordered
@@ -277,6 +286,13 @@ func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []
 	var seenUpd map[wire.MemberUpdate]bool
 	var seenLease map[wire.LeaseRequest]bool
 	var seenSess map[wire.SessionUpdate]bool
+	batches := 0
+	for _, p := range ordered {
+		batches += len(p.Batches)
+	}
+	if batches > 0 {
+		out.Batches = make([]*wire.Batch, 0, batches)
+	}
 	for _, p := range ordered {
 		if p.Num > out.Num {
 			out.Num = p.Num
@@ -437,8 +453,11 @@ func (n *Node) pullMissing(c *cycle) {
 // is itself stuck behind the dead representative's fetches — so both
 // fetch assignment and failure recovery must exclude cut peers, or new
 // cycles keep assigning fetches to a corpse.
+//
+// The result is valid until the next call: it is rebuilt in one buffer,
+// because every started cycle asks (armFetches).
 func (n *Node) effectiveReps() []wire.NodeID {
-	reps := make([]wire.NodeID, 0, n.cfg.NumReps)
+	reps := n.repsBuf[:0]
 	for _, m := range n.view.Members(n.sl) {
 		if n.closedPeers[m] {
 			continue
@@ -448,6 +467,7 @@ func (n *Node) effectiveReps() []wire.NodeID {
 			break
 		}
 	}
+	n.repsBuf = reps
 	return reps
 }
 

@@ -1,6 +1,7 @@
 package raftlite
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -61,23 +62,37 @@ func (w *wireNet) pump(tb testing.TB) {
 	w.queue, w.buf = w.queue[:0], w.buf[:0]
 }
 
-// broadcastAllocCeiling is the committed ceiling on heap objects per
-// committed entry in BenchmarkBroadcastRoundTrip. Today's 10 are the
-// entry's payload (once at the proposer, once decoded at each follower),
-// one AppendEntries shared by both followers, two commit notices (the
-// followers' matchIndex differ at that moment) and four replies — notices
+// broadcastCeilings are the committed ceilings of
+// BenchmarkBroadcastRoundTrip per group size: messages and heap objects
+// per committed entry. The messages are 3(n-1): append, reply and commit
+// notice per follower; a notice is not answered (see onAppend). The
+// objects of a group of three are the entry's payload (once at the
+// proposer, once decoded at each follower), one AppendEntries shared by
+// both followers, one allocation holding both commit notices (the
+// followers' matchIndex differ at that moment) and two replies — notices
 // and replies must be heap objects because the simulator delivers the
-// pointers later. It was 26 (and 4.8 us, now 1.3) with per-follower appends,
-// per-message decode structs and a log copied on every compaction.
-const broadcastAllocCeiling = 12
+// pointers later. It was 26 objects (and 4.8 us, now 1.4) with
+// per-follower appends, per-message decode structs and a log copied on
+// every compaction, and 8 messages and 10 objects while notices were
+// answered.
+var broadcastCeilings = map[int]struct{ msgs, allocs float64 }{
+	3: {msgs: 6, allocs: 8},
+	5: {msgs: 12, allocs: 12},
+}
 
 // BenchmarkBroadcastRoundTrip is one reliable broadcast in a super-leaf of
-// three (paper §4.3): the leader proposes, and the entry is committed and
-// known committed everywhere. msgs/entry is the protocol's cost in
-// messages — append and reply, commit notice and reply, per follower;
-// allocs/entry fails the benchmark above broadcastAllocCeiling.
+// three and of five (paper §4.3): the leader proposes, and the entry is
+// committed and known committed everywhere. msgs/entry is the protocol's
+// cost in messages, allocs/entry in heap objects; either above
+// broadcastCeilings fails the benchmark.
 func BenchmarkBroadcastRoundTrip(b *testing.B) {
-	w := newWireNet(3)
+	for _, n := range []int{3, 5} {
+		b.Run(fmt.Sprintf("group%d", n), func(b *testing.B) { benchBroadcast(b, n) })
+	}
+}
+
+func benchBroadcast(b *testing.B, n int) {
+	w := newWireNet(n)
 	w.pump(b)
 	seq := uint64(0)
 	round := func() {
@@ -93,7 +108,8 @@ func BenchmarkBroadcastRoundTrip(b *testing.B) {
 	msgs := w.msgs
 	allocs := testing.AllocsPerRun(200, round)
 	perEntry := float64(w.msgs-msgs) / 201 // AllocsPerRun runs once to warm up
-	if got := w.members[2].CommitIndex(); got != w.members[0].LastIndex() {
+	last := wire.NodeID(n - 1)
+	if got := w.members[last].CommitIndex(); got != w.members[0].LastIndex() {
 		b.Fatalf("follower knows %d committed, leader's log ends at %d", got, w.members[0].LastIndex())
 	}
 	b.ReportAllocs()
@@ -103,7 +119,11 @@ func BenchmarkBroadcastRoundTrip(b *testing.B) {
 	}
 	b.ReportMetric(perEntry, "msgs/entry")
 	b.ReportMetric(allocs, "allocs/entry")
-	if allocs > broadcastAllocCeiling {
-		b.Fatalf("a broadcast allocates %.0f objects, ceiling %d", allocs, broadcastAllocCeiling)
+	ceil := broadcastCeilings[n]
+	if perEntry > ceil.msgs {
+		b.Fatalf("a broadcast takes %.1f messages, ceiling %v", perEntry, ceil.msgs)
+	}
+	if allocs > ceil.allocs {
+		b.Fatalf("a broadcast allocates %.0f objects, ceiling %v", allocs, ceil.allocs)
 	}
 }

@@ -12,12 +12,23 @@
 // and periodic ticks and receives sends, deliveries and leadership
 // changes through callbacks. It performs log compaction below the commit
 // index so long simulations run in bounded memory.
+//
+// What one broadcast costs: in a group of n the leader sends the entry to
+// its n-1 followers, each answers, and on the majority's answer the leader
+// sends each a commit notice — 3(n-1) messages. A notice is not answered,
+// and neither is an idle heartbeat: an append that carries no entries and
+// whose Commit covers its PrevIndex can only be acknowledged with a Match
+// the leader already counts as committed (see onAppend). Appends with
+// entries, heartbeats over an uncommitted suffix and every rejection are
+// answered; liveness is the followers' election timer, which never read
+// the replies.
 package raftlite
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"canopus/internal/wire"
@@ -104,6 +115,20 @@ type IO struct {
 	Now func() time.Duration
 	// Rand randomizes election timeouts.
 	Rand *rand.Rand
+	// Stats, when non-nil, counts the messages this member sends; the
+	// groups of one node share one.
+	Stats *Stats
+}
+
+// Stats counts AppendEntries sent by kind and the replies sent to them.
+// The fields are atomic so an exporter may read them from any goroutine.
+type Stats struct {
+	// AppendsEntries carried log entries, AppendsNotice told followers of
+	// a new commit index the moment it advanced, AppendsHeartbeat are the
+	// periodic keep-alives with nothing to carry.
+	AppendsEntries, AppendsNotice, AppendsHeartbeat atomic.Uint64
+	// Replies are the AppendEntries answers sent, rejections included.
+	Replies atomic.Uint64
 }
 
 // Raft is one member of one Raft group.
@@ -142,6 +167,9 @@ type Raft struct {
 // and Tick.
 func New(cfg Config, io IO) *Raft {
 	cfg.fill()
+	if io.Stats == nil {
+		io.Stats = new(Stats)
+	}
 	r := &Raft{
 		cfg:        cfg,
 		io:         io,
@@ -385,6 +413,9 @@ func (r *Raft) sendAppend(to wire.NodeID, reuse *wire.RaftAppend) *wire.RaftAppe
 		// instead of the whole unacknowledged suffix. A rejection resets
 		// nextIndex from the follower's hint.
 		r.nextIndex[to] = next + n
+		r.io.Stats.AppendsEntries.Add(1)
+	} else {
+		r.io.Stats.AppendsHeartbeat.Add(1)
 	}
 	r.io.Send(to, m)
 	return m
@@ -407,11 +438,21 @@ func (r *Raft) Handle(from wire.NodeID, m wire.Message) {
 	}
 }
 
+// onAppend is the follower's side of AppendEntries.
+//
+// Which appends are answered: every rejection, every append that carried
+// entries, and a heartbeat whose PrevIndex lies beyond its Commit. What is
+// left — no entries, Commit >= PrevIndex — is a commit notice (its
+// PrevIndex is the leader's matchIndex for this follower) or an idle
+// heartbeat, and the answer would be "Match = PrevIndex": a prefix the
+// leader already counts as committed, so the reply could advance neither
+// its commit index nor anything a later real append's reply does not. The
+// one reply the leader can be waiting for is to an append with entries; if
+// that reply is lost, the next heartbeat still has PrevIndex > Commit and
+// is answered. The rule is the same for every group size.
 func (r *Raft) onAppend(m *wire.RaftAppend) {
 	if m.Term < r.term {
-		r.io.Send(m.Leader, &wire.RaftAppendReply{
-			Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: false, Match: r.LastIndex(),
-		})
+		r.reply(m.Leader, false, r.LastIndex())
 		return
 	}
 	r.stepDown(m.Term, m.Leader)
@@ -441,17 +482,13 @@ func (r *Raft) onAppend(m *wire.RaftAppend) {
 	}
 
 	if m.PrevIndex > r.LastIndex() {
-		r.io.Send(m.Leader, &wire.RaftAppendReply{
-			Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: false, Match: r.LastIndex(),
-		})
+		r.reply(m.Leader, false, r.LastIndex())
 		return
 	}
 	if m.PrevIndex >= r.offset && r.termAt(m.PrevIndex) != m.PrevTerm {
 		// Conflict: ask the leader to back up to our commit point, which
 		// is guaranteed consistent.
-		r.io.Send(m.Leader, &wire.RaftAppendReply{
-			Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: false, Match: r.commit,
-		})
+		r.reply(m.Leader, false, r.commit)
 		return
 	}
 	// Append entries, truncating any conflicting suffix.
@@ -483,8 +520,17 @@ func (r *Raft) onAppend(m *wire.RaftAppend) {
 		r.commit = c
 		r.apply()
 	}
-	r.io.Send(m.Leader, &wire.RaftAppendReply{
-		Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: true, Match: covered,
+	if len(m.Entries) == 0 && m.Commit >= m.PrevIndex {
+		return // nothing the leader does not know: see above
+	}
+	r.reply(m.Leader, true, covered)
+}
+
+// reply answers the leader's AppendEntries.
+func (r *Raft) reply(leader wire.NodeID, success bool, match uint64) {
+	r.io.Stats.Replies.Add(1)
+	r.io.Send(leader, &wire.RaftAppendReply{
+		Group: r.cfg.Group, Term: r.term, From: r.cfg.Self, Success: success, Match: match,
 	})
 }
 
@@ -538,8 +584,11 @@ func (r *Raft) advanceCommit() {
 			r.apply()
 			// Followers learn the new commit index immediately rather
 			// than waiting a heartbeat, keeping broadcast latency at one
-			// round trip plus one one-way hop.
-			var notify *wire.RaftAppend // shared by peers at one matchIndex
+			// round trip plus one one-way hop. Peers at one matchIndex
+			// share a notice, and all the notices of this commit share one
+			// allocation.
+			notices := make([]wire.RaftAppend, 0, len(r.cfg.Peers)-1)
+			var notify *wire.RaftAppend
 			for _, p := range r.cfg.Peers {
 				if p != r.cfg.Self {
 					// A freshly (re-)added peer's matchIndex can trail the
@@ -550,12 +599,14 @@ func (r *Raft) advanceCommit() {
 						prev = r.offset
 					}
 					if notify == nil || notify.PrevIndex != prev {
-						notify = &wire.RaftAppend{
+						notices = append(notices, wire.RaftAppend{
 							Group: r.cfg.Group, Term: r.term, Leader: r.cfg.Self,
 							PrevIndex: prev, PrevTerm: r.termAt(prev),
 							Commit: r.commit, Base: r.offset,
-						}
+						})
+						notify = &notices[len(notices)-1]
 					}
+					r.io.Stats.AppendsNotice.Add(1)
 					r.io.Send(p, notify)
 				}
 			}

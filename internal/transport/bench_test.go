@@ -219,3 +219,64 @@ func BenchmarkRecvBurst(b *testing.B) {
 		b.Fatalf("receive path allocates %.2f objects per frame, ceiling %.2f", allocsPerFrame, recvBurstAllocCeiling)
 	}
 }
+
+// rearmMachine is a node's tick: a timer whose handler arms the next.
+type rearmMachine struct {
+	env  engine.Env
+	left int
+	done chan struct{}
+}
+
+func (m *rearmMachine) Init(env engine.Env)            { m.env = env }
+func (m *rearmMachine) Recv(wire.NodeID, wire.Message) {}
+func (m *rearmMachine) Timer(tag engine.TimerTag) {
+	if m.left--; m.left == 0 {
+		m.done <- struct{}{}
+		return
+	}
+	m.env.After(10*time.Microsecond, tag)
+}
+
+// timerRearmAllocCeiling is the committed ceiling on heap objects per
+// Runner.After. Steady state is zero — the deadline goes into the runner's
+// heap and its one time.Timer is reset; time.AfterFunc per call cost a
+// timer and a closure. The slack absorbs the runtime's own background
+// allocations.
+const timerRearmAllocCeiling = 0.05
+
+// BenchmarkTimerRearm measures a timer chain — every handler arms the next
+// timer, as a node's tick and cycle timers do: allocs/After fails the
+// benchmark above timerRearmAllocCeiling.
+func BenchmarkTimerRearm(b *testing.B) {
+	m := &rearmMachine{done: make(chan struct{}, 1)}
+	r, err := NewRunner(0, "127.0.0.1:0", map[wire.NodeID]string{}, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.Logf = func(string, ...interface{}) {}
+	r.Attach(m)
+	b.Cleanup(r.Close)
+	chain := func(n int) {
+		r.Invoke(func() {
+			m.left = n
+			r.After(0, 1)
+		})
+		<-m.done
+	}
+	chain(64) // grow the heap
+	// Measured over a fixed number of timers of its own, so that
+	// -benchtime=1x (the CI drift pass) reports the same thing.
+	const measured = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	chain(measured)
+	runtime.ReadMemStats(&after)
+	allocsPerAfter := float64(after.Mallocs-before.Mallocs) / measured
+
+	b.ResetTimer()
+	chain(b.N)
+	b.ReportMetric(allocsPerAfter, "allocs/After")
+	if allocsPerAfter > timerRearmAllocCeiling {
+		b.Fatalf("After allocates %.2f objects, ceiling %.2f", allocsPerAfter, timerRearmAllocCeiling)
+	}
+}

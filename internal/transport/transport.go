@@ -16,6 +16,10 @@
 // turn, so the replies to a burst leave in one vectored write per peer.
 // Raft control messages are decoded into per-connection scratch that is
 // reused after the turn (see engine.Machine.Recv for the ownership rule).
+//
+// Timers are the runner's own: the deadlines machines arm with After sit
+// in a heap behind one reusable time.Timer, and every timer that is due
+// when it fires runs in the same machine turn.
 package transport
 
 import (
@@ -57,6 +61,14 @@ type Runner struct {
 	machine engine.Machine
 	start   time.Time
 	rng     *rand.Rand
+
+	// timers holds the pending After deadlines as a min-heap on (at,
+	// seq); wake is armed for the earliest, wakeAt (0: not armed). All
+	// guarded by mu.
+	timers   []pendingTimer
+	timerSeq uint64
+	wake     *time.Timer
+	wakeAt   time.Duration
 
 	// pending accumulates this turn's encoded frames per destination;
 	// guarded by mu (sends only happen inside machine turns).
@@ -293,6 +305,11 @@ func (r *Runner) Close() {
 		return
 	}
 	r.closed = true
+	if r.wake != nil {
+		r.wake.Stop()
+	}
+	clear(r.timers)
+	r.timers = nil
 	r.mu.Unlock()
 	close(r.done)
 	r.listener.Close()
@@ -363,22 +380,112 @@ func (r *Runner) Now() time.Duration { return time.Since(r.start) }
 // Rand implements engine.Env.
 func (r *Runner) Rand() *rand.Rand { return r.rng }
 
-// After implements engine.Env using wall-clock timers. The arming
-// machine is captured so a timer never fires into a successor installed
-// by a later Attach (livecluster.RestartNode replaces an evicted node
-// with a joiner on the same runner; the old node's tick chain must die
-// with it, not double the new node's).
+// pendingTimer is one armed After: when it is due (on the runner's clock),
+// what to fire, and the machine that armed it.
+type pendingTimer struct {
+	at      time.Duration
+	seq     uint64 // arming order, the tie-break among equal deadlines
+	tag     engine.TimerTag
+	machine engine.Machine
+}
+
+func (a *pendingTimer) before(b *pendingTimer) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// After implements engine.Env using wall-clock time. It costs no
+// allocation: the deadline goes into the runner's heap, and the runner's
+// one time.Timer is re-armed only when the new deadline is the earliest.
+// The arming machine is recorded so a timer never fires into a successor
+// installed by a later Attach (livecluster.RestartNode replaces an evicted
+// node with a joiner on the same runner; the old node's tick chain must
+// die with it, not double the new node's).
 func (r *Runner) After(d time.Duration, tag engine.TimerTag) {
-	m := r.machine // called from the machine turn, under r.mu
-	time.AfterFunc(d, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed || r.machine == nil || r.machine != m {
-			return
+	// Called from the machine turn, under r.mu.
+	r.timerSeq++
+	t := pendingTimer{at: r.Now() + max(d, 0), seq: r.timerSeq, tag: tag, machine: r.machine}
+	i := len(r.timers)
+	r.timers = append(r.timers, t)
+	for i > 0 { // sift up
+		parent := (i - 1) / 2
+		if !t.before(&r.timers[parent]) {
+			break
 		}
-		r.machine.Timer(tag)
-		r.flushTurn()
-	})
+		r.timers[i] = r.timers[parent]
+		i = parent
+	}
+	r.timers[i] = t
+	if i == 0 {
+		r.armWake()
+	}
+}
+
+// popTimer removes and returns the earliest pending timer.
+func (r *Runner) popTimer() pendingTimer {
+	h := r.timers
+	top, n := h[0], len(h)-1
+	t := h[n]
+	h[n] = pendingTimer{} // do not pin the machine
+	h = h[:n]
+	i := 0
+	for { // sift t down from the root
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h[child+1].before(&h[child]) {
+			child++
+		}
+		if !h[child].before(&t) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = t
+	}
+	r.timers = h
+	return top
+}
+
+// armWake points the runner's time.Timer at the earliest pending deadline,
+// unless it already is. Called with r.mu held.
+func (r *Runner) armWake() {
+	if len(r.timers) == 0 || r.closed {
+		return
+	}
+	at := r.timers[0].at
+	if r.wakeAt != 0 && r.wakeAt <= at {
+		return // fires no later than needed; fireTimers re-arms
+	}
+	r.wakeAt = max(at, 1)
+	if d := at - r.Now(); r.wake == nil {
+		r.wake = time.AfterFunc(d, r.fireTimers)
+	} else {
+		r.wake.Reset(d)
+	}
+}
+
+// fireTimers runs every due timer in one machine turn, in deadline order,
+// and re-arms for the next. A timer armed by a machine that has since been
+// replaced is dropped.
+func (r *Runner) fireTimers() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.wakeAt = 0
+	if r.closed {
+		return
+	}
+	// Due as of now: what a handler arms for "at once" waits for the next
+	// turn, so a machine cannot hold the turn for ever.
+	for now := r.Now(); len(r.timers) > 0 && r.timers[0].at <= now; {
+		if t := r.popTimer(); t.machine == r.machine && t.machine != nil {
+			r.machine.Timer(t.tag)
+		}
+	}
+	r.flushTurn()
+	r.armWake()
 }
 
 // Send implements engine.Env. The frame is encoded into the turn's

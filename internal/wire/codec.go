@@ -62,6 +62,8 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+	// vnodes, when non-nil, interns the vnode IDs read (see Decoder).
+	vnodes map[string]string
 }
 
 func (r *reader) fail() {
@@ -206,43 +208,79 @@ func appendRequest(b []byte, q *Request) []byte {
 	return putBytes(b, q.Val)
 }
 
-// readRequests decodes len(reqs) requests. Their values are carved from
-// one allocation sized by a pre-scan of the length prefixes, so a batch
-// costs one value allocation instead of one per request; the values are
-// immutable and live as long as any of them is referenced.
-func readRequests(r *reader, reqs []Request) {
-	var arena []byte
-	if total := r.valueBytes(len(reqs)); total > 0 {
-		arena = make([]byte, 0, total)
-	}
+// readRequests decodes len(reqs) requests, carving their values from
+// *arena (see bytesArena): the caller sizes it by a pre-scan of the length
+// prefixes, so a proposal costs one value allocation instead of one per
+// request; the values are immutable and live as long as any of them is
+// referenced.
+func readRequests(r *reader, reqs []Request, arena *[]byte) {
 	for i := range reqs {
 		q := &reqs[i]
 		q.Client = r.u64()
 		q.Seq = r.u64()
 		q.Op = Op(r.u8())
 		q.Key = r.u64()
-		q.Val = r.bytesArena(&arena)
+		q.Val = r.bytesArena(arena)
 	}
 }
 
-// valueBytes sums the value lengths of the n requests encoded at the
-// cursor without consuming them. A framing error yields 0: the decode
-// that follows reports it.
-func (r *reader) valueBytes(n int) int {
-	off, total := r.off, 0
-	for i := 0; i < n; i++ {
-		off += requestFixedSize
-		if r.err != nil || off > len(r.b) {
-			return 0
+// scanRequests walks up to n requests encoded at b[off:] and returns the
+// offset behind the last complete one, how many it passed and the sum of
+// their value lengths. It stops early at a framing error.
+func scanRequests(b []byte, off, n int) (end, reqs, valueBytes int) {
+	for ; reqs < n; reqs++ {
+		next := off + requestFixedSize
+		if next > len(b) {
+			break
 		}
-		l := int(binary.LittleEndian.Uint32(r.b[off-4:]))
-		if l > len(r.b)-off {
-			return 0
+		l := int(binary.LittleEndian.Uint32(b[next-4:]))
+		if l > len(b)-next {
+			break
 		}
-		off += l
-		total += l
+		off = next + l
+		valueBytes += l
 	}
-	return total
+	return off, reqs, valueBytes
+}
+
+// scanBatches walks the n batches encoded at the cursor without consuming
+// them and returns how many requests they hold and the sum of their value
+// lengths. A framing error ends the walk early: the decode that follows
+// reports it, and only sizes its allocations by what was counted.
+func (r *reader) scanBatches(n int) (reqs, valueBytes int) {
+	if r.err != nil {
+		return 0, 0
+	}
+	b, off := r.b, r.off
+	for i := 0; i < n; i++ {
+		if off+5 > len(b) {
+			return
+		}
+		explicit := b[off+4] == 1
+		off += 5
+		if explicit {
+			if off+4 > len(b) {
+				return
+			}
+			want := int(binary.LittleEndian.Uint32(b[off:]))
+			end, nr, nv := scanRequests(b, off+4, want)
+			reqs, valueBytes = reqs+nr, valueBytes+nv
+			if nr < want {
+				return
+			}
+			off = end
+		}
+		if off+16 > len(b) {
+			return
+		}
+		ns := int(binary.LittleEndian.Uint32(b[off+12:]))
+		off += 16
+		if ns > (len(b)-off)/sampleSize {
+			return
+		}
+		off += ns * sampleSize
+	}
+	return
 }
 
 const sampleSize = 8 + 4 + 1
@@ -283,14 +321,35 @@ func appendBatch(b []byte, bt *Batch) []byte {
 	return b
 }
 
+// readBatch decodes one batch on its own (the optional batch of an EPaxos
+// or Zab message).
 func readBatch(r *reader) *Batch {
 	bt := &Batch{}
+	nreq, valueBytes := r.scanBatches(1)
+	slab, arena := make([]Request, 0, nreq), make([]byte, 0, valueBytes)
+	readBatchInto(r, bt, &slab, &arena)
+	return bt
+}
+
+// readBatchInto decodes one batch into bt, taking its requests from *slab
+// and their values from *arena; both are sized by scanBatches, and a batch
+// that outgrows them (the scan stopped at a framing error) falls back to
+// allocations of its own.
+func readBatchInto(r *reader, bt *Batch, slab *[]Request, arena *[]byte) {
 	bt.Origin = r.node()
 	explicit := r.boolean()
 	if explicit {
 		n := r.count(requestFixedSize)
-		bt.Reqs = make([]Request, n)
-		readRequests(r, bt.Reqs)
+		switch s := *slab; {
+		case n == 0:
+			bt.Reqs = []Request{} // explicit and empty, which nil is not
+		case n <= cap(s)-len(s):
+			bt.Reqs = s[len(s) : len(s)+n : len(s)+n]
+			*slab = s[:len(s)+n]
+		default:
+			bt.Reqs = make([]Request, n)
+		}
+		readRequests(r, bt.Reqs, arena)
 	}
 	bt.NumRead = r.u32()
 	bt.NumWrite = r.u32()
@@ -304,7 +363,6 @@ func readBatch(r *reader) *Batch {
 			bt.Samples[i].Read = r.boolean()
 		}
 	}
-	return bt
 }
 
 // --- Proposal ---
@@ -389,20 +447,70 @@ func (p *Proposal) AppendTo(b []byte) []byte {
 	return b
 }
 
+// proposalBox1 lets a decoded proposal, its batch list and its batch come
+// out of one allocation: the shape of a round-1 proposal.
+type proposalBox1 struct {
+	p       Proposal
+	ptrs    [1]*Batch
+	batches [1]Batch
+}
+
+// proposalBox4 is proposalBox1 for up to four batches: a super-leaf's
+// height-1 state with up to four members' requests in it.
+type proposalBox4 struct {
+	p       Proposal
+	ptrs    [4]*Batch
+	batches [4]Batch
+}
+
+// newProposal returns a zero proposal whose Batches has room for nb
+// entries, and the batches those entries are to point at.
+func newProposal(nb int) (*Proposal, []Batch) {
+	switch {
+	case nb <= 1:
+		box := &proposalBox1{}
+		box.p.Batches = box.ptrs[:0]
+		return &box.p, box.batches[:nb]
+	case nb <= 4:
+		box := &proposalBox4{}
+		box.p.Batches = box.ptrs[:0]
+		return &box.p, box.batches[:nb]
+	}
+	return &Proposal{Batches: make([]*Batch, 0, nb)}, make([]Batch, nb)
+}
+
+// readProposal decodes a proposal in at most four allocations, however
+// many batches and requests it carries: the proposal with its batches
+// (newProposal), one slice holding every batch's requests, one holding
+// every request's value (both sized by a pre-scan, see scanBatches) and,
+// without an intern table, the vnode ID.
 func readProposal(r *reader) *Proposal {
-	p := &Proposal{}
-	p.Cycle = r.u64()
+	cycle := r.u64()
 	round := r.u8()
+	vnode := r.strInterned(r.vnodes)
+	origin := r.node()
+	num := r.u64()
+	nb := r.count(18)
+	p, batches := newProposal(nb)
+	p.Cycle = cycle
 	hasSessions := round&proposalSessionsFlag != 0
 	p.Resolve = round&proposalResolveFlag != 0
 	p.Round = round &^ uint8(proposalSessionsFlag|proposalResolveFlag)
-	p.VNode = r.str()
-	p.Origin = r.node()
-	p.Num = r.u64()
-	nb := r.count(18)
-	p.Batches = make([]*Batch, 0, nb)
-	for i := 0; i < nb; i++ {
-		p.Batches = append(p.Batches, readBatch(r))
+	p.VNode = vnode
+	p.Origin = origin
+	p.Num = num
+	nreq, valueBytes := r.scanBatches(nb)
+	var slab []Request
+	var arena []byte
+	if nreq > 0 {
+		slab = make([]Request, 0, nreq)
+	}
+	if valueBytes > 0 {
+		arena = make([]byte, 0, valueBytes)
+	}
+	for i := range batches {
+		readBatchInto(r, &batches[i], &slab, &arena)
+		p.Batches = append(p.Batches, &batches[i])
 	}
 	nu := r.count(5)
 	if nu > 0 {
@@ -454,12 +562,11 @@ func (p *ProposalRequest) AppendTo(b []byte) []byte {
 	return putNode(b, p.From)
 }
 
-// readProposalRequest decodes into p. vnodes, when non-nil, interns the
-// vnode ID (see Decoder).
-func readProposalRequest(r *reader, p *ProposalRequest, vnodes map[string]string) {
+// readProposalRequest decodes into p.
+func readProposalRequest(r *reader, p *ProposalRequest) {
 	p.Cycle = r.u64()
 	p.Round = r.u8()
-	p.VNode = r.strInterned(vnodes)
+	p.VNode = r.strInterned(r.vnodes)
 	p.From = r.node()
 }
 
@@ -486,16 +593,9 @@ func readEntry(r *reader) RaftEntry {
 	var e RaftEntry
 	e.Term = r.u64()
 	if r.boolean() {
-		if r.err != nil {
-			return e
-		}
-		m, n, err := Decode(r.b[r.off:])
-		if err != nil {
-			r.err = err
-			return e
-		}
-		r.off += n
-		e.Payload = m
+		// On the same reader: the payload shares the intern table, and a
+		// truncated payload is the entry's truncation.
+		e.Payload = readMessage(r, Kind(r.u8()))
 	}
 	return e
 }
@@ -1034,7 +1134,11 @@ func readJoinReply(r *reader) *JoinReply {
 	ns := r.count(requestFixedSize)
 	if ns > 0 {
 		m.Snapshot = make([]Request, ns)
-		readRequests(r, m.Snapshot)
+		var arena []byte
+		if _, _, total := scanRequests(r.b, r.off, ns); r.err == nil && total > 0 {
+			arena = make([]byte, 0, total)
+		}
+		readRequests(r, m.Snapshot, &arena)
 	}
 	m.StateBytes = r.u32()
 	nsess := r.count(sessionStateFixed)
@@ -1079,14 +1183,8 @@ func (m *Envelope) AppendTo(b []byte) []byte {
 func readEnvelope(r *reader) *Envelope {
 	m := &Envelope{}
 	m.Origin = r.node()
-	if r.boolean() && r.err == nil {
-		p, n, err := Decode(r.b[r.off:])
-		if err != nil {
-			r.err = err
-			return m
-		}
-		r.off += n
-		m.Payload = p
+	if r.boolean() {
+		m.Payload = readMessage(r, Kind(r.u8()))
 	}
 	return m
 }
@@ -1097,14 +1195,27 @@ func Decode(b []byte) (Message, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
-	r := &reader{b: b, off: 1}
+	r := reader{b: b, off: 1}
+	m := readMessage(&r, Kind(b[0]))
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	return m, r.off, nil
+}
+
+// readMessage decodes the body of a message of kind k at the cursor. An
+// unknown kind, like any framing error, latches in r.err.
+func readMessage(r *reader, k Kind) Message {
+	if r.err != nil {
+		return nil
+	}
 	var m Message
-	switch Kind(b[0]) {
+	switch k {
 	case KindProposal:
 		m = readProposal(r)
 	case KindProposalRequest:
 		v := &ProposalRequest{}
-		readProposalRequest(r, v, nil)
+		readProposalRequest(r, v)
 		m = v
 	case KindRaftAppend:
 		v := &RaftAppend{}
@@ -1157,10 +1268,7 @@ func Decode(b []byte) (Message, int, error) {
 	case KindEvicted:
 		m = readEvicted(r)
 	default:
-		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownKind, b[0])
+		r.err = fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))
 	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	return m, r.off, nil
+	return m
 }

@@ -31,7 +31,10 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
-	r := reader{b: b, off: 1}
+	if d.vnodes == nil {
+		d.vnodes = make(map[string]string)
+	}
+	r := reader{b: b, off: 1, vnodes: d.vnodes}
 	var m Message
 	switch Kind(b[0]) {
 	case KindRaftAppend:
@@ -45,15 +48,12 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 		readRaftAppendReply(&r, v)
 		m = v
 	case KindProposalRequest:
-		if d.vnodes == nil {
-			d.vnodes = make(map[string]string)
-		}
 		d.requests = append(d.requests, ProposalRequest{})
 		v := &d.requests[len(d.requests)-1]
-		readProposalRequest(&r, v, d.vnodes)
+		readProposalRequest(&r, v)
 		m = v
 	default:
-		return Decode(b)
+		m = readMessage(&r, Kind(b[0]))
 	}
 	if r.err != nil {
 		return nil, 0, r.err

@@ -74,6 +74,50 @@ func TestDecoderMessagesAreIndependent(t *testing.T) {
 	}
 }
 
+// TestProposalDecodeAllocations pins what a proposal costs to decode,
+// however many batches and requests it carries: the proposal with its
+// batches, one slice of requests, one of values — and nothing for the
+// vnode ID a Decoder has seen before. The batch counts cover the two boxes
+// and the path beyond them (see newProposal).
+func TestProposalDecodeAllocations(t *testing.T) {
+	for _, tc := range []struct{ batches, want int }{{0, 1}, {1, 3}, {3, 3}, {4, 3}, {9, 5}} {
+		p := &Proposal{Cycle: 7, Round: 2, VNode: "1.2", Origin: NoNode, Num: 42}
+		for b := 0; b < tc.batches; b++ {
+			bt := &Batch{Origin: NodeID(b), NumWrite: 4}
+			for i := 0; i < 4; i++ {
+				bt.Reqs = append(bt.Reqs, Request{Client: 1, Seq: uint64(i), Op: OpWrite, Key: uint64(i),
+					Val: bytes.Repeat([]byte{byte(b)}, 16+i)})
+			}
+			p.Batches = append(p.Batches, bt)
+		}
+		frame := (&RaftAppend{Group: 1, Term: 1, PrevIndex: 4, PrevTerm: 1, Commit: 4,
+			Entries: []RaftEntry{{Term: 1, Payload: p}}}).AppendTo(nil)
+		var d Decoder
+		var got *Proposal
+		decode := func() {
+			m, _, err := d.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = m.(*RaftAppend).Entries[0].Payload.(*Proposal)
+			d.Reset()
+		}
+		decode() // grows the scratch, interns the vnode
+		if allocs := testing.AllocsPerRun(100, decode); int(allocs) != tc.want {
+			t.Errorf("%d batches: decoding allocates %v objects, want %d", tc.batches, allocs, tc.want)
+		}
+		if !bytes.Equal(got.AppendTo(nil), p.AppendTo(nil)) {
+			t.Errorf("%d batches: decoded proposal re-encodes differently", tc.batches)
+		}
+		for b, bt := range got.Batches {
+			if len(bt.Reqs) != 4 || cap(bt.Reqs) != 4 {
+				t.Errorf("batch %d of %d has len %d cap %d requests: appending to one would write into the next",
+					b, tc.batches, len(bt.Reqs), cap(bt.Reqs))
+			}
+		}
+	}
+}
+
 // BenchmarkDecodeRaftAppend decodes the AppendEntries that carries one
 // round-1 proposal (a batch of 8 writes of 128 B — write_9n's shape) the
 // way a transport reader does: Decoder, then Reset. allocs/append is what

@@ -21,6 +21,11 @@ func fuzzSeeds() []Message {
 			Batches: []*Batch{batch, fluid},
 			Updates: []MemberUpdate{{Node: 4, Leave: true}},
 			Leases:  []LeaseRequest{{Key: 9, Node: 1}}},
+		// One batch and five: the single-allocation boxes and the path
+		// beyond them (see newProposal).
+		&Proposal{Cycle: 8, Round: 1, Origin: 1, Num: 43, Batches: []*Batch{batch}},
+		&Proposal{Cycle: 9, Round: 2, VNode: "1", Origin: NoNode, Num: 44,
+			Batches: []*Batch{batch, fluid, batch, {Origin: 3, Reqs: []Request{}}, fluid}},
 		&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.2", From: 5},
 		&RaftAppend{Group: 1, Term: 2, Leader: 0, PrevIndex: 3, PrevTerm: 1, Commit: 2, Base: 1,
 			Entries: []RaftEntry{{Term: 2, Payload: &Ping{From: 1, Seq: 9}}, {Term: 2}}},
