@@ -469,11 +469,14 @@ func (c *Client) Async(op Op, fn func(Result, error)) {
 
 // AsyncOk issues op and invokes done exactly once with whether it
 // succeeded — the allocation-lean shape load generators want: passing a
-// long-lived done callback costs one pendingOp per operation and zero
-// adapter closures. done follows the Async callback contract (reader
-// goroutine or synchronous; must not block).
+// long-lived done callback costs no allocation per operation (the
+// pendingOp is recycled when it completes) and zero adapter closures.
+// done follows the Async callback contract (reader goroutine or
+// synchronous; must not block).
 func (c *Client) AsyncOk(op Op, done func(ok bool)) {
-	c.start(&pendingOp{op: op, okFn: done})
+	p := okOpPool.Get().(*pendingOp)
+	p.op, p.okFn = op, done
+	c.start(p)
 }
 
 func (c *Client) asyncBatch(ops []Op, f *Future) {

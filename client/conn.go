@@ -34,11 +34,21 @@ type pendingOp struct {
 	retried   bool
 }
 
+// okOpPool recycles the pendingOps of AsyncOk: one is taken per operation
+// and handed back by complete.
+var okOpPool = sync.Pool{New: func() any { return new(pendingOp) }}
+
 // complete delivers the operation's outcome to whichever completion
-// shape it carries.
+// shape it carries. It ends p's life: an AsyncOk operation goes back to
+// okOpPool before its callback runs (the callback may issue the next
+// operation and be handed this very struct), so a caller must not touch p
+// after complete, and whoever holds p — a connection's pending map, the
+// session-registration queue, a retry in flight — holds it alone.
 func (p *pendingOp) complete(res Result, err error) {
-	if p.okFn != nil {
-		p.okFn(err == nil)
+	if okFn := p.okFn; okFn != nil {
+		*p = pendingOp{}
+		okOpPool.Put(p)
+		okFn(err == nil)
 		return
 	}
 	p.fn(res, err)
@@ -118,19 +128,15 @@ func dialConn(cl *Client, addr string, timeout time.Duration) (*conn, error) {
 // buffer. It reports false when the connection has already failed (the
 // failure handler owns any previously registered operations; p was not
 // registered).
+//
+// Everything the frame needs is read from p before p is registered: once
+// it is in the pending map a failure of the connection can complete it on
+// another goroutine, and a completed pendingOp may already be another
+// operation (see complete).
 func (cn *conn) enqueue(p *pendingOp) bool {
-	cn.mu.Lock()
-	if cn.err != nil {
-		cn.mu.Unlock()
-		return false
-	}
-	cn.nextID++
-	id := cn.nextID
-	cn.pending[id] = p
-	cn.mu.Unlock()
-
-	q := wire.ClientRequestV2{ID: id}
+	var q wire.ClientRequestV2
 	var one [1]wire.ClientOp // single-op fast path: no slice allocation
+	wreg, valLen := p.wreg, len(p.op.Val)
 	switch {
 	case p.register:
 		q.Register = true
@@ -145,10 +151,6 @@ func (cn *conn) enqueue(p *pendingOp) bool {
 		q.WatchID = p.wreg.id
 		q.WatchKey, q.PrefixBits = p.wreg.key, p.wreg.bits
 		q.SinceCycle = p.wsince
-		// From here on, only events arriving on THIS connection belong to
-		// the watch: a retired predecessor still draining replies must not
-		// interleave its stale pushes with the new registration's replay.
-		p.wreg.setConn(cn)
 	case p.unwatch:
 		q.Unwatch = true
 		q.WatchID = p.unwatchID
@@ -167,9 +169,25 @@ func (cn *conn) enqueue(p *pendingOp) bool {
 		q.Ops = one[:]
 	}
 
+	cn.mu.Lock()
+	if cn.err != nil {
+		cn.mu.Unlock()
+		return false
+	}
+	cn.nextID++
+	q.ID = cn.nextID
+	cn.pending[q.ID] = p
+	cn.mu.Unlock()
+	if wreg != nil {
+		// From here on, only events arriving on THIS connection belong to
+		// the watch: a retired predecessor still draining replies must not
+		// interleave its stale pushes with the new registration's replay.
+		wreg.setConn(cn)
+	}
+
 	cn.outMu.Lock()
 	if cn.out == nil {
-		cn.out = wire.EncodePool.Get(64 + len(p.op.Val))
+		cn.out = wire.EncodePool.Get(64 + valLen)
 	}
 	cn.out = wire.AppendClientRequestV3(cn.out, &q)
 	cn.outMu.Unlock()

@@ -35,6 +35,9 @@ func (n *Node) commit(c *cycle) {
 	n.committed = c.id
 	n.orderedW.Store(c.id)
 	n.stats.cycleCommits.Add(1)
+	if c.started {
+		n.lastCycleTook = n.env.Now() - c.startedAt
+	}
 	if n.cfg.StallThreshold > 0 {
 		n.lastCommitAt = n.env.Now()
 		if n.stallDetected.Load() {
@@ -113,9 +116,9 @@ func (n *Node) commit(c *cycle) {
 	// Self-clocking (§4.2): a node starts the next cycle if it received
 	// one or more client requests during the prior cycle. With
 	// pipelining the next cycles are usually already running; pacing
-	// keeps saturated self-clocked deployments at the cycle interval.
-	if n.pendingCount() > 0 && n.started == n.committed && n.paceAllows() {
-		n.tryStartCycles(n.started + 1)
+	// keeps saturated self-clocked deployments at the pace.
+	if n.pendingCount() > 0 {
+		n.startSelfClocked(causeCommit)
 	}
 }
 

@@ -52,10 +52,15 @@ type Config struct {
 	// paper's multi-DC configuration).
 	MaxBatch int
 
-	// CycleInterval, when non-zero, starts a new cycle at least this
-	// often while work is outstanding (§7.1, second trigger; the paper
-	// uses 5ms across datacenters). Zero disables the timer: cycles are
-	// purely self-clocked.
+	// CycleInterval, when non-zero, is the upper bound between two
+	// pipelined cycle starts: while cycles take at least this long, the
+	// cycle timer starts the next one every CycleInterval with the earlier
+	// ones still in flight (§7.1, second trigger; the paper uses 5ms
+	// across datacenters). Cycles shorter than it are not overlapped;
+	// there the self-clocked starts (a request at an idle node, a commit
+	// with requests pending) set the rate, paced at half of it. Zero
+	// disables the timer and the pace: cycles are purely self-clocked and
+	// no timer is armed for them.
 	CycleInterval time.Duration
 
 	// MaxInFlight bounds concurrently executing cycles (§7.1). Default

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"canopus/internal/engine"
 	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/netsim"
@@ -44,6 +45,11 @@ type clusterOpts struct {
 	// wan, when non-zero, puts every rack in its own datacenter with this
 	// one-way delay between any two.
 	wan time.Duration
+	// bootAt, when set, is the virtual time each node's Init runs at, so
+	// its timers keep that phase, instead of time 0 (see lateBoot).
+	bootAt []time.Duration
+	// wrap, when set, stands between the runner and each node.
+	wrap func(*Node) engine.Machine
 }
 
 func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
@@ -92,9 +98,47 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		node := NewNode(cfg, st, cbs)
 		tc.nodes = append(tc.nodes, node)
 		tc.stores = append(tc.stores, st)
-		runner.Register(id, node)
+		var m engine.Machine = node
+		if o.wrap != nil {
+			m = o.wrap(node)
+		}
+		if o.bootAt != nil {
+			late := &lateBoot{Machine: m}
+			m = late
+			sim.At(o.bootAt[i], late.boot)
+		}
+		runner.Register(id, m)
 	}
 	return tc
+}
+
+// lateBoot is a node whose process starts after the simulation does: the
+// runner has it from time 0, but Init runs at boot, and what its peers sent
+// it earlier is delivered then, as by a sender that kept dialing.
+type lateBoot struct {
+	engine.Machine
+	env   engine.Env
+	up    bool
+	early []func()
+}
+
+func (l *lateBoot) Init(env engine.Env) { l.env = env }
+
+func (l *lateBoot) boot() {
+	l.up = true
+	l.Machine.Init(l.env)
+	for _, deliver := range l.early {
+		deliver()
+	}
+	l.early = nil
+}
+
+func (l *lateBoot) Recv(from wire.NodeID, m wire.Message) {
+	if !l.up {
+		l.early = append(l.early, func() { l.Machine.Recv(from, m) })
+		return
+	}
+	l.Machine.Recv(from, m)
 }
 
 // submitAt schedules a client request at a node at a virtual time.

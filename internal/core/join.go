@@ -139,7 +139,7 @@ func (n *Node) onJoinRequest(from wire.NodeID, m *wire.JoinRequest) {
 	n.pendingUpdates = append(n.pendingUpdates, wire.MemberUpdate{Node: m.From, Resurrect: resurrect})
 	// Make sure a cycle carries the update promptly.
 	if n.started == n.committed {
-		n.tryStartCycles(n.started + 1)
+		n.tryStartCycles(n.started+1, causeOther)
 	}
 }
 
@@ -274,6 +274,9 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	}
 	n.initBroadcast(members, incs)
 
+	// The clock starts over with the protocol state: a pace timer armed
+	// before this is not owed any more (its firing finds paceArmed clear).
+	n.paceArmed, n.lastCycleTook = false, 0
 	n.env.After(n.cfg.TickInterval, engine.Tag(tagTick, 0))
 	if n.cfg.CycleInterval > 0 {
 		n.nextCycleAt = n.env.Now() + n.cfg.CycleInterval

@@ -219,7 +219,7 @@ func (n *Node) onLeafSeal(origin wire.NodeID, m *wire.LeafSeal) {
 		return
 	}
 	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
+		n.tryStartCycles(m.Cycle, causePeer)
 	}
 	c := n.ensureCycle(m.Cycle)
 	if p := c.child[u]; p != nil {
@@ -261,7 +261,7 @@ func (n *Node) onEvictQuery(m *wire.EvictQuery) {
 		return
 	}
 	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
+		n.tryStartCycles(m.Cycle, causePeer)
 	}
 	c := n.ensureCycle(m.Cycle)
 	if p := c.child[u]; p != nil {

@@ -67,7 +67,7 @@ func (n *Node) requestLease(key uint64) {
 	n.pendingLeases = append(n.pendingLeases, wire.LeaseRequest{Key: key, Node: n.cfg.Self})
 	// A lease request must ride a proposal; make sure a cycle is coming.
 	if n.started == n.committed {
-		n.tryStartCycles(n.started + 1)
+		n.tryStartCycles(n.started+1, causeOther)
 	}
 }
 

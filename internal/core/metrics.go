@@ -7,6 +7,41 @@ import (
 	"canopus/internal/raftlite"
 )
 
+// startCause says which trigger started a cycle (docs/ARCHITECTURE.md
+// step 4, "When a cycle starts").
+type startCause uint8
+
+const (
+	// causeRequest: a client request found the node idle and past the pace.
+	causeRequest startCause = iota
+	// causeCommit: a commit left the node idle with requests pending, past
+	// the pace (§4.2 self-clocking).
+	causeCommit
+	// causePace: the one-shot pace timer paid a start the pace had refused.
+	causePace
+	// causeTickIdle: the cycle timer found the node idle with requests
+	// pending (the safety net behind the two above).
+	causeTickIdle
+	// causeTickPipeline: the cycle timer overlapped a cycle with slow ones
+	// in flight (§7.1).
+	causeTickPipeline
+	// causePeer: a peer's proposal, state, request or seal named a cycle
+	// this node had not started (§4.4).
+	causePeer
+	// causeOverflow: MaxBatch requests were pending (§7.1, third trigger).
+	causeOverflow
+	// causeOther: a join sponsorship, a lease request or a start that apply
+	// backpressure had held back.
+	causeOther
+	numStartCauses
+)
+
+var startCauseNames = [numStartCauses]string{
+	"request", "commit", "pace", "tick_idle", "tick_pipeline", "peer", "overflow", "other",
+}
+
+func (c startCause) String() string { return startCauseNames[c] }
+
 // nodeStats are the node's always-on operational counters: atomic
 // increments at protocol events, cheap enough to maintain unconditionally
 // (simulations included), readable from any goroutine. RegisterMetrics
@@ -17,6 +52,9 @@ type nodeStats struct {
 	// run's wall time it gives the cycle rate.
 	cycleStarts  atomic.Uint64
 	cycleCommits atomic.Uint64
+	// startsByCause splits cycleStarts by the trigger that started the
+	// cycle.
+	startsByCause [numStartCauses]atomic.Uint64
 	// statePushes counts vnode states this node pushed to another
 	// super-leaf's representative (one per state, consuming leaf and
 	// cycle across the whole deployment on a healthy run).
@@ -74,6 +112,11 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.CounterFunc("canopus_core_cycles_started_total",
 		"Consensus cycles this node has started.",
 		n.stats.cycleStarts.Load, labels...)
+	for c := range n.stats.startsByCause {
+		reg.CounterFunc("canopus_core_cycle_starts_by_cause_total",
+			"Consensus cycles this node has started, by the trigger that started them.",
+			n.stats.startsByCause[c].Load, withLabel(labels, "cause", startCauseNames[c])...)
+	}
 	reg.CounterFunc("canopus_core_cycles_committed_total",
 		"Consensus cycles whose total order this node has resolved.",
 		n.stats.cycleCommits.Load, labels...)
@@ -151,7 +194,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	} {
 		reg.CounterFunc("canopus_raft_appends_total",
 			"AppendEntries sent by this node's broadcast groups: with log entries, as commit notices, as idle heartbeats.",
-			k.load, append(append([]metrics.Label{}, labels...), metrics.Label{Key: "kind", Value: k.kind})...)
+			k.load, withLabel(labels, "kind", k.kind)...)
 	}
 	reg.CounterFunc("canopus_raft_replies_total",
 		"AppendEntries replies sent by this node's broadcast groups (commit notices and idle heartbeats are not answered).",
@@ -159,4 +202,9 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.GaugeFunc("canopus_core_leaves_dead",
 		"Super-leaves currently evicted from the merge in this node's view.",
 		func() float64 { return float64(n.stats.leavesDead.Load()) }, labels...)
+}
+
+// withLabel returns labels plus one more, in a slice of its own.
+func withLabel(labels []metrics.Label, key, value string) []metrics.Label {
+	return append(append([]metrics.Label{}, labels...), metrics.Label{Key: key, Value: value})
 }

@@ -17,7 +17,19 @@ const (
 	tagTick uint8 = iota + 1
 	tagCycleTimer
 	tagJoinRetry
+	tagPace
 )
+
+// paceDivisor sets the pace of self-clocked starts as a share of
+// CycleInterval: pace = CycleInterval / paceDivisor. A request waits half a
+// pace on average for the next start, so p50 is about pace/2 + the rounds,
+// and a loaded cluster runs 1/pace cycles a second, each costing its fixed
+// b heap objects (allocs_per_req = a + b·cycles/requests). At 2 — pace 1 ms
+// on the 2 ms loopback interval — that is 0.5 ms of waiting and at most
+// 1000 cycles/s; a full interval (1) waits twice as long, and a quarter
+// would double the cycles again, which b does not afford inside the
+// benchmark's allocs_per_req bound.
+const paceDivisor = 2
 
 // ownSet is a node's full request set for one cycle: reads and writes in
 // client arrival order. Only the writes travel in proposals; the set is
@@ -33,7 +45,8 @@ type ownSet struct {
 type cycle struct {
 	id        uint64
 	started   bool
-	round     int // 1..h while running; h+1 once the root state is known
+	cause     startCause // the trigger that started it
+	round     int        // 1..h while running; h+1 once the root state is known
 	startedAt time.Duration
 
 	// r1 collects round-1 proposals per super-leaf origin.
@@ -217,10 +230,19 @@ type Node struct {
 	recovered bool
 	// durFailed latches after the first Durability error (fail-stop
 	// logging); durErr holds that error for external observers.
-	durFailed      bool
-	durErr         atomic.Value
-	lastTick       time.Duration
+	durFailed bool
+	durErr    atomic.Value
+	lastTick  time.Duration
+	// lastCycleStart is when this node last started a cycle, on any
+	// trigger: the pace of self-clocked starts is measured from it.
 	lastCycleStart time.Duration
+	// lastCycleTook is the start-to-commit time of the last cycle this
+	// node committed; with the age of the oldest cycle in flight it tells
+	// the cycle timer whether cycles outlive the interval (cyclesAreSlow).
+	lastCycleTook time.Duration
+	// paceArmed is set while the one-shot pace timer is outstanding
+	// (startSelfClocked arms it, Timer clears it).
+	paceArmed bool
 	// Stall detector state (Config.StallThreshold): lastCommitAt is the
 	// machine time of the most recent commit; stallDetected and halted
 	// are atomic mirrors for off-turn observers (metrics, /healthz) —
@@ -440,11 +462,15 @@ func (n *Node) Timer(tag engine.TimerTag) {
 	case tagCycleTimer:
 		n.onCycleTimer()
 		// Phase-anchored rearm: scheduling relative to the target time
-		// (not the handler's actual run time) keeps every node's cycle
-		// clock in step; otherwise CPU-queueing lag accumulates into
-		// unbounded phase drift between super-leaves, and cross-leaf
-		// fetches stall on the laggard (§4.4's self-synchronization
-		// assumes roughly aligned cycle starts).
+		// (not the handler's actual run time) keeps this node's period at
+		// CycleInterval however late its handlers run; otherwise
+		// CPU-queueing lag would stretch every period by the lag. It does
+		// not put the nodes in step with each other: each keeps the phase
+		// its boot (or a re-anchor after a lag of a whole interval, below)
+		// left it, and that is wanted — a leaf that learned cycle k from a
+		// peer starts k+1 at its own next tick, which is what keeps
+		// wide-area leaves from trailing one another (ARCHITECTURE step 4,
+		// "When a cycle starts").
 		n.nextCycleAt += n.cfg.CycleInterval
 		if now := n.env.Now(); n.nextCycleAt < now {
 			n.nextCycleAt = now + n.cfg.CycleInterval
@@ -453,6 +479,14 @@ func (n *Node) Timer(tag engine.TimerTag) {
 	case tagJoinRetry:
 		if n.rejoin {
 			n.sendJoinRequest()
+		}
+	case tagPace:
+		if !n.paceArmed {
+			return // armed before a join re-initialized the node
+		}
+		n.paceArmed = false
+		if n.pendingCount() > 0 {
+			n.startSelfClocked(causePace)
 		}
 	}
 }
@@ -465,7 +499,7 @@ func (n *Node) tick() {
 	n.lastTick = n.env.Now()
 	n.checkStall()
 	if n.applyBlocked > n.started {
-		n.tryStartCycles(n.applyBlocked)
+		n.tryStartCycles(n.applyBlocked, causeOther)
 	}
 	n.bc.Tick()
 	n.retryFetches()
@@ -502,15 +536,41 @@ func (n *Node) checkStall() {
 	}
 }
 
-// onCycleTimer is the §7.1 pipelining trigger: an upper bound on the
-// offset between consecutive cycle starts while work is outstanding.
+// onCycleTimer is the §7.1 pipelining trigger: with cycles in flight that
+// outlive the interval it starts the next one, which bounds the offset
+// between consecutive starts by CycleInterval. Cycles shorter than the
+// interval are not overlapped — the commit, paced, starts the next — so on
+// a fast network the ticks of nodes without clients add no cycles. On an
+// idle node with requests pending it is the safety net behind
+// startSelfClocked for starts canStart refused (join barrier, apply
+// backpressure).
 func (n *Node) onCycleTimer() {
 	if n.rejoin || n.stalled {
 		return
 	}
-	if n.pendingCount() > 0 || n.started > n.committed {
-		n.tryStartCycles(n.started + 1)
+	switch {
+	case n.started > n.committed:
+		if n.cyclesAreSlow() {
+			n.tryStartCycles(n.started+1, causeTickPipeline)
+		}
+	case n.pendingCount() > 0:
+		n.startSelfClocked(causeTickIdle)
 	}
+}
+
+// cyclesAreSlow reports whether a cycle takes at least the interval here:
+// the last one committed did, or the oldest in flight already has. It
+// deliberately does not look at lastCycleStart: a leaf that started cycle
+// k late, on hearing of it, must still start k+1 at its own next tick or
+// it trails the others by that lateness for ever.
+func (n *Node) cyclesAreSlow() bool {
+	took := n.lastCycleTook
+	if c, ok := n.cycles[n.committed+1]; ok && c.started {
+		if age := n.env.Now() - c.startedAt; age > took {
+			took = age
+		}
+	}
+	return took >= n.cfg.CycleInterval
 }
 
 // pendingCount is the number of accumulated-but-unproposed requests.
@@ -606,27 +666,40 @@ func (n *Node) FailLocalReads() {
 }
 
 // afterSubmit applies the self-synchronization (§4.4) and batch-overflow
-// (§7.1) cycle-start triggers. Self-clocked starts are paced to the
-// cycle interval so saturation does not degenerate into a storm of tiny
-// cycles; batch overflow overrides the pacing (§7.1's third trigger).
+// (§7.1) cycle-start triggers. Self-clocked starts are paced so
+// saturation does not degenerate into a storm of tiny cycles; batch
+// overflow overrides the pacing (§7.1's third trigger).
 func (n *Node) afterSubmit() {
 	if n.pendingCount() >= n.cfg.MaxBatch {
-		n.tryStartCycles(n.started + 1)
+		n.tryStartCycles(n.started+1, causeOverflow)
 		return
 	}
-	if n.started == n.committed && n.paceAllows() {
-		// Idle: a client request prompts a new consensus cycle.
-		n.tryStartCycles(n.started + 1)
-	}
+	// Idle: a client request prompts a new consensus cycle.
+	n.startSelfClocked(causeRequest)
 }
 
-// paceAllows reports whether enough time has passed since the last cycle
-// start for another self-clocked one.
-func (n *Node) paceAllows() bool {
-	if n.cfg.CycleInterval <= 0 {
-		return true
+// startSelfClocked is the one gate of the self-clocked triggers — a
+// request, a commit or the cycle timer finding requests pending: an idle
+// node starts the next cycle once the pace has passed since the last start
+// of any cause (so the peers of a leaf, which all record the start a
+// peer's proposal prompted, share one clock), and a start the pace refuses
+// is owed by the one-shot pace timer instead of waiting for the next
+// request or tick.
+func (n *Node) startSelfClocked(cause startCause) {
+	if n.started != n.committed {
+		return
 	}
-	return n.env.Now()-n.lastCycleStart >= n.cfg.CycleInterval
+	if n.cfg.CycleInterval > 0 {
+		pace := n.cfg.CycleInterval / paceDivisor
+		if wait := n.lastCycleStart + pace - n.env.Now(); wait > 0 {
+			if !n.paceArmed {
+				n.paceArmed = true
+				n.env.After(wait, engine.Tag(tagPace, 0))
+			}
+			return
+		}
+	}
+	n.tryStartCycles(n.started+1, cause)
 }
 
 // SubmitFluid accumulates an aggregate of client requests (fluid mode):
@@ -645,9 +718,9 @@ func (n *Node) SubmitFluid(reads, writes, bytes uint32, samples []wire.ArrivalSa
 
 // tryStartCycles starts cycles in sequence up to target, subject to the
 // pipelining bound, the join barrier and super-leaf health.
-func (n *Node) tryStartCycles(target uint64) {
+func (n *Node) tryStartCycles(target uint64, cause startCause) {
 	for n.started+1 <= target && n.canStart(n.started+1) {
-		n.startCycle(n.started + 1)
+		n.startCycle(n.started+1, cause)
 	}
 	if n.applyBlocked == n.started+1 && target > n.applyBlocked {
 		// Backpressure cut the sequence short: owe all of it.
@@ -686,29 +759,28 @@ func (n *Node) canStart(k uint64) bool {
 // the emulators of those states push them as soon as they are computed
 // (pushState), and started this cycle at the same timer tick or start it
 // on receiving this leaf's push.
-func (n *Node) startCycle(k uint64) {
+func (n *Node) startCycle(k uint64, cause startCause) {
 	c := n.ensureCycle(k)
 	n.started = k
 	n.stats.cycleStarts.Add(1)
+	n.stats.startsByCause[cause].Add(1)
 	c.started = true
+	c.cause = cause
 	c.round = 1
 	c.startedAt = n.env.Now()
 	n.lastCycleStart = c.startedAt
 	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "start", k, "")
+		DebugHook(n.cfg.Self, "start", k, cause.String())
 	}
 
-	batch, set := n.takeAccum()
-	n.proposed[k] = set
-
-	p := &wire.Proposal{
-		Cycle:  k,
-		Round:  1,
-		Origin: n.cfg.Self,
-		Num:    n.env.Rand().Uint64(),
-	}
-	if batch != nil {
-		p.Batches = []*wire.Batch{batch}
+	// The proposal, its batch list and its batch are one heap object, the
+	// writes a second: what a cycle costs the node that has requests.
+	p, batch := wire.NewRoundOneProposal()
+	p.Cycle, p.Round, p.Origin = k, 1, n.cfg.Self
+	p.Num = n.env.Rand().Uint64()
+	n.proposed[k] = n.takeAccum(batch)
+	if batch.Requests() > 0 {
+		p.Batches = append(p.Batches, batch)
 	}
 	if len(n.pendingUpdates) > 0 {
 		p.Updates = n.pendingUpdates
@@ -729,13 +801,13 @@ func (n *Node) startCycle(k uint64) {
 }
 
 // takeAccum converts the accumulated requests into the proposal batch
-// (writes only on the wire; reads stay local) and the locally retained
-// full set. Sets are pooled: the recycled backing arrays become the next
-// accumulation window, so a saturated node reuses the same storage
-// cycle after cycle.
-func (n *Node) takeAccum() (*wire.Batch, *ownSet) {
+// (writes only on the wire; reads stay local), filled in place — left
+// zero, without requests, when nothing was accumulated — and the locally
+// retained full set. Sets are pooled: the recycled backing arrays become
+// the next accumulation window, so a saturated node reuses the same
+// storage cycle after cycle.
+func (n *Node) takeAccum(batch *wire.Batch) *ownSet {
 	set := ownSetPool.Get().(*ownSet)
-	var batch *wire.Batch
 	switch {
 	case len(n.accum.reqs) > 0:
 		recycled := *set
@@ -751,14 +823,14 @@ func (n *Node) takeAccum() (*wire.Batch, *ownSet) {
 				nr++
 			}
 		}
-		batch = &wire.Batch{
+		*batch = wire.Batch{
 			Origin:   n.cfg.Self,
 			Reqs:     writes,
 			NumRead:  nr,
 			NumWrite: nw,
 		}
 	case n.fluidRead > 0 || n.fluidWrite > 0:
-		batch = &wire.Batch{
+		*batch = wire.Batch{
 			Origin:   n.cfg.Self,
 			NumRead:  n.fluidRead,
 			NumWrite: n.fluidWrite,
@@ -768,7 +840,7 @@ func (n *Node) takeAccum() (*wire.Batch, *ownSet) {
 		n.fluidRead, n.fluidWrite, n.fluidBytes = 0, 0, 0
 		n.fluidSamples = nil
 	}
-	return batch, set
+	return set
 }
 
 // noteUpdates records join barriers for updates this node just proposed
@@ -925,8 +997,12 @@ func (n *Node) DebugCycle(k uint64) string {
 			fd += fmt.Sprintf(" %s:unarmed(a%d)", u, pulls)
 		}
 	}
-	return fmt.Sprintf("cycle %d: started=%v round=%d complete=%v r1=%d children=%d waiting=%d missing=[%s] fetches=[%s]",
-		k, c.started, c.round, c.complete, len(c.r1), len(c.child), len(c.waiting), miss, fd)
+	cause := "-"
+	if c.started {
+		cause = c.cause.String()
+	}
+	return fmt.Sprintf("cycle %d: started=%v cause=%s round=%d complete=%v r1=%d children=%d waiting=%d missing=[%s] fetches=[%s]",
+		k, c.started, cause, c.round, c.complete, len(c.r1), len(c.child), len(c.waiting), miss, fd)
 }
 
 // SetOnReply installs or replaces the per-request completion callback.

@@ -36,7 +36,7 @@ func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 	// Any message from a cycle beyond the newest started one prompts
 	// starting cycles, in sequence, up to it (§4.4, §7.1).
 	if p.Cycle > n.started {
-		n.tryStartCycles(p.Cycle)
+		n.tryStartCycles(p.Cycle, causePeer)
 	}
 	c := n.ensureCycle(p.Cycle)
 	if p.VNode == "" {
@@ -556,7 +556,7 @@ func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
 		return
 	}
 	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
+		n.tryStartCycles(m.Cycle, causePeer)
 	}
 	c := n.ensureCycle(m.Cycle)
 	if p := n.stateFor(c, m.VNode); p != nil {
@@ -585,7 +585,7 @@ func (n *Node) onFetchResponse(p *wire.Proposal) {
 		return
 	}
 	if p.Cycle > n.started {
-		n.tryStartCycles(p.Cycle)
+		n.tryStartCycles(p.Cycle, causePeer)
 	}
 	c := n.ensureCycle(p.Cycle)
 	if c.child[p.VNode] != nil || c.rebroadcast[p.VNode] {

@@ -447,8 +447,8 @@ func (p *Proposal) AppendTo(b []byte) []byte {
 	return b
 }
 
-// proposalBox1 lets a decoded proposal, its batch list and its batch come
-// out of one allocation: the shape of a round-1 proposal.
+// proposalBox1 lets a proposal, its batch list and its batch come out of
+// one allocation: the shape of a round-1 proposal.
 type proposalBox1 struct {
 	p       Proposal
 	ptrs    [1]*Batch
@@ -477,6 +477,15 @@ func newProposal(nb int) (*Proposal, []Batch) {
 		return &box.p, box.batches[:nb]
 	}
 	return &Proposal{Batches: make([]*Batch, 0, nb)}, make([]Batch, nb)
+}
+
+// NewRoundOneProposal returns a zero proposal and the one batch a round-1
+// proposal carries, from one allocation — the shape readProposal gives the
+// same proposal at its receivers. The batch is not in p.Batches yet: the
+// caller fills it and appends it, or leaves p without a batch.
+func NewRoundOneProposal() (*Proposal, *Batch) {
+	p, batches := newProposal(1)
+	return p, &batches[0]
 }
 
 // readProposal decodes a proposal in at most four allocations, however
