@@ -78,8 +78,9 @@ type Status struct {
 	Durability  *Durability `json:"durability,omitempty"`
 }
 
-// Digest is the (cycle, state, log) triple convergence checks compare —
-// the same data the legacy text DIGEST verb returns.
+// Digest is the (cycle, state, log) triple convergence checks compare:
+// one replica's committed cycle and its state and log digests, read as a
+// consistent cut.
 type Digest struct {
 	Cycle uint64
 	State uint64

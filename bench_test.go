@@ -259,7 +259,7 @@ func BenchmarkCommitApply(b *testing.B) {
 // --- Client API round trip ---
 
 // BenchmarkClientRoundTrip measures the public canopus/client package
-// end to end against a live loopback cluster: protocol v2 over real
+// end to end against a live loopback cluster: the client protocol over real
 // sockets, through consensus, back through the reply fan-out — the
 // paper's client interaction layer as applications see it. The numbers
 // are wall-clock but cycle-paced (the 2ms CycleInterval dominates the

@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -257,52 +256,8 @@ func (cn *conn) writeLoop() {
 	}
 }
 
-// readBufSize is the reader's initial buffer: the port writes a whole
-// cycle's replies in one vectored write, and one read should return them
-// all. A larger frame grows the buffer to fit.
-const readBufSize = 32 << 10
-
-// readFrames reads length-prefixed client frames from r through one buffer
-// and hands each complete frame's payload to handle, so a burst of replies
-// costs one read, not two per reply. The payload aliases the buffer and is
-// valid only during the call (the response parsers copy out what they
-// keep). It returns the first error of r, of a frame header or of handle,
-// after the complete frames received ahead of it have been handled.
-func readFrames(r io.Reader, handle func(payload []byte) error) error {
-	buf := make([]byte, readBufSize)
-	have := 0 // buf[:have] is received and not yet consumed
-	for {
-		n, rerr := r.Read(buf[have:])
-		have += n
-		used := 0
-		for have-used >= 4 {
-			size, err := wire.ClientFrameLen([4]byte(buf[used:]))
-			if err != nil {
-				return err
-			}
-			if have-used-4 < size {
-				if 4+size > len(buf) {
-					// Room for all of it, with the partial frame in front.
-					grown := make([]byte, 4+size)
-					have = copy(grown, buf[used:have])
-					buf, used = grown, 0
-				}
-				break
-			}
-			if err := handle(buf[used+4 : used+4+size]); err != nil {
-				return err
-			}
-			used += 4 + size
-		}
-		if rerr != nil {
-			return rerr
-		}
-		have = copy(buf, buf[used:have])
-	}
-}
-
 func (cn *conn) readLoop() {
-	cn.fail(readFrames(cn.nc, cn.onFrame))
+	cn.fail(wire.ReadClientFrames(cn.nc, cn.onFrame, nil))
 }
 
 // onFrame handles one response or event frame.

@@ -48,13 +48,13 @@ func replyBurst() (stream []byte, want []wire.ClientResponseV2) {
 	return stream, want
 }
 
-// collect runs readFrames over r and parses every frame, keeping the
+// collect runs wire.ReadClientFrames over r and parses every frame, keeping the
 // parsed responses — values included — until the stream ends: a value that
 // aliased the read buffer would be overwritten by the frames behind it.
 func collect(t *testing.T, r io.Reader) []wire.ClientResponseV2 {
 	t.Helper()
 	var got []wire.ClientResponseV2
-	err := readFrames(r, func(payload []byte) error {
+	err := wire.ReadClientFrames(r, func(payload []byte) error {
 		resp, err := wire.ParseClientResponseV3(payload)
 		if err != nil {
 			return err
@@ -62,9 +62,9 @@ func collect(t *testing.T, r io.Reader) []wire.ClientResponseV2 {
 		got = append(got, resp)
 		clear(payload) // what the next read would do to it
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, io.EOF) {
-		t.Fatalf("readFrames ended with %v, want io.EOF", err)
+		t.Fatalf("ReadClientFrames ended with %v, want io.EOF", err)
 	}
 	return got
 }
@@ -97,7 +97,7 @@ func TestReadFramesSplitAnywhere(t *testing.T) {
 func TestReadFramesLargeFrame(t *testing.T) {
 	want := []wire.ClientResponseV2{
 		{ID: 1, Status: wire.ClientStatusOK, Cycle: 1, Val: []byte("small")},
-		{ID: 2, Status: wire.ClientStatusOK, Cycle: 1, Val: bytes.Repeat([]byte{7}, 3*readBufSize)},
+		{ID: 2, Status: wire.ClientStatusOK, Cycle: 1, Val: bytes.Repeat([]byte{7}, 3*wire.ClientReadBuf)},
 		{ID: 3, Status: wire.ClientStatusOK, Cycle: 2, Val: []byte("after")},
 	}
 	var stream []byte
@@ -116,18 +116,18 @@ func TestReadFramesErrors(t *testing.T) {
 	stream, want := replyBurst()
 	bad := append(bytes.Clone(stream), 0xFF, 0xFF, 0xFF, 0xFF)
 	handled := 0
-	err := readFrames(&chunkReader{chunks: [][]byte{bad}}, func([]byte) error { handled++; return nil })
+	err := wire.ReadClientFrames(&chunkReader{chunks: [][]byte{bad}}, func([]byte) error { handled++; return nil }, nil)
 	if !errors.Is(err, wire.ErrClientFrame) || handled != len(want) {
 		t.Fatalf("oversized header: err %v after %d frames, want ErrClientFrame after %d", err, handled, len(want))
 	}
 	stop := errors.New("stop")
 	handled = 0
-	err = readFrames(&chunkReader{chunks: [][]byte{stream}}, func([]byte) error {
+	err = wire.ReadClientFrames(&chunkReader{chunks: [][]byte{stream}}, func([]byte) error {
 		if handled++; handled == 2 {
 			return stop
 		}
 		return nil
-	})
+	}, nil)
 	if err != stop || handled != 2 {
 		t.Fatalf("handler error: got %v after %d frames", err, handled)
 	}

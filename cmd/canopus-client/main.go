@@ -1,10 +1,11 @@
-// Command canopus-client talks to canopus-server's client port.
+// Command canopus-client talks to canopus-server's client port through
+// the public canopus/client package.
 //
-// Interactive (text protocol): run with no arguments and type
-// "PUT 7 hello", "GET 7" or "DEL 7".
+// Interactive: run with no arguments and type "PUT 7 hello", "GET 7",
+// "DEL 7" or "QUIT"; every line is answered with OK, VALUE <value>, NIL or
+// ERR <reason>.
 //
-// One-shot (binary protocol v2, via the public canopus/client package):
-// pass a command —
+// One-shot: pass a command —
 //
 //	canopus-client -addr 127.0.0.1:8000 put 7 hello
 //	canopus-client -addr 127.0.0.1:8000 get 7
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -40,59 +40,81 @@ func main() {
 	timeout := flag.Duration("timeout", 15*time.Second, "per-request timeout")
 	flag.Parse()
 
-	if flag.NArg() > 0 {
-		oneShot(strings.Split(*addr, ","), *level, *timeout, flag.Args())
-		return
-	}
-
-	interactive(strings.Split(*addr, ",")[0])
-}
-
-// interactive runs the line-oriented text protocol over a raw socket.
-func interactive(addr string) {
-	conn, err := net.Dial("tcp", addr)
+	consistency, err := parseLevel(*level)
 	if err != nil {
 		log.Fatal("canopus-client: ", err)
 	}
-	defer conn.Close()
-	fmt.Printf("connected to %s; commands: PUT <key> <value> | GET <key> | DEL <key> | QUIT\n", addr)
-
-	// The reader goroutine ends the process once the server closes the
-	// connection (e.g. after QUIT), with all replies printed. A broken
-	// connection is an error exit: replies may have been lost.
-	go func() {
-		if _, err := io.Copy(os.Stdout, conn); err != nil {
-			log.Fatal("canopus-client: connection error: ", err)
-		}
-		os.Exit(0)
-	}()
-	sc := bufio.NewScanner(os.Stdin)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		fmt.Fprintln(w, sc.Text())
-		w.Flush()
-	}
-	// Stdin ended (piped input): half-close so the server drains our
-	// in-flight requests and closes; the reader goroutine then exits the
-	// process after printing the remaining replies.
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseWrite()
-	}
-	time.Sleep(30 * time.Second) // reader goroutine exits first
-	log.Fatal("canopus-client: server never closed the connection")
-}
-
-// oneShot executes a single command through the typed client API.
-func oneShot(endpoints []string, level string, timeout time.Duration, args []string) {
-	consistency, err := parseLevel(level)
-	if err != nil {
-		log.Fatal("canopus-client: ", err)
-	}
-	cl, err := client.New(client.Config{Endpoints: endpoints, RequestTimeout: timeout})
+	cl, err := client.New(client.Config{Endpoints: strings.Split(*addr, ","), RequestTimeout: *timeout})
 	if err != nil {
 		log.Fatal("canopus-client: ", err)
 	}
 	defer cl.Close()
+
+	if flag.NArg() > 0 {
+		oneShot(cl, consistency, flag.Args())
+		return
+	}
+	fmt.Printf("connected to %s; commands: PUT <key> <value> | GET <key> | DEL <key> | QUIT\n", *addr)
+	if err := repl(cl, consistency, os.Stdin, os.Stdout); err != nil {
+		log.Fatal("canopus-client: ", err)
+	}
+}
+
+// repl answers one line of out per command line of in, until QUIT or the
+// end of in. A command the cluster rejects is answered ERR and the loop
+// goes on; only a failing in or out ends it with an error.
+func repl(cl *client.Client, consistency client.Consistency, in io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
+			continue
+		}
+		if strings.EqualFold(fields[0], "QUIT") {
+			return nil
+		}
+		reply, err := execLine(cl, consistency, fields)
+		if err != nil {
+			reply = "ERR " + err.Error()
+		}
+		if _, err := fmt.Fprintln(out, reply); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// execLine runs one PUT, GET or DEL line and returns its reply.
+func execLine(cl *client.Client, consistency client.Consistency, fields []string) (string, error) {
+	cmd := strings.ToUpper(fields[0])
+	switch {
+	case cmd != "PUT" && cmd != "GET" && cmd != "DEL":
+		return "", errors.New("unknown command")
+	case cmd == "PUT" && len(fields) < 3:
+		return "", errors.New("usage: PUT <key> <value>")
+	case cmd != "PUT" && len(fields) != 2:
+		return "", fmt.Errorf("usage: %s <key>", cmd)
+	}
+	key, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return "", errors.New("bad key")
+	}
+	ctx := context.Background()
+	switch cmd {
+	case "PUT":
+		return "OK", cl.Put(ctx, key, []byte(strings.Join(fields[2:], " ")))
+	case "DEL":
+		return "OK", cl.Delete(ctx, key)
+	}
+	val, err := cl.Get(ctx, key, client.WithConsistency(consistency))
+	if errors.Is(err, client.ErrNotFound) {
+		return "NIL", nil
+	}
+	return "VALUE " + string(val), err
+}
+
+// oneShot executes a single command through the typed client API.
+func oneShot(cl *client.Client, consistency client.Consistency, args []string) {
 	ctx := context.Background()
 
 	switch cmd := strings.ToLower(args[0]); cmd {

@@ -1,8 +1,8 @@
 // Command canopus-server runs one live Canopus node over TCP: the same
 // protocol engine the simulator drives, behind real sockets, plus a
-// client port speaking both the interactive text protocol
-// (GET <key> / PUT <key> <value> / QUIT) and the pipelined binary
-// protocol (see internal/wire's client codec and the README).
+// client port speaking the pipelined binary client protocol (see
+// internal/wire/client.go and the README) — canopus/client is its
+// library, canopus-client its command line and REPL.
 //
 // A three-node super-leaf on localhost:
 //
@@ -161,7 +161,7 @@ func main() {
 	}
 	defer node.Close()
 
-	// The event hub feeds protocol v3 watches from the committed apply
+	// The event hub feeds client watches from the committed apply
 	// stream. Recovery replay does not publish events; its cycles land as
 	// a gap the hub treats as evicted history, so no watch can resume
 	// across state it never saw.
@@ -177,7 +177,6 @@ func main() {
 		if err != nil {
 			log.Fatal("canopus-server: ", err)
 		}
-		port.SetDigestFunc(livecluster.DigestSource(runner, node, st))
 		port.SetHub(hub)
 	}
 
@@ -237,7 +236,7 @@ func main() {
 	}
 	if port != nil {
 		port.AcceptClients()
-		log.Printf("node %v: client API on %s (text + binary)", self, port.Addr())
+		log.Printf("node %v: client API on %s", self, port.Addr())
 	}
 	if adm != nil {
 		adm.SetPhase("ok")

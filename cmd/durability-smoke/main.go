@@ -1,7 +1,7 @@
 // Command durability-smoke is the CI crash-recovery gate for the
 // durable storage engine. It boots a three-node loopback cluster of real
 // canopus-server processes with -data-dir and -admin-addr, drives client
-// load over the text protocol, captures the replicas' agreed state
+// load through canopus/client, captures the replicas' agreed state
 // digest through the admin gateway, SIGKILLs every process (no drain, no
 // graceful close — a power cut), restarts the cluster from the same data
 // directories, and fails unless the recovered replicas converge to the
@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"canopus/admin"
+	"canopus/client"
 )
 
 const nodes = 3
@@ -100,10 +100,10 @@ func main() {
 	waitAllHealthy(admins, *timeout)
 	log.Printf("durability-smoke: cluster up, driving %d PUTs", *ops)
 
-	// Drive pipelined text-protocol load, spread across all three nodes.
-	// Every reply is read back: an OK is fsync-gated by the server, so
-	// everything acked here is durable by contract — exactly what the
-	// kill below must not lose.
+	// Drive pipelined load, spread across all three nodes. Every reply is
+	// awaited: an ack is fsync-gated by the server, so everything acked
+	// here is durable by contract — exactly what the kill below must not
+	// lose.
 	for i := 0; i < nodes; i++ {
 		if err := drive(clientAddrs[i], i, *ops/nodes); err != nil {
 			log.Fatalf("durability-smoke: load via node %d: %v", i, err)
@@ -119,14 +119,6 @@ func main() {
 	log.Printf("durability-smoke: pre-kill state digest %016x", before.State)
 	if before.State == 0 {
 		log.Fatal("durability-smoke: pre-kill digest is zero; load did not apply")
-	}
-
-	// The text DIGEST verb is a shim over the same DigestSource the
-	// gateway serves; one raw-socket check keeps the shim honest.
-	if state, err := textDigest(clientAddrs[0]); err != nil {
-		log.Fatal("durability-smoke: text DIGEST shim: ", err)
-	} else if state != before.State {
-		log.Fatalf("durability-smoke: text DIGEST %016x disagrees with admin digest %016x", state, before.State)
 	}
 
 	// Operations-plane gate: every node's /metrics must expose the full
@@ -212,56 +204,23 @@ func waitAllHealthy(admins []*admin.Client, timeout time.Duration) {
 	}
 }
 
-// drive sends n pipelined PUTs over one text-protocol connection and
-// requires an OK for each.
+// drive sends n pipelined PUTs to one node and requires an ack for each.
 func drive(addr string, node, n int) error {
-	conn, err := net.Dial("tcp", addr)
+	cl, err := client.New(client.Config{Endpoints: []string{addr}, RequestTimeout: 30 * time.Second})
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	w := bufio.NewWriter(conn)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "PUT %d smoke-%d-%d\n", node*1_000_000+i, node, i)
+	defer cl.Close()
+	puts := make([]*client.Future, n)
+	for i := range puts {
+		puts[i] = cl.PutAsync(uint64(node*1_000_000+i), fmt.Appendf(nil, "smoke-%d-%d", node, i))
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	for i := 0; i < n; i++ {
-		line, err := r.ReadString('\n')
-		if err != nil {
+	for i, f := range puts {
+		if _, err := f.Wait(context.Background()); err != nil {
 			return fmt.Errorf("reply %d: %w", i, err)
-		}
-		if line != "OK\n" {
-			return fmt.Errorf("reply %d: %q", i, line)
 		}
 	}
 	return nil
-}
-
-// textDigest asks one node for its state digest over the legacy text
-// protocol.
-func textDigest(addr string) (uint64, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := fmt.Fprintf(conn, "DIGEST\n"); err != nil {
-		return 0, err
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return 0, err
-	}
-	var cycle, state, logd uint64
-	if _, err := fmt.Sscanf(line, "DIGEST %d %x %x", &cycle, &state, &logd); err != nil {
-		return 0, fmt.Errorf("reply %q: %w", line, err)
-	}
-	return state, nil
 }
 
 // converge polls every node until all report the same state digest, and

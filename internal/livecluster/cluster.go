@@ -1,7 +1,7 @@
 // Package livecluster boots real Canopus deployments in-process: N nodes
 // on loopback TCP behind internal/transport runners (the same sockets
 // cmd/canopus-server uses — not the simulator), each with a client port
-// speaking the binary and text client protocols. The benchmark harness
+// speaking the client protocol. The benchmark harness
 // uses it to measure the live path; tests use it to exercise end-to-end
 // client traffic and graceful shutdown.
 package livecluster
@@ -259,7 +259,6 @@ func Start(cfg Config) (*Cluster, error) {
 			c.kill()
 			return nil, err
 		}
-		port.SetDigestFunc(c.digestSource(i))
 		c.ports = append(c.ports, port)
 		// The event hub attaches at the node's recovered watermark:
 		// replayed cycles predate its view (their events never fired), so
@@ -332,20 +331,9 @@ func (c *Cluster) nodeCallbacks(i int) core.Callbacks {
 	return cbs
 }
 
-// digestSource builds node i's DIGEST-verb source, resolving the current
-// node and store on every call so an in-place restart (RestartNode) is
-// picked up without rewiring the client port.
-func (c *Cluster) digestSource(i int) func() (uint64, uint64, uint64) {
-	return func() (uint64, uint64, uint64) {
-		c.mu.Lock()
-		node, st := c.nodes[i], c.stores[i]
-		c.mu.Unlock()
-		return DigestSource(c.runners[i], node, st)()
-	}
-}
-
-// statusSource builds node i's /status source, resolving per call for
-// the same reason as digestSource.
+// statusSource builds node i's /status source, resolving the current
+// node, store, WAL and hub on every call so an in-place restart
+// (RestartNode) is picked up without rewiring the gateway.
 func (c *Cluster) statusSource(i int) func() admin.Status {
 	return func() admin.Status {
 		c.mu.Lock()

@@ -1,10 +1,8 @@
 package livecluster
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -30,29 +28,6 @@ func durableConfig(disks []*wal.MemFS) Config {
 		DataFS:         func(i int) wal.FS { return disks[i] },
 		Admin:          true,
 	}
-}
-
-// textDigest asks a node's client port for its replica identity over the
-// text protocol.
-func textDigest(t *testing.T, addr string) (cycle, state, logd uint64) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "DIGEST\n"); err != nil {
-		t.Fatal(err)
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatalf("DIGEST read: %v", err)
-	}
-	if _, err := fmt.Sscanf(line, "DIGEST %d %x %x", &cycle, &state, &logd); err != nil {
-		t.Fatalf("DIGEST reply %q: %v", line, err)
-	}
-	return cycle, state, logd
 }
 
 // TestDurableRestartRecoversState is the end-to-end restart story over
@@ -157,13 +132,6 @@ func TestDurableRestartRecoversState(t *testing.T) {
 	}
 	if st0.StateDigest != fmt.Sprintf("%016x", wantState) {
 		t.Fatalf("/status state digest %s, want %016x", st0.StateDigest, wantState)
-	}
-
-	// The legacy DIGEST text verb is a shim over the same DigestSource
-	// the gateway serves; one raw-socket check keeps the shim honest.
-	_, state, logd := textDigest(t, c2.ClientAddr(0))
-	if state != wantState || logd != wantLog {
-		t.Fatalf("DIGEST reports %x/%x, replica holds %x/%x", state, logd, wantState, wantLog)
 	}
 
 	// Exactly-once across the restart: retry the session mutation with a

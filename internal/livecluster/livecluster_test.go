@@ -1,12 +1,9 @@
 package livecluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -235,96 +232,6 @@ func TestSequentialReadWaitsForCycle(t *testing.T) {
 	}
 	if clB.LastCycle() < cycle {
 		t.Fatalf("session clock %d did not absorb the read timestamp %d", clB.LastCycle(), cycle)
-	}
-}
-
-// TestV1ProtocolStillAccepted drives the legacy v1 binary protocol over
-// a raw socket: v1 connections are sniffed per connection and served
-// alongside v2 and text.
-func TestV1ProtocolStillAccepted(t *testing.T) {
-	c := startCluster(t, 3)
-	defer c.Stop(5 * time.Second)
-
-	conn, err := net.Dial("tcp", c.ClientAddr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.ClientMagic[:]); err != nil {
-		t.Fatal(err)
-	}
-	send := func(q wire.ClientRequest) wire.ClientResponse {
-		t.Helper()
-		if _, err := conn.Write(wire.AppendClientRequest(nil, &q)); err != nil {
-			t.Fatal(err)
-		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		n, err := wire.ClientFrameLen(hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.ParseClientResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := send(wire.ClientRequest{ID: 1, Op: wire.OpWrite, Key: 5, Val: []byte("v1-write")}); resp.Status != wire.ClientStatusOK {
-		t.Fatalf("v1 put status %d", resp.Status)
-	}
-	if resp := send(wire.ClientRequest{ID: 2, Op: wire.OpRead, Key: 5}); resp.Status != wire.ClientStatusOK || string(resp.Val) != "v1-write" {
-		t.Fatalf("v1 get = %q (status %d)", resp.Val, resp.Status)
-	}
-	if resp := send(wire.ClientRequest{ID: 3, Op: wire.OpRead, Key: 99}); resp.Status != wire.ClientStatusNil {
-		t.Fatalf("v1 miss status %d", resp.Status)
-	}
-}
-
-func TestTextProtocol(t *testing.T) {
-	c := startCluster(t, 3)
-	defer c.Stop(5 * time.Second)
-
-	conn, err := net.Dial("tcp", c.ClientAddr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	say := func(line string) string {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply
-	}
-	if got := say("PUT 3 abc def"); got != "OK\n" {
-		t.Fatalf("PUT reply %q", got)
-	}
-	if got := say("GET 3"); got != "VALUE abc def\n" {
-		t.Fatalf("GET reply %q", got)
-	}
-	if got := say("GET 4"); got != "NIL\n" {
-		t.Fatalf("GET miss reply %q", got)
-	}
-	if got := say("DEL 3"); got != "OK\n" {
-		t.Fatalf("DEL reply %q", got)
-	}
-	if got := say("GET 3"); got != "NIL\n" {
-		t.Fatalf("GET after DEL reply %q", got)
-	}
-	if got := say("FROB"); got != "ERR unknown command\n" {
-		t.Fatalf("bad command reply %q", got)
 	}
 }
 

@@ -4,174 +4,62 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
-// Binary client protocol. canopus-server's client port speaks two
-// protocols, distinguished by the first byte of the connection: the
-// line-oriented text protocol ("GET 7\n") for interactive use, and this
-// length-prefixed binary protocol for programs. The binary protocol is
-// pipelined: a client may have any number of requests outstanding, and
-// responses carry the request's correlation ID so they can complete out
-// of submission order (within one connection the server preserves order,
-// but clients must not rely on it).
+// Client protocol. canopus-server's client port speaks one protocol: a
+// length-prefixed, pipelined binary protocol. A client may have any
+// number of requests outstanding, and responses carry the request's
+// correlation ID so they can complete out of submission order (within one
+// connection the server preserves order, but clients must not rely on
+// it).
 //
-// Connection preamble (client -> server): the 4 magic bytes of
-// ClientMagic. The first byte is outside ASCII so the server can sniff
-// binary vs text mode from one byte.
+// Connection preamble (client -> server): the 4 bytes of ClientMagicV3.
+// The port closes a connection that opens with anything else.
 //
 // Frames in both directions are [u32 length][payload], little-endian,
-// where length counts payload bytes only:
+// where length counts payload bytes only (ReadClientFrames reads them):
 //
-//	request payload:  [u64 id][u8 op][u64 key][u32 vlen][vlen bytes]
-//	response payload: [u64 id][u8 status][u32 vlen][vlen bytes]
-//
-// Statuses: OK (write acknowledged / read hit, value attached), Nil
-// (read miss), Err (request rejected; value is a human-readable reason).
-
-// ClientMagic is the binary-mode connection preamble.
-var ClientMagic = [4]byte{0xC4, 'N', 'P', 0x01}
-
-// Client response statuses.
-const (
-	ClientStatusOK  uint8 = 0 // success; reads carry the value
-	ClientStatusNil uint8 = 1 // read of an absent key
-	ClientStatusErr uint8 = 2 // rejected; value holds the reason
-)
-
-// MaxClientFrame bounds client protocol frame sizes in both directions.
-const MaxClientFrame = 16 << 20
-
-// MaxBatchOps bounds the operation count of one v2 batch frame: a batch
-// is submitted to the node in a single machine turn, so it must respect
-// the same per-turn fairness cap as a pipelined group of singles.
-const MaxBatchOps = 512
-
-// ErrClientFrame is returned for malformed client protocol frames.
-var ErrClientFrame = errors.New("wire: bad client frame")
-
-// ClientRequest is one keyed operation on the binary client port. ID is
-// the client-chosen correlation ID echoed in the response.
-type ClientRequest struct {
-	ID  uint64
-	Op  Op
-	Key uint64
-	Val []byte // write payload; nil for reads
-}
-
-// ClientResponse answers one ClientRequest.
-type ClientResponse struct {
-	ID     uint64
-	Status uint8
-	Val    []byte
-}
-
-const clientReqFixed = 8 + 1 + 8 + 4 // id, op, key, vlen
-const clientRespFixed = 8 + 1 + 4    // id, status, vlen
-
-// AppendClientRequest appends q as a length-prefixed frame to b.
-func AppendClientRequest(b []byte, q *ClientRequest) []byte {
-	b = putU32(b, uint32(clientReqFixed+len(q.Val)))
-	b = putU64(b, q.ID)
-	b = putU8(b, uint8(q.Op))
-	b = putU64(b, q.Key)
-	return putBytes(b, q.Val)
-}
-
-// ParseClientRequest decodes one request payload (the bytes after the
-// length prefix).
-func ParseClientRequest(payload []byte) (ClientRequest, error) {
-	return ParseClientRequestArena(payload, nil)
-}
-
-// ParseClientRequestArena is ParseClientRequest with the value copied
-// into *arena (when non-nil) instead of a per-request allocation: the
-// server's submit path shares one arena across an accepted group, so
-// payload copies cost one allocation per group, not one per request.
-// The arena must not be reused while any parsed value is still alive.
-func ParseClientRequestArena(payload []byte, arena *[]byte) (ClientRequest, error) {
-	r := &reader{b: payload}
-	var q ClientRequest
-	q.ID = r.u64()
-	q.Op = Op(r.u8())
-	q.Key = r.u64()
-	q.Val = r.bytesArena(arena)
-	if r.err != nil || r.off != len(payload) {
-		return ClientRequest{}, fmt.Errorf("%w: request (%d bytes)", ErrClientFrame, len(payload))
-	}
-	if q.Op != OpRead && q.Op != OpWrite {
-		return ClientRequest{}, fmt.Errorf("%w: unknown op %d", ErrClientFrame, uint8(q.Op))
-	}
-	return q, nil
-}
-
-// AppendClientResponse appends resp as a length-prefixed frame to b.
-func AppendClientResponse(b []byte, resp *ClientResponse) []byte {
-	b = putU32(b, uint32(clientRespFixed+len(resp.Val)))
-	b = putU64(b, resp.ID)
-	b = putU8(b, resp.Status)
-	return putBytes(b, resp.Val)
-}
-
-// ParseClientResponse decodes one response payload (the bytes after the
-// length prefix).
-func ParseClientResponse(payload []byte) (ClientResponse, error) {
-	r := &reader{b: payload}
-	var resp ClientResponse
-	resp.ID = r.u64()
-	resp.Status = r.u8()
-	resp.Val = r.bytes()
-	if r.err != nil || r.off != len(payload) {
-		return ClientResponse{}, fmt.Errorf("%w: response (%d bytes)", ErrClientFrame, len(payload))
-	}
-	return resp, nil
-}
-
-// ClientFrameLen validates a frame length prefix read off the wire.
-func ClientFrameLen(hdr [4]byte) (int, error) {
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxClientFrame {
-		return 0, fmt.Errorf("%w: oversized frame (%d bytes)", ErrClientFrame, n)
-	}
-	return int(n), nil
-}
-
-// --- Protocol v2 ---
-//
-// Version 2 keeps the [u32 length][payload] framing and the pipelined
-// correlation-ID model of v1, and adds per-request consistency levels,
-// multi-op batch frames, machine-readable error codes, delete, replicated
-// client sessions (exactly-once mutations), and a commit-cycle "read
-// timestamp" on every response. The connection preamble selects the
-// version: the 4th magic byte is 0x01 (v1) or 0x02 (v2), sniffed per
-// connection exactly like binary-vs-text mode.
-//
-//	v2 request payload (single op):
+//	request payload (single op):
 //	  [u64 id][u8 kind=1][u8 op][u8 consistency][u64 minCycle][u64 key][u32 vlen][vlen bytes]
-//	v2 request payload (batch):
+//	request payload (batch):
 //	  [u64 id][u8 kind=2][u8 consistency][u64 minCycle][u32 count]
 //	  count x ([u8 op][u64 key][u32 vlen][vlen bytes])
-//	v2 request payload (session register):
+//	request payload (session register):
 //	  [u64 id][u8 kind=3]
-//	v2 request payload (session op):
+//	request payload (session op):
 //	  [u64 id][u8 kind=4][u8 op][u8 consistency][u64 minCycle][u64 session][u64 seq][u64 key][u32 vlen][vlen bytes]
-//	v2 request payload (session batch):
+//	request payload (session batch):
 //	  [u64 id][u8 kind=5][u8 consistency][u64 minCycle][u64 session][u64 firstSeq][u32 count]
 //	  count x ([u8 op][u64 key][u32 vlen][vlen bytes])
-//	v2 request payload (session expire):
+//	request payload (session expire):
 //	  [u64 id][u8 kind=6][u64 session]
-//	v2 response payload (single op):
+//	request payload (watch):
+//	  [u64 id][u8 kind=7][u64 watchID][u64 key][u8 prefixBits][u64 sinceCycle]
+//	request payload (unwatch):
+//	  [u64 id][u8 kind=8][u64 watchID]
+//	request payload (txn):
+//	  [u64 id][u8 kind=9][u64 session][u64 seq][txn body — see AppendTxn]
+//	response payload (single op):
 //	  [u64 id][u8 kind=1][u8 status][u8 code][u64 cycle][u32 vlen][vlen bytes]
-//	v2 response payload (batch):
+//	response payload (batch):
 //	  [u64 id][u8 kind=2][u8 code][u64 cycle][u32 count]
 //	  count x ([u8 status][u8 code][u32 vlen][vlen bytes])
+//	response payload (event, server push, no request correlation):
+//	  [u64 watchID][u8 kind=7][u8 flags][u64 cycle][u32 count]
+//	  count x ([u8 op][u64 key][u32 vlen][vlen bytes])
 //
-// Consistency levels: Linearizable routes through consensus as v1 did.
-// Sequential and Stale are served from the replica's committed state
-// without entering a consensus cycle; Sequential additionally waits
-// until the replica has committed at least minCycle (the client's last
-// observed commit cycle), giving monotonic reads / read-your-writes
-// within a client session. The response's cycle field is the commit
-// cycle whose state served the request.
+// Statuses: OK (write acknowledged / read hit, value attached), Nil
+// (read miss), Err (request rejected; the code says why and the value is
+// a human-readable reason).
+//
+// Consistency levels: Linearizable routes through consensus. Sequential
+// and Stale are served from the replica's committed state without
+// entering a consensus cycle; Sequential additionally waits until the
+// replica has committed at least minCycle (the client's last observed
+// commit cycle), giving monotonic reads / read-your-writes within a
+// client session. The response's cycle field is the commit cycle whose
+// state served the request.
 //
 // Sessions: a register frame asks the serving node to commit a fresh
 // session ID through a consensus cycle; the reply's value is the 8-byte
@@ -183,9 +71,101 @@ func ClientFrameLen(hdr [4]byte) (int, error) {
 // cached committed result instead of applying twice. A session expire
 // frame reclaims the session's replicated state; ops on an expired (or
 // idle-reclaimed) session fail with CodeSessionExpired.
+//
+// A watch delivers every committed change matching (key, prefixBits) in
+// commit-cycle order, one event frame per cycle, gap-free: sinceCycle
+// asks the server to replay retained history first, which is how a
+// client resumes a watch after failing over to another replica. Flags
+// bit 0 marks the terminal overflow frame: the server evicted history
+// the watch still needed, or the connection could not keep up; the
+// watch is dead and the client must re-register (accepting the gap).
+//
+// A txn frame answers with a single-op response whose value is the
+// encoded TxnResult. Session and seq make a txn exactly-once across
+// failover, exactly like a session mutation; session 0 submits the txn
+// without dedup (at-most-once).
 
-// ClientMagicV2 is the protocol-v2 connection preamble.
-var ClientMagicV2 = [4]byte{0xC4, 'N', 'P', 0x02}
+// ClientMagicV3 is the connection preamble.
+var ClientMagicV3 = [4]byte{0xC4, 'N', 'P', 0x03}
+
+// Client response statuses.
+const (
+	ClientStatusOK  uint8 = 0 // success; reads carry the value
+	ClientStatusNil uint8 = 1 // read of an absent key
+	ClientStatusErr uint8 = 2 // rejected; value holds the reason
+)
+
+// MaxClientFrame bounds client protocol frame sizes in both directions.
+const MaxClientFrame = 16 << 20
+
+// MaxBatchOps bounds the operation count of one batch frame: a batch is
+// submitted to the node in a single machine turn, so it must respect the
+// same per-turn fairness cap as a pipelined group of singles.
+const MaxBatchOps = 512
+
+// ErrClientFrame is returned for malformed client protocol frames.
+var ErrClientFrame = errors.New("wire: bad client frame")
+
+// clientFrameLen validates the frame length prefix at the front of hdr.
+func clientFrameLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > MaxClientFrame {
+		return 0, fmt.Errorf("%w: oversized frame (%d bytes)", ErrClientFrame, n)
+	}
+	return int(n), nil
+}
+
+// ClientReadBuf is ReadClientFrames' initial buffer: either side writes a
+// whole burst (a cycle's replies, a pipeline's requests) in one write, and
+// one read should return it all. A larger frame grows the buffer to fit.
+const ClientReadBuf = 64 << 10
+
+// ReadClientFrames reads length-prefixed client frames from r through one
+// buffer and hands each complete frame's payload to frame, so a burst of
+// frames costs one read, not two per frame. After the last complete frame
+// of each read it calls burst (when non-nil) — where a receiver that
+// groups frames acts on the group. The payload aliases the buffer and is
+// valid only during the call (the parsers copy out what they keep). It
+// returns the first error of r, of a frame header or of frame, after the
+// complete frames received ahead of it have been handled.
+func ReadClientFrames(r io.Reader, frame func(payload []byte) error, burst func()) error {
+	buf := make([]byte, ClientReadBuf)
+	have := 0 // buf[:have] is received and not yet consumed
+	for {
+		n, rerr := r.Read(buf[have:])
+		have += n
+		used, handled := 0, false
+		var err error
+		for err == nil && have-used >= 4 {
+			var size int
+			if size, err = clientFrameLen(buf[used:]); err != nil {
+				break
+			}
+			if have-used-4 < size {
+				if 4+size > len(buf) {
+					// Room for all of it, with the partial frame in front.
+					grown := make([]byte, 4+size)
+					have = copy(grown, buf[used:have])
+					buf, used = grown, 0
+				}
+				break
+			}
+			err = frame(buf[used+4 : used+4+size])
+			used += 4 + size
+			handled = true
+		}
+		if handled && burst != nil {
+			burst()
+		}
+		if err == nil {
+			err = rerr
+		}
+		if err != nil {
+			return err
+		}
+		have = copy(buf, buf[used:have])
+	}
+}
 
 // Consistency is a client read-consistency level.
 type Consistency uint8
@@ -216,40 +196,45 @@ func (c Consistency) String() string {
 	}
 }
 
-// v2 frame kinds.
+// Frame kinds: requests 1–9; responses 1, 2 and 7.
 const (
-	v2KindOp           uint8 = 1
-	v2KindBatch        uint8 = 2
-	v2KindRegister     uint8 = 3
-	v2KindSessionOp    uint8 = 4
-	v2KindSessionBatch uint8 = 5
-	v2KindExpire       uint8 = 6
+	kindOp           uint8 = 1
+	kindBatch        uint8 = 2
+	kindRegister     uint8 = 3
+	kindSessionOp    uint8 = 4
+	kindSessionBatch uint8 = 5
+	kindExpire       uint8 = 6
+	kindWatch        uint8 = 7
+	kindUnwatch      uint8 = 8
+	kindTxn          uint8 = 9
+	kindEvent        uint8 = 7
 )
 
-// v2 response error codes (meaningful when a status is ClientStatusErr).
+// Response error codes (meaningful when a status is ClientStatusErr).
 const (
 	CodeNone           uint8 = 0 // no error
 	CodeDraining       uint8 = 1 // server shutting down; retry elsewhere
 	CodeStalled        uint8 = 2 // node halted (§6); retry elsewhere
 	CodeBadRequest     uint8 = 3 // malformed or unsupported request
 	CodeSessionExpired uint8 = 4 // session unknown or reclaimed; not retryable
-	CodeWatchOverflow  uint8 = 5 // v3: watch resume point already evicted
+	CodeWatchOverflow  uint8 = 5 // watch resume point already evicted
 )
 
-// ClientOp is one keyed operation inside a v2 request.
+// ClientOp is one keyed operation inside a request.
 type ClientOp struct {
 	Op  Op
 	Key uint64
 	Val []byte // write payload; nil for reads and deletes
 }
 
-// ClientRequestV2 is one v2 request frame: a single operation, an
-// ordered multi-op batch submitted in one machine turn, or a session
-// management frame (Register / Expire). Consistency and MinCycle apply
-// to every read in the frame. A non-zero Session selects the session
-// frame shapes: Seq is the session sequence number of the frame's first
-// mutating op, and subsequent mutating ops in a batch consume Seq+1,
-// Seq+2, ... in frame order.
+// ClientRequestV2 is one request frame: a single operation, an ordered
+// multi-op batch submitted in one machine turn, a session management
+// frame (Register / Expire), a watch registration or cancellation, or a
+// transaction. Consistency and MinCycle apply to every read in the
+// frame. A non-zero Session selects the session frame shapes: Seq is the
+// session sequence number of the frame's first mutating op, and
+// subsequent mutating ops in a batch consume Seq+1, Seq+2, ... in frame
+// order.
 type ClientRequestV2 struct {
 	ID          uint64
 	Batch       bool // encode as a batch frame even when len(Ops) == 1
@@ -261,7 +246,6 @@ type ClientRequestV2 struct {
 	Seq         uint64
 	Ops         []ClientOp
 
-	// v3 extensions (frames a v2 parser rejects; see "Protocol v3").
 	Watch      bool   // watch-registration frame
 	Unwatch    bool   // watch-cancel frame
 	Txn        bool   // transaction frame (TxnGuards/TxnOps carry the body)
@@ -273,17 +257,19 @@ type ClientRequestV2 struct {
 	TxnOps     []TxnOp
 }
 
-// ClientResult is one operation's outcome inside a v2 batch response.
+// ClientResult is one operation's outcome inside a batch response.
 type ClientResult struct {
 	Status uint8
 	Code   uint8
 	Val    []byte
 }
 
-// ClientResponseV2 answers one ClientRequestV2. Cycle is the highest
-// commit cycle involved in serving the frame (the read timestamp).
-// Single-op responses use Status/Code/Val; batch responses use
-// Code/Results.
+// ClientResponseV2 answers one ClientRequestV2, or — Event set — is a
+// server push on a watch. Cycle is the highest commit cycle involved in
+// serving the frame (the read timestamp). Single-op responses use
+// Status/Code/Val; batch responses use Code/Results; in an event frame ID
+// carries the watch ID and Cycle the commit cycle whose changes the frame
+// delivers.
 type ClientResponseV2 struct {
 	ID      uint64
 	Batch   bool
@@ -293,52 +279,78 @@ type ClientResponseV2 struct {
 	Val     []byte
 	Results []ClientResult
 
-	// v3 extensions: server-push event frames. ID carries the watch ID,
-	// Cycle the commit cycle whose changes the frame delivers.
 	Event    bool
 	Overflow bool // watch killed: consumer too slow or resume point evicted
 	Events   []Event
 }
 
 const (
-	v2ReqOpFixed        = 8 + 1 + 1 + 1 + 8 + 8 + 4         // id, kind, op, consistency, minCycle, key, vlen
-	v2ReqBatchFixed     = 8 + 1 + 1 + 8 + 4                 // id, kind, consistency, minCycle, count
-	v2ReqElemFixed      = 1 + 8 + 4                         // op, key, vlen
-	v2ReqRegisterFixed  = 8 + 1                             // id, kind
-	v2ReqSessOpFixed    = 8 + 1 + 1 + 1 + 8 + 8 + 8 + 8 + 4 // id, kind, op, consistency, minCycle, session, seq, key, vlen
-	v2ReqSessBatchFixed = 8 + 1 + 1 + 8 + 8 + 8 + 4         // id, kind, consistency, minCycle, session, firstSeq, count
-	v2ReqExpireFixed    = 8 + 1 + 8                         // id, kind, session
-	v2RespOpFixed       = 8 + 1 + 1 + 1 + 8 + 4             // id, kind, status, code, cycle, vlen
-	v2RespBatchFixed    = 8 + 1 + 1 + 8 + 4                 // id, kind, code, cycle, count
-	v2RespElemFixed     = 1 + 1 + 4                         // status, code, vlen
+	reqOpFixed        = 8 + 1 + 1 + 1 + 8 + 8 + 4         // id, kind, op, consistency, minCycle, key, vlen
+	reqBatchFixed     = 8 + 1 + 1 + 8 + 4                 // id, kind, consistency, minCycle, count
+	reqElemFixed      = 1 + 8 + 4                         // op, key, vlen
+	reqRegisterFixed  = 8 + 1                             // id, kind
+	reqSessOpFixed    = 8 + 1 + 1 + 1 + 8 + 8 + 8 + 8 + 4 // id, kind, op, consistency, minCycle, session, seq, key, vlen
+	reqSessBatchFixed = 8 + 1 + 1 + 8 + 8 + 8 + 4         // id, kind, consistency, minCycle, session, firstSeq, count
+	reqExpireFixed    = 8 + 1 + 8                         // id, kind, session
+	reqWatchFixed     = 8 + 1 + 8 + 8 + 1 + 8             // id, kind, watchID, key, prefixBits, sinceCycle
+	reqUnwatchFixed   = 8 + 1 + 8                         // id, kind, watchID
+	reqTxnFixed       = 8 + 1 + 8 + 8                     // id, kind, session, seq (+ txn body)
+	respOpFixed       = 8 + 1 + 1 + 1 + 8 + 4             // id, kind, status, code, cycle, vlen
+	respBatchFixed    = 8 + 1 + 1 + 8 + 4                 // id, kind, code, cycle, count
+	respElemFixed     = 1 + 1 + 4                         // status, code, vlen
+	respEventFixed    = 8 + 1 + 1 + 8 + 4                 // watchID, kind, flags, cycle, count
+	respEventElem     = 1 + 8 + 4                         // op, key, vlen
 )
+
+const eventFlagOverflow uint8 = 1 << 0
 
 func validOp(o Op) bool { return o == OpRead || o == OpWrite || o == OpDelete }
 
-// AppendClientRequestV2 appends q as a length-prefixed v2 frame to b.
+// AppendClientRequestV3 appends q as a length-prefixed frame to b. The
+// shape flags take precedence in the order Watch, Unwatch, Txn, Register,
+// Expire, Batch; a non-zero Session selects the session op/batch frames.
 // Single-op encoding requires exactly one op; Batch forces the batch
-// frame shape regardless of op count. Register/Expire take precedence
-// over the op shapes; a non-zero Session selects the session op/batch
-// frames.
-func AppendClientRequestV2(b []byte, q *ClientRequestV2) []byte {
+// frame shape regardless of op count.
+func AppendClientRequestV3(b []byte, q *ClientRequestV2) []byte {
 	switch {
+	case q.Watch:
+		b = putU32(b, uint32(reqWatchFixed))
+		b = putU64(b, q.ID)
+		b = putU8(b, kindWatch)
+		b = putU64(b, q.WatchID)
+		b = putU64(b, q.WatchKey)
+		b = putU8(b, q.PrefixBits)
+		return putU64(b, q.SinceCycle)
+	case q.Unwatch:
+		b = putU32(b, uint32(reqUnwatchFixed))
+		b = putU64(b, q.ID)
+		b = putU8(b, kindUnwatch)
+		return putU64(b, q.WatchID)
+	case q.Txn:
+		t := Txn{Guards: q.TxnGuards, Ops: q.TxnOps}
+		b = putU32(b, uint32(reqTxnFixed+TxnSize(&t)))
+		b = putU64(b, q.ID)
+		b = putU8(b, kindTxn)
+		b = putU64(b, q.Session)
+		b = putU64(b, q.Seq)
+		return AppendTxn(b, &t)
 	case q.Register:
-		b = putU32(b, uint32(v2ReqRegisterFixed))
+		b = putU32(b, uint32(reqRegisterFixed))
 		b = putU64(b, q.ID)
-		return putU8(b, v2KindRegister)
+		return putU8(b, kindRegister)
 	case q.Expire:
-		b = putU32(b, uint32(v2ReqExpireFixed))
+		b = putU32(b, uint32(reqExpireFixed))
 		b = putU64(b, q.ID)
-		b = putU8(b, v2KindExpire)
+		b = putU8(b, kindExpire)
 		return putU64(b, q.Session)
 	case q.Batch:
-		n := v2ReqBatchFixed
-		kind := v2KindBatch
+		n := reqBatchFixed
+		kind := kindBatch
 		if q.Session != 0 {
-			n, kind = v2ReqSessBatchFixed, v2KindSessionBatch
+			n, kind = reqSessBatchFixed, kindSessionBatch
 		}
 		for i := range q.Ops {
-			n += v2ReqElemFixed + len(q.Ops[i].Val)
+			n += reqElemFixed + len(q.Ops[i].Val)
 		}
 		b = putU32(b, uint32(n))
 		b = putU64(b, q.ID)
@@ -359,9 +371,9 @@ func AppendClientRequestV2(b []byte, q *ClientRequestV2) []byte {
 		return b
 	case q.Session != 0:
 		op := &q.Ops[0]
-		b = putU32(b, uint32(v2ReqSessOpFixed+len(op.Val)))
+		b = putU32(b, uint32(reqSessOpFixed+len(op.Val)))
 		b = putU64(b, q.ID)
-		b = putU8(b, v2KindSessionOp)
+		b = putU8(b, kindSessionOp)
 		b = putU8(b, uint8(op.Op))
 		b = putU8(b, uint8(q.Consistency))
 		b = putU64(b, q.MinCycle)
@@ -371,9 +383,9 @@ func AppendClientRequestV2(b []byte, q *ClientRequestV2) []byte {
 		return putBytes(b, op.Val)
 	default:
 		op := &q.Ops[0]
-		b = putU32(b, uint32(v2ReqOpFixed+len(op.Val)))
+		b = putU32(b, uint32(reqOpFixed+len(op.Val)))
 		b = putU64(b, q.ID)
-		b = putU8(b, v2KindOp)
+		b = putU8(b, kindOp)
 		b = putU8(b, uint8(op.Op))
 		b = putU8(b, uint8(q.Consistency))
 		b = putU64(b, q.MinCycle)
@@ -382,52 +394,50 @@ func AppendClientRequestV2(b []byte, q *ClientRequestV2) []byte {
 	}
 }
 
-// ParseClientRequestV2 decodes one v2 request payload.
-func ParseClientRequestV2(payload []byte) (ClientRequestV2, error) {
-	var q ClientRequestV2
-	if err := ParseClientRequestV2Into(payload, &q, nil); err != nil {
-		return ClientRequestV2{}, err
-	}
-	return q, nil
+// badClientRequest zeroes *q and returns the ErrClientFrame-wrapped
+// reason: a failed parse leaves nothing half-decoded behind.
+func badClientRequest(q *ClientRequestV2, format string, a ...any) error {
+	*q = ClientRequestV2{}
+	return fmt.Errorf("%w: %s", ErrClientFrame, fmt.Sprintf(format, a...))
 }
 
-// ParseClientRequestV2Into decodes one v2 request payload into *q,
-// reusing q's Ops backing array when its capacity suffices, and copying
-// values into *arena (when non-nil) instead of per-value allocations —
-// the server's submit path shares one arena per accepted group. On
-// error *q is left zeroed. The arena must not be reused while any
-// parsed value is still alive.
-func ParseClientRequestV2Into(payload []byte, q *ClientRequestV2, arena *[]byte) error {
-	ops := q.Ops[:0]
+// ParseClientRequestV3Into decodes one request payload (the bytes after
+// the length prefix) into *q, reusing the backing arrays of q's Ops,
+// TxnGuards and TxnOps when their capacity suffices, and copying values
+// into *arena (when non-nil) instead of per-value allocations — the
+// server's submit path shares one arena per accepted group. On error *q
+// is left zeroed. The arena must not be reused while any parsed value is
+// still alive.
+func ParseClientRequestV3Into(payload []byte, q *ClientRequestV2, arena *[]byte) error {
+	ops, guards, tops := q.Ops[:0], q.TxnGuards[:0], q.TxnOps[:0]
 	*q = ClientRequestV2{}
 	r := &reader{b: payload}
 	q.ID = r.u64()
 	kind := r.u8()
 	switch kind {
-	case v2KindOp, v2KindSessionOp:
+	case kindOp, kindSessionOp:
 		var op ClientOp
 		op.Op = Op(r.u8())
 		q.Consistency = Consistency(r.u8())
 		q.MinCycle = r.u64()
-		if kind == v2KindSessionOp {
+		if kind == kindSessionOp {
 			q.Session = r.u64()
 			q.Seq = r.u64()
 		}
 		op.Key = r.u64()
 		op.Val = r.bytesArena(arena)
-		q.Ops = append(ops, op)
-	case v2KindBatch, v2KindSessionBatch:
+		ops = append(ops, op)
+	case kindBatch, kindSessionBatch:
 		q.Batch = true
 		q.Consistency = Consistency(r.u8())
 		q.MinCycle = r.u64()
-		if kind == v2KindSessionBatch {
+		if kind == kindSessionBatch {
 			q.Session = r.u64()
 			q.Seq = r.u64()
 		}
-		count := r.count(v2ReqElemFixed)
+		count := r.count(reqElemFixed)
 		if count == 0 && r.err == nil {
-			*q = ClientRequestV2{}
-			return fmt.Errorf("%w: empty batch", ErrClientFrame)
+			return badClientRequest(q, "empty batch")
 		}
 		if cap(ops) < count {
 			ops = make([]ClientOp, 0, count)
@@ -439,19 +449,38 @@ func ParseClientRequestV2Into(payload []byte, q *ClientRequestV2, arena *[]byte)
 			op.Val = r.bytesArena(arena)
 			ops = append(ops, op)
 		}
-		q.Ops = ops
-	case v2KindRegister:
+	case kindRegister:
 		q.Register = true
-	case v2KindExpire:
+	case kindExpire:
 		q.Expire = true
 		q.Session = r.u64()
+	case kindWatch:
+		q.Watch = true
+		q.WatchID = r.u64()
+		q.WatchKey = r.u64()
+		q.PrefixBits = r.u8()
+		q.SinceCycle = r.u64()
+		if r.err == nil && q.PrefixBits > 64 {
+			return badClientRequest(q, "watch prefix bits %d", q.PrefixBits)
+		}
+	case kindUnwatch:
+		q.Unwatch = true
+		q.WatchID = r.u64()
+	case kindTxn:
+		q.Txn = true
+		q.Session = r.u64()
+		q.Seq = r.u64()
+		t := Txn{Guards: guards, Ops: tops}
+		if err := parseTxnBody(r, &t, arena); err != nil {
+			*q = ClientRequestV2{}
+			return err
+		}
+		guards, tops = t.Guards, t.Ops
 	default:
-		*q = ClientRequestV2{}
-		return fmt.Errorf("%w: unknown v2 frame kind %d", ErrClientFrame, kind)
+		return badClientRequest(q, "unknown request kind %d", kind)
 	}
 	if r.err != nil || r.off != len(payload) {
-		*q = ClientRequestV2{}
-		return fmt.Errorf("%w: v2 request (%d bytes)", ErrClientFrame, len(payload))
+		return badClientRequest(q, "request (%d bytes)", len(payload))
 	}
 	// Session frame shapes require a well-formed session ID: zero would
 	// re-encode as the sessionless shape (breaking decode∘encode
@@ -459,36 +488,60 @@ func ParseClientRequestV2Into(payload []byte, q *ClientRequestV2, arena *[]byte)
 	// been committed by a registration — accepting one would let a
 	// client inject a raw Request.Client identity that bypasses the
 	// dedup table and collides with connection-scoped reply routing.
-	if (kind == v2KindSessionOp || kind == v2KindSessionBatch || kind == v2KindExpire) && !IsSessionID(q.Session) {
-		err := fmt.Errorf("%w: invalid session ID %#x", ErrClientFrame, q.Session)
-		*q = ClientRequestV2{}
-		return err
+	// A txn's zero session submits without dedup; a non-zero one obeys
+	// the same rule.
+	sessionFrame := kind == kindSessionOp || kind == kindSessionBatch || kind == kindExpire ||
+		(kind == kindTxn && q.Session != 0)
+	if sessionFrame && !IsSessionID(q.Session) {
+		return badClientRequest(q, "invalid session ID %#x", q.Session)
 	}
 	if q.Consistency > Stale {
-		err := fmt.Errorf("%w: unknown consistency %d", ErrClientFrame, uint8(q.Consistency))
-		*q = ClientRequestV2{}
-		return err
+		return badClientRequest(q, "unknown consistency %d", uint8(q.Consistency))
 	}
-	for i := range q.Ops {
-		if !validOp(q.Ops[i].Op) {
-			err := fmt.Errorf("%w: unknown op %d", ErrClientFrame, uint8(q.Ops[i].Op))
-			*q = ClientRequestV2{}
-			return err
+	for i := range ops {
+		if !validOp(ops[i].Op) {
+			return badClientRequest(q, "unknown op %d", uint8(ops[i].Op))
 		}
 	}
+	q.Ops, q.TxnGuards, q.TxnOps = ops, guards, tops
 	return nil
 }
 
-// AppendClientResponseV2 appends resp as a length-prefixed v2 frame to b.
-func AppendClientResponseV2(b []byte, resp *ClientResponseV2) []byte {
-	if resp.Batch {
-		n := v2RespBatchFixed
-		for i := range resp.Results {
-			n += v2RespElemFixed + len(resp.Results[i].Val)
+// AppendClientResponseV3 appends resp as a length-prefixed frame to b:
+// the event-push shape when Event is set, the batch shape when Batch is,
+// the single-op shape otherwise.
+func AppendClientResponseV3(b []byte, resp *ClientResponseV2) []byte {
+	switch {
+	case resp.Event:
+		n := respEventFixed
+		for i := range resp.Events {
+			n += respEventElem + len(resp.Events[i].Val)
 		}
 		b = putU32(b, uint32(n))
 		b = putU64(b, resp.ID)
-		b = putU8(b, v2KindBatch)
+		b = putU8(b, kindEvent)
+		var flags uint8
+		if resp.Overflow {
+			flags |= eventFlagOverflow
+		}
+		b = putU8(b, flags)
+		b = putU64(b, resp.Cycle)
+		b = putU32(b, uint32(len(resp.Events)))
+		for i := range resp.Events {
+			e := &resp.Events[i]
+			b = putU8(b, uint8(e.Op))
+			b = putU64(b, e.Key)
+			b = putBytes(b, e.Val)
+		}
+		return b
+	case resp.Batch:
+		n := respBatchFixed
+		for i := range resp.Results {
+			n += respElemFixed + len(resp.Results[i].Val)
+		}
+		b = putU32(b, uint32(n))
+		b = putU64(b, resp.ID)
+		b = putU8(b, kindBatch)
 		b = putU8(b, resp.Code)
 		b = putU64(b, resp.Cycle)
 		b = putU32(b, uint32(len(resp.Results)))
@@ -498,33 +551,36 @@ func AppendClientResponseV2(b []byte, resp *ClientResponseV2) []byte {
 			b = putBytes(b, resp.Results[i].Val)
 		}
 		return b
+	default:
+		b = putU32(b, uint32(respOpFixed+len(resp.Val)))
+		b = putU64(b, resp.ID)
+		b = putU8(b, kindOp)
+		b = putU8(b, resp.Status)
+		b = putU8(b, resp.Code)
+		b = putU64(b, resp.Cycle)
+		return putBytes(b, resp.Val)
 	}
-	b = putU32(b, uint32(v2RespOpFixed+len(resp.Val)))
-	b = putU64(b, resp.ID)
-	b = putU8(b, v2KindOp)
-	b = putU8(b, resp.Status)
-	b = putU8(b, resp.Code)
-	b = putU64(b, resp.Cycle)
-	return putBytes(b, resp.Val)
 }
 
-// ParseClientResponseV2 decodes one v2 response payload.
-func ParseClientResponseV2(payload []byte) (ClientResponseV2, error) {
+// ParseClientResponseV3 decodes one response payload (the bytes after
+// the length prefix). Values are copied out of payload.
+func ParseClientResponseV3(payload []byte) (ClientResponseV2, error) {
 	r := &reader{b: payload}
 	var resp ClientResponseV2
+	var flags uint8
 	resp.ID = r.u64()
 	kind := r.u8()
 	switch kind {
-	case v2KindOp:
+	case kindOp:
 		resp.Status = r.u8()
 		resp.Code = r.u8()
 		resp.Cycle = r.u64()
 		resp.Val = r.bytes()
-	case v2KindBatch:
+	case kindBatch:
 		resp.Batch = true
 		resp.Code = r.u8()
 		resp.Cycle = r.u64()
-		count := r.count(v2RespElemFixed)
+		count := r.count(respElemFixed)
 		resp.Results = make([]ClientResult, 0, count)
 		for i := 0; i < count; i++ {
 			var res ClientResult
@@ -533,12 +589,34 @@ func ParseClientResponseV2(payload []byte) (ClientResponseV2, error) {
 			res.Val = r.bytes()
 			resp.Results = append(resp.Results, res)
 		}
+	case kindEvent:
+		resp.Event = true
+		flags = r.u8()
+		resp.Cycle = r.u64()
+		count := r.count(respEventElem)
+		if count > 0 && r.err == nil {
+			resp.Events = make([]Event, 0, count)
+		}
+		for i := 0; i < count; i++ {
+			var e Event
+			e.Op = Op(r.u8())
+			e.Key = r.u64()
+			e.Val = r.bytes()
+			if r.err == nil && e.Op != OpWrite && e.Op != OpDelete {
+				return ClientResponseV2{}, fmt.Errorf("%w: event op %d", ErrClientFrame, uint8(e.Op))
+			}
+			resp.Events = append(resp.Events, e)
+		}
 	default:
-		return ClientResponseV2{}, fmt.Errorf("%w: unknown v2 frame kind %d", ErrClientFrame, kind)
+		return ClientResponseV2{}, fmt.Errorf("%w: unknown response kind %d", ErrClientFrame, kind)
 	}
 	if r.err != nil || r.off != len(payload) {
-		return ClientResponseV2{}, fmt.Errorf("%w: v2 response (%d bytes)", ErrClientFrame, len(payload))
+		return ClientResponseV2{}, fmt.Errorf("%w: response (%d bytes)", ErrClientFrame, len(payload))
 	}
+	if flags&^eventFlagOverflow != 0 {
+		return ClientResponseV2{}, fmt.Errorf("%w: event flags %#x", ErrClientFrame, flags)
+	}
+	resp.Overflow = flags&eventFlagOverflow != 0
 	if resp.Status > ClientStatusErr {
 		return ClientResponseV2{}, fmt.Errorf("%w: unknown status %d", ErrClientFrame, resp.Status)
 	}
@@ -547,210 +625,5 @@ func ParseClientResponseV2(payload []byte) (ClientResponseV2, error) {
 			return ClientResponseV2{}, fmt.Errorf("%w: unknown status %d", ErrClientFrame, resp.Results[i].Status)
 		}
 	}
-	return resp, nil
-}
-
-// --- Protocol v3 ---
-//
-// Version 3 is a strict superset of v2: every v2 frame is valid and
-// byte-identical on a v3 connection, and three request kinds plus one
-// server-push response kind are added for the event plane. The 4th
-// magic byte selects the version (0x03).
-//
-//	v3 request payload (watch):
-//	  [u64 id][u8 kind=7][u64 watchID][u64 key][u8 prefixBits][u64 sinceCycle]
-//	v3 request payload (unwatch):
-//	  [u64 id][u8 kind=8][u64 watchID]
-//	v3 request payload (txn):
-//	  [u64 id][u8 kind=9][u64 session][u64 seq][txn body — see AppendTxn]
-//	v3 response payload (event, server push, no request correlation):
-//	  [u64 watchID][u8 kind=7][u8 flags][u64 cycle][u32 count]
-//	  count x ([u8 op][u64 key][u32 vlen][vlen bytes])
-//
-// A watch delivers every committed change matching (key, prefixBits) in
-// commit-cycle order, one event frame per cycle, gap-free: sinceCycle
-// asks the server to replay retained history first, which is how a
-// client resumes a watch after failing over to another replica. Flags
-// bit 0 marks the terminal overflow frame: the server evicted history
-// the watch still needed, or the connection could not keep up; the
-// watch is dead and the client must re-register (accepting the gap).
-//
-// A txn frame answers with a v2 single-op response whose value is the
-// encoded TxnResult. Session and seq make a txn exactly-once across
-// failover, exactly like a session mutation; session 0 submits the txn
-// without dedup (at-most-once).
-
-// ClientMagicV3 is the protocol-v3 connection preamble.
-var ClientMagicV3 = [4]byte{0xC4, 'N', 'P', 0x03}
-
-// v3 frame kinds (requests 7–9, response 7).
-const (
-	v3KindWatch   uint8 = 7
-	v3KindUnwatch uint8 = 8
-	v3KindTxn     uint8 = 9
-	v3KindEvent   uint8 = 7
-)
-
-const (
-	v3ReqWatchFixed   = 8 + 1 + 8 + 8 + 1 + 8 // id, kind, watchID, key, prefixBits, sinceCycle
-	v3ReqUnwatchFixed = 8 + 1 + 8             // id, kind, watchID
-	v3ReqTxnFixed     = 8 + 1 + 8 + 8         // id, kind, session, seq (+ txn body)
-	v3RespEventFixed  = 8 + 1 + 1 + 8 + 4     // watchID, kind, flags, cycle, count
-	v3RespEventElem   = 1 + 8 + 4             // op, key, vlen
-)
-
-const v3EventFlagOverflow uint8 = 1 << 0
-
-// AppendClientRequestV3 appends q as a length-prefixed v3 frame to b.
-// The v3 shapes (Watch / Unwatch / Txn) take precedence; any other
-// request encodes exactly as v2.
-func AppendClientRequestV3(b []byte, q *ClientRequestV2) []byte {
-	switch {
-	case q.Watch:
-		b = putU32(b, uint32(v3ReqWatchFixed))
-		b = putU64(b, q.ID)
-		b = putU8(b, v3KindWatch)
-		b = putU64(b, q.WatchID)
-		b = putU64(b, q.WatchKey)
-		b = putU8(b, q.PrefixBits)
-		return putU64(b, q.SinceCycle)
-	case q.Unwatch:
-		b = putU32(b, uint32(v3ReqUnwatchFixed))
-		b = putU64(b, q.ID)
-		b = putU8(b, v3KindUnwatch)
-		return putU64(b, q.WatchID)
-	case q.Txn:
-		t := Txn{Guards: q.TxnGuards, Ops: q.TxnOps}
-		b = putU32(b, uint32(v3ReqTxnFixed+TxnSize(&t)))
-		b = putU64(b, q.ID)
-		b = putU8(b, v3KindTxn)
-		b = putU64(b, q.Session)
-		b = putU64(b, q.Seq)
-		return AppendTxn(b, &t)
-	default:
-		return AppendClientRequestV2(b, q)
-	}
-}
-
-// ParseClientRequestV3Into decodes one v3 request payload into *q with
-// the same reuse and arena contract as ParseClientRequestV2Into. Every
-// v2 frame kind is accepted unchanged.
-func ParseClientRequestV3Into(payload []byte, q *ClientRequestV2, arena *[]byte) error {
-	if len(payload) < 9 || payload[8] < v3KindWatch {
-		return ParseClientRequestV2Into(payload, q, arena)
-	}
-	guards, tops := q.TxnGuards[:0], q.TxnOps[:0]
-	ops := q.Ops[:0]
-	*q = ClientRequestV2{}
-	r := &reader{b: payload}
-	q.ID = r.u64()
-	kind := r.u8()
-	switch kind {
-	case v3KindWatch:
-		q.Watch = true
-		q.WatchID = r.u64()
-		q.WatchKey = r.u64()
-		q.PrefixBits = r.u8()
-		q.SinceCycle = r.u64()
-		if r.err == nil && q.PrefixBits > 64 {
-			err := fmt.Errorf("%w: watch prefix bits %d", ErrClientFrame, q.PrefixBits)
-			*q = ClientRequestV2{}
-			return err
-		}
-	case v3KindUnwatch:
-		q.Unwatch = true
-		q.WatchID = r.u64()
-	case v3KindTxn:
-		q.Txn = true
-		q.Session = r.u64()
-		q.Seq = r.u64()
-		t := Txn{Guards: guards, Ops: tops}
-		if err := parseTxnBody(r, &t, arena); err != nil {
-			*q = ClientRequestV2{}
-			return err
-		}
-		q.TxnGuards, q.TxnOps = t.Guards, t.Ops
-		// A zero session submits without dedup; a non-zero one must be a
-		// committed registration, same rule as the v2 session frames.
-		if r.err == nil && q.Session != 0 && !IsSessionID(q.Session) {
-			err := fmt.Errorf("%w: invalid session ID %#x", ErrClientFrame, q.Session)
-			*q = ClientRequestV2{}
-			return err
-		}
-	default:
-		*q = ClientRequestV2{}
-		return fmt.Errorf("%w: unknown v3 frame kind %d", ErrClientFrame, kind)
-	}
-	if r.err != nil || r.off != len(payload) {
-		*q = ClientRequestV2{}
-		return fmt.Errorf("%w: v3 request (%d bytes)", ErrClientFrame, len(payload))
-	}
-	q.Ops = ops
-	return nil
-}
-
-// AppendClientResponseV3 appends resp as a length-prefixed v3 frame to
-// b: the event-push shape when Event is set, the v2 encoding otherwise.
-func AppendClientResponseV3(b []byte, resp *ClientResponseV2) []byte {
-	if !resp.Event {
-		return AppendClientResponseV2(b, resp)
-	}
-	n := v3RespEventFixed
-	for i := range resp.Events {
-		n += v3RespEventElem + len(resp.Events[i].Val)
-	}
-	b = putU32(b, uint32(n))
-	b = putU64(b, resp.ID)
-	b = putU8(b, v3KindEvent)
-	var flags uint8
-	if resp.Overflow {
-		flags |= v3EventFlagOverflow
-	}
-	b = putU8(b, flags)
-	b = putU64(b, resp.Cycle)
-	b = putU32(b, uint32(len(resp.Events)))
-	for i := range resp.Events {
-		e := &resp.Events[i]
-		b = putU8(b, uint8(e.Op))
-		b = putU64(b, e.Key)
-		b = putBytes(b, e.Val)
-	}
-	return b
-}
-
-// ParseClientResponseV3 decodes one v3 response payload. Every v2
-// response kind is accepted unchanged.
-func ParseClientResponseV3(payload []byte) (ClientResponseV2, error) {
-	if len(payload) < 9 || payload[8] != v3KindEvent {
-		return ParseClientResponseV2(payload)
-	}
-	r := &reader{b: payload}
-	var resp ClientResponseV2
-	resp.ID = r.u64()
-	r.u8() // kind, already sniffed
-	resp.Event = true
-	flags := r.u8()
-	resp.Cycle = r.u64()
-	count := r.count(v3RespEventElem)
-	if count > 0 && r.err == nil {
-		resp.Events = make([]Event, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		var e Event
-		e.Op = Op(r.u8())
-		e.Key = r.u64()
-		e.Val = r.bytes()
-		if r.err == nil && e.Op != OpWrite && e.Op != OpDelete {
-			return ClientResponseV2{}, fmt.Errorf("%w: event op %d", ErrClientFrame, uint8(e.Op))
-		}
-		resp.Events = append(resp.Events, e)
-	}
-	if r.err != nil || r.off != len(payload) {
-		return ClientResponseV2{}, fmt.Errorf("%w: v3 response (%d bytes)", ErrClientFrame, len(payload))
-	}
-	if flags&^v3EventFlagOverflow != 0 {
-		return ClientResponseV2{}, fmt.Errorf("%w: event flags %#x", ErrClientFrame, flags)
-	}
-	resp.Overflow = flags&v3EventFlagOverflow != 0
 	return resp, nil
 }

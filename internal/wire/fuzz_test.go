@@ -104,111 +104,33 @@ func FuzzCodec(f *testing.F) {
 	})
 }
 
-// FuzzClientCodec does the same for the binary client protocol frames,
-// v1 and v2: decoding arbitrary payloads must never panic, and every
-// successfully decoded frame must re-encode canonically.
+// FuzzClientCodec does the same for the client protocol frames: decoding
+// arbitrary payloads must never panic, and every successfully decoded
+// frame must re-encode canonically.
 func FuzzClientCodec(f *testing.F) {
-	for _, q := range []ClientRequest{
-		{ID: 1, Op: OpWrite, Key: 7, Val: []byte("hello")},
-		{ID: 2, Op: OpRead, Key: 9},
-	} {
-		frame := AppendClientRequest(nil, &q)
-		f.Add(frame[4:], true, false)
+	for _, c := range goldenRequests {
+		f.Add(AppendClientRequestV3(nil, &c.q)[4:], true)
 	}
-	for _, resp := range []ClientResponse{
-		{ID: 1, Status: ClientStatusOK, Val: []byte("v")},
-		{ID: 2, Status: ClientStatusNil},
-	} {
-		frame := AppendClientResponse(nil, &resp)
-		f.Add(frame[4:], false, false)
+	for _, c := range goldenResponses {
+		f.Add(AppendClientResponseV3(nil, &c.resp)[4:], false)
 	}
-	for _, q := range v2RequestsForTest() {
-		frame := AppendClientRequestV2(nil, &q)
-		f.Add(frame[4:], true, true)
-	}
-	for _, resp := range v2ResponsesForTest() {
-		frame := AppendClientResponseV2(nil, &resp)
-		f.Add(frame[4:], false, true)
-	}
-	for _, q := range v3RequestsForTest() {
-		frame := AppendClientRequestV3(nil, &q)
-		f.Add(frame[4:], true, true)
-	}
-	for _, resp := range v3ResponsesForTest() {
-		frame := AppendClientResponseV3(nil, &resp)
-		f.Add(frame[4:], false, true)
-	}
-	f.Fuzz(func(t *testing.T, payload []byte, asRequest, v2 bool) {
-		switch {
-		case asRequest && !v2:
-			q, err := ParseClientRequest(payload)
-			if err != nil {
+	f.Fuzz(func(t *testing.T, payload []byte, asRequest bool) {
+		if asRequest {
+			var q ClientRequestV2
+			if err := ParseClientRequestV3Into(payload, &q, nil); err != nil {
 				return
 			}
-			frame := AppendClientRequest(nil, &q)
-			if !bytes.Equal(frame[4:], payload) {
+			if frame := AppendClientRequestV3(nil, &q); !bytes.Equal(frame[4:], payload) {
 				t.Fatalf("request re-encode mismatch")
 			}
-		case !asRequest && !v2:
-			resp, err := ParseClientResponse(payload)
-			if err != nil {
-				return
-			}
-			frame := AppendClientResponse(nil, &resp)
-			if !bytes.Equal(frame[4:], payload) {
-				t.Fatalf("response re-encode mismatch")
-			}
-		case asRequest && v2:
-			// v3 is a strict superset of v2: any payload the v2 parser
-			// accepts must parse identically under v3 and re-encode to the
-			// same bytes (the cross-version round trip), and v3-only kinds
-			// must still be canonical under decode∘encode.
-			var q3 ClientRequestV2
-			err3 := ParseClientRequestV3Into(payload, &q3, nil)
-			q, err := ParseClientRequestV2(payload)
-			if err == nil {
-				if err3 != nil {
-					t.Fatalf("v2-accepted request rejected by v3: %v", err3)
-				}
-				frame := AppendClientRequestV2(nil, &q)
-				if !bytes.Equal(frame[4:], payload) {
-					t.Fatalf("v2 request re-encode mismatch")
-				}
-				if v3 := AppendClientRequestV3(nil, &q3); !bytes.Equal(v3, frame) {
-					t.Fatalf("v2<->v3 request cross-version encode mismatch")
-				}
-			} else if err3 == nil {
-				if !q3.Watch && !q3.Unwatch && !q3.Txn {
-					t.Fatalf("v3 accepted a v2-shape frame v2 rejected")
-				}
-				frame := AppendClientRequestV3(nil, &q3)
-				if !bytes.Equal(frame[4:], payload) {
-					t.Fatalf("v3 request re-encode mismatch")
-				}
-			}
-		default:
-			resp3, err3 := ParseClientResponseV3(payload)
-			resp, err := ParseClientResponseV2(payload)
-			if err == nil {
-				if err3 != nil {
-					t.Fatalf("v2-accepted response rejected by v3: %v", err3)
-				}
-				frame := AppendClientResponseV2(nil, &resp)
-				if !bytes.Equal(frame[4:], payload) {
-					t.Fatalf("v2 response re-encode mismatch")
-				}
-				if v3 := AppendClientResponseV3(nil, &resp3); !bytes.Equal(v3, frame) {
-					t.Fatalf("v2<->v3 response cross-version encode mismatch")
-				}
-			} else if err3 == nil {
-				if !resp3.Event {
-					t.Fatalf("v3 accepted a v2-shape response v2 rejected")
-				}
-				frame := AppendClientResponseV3(nil, &resp3)
-				if !bytes.Equal(frame[4:], payload) {
-					t.Fatalf("v3 response re-encode mismatch")
-				}
-			}
+			return
+		}
+		resp, err := ParseClientResponseV3(payload)
+		if err != nil {
+			return
+		}
+		if frame := AppendClientResponseV3(nil, &resp); !bytes.Equal(frame[4:], payload) {
+			t.Fatalf("response re-encode mismatch")
 		}
 	})
 }

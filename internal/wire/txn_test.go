@@ -116,160 +116,3 @@ func TestTxnResultRoundTrip(t *testing.T) {
 		t.Fatal("inconsistent txn result parsed")
 	}
 }
-
-func v3RequestsForTest() []ClientRequestV2 {
-	return []ClientRequestV2{
-		{ID: 20, Watch: true, WatchID: 1, WatchKey: 7, PrefixBits: 64},
-		{ID: 21, Watch: true, WatchID: 2, WatchKey: 0, PrefixBits: 0, SinceCycle: 99},
-		{ID: 22, Watch: true, WatchID: 3, WatchKey: 0xAB00000000000000, PrefixBits: 8},
-		{ID: 23, Unwatch: true, WatchID: 2},
-		{ID: 24, Txn: true, Session: 5 | SessionIDBit, Seq: 3,
-			TxnGuards: []TxnGuard{{Kind: GuardValueEq, Key: 7}},
-			TxnOps:    []TxnOp{{Op: OpWrite, Key: 7, Val: []byte("me"), Ephemeral: true}}},
-		{ID: 25, Txn: true,
-			TxnGuards: []TxnGuard{{Kind: GuardCycleLE, Key: 1, Cycle: 12}},
-			TxnOps:    []TxnOp{{Op: OpWrite, Key: 1, Val: []byte("x")}, {Op: OpDelete, Key: 2}}},
-	}
-}
-
-func v3ResponsesForTest() []ClientResponseV2 {
-	return []ClientResponseV2{
-		{ID: 1, Event: true, Cycle: 40, Events: []Event{
-			{Op: OpWrite, Key: 7, Val: []byte("v")},
-			{Op: OpDelete, Key: 9},
-		}},
-		{ID: 2, Event: true, Cycle: 41, Overflow: true},
-	}
-}
-
-func TestClientV3RequestRoundTrip(t *testing.T) {
-	for _, q := range append(v2RequestsForTest(), v3RequestsForTest()...) {
-		frame := AppendClientRequestV3(nil, &q)
-		n, err := ClientFrameLen([4]byte(frame[:4]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(frame)-4 {
-			t.Fatalf("frame length %d, payload %d", n, len(frame)-4)
-		}
-		var got ClientRequestV2
-		if err := ParseClientRequestV3Into(frame[4:], &got, nil); err != nil {
-			t.Fatalf("id %d: %v", q.ID, err)
-		}
-		if enc := AppendClientRequestV3(nil, &got); !bytes.Equal(enc, frame) {
-			t.Fatalf("id %d: re-encode mismatch", q.ID)
-		}
-		if got.ID != q.ID || got.Watch != q.Watch || got.Unwatch != q.Unwatch ||
-			got.Txn != q.Txn || got.WatchID != q.WatchID || got.WatchKey != q.WatchKey ||
-			got.PrefixBits != q.PrefixBits || got.SinceCycle != q.SinceCycle ||
-			got.Session != q.Session || got.Seq != q.Seq ||
-			len(got.TxnGuards) != len(q.TxnGuards) || len(got.TxnOps) != len(q.TxnOps) {
-			t.Fatalf("round trip: got %+v want %+v", got, q)
-		}
-	}
-}
-
-func TestClientV3ResponseRoundTrip(t *testing.T) {
-	for _, resp := range append(v2ResponsesForTest(), v3ResponsesForTest()...) {
-		frame := AppendClientResponseV3(nil, &resp)
-		got, err := ParseClientResponseV3(frame[4:])
-		if err != nil {
-			t.Fatalf("id %d: %v", resp.ID, err)
-		}
-		if enc := AppendClientResponseV3(nil, &got); !bytes.Equal(enc, frame) {
-			t.Fatalf("id %d: re-encode mismatch", resp.ID)
-		}
-		if got.ID != resp.ID || got.Event != resp.Event || got.Overflow != resp.Overflow ||
-			got.Cycle != resp.Cycle || len(got.Events) != len(resp.Events) {
-			t.Fatalf("round trip: got %+v want %+v", got, resp)
-		}
-		for i := range resp.Events {
-			w, g := resp.Events[i], got.Events[i]
-			if g.Op != w.Op || g.Key != w.Key || !bytes.Equal(g.Val, w.Val) {
-				t.Fatalf("event %d: got %+v want %+v", i, g, w)
-			}
-		}
-	}
-}
-
-// TestClientCrossVersionV2V3 pins the superset property: every v2 frame
-// is byte-identical under the v3 encoder and parses identically under
-// the v3 parser, while v3-only kinds stay rejected by the v2 parser.
-func TestClientCrossVersionV2V3(t *testing.T) {
-	for _, q := range v2RequestsForTest() {
-		v2f := AppendClientRequestV2(nil, &q)
-		v3f := AppendClientRequestV3(nil, &q)
-		if !bytes.Equal(v2f, v3f) {
-			t.Fatalf("id %d: v2/v3 request encodings differ", q.ID)
-		}
-		var got ClientRequestV2
-		if err := ParseClientRequestV3Into(v2f[4:], &got, nil); err != nil {
-			t.Fatalf("id %d: v3 parser rejected v2 frame: %v", q.ID, err)
-		}
-		if re := AppendClientRequestV3(nil, &got); !bytes.Equal(re, v2f) {
-			t.Fatalf("id %d: cross-version request round trip changed encoding", q.ID)
-		}
-	}
-	for _, resp := range v2ResponsesForTest() {
-		v2f := AppendClientResponseV2(nil, &resp)
-		v3f := AppendClientResponseV3(nil, &resp)
-		if !bytes.Equal(v2f, v3f) {
-			t.Fatalf("id %d: v2/v3 response encodings differ", resp.ID)
-		}
-		got, err := ParseClientResponseV3(v2f[4:])
-		if err != nil {
-			t.Fatalf("id %d: v3 parser rejected v2 frame: %v", resp.ID, err)
-		}
-		if re := AppendClientResponseV3(nil, &got); !bytes.Equal(re, v2f) {
-			t.Fatalf("id %d: cross-version response round trip changed encoding", resp.ID)
-		}
-	}
-	// v3-only request kinds must stay invisible to v2.
-	for _, q := range v3RequestsForTest() {
-		frame := AppendClientRequestV3(nil, &q)
-		if _, err := ParseClientRequestV2(frame[4:]); err == nil {
-			t.Fatalf("id %d: v2 parser accepted a v3-only frame", q.ID)
-		}
-	}
-	for _, resp := range v3ResponsesForTest() {
-		frame := AppendClientResponseV3(nil, &resp)
-		if _, err := ParseClientResponseV2(frame[4:]); err == nil {
-			t.Fatalf("id %d: v2 parser accepted a v3-only response", resp.ID)
-		}
-	}
-}
-
-func TestClientV3FrameErrors(t *testing.T) {
-	// Prefix bits beyond 64.
-	q := ClientRequestV2{ID: 1, Watch: true, WatchID: 1, WatchKey: 2, PrefixBits: 65}
-	frame := AppendClientRequestV3(nil, &q)
-	var got ClientRequestV2
-	if err := ParseClientRequestV3Into(frame[4:], &got, nil); err == nil {
-		t.Fatal("watch with 65 prefix bits parsed")
-	}
-	// Txn frame with a malformed session ID.
-	tq := ClientRequestV2{ID: 1, Txn: true, Session: 5, Seq: 1,
-		TxnOps: []TxnOp{{Op: OpWrite, Key: 1}}}
-	frame = AppendClientRequestV3(nil, &tq)
-	if err := ParseClientRequestV3Into(frame[4:], &got, nil); err == nil {
-		t.Fatal("txn with non-session ID parsed")
-	}
-	// Trailing garbage rejected on v3 kinds.
-	wq := ClientRequestV2{ID: 1, Watch: true, WatchID: 1, WatchKey: 2, PrefixBits: 64}
-	frame = AppendClientRequestV3(nil, &wq)
-	if err := ParseClientRequestV3Into(append(frame[4:], 0), &got, nil); err == nil {
-		t.Fatal("oversized v3 request parsed")
-	}
-	// Unknown event flags rejected.
-	er := ClientResponseV2{ID: 1, Event: true, Cycle: 3}
-	frame = AppendClientResponseV3(nil, &er)
-	frame[4+8+1] = 0x80
-	if _, err := ParseClientResponseV3(frame[4:]); err == nil {
-		t.Fatal("unknown event flags parsed")
-	}
-	// v3 magic shares the v1/v2 prefix and bumps the version byte.
-	if ClientMagicV3[0] != ClientMagic[0] || ClientMagicV3[1] != ClientMagic[1] ||
-		ClientMagicV3[2] != ClientMagic[2] || ClientMagicV3[3] != 0x03 {
-		t.Fatal("v3 magic must share the prefix and differ in the version byte")
-	}
-}

@@ -17,6 +17,12 @@
 // code copies any slice it needs to mutate. Because a Decoder reuses its
 // scratch, a receiver also copies, by value, what it keeps of a message
 // (engine.Machine.Recv states the rule in full).
+//
+// client.go holds the one client protocol. Its names carry the version
+// suffixes under which its two halves arrived (ClientRequestV2,
+// AppendClientRequestV3, ...): the repository's frozen benchmark compiles
+// against them, and the V3 in ClientMagicV3 is the version byte on the
+// wire. There is no other version.
 package wire
 
 import "fmt"
