@@ -7,7 +7,6 @@
 package canopus_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -201,27 +200,23 @@ func BenchmarkCodec(b *testing.B) {
 	}
 }
 
-// --- Commit pipeline: per-cycle bulk apply ---
+// --- Apply stage: per-cycle bulk apply ---
 
-// BenchmarkCommitApply measures the apply stage of one large committed
-// cycle in isolation: a fixed batch of writes bulk-applied to the
-// replica store, serial (single shard, one goroutine — the historical
-// in-turn commit) versus sharded (the parallel commit executor's
-// partition: W workers, each walking the total order and applying only
-// its shards). Mreq/s is writes applied per second; the absolute number
-// is host-dependent, but its drift on one host tracks the apply path's
-// cost, which is why the benchdiff gate watches it.
+// BenchmarkCommitApply measures the first step of the apply stage for one
+// large committed cycle in isolation: a fixed batch of writes applied to
+// the replica store front to back on one goroutine, as the stage does.
+// Mreq/s is writes applied per second; the absolute number is
+// host-dependent, but its drift on one host tracks the apply path's cost,
+// which is why the benchdiff gate watches it.
 func BenchmarkCommitApply(b *testing.B) {
 	const cycleOps = 65536
 	reqs := make([]wire.Request, cycleOps)
 	for i := range reqs {
 		reqs[i] = wire.Request{Op: wire.OpWrite, Key: uint64(i*2654435761) % 65536, Val: []byte("12345678")}
 	}
-	apply := func(st *canopus.Store, workers, w int) {
+	st := kvstore.New()
+	apply := func() {
 		for i := range reqs {
-			if workers > 0 && st.ShardOf(reqs[i].Key)%workers != w {
-				continue
-			}
 			st.ApplyWrite(&reqs[i])
 		}
 	}
@@ -229,31 +224,14 @@ func BenchmarkCommitApply(b *testing.B) {
 	// single-iteration run (-benchtime=1x) measures tens of
 	// milliseconds, not one noisy map walk.
 	const cyclesPerIter = 8
-	run := func(b *testing.B, shards, workers int) {
-		st := kvstore.NewSharded(shards)
-		apply(st, 0, 0) // warm: build the maps once so 1x CI runs measure steady state
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			for c := 0; c < cyclesPerIter; c++ {
-				if workers <= 1 {
-					apply(st, 0, 0)
-					continue
-				}
-				var wg sync.WaitGroup
-				wg.Add(workers)
-				for w := 0; w < workers; w++ {
-					go func(w int) {
-						defer wg.Done()
-						apply(st, workers, w)
-					}(w)
-				}
-				wg.Wait()
-			}
+	apply() // warm: build the maps once so 1x CI runs measure steady state
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for c := 0; c < cyclesPerIter; c++ {
+			apply()
 		}
-		b.ReportMetric(float64(cycleOps*cyclesPerIter)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreq/s")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, 1) })
-	b.Run("sharded-8x4", func(b *testing.B) { run(b, 8, 4) })
+	b.ReportMetric(float64(cycleOps*cyclesPerIter)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreq/s")
 }
 
 // --- Client API round trip ---

@@ -362,11 +362,6 @@ func NewSimCluster(opts SimOptions) (*SimCluster, error) {
 		cfg := opts.Node
 		cfg.Tree = tree
 		cfg.Self = NodeID(i)
-		// The simulator always runs the serial commit path: deterministic
-		// virtual-time replay is the whole point of this backend, and a
-		// background apply executor would break it. Live deployments
-		// (StartLiveCluster) default to the parallel pipeline instead.
-		cfg.ApplyWorkers = 0
 		st := kvstore.New()
 		n := core.NewNode(cfg, st, Callbacks{})
 		c.installDispatcher(NodeID(i), n)

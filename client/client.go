@@ -532,12 +532,10 @@ func (c *Client) start(p *pendingOp) error {
 				return nil
 			}
 			// The connection failed between selection and enqueue; its
-			// failure handler owns its pending set. Detach it if the
+			// failure handler owns its pending set. Retire it if the
 			// handler has not yet, and try again on a fresh one.
 			c.mu.Lock()
-			if c.conn == cn {
-				c.conn = nil
-			}
+			c.retireCurrentLocked(cn)
 			c.mu.Unlock()
 			continue
 		}
@@ -723,17 +721,10 @@ func (c *Client) observeCycle(cycle uint64) {
 // complete with the connection error.
 func (c *Client) onConnFailure(cn *conn, pend []*pendingOp, cause error) {
 	c.mu.Lock()
-	wasCurrent := c.conn == cn
-	if wasCurrent {
-		c.conn = nil
-		c.next = (c.next + 1) % len(c.cfg.Endpoints)
-	}
+	c.retireCurrentLocked(cn)
 	c.dropOldLocked(cn)
 	closed := c.closed
 	c.mu.Unlock()
-	if wasCurrent && !closed && !errors.Is(cause, ErrClosed) {
-		c.failovers.Add(1)
-	}
 	// down, once set, short-circuits the remaining retries: the first
 	// failed re-issue already scanned every endpoint, so repeating the
 	// scan (and its dial timeouts) once per pending op would only delay
@@ -754,6 +745,22 @@ func (c *Client) onConnFailure(cn *conn, pend []*pendingOp, cause error) {
 			down = err
 		}
 	}
+}
+
+// retireCurrentLocked is the one place a connection stops being current,
+// whichever of its observers notices first — its failure handler, a start
+// that finds it already failed, a retryable rejection: new traffic moves
+// to the next endpoint and the switch is counted, once. It reports whether
+// cn was current (Close clears c.conn, so a closed client never counts).
+// Called with c.mu held.
+func (c *Client) retireCurrentLocked(cn *conn) bool {
+	if c.conn != cn {
+		return false
+	}
+	c.conn = nil
+	c.next = (c.next + 1) % len(c.cfg.Endpoints)
+	c.failovers.Add(1)
+	return true
 }
 
 // dropOld forgets a connection that no longer needs tracking (it fully
@@ -784,18 +791,12 @@ func (c *Client) dropOldLocked(cn *conn) {
 // retired connection's reader is never blocked behind a dial.
 func (c *Client) retryElsewhere(cn *conn, p *pendingOp, cause error) {
 	c.mu.Lock()
-	retiredNow := c.conn == cn
-	if retiredNow {
-		c.conn = nil
-		c.next = (c.next + 1) % len(c.cfg.Endpoints)
+	if c.retireCurrentLocked(cn) {
 		c.old = append(c.old, cn)
 	}
 	closed := c.closed
 	c.mu.Unlock()
 	cn.retire()
-	if retiredNow && !closed {
-		c.failovers.Add(1)
-	}
 	if closed || p.retried {
 		p.complete(Result{}, cause)
 		return

@@ -19,7 +19,7 @@ type Cluster interface {
 	NumNodes() int
 	// Submit asynchronously executes one keyed operation at node's
 	// replica. done is invoked from the backend's execution context (the
-	// simulator's event loop, or a live node's commit apply executor) —
+	// simulator's event loop, or a live node's apply stage) —
 	// it must not block — with the read value (nil for mutations and
 	// misses) and whether the operation was served; ok=false means the
 	// node is stalled, draining or crashed. The value bytes are only

@@ -32,7 +32,6 @@ import (
 	"canopus/internal/adminsrv"
 	"canopus/internal/core"
 	"canopus/internal/events"
-	"canopus/internal/kvstore"
 	"canopus/internal/livecluster"
 	"canopus/internal/lot"
 	"canopus/internal/metrics"
@@ -54,8 +53,6 @@ func main() {
 	leafTimeout := flag.Duration("leaf-timeout", 0, "arm super-leaf eviction: a leaf silent for this long is evicted so the rest keeps committing (0 = stall forever, §6; same value on every node)")
 	stallThreshold := flag.Duration("stall-threshold", 0, "arm the liveness detector: /healthz degrades after this much commit-free wedge with cycles outstanding (0 = off)")
 	exitOnEvict := flag.Bool("exit-on-evict", false, "exit with status 3 when told this node's super-leaf was evicted, so a supervisor can restart it with -join")
-	applyWorkers := flag.Int("apply-workers", 0, "commit-apply workers: 0 = auto (min(4, GOMAXPROCS), parallel pipeline), <0 = serial in-turn apply")
-	shards := flag.Int("shards", 8, "replica store shard count (rounded up to a power of two)")
 	dataDir := flag.String("data-dir", "", "durable storage directory: group-commit WAL + snapshots, recovered at boot (default: in-memory only)")
 	snapshotCycles := flag.Int("snapshot-cycles", 0, "snapshot cadence in committed cycles (0 = default, <0 = disable periodic snapshots)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (stopped at graceful shutdown)")
@@ -107,10 +104,9 @@ func main() {
 	if err != nil {
 		log.Fatal("canopus-server: ", err)
 	}
-	st := kvstore.NewSharded(*shards)
+	st := livecluster.NewStore()
 	nodeCfg := core.Config{
 		Tree: tree, Self: self,
-		ApplyWorkers:   livecluster.ResolveApplyWorkers(*applyWorkers),
 		LeafTimeout:    *leafTimeout,
 		StallThreshold: *stallThreshold,
 	}
@@ -126,8 +122,8 @@ func main() {
 		if err != nil {
 			log.Fatal("canopus-server: ", err)
 		}
-		// Closed after the node (LIFO defers): the apply executor must
-		// flush its last durability batch first.
+		// Closed after the node (LIFO defers): the apply stage must flush
+		// its last durability batch first.
 		defer func() {
 			if err := mgr.Close(); err != nil {
 				log.Printf("node %v: wal close: %v", self, err)

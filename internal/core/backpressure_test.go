@@ -32,9 +32,10 @@ func (g *gatedStore) ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte
 // because its apply stage lags, and that has no client request pending
 // and nothing in flight, was never asked again — the peers' round-1
 // deliveries that prompted the start had already come and gone — so its
-// super-leaf waited for its round 1 for ever. Node 2 runs the parallel
-// commit pipeline over a store that applies nothing until the gate opens;
-// every client is on node 0.
+// super-leaf waited for its round 1 for ever. Node 2's apply stage runs
+// on its own goroutine (the live driver; inline, a stage never lags) over a
+// store that applies nothing until the gate opens; every client is on node
+// 0.
 func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 	sim := netsim.NewSim()
 	topo := netsim.SingleDC(1, 3, netsim.Params{})
@@ -53,8 +54,8 @@ func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 		case 0:
 			n = NewNode(cfg, kvstore.New(), Callbacks{OnReply: func(*wire.Request, []byte) { replies++ }})
 		case 2:
-			cfg.ApplyWorkers = 1
 			n = NewNode(cfg, slow, Callbacks{})
+			GoStage(n)
 			defer n.Close()
 		default:
 			n = NewNode(cfg, kvstore.New(), Callbacks{})

@@ -21,15 +21,13 @@ func (n *Node) tryCommit() {
 	}
 }
 
-// commit makes cycle c's total order durable. The serial
-// order-resolution stage runs here, inside the machine turn: session
+// commit resolves cycle c's total order and hands it to the apply stage.
+// Order resolution runs here, inside the machine turn: session
 // classification of the total order, membership, lease activation and
 // revocation, session GC — everything that must evolve in lock-step on
 // every replica. The resulting applyPlan (state-machine operations plus
-// this node's completion records) then executes either inline (serial
-// mode: ApplyWorkers == 0, identical to the historical single-stage
-// commit) or on the node's background apply executor, which lets the
-// next cycle's consensus turns overlap this cycle's bulk apply.
+// this node's completion records) goes to the stage (stage.go), the only
+// path from a cycle to the store, the WAL and the clients.
 func (n *Node) commit(c *cycle) {
 	root := c.states[n.tree.Height]
 	n.committed = c.id
@@ -44,12 +42,6 @@ func (n *Node) commit(c *cycle) {
 			n.stallDetected.Store(false)
 		}
 	}
-	if n.exec == nil {
-		// Serial mode: the whole commit happens inside this turn, so the
-		// applied watermark advances with the ordered one and observers
-		// never see them apart.
-		n.applied.Store(c.id)
-	}
 	if DebugHook != nil {
 		DebugHook(n.cfg.Self, "commit", c.id, "")
 	}
@@ -63,30 +55,14 @@ func (n *Node) commit(c *cycle) {
 	n.gcSessions(c.id)
 	n.collectDeferredReads(c.id, plan)
 
-	if n.exec != nil {
-		if n.cfg.Durability != nil {
-			plan.root = root
-		}
-		n.exec.submitPlan(plan)
-	} else {
-		n.execPlanOps(plan)
-		// Serial mode logs and syncs inside the turn, one cycle per Sync
-		// (simulations run on an in-memory FS; live serial mode trades
-		// fsync batching for the lease fast path that forces this mode).
-		if n.appendDurable(c.id, root) {
-			n.syncDurable()
-		}
-		n.deliverPlan(plan)
-		n.runLocalReads()
-		n.freePlan(plan)
-	}
+	plan.root = root
+	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 
-	// Join replies go out only after cycle c's own writes have reached
-	// the store (executed above in serial mode; submitted to the apply
-	// executor, which sendJoinReply drains, in parallel mode). A reply
-	// sent from applyMembership would snapshot the state as of c-1 while
-	// telling the joiner to resume at c+1, silently losing cycle c's
-	// writes on every rejoin.
+	// Join replies go out only after cycle c's plan is with the stage,
+	// where sendJoinReply takes the snapshot behind it. A reply sent from
+	// applyMembership would snapshot the state as of c-1 while telling the
+	// joiner to resume at c+1, silently losing cycle c's writes on every
+	// rejoin.
 	for _, j := range joiners {
 		n.sendJoinReply(j, c.id)
 	}
@@ -159,12 +135,10 @@ func (n *Node) resolveOrder(cyc uint64, order []*wire.Batch) *applyPlan {
 					}
 					n.sessions.Record(req.Client, req.Seq, nil)
 				}
-				if req.Op == wire.OpTxn {
-					// Every replica evaluates remote transactions at apply
-					// time and records the result: the session table is
-					// replicated state, and a failover retry may land here.
-					plan.hasTxn = true
-				}
+				// A remote transaction is an op like any other here: every
+				// replica evaluates it at apply time and records the result
+				// (the session table is replicated state, and a failover
+				// retry may land here).
 				plan.ops = append(plan.ops, planOp{req: req, comp: -1})
 			}
 		}
@@ -236,7 +210,6 @@ func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
 					plan.vals = append(plan.vals, nil)
 					if n.sm != nil {
 						plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1), dup: true})
-						plan.hasTxn = true
 					}
 					continue
 				default:
@@ -247,7 +220,6 @@ func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
 			plan.vals = append(plan.vals, nil)
 			if n.sm != nil {
 				plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1)})
-				plan.hasTxn = true
 			}
 		}
 	}
@@ -255,8 +227,8 @@ func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
 
 // collectDeferredReads appends reads parked behind cycle cyc's commit
 // (the §7.2 lease path) to the plan: they linearize at the end of the
-// cycle, after every write the cycle ordered, which in-shard apply order
-// guarantees because they sit last in the plan.
+// cycle, after every write the cycle ordered, because they sit last in the
+// plan.
 func (n *Node) collectDeferredReads(cyc uint64, plan *applyPlan) {
 	reads, ok := n.deferredReads[cyc]
 	if !ok {
@@ -273,21 +245,10 @@ func (n *Node) collectDeferredReads(cyc uint64, plan *applyPlan) {
 	}
 }
 
-// execPlanOps applies one plan's operations on the calling goroutine
-// (the serial path; the executor fans the same loop across workers).
-func (n *Node) execPlanOps(p *applyPlan) {
-	if n.sm == nil {
-		return
-	}
-	n.applyShardSlice(p, nil, 0, 0)
-	n.applyExpiry(p)
-}
-
 // deliverPlan materializes one plan's completion records through the
-// node's reply callbacks. In serial mode this runs in the machine turn
-// (as it always has); in parallel mode it runs on the apply executor,
-// off the machine lock — OnReplyBatch consumers must synchronize their
-// own state and must consume the value slices during the call.
+// node's reply callbacks. It runs on the apply stage — under a live runner
+// off the machine lock, so OnReplyBatch consumers must synchronize their
+// own state — and the value slices are only valid during the call.
 func (n *Node) deliverPlan(p *applyPlan) {
 	if n.cbs.OnEvents != nil && !p.snapshot {
 		// The event plane's single choke point: every committed cycle's
@@ -331,7 +292,7 @@ func (n *Node) freePlan(p *applyPlan) {
 	clear(p.vals)
 	p.ops, p.comps, p.vals = p.ops[:0], p.comps[:0], p.vals[:0]
 	p.root = nil
-	p.hasTxn, p.snapshot = false, false
+	p.snapshot = false
 	clear(p.outcomes)
 	clear(p.txnEvents)
 	clear(p.events)
@@ -347,8 +308,9 @@ func (n *Node) freePlan(p *applyPlan) {
 	planPool.Put(p)
 }
 
-// reply completes a single request outside the plan path (lease
-// fast-path reads, which only run in serial mode).
+// reply completes a single request outside the plan path: a lease
+// fast-path read, answered on the apply stage like every other reply (the
+// scratch is the stage's).
 func (n *Node) reply(req *wire.Request, val []byte) {
 	if n.cbs.OnReplyBatch != nil {
 		n.replyReqs = append(n.replyReqs[:0], *req)
@@ -359,28 +321,6 @@ func (n *Node) reply(req *wire.Request, val []byte) {
 	if n.cbs.OnReply != nil {
 		n.cbs.OnReply(req, val)
 	}
-}
-
-// runLocalReads serves deferred committed-state reads (Sequential
-// consistency) whose minimum cycle has now committed. Serial mode only;
-// in parallel mode these reads live in the executor's parked set.
-func (n *Node) runLocalReads() {
-	if len(n.localReads) == 0 {
-		return
-	}
-	kept := n.localReads[:0]
-	for _, lr := range n.localReads {
-		if n.committed >= lr.minCycle {
-			var val []byte
-			if n.sm != nil {
-				val = n.sm.Read(lr.key)
-			}
-			lr.fn(val, n.committed, true)
-		} else {
-			kept = append(kept, lr)
-		}
-	}
-	n.localReads = kept
 }
 
 // applyMembership folds the cycle's committed membership updates into

@@ -97,16 +97,14 @@ type Config struct {
 
 	// Durability, when non-nil, receives every committed cycle's root
 	// proposal for write-ahead logging (the internal/wal manager
-	// implements it). In parallel mode (ApplyWorkers >= 1) appends happen
-	// on the commit executor and Sync is called once per drained command
-	// batch — group commit: one fsync covers every cycle the executor
-	// found queued, and those cycles' client replies are withheld until
-	// the Sync returns. In serial mode append+Sync run inside the machine
-	// turn, one cycle per Sync (virtual-time simulations use an in-memory
-	// FS, so this stays cheap and deterministic). A durability error is
-	// fail-stop for the log: it is recorded (Node.DurabilityError), no
-	// further appends are attempted, and the node keeps serving from
-	// memory.
+	// implements it). Appends happen on the apply stage and Sync is called
+	// once per drained batch — group commit: one fsync covers every cycle
+	// the stage found queued, and those cycles' client replies are
+	// withheld until the Sync returns. (Under the simulator a batch is one
+	// cycle; its in-memory FS keeps that cheap and deterministic.) A
+	// durability error is fail-stop for the log: it is recorded
+	// (Node.DurabilityError), no further appends are attempted, and the
+	// node keeps serving from memory.
 	Durability Durable
 
 	// LeafTimeout, when non-zero, arms super-leaf eviction (the RCanopus
@@ -139,26 +137,6 @@ type Config struct {
 	// (e.g. after a partition heals). Zero (the default) keeps stock §6
 	// semantics: a minority side stalls silently.
 	StallThreshold time.Duration
-
-	// ApplyWorkers selects the commit pipeline mode (see exec.go).
-	//
-	// 0 (default): serial — a committed cycle's writes apply and its
-	// replies materialize inside the machine turn, exactly the historical
-	// single-stage commit. Virtual-time simulation requires this mode
-	// (byte-identical deterministic replay).
-	//
-	// >= 1: parallel — each commit's serial order-resolution stage still
-	// runs in the machine turn, but the bulk apply and reply
-	// materialization run on a per-node background executor, off the
-	// machine lock, fanned across up to ApplyWorkers workers by
-	// state-machine shard (capped at the shard count; a non-sharded
-	// StateMachine gets one worker, which still pipelines apply against
-	// the next cycle's consensus turns). OnReplyBatch/OnReply then fire
-	// on the executor goroutine, and Committed() — the applied watermark
-	// — may trail Ordered() by the pipeline depth. Forced to 0 when
-	// WriteLeases is set (the §7.2 fast path reads committed state inside
-	// the submit turn) or when the node has no state machine.
-	ApplyWorkers int
 }
 
 func (c *Config) fill() {
@@ -195,8 +173,7 @@ func (c *Config) retention() uint64 { return uint64(c.MaxInFlight) + 16 }
 // order every replica resolved — which must not be retained beyond the
 // call unless encoded. Sync makes every appended record durable;
 // replies for the covered cycles are released only after it returns.
-// Both are called from one goroutine at a time (the machine turn in
-// serial mode, the commit executor in parallel mode).
+// Both are called from the apply stage, one goroutine at a time.
 type Durable interface {
 	AppendCommit(cycle uint64, root *wire.Proposal) error
 	Sync() error
@@ -204,9 +181,7 @@ type Durable interface {
 
 // StateMachine is the replicated application state Canopus drives. The
 // kvstore package provides the standard implementation; ZKCanopus plugs
-// in the znode tree. A StateMachine that additionally implements
-// ShardedMachine (kvstore.Store does) lets the parallel commit pipeline
-// fan a cycle's bulk apply across workers by key shard.
+// in the znode tree. Once the node runs, only its apply stage calls it.
 type StateMachine interface {
 	// ApplyWrite applies one committed write.
 	ApplyWrite(req *wire.Request)
@@ -259,10 +234,9 @@ type Callbacks struct {
 	// for writes and read misses). Live servers use it to fan a cycle's
 	// replies out to client connections without per-request callback
 	// overhead. Both slices — and the value bytes they reference — are
-	// only valid during the call and must not be retained. In serial mode
-	// it fires inside the machine turn; with ApplyWorkers > 0 it fires on
-	// the node's apply executor, off the machine lock, so consumers must
-	// do their own synchronization.
+	// only valid during the call and must not be retained. It fires on the
+	// node's apply stage — under a live runner off the machine lock, so
+	// consumers must do their own synchronization.
 	OnReplyBatch func(reqs []wire.Request, vals [][]byte)
 	// OnStall fires once when the node detects its super-leaf has failed
 	// (too few live members) and the consensus process halts (§6).
@@ -281,9 +255,8 @@ type Callbacks struct {
 	// advance their cycle watermark. The slice is only valid during the
 	// call; the value bytes are immutable and may be retained (they are
 	// the state machine's own stored copies, see
-	// TxnMachine.ApplyWriteAt). In serial mode it fires
-	// inside the machine turn; with ApplyWorkers > 0 it fires on the
-	// node's apply executor, before the cycle's reply batch.
+	// TxnMachine.ApplyWriteAt). It fires on the node's apply stage, before
+	// the cycle's reply batch.
 	OnEvents func(cycle uint64, evs []wire.Event)
 	// OnSessionReject fires, at apply time, for an own-set mutation whose
 	// session is not in the replicated table (expired or never

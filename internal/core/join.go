@@ -168,13 +168,10 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, cyc uint64) {
 		}
 	}
 	if n.sm != nil {
-		if n.exec != nil {
-			// Serialize with the apply stage: the snapshot must reflect
-			// every cycle up to cyc (all already ordered, possibly still
-			// applying off the machine lock).
-			n.exec.drain()
-		}
-		reply.Snapshot = n.sm.Snapshot()
+		// Taken on the apply stage, which owns the store: the snapshot
+		// reflects every cycle up to cyc (all ordered, so their plans are
+		// with the stage, possibly still applying off the machine lock).
+		n.stage.call(func() { reply.Snapshot = n.sm.Snapshot() })
 	}
 	reply.Sessions = n.sessions.Snapshot()
 	if DebugHook != nil {
@@ -229,34 +226,22 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	}
 	n.view.Apply(dead)
 
-	// Install the state machine snapshot. In parallel mode the install
-	// rides the apply stage as a synthetic plan so it serializes with any
-	// committed-state reads already routed through the executor; the
+	// Install the state machine snapshot. The install rides the apply
+	// stage as a synthetic plan, like everything that writes the store, so
+	// it serializes with the committed-state reads already there; the
 	// applied watermark advances to StartCycle when it lands.
 	// Snapshot entries smuggle each key's last-modified cycle and owner
 	// session in Seq/Client (see kvstore.Store.Snapshot): a TxnMachine
 	// installs them through ApplyWriteAt so the joiner's event-plane
 	// metadata matches every replica that never crashed.
-	if n.exec != nil {
-		plan := n.newPlan(m.StartCycle)
-		plan.snapshot = true
+	plan := n.newPlan(m.StartCycle)
+	plan.snapshot = true
+	if n.sm != nil {
 		for i := range m.Snapshot {
 			plan.ops = append(plan.ops, planOp{req: &m.Snapshot[i], comp: -1})
 		}
-		n.exec.submitPlan(plan)
-	} else {
-		if n.tm != nil {
-			for i := range m.Snapshot {
-				req := &m.Snapshot[i]
-				n.tm.ApplyWriteAt(req, req.Seq, req.Client)
-			}
-		} else if n.sm != nil {
-			for i := range m.Snapshot {
-				n.sm.ApplyWrite(&m.Snapshot[i])
-			}
-		}
-		n.applied.Store(m.StartCycle)
 	}
+	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 	// Install the session dedup table: retried mutations must classify
 	// here exactly as on replicas that never crashed.
 	n.sessions.Restore(m.Sessions)

@@ -27,12 +27,18 @@ func (n *Node) submitLeased(req wire.Request) {
 		if !n.leaseActive(req.Key) && !n.leaseRequested[req.Key] {
 			// No write lease anywhere in flight: linearizable local read
 			// against committed state, no delay (§7.2 "reads without
-			// delay").
-			var val []byte
-			if n.sm != nil {
-				val = n.sm.Read(req.Key)
-			}
-			n.reply(&req, val)
+			// delay") — a stage read at the ordered watermark, which the
+			// inline driver answers inside this turn and the goroutine
+			// driver once the cycles ordered so far have applied. A stage
+			// closed before that answers nobody: the client times out.
+			n.stage.submit(stageCmd{kind: cmdRead, read: localRead{
+				key: req.Key, minCycle: n.committed,
+				fn: func(val []byte, _ uint64, ok bool) {
+					if ok {
+						n.reply(&req, val)
+					}
+				},
+			}})
 			return
 		}
 		// Lease active (or being acquired): defer to the end of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -54,6 +55,59 @@ func TestWriteLeaseDefersConflictingReads(t *testing.T) {
 		t.Fatalf("deferred read saw %v, want 5", v)
 	}
 	tc.requireAgreement()
+}
+
+// TestWriteLeaseFastReadOnGoroutineStage runs the §7.2 fast path on the
+// driver live nodes use: with the apply stage on a goroutine of its own, a
+// read of a key whose lease has lapsed is a stage read at the ordered
+// watermark — it returns the last committed write and starts no cycle.
+// Write leases no longer choose a commit path; this is the case that used
+// to force the in-turn one.
+func TestWriteLeaseFastReadOnGoroutineStage(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: Config{WriteLeases: true, LeaseTTL: 2}})
+	var mu sync.Mutex // replies arrive on the stages' goroutines
+	replies := make(map[wire.NodeID][]replyRec)
+	for i, n := range tc.nodes {
+		id := wire.NodeID(i)
+		n.SetOnReply(func(req *wire.Request, val []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			replies[id] = append(replies[id], replyRec{req: *req, val: append([]byte(nil), val...)})
+		})
+		GoStage(n)
+		defer n.Close()
+	}
+	step := func(until time.Duration) {
+		for now := tc.sim.Now() + time.Millisecond; now <= until; now += time.Millisecond {
+			tc.run(now)
+			for _, n := range tc.nodes {
+				n.DrainApply()
+			}
+		}
+	}
+
+	// A write to key 50 (lease, then the write), then writes to other keys
+	// until key 50's lease has run out.
+	tc.submitAt(time.Millisecond, 0, wr(1, 1, 50, 5))
+	for i := uint64(0); i < 6; i++ {
+		tc.submitAt(time.Duration(200+100*i)*time.Millisecond, 0, wr(1, 2+i, 60+i, i))
+	}
+	step(time.Second)
+	if got := len(replies[0]); got != 7 {
+		t.Fatalf("%d of 7 writes answered", got)
+	}
+
+	started := tc.nodes[1].Started()
+	tc.submitAt(tc.sim.Now()+time.Millisecond, 1, rd(9, 1, 50))
+	step(tc.sim.Now() + 5*time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if got := replies[1]; len(got) != 1 || len(got[0].val) != 8 || got[0].val[0] != 5 {
+		t.Fatalf("fast-path read answered %v, want one reply with the committed 5", got)
+	}
+	if tc.nodes[1].Started() != started {
+		t.Fatal("fast-path read started a consensus cycle")
+	}
 }
 
 // TestLinearizableHistory replays a mixed read/write run through the

@@ -95,14 +95,6 @@ type nodeStats struct {
 	raft raftlite.Stats
 }
 
-// depth reports the apply executor's command backlog (plans and reads
-// accepted but not yet picked up); 0 in serial mode.
-func (e *executor) depth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
 // RegisterMetrics exports the node's operational instruments into reg
 // under the canopus_core_* names, each carrying the given constant
 // labels. All instruments are sampled views over state the node already
@@ -130,13 +122,8 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 		"Commit-pipeline depth: ordered watermark minus applied watermark.",
 		func() float64 { return float64(n.Ordered() - n.Committed()) }, labels...)
 	reg.GaugeFunc("canopus_core_apply_queue_depth",
-		"Apply-executor commands accepted but not yet picked up (0 in serial mode).",
-		func() float64 {
-			if n.exec == nil {
-				return 0
-			}
-			return float64(n.exec.depth())
-		}, labels...)
+		"Apply-stage commands accepted but not yet picked up.",
+		func() float64 { return float64(n.stage.depth()) }, labels...)
 	reg.GaugeFunc("canopus_core_sessions_active",
 		"Replicated client sessions in the dedup table.",
 		func() float64 { return float64(n.sessions.Occupancy()) }, labels...)

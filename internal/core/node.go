@@ -152,20 +152,20 @@ type Node struct {
 	// rejoined leaf before it can serve a single state.
 	leafReadmitAt map[int]time.Duration
 
-	// Commit-pipeline watermarks (see exec.go). orderedW mirrors
-	// n.committed for lock-free observers; applied is the highest cycle
-	// whose apply stage has finished (equal to orderedW in serial mode).
+	// Commit watermarks (see stage.go). orderedW mirrors n.committed for
+	// lock-free observers; applied is the highest cycle the apply stage
+	// has applied.
 	orderedW atomic.Uint64
 	applied  atomic.Uint64
-	// exec is the background apply stage; nil in serial mode
-	// (Config.ApplyWorkers == 0).
-	exec *executor
+	// stage is the apply stage: the only path from a committed cycle to
+	// the state machine, the WAL, the event plane and the clients.
+	stage *stage
 	// applyBlocked is the cycle up to which starts are owed because the
 	// apply stage lagged when they were asked for (canStart's
 	// backpressure); tick retries them. The trigger that asked — a peer's
 	// round-1 delivery, a fetch — does not come again on an idle node, and
 	// without the retry the super-leaf would wait for this node's round 1
-	// for ever. Always 0 in serial mode.
+	// for ever.
 	applyBlocked uint64
 
 	// Replicated client sessions (see session.go): the dedup table is
@@ -201,10 +201,6 @@ type Node struct {
 	leaseHolder    map[uint64]wire.NodeID // key -> node that last acquired/renewed the lease
 	heldWrites     map[uint64][]heldWrite
 	deferredReads  map[uint64][]deferredRead
-
-	// localReads are Sequential-consistency reads waiting for a minimum
-	// committed cycle (see ReadLocal); served at commit boundaries.
-	localReads []localRead
 
 	// stats are the always-on operational counters the admin gateway
 	// exports (see metrics.go).
@@ -253,8 +249,8 @@ type Node struct {
 	halted        atomic.Bool
 	nextCycleAt   time.Duration // phase-anchored cycle timer target
 
-	// replyReqs/replyVals are the reusable completion-batch scratch for
-	// Callbacks.OnReplyBatch (valid only during the callback).
+	// replyReqs/replyVals are the reusable completion-batch scratch of
+	// Node.reply (valid only during the callback).
 	replyReqs []wire.Request
 	replyVals [][]byte
 }
@@ -289,12 +285,6 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 	if sl < 0 {
 		panic(fmt.Sprintf("core: node %v not in tree", cfg.Self))
 	}
-	if cfg.WriteLeases || sm == nil {
-		// The §7.2 lease fast path reads committed state synchronously
-		// inside the submit turn, and a node without a state machine has
-		// nothing to apply: both force the serial commit path.
-		cfg.ApplyWorkers = 0
-	}
 	n := &Node{
 		cfg:            cfg,
 		tree:           cfg.Tree,
@@ -319,52 +309,27 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 	if tm, ok := sm.(TxnMachine); ok {
 		n.tm = tm
 	}
-	if cfg.ApplyWorkers > 0 {
-		n.exec = newExecutor(n, cfg.ApplyWorkers)
-	}
+	n.stage = newStage(n)
 	return n
 }
 
-// Close releases the node's background resources (the commit apply
-// executor, when running): queued cycles finish applying, parked
-// committed-state reads fail, and the executor goroutines exit. A node
-// must not be driven after Close. Serial-mode nodes hold no background
-// resources and Close is a no-op.
-func (n *Node) Close() {
-	if n.exec != nil {
-		n.exec.close()
-	}
-}
+// Close stops the node's apply stage: queued cycles finish applying, the
+// durability batch is flushed, parked committed-state reads fail, and the
+// stage's goroutine, if the node ran under a live runner, has exited when
+// Close returns. A node must not be driven after Close.
+func (n *Node) Close() { n.stage.close() }
 
 // DrainApply blocks until every cycle ordered so far has finished
-// applying (Committed() has caught up with Ordered()). Tests and tools
-// call it before inspecting the node's StateMachine directly — in
-// parallel mode the apply stage owns the store, and only a drain makes a
-// foreign read coherent. No-op in serial mode. Must NOT be called from
-// the node's machine turn or from a reply callback.
-func (n *Node) DrainApply() {
-	if n.exec != nil {
-		n.exec.drain()
-	}
-}
+// applying (Committed() has caught up with Ordered()). Must NOT be called
+// from a reply callback.
+func (n *Node) DrainApply() { n.InspectApplied(func() {}) }
 
-// ParallelApply reports whether this node runs the parallel commit
-// pipeline (Config.ApplyWorkers > 0 survived the sanity clamps).
-func (n *Node) ParallelApply() bool { return n.exec != nil }
-
-// InspectApplied runs fn in the apply stage's execution context: every
-// cycle ordered before the call has applied, and no apply overlaps fn —
-// fn may read the StateMachine coherently. It blocks until fn returns.
-// Parallel mode only (serial-mode callers already serialize through the
-// machine turn); must NOT be called from the machine turn or a reply
-// callback.
-func (n *Node) InspectApplied(fn func()) {
-	if n.exec == nil {
-		fn()
-		return
-	}
-	n.exec.call(fn)
-}
+// InspectApplied runs fn on the apply stage: every cycle ordered before
+// the call has applied, and no apply overlaps fn — fn may read the
+// StateMachine coherently, which the stage owns and nothing else may
+// touch while the node runs. It blocks until fn returns; must NOT be
+// called from a reply callback (they run on the stage).
+func (n *Node) InspectApplied(fn func()) { n.stage.call(fn) }
 
 // NewJoiner builds a node that re-enters an existing deployment through
 // the join protocol instead of assuming the initial configuration.
@@ -377,6 +342,11 @@ func NewJoiner(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 // Init implements engine.Machine.
 func (n *Node) Init(env engine.Env) {
 	n.env = env
+	if sp, ok := env.(engine.Spawner); ok {
+		// Real goroutines beside the machine's turns: the apply stage gets
+		// its own, and the next cycles' consensus overlaps this one's fsync.
+		n.stage.start(sp.Go)
+	}
 	if n.rejoin {
 		// Defer all protocol state to the JoinReply.
 		n.sendJoinRequest()
@@ -613,57 +583,30 @@ func (n *Node) enqueue(req wire.Request) {
 // observed committed anywhere commits here too, absent failures). fn
 // runs in the node's event context with the value (nil when absent),
 // the commit cycle whose state served the read, and ok=true — or
-// ok=false if the read was abandoned by FailLocalReads before minCycle
-// committed. Unlike Submit, ReadLocal also works on a stalled node when
-// minCycle is already committed: serving stale state during a stall is
-// exactly what the weaker levels are for.
+// ok=false if the read was abandoned by FailLocalReads (or Close) before
+// minCycle applied. fn runs on the apply stage, with which every
+// committed-state read serializes. Unlike Submit, ReadLocal also works on
+// a stalled node when minCycle is already committed: serving stale state
+// during a stall is exactly what the weaker levels are for.
 func (n *Node) ReadLocal(key uint64, minCycle uint64, fn func(val []byte, cycle uint64, ok bool)) {
-	if n.exec != nil {
-		// Parallel mode: every committed-state read serializes with the
-		// apply stage through the executor (fn runs on the executor
-		// goroutine). A cycle that is ordered here will apply here, so
-		// only targets beyond the ordered watermark are unreachable on a
-		// stalled node.
-		if (n.stalled || n.rejoin) && minCycle > n.committed {
-			fn(nil, n.applied.Load(), false)
-			return
-		}
-		n.exec.submitRead(localRead{key: key, minCycle: minCycle, fn: fn})
+	if (n.stalled || n.rejoin) && minCycle > n.committed {
+		// The awaited cycle cannot commit here (§6 stall semantics); fail
+		// fast so the client retries another replica. A cycle that is
+		// ordered here will apply here, so only targets beyond the ordered
+		// watermark are unreachable.
+		fn(nil, n.applied.Load(), false)
 		return
 	}
-	if n.committed >= minCycle {
-		var val []byte
-		if n.sm != nil {
-			val = n.sm.Read(key)
-		}
-		fn(val, n.committed, true)
-		return
-	}
-	if n.stalled || n.rejoin {
-		// The awaited cycle cannot commit here (§6 stall semantics);
-		// fail fast so the client retries another replica.
-		fn(nil, n.committed, false)
-		return
-	}
-	n.localReads = append(n.localReads, localRead{key: key, minCycle: minCycle, fn: fn})
+	n.stage.submit(stageCmd{kind: cmdRead, read: localRead{key: key, minCycle: minCycle, fn: fn}})
 }
 
 // FailLocalReads abandons every deferred committed-state read (their fn
 // runs with ok=false): the serving process is shutting down or crashed,
-// and the cycles those reads wait for will not commit here. Call from
-// the node's event context.
-func (n *Node) FailLocalReads() {
-	if n.exec != nil {
-		// Ordered after every queued plan: reads whose cycle is already
-		// ordered still complete; only genuinely unreachable ones fail.
-		n.exec.failParked()
-	}
-	lrs := n.localReads
-	n.localReads = nil
-	for _, lr := range lrs {
-		lr.fn(nil, n.committed, false)
-	}
-}
+// and the cycles those reads wait for will not commit here. It is ordered
+// after every plan already with the stage: reads whose cycle is ordered
+// still complete; only genuinely unreachable ones fail. Call from the
+// node's event context.
+func (n *Node) FailLocalReads() { n.stage.submit(stageCmd{kind: cmdFailReads}) }
 
 // afterSubmit applies the self-synchronization (§4.4) and batch-overflow
 // (§7.1) cycle-start triggers. Self-clocked starts are paced so
@@ -738,12 +681,12 @@ func (n *Node) canStart(k uint64) bool {
 	if int(n.started-n.committed) >= n.cfg.MaxInFlight {
 		return false
 	}
-	if n.exec != nil && k > n.applied.Load()+uint64(2*n.cfg.MaxInFlight) {
+	if k > n.applied.Load()+uint64(2*n.cfg.MaxInFlight) {
 		// Apply backpressure: ordering paces against the applied
-		// watermark too, so a slow apply stage bounds the executor's
-		// plan queue instead of letting it (and the retained cycle
-		// state) grow without limit. tick starts the cycle once the
-		// executor has caught up.
+		// watermark too, so a slow apply stage bounds its plan queue
+		// instead of letting it (and the retained cycle state) grow
+		// without limit. tick starts the cycle once the stage has caught
+		// up. (A stage drained inline never lags.)
 		n.applyBlocked = k
 		return false
 	}
@@ -919,15 +862,14 @@ func (n *Node) freeCycle(c *cycle) {
 func (n *Node) retention() uint64 { return n.cfg.retention() }
 
 // Committed returns the highest cycle whose effects are visible in this
-// replica's committed state — the applied watermark. In serial mode it
-// coincides with the ordered watermark; in parallel mode it may trail it
-// by the apply pipeline depth. Safe from any goroutine.
+// replica's committed state — the applied watermark. It may trail the
+// ordered watermark by the cycles the apply stage has queued. Safe from
+// any goroutine.
 func (n *Node) Committed() uint64 { return n.applied.Load() }
 
 // Ordered returns the highest cycle whose total order this node has
 // resolved (the protocol-internal commit watermark §7.1 paces against).
-// Ordered() >= Committed(); they are equal in serial mode. Safe from any
-// goroutine.
+// Ordered() >= Committed(). Safe from any goroutine.
 func (n *Node) Ordered() uint64 { return n.orderedW.Load() }
 
 // Started returns the highest started cycle.
@@ -1022,6 +964,6 @@ func (n *Node) SetOnCommit(fn func(cycle uint64, order []*wire.Batch)) { n.cbs.O
 func (n *Node) SetOnSessionReject(fn func(req *wire.Request)) { n.cbs.OnSessionReject = fn }
 
 // SetOnEvents installs or replaces the per-cycle key-change event
-// callback (see Callbacks.OnEvents). Install before driving the node:
-// with ApplyWorkers > 0 the callback fires on the apply executor.
+// callback (see Callbacks.OnEvents). Install before driving the node: the
+// callback fires on the apply stage.
 func (n *Node) SetOnEvents(fn func(cycle uint64, evs []wire.Event)) { n.cbs.OnEvents = fn }

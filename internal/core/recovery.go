@@ -70,7 +70,9 @@ func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	n.committed = cycle
 	n.started = cycle
 	n.orderedW.Store(cycle)
-	n.execPlanOps(plan)
+	// The stage's first step only: the record is on disk already, and no
+	// client or watcher of the cycle survived the crash.
+	n.applyPlan(plan)
 	n.applied.Store(cycle)
 	n.freePlan(plan)
 

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"canopus/internal/kvstore"
+	"canopus/internal/lot"
+	"canopus/internal/wire"
+)
+
+// TestStageReadsSerializeWithPlans drives the apply stage directly,
+// through both drivers: a read submitted after a plan observes that plan's
+// writes, a read parked on a future cycle is served the moment the cycle
+// applies, FailLocalReads abandons only reads no submitted plan can
+// satisfy, and a closed stage still applies a plan and fails a read it
+// cannot serve.
+func TestStageReadsSerializeWithPlans(t *testing.T) {
+	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{{0, 1, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, driver := range []string{"inline", "goroutine"} {
+		t.Run(driver, func(t *testing.T) {
+			n := NewNode(Config{Tree: tree, Self: 0}, kvstore.NewSharded(4), Callbacks{})
+			defer n.Close()
+			if driver == "goroutine" {
+				GoStage(n)
+			}
+			// Buffered: the inline driver answers inside submit.
+			got := make(chan string, 1)
+			submitPlan := func(cycle uint64, val string) {
+				write := wire.Request{Op: wire.OpWrite, Key: 7, Val: []byte(val)}
+				plan := n.newPlan(cycle)
+				plan.ops = append(plan.ops, planOp{req: &write, comp: -1})
+				n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
+			}
+			submitRead := func(minCycle uint64) {
+				n.stage.submit(stageCmd{kind: cmdRead, read: localRead{key: 7, minCycle: minCycle,
+					fn: func(val []byte, cycle uint64, ok bool) { got <- fmt.Sprintf("%s/%d/%v", val, cycle, ok) }}})
+			}
+
+			// Submitted after the plan: must see its write and cycle 1.
+			submitPlan(1, "cycle1")
+			submitRead(0)
+			if s := <-got; s != "cycle1/1/true" {
+				t.Fatalf("read after plan = %q, want cycle1/1/true", s)
+			}
+
+			// Parked on cycle 2; served when the cycle-2 plan lands.
+			submitRead(2)
+			submitPlan(2, "cycle2")
+			if s := <-got; s != "cycle2/2/true" {
+				t.Fatalf("parked read = %q, want cycle2/2/true", s)
+			}
+
+			// Parked beyond any submitted plan: abandoned by FailLocalReads.
+			submitRead(99)
+			n.FailLocalReads()
+			if s := <-got; s != "/2/false" {
+				t.Fatalf("abandoned read = %q, want /2/false", s)
+			}
+			if o, c := n.Ordered(), n.Committed(); c != 2 {
+				t.Fatalf("applied watermark = %d (ordered %d), want 2", c, o)
+			}
+
+			// One rule for a closed stage: the plan applies, the servable
+			// read is served, the unservable one fails — all before submit
+			// returns.
+			n.Close()
+			submitPlan(3, "cycle3")
+			if c := n.Committed(); c != 3 {
+				t.Fatalf("applied watermark after a plan on a closed stage = %d, want 3", c)
+			}
+			submitRead(3)
+			if s := <-got; s != "cycle3/3/true" {
+				t.Fatalf("read on a closed stage = %q, want cycle3/3/true", s)
+			}
+			submitRead(4)
+			if s := <-got; s != "/3/false" {
+				t.Fatalf("unservable read on a closed stage = %q, want /3/false", s)
+			}
+			ran := false
+			n.InspectApplied(func() { ran = true })
+			if !ran {
+				t.Fatal("InspectApplied on a closed stage did not run fn")
+			}
+		})
+	}
+}

@@ -12,13 +12,13 @@ import (
 // session dedup table like any other mutation — exactly-once via
 // (session, seq). Guards evaluate at APPLY time against the store state
 // every prior committed operation produced, which is identical on every
-// replica because plans apply strictly in cycle order and transaction
-// plans never fan out across workers. A transaction either applies all
+// replica because plans apply strictly in cycle order, each front to
+// back on one goroutine. A transaction either applies all
 // of its ops inside its committed position or none of them: an aborted
 // transaction leaves the store byte-identical on every replica.
 
-// applyTxnOp evaluates one transaction op within a serially applying
-// plan: duplicate txns resolve their cached result, fresh ones evaluate
+// applyTxnOp evaluates one transaction op of an applying plan: duplicate
+// txns resolve their cached result, fresh ones evaluate
 // guards, apply ops when committed, and record their result in the
 // session table (compaction-surviving, so a failover retry learns the
 // original outcome).
@@ -106,10 +106,9 @@ func (n *Node) txnGuardHolds(g *wire.TxnGuard) bool {
 	return false // unknown guard kinds never pass (and never decode)
 }
 
-// applyExpiry is the plan's serial apply tail: every session the
-// cycle's boundary expired has its ephemeral keys deleted, in sorted
-// key order per owner, on every replica identically. Runs after all
-// plan ops (single-threaded — ExpireOwned touches multiple shards).
+// applyExpiry is the plan's apply tail: every session the cycle's
+// boundary expired has its ephemeral keys deleted, in sorted key order
+// per owner, on every replica identically. Runs after all plan ops.
 func (n *Node) applyExpiry(p *applyPlan) {
 	if len(p.expired) == 0 || n.tm == nil {
 		return

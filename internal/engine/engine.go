@@ -62,6 +62,18 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
+// Spawner is optionally implemented by an Env that runs on wall-clock time
+// with real goroutines (transport.Runner does). The simulator does not:
+// virtual time has one goroutine, and a machine that finds no Spawner does
+// all of its work inside its turns, which keeps a replay bit-identical.
+type Spawner interface {
+	// Go runs fn on a goroutine of its own, beside the machine's turns. A
+	// machine uses it for work that must not hold a turn — core's apply
+	// stage waits for fsyncs there. fn must not call Env methods, and the
+	// machine owns the goroutine's lifetime: it stops it and waits for it.
+	Go(fn func())
+}
+
 // Machine is an event-driven protocol participant.
 type Machine interface {
 	// Init is called exactly once before any other method, with the

@@ -15,7 +15,7 @@
 //
 // Delivery is synchronous and order-preserving: sinks run under the
 // hub mutex, on whatever goroutine called Publish (the node's apply
-// executor in parallel mode). A sink must therefore never block — it
+// stage). A sink must therefore never block — it
 // hands the events to a buffer or bounded queue and reports whether it
 // still has room. A sink that reports no room is overflowed: the hub
 // drops the watch and tells the sink, once, terminally. Slow consumers

@@ -65,13 +65,6 @@ type ChaosSpec struct {
 	OpTimeout  time.Duration // abandon an unacknowledged op after this (default 1s)
 	MaxOps     int           // global op budget; 0 = time-bound only
 
-	// StoreShards is each replica's kvstore shard count (default 1).
-	// Sharding must be protocol-invisible: runs differing only in shard
-	// count produce identical histories, commit digests and event counts,
-	// and replicas with equal shard counts at equal commit positions hold
-	// equal log digests.
-	StoreShards int
-
 	// Durable gives every node a storage engine (internal/wal) over a
 	// per-node in-memory disk that survives in-sim restarts: crashed
 	// nodes with a RestartAt come back by recovering their snapshot + WAL
@@ -120,9 +113,6 @@ func (s *ChaosSpec) fill() {
 	}
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
-	}
-	if s.StoreShards <= 0 {
-		s.StoreShards = 1
 	}
 	if s.Node.LeafTimeout > 0 && s.EvictRestartDelay == 0 {
 		s.EvictRestartDelay = 200 * time.Millisecond
@@ -399,7 +389,7 @@ func (r *chaosRun) nodeConfig(id wire.NodeID) core.Config {
 }
 
 func (r *chaosRun) newStore(id wire.NodeID) *kvstore.Store {
-	st := kvstore.NewShardedLogged(r.spec.StoreShards)
+	st := kvstore.NewLogged()
 	r.stores[id] = st
 	return st
 }

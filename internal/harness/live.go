@@ -49,7 +49,7 @@ func Live(o *Options) {
 	// well above the old single-threaded commit path's comfort zone (the
 	// pre-pipeline baseline topped out near 18k/s completed because only
 	// 20k/s was offered) while staying comfortably inside what the
-	// parallel commit path absorbs loss-free on small CI hosts (a 1-CPU
+	// commit path absorbs loss-free on small CI hosts (a 1-CPU
 	// container sustains >150k/s; the gate fails the run on any lost
 	// reply, so an overcommitted rate is self-diagnosing).
 	warm, dur := 300*time.Millisecond, 1200*time.Millisecond

@@ -6,10 +6,10 @@
 //
 // The store is sharded: keys partition across N shards by key hash, and
 // every operation touches exactly one shard. Operations on different
-// shards are safe to run concurrently — the commit executor in
-// internal/core exploits this to fan one committed cycle's bulk apply
-// across workers — while operations on one shard must be serialized by
-// the caller. With equal shard counts, replicas that apply the same
+// shards are safe to run concurrently, while operations on one shard must
+// be serialized by the caller (internal/core applies everything on one
+// goroutine, its apply stage; the partition is what the snapshot format
+// and the per-shard log chains are built on). With equal shard counts, replicas that apply the same
 // write sequence hold equal LogDigest/StateDigest values: the per-shard
 // order-sensitive digests are combined deterministically, and a shard's
 // digest depends only on the writes routed to it, which the committed

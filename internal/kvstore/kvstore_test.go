@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,9 @@ func TestShardedReplicaDeterminism(t *testing.T) {
 		}
 		if a.LogLen() != flat.LogLen() {
 			t.Fatalf("shards=%d: LogLen depends on shard count", shards)
+		}
+		if !reflect.DeepEqual(a.Snapshot(), flat.Snapshot()) {
+			t.Fatalf("shards=%d: Snapshot depends on shard count", shards)
 		}
 	}
 	// In-shard reorder: swap two writes to the same key (same shard by

@@ -51,8 +51,8 @@ type sessionEntry struct {
 // commit boundaries in the committed total order, so every replica holds
 // an identical table (the same invariant as the membership view and the
 // lease table). A mutex makes it safe to drive from two contexts at
-// once: the machine turn classifies (Begin/Record) while the commit
-// executor records and looks up transaction results at apply time.
+// once: the machine turn classifies (Begin/Record) while the node's apply
+// stage records and looks up transaction results at apply time.
 type SessionTable struct {
 	mu       sync.Mutex
 	sessions map[uint64]*sessionEntry

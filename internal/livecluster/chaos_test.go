@@ -148,7 +148,7 @@ func TestChaosLeafEvictionAndReadmission(t *testing.T) {
 		return len(lh) == 3 && !lh[2].Evicted && !lh[2].Failed
 	})
 	digest := func(i int) (uint64, uint64, uint64) {
-		return DigestSource(c.Runner(i), c.Node(i), c.Store(i))()
+		return DigestSource(c.Node(i), c.Store(i))()
 	}
 	waitFor(t, 15*time.Second, "state-digest convergence across all 6 nodes", func() bool {
 		_, ref, _ := digest(0)
@@ -381,7 +381,7 @@ func TestConnectionResetMidLoad(t *testing.T) {
 	}
 
 	digest := func(i int) (uint64, uint64, uint64) {
-		return DigestSource(c.Runner(i), c.Node(i), c.Store(i))()
+		return DigestSource(c.Node(i), c.Store(i))()
 	}
 	waitFor(t, 10*time.Second, "state-digest convergence", func() bool {
 		cyc, ref, _ := digest(0)

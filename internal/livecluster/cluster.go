@@ -9,7 +9,6 @@ package livecluster
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -35,18 +34,8 @@ type Config struct {
 	// nodes in one super-leaf.
 	SuperLeaves [][]wire.NodeID
 	// Node is the per-node protocol configuration template (Tree and
-	// Self are set by the cluster). Node.ApplyWorkers == 0 selects the
-	// live default — the PARALLEL commit pipeline, sized to the host
-	// (min(4, GOMAXPROCS) apply workers); set it negative to force the
-	// serial in-turn commit path instead. (The simulator keeps serial as
-	// its default: deterministic replay requires it. Live nodes have no
-	// such constraint, and parallel apply is the production
-	// configuration.)
+	// Self are set by the cluster).
 	Node core.Config
-	// StoreShards is the kvstore shard count per node (rounded up to a
-	// power of two). 0 selects the default (8); shards let the commit
-	// executor fan one cycle's bulk apply across workers.
-	StoreShards int
 	// Seed randomizes proposal numbers per node.
 	Seed int64
 	// LoggedStores gives every node an apply-order-logging store
@@ -95,33 +84,19 @@ type Config struct {
 	OnEvicted func(i int)
 }
 
-// ResolveApplyWorkers maps the user-facing apply-worker knob (a config
-// field or a command-line flag) to a core.Config.ApplyWorkers value: 0
-// selects the live default — the parallel pipeline sized to the host,
-// min(4, GOMAXPROCS) workers — and a negative value selects the serial
-// in-turn commit path. canopus-server and Start share this policy.
-func ResolveApplyWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	if n < 0 {
-		return 0 // explicit serial mode
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// storeShards is the partition count of every live replica's kvstore. A
+// constant: the snapshot format records it, and a data directory whose
+// snapshot was written with another count is refused at recovery.
+const storeShards = 8
+
+// NewStore builds the empty store of one live replica; canopus-server and
+// Start share it.
+func NewStore() *kvstore.Store { return kvstore.NewSharded(storeShards) }
 
 // Cluster is a running loopback deployment.
 type Cluster struct {
 	Tree    *lot.Tree
 	cfg     Config // normalized by Start (defaults resolved); RestartNode rebuilds from it
-	shards  int
 	runners []*transport.Runner
 	ports   []*ClientPort
 	reg     *metrics.Registry
@@ -208,21 +183,12 @@ func Start(cfg Config) (*Cluster, error) {
 			peersFor[i][wire.NodeID(j)] = addr
 		}
 	}
-	shards := cfg.StoreShards
-	if shards <= 0 {
-		shards = 8
-	}
-	c.shards = shards
 	durable := cfg.DataDir != "" || cfg.DataFS != nil
 	for i := 0; i < n; i++ {
 		nodeCfg := cfg.Node
 		nodeCfg.Tree = tree
 		nodeCfg.Self = wire.NodeID(i)
-		nodeCfg.ApplyWorkers = ResolveApplyWorkers(nodeCfg.ApplyWorkers)
-		st := kvstore.NewSharded(shards)
-		if cfg.LoggedStores {
-			st = kvstore.NewShardedLogged(shards)
-		}
+		st := c.newStore()
 		var mgr *wal.Manager
 		if durable {
 			opts := wal.Options{Store: st, SnapshotCycles: cfg.SnapshotCycles}
@@ -308,6 +274,14 @@ func Start(cfg Config) (*Cluster, error) {
 		srv.SetPhase("ok")
 	}
 	return c, nil
+}
+
+// newStore builds one replica's empty store.
+func (c *Cluster) newStore() *kvstore.Store {
+	if c.cfg.LoggedStores {
+		return kvstore.NewShardedLogged(storeShards)
+	}
+	return NewStore()
 }
 
 // snapshotVerb adapts an optional WAL manager to the gateway's POST
@@ -401,11 +375,7 @@ func (c *Cluster) RestartNode(i int) error {
 	nodeCfg := c.cfg.Node
 	nodeCfg.Tree = c.Tree
 	nodeCfg.Self = wire.NodeID(i)
-	nodeCfg.ApplyWorkers = ResolveApplyWorkers(nodeCfg.ApplyWorkers)
-	st := kvstore.NewSharded(c.shards)
-	if c.cfg.LoggedStores {
-		st = kvstore.NewShardedLogged(c.shards)
-	}
+	st := c.newStore()
 	node := core.NewJoiner(nodeCfg, st, c.nodeCallbacks(i))
 	hub := events.NewHub(events.Options{Floor: node.Committed()})
 	node.SetOnEvents(hub.Publish)
@@ -438,29 +408,24 @@ func (c *Cluster) Node(i int) *core.Node {
 }
 
 // Store returns node i's local replica state (for tests and tooling).
-// With the parallel commit pipeline the apply stage owns the store;
-// foreign reads are only coherent through InspectStore.
+// The node's apply stage owns the store; foreign reads are only coherent
+// through InspectStore.
 func (c *Cluster) Store(i int) *kvstore.Store {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stores[i]
 }
 
-// InspectStore runs fn against node i's replica state with the apply
-// pipeline quiesced: every cycle ordered at the time of the call has
-// been applied, and no apply runs concurrently with fn. Tests use it to
-// assert replica equality and exactly-once application regardless of
-// the commit-pipeline mode. fn must not submit operations or block on
-// cluster progress.
+// InspectStore runs fn against node i's replica state on the node's apply
+// stage: every cycle ordered at the time of the call has been applied,
+// and no apply runs concurrently with fn. Tests use it to assert replica
+// equality and exactly-once application. fn must not submit operations
+// or block on cluster progress.
 func (c *Cluster) InspectStore(i int, fn func(st *kvstore.Store)) {
 	c.mu.Lock()
 	node, st := c.nodes[i], c.stores[i]
 	c.mu.Unlock()
-	if node.ParallelApply() {
-		node.InspectApplied(func() { fn(st) })
-		return
-	}
-	c.runners[i].Invoke(func() { fn(st) })
+	node.InspectApplied(func() { fn(st) })
 }
 
 // Port returns node i's client port.
@@ -493,9 +458,8 @@ func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 
 // Submit asynchronously executes one keyed operation at node's replica,
 // implementing the canopus.Cluster interface over the same reply fan-out
-// the socket clients use. done runs from the node's execution context —
-// the apply executor in the default parallel mode, the machine turn in
-// serial mode — and must not block; it receives the read value (nil for
+// the socket clients use. done runs on the node's apply stage and must
+// not block; it receives the read value (nil for
 // mutations and misses) and whether the operation was served; ok=false
 // means the node is draining, stalled or crashed.
 func (c *Cluster) Submit(node int, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
@@ -519,7 +483,7 @@ func (c *Cluster) RegisterSession(node int, done func(id uint64, ok bool)) {
 // implementing the canopus.SessionCluster interface: a mutation carrying
 // a (session, seq) that already committed — a retry after a lost reply —
 // completes with the cached result instead of applying twice. done runs
-// from the node's execution context (see Submit); ok=false means the
+// on the node's apply stage (see Submit); ok=false means the
 // node is draining, stalled, crashed, or the session has expired.
 func (c *Cluster) SubmitSession(node int, session, seq uint64, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
 	c.ports[node].SubmitSessionLocal(session, seq, op, key, val, done)
@@ -530,8 +494,8 @@ func (c *Cluster) SubmitSession(node int, session, seq uint64, op wire.Op, key u
 // transaction (wire.AppendTxn); done receives the encoded
 // wire.TxnResult. A non-zero session makes the txn exactly-once across
 // retries via the replicated (session, seq) identity; session 0 submits
-// at-most-once. done runs from the node's execution context (see
-// Submit) and must not block.
+// at-most-once. done runs on the node's apply stage (see Submit) and must
+// not block.
 func (c *Cluster) SubmitTxn(node int, session, seq uint64, body []byte, done func(val []byte, ok bool)) {
 	c.ports[node].SubmitSessionLocal(session, seq, wire.OpTxn, 0, body, done)
 }
@@ -546,7 +510,7 @@ func (c *Cluster) Hub(i int) *events.Hub {
 
 // Watch registers a watch on node's event hub, implementing the
 // canopus.EventCluster interface. The sink runs on the node's apply
-// executor and must not block; see events.Hub.Watch for the resume and
+// stage and must not block; see events.Hub.Watch for the resume and
 // overflow contract.
 func (c *Cluster) Watch(node int, spec events.Spec, sink events.Sink) (uint64, error) {
 	return c.Hub(node).Watch(spec, sink)
@@ -572,9 +536,9 @@ func (c *Cluster) Close() error {
 func (c *Cluster) Crash(i int) {
 	c.ports[i].Abort()
 	c.runners[i].Close()
-	// The transport is closed (no further machine turns); release the
-	// node's apply executor. Queued cycles finish applying first, so a
-	// post-mortem Store inspection still sees everything ordered here.
+	// The transport is closed (no further machine turns); stop the node's
+	// apply stage. Queued cycles finish applying first, so a post-mortem
+	// Store inspection still sees everything ordered here.
 	c.Node(i).Close()
 }
 
@@ -610,7 +574,7 @@ func (c *Cluster) kill() {
 	for _, n := range c.nodes {
 		n.Close()
 	}
-	// Node.Close released each apply executor (flushing its durability
+	// Node.Close stopped each apply stage (flushing its durability
 	// batch), so the managers can close their segments cleanly.
 	for _, m := range c.mgrs {
 		if m != nil {

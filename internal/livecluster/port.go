@@ -32,13 +32,12 @@ const maxGroup = 512
 // wire.OpTxn request. WATCH/UNWATCH registration never enters a machine
 // turn — the node's event hub (internal/events) has its own lock — and
 // the server-push EVENT frames it feeds are rendered on the hub's Publish
-// caller (the apply executor), writing only to per-connection output
+// caller (the node's apply stage), writing only to per-connection output
 // buffers.
 //
 // Replies are fanned out batch-aware and off the consensus turn: the
-// port owns the node's OnReplyBatch callback — which, with the parallel
-// commit pipeline (core.Config.ApplyWorkers), fires on the node's apply
-// executor rather than inside the machine turn — and one committed cycle
+// port owns the node's OnReplyBatch callback — which fires on the node's
+// apply stage, not inside the machine turn — and one committed cycle
 // costs one pass over its completion records, encoded into
 // per-connection output buffers (pooled) that per-connection writer
 // goroutines flush. Neither the reply encode nor the socket write ever
@@ -48,7 +47,7 @@ type ClientPort struct {
 	// nodeP is the serving protocol node. It is an atomic pointer, not a
 	// plain field, because SetNode swaps in a replacement joiner when a
 	// node restarts in place (chaos eviction/readmission) while reader
-	// goroutines and the apply executor are still looking at it.
+	// goroutines and the apply stage are still looking at it.
 	nodeP atomic.Pointer[core.Node]
 	ln    net.Listener
 
@@ -72,7 +71,7 @@ type ClientPort struct {
 	// mu guards conns, every conn's pending map and seq counter,
 	// sessPending, and batch aggregates. It is the port's own lock —
 	// deliberately NOT the runner's machine lock — so the reply fan-out
-	// (running on the node's apply executor in parallel mode) and the
+	// (running on the node's apply stage) and the
 	// submit paths (running inside machine turns) synchronize without
 	// serializing against consensus.
 	mu     sync.Mutex
@@ -182,7 +181,7 @@ func (p *ClientPort) hub() *events.Hub { return p.hubP.Load() }
 // comes back as a protocol-level joiner on the same runner, ports and
 // addresses. The new node's replies route back through this port;
 // operations in flight against the old node complete through its
-// draining executor or are failed by the caller. Existing watches die
+// draining apply stage or are failed by the caller. Existing watches die
 // with the old hub (their cycles predate the joiner's state); clients
 // re-register and resume.
 func (p *ClientPort) SetNode(node *core.Node, hub *events.Hub) {
@@ -474,8 +473,7 @@ func (p *ClientPort) Stop(drain time.Duration) bool {
 			p.node().FailLocalReads()
 			p.node().FailSessionWaiters()
 		})
-		// Parked reads fail on the apply executor in parallel mode; give
-		// the failure a moment to propagate through the accounting.
+		// Parked reads fail on the apply stage; give the failure a moment to propagate through the accounting.
 		for p.outstanding.Load() > 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}

@@ -59,8 +59,8 @@ func freeBatchAgg(agg *batchAgg) {
 
 // completeEntry delivers one completed consensus operation to its
 // destination: local callback, batch slot, or an encoded single-op
-// response. Runs with the port mutex held — on the node's apply executor
-// in parallel mode, inside the machine turn in serial mode. The value is
+// response. Runs with the port mutex held, on the node's apply stage. The
+// value is
 // encoded (or handed to the done callback) before returning: it may
 // alias store state that the next cycle's apply overwrites.
 func (p *ClientPort) completeEntry(cc *clientConn, entry pendingEntry, op wire.Op, val []byte) {
@@ -119,9 +119,9 @@ func (p *ClientPort) completeBatchOp(cc *clientConn, agg *batchAgg, idx int, sta
 
 // onReplyBatch is the node's completion callback: it fans one committed
 // cycle's completion records out to the owning connections' buffers (no
-// socket writes on this path). With the parallel commit pipeline it runs
-// on the node's apply executor — the machine lock is NOT held, which is
-// the point: reply materialization no longer steals consensus time.
+// socket writes on this path). It runs on the node's apply stage — the
+// machine lock is NOT held, which is the point: reply materialization
+// does not steal consensus time.
 func (p *ClientPort) onReplyBatch(reqs []wire.Request, vals [][]byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -396,15 +396,14 @@ func (p *ClientPort) minCycleSane(minCycle uint64) bool {
 
 // trackedReadLocal runs one committed-state read with the outstanding /
 // deferred-read accounting shared by the single-op and batch paths.
-// complete runs with the port mutex NOT held — on the apply executor in
-// parallel mode, under the machine turn in serial mode — with the op's
-// status, value and serving cycle (status Err means the read was
+// complete runs with the port mutex NOT held, on the node's apply stage,
+// with the op's status, value and serving cycle (status Err means the read was
 // abandoned: node shutting down, crashed, or stalled below the awaited
 // cycle) and is responsible for the matching outstanding decrement.
 func (p *ClientPort) trackedReadLocal(key, minCycle uint64, complete func(status uint8, val []byte, cycle uint64)) {
 	p.admitRequest()
-	// Whether this read will park is the executor's decision in parallel
-	// mode; the committed watermark is the best (conservative) estimate,
+	// Whether this read will park is the apply stage's decision; the
+	// committed watermark is the best (conservative) estimate,
 	// and the completion settles the account using the same flag.
 	deferred := minCycle > p.node().Committed()
 	if deferred {
@@ -529,9 +528,8 @@ func (p *ClientPort) submitTxn(cc *clientConn, q *wire.ClientRequestV2) {
 // SubmitLocal injects one operation directly into the node — no socket,
 // no frame encoding — while sharing the port's reply fan-out, drain
 // rejection and outstanding accounting with socket clients. done is
-// invoked from the node's execution context (machine turn in serial
-// mode, apply executor in parallel mode — it must not block either way)
-// with the read value and whether the operation was served; ok=false
+// invoked on the node's apply stage (it must not block) with the read
+// value and whether the operation was served; ok=false
 // means the port is draining or the node has stalled. This is the
 // backend path of the public canopus.Cluster interface.
 func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {

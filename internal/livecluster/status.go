@@ -12,21 +12,15 @@ import (
 )
 
 // DigestSource builds the (committed cycle, state digest, log digest)
-// source of one node: it reads the replica with the apply pipeline
-// quiesced (InspectApplied in parallel mode, a machine turn in serial
-// mode), so the digest is a consistent cut at a cycle boundary.
-func DigestSource(runner *transport.Runner, node *core.Node, st *kvstore.Store) func() (uint64, uint64, uint64) {
+// source of one node: it reads the replica on the node's apply stage, so
+// the digest is a consistent cut at a cycle boundary.
+func DigestSource(node *core.Node, st *kvstore.Store) func() (uint64, uint64, uint64) {
 	return func() (cycle, state, logd uint64) {
-		read := func() {
+		node.InspectApplied(func() {
 			cycle = node.Committed()
 			state = st.StateDigest()
 			logd = st.LogDigest()
-		}
-		if node.ParallelApply() {
-			node.InspectApplied(read)
-		} else {
-			runner.Invoke(read)
-		}
+		})
 		return
 	}
 }
@@ -38,7 +32,7 @@ func DigestSource(runner *transport.Runner, node *core.Node, st *kvstore.Store) 
 // dur may be nil (no WAL), hub may be nil (no event plane).
 // Cluster.Start and canopus-server share it.
 func StatusSource(runner *transport.Runner, node *core.Node, st *kvstore.Store, dur *wal.Manager, hub *events.Hub) func() admin.Status {
-	digest := DigestSource(runner, node, st)
+	digest := DigestSource(node, st)
 	return func() admin.Status {
 		var s admin.Status
 		cycle, state, logd := digest()

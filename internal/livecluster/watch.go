@@ -81,7 +81,7 @@ func (p *ClientPort) handleUnwatch(cc *clientConn, q *wire.ClientRequestV2) {
 // watchSink builds the hub sink feeding one connection's watch: each
 // notification encodes as a server-push EVENT frame (ID = the client's
 // watch ID) into the connection's output buffer. It runs under the hub
-// mutex on the apply executor, so it must not block and must NOT take
+// mutex on the node's apply stage, so it must not block and must NOT take
 // the port mutex (the submit paths hold it while calling into the hub).
 // The buffer budget turns a non-reading client into a watch overflow;
 // the terminal overflow notice itself bypasses the budget.

@@ -272,7 +272,7 @@ func (a *Availability) RecoveryAfter(t time.Duration) (time.Duration, bool) {
 
 // Counter is a concurrency-safe monotone event counter. The durability
 // subsystem uses counters for fsync and group-commit accounting, where
-// the writer (the commit executor) and readers (stats scrapers) run on
+// the writer (a node's apply stage) and readers (stats scrapers) run on
 // different goroutines.
 type Counter struct{ v atomic.Uint64 }
 

@@ -380,6 +380,10 @@ func (r *Runner) Now() time.Duration { return time.Since(r.start) }
 // Rand implements engine.Env.
 func (r *Runner) Rand() *rand.Rand { return r.rng }
 
+// Go implements engine.Spawner: a live node's machine may run work beside
+// its turns.
+func (r *Runner) Go(fn func()) { go fn() }
+
 // pendingTimer is one armed After: when it is due (on the runner's clock),
 // what to fire, and the machine that armed it.
 type pendingTimer struct {

@@ -3,7 +3,7 @@
 // the sharded state machine, and the crash-restart recovery path that
 // rebuilds a node from both. The Manager implements core.Durable, so the
 // commit pipeline feeds it committed roots and fsync cadence directly
-// (see internal/core/exec.go); everything is keyed to the consensus
+// (see internal/core/stage.go); everything is keyed to the consensus
 // cycle number, the one watermark all of this shares with the protocol.
 package wal
 

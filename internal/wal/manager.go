@@ -15,9 +15,8 @@ import (
 
 // Manager ties one node's log and snapshots together and implements
 // core.Durable. All mutating calls (AppendCommit, Sync, Recover, Close)
-// run on one goroutine at a time — the commit executor in parallel mode,
-// the machine turn in serial mode, the boot goroutine during recovery —
-// exactly the contract core.Durable states. Stats reads are safe from
+// run on one goroutine at a time — the node's apply stage, the boot
+// goroutine during recovery — exactly the contract core.Durable states. Stats reads are safe from
 // anywhere.
 type Manager struct {
 	fs    FS
