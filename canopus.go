@@ -118,8 +118,12 @@ type (
 	Config = core.Config
 	// Node is one Canopus protocol participant.
 	Node = core.Node
-	// Callbacks observe node progress.
+	// Callbacks connect a node to its committed stream and its eviction.
 	Callbacks = core.Callbacks
+	// Consumer receives a node's committed stream.
+	Consumer = core.Consumer
+	// Commit is one committed cycle as a node's consumers see it.
+	Commit = core.Commit
 	// StateMachine is the replicated application state interface.
 	StateMachine = core.StateMachine
 	// Tree is the Leaf-Only Tree overlay.
@@ -206,7 +210,8 @@ func (o *SimOptions) fill() error {
 
 // driverClient is the reserved Request.Client identity carrying
 // interface-submitted operations (Cluster.Submit); replies to it are
-// routed to per-request callbacks instead of the per-node OnReply hook.
+// routed to per-request callbacks instead of the function set with
+// SimCluster.OnReply.
 const driverClient = 1<<63 - 1
 
 // SimCluster is an in-process simulated Canopus deployment running on
@@ -351,28 +356,41 @@ func NewSimCluster(opts SimOptions) (*SimCluster, error) {
 		return nil, fmt.Errorf("canopus: %w", err)
 	}
 
+	n := topo.NumNodes()
 	c := &SimCluster{
 		Sim: sim, Runner: runner, Tree: tree,
+		nodes:      make([]*Node, n),
+		stores:     make([]*Store, n),
+		hubs:       make([]*EventHub, n),
 		onReply:    make(map[NodeID]func(req *Request, val []byte)),
 		dones:      make(map[uint64]func(val []byte, ok bool)),
 		sessDones:  make(map[simSessKey]func(val []byte, ok bool)),
 		regPending: make(map[uint64]func(id uint64, ok bool)),
 	}
-	for i := 0; i < topo.NumNodes(); i++ {
+	for i := 0; i < n; i++ {
 		cfg := opts.Node
 		cfg.Tree = tree
 		cfg.Self = NodeID(i)
-		st := kvstore.New()
-		n := core.NewNode(cfg, st, Callbacks{})
-		c.installDispatcher(NodeID(i), n)
-		hub := events.NewHub(events.Options{})
-		n.SetOnEvents(hub.Publish)
-		c.nodes = append(c.nodes, n)
-		c.stores = append(c.stores, st)
-		c.hubs = append(c.hubs, hub)
-		runner.Register(NodeID(i), n)
+		runner.Register(NodeID(i), c.newNode(cfg, false))
 	}
 	return c, nil
+}
+
+// newNode builds node cfg.Self — a joiner when asked — over a fresh store
+// and event hub, and installs them. The node's consumers are its hub and
+// the cluster's reply dispatcher.
+func (c *SimCluster) newNode(cfg Config, joiner bool) *Node {
+	st := kvstore.New()
+	hub := events.NewHub(events.Options{})
+	cbs := Callbacks{Consumers: []Consumer{hub, simDispatcher{c, cfg.Self}}}
+	var n *Node
+	if joiner {
+		n = core.NewJoiner(cfg, st, cbs)
+	} else {
+		n = core.NewNode(cfg, st, cbs)
+	}
+	c.nodes[cfg.Self], c.stores[cfg.Self], c.hubs[cfg.Self] = n, st, hub
+	return n
 }
 
 // MustSimCluster is NewSimCluster, panicking on invalid options —
@@ -385,38 +403,44 @@ func MustSimCluster(opts SimOptions) *SimCluster {
 	return c
 }
 
-// installDispatcher owns a node's OnReply: driver-submitted requests
-// complete their per-request callbacks, session-scoped requests route by
-// their replicated (session, seq) identity, everything else flows to the
-// per-node OnReply hook.
-func (c *SimCluster) installDispatcher(id NodeID, n *Node) {
-	n.SetOnReply(func(req *Request, val []byte) {
-		if req.Client == driverClient {
+// simDispatcher routes node id's committed stream to its requesters:
+// driver-submitted requests complete their per-request callbacks,
+// session-scoped requests route by their replicated (session, seq)
+// identity — a rejected one fails — and everything else flows to the
+// function set with OnReply.
+type simDispatcher struct {
+	c  *SimCluster
+	id NodeID
+}
+
+func (d simDispatcher) Committed(cm *Commit) {
+	c := d.c
+	for i := range cm.Rejected {
+		c.sessionDone(&cm.Rejected[i], nil, false)
+	}
+	for i := range cm.Replies {
+		req, val := &cm.Replies[i], cm.Vals[i]
+		switch {
+		case req.Client == driverClient:
 			if done, ok := c.dones[req.Seq]; ok {
 				delete(c.dones, req.Seq)
 				done(val, true)
 			}
-			return
+		case wire.IsSessionID(req.Client):
+			c.sessionDone(req, val, true)
+		case c.onReply[d.id] != nil:
+			c.onReply[d.id](req, val)
 		}
-		if wire.IsSessionID(req.Client) {
-			k := simSessKey{req.Client, req.Seq}
-			if done, ok := c.sessDones[k]; ok {
-				delete(c.sessDones, k)
-				done(val, true)
-			}
-			return
-		}
-		if fn := c.onReply[id]; fn != nil {
-			fn(req, val)
-		}
-	})
-	n.SetOnSessionReject(func(req *Request) {
-		k := simSessKey{req.Client, req.Seq}
-		if done, ok := c.sessDones[k]; ok {
-			delete(c.sessDones, k)
-			done(nil, false)
-		}
-	})
+	}
+}
+
+// sessionDone completes the SubmitSession waiting for req, if any.
+func (c *SimCluster) sessionDone(req *Request, val []byte, ok bool) {
+	k := simSessKey{req.Client, req.Seq}
+	if done, found := c.sessDones[k]; found {
+		delete(c.sessDones, k)
+		done(val, ok)
+	}
 }
 
 // Node returns the protocol node with the given ID.
@@ -429,8 +453,9 @@ func (c *SimCluster) StoreOf(id NodeID) *Store { return c.stores[id] }
 func (c *SimCluster) NumNodes() int { return len(c.nodes) }
 
 // OnReply installs a completion callback for node id's requests injected
-// with SubmitRequest. Must be called before the simulation runs past the
-// node's first request.
+// with SubmitRequest; the node's reply dispatcher, one of its committed
+// stream's consumers, calls it. Must be called before the simulation runs
+// past the node's first request.
 func (c *SimCluster) OnReply(id NodeID, fn func(req *Request, val []byte)) {
 	c.onReply[id] = fn
 }
@@ -440,8 +465,9 @@ func (c *SimCluster) OnReply(id NodeID, fn func(req *Request, val []byte)) {
 func (c *SimCluster) At(t time.Duration, fn func()) { c.Sim.At(t, fn) }
 
 // SubmitRequest delivers one raw client request to node id with
-// caller-owned Client/Seq identity; replies arrive at the node's OnReply
-// hook. Call from inside At (event-loop mode). Most callers want Submit.
+// caller-owned Client/Seq identity; replies arrive at the function set
+// with OnReply. Call from inside At (event-loop mode). Most callers want
+// Submit.
 func (c *SimCluster) SubmitRequest(id NodeID, req Request) { c.nodes[id].Submit(req) }
 
 // Submit implements Cluster: it asynchronously executes one keyed
@@ -700,18 +726,10 @@ func (c *SimCluster) Crash(id NodeID) { c.Runner.Crash(id) }
 // RestartAsJoiner restarts a crashed node with fresh state; it re-enters
 // through the join protocol.
 func (c *SimCluster) RestartAsJoiner(id NodeID) *Node {
-	cfg := Config{Tree: c.Tree, Self: id}
-	st := kvstore.New()
-	n := core.NewJoiner(cfg, st, Callbacks{})
-	c.installDispatcher(id, n)
 	// A fresh hub for the rejoined node: its first published cycle marks
 	// everything before it evicted, so watches cannot resume across the
 	// crash with a silent gap.
-	hub := events.NewHub(events.Options{})
-	n.SetOnEvents(hub.Publish)
-	c.nodes[id] = n
-	c.stores[id] = st
-	c.hubs[id] = hub
+	n := c.newNode(Config{Tree: c.Tree, Self: id}, true)
 	c.Runner.Restart(id, n)
 	return n
 }

@@ -138,7 +138,25 @@ func main() {
 			}
 		}
 	}
-	cbs := core.Callbacks{}
+	// The event hub and the client port consume the node's committed
+	// stream — the hub first, so a cycle's events go out before its
+	// replies. Recovery replay publishes nothing: its cycles land as a gap
+	// the hub treats as evicted history, so no watch can resume across
+	// state it never saw.
+	hub := events.NewHub(events.Options{})
+	cbs := core.Callbacks{Consumers: []core.Consumer{hub}}
+
+	// Bind the client address before recovery (a restarting node owns its
+	// advertised endpoint immediately) but accept only after recovery has
+	// replayed the log — no client ever reads mid-recovery state.
+	var port *livecluster.ClientPort
+	if *clientAddr != "" {
+		port, err = livecluster.NewClientPort(runner, *clientAddr)
+		if err != nil {
+			log.Fatal("canopus-server: ", err)
+		}
+		cbs.Consumers = append(cbs.Consumers, port)
+	}
 	if *exitOnEvict {
 		// Fires on the machine turn when an Evicted notice proves the
 		// rest of the cluster committed this node's Leave: this
@@ -156,25 +174,6 @@ func main() {
 		node = core.NewNode(nodeCfg, st, cbs)
 	}
 	defer node.Close()
-
-	// The event hub feeds client watches from the committed apply
-	// stream. Recovery replay does not publish events; its cycles land as
-	// a gap the hub treats as evicted history, so no watch can resume
-	// across state it never saw.
-	hub := events.NewHub(events.Options{})
-	node.SetOnEvents(hub.Publish)
-
-	// Bind the client address before recovery (a restarting node owns its
-	// advertised endpoint immediately) but accept only after recovery has
-	// replayed the log — no client ever reads mid-recovery state.
-	var port *livecluster.ClientPort
-	if *clientAddr != "" {
-		port, err = livecluster.NewClientPort(runner, node, *clientAddr)
-		if err != nil {
-			log.Fatal("canopus-server: ", err)
-		}
-		port.SetHub(hub)
-	}
 
 	// The admin gateway binds AND serves before recovery — one notch
 	// earlier than the client port's accept — so /healthz reports
@@ -231,6 +230,7 @@ func main() {
 		}
 	}
 	if port != nil {
+		port.SetNode(node, hub)
 		port.AcceptClients()
 		log.Printf("node %v: client API on %s", self, port.Addr())
 	}

@@ -5,7 +5,6 @@ import (
 
 	"canopus/internal/core"
 	"canopus/internal/netsim"
-	"canopus/internal/wire"
 	"canopus/internal/zk"
 )
 
@@ -45,9 +44,15 @@ func NewCoordCluster(opts SimOptions) (*CoordCluster, error) {
 		cfg.Tree = base.Tree
 		cfg.Self = id
 		tree := zk.NewTree()
-		node := core.NewNode(cfg, tree, core.Callbacks{})
-		server := zk.NewServer(tree, node, uint64(i)+1, true /* linearizable reads */)
-		node.SetOnReply(func(req *wire.Request, val []byte) { server.Complete(req, val) })
+		// The server consumes its node's committed stream, and the node is
+		// the server's backend: the consumer is built first.
+		var server *zk.Server
+		node := core.NewNode(cfg, tree, core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) {
+			for i := range c.Replies {
+				server.Complete(&c.Replies[i], c.Vals[i])
+			}
+		})}})
+		server = zk.NewServer(tree, node, uint64(i)+1, true /* linearizable reads */)
 		c.servers = append(c.servers, server)
 		c.trees = append(c.trees, tree)
 		c.nodes = append(c.nodes, node)

@@ -52,7 +52,7 @@ func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 		var n *Node
 		switch i {
 		case 0:
-			n = NewNode(cfg, kvstore.New(), Callbacks{OnReply: func(*wire.Request, []byte) { replies++ }})
+			n = NewNode(cfg, kvstore.New(), Callbacks{Consumers: []Consumer{ConsumerFunc(func(c *Commit) { replies += len(c.Replies) })}})
 		case 2:
 			n = NewNode(cfg, slow, Callbacks{})
 			GoStage(n)

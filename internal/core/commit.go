@@ -27,7 +27,7 @@ func (n *Node) tryCommit() {
 // revocation, session GC — everything that must evolve in lock-step on
 // every replica. The resulting applyPlan (state-machine operations plus
 // this node's completion records) goes to the stage (stage.go), the only
-// path from a cycle to the store, the WAL and the clients.
+// path from a cycle to the store, the WAL and the consumers.
 func (n *Node) commit(c *cycle) {
 	root := c.states[n.tree.Height]
 	n.committed = c.id
@@ -55,7 +55,7 @@ func (n *Node) commit(c *cycle) {
 	n.gcSessions(c.id)
 	n.collectDeferredReads(c.id, plan)
 
-	plan.root = root
+	plan.root, plan.Order = root, root.Batches
 	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 
 	// Join replies go out only after cycle c's plan is with the stage,
@@ -65,10 +65,6 @@ func (n *Node) commit(c *cycle) {
 	// rejoin.
 	for _, j := range joiners {
 		n.sendJoinReply(j, c.id)
-	}
-
-	if n.cbs.OnCommit != nil {
-		n.cbs.OnCommit(c.id, root.Batches)
 	}
 
 	delete(n.cycles, c.id)
@@ -169,14 +165,12 @@ func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
 				case kvstore.SessionUnknown:
 					// Deterministically not applied anywhere; the serving
 					// node surfaces the expiry instead of an OK.
-					if n.cbs.OnSessionReject != nil {
-						n.cbs.OnSessionReject(req)
-					}
+					plan.Rejected = append(plan.Rejected, *req)
 					continue
 				case kvstore.SessionDuplicate:
 					// The committed result; do not re-apply.
-					plan.comps = append(plan.comps, *req)
-					plan.vals = append(plan.vals, cached)
+					plan.Replies = append(plan.Replies, *req)
+					plan.Vals = append(plan.Vals, cached)
 					continue
 				default:
 					n.sessions.Record(req.Client, req.Seq, nil)
@@ -185,43 +179,40 @@ func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
 			if n.sm != nil {
 				plan.ops = append(plan.ops, planOp{req: req, comp: -1})
 			}
-			plan.comps = append(plan.comps, *req)
-			plan.vals = append(plan.vals, nil)
+			plan.Replies = append(plan.Replies, *req)
+			plan.Vals = append(plan.Vals, nil)
 		case wire.OpRead:
-			plan.comps = append(plan.comps, *req)
-			plan.vals = append(plan.vals, nil)
-			if n.sm != nil {
-				plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1)})
-			}
+			n.addRead(plan, req, false)
 		case wire.OpTxn:
 			if wire.IsSessionID(req.Client) {
 				_, verdict := n.sessions.Begin(req.Client, req.Seq, cyc)
 				switch verdict {
 				case kvstore.SessionUnknown:
-					if n.cbs.OnSessionReject != nil {
-						n.cbs.OnSessionReject(req)
-					}
+					plan.Rejected = append(plan.Rejected, *req)
 					continue
 				case kvstore.SessionDuplicate:
 					// The original's result resolves at apply time (its own
 					// plan has applied by then — strict cycle order), from
 					// the compaction-surviving txn slot.
-					plan.comps = append(plan.comps, *req)
-					plan.vals = append(plan.vals, nil)
-					if n.sm != nil {
-						plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1), dup: true})
-					}
+					n.addRead(plan, req, true)
 					continue
 				default:
 					n.sessions.Record(req.Client, req.Seq, nil)
 				}
 			}
-			plan.comps = append(plan.comps, *req)
-			plan.vals = append(plan.vals, nil)
-			if n.sm != nil {
-				plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1)})
-			}
+			n.addRead(plan, req, false)
 		}
+	}
+}
+
+// addRead records a completion whose value the apply stage fills — a
+// read, a transaction's verdict, or (dup) a duplicate transaction's cached
+// verdict — and, given a state machine, the operation that fills it.
+func (n *Node) addRead(p *applyPlan, req *wire.Request, dup bool) {
+	p.Replies = append(p.Replies, *req)
+	p.Vals = append(p.Vals, nil)
+	if n.sm != nil {
+		p.ops = append(p.ops, planOp{req: req, comp: int32(len(p.Replies) - 1), dup: dup})
 	}
 }
 
@@ -236,38 +227,26 @@ func (n *Node) collectDeferredReads(cyc uint64, plan *applyPlan) {
 	}
 	delete(n.deferredReads, cyc)
 	for i := range reads {
-		req := &reads[i].req
-		plan.comps = append(plan.comps, *req)
-		plan.vals = append(plan.vals, nil)
-		if n.sm != nil {
-			plan.ops = append(plan.ops, planOp{req: req, comp: int32(len(plan.comps) - 1)})
-		}
+		n.addRead(plan, &reads[i].req, false)
 	}
 }
 
-// deliverPlan materializes one plan's completion records through the
-// node's reply callbacks. It runs on the apply stage — under a live runner
-// off the machine lock, so OnReplyBatch consumers must synchronize their
-// own state — and the value slices are only valid during the call.
+// deliverPlan hands one applied (and, when durable, synced) plan to the
+// node's consumers: the one choke point every committed cycle leaves the
+// node through, in cycle order, on the apply stage. A join install is
+// not a committed cycle and is not delivered.
 func (n *Node) deliverPlan(p *applyPlan) {
-	if n.cbs.OnEvents != nil && !p.snapshot {
-		// The event plane's single choke point: every committed cycle's
-		// events publish here, after apply (and after the group commit's
-		// Sync when durable), in cycle order, before the cycle's replies.
-		n.buildPlanEvents(p)
-		n.cbs.OnEvents(p.cycle, p.events)
-	}
-	if len(p.comps) == 0 {
+	if p.snapshot || len(n.cbs.Consumers) == 0 {
 		return
 	}
-	if n.cbs.OnReplyBatch != nil {
-		n.cbs.OnReplyBatch(p.comps, p.vals)
-		return
-	}
-	if n.cbs.OnReply != nil {
-		for i := range p.comps {
-			n.cbs.OnReply(&p.comps[i], p.vals[i])
-		}
+	n.buildPlanEvents(p)
+	n.deliver(&p.Commit)
+}
+
+// deliver hands c to every consumer, in list order.
+func (n *Node) deliver(c *Commit) {
+	for _, cons := range n.cbs.Consumers {
+		cons.Committed(c)
 	}
 }
 
@@ -280,7 +259,7 @@ var ownSetPool = sync.Pool{New: func() any { return new(ownSet) }}
 
 func (n *Node) newPlan(cyc uint64) *applyPlan {
 	p := planPool.Get().(*applyPlan)
-	p.cycle = cyc
+	p.Cycle = cyc
 	return p
 }
 
@@ -288,15 +267,16 @@ func (n *Node) newPlan(cyc uint64) *applyPlan {
 // plans do not pin request payloads or store values.
 func (n *Node) freePlan(p *applyPlan) {
 	clear(p.ops)
-	clear(p.comps)
-	clear(p.vals)
-	p.ops, p.comps, p.vals = p.ops[:0], p.comps[:0], p.vals[:0]
-	p.root = nil
+	clear(p.Replies)
+	clear(p.Vals)
+	clear(p.Rejected)
+	p.ops, p.Replies, p.Vals, p.Rejected = p.ops[:0], p.Replies[:0], p.Vals[:0], p.Rejected[:0]
+	p.root, p.Order = nil, nil
 	p.snapshot = false
 	clear(p.outcomes)
 	clear(p.txnEvents)
-	clear(p.events)
-	p.outcomes, p.txnEvents, p.events = p.outcomes[:0], p.txnEvents[:0], p.events[:0]
+	clear(p.Events)
+	p.outcomes, p.txnEvents, p.Events = p.outcomes[:0], p.txnEvents[:0], p.Events[:0]
 	p.expired, p.expiredKeys = p.expired[:0], p.expiredKeys[:0]
 	if set := p.set; set != nil {
 		p.set = nil
@@ -309,18 +289,13 @@ func (n *Node) freePlan(p *applyPlan) {
 }
 
 // reply completes a single request outside the plan path: a lease
-// fast-path read, answered on the apply stage like every other reply (the
-// scratch is the stage's).
+// fast-path read, answered on the apply stage like every other reply, as
+// a Commit of cycle 0 (the scratch is the stage's).
 func (n *Node) reply(req *wire.Request, val []byte) {
-	if n.cbs.OnReplyBatch != nil {
-		n.replyReqs = append(n.replyReqs[:0], *req)
-		n.replyVals = append(n.replyVals[:0], val)
-		n.cbs.OnReplyBatch(n.replyReqs, n.replyVals)
-		return
-	}
-	if n.cbs.OnReply != nil {
-		n.cbs.OnReply(req, val)
-	}
+	c := &n.stage.fastRead
+	c.Replies = append(c.Replies[:0], *req)
+	c.Vals = append(c.Vals[:0], val)
+	n.deliver(c)
 }
 
 // applyMembership folds the cycle's committed membership updates into

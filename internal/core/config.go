@@ -104,7 +104,8 @@ type Config struct {
 	// cycle; its in-memory FS keeps that cheap and deterministic.) A
 	// durability error is fail-stop for the log: it is recorded
 	// (Node.DurabilityError), no further appends are attempted, and the
-	// node keeps serving from memory.
+	// node keeps serving from memory. It is not a Consumer: it must finish
+	// before anything of the cycle is released.
 	Durability Durable
 
 	// LeafTimeout, when non-zero, arms super-leaf eviction (the RCanopus
@@ -219,49 +220,62 @@ type TxnMachine interface {
 	ExpireOwned(owner uint64) []uint64
 }
 
-// Callbacks are optional observation hooks.
+// Callbacks connect a node to its surroundings. They are fixed when the
+// node is built (NewNode, NewJoiner).
 type Callbacks struct {
-	// OnCommit fires when a cycle commits, with the cycle's total order.
-	// Batches must be treated as read-only.
-	OnCommit func(cycle uint64, order []*wire.Batch)
-	// OnReply fires when a client request completes at its serving node
-	// (write committed, or read executed), with the read result when
-	// applicable.
-	OnReply func(req *wire.Request, val []byte)
-	// OnReplyBatch, when set, replaces OnReply: it fires once per group
-	// of completions (typically an entire cycle's own request set) with
-	// the completed requests in order and their read results (nil entries
-	// for writes and read misses). Live servers use it to fan a cycle's
-	// replies out to client connections without per-request callback
-	// overhead. Both slices — and the value bytes they reference — are
-	// only valid during the call and must not be retained. It fires on the
-	// node's apply stage — under a live runner off the machine lock, so
-	// consumers must do their own synchronization.
-	OnReplyBatch func(reqs []wire.Request, vals [][]byte)
-	// OnStall fires once when the node detects its super-leaf has failed
-	// (too few live members) and the consensus process halts (§6).
-	OnStall func()
-	// OnEvicted fires once when the node learns the rest of the cluster
-	// has evicted its super-leaf (an Evicted notice): its state is no
-	// longer part of consensus and it must restart through the join
-	// protocol. When unset, OnStall fires instead.
+	// Consumers receive the node's one output, the committed stream:
+	// every consumer sees every Commit, in list order.
+	Consumers []Consumer
+	// OnEvicted fires once, in the machine turn, when the node learns the
+	// rest of the cluster has evicted its super-leaf (an Evicted notice):
+	// its state is no longer part of consensus and it must restart through
+	// the join protocol.
 	OnEvicted func()
-	// OnEvents fires once per committed cycle, after the cycle's writes
-	// have applied (and, with a Durability hook, after they are durable),
-	// with the cycle's key-change events in committed total order:
+}
+
+// Consumer receives a node's committed stream (§5: each cycle's total
+// order, its writes applied and its reads answered at their positions).
+// The event hub, the client port, the simulator's reply dispatcher and the
+// test and chaos recorders are consumers.
+type Consumer interface {
+	// Committed is called once per committed cycle, strictly in cycle
+	// order, on the node's apply stage: after the cycle has applied and,
+	// with a Durability hook, after the Sync that covers it. A §7.2
+	// fast-path read is answered by a Commit with Cycle 0 that holds only
+	// its reply. Under a live runner it runs off the machine lock, so a
+	// consumer does its own synchronization and must not block. c and its
+	// slices are only valid during the call; event values are immutable
+	// and may be kept (see TxnMachine.ApplyWriteAt).
+	Committed(c *Commit)
+}
+
+// ConsumerFunc adapts a function to a Consumer.
+type ConsumerFunc func(c *Commit)
+
+// Committed calls f(c).
+func (f ConsumerFunc) Committed(c *Commit) { f(c) }
+
+// Commit is one committed cycle as a node's consumers see it.
+type Commit struct {
+	// Cycle is the committed cycle; 0 for a fast-path read reply.
+	Cycle uint64
+	// Order is the cycle's total order. Batches are read-only.
+	Order []*wire.Batch
+	// Events are the cycle's key-change events in committed total order:
 	// plain writes and deletes, committed transaction ops, and the
-	// automatic deletions of an expired session's ephemeral keys. Cycles
-	// with no events still fire (evs empty or nil) so consumers can
-	// advance their cycle watermark. The slice is only valid during the
-	// call; the value bytes are immutable and may be retained (they are
-	// the state machine's own stored copies, see
-	// TxnMachine.ApplyWriteAt). It fires on the node's apply stage, before
-	// the cycle's reply batch.
-	OnEvents func(cycle uint64, evs []wire.Event)
-	// OnSessionReject fires, at apply time, for an own-set mutation whose
-	// session is not in the replicated table (expired or never
-	// registered): the op was NOT applied, deterministically on every
-	// replica, and the serving node must surface the expiry instead of a
-	// normal completion. The request must not be retained.
-	OnSessionReject func(req *wire.Request)
+	// deletions of an expired session's ephemeral keys. Only a TxnMachine
+	// produces events; a cycle without any still commits, so consumers
+	// can advance their cycle watermark.
+	Events []wire.Event
+	// Replies are the requests this node completes in the cycle, in client
+	// arrival order; Vals[i] is the result of Replies[i]: a read's value,
+	// a transaction's encoded verdict, a duplicate's cached result, nil for
+	// a write ack or a read miss.
+	Replies []wire.Request
+	Vals    [][]byte
+	// Rejected are this node's mutations whose session the replicated
+	// table did not know (expired or never registered): deterministically
+	// applied nowhere, so the serving node surfaces the expiry instead of
+	// a completion.
+	Rejected []wire.Request
 }

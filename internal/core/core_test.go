@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,8 +23,14 @@ type testCluster struct {
 	nodes  []*Node
 	stores []*kvstore.Store
 
+	// mu guards what the nodes' consumers record: a node whose stage runs
+	// on a goroutine of its own (GoStage) delivers there.
+	mu      sync.Mutex
 	replies map[wire.NodeID][]replyRec
 	commits map[wire.NodeID][]uint64
+	// onCommit, when set, sees every Commit of every initial node after it
+	// is recorded.
+	onCommit func(id wire.NodeID, c *Commit)
 }
 
 type replyRec struct {
@@ -50,6 +57,9 @@ type clusterOpts struct {
 	bootAt []time.Duration
 	// wrap, when set, stands between the runner and each node.
 	wrap func(*Node) engine.Machine
+	// goStage runs every node's apply stage on a goroutine of its own (the
+	// live driver); replies are then recorded without their time.
+	goStage bool
 }
 
 func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
@@ -84,18 +94,31 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		cfg.Tree = tree
 		cfg.Self = id
 		st := kvstore.NewLogged()
-		cbs := Callbacks{
-			OnReply: func(req *wire.Request, val []byte) {
-				tc.replies[id] = append(tc.replies[id], replyRec{req: *req, val: val, at: sim.Now()})
-			},
-			OnCommit: func(cycle uint64, order []*wire.Batch) {
-				tc.commits[id] = append(tc.commits[id], cycle)
-			},
-		}
+		cbs := Callbacks{Consumers: []Consumer{ConsumerFunc(func(c *Commit) {
+			tc.mu.Lock()
+			defer tc.mu.Unlock()
+			var at time.Duration
+			if !o.goStage {
+				at = sim.Now() // the clock is the simulator goroutine's
+			}
+			for i := range c.Replies {
+				tc.replies[id] = append(tc.replies[id], replyRec{req: c.Replies[i], val: c.Vals[i], at: at})
+			}
+			if c.Cycle != 0 {
+				tc.commits[id] = append(tc.commits[id], c.Cycle)
+			}
+			if tc.onCommit != nil {
+				tc.onCommit(id, c)
+			}
+		})}}
 		if o.onEvicted != nil {
 			cbs.OnEvicted = func() { o.onEvicted(tc, id) }
 		}
 		node := NewNode(cfg, st, cbs)
+		if o.goStage {
+			GoStage(node)
+			t.Cleanup(node.Close)
+		}
 		tc.nodes = append(tc.nodes, node)
 		tc.stores = append(tc.stores, st)
 		var m engine.Machine = node

@@ -25,9 +25,9 @@ import (
 // core.GoStage — and requires the same observable output from both.
 
 // syncLog is a Durability hook over a wal.Manager that remembers how far
-// the log has been appended and synced. Its methods and the node's reply
-// and event callbacks all run on the apply stage, so they need no lock
-// among themselves.
+// the log has been appended and synced. Its methods and the node's
+// consumers all run on the apply stage, so they need no lock among
+// themselves.
 type syncLog struct {
 	mgr              *wal.Manager
 	appended, synced uint64
@@ -49,11 +49,40 @@ func (d *syncLog) Sync() error {
 type driverTrace struct {
 	Events     []string // one line per committed cycle: its key-change events
 	Replies    []string // node 0's replies in delivery order
+	Rejected   []string // node 0's session rejections in delivery order
 	LocalReads []string // ReadLocal results in delivery order
 	WAL        []string // node 0's log records in file order
 	State      []uint64 // StateDigest per node
 	Logs       []uint64 // LogDigest of the nodes that never restarted
-	Early      []string // replies or events released before their cycle's Sync returned
+	Early      []string // anything of a cycle released before its Sync returned
+	// Streams are node 0's committed stream as each of its two consumers
+	// was handed it, one line per Commit.
+	Streams [2][]string
+}
+
+// orphan is a session no replica ever registered.
+const orphan = wire.SessionIDBit | 99
+
+// renderCommit is one line of a committed stream: everything a Commit
+// carries.
+func renderCommit(c *core.Commit) string {
+	line := fmt.Sprintf("%d order", c.Cycle)
+	for _, b := range c.Order {
+		line += fmt.Sprintf(" %d:%d", b.Origin, len(b.Reqs))
+	}
+	line += " events"
+	for _, ev := range c.Events {
+		line += fmt.Sprintf(" %v/%d=%q", ev.Op, ev.Key, ev.Val)
+	}
+	line += " replies"
+	for i := range c.Replies {
+		line += fmt.Sprintf(" %d/%d=%q", c.Replies[i].Client, c.Replies[i].Seq, c.Vals[i])
+	}
+	line += " rejected"
+	for i := range c.Rejected {
+		line += fmt.Sprintf(" %d/%d", c.Rejected[i].Client, c.Rejected[i].Seq)
+	}
+	return line
 }
 
 func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
@@ -77,7 +106,40 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 		t.Fatal(err)
 	}
 	dur := &syncLog{mgr: mgr}
-	delivering := uint64(0) // the cycle whose events were published last
+	// Node 0's consumers: the trace, and a second one that only records the
+	// stream it is handed.
+	trace := core.ConsumerFunc(func(c *core.Commit) {
+		mu.Lock()
+		defer mu.Unlock()
+		out.Streams[0] = append(out.Streams[0], renderCommit(c))
+		early := func(what string) {
+			if dur.synced < c.Cycle {
+				out.Early = append(out.Early, fmt.Sprintf("%s of cycle %d at synced %d", what, c.Cycle, dur.synced))
+			}
+		}
+		early("events")
+		line := fmt.Sprintf("%d:", c.Cycle)
+		for _, ev := range c.Events {
+			line += fmt.Sprintf(" %v/%d=%q", ev.Op, ev.Key, ev.Val)
+		}
+		out.Events = append(out.Events, line)
+		if len(c.Replies) > 0 {
+			early("replies")
+		}
+		for i, req := range c.Replies {
+			out.Replies = append(out.Replies, fmt.Sprintf("%d/%d %v/%d=%q", req.Client, req.Seq, req.Op, req.Key, c.Vals[i]))
+		}
+		for _, req := range c.Rejected {
+			rejected := fmt.Sprintf("%d/%d %v/%d=%q", req.Client, req.Seq, req.Op, req.Key, req.Val)
+			early("rejected " + rejected)
+			out.Rejected = append(out.Rejected, rejected)
+		}
+	})
+	twin := core.ConsumerFunc(func(c *core.Commit) {
+		mu.Lock()
+		defer mu.Unlock()
+		out.Streams[1] = append(out.Streams[1], renderCommit(c))
+	})
 
 	stores := []*kvstore.Store{store0, kvstore.NewLogged(), kvstore.NewLogged()}
 	nodes := make([]*core.Node, 3)
@@ -93,30 +155,7 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 		cbs := core.Callbacks{}
 		if i == 0 {
 			cfg.Durability = dur
-			cbs.OnEvents = func(cycle uint64, evs []wire.Event) {
-				mu.Lock()
-				defer mu.Unlock()
-				delivering = cycle
-				if dur.synced < cycle {
-					out.Early = append(out.Early, fmt.Sprintf("events of cycle %d at synced %d", cycle, dur.synced))
-				}
-				line := fmt.Sprintf("%d:", cycle)
-				for _, ev := range evs {
-					line += fmt.Sprintf(" %v/%d=%q", ev.Op, ev.Key, ev.Val)
-				}
-				out.Events = append(out.Events, line)
-			}
-			cbs.OnReplyBatch = func(reqs []wire.Request, vals [][]byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				if dur.synced < delivering {
-					out.Early = append(out.Early, fmt.Sprintf("replies of cycle %d at synced %d", delivering, dur.synced))
-				}
-				for i := range reqs {
-					out.Replies = append(out.Replies,
-						fmt.Sprintf("%d/%d %v/%d=%q", reqs[i].Client, reqs[i].Seq, reqs[i].Op, reqs[i].Key, vals[i]))
-				}
-			}
+			cbs.Consumers = []core.Consumer{trace, twin}
 		}
 		n := core.NewNode(cfg, stores[i], cbs)
 		start(wire.NodeID(i), n)
@@ -161,6 +200,9 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 	})
 	at(60, func() { nodes[1].Submit(write(3, 1, 12, "remote")) })
 	at(80, func() { nodes[0].Submit(write(1, 3, 13, "third")) })
+	// A write under a session nobody registered: applied nowhere, rejected
+	// at node 0.
+	at(90, func() { nodes[0].Submit(write(orphan, 1, 16, "orphan")) })
 	// Node 2 crashes and, once its peers have seen it fail, comes back
 	// through the join protocol: its first request goes to node 0, whose
 	// snapshot is taken on the stage, and the install rides the joiner's.
@@ -234,13 +276,21 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 
 // TestStageDriversAgree runs the schedule once through each driver and
 // compares everything a node shows the outside: per-cycle event lists,
-// reply order, committed-state reads, replica and log digests and the WAL
-// record sequence — and, in both, that nothing of cycle k was released
-// before the Sync covering k returned.
+// reply order, session rejections, committed-state reads, replica and log
+// digests, the WAL record sequence and the committed stream — and, in
+// both, that nothing of cycle k was released before the Sync covering k
+// returned, and that the node's two consumers were handed one stream.
 func TestStageDriversAgree(t *testing.T) {
 	inline := runDriverSchedule(t, false)
 	if len(inline.Early) != 0 {
 		t.Fatalf("inline driver released before the sync: %v", inline.Early)
+	}
+	want := fmt.Sprintf(`%d/1 write/16="orphan"`, uint64(orphan))
+	if !reflect.DeepEqual(inline.Rejected, []string{want}) {
+		t.Fatalf("rejections %q, want [%s]", inline.Rejected, want)
+	}
+	if len(inline.Streams[0]) != len(inline.Events) || !reflect.DeepEqual(inline.Streams[0], inline.Streams[1]) {
+		t.Fatalf("two consumers of one node were handed different streams:\n%q\n%q", inline.Streams[0], inline.Streams[1])
 	}
 	// The schedule did what it says: the read between the two writes saw
 	// the first, the transaction committed, the parked read was served

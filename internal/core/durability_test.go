@@ -63,7 +63,7 @@ func TestDurableLogMatchesCommitOrder(t *testing.T) {
 		if len(f.cycles) == 0 {
 			t.Fatalf("node %d logged nothing", i)
 		}
-		// Contiguous from 1, mirroring the OnCommit stream.
+		// Contiguous from 1, mirroring the committed stream.
 		for j, c := range f.cycles {
 			if c != uint64(j+1) {
 				t.Fatalf("node %d: append %d has cycle %d (log not contiguous)", i, j, c)

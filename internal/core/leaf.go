@@ -489,19 +489,29 @@ func (n *Node) onEvictedNotice(m *wire.Evicted) {
 		// dead; real evictions keep re-notifying past the grace.
 		return
 	}
-	n.evicted = true
+	n.halt(true)
+}
+
+// halt stops this node's participation (§6 stall semantics): its
+// super-leaf deposed it or lost its majority, or — evicted — the rest of
+// the cluster evicted its leaf. Committed-state reads and session
+// completions waiting for cycles that will not commit here fail, and an
+// eviction tells the operator to restart the node through the join
+// protocol.
+func (n *Node) halt(evicted bool) {
 	n.halted.Store(true)
-	n.stats.evictedSelf.Add(1)
+	if evicted {
+		n.evicted = true
+		n.stats.evictedSelf.Add(1)
+	}
 	if !n.stalled {
 		n.stalled = true
 		n.stats.stalls.Add(1)
 	}
 	n.FailLocalReads()
 	n.FailSessionWaiters()
-	if n.cbs.OnEvicted != nil {
+	if evicted && n.cbs.OnEvicted != nil {
 		n.cbs.OnEvicted()
-	} else if n.cbs.OnStall != nil {
-		n.cbs.OnStall()
 	}
 }
 

@@ -191,11 +191,11 @@ func TestLeafMajorityCrashEviction(t *testing.T) {
 	// Track when the post-fault write lands: the recovery bound.
 	var recoveredAt time.Duration
 	tc.sim.At(350*time.Millisecond, func() {
-		tc.nodes[1].SetOnCommit(func(cycle uint64, order []*wire.Batch) {
-			if recoveredAt == 0 && tc.stores[1].LogLen() >= 7 {
+		tc.onCommit = func(id wire.NodeID, c *Commit) {
+			if id == 1 && c.Cycle != 0 && recoveredAt == 0 && tc.stores[1].LogLen() >= 7 {
 				recoveredAt = tc.sim.Now()
 			}
-		})
+		}
 	})
 	// Restart the crashed majority as joiners well after the eviction.
 	tc.sim.At(3*time.Second, func() { tc.restartAsJoiner(6, evictionCfg(), nil) })

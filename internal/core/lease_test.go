@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -64,19 +63,8 @@ func TestWriteLeaseDefersConflictingReads(t *testing.T) {
 // Write leases no longer choose a commit path; this is the case that used
 // to force the in-turn one.
 func TestWriteLeaseFastReadOnGoroutineStage(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: Config{WriteLeases: true, LeaseTTL: 2}})
-	var mu sync.Mutex // replies arrive on the stages' goroutines
-	replies := make(map[wire.NodeID][]replyRec)
-	for i, n := range tc.nodes {
-		id := wire.NodeID(i)
-		n.SetOnReply(func(req *wire.Request, val []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			replies[id] = append(replies[id], replyRec{req: *req, val: append([]byte(nil), val...)})
-		})
-		GoStage(n)
-		defer n.Close()
-	}
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: Config{WriteLeases: true, LeaseTTL: 2}, goStage: true})
+	replies := tc.replies // written on the stages' goroutines under tc.mu
 	step := func(until time.Duration) {
 		for now := tc.sim.Now() + time.Millisecond; now <= until; now += time.Millisecond {
 			tc.run(now)
@@ -93,15 +81,18 @@ func TestWriteLeaseFastReadOnGoroutineStage(t *testing.T) {
 		tc.submitAt(time.Duration(200+100*i)*time.Millisecond, 0, wr(1, 2+i, 60+i, i))
 	}
 	step(time.Second)
-	if got := len(replies[0]); got != 7 {
-		t.Fatalf("%d of 7 writes answered", got)
+	tc.mu.Lock()
+	answered := len(replies[0])
+	tc.mu.Unlock()
+	if answered != 7 {
+		t.Fatalf("%d of 7 writes answered", answered)
 	}
 
 	started := tc.nodes[1].Started()
 	tc.submitAt(tc.sim.Now()+time.Millisecond, 1, rd(9, 1, 50))
 	step(tc.sim.Now() + 5*time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	if got := replies[1]; len(got) != 1 || len(got[0].val) != 8 || got[0].val[0] != 5 {
 		t.Fatalf("fast-path read answered %v, want one reply with the committed 5", got)
 	}
@@ -123,13 +114,12 @@ func TestLinearizableHistory(t *testing.T) {
 	}
 	pending := make(map[[2]uint64]inflight) // (client,seq) -> op
 	var history []lincheck.Op
-	for i := range tc.nodes {
-		id := wire.NodeID(i)
-		tc.nodes[i].SetOnReply(func(req *wire.Request, val []byte) {
-			k := [2]uint64{req.Client, req.Seq}
+	tc.onCommit = func(_ wire.NodeID, c *Commit) {
+		for i := range c.Replies {
+			k := [2]uint64{c.Replies[i].Client, c.Replies[i].Seq}
 			op, ok := pending[k]
 			if !ok {
-				return
+				continue
 			}
 			delete(pending, k)
 			rec := lincheck.Op{
@@ -138,12 +128,11 @@ func TestLinearizableHistory(t *testing.T) {
 			}
 			if op.kind == lincheck.OpWrite {
 				rec.Value = op.wrote
-			} else if len(val) == 8 {
+			} else if val := c.Vals[i]; len(val) == 8 {
 				rec.Value = uint64(val[0])
 			}
 			history = append(history, rec)
-			_ = id
-		})
+		}
 	}
 	submit := func(at time.Duration, node wire.NodeID, req wire.Request, kind lincheck.OpKind, wrote uint64) {
 		tc.sim.At(at, func() {

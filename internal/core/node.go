@@ -248,11 +248,6 @@ type Node struct {
 	stallDetected atomic.Bool
 	halted        atomic.Bool
 	nextCycleAt   time.Duration // phase-anchored cycle timer target
-
-	// replyReqs/replyVals are the reusable completion-batch scratch of
-	// Node.reply (valid only during the callback).
-	replyReqs []wire.Request
-	replyVals [][]byte
 }
 
 type heldWrite struct {
@@ -946,24 +941,3 @@ func (n *Node) DebugCycle(k uint64) string {
 	return fmt.Sprintf("cycle %d: started=%v cause=%s round=%d complete=%v r1=%d children=%d waiting=%d missing=[%s] fetches=[%s]",
 		k, c.started, cause, c.round, c.complete, len(c.r1), len(c.child), len(c.waiting), miss, fd)
 }
-
-// SetOnReply installs or replaces the per-request completion callback.
-func (n *Node) SetOnReply(fn func(req *wire.Request, val []byte)) { n.cbs.OnReply = fn }
-
-// SetOnReplyBatch installs or replaces the batched completion callback
-// (see Callbacks.OnReplyBatch); it takes precedence over OnReply.
-func (n *Node) SetOnReplyBatch(fn func(reqs []wire.Request, vals [][]byte)) {
-	n.cbs.OnReplyBatch = fn
-}
-
-// SetOnCommit installs or replaces the cycle-commit callback.
-func (n *Node) SetOnCommit(fn func(cycle uint64, order []*wire.Batch)) { n.cbs.OnCommit = fn }
-
-// SetOnSessionReject installs or replaces the expired-session callback
-// (see Callbacks.OnSessionReject).
-func (n *Node) SetOnSessionReject(fn func(req *wire.Request)) { n.cbs.OnSessionReject = fn }
-
-// SetOnEvents installs or replaces the per-cycle key-change event
-// callback (see Callbacks.OnEvents). Install before driving the node: the
-// callback fires on the apply stage.
-func (n *Node) SetOnEvents(fn func(cycle uint64, evs []wire.Event)) { n.cbs.OnEvents = fn }

@@ -55,9 +55,9 @@ func (n *Node) RestoreState(cycle uint64, sessions []wire.SessionState) {
 // ReplayCommit re-commits one durable cycle from its logged root
 // proposal. Must be called before Init, in cycle order. The write set
 // and session-table evolution reproduce the original commit exactly;
-// completion records are not materialized (their clients did not survive
-// the crash) and OnCommit does not fire (the cycle was already counted
-// before the outage). The root is retained in the recent-state window so
+// no Commit reaches the consumers (the clients and watchers of the cycle
+// did not survive the crash; a hub sees the replayed cycles as a gap). The
+// root is retained in the recent-state window so
 // lagging peers can root-catch-up from this node after restart.
 func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	if cycle != n.committed+1 {

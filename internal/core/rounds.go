@@ -81,14 +81,7 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 		// The super-leaf deposed this node's broadcast group: the rest
 		// of the rack considers us dead. Crash-stop semantics forbid
 		// continuing; halt until restarted through the join protocol.
-		n.stalled = true
-		n.halted.Store(true)
-		n.stats.stalls.Add(1)
-		n.FailLocalReads() // their awaited cycles will not commit here
-		n.FailSessionWaiters()
-		if n.cbs.OnStall != nil {
-			n.cbs.OnStall()
-		}
+		n.halt(false)
 		return
 	}
 	if n.closedPeers[peer] {
@@ -107,14 +100,7 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 		}
 	}
 	if live < len(n.tree.SuperLeaf(n.sl).Members)/2+1 {
-		n.stalled = true
-		n.halted.Store(true)
-		n.stats.stalls.Add(1)
-		n.FailLocalReads() // their awaited cycles will not commit here
-		n.FailSessionWaiters()
-		if n.cbs.OnStall != nil {
-			n.cbs.OnStall()
-		}
+		n.halt(false)
 		return
 	}
 	// Re-evaluate all in-flight cycles stuck in round 1.

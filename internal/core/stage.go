@@ -16,9 +16,10 @@ import (
 // completion records. The stage takes the plan from there and owns
 // everything downstream of the order: it applies the operations, runs
 // this node's reads at their recorded positions, advances the applied
-// watermark, appends the root to the WAL, group-syncs, publishes the
-// cycle's events, delivers its replies and serves the committed-state
-// reads parked on it — on one goroutine, strictly in cycle order. Nothing
+// watermark, appends the root to the WAL, group-syncs, hands the cycle to
+// the node's consumers as one Commit (deliverPlan) and serves the
+// committed-state reads parked on it — on one goroutine, strictly in cycle
+// order. Nothing
 // else touches the state machine once a node runs; whoever needs to look
 // at it asks the stage (Node.InspectApplied).
 //
@@ -49,19 +50,17 @@ type planOp struct {
 }
 
 // applyPlan is one committed cycle's work order for the apply stage,
-// produced by order resolution.
+// produced by order resolution. Its Commit is what the consumers receive:
+// Order and the completion records — Replies in client arrival order,
+// Rejected — are filled at resolve time, Vals at resolve time for
+// duplicate-cached mutations and by the apply stage for reads (nil for
+// plain write acks), Events just before delivery.
 type applyPlan struct {
-	cycle uint64
+	Commit
 	// ops is the cycle's state-machine work in total order.
 	ops []planOp
-	// comps/vals are the node's own completion records in client arrival
-	// order: the requests this node must answer and their reply values
-	// (filled at resolve time for duplicate-cached mutations, by the
-	// apply stage for reads, nil for plain write acks).
-	comps []wire.Request
-	vals  [][]byte
 	// set is the cycle's own request set, recycled once the plan is done
-	// (its reqs back the ops/comps entries until then).
+	// (its reqs back the ops entries until then).
 	set *ownSet
 	// root is the cycle's committed root proposal, which the stage logs
 	// (given a Durability hook) before releasing the plan's replies; nil
@@ -81,9 +80,6 @@ type applyPlan struct {
 	// order; committed ops' events sit in txnEvents[start:start+count].
 	outcomes  []txnOutcome
 	txnEvents []wire.Event
-	// events is the cycle's key-change event list in committed total
-	// order, built by buildPlanEvents just before delivery.
-	events []wire.Event
 }
 
 // txnOutcome is one evaluated transaction's verdict within a plan.
@@ -112,10 +108,12 @@ type stage struct {
 
 	parked []localRead // committed-state reads awaiting their min cycle
 	// durPending are applied-but-unsynced plans: their cycles' records
-	// sit in the WAL buffer, and their replies are withheld until the
+	// sit in the WAL buffer, and their delivery is withheld until the
 	// batch's single Sync — the group commit. Only used with a
 	// Durability hook.
 	durPending []*applyPlan
+	// fastRead is the Commit that carries a §7.2 fast-path read's reply.
+	fastRead Commit
 }
 
 // stageCmd kinds.
@@ -155,7 +153,7 @@ func (s *stage) start(spawn func(func())) {
 // driver, or a closed stage once its goroutine has drained what was queued
 // and exited — it is drained here, on the caller's goroutine, before
 // submit returns: after Close a plan still applies (protocol state must
-// not silently diverge from the store; its replies go to callbacks that
+// not silently diverge from the store; its Commit goes to consumers that
 // find no client) and a read that cannot be served fails.
 func (s *stage) submit(c stageCmd) {
 	s.mu.Lock()
@@ -244,9 +242,9 @@ func (s *stage) handle(c *stageCmd) {
 	switch c.kind {
 	case cmdPlan:
 		n.applyPlan(c.plan)
-		n.applied.Store(c.plan.cycle)
-		if n.appendDurable(c.plan.cycle, c.plan.root) {
-			// Group commit: the record is buffered; replies wait for the
+		n.applied.Store(c.plan.Cycle)
+		if n.appendDurable(c.plan.Cycle, c.plan.root) {
+			// Group commit: the record is buffered; delivery waits for the
 			// batch's Sync. Parked reads do not — they observe the applied
 			// watermark, which durability never gates.
 			s.durPending = append(s.durPending, c.plan)
@@ -271,8 +269,7 @@ func (s *stage) handle(c *stageCmd) {
 }
 
 // flushDurable ends one group commit: a single Sync covers every plan
-// appended since the last flush, then their replies go out in cycle
-// order.
+// appended since the last flush, then they are delivered in cycle order.
 func (s *stage) flushDurable() {
 	if len(s.durPending) == 0 {
 		return
@@ -343,18 +340,13 @@ func (n *Node) applyPlan(p *applyPlan) {
 		case op.req.Op == wire.OpTxn:
 			n.applyTxnOp(p, op)
 		case op.comp >= 0:
-			p.vals[op.comp] = n.sm.Read(op.req.Key)
+			p.Vals[op.comp] = n.sm.Read(op.req.Key)
 		case n.tm == nil:
 			n.sm.ApplyWrite(op.req)
-			if n.cbs.OnEvents != nil && op.req.Val != nil && !p.snapshot {
-				// A plain StateMachine does not say what it stored, and the
-				// request's bytes are recycled with the plan.
-				op.stored = append([]byte(nil), op.req.Val...)
-			}
 		case p.snapshot:
 			n.tm.ApplyWriteAt(op.req, op.req.Seq, op.req.Client)
 		default:
-			op.stored = n.tm.ApplyWriteAt(op.req, p.cycle, 0)
+			op.stored = n.tm.ApplyWriteAt(op.req, p.Cycle, 0)
 		}
 	}
 	n.applyExpiry(p)

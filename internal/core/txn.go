@@ -30,7 +30,7 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 		// result was displaced by a later txn on the same session — the
 		// serving layer surfaces an explicit error rather than guessing.
 		if op.comp >= 0 {
-			p.vals[op.comp] = n.sessions.CachedTxn(req.Client, req.Seq)
+			p.Vals[op.comp] = n.sessions.CachedTxn(req.Client, req.Seq)
 		}
 		return
 	}
@@ -68,7 +68,7 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 				}
 				treq.Op, treq.Key, treq.Val = top.Op, top.Key, top.Val
 				// The event carries the store's copy, not the decode scratch.
-				val := n.tm.ApplyWriteAt(&treq, p.cycle, owner)
+				val := n.tm.ApplyWriteAt(&treq, p.Cycle, owner)
 				p.txnEvents = append(p.txnEvents, wire.Event{Op: top.Op, Key: top.Key, Val: val})
 			}
 		}
@@ -85,7 +85,7 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 		n.sessions.RecordTxn(req.Client, req.Seq, resBytes)
 	}
 	if op.comp >= 0 {
-		p.vals[op.comp] = resBytes
+		p.Vals[op.comp] = resBytes
 	}
 }
 
@@ -122,16 +122,21 @@ func (n *Node) applyExpiry(p *applyPlan) {
 // committed total order: plan ops front to back (plain mutations
 // directly, transactions from their recorded outcomes), then the
 // expiry tail's deletions. Event values are the state machine's own
-// stored copies (planOp.stored), which outlive the plan.
+// stored copies (planOp.stored), which outlive the plan; a plain
+// StateMachine does not say what it stored, so only a TxnMachine has
+// events.
 func (n *Node) buildPlanEvents(p *applyPlan) {
+	if n.tm == nil {
+		return
+	}
 	oi := 0
 	for i := range p.ops {
 		op := &p.ops[i]
 		switch op.req.Op {
 		case wire.OpWrite:
-			p.events = append(p.events, wire.Event{Op: wire.OpWrite, Key: op.req.Key, Val: op.stored})
+			p.Events = append(p.Events, wire.Event{Op: wire.OpWrite, Key: op.req.Key, Val: op.stored})
 		case wire.OpDelete:
-			p.events = append(p.events, wire.Event{Op: wire.OpDelete, Key: op.req.Key})
+			p.Events = append(p.Events, wire.Event{Op: wire.OpDelete, Key: op.req.Key})
 		case wire.OpTxn:
 			if op.dup {
 				continue
@@ -139,11 +144,11 @@ func (n *Node) buildPlanEvents(p *applyPlan) {
 			out := p.outcomes[oi]
 			oi++
 			if out.committed {
-				p.events = append(p.events, p.txnEvents[out.start:out.start+out.count]...)
+				p.Events = append(p.Events, p.txnEvents[out.start:out.start+out.count]...)
 			}
 		}
 	}
 	for _, k := range p.expiredKeys {
-		p.events = append(p.events, wire.Event{Op: wire.OpDelete, Key: k})
+		p.Events = append(p.Events, wire.Event{Op: wire.OpDelete, Key: k})
 	}
 }

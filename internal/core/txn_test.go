@@ -117,7 +117,7 @@ func TestTxnCycleGuard(t *testing.T) {
 	}
 }
 
-// TestEventsMatchAcrossReplicas subscribes every node's OnEvents hook
+// TestEventsMatchAcrossReplicas watches every node's committed stream
 // and checks each replica observes the identical event sequence — same
 // cycles, ops, keys and values, in committed total order — and that a
 // committed transaction's ops appear while an aborted one's do not.
@@ -128,18 +128,15 @@ func TestEventsMatchAcrossReplicas(t *testing.T) {
 		evs   []wire.Event
 	}
 	got := make([][]cycleEvents, len(tc.nodes))
-	for i, n := range tc.nodes {
-		i := i
-		n.SetOnEvents(func(cycle uint64, evs []wire.Event) {
-			if len(evs) == 0 {
-				return
-			}
-			cp := make([]wire.Event, len(evs))
-			for j, ev := range evs {
-				cp[j] = wire.Event{Op: ev.Op, Key: ev.Key, Val: append([]byte(nil), ev.Val...)}
-			}
-			got[i] = append(got[i], cycleEvents{cycle: cycle, evs: cp})
-		})
+	tc.onCommit = func(id wire.NodeID, c *Commit) {
+		if len(c.Events) == 0 {
+			return
+		}
+		cp := make([]wire.Event, len(c.Events))
+		for j, ev := range c.Events {
+			cp[j] = wire.Event{Op: ev.Op, Key: ev.Key, Val: append([]byte(nil), ev.Val...)}
+		}
+		got[id] = append(got[id], cycleEvents{cycle: c.Cycle, evs: cp})
 	}
 
 	tc.submitAt(time.Millisecond, 0, wr(1, 1, 40, 1))
@@ -207,13 +204,13 @@ func TestEventsMatchAcrossReplicas(t *testing.T) {
 func TestEphemeralExpiryDeletesOwnedKeys(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3})
 	var deletions []uint64
-	tc.nodes[1].SetOnEvents(func(cycle uint64, evs []wire.Event) {
-		for _, ev := range evs {
-			if ev.Op == wire.OpDelete {
+	tc.onCommit = func(id wire.NodeID, c *Commit) {
+		for _, ev := range c.Events {
+			if id == 1 && ev.Op == wire.OpDelete {
 				deletions = append(deletions, ev.Key)
 			}
 		}
-	})
+	}
 
 	var sess uint64
 	tc.sim.At(time.Millisecond, func() {

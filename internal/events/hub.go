@@ -1,7 +1,7 @@
 // Package events is the node-local watch engine behind the event plane:
-// it turns the committed apply stream (core.Callbacks.OnEvents) into
-// per-watcher change feeds that are in commit-cycle order, exactly-once
-// and gap-free.
+// it turns a node's committed stream — the hub is one of the node's
+// core.Consumers — into per-watcher change feeds that are in commit-cycle
+// order, exactly-once and gap-free.
 //
 // One Hub serves one node. Publish consumes each committed cycle's
 // change events; Watch registers a consumer for a key, a key prefix or
@@ -9,9 +9,10 @@
 // so a watcher can resume from a cycle number after a reconnect or
 // failover: registration replays the retained events from the resume
 // point and atomically joins the live set, so the feed has no seam. A
-// resume point that has already been evicted fails with
-// ErrWatchOverflow — the consumer must re-read current state instead of
-// trusting the feed.
+// resume point that has already been evicted — or that the hub's first
+// cycles skipped, because the node recovered or installed them without
+// publishing — fails with ErrWatchOverflow: the consumer must re-read
+// current state instead of trusting the feed.
 //
 // Delivery is synchronous and order-preserving: sinks run under the
 // hub mutex, on whatever goroutine called Publish (the node's apply
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"canopus/internal/core"
 	"canopus/internal/metrics"
 	"canopus/internal/wire"
 )
@@ -113,9 +115,7 @@ type Hub struct {
 	maxBytes  int
 
 	// evictedThrough is the highest cycle whose events may be lost:
-	// resume is gap-free iff SinceCycle > evictedThrough. It starts at
-	// the floor (the node's committed watermark when the hub attached —
-	// everything at or before it predates the hub's view).
+	// resume is gap-free iff SinceCycle > evictedThrough.
 	evictedThrough uint64
 	lastCycle      uint64
 
@@ -127,9 +127,8 @@ type Hub struct {
 
 // Options bounds a hub's history.
 type Options struct {
-	HistoryCycles int    // retained non-empty cycles (default DefaultHistoryCycles)
-	HistoryBytes  int    // retained event bytes (default DefaultHistoryBytes)
-	Floor         uint64 // committed watermark at attach; cycles <= Floor are pre-history
+	HistoryCycles int // retained non-empty cycles (default DefaultHistoryCycles)
+	HistoryBytes  int // retained event bytes (default DefaultHistoryBytes)
 }
 
 // NewHub builds a hub with the given bounds.
@@ -141,16 +140,18 @@ func NewHub(o Options) *Hub {
 		o.HistoryBytes = DefaultHistoryBytes
 	}
 	return &Hub{
-		watchers:       make(map[uint64]*watcher),
-		maxCycles:      o.HistoryCycles,
-		maxBytes:       o.HistoryBytes,
-		evictedThrough: o.Floor,
-		lastCycle:      o.Floor,
+		watchers:  make(map[uint64]*watcher),
+		maxCycles: o.HistoryCycles,
+		maxBytes:  o.HistoryBytes,
 	}
 }
 
-// Publish consumes one committed cycle's events, in commit order —
-// wire it to core.Callbacks.OnEvents (or Node.SetOnEvents). Empty
+// Committed publishes one Commit of the node's committed stream: the hub
+// is a core.Consumer. A fast-path read reply (cycle 0) carries no events
+// and is ignored like any cycle already seen.
+func (h *Hub) Committed(c *core.Commit) { h.Publish(c.Cycle, c.Events) }
+
+// Publish consumes one committed cycle's events, in commit order. Empty
 // cycles must be published too: they advance the resume watermark.
 // The evs slice need only be valid for the call, but the value bytes
 // must never change afterwards: the history shares them instead of
@@ -165,8 +166,15 @@ func (h *Hub) Publish(cycle uint64, evs []wire.Event) {
 	if cycle > h.lastCycle+1 {
 		// Cycles committed outside this hub's view (snapshot install on a
 		// joiner, crash-recovery replay): their events are unobtainable,
-		// so a resume below here must fail instead of silently skipping.
+		// so a resume below here must fail instead of silently skipping —
+		// and so must every live watch that resumed from below cycle (one
+		// resuming at cycle or later needs none of the skipped cycles).
 		h.evictedThrough = cycle - 1
+		for _, w := range h.watchers {
+			if w.spec.SinceCycle != 0 && w.spec.SinceCycle < cycle {
+				h.killLocked(w)
+			}
+		}
 	}
 	h.lastCycle = cycle
 	if len(evs) == 0 {

@@ -189,8 +189,11 @@ func TestCancelStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestFloorGatesPreHistoryResume: a hub whose node recovered or installed
+// cycles 1..100 sees its first cycle, 101, as a gap — the floor of its
+// history — whenever it was built.
 func TestFloorGatesPreHistoryResume(t *testing.T) {
-	h := NewHub(Options{Floor: 100})
+	h := NewHub(Options{})
 	h.Publish(101, []wire.Event{ev(wire.OpWrite, 1, "x")})
 	if _, err := h.Watch(Spec{PrefixBits: 0, SinceCycle: 90}, (&collect{}).sink); !errors.Is(err, ErrWatchOverflow) {
 		t.Fatalf("pre-floor resume: err = %v, want ErrWatchOverflow", err)
@@ -227,6 +230,38 @@ func TestPublishGapEvictsResume(t *testing.T) {
 	}
 	if len(c.notes) != 1 || c.notes[0].Cycle != 10 {
 		t.Fatalf("replay = %+v", c.notes)
+	}
+}
+
+// TestPublishGapOverflowsResumedWatch: a resume accepted before the hub's
+// first publish — a node that recovered its log, or a joiner — asked for
+// cycles the hub then skips. It must be told, not fed from past the gap;
+// a live-only watch promised no history, and a watch resuming at or past
+// the first published cycle needs none of the skipped ones: both stay.
+func TestPublishGapOverflowsResumedWatch(t *testing.T) {
+	h := NewHub(Options{})
+	resumed, live, ahead := &collect{}, &collect{}, &collect{}
+	if _, err := h.Watch(Spec{PrefixBits: 0, SinceCycle: 5}, resumed.sink); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Watch(Spec{PrefixBits: 0}, live.sink); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Watch(Spec{PrefixBits: 0, SinceCycle: 501}, ahead.sink); err != nil {
+		t.Fatal(err)
+	}
+	h.Publish(501, []wire.Event{ev(wire.OpWrite, 1, "x")})
+	if !resumed.dead || len(resumed.notes) != 0 {
+		t.Fatalf("watch resumed at 5 across the gap to 501: overflowed=%v notes=%+v", resumed.dead, resumed.notes)
+	}
+	if live.dead || len(live.notes) != 1 || live.notes[0].Cycle != 501 {
+		t.Fatalf("live-only watch: overflowed=%v notes=%+v", live.dead, live.notes)
+	}
+	if ahead.dead || len(ahead.notes) != 1 || ahead.notes[0].Cycle != 501 {
+		t.Fatalf("watch resumed at 501: overflowed=%v notes=%+v", ahead.dead, ahead.notes)
+	}
+	if h.Active() != 2 {
+		t.Fatalf("active = %d, want 2", h.Active())
 	}
 }
 

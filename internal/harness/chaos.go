@@ -363,9 +363,10 @@ func referenceNode(n int, plan netsim.FaultPlan) wire.NodeID {
 // newDurableNode builds node id's store and storage engine over its
 // persistent in-sim disk, recovering whatever an earlier incarnation made
 // durable — used at boot (empty disk: recovery is a no-op) and by the
-// restart factory after a power loss. The sim runs the serial commit
-// path, so every cycle appends and fsyncs inside its machine turn and the
-// durable watermark equals the committed watermark at any crash instant.
+// restart factory after a power loss. The simulator drains the apply
+// stage inline, so every cycle appends and fsyncs inside its machine turn
+// and the durable watermark equals the committed watermark at any crash
+// instant.
 func (r *chaosRun) newDurableNode(id wire.NodeID) *core.Node {
 	st := r.newStore(id)
 	mgr, err := wal.Open(wal.Options{FS: r.disks[id], Store: st, SnapshotCycles: r.spec.SnapshotCycles})
@@ -395,20 +396,25 @@ func (r *chaosRun) newStore(id wire.NodeID) *kvstore.Store {
 }
 
 func (r *chaosRun) callbacks(id wire.NodeID) core.Callbacks {
-	cbs := core.Callbacks{
-		OnReply: func(req *wire.Request, val []byte) { r.onReply(req, val) },
-	}
+	cbs := core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })}}
 	if r.spec.Node.LeafTimeout > 0 && r.spec.EvictRestartDelay > 0 {
 		cbs.OnEvicted = func() { r.onEvicted(id) }
 	}
-	if id == r.ref {
-		cbs.OnCommit = func(cycle uint64, order []*wire.Batch) {
-			r.commits = cycle
-			r.avail.Record(r.sim.Now())
-			r.commitDigest = digestCommit(r.commitDigest, cycle, order)
-		}
-	}
 	return cbs
+}
+
+// committed records node id's committed stream: every reply, and — at the
+// reference node — each committed cycle, into the commit digest and the
+// availability trace.
+func (r *chaosRun) committed(id wire.NodeID, c *core.Commit) {
+	for i := range c.Replies {
+		r.onReply(&c.Replies[i], c.Vals[i])
+	}
+	if id == r.ref && c.Cycle != 0 {
+		r.commits = c.Cycle
+		r.avail.Record(r.sim.Now())
+		r.commitDigest = digestCommit(r.commitDigest, c.Cycle, c.Order)
+	}
 }
 
 // onEvicted handles an Evicted notice at node id: the rest of the

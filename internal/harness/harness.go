@@ -332,16 +332,14 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			if spec.SwitchBcast {
 				cfg.Broadcast = core.BroadcastSwitch
 			}
-			cbs := core.Callbacks{
-				OnCommit: func(cycle uint64, order []*wire.Batch) {
-					now := sim.Now()
-					for _, b := range order {
-						if b.Origin == id {
-							rec.RecordBatch(now, b)
-						}
+			cbs := core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) {
+				now := sim.Now()
+				for _, b := range c.Order {
+					if b.Origin == id {
+						rec.RecordBatch(now, b)
 					}
-				},
-			}
+				}
+			})}}
 			if joiner {
 				return core.NewJoiner(cfg, nil, cbs)
 			}

@@ -204,10 +204,18 @@ func Start(cfg Config) (*Cluster, error) {
 			}
 			nodeCfg.Durability = mgr
 		}
-		node := core.NewNode(nodeCfg, st, c.nodeCallbacks(i))
+		port, err := NewClientPort(c.runners[i], "127.0.0.1:0")
+		if err != nil {
+			c.kill()
+			return nil, err
+		}
+		c.ports = append(c.ports, port)
+		hub := events.NewHub(events.Options{})
+		node := core.NewNode(nodeCfg, st, c.nodeCallbacks(i, hub, port))
 		c.stores = append(c.stores, st)
 		c.nodes = append(c.nodes, node)
 		c.mgrs = append(c.mgrs, mgr)
+		c.hubs = append(c.hubs, hub)
 		if mgr != nil {
 			// Recover before Attach (Init) and before the port accepts:
 			// the node rejoins consensus and serves clients only from its
@@ -220,20 +228,7 @@ func Start(cfg Config) (*Cluster, error) {
 					i, info.Durable, info.SnapshotCycle, info.Replayed)
 			}
 		}
-		port, err := NewClientPort(c.runners[i], node, "127.0.0.1:0")
-		if err != nil {
-			c.kill()
-			return nil, err
-		}
-		c.ports = append(c.ports, port)
-		// The event hub attaches at the node's recovered watermark:
-		// replayed cycles predate its view (their events never fired), so
-		// the floor gates any resume into them. Wired before Attach so no
-		// committed cycle can slip past the publish callback.
-		hub := events.NewHub(events.Options{Floor: node.Committed()})
-		node.SetOnEvents(hub.Publish)
-		port.SetHub(hub)
-		c.hubs = append(c.hubs, hub)
+		port.SetNode(node, hub)
 		if c.reg != nil {
 			nodeLabel := metrics.Label{Key: "node", Value: strconv.Itoa(i)}
 			node.RegisterMetrics(c.reg, nodeLabel)
@@ -260,9 +255,9 @@ func Start(cfg Config) (*Cluster, error) {
 			c.admins = append(c.admins, srv)
 		}
 	}
-	// Attach only after every client port exists, so no node commits
-	// into a nil reply callback — and synchronously, so Submit works the
-	// moment Start returns (the canopus.Cluster contract).
+	// Attach only after every node is built and bound to its port — and
+	// synchronously, so Submit works the moment Start returns (the
+	// canopus.Cluster contract).
 	for i := 0; i < n; i++ {
 		c.runners[i].Attach(c.nodes[i])
 	}
@@ -296,9 +291,12 @@ func snapshotVerb(mgr *wal.Manager) func() error {
 	}
 }
 
-// nodeCallbacks builds node i's core callbacks from the cluster config.
-func (c *Cluster) nodeCallbacks(i int) core.Callbacks {
-	cbs := core.Callbacks{}
+// nodeCallbacks builds node i's core callbacks: its event hub and client
+// port consume the committed stream — the hub first, so a cycle's events
+// are published before its replies go out — and the cluster config's
+// eviction hook.
+func (c *Cluster) nodeCallbacks(i int, hub *events.Hub, port *ClientPort) core.Callbacks {
+	cbs := core.Callbacks{Consumers: []core.Consumer{hub, port}}
 	if c.cfg.OnEvicted != nil {
 		cbs.OnEvicted = func() { c.cfg.OnEvicted(i) }
 	}
@@ -376,9 +374,8 @@ func (c *Cluster) RestartNode(i int) error {
 	nodeCfg.Tree = c.Tree
 	nodeCfg.Self = wire.NodeID(i)
 	st := c.newStore()
-	node := core.NewJoiner(nodeCfg, st, c.nodeCallbacks(i))
-	hub := events.NewHub(events.Options{Floor: node.Committed()})
-	node.SetOnEvents(hub.Publish)
+	hub := events.NewHub(events.Options{})
+	node := core.NewJoiner(nodeCfg, st, c.nodeCallbacks(i, hub, c.ports[i]))
 
 	c.mu.Lock()
 	c.nodes[i], c.stores[i], c.hubs[i] = node, st, hub

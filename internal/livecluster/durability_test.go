@@ -83,6 +83,7 @@ func TestDurableRestartRecoversState(t *testing.T) {
 	if !c1.Stop(10 * time.Second) {
 		t.Fatal("graceful stop did not drain")
 	}
+	durable := c1.Durability(0).Stats().DurableCycle
 
 	// Restart the whole deployment from the same disks.
 	c2, err := Start(durableConfig(disks))
@@ -90,6 +91,18 @@ func TestDurableRestartRecoversState(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer c2.Stop(5 * time.Second)
+
+	// A live-only watch's ack is its resume point. The recovered cycles
+	// are never published, so the ack must not fall below them, or the
+	// watch's first resume would ask for history no node has.
+	w, err := dialClient(t, c2, 0).Watch(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.LastCycle() < durable {
+		t.Fatalf("watch ack cycle %d below the recovered cycle %d", w.LastCycle(), durable)
+	}
+	w.Close()
 
 	// Reads go through consensus, so a successful read through each node
 	// proves each recovered replica is serving.

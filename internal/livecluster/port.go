@@ -36,12 +36,12 @@ const maxGroup = 512
 // buffers.
 //
 // Replies are fanned out batch-aware and off the consensus turn: the
-// port owns the node's OnReplyBatch callback — which fires on the node's
-// apply stage, not inside the machine turn — and one committed cycle
-// costs one pass over its completion records, encoded into
-// per-connection output buffers (pooled) that per-connection writer
-// goroutines flush. Neither the reply encode nor the socket write ever
-// holds the node's machine lock.
+// port is one of the node's core.Consumers — called on the node's apply
+// stage, not inside the machine turn — and one committed cycle costs one
+// pass over its completion records, encoded into per-connection output
+// buffers (pooled) that per-connection writer goroutines flush. Neither
+// the reply encode nor the socket write ever holds the node's machine
+// lock.
 type ClientPort struct {
 	runner *transport.Runner
 	// nodeP is the serving protocol node. It is an atomic pointer, not a
@@ -52,9 +52,12 @@ type ClientPort struct {
 	ln    net.Listener
 
 	// hubP is the node's event hub; nil disables the watch surface
-	// (WATCH frames are rejected, TXN frames still work). Set before
-	// AcceptClients; swapped together with the node by SetNode.
+	// (WATCH frames are rejected, TXN frames still work). Swapped together
+	// with the node by SetNode.
 	hubP atomic.Pointer[events.Hub]
+	// bound is the node's committed watermark at SetNode — the cycle it
+	// recovered to, which the hub never publishes: a WATCH ack's floor.
+	bound atomic.Uint64
 
 	draining    atomic.Bool
 	outstanding atomic.Int64 // accepted-but-unanswered requests
@@ -123,14 +126,15 @@ type clientConn struct {
 	closing bool
 }
 
-// NewClientPort binds the client protocol for node on addr (e.g.
-// "127.0.0.1:0") and installs itself as the node's reply callback. The
-// port does NOT accept connections yet: call AcceptClients once the node
-// is ready to serve — in particular, after crash recovery has replayed
-// the WAL. Binding early and accepting late means a restarting server
-// owns its advertised address immediately without ever exposing
-// mid-recovery state to a client.
-func NewClientPort(runner *transport.Runner, node *core.Node, addr string) (*ClientPort, error) {
+// NewClientPort binds the client protocol for the node runner serves on
+// addr (e.g. "127.0.0.1:0"). The port is built before its node — it is
+// one of the node's Consumers — and bound to it by SetNode. It does NOT
+// accept connections yet: call AcceptClients once the node is bound and
+// ready to serve — in particular, after crash recovery has replayed the
+// WAL. Binding early and accepting late means a restarting server owns its
+// advertised address immediately without ever exposing mid-recovery state
+// to a client.
+func NewClientPort(runner *transport.Runner, addr string) (*ClientPort, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: client listen %s: %w", addr, err)
@@ -141,20 +145,23 @@ func NewClientPort(runner *transport.Runner, node *core.Node, addr string) (*Cli
 		conns:       make(map[uint64]*clientConn),
 		sessPending: make(map[sessKey]sessEntry),
 	}
-	p.nodeP.Store(node)
 	// The SubmitLocal pseudo-connection has no socket and no writer:
 	// every pending entry completes through its done callback. It sits in
 	// conns like any other, so Stop and Abort retire it with the rest.
 	p.nextID++
 	p.loc = &clientConn{
-		id:      (uint64(int64(node.ID())+1) << 32) | p.nextID,
+		id:      p.connID(p.nextID),
 		pending: make(map[uint64]pendingEntry),
 		wake:    make(chan struct{}, 1),
 	}
 	p.conns[p.loc.id] = p.loc
-	node.SetOnReplyBatch(p.onReplyBatch)
-	node.SetOnSessionReject(p.onSessionReject)
 	return p, nil
+}
+
+// connID is the request Client identity of the port's n-th connection:
+// unique across the deployment, because it carries the node's ID.
+func (p *ClientPort) connID(n uint64) uint64 {
+	return (uint64(int64(p.runner.ID())+1) << 32) | n
 }
 
 // AcceptClients starts accepting client connections. Idempotent; see
@@ -163,31 +170,26 @@ func (p *ClientPort) AcceptClients() {
 	p.accept.Do(func() { go p.acceptLoop() })
 }
 
-// SetHub installs the node's event hub, enabling the watch surface.
-// Set it before AcceptClients; without one, WATCH frames are rejected.
-func (p *ClientPort) SetHub(h *events.Hub) { p.hubP.Store(h) }
-
-// Hub returns the installed event hub (nil when watches are disabled).
-func (p *ClientPort) Hub() *events.Hub { return p.hubP.Load() }
-
 // node returns the currently-serving protocol node.
 func (p *ClientPort) node() *core.Node { return p.nodeP.Load() }
 
 // hub returns the currently-installed event hub (nil disables watches).
 func (p *ClientPort) hub() *events.Hub { return p.hubP.Load() }
 
-// SetNode rewires the port to a replacement protocol node and event hub
-// — the in-place restart path (Cluster.RestartNode): an evicted node
-// comes back as a protocol-level joiner on the same runner, ports and
-// addresses. The new node's replies route back through this port;
-// operations in flight against the old node complete through its
-// draining apply stage or are failed by the caller. Existing watches die
-// with the old hub (their cycles predate the joiner's state); clients
-// re-register and resume.
+// SetNode binds the port to its protocol node and event hub (nil disables
+// the watch surface); the node must have the port among its Consumers.
+// Call it after crash recovery and before the node is attached: the
+// port records the recovered watermark for its WATCH acks. It is the one
+// way a port is bound: at boot, and on the in-place restart path
+// (Cluster.RestartNode), where an evicted node comes back as a
+// protocol-level joiner on the same runner, ports and addresses.
+// Operations in flight against the old node complete through its draining
+// apply stage or are failed by the caller. Existing watches die with the
+// old hub (their cycles predate the joiner's state); clients re-register
+// and resume.
 func (p *ClientPort) SetNode(node *core.Node, hub *events.Hub) {
-	node.SetOnReplyBatch(p.onReplyBatch)
-	node.SetOnSessionReject(p.onSessionReject)
 	p.nodeP.Store(node)
+	p.bound.Store(node.Committed())
 	p.hubP.Store(hub)
 }
 
@@ -251,7 +253,7 @@ func (p *ClientPort) newConn(conn net.Conn) *clientConn {
 	defer p.mu.Unlock()
 	p.nextID++
 	cc := &clientConn{
-		id:      (uint64(int64(p.node().ID())+1) << 32) | p.nextID,
+		id:      p.connID(p.nextID),
 		conn:    conn,
 		pending: make(map[uint64]pendingEntry),
 		wake:    make(chan struct{}, 1),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync"
 
+	"canopus/internal/core"
 	"canopus/internal/wire"
 )
 
@@ -117,16 +118,22 @@ func (p *ClientPort) completeBatchOp(cc *clientConn, agg *batchAgg, idx int, sta
 	}
 }
 
-// onReplyBatch is the node's completion callback: it fans one committed
-// cycle's completion records out to the owning connections' buffers (no
-// socket writes on this path). It runs on the node's apply stage — the
-// machine lock is NOT held, which is the point: reply materialization
-// does not steal consensus time.
-func (p *ClientPort) onReplyBatch(reqs []wire.Request, vals [][]byte) {
+// Committed is the port's share of the node's committed stream: it fans
+// one Commit's session rejections and completion records out to the
+// owning connections' buffers (no socket writes on this path). It runs on
+// the node's apply stage — the machine lock is NOT held, which is the
+// point: reply materialization does not steal consensus time.
+func (p *ClientPort) Committed(c *core.Commit) {
+	if len(c.Replies) == 0 && len(c.Rejected) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range reqs {
-		req := &reqs[i]
+	for i := range c.Rejected {
+		p.sessionExpiredLocked(&c.Rejected[i])
+	}
+	for i := range c.Replies {
+		req := &c.Replies[i]
 		if wire.IsSessionID(req.Client) {
 			// Session-scoped op: route by the replicated (session, seq)
 			// identity. A duplicate commit of a (session, seq) the client
@@ -137,7 +144,7 @@ func (p *ClientPort) onReplyBatch(reqs []wire.Request, vals [][]byte) {
 				continue
 			}
 			delete(p.sessPending, k)
-			p.completeEntry(se.cc, se.e, req.Op, vals[i])
+			p.completeEntry(se.cc, se.e, req.Op, c.Vals[i])
 			continue
 		}
 		cc, ok := p.conns[req.Client]
@@ -154,18 +161,15 @@ func (p *ClientPort) onReplyBatch(reqs []wire.Request, vals [][]byte) {
 		// to set closing, so the response must already be in the output
 		// buffer (the writer flushes it before closing) by the time this
 		// request stops counting as outstanding.
-		p.completeEntry(cc, entry, req.Op, vals[i])
+		p.completeEntry(cc, entry, req.Op, c.Vals[i])
 		delete(cc.pending, req.Seq)
 	}
 }
 
-// onSessionReject is the node's expired-session callback: the op was
+// sessionExpiredLocked answers one rejected session-scoped op: it was
 // deterministically NOT applied; surface CodeSessionExpired instead of a
-// completion. Runs inside the machine turn (order resolution is always
-// serial).
-func (p *ClientPort) onSessionReject(req *wire.Request) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// completion. Runs with the port mutex held.
+func (p *ClientPort) sessionExpiredLocked(req *wire.Request) {
 	k := sessKey{req.Client, req.Seq}
 	se, ok := p.sessPending[k]
 	if !ok {

@@ -19,8 +19,9 @@ const watchOutBudget = 1 << 20
 //
 // A WATCH reusing a live client watch ID replaces that registration —
 // the reconnect-and-resume path — and the ack's Cycle is the hub's
-// watermark at registration: the feed is complete from that cycle
-// (exclusive) on, which is exactly the resume point a client should
+// watermark at registration (never below the cycle the node recovered
+// to, which the hub does not publish): the feed is complete from that
+// cycle (exclusive) on, which is exactly the resume point a client should
 // carry into a failover.
 func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	if p.hub() == nil {
@@ -61,7 +62,8 @@ func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	}
 	cc.watches[q.WatchID] = hubID
 	p.mu.Unlock()
-	cc.reply(&wire.ClientResponseV2{ID: q.ID, Status: wire.ClientStatusOK, Cycle: p.hub().LastCycle()})
+	cc.reply(&wire.ClientResponseV2{ID: q.ID, Status: wire.ClientStatusOK,
+		Cycle: max(p.hub().LastCycle(), p.bound.Load())})
 }
 
 // handleUnwatch cancels one watch. Idempotent — cancelling an unknown

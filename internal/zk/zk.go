@@ -201,8 +201,8 @@ type Backend interface {
 
 // Server is one coordination-service node: a Backend ordering writes
 // into a Tree, plus client-facing async operations. Completion callbacks
-// fire from the engine's OnReply hook, which the caller must route to
-// Complete.
+// fire from Complete, to which the caller routes the engine's replies (a
+// Canopus node's committed stream, zab's OnReply).
 type Server struct {
 	tree    *Tree
 	backend Backend
@@ -231,8 +231,8 @@ func NewServer(tree *Tree, backend Backend, client uint64, linearizableReads boo
 // Tree exposes the underlying znode tree (for watches and local reads).
 func (s *Server) Tree() *Tree { return s.tree }
 
-// Complete must be called from the engine's OnReply hook with this
-// server's requests; it resolves the pending operation.
+// Complete must be called with every reply of the engine serving this
+// server; it resolves the pending operation of this server's requests.
 func (s *Server) Complete(req *wire.Request, val []byte) {
 	if req.Client != s.client {
 		return

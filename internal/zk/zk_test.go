@@ -92,9 +92,13 @@ func TestZKCanopusEndToEnd(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := wire.NodeID(i)
 		zt := NewTree()
-		node := core.NewNode(core.Config{Tree: tree, Self: id}, zt, core.Callbacks{})
-		srv := NewServer(zt, node, uint64(i)+1, true)
-		node.SetOnReply(func(req *wire.Request, val []byte) { srv.Complete(req, val) })
+		var srv *Server
+		node := core.NewNode(core.Config{Tree: tree, Self: id}, zt, core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) {
+			for i := range c.Replies {
+				srv.Complete(&c.Replies[i], c.Vals[i])
+			}
+		})}})
+		srv = NewServer(zt, node, uint64(i)+1, true)
 		servers[i] = srv
 		runner.Register(id, node)
 	}
