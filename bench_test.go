@@ -1,5 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts at reduced
-// scale: one benchmark per table/figure plus the DESIGN.md ablations.
+// scale: one benchmark per table/figure plus ablations of the design
+// choices docs/ARCHITECTURE.md maps onto packages (pipelining, the LOT,
+// representatives, switch-assisted broadcast, write leases).
 // Each iteration simulates a full deployment at a representative offered
 // load and reports measured throughput and median completion time as
 // custom metrics (Mreq/s and median-ms). Run the cmd/canopus-bench tool
@@ -11,11 +13,8 @@ import (
 	"time"
 
 	"canopus"
-	"canopus/client"
 	"canopus/internal/harness"
-	"canopus/internal/kvstore"
 	"canopus/internal/wire"
-	"canopus/internal/workload"
 )
 
 // benchWindows keeps each iteration around a second of virtual time.
@@ -100,7 +99,7 @@ func BenchmarkFig7Canopus50Writes(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, MultiDC: true, Groups: 3, PerGroup: 3, WriteRatio: 0.5}, 800e3)
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (docs/ARCHITECTURE.md, paper section → package map) ---
 
 // BenchmarkAblationPipelining contrasts §7.1 pipelining off (1 in-flight
 // cycle, one commit per ~max-RTT) against the default WAN pipeline at a
@@ -198,96 +197,4 @@ func BenchmarkCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(buf)))
 	}
-}
-
-// --- Apply stage: per-cycle bulk apply ---
-
-// BenchmarkCommitApply measures the first step of the apply stage for one
-// large committed cycle in isolation: a fixed batch of writes applied to
-// the replica store front to back on one goroutine, as the stage does.
-// Mreq/s is writes applied per second; the absolute number is
-// host-dependent, but its drift on one host tracks the apply path's cost,
-// which is why the benchdiff gate watches it.
-func BenchmarkCommitApply(b *testing.B) {
-	const cycleOps = 65536
-	reqs := make([]wire.Request, cycleOps)
-	for i := range reqs {
-		reqs[i] = wire.Request{Op: wire.OpWrite, Key: uint64(i*2654435761) % 65536, Val: []byte("12345678")}
-	}
-	st := kvstore.New()
-	apply := func() {
-		for i := range reqs {
-			st.ApplyWrite(&reqs[i])
-		}
-	}
-	// Each iteration applies the cycle several times so the CI gate's
-	// single-iteration run (-benchtime=1x) measures tens of
-	// milliseconds, not one noisy map walk.
-	const cyclesPerIter = 8
-	apply() // warm: build the maps once so 1x CI runs measure steady state
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for c := 0; c < cyclesPerIter; c++ {
-			apply()
-		}
-	}
-	b.ReportMetric(float64(cycleOps*cyclesPerIter)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreq/s")
-}
-
-// --- Client API round trip ---
-
-// BenchmarkClientRoundTrip measures the public canopus/client package
-// end to end against a live loopback cluster: the client protocol over real
-// sockets, through consensus, back through the reply fan-out — the
-// paper's client interaction layer as applications see it. The numbers
-// are wall-clock but cycle-paced (the 2ms CycleInterval dominates the
-// latency), so throughput and MEAN latency are stable enough for the
-// benchdiff drift gate (the median is bimodal across cycle-phase bucket
-// boundaries and is deliberately not reported);
-// BENCH_baseline.json carries the committed values.
-func BenchmarkClientRoundTrip(b *testing.B) {
-	var tput, meanMS float64
-	for i := 0; i < b.N; i++ {
-		cluster, err := canopus.StartLiveCluster(canopus.LiveOptions{
-			Nodes: 3,
-			Node: canopus.Config{
-				CycleInterval: 2 * time.Millisecond,
-				TickInterval:  2 * time.Millisecond,
-				MaxBatch:      4096,
-			},
-			Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients := make([]*client.Client, cluster.NumNodes())
-		conns := make([]workload.Doer, cluster.NumNodes())
-		for j := range conns {
-			cl, err := client.New(client.Config{Endpoints: []string{cluster.Endpoint(j)}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			clients[j] = cl
-			conns[j] = harness.ClientDoer{Client: cl}
-		}
-		res := workload.RunLive(workload.LiveConfig{
-			Concurrency: 32,
-			Duration:    700 * time.Millisecond,
-			Warmup:      200 * time.Millisecond,
-			WriteRatio:  0.2,
-			Seed:        int64(i + 1),
-		}, conns)
-		if res.Completed != res.Offered || res.Failed != 0 {
-			b.Fatalf("lost replies: offered %d, completed %d, failed %d",
-				res.Offered, res.Completed, res.Failed)
-		}
-		tput = res.Throughput()
-		meanMS = float64(res.All().Mean()) / float64(time.Millisecond)
-		for _, cl := range clients {
-			cl.Close()
-		}
-		cluster.Close()
-	}
-	b.ReportMetric(tput/1e6, "Mreq/s")
-	b.ReportMetric(meanMS, "mean-ms")
 }

@@ -226,10 +226,10 @@ const driverClient = 1<<63 - 1
 //     and replayable.
 //   - Serve mode: call Serve once and the cluster pumps virtual time on
 //     a background goroutine; Submit then works from any goroutine, so
-//     wall-clock drivers (internal/workload's live drivers, or any code
-//     written against the Cluster interface) run unmodified against the
-//     simulator. Not deterministic (arrival order depends on the
-//     scheduler); do not mix with At/RunUntil.
+//     wall-clock drivers (any code written against the Cluster
+//     interface) run unmodified against the simulator. Not
+//     deterministic (arrival order depends on the scheduler); do not mix
+//     with At/RunUntil.
 type SimCluster struct {
 	Sim    *netsim.Sim
 	Runner *netsim.Runner

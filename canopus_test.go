@@ -1,11 +1,13 @@
 package canopus_test
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"canopus"
-	"canopus/internal/workload"
 )
 
 func TestSimClusterPublicAPI(t *testing.T) {
@@ -250,9 +252,10 @@ func TestSimClusterCloseCompletesInjected(t *testing.T) {
 }
 
 // TestWorkloadDriverBothBackends is the unified-API acceptance check:
-// the same closed-loop workload driver, handed the same []workload.Doer
-// adapter over the canopus.Cluster interface, runs unmodified against a
-// simulated cluster (in serve mode) and a live loopback cluster.
+// the same closed-loop driver — 8 goroutines, each with one Submit
+// outstanding, half of them writes — runs unmodified through the
+// canopus.Cluster interface against a simulated cluster (in serve mode)
+// and a live loopback cluster, and every offered operation completes.
 func TestWorkloadDriverBothBackends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock load run")
@@ -260,22 +263,42 @@ func TestWorkloadDriverBothBackends(t *testing.T) {
 	drive := func(t *testing.T, c canopus.Cluster) {
 		t.Helper()
 		defer c.Close()
-		conns := make([]workload.Doer, c.NumNodes())
-		for i := range conns {
-			conns[i] = canopus.NodeConn{C: c, Node: i}
+		var offered, completed, failed atomic.Uint64
+		end := time.Now().Add(400 * time.Millisecond)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(3 + w)))
+				done := make(chan bool, 1)
+				for time.Now().Before(end) {
+					op, val := canopus.OpRead, []byte(nil)
+					if rng.Intn(2) == 0 {
+						op, val = canopus.OpWrite, []byte("12345678")
+					}
+					offered.Add(1)
+					c.Submit(w%c.NumNodes(), op, rng.Uint64()%65536, val, func(_ []byte, ok bool) { done <- ok })
+					select {
+					case ok := <-done:
+						if ok {
+							completed.Add(1)
+						} else {
+							failed.Add(1)
+						}
+					case <-time.After(10 * time.Second):
+						t.Errorf("worker %d: no reply within 10s", w)
+						return
+					}
+				}
+			}(w)
 		}
-		res := workload.RunLive(workload.LiveConfig{
-			Concurrency: 8,
-			Duration:    500 * time.Millisecond,
-			Warmup:      100 * time.Millisecond,
-			WriteRatio:  0.5,
-			Seed:        3,
-		}, conns)
-		if res.Offered == 0 {
+		wg.Wait()
+		if offered.Load() == 0 {
 			t.Fatal("no requests offered")
 		}
-		if res.Completed != res.Offered || res.Failed != 0 {
-			t.Fatalf("offered %d, completed %d, failed %d", res.Offered, res.Completed, res.Failed)
+		if completed.Load() != offered.Load() || failed.Load() != 0 {
+			t.Fatalf("offered %d, completed %d, failed %d", offered.Load(), completed.Load(), failed.Load())
 		}
 	}
 

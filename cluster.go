@@ -88,22 +88,6 @@ var (
 	_ EventCluster   = (*LiveCluster)(nil)
 )
 
-// NodeConn adapts one node of a Cluster to the asynchronous Do shape
-// the internal/workload live drivers consume, so one load generator
-// drives simulated and live backends alike:
-//
-//	conns := make([]workload.Doer, c.NumNodes())
-//	for i := range conns { conns[i] = canopus.NodeConn{C: c, Node: i} }
-type NodeConn struct {
-	C    Cluster
-	Node int
-}
-
-// Do submits one operation and reports completion success.
-func (nc NodeConn) Do(op Op, key uint64, val []byte, done func(ok bool)) {
-	nc.C.Submit(nc.Node, op, key, val, func(_ []byte, ok bool) { done(ok) })
-}
-
 // LiveOptions shapes a live loopback deployment (see
 // internal/livecluster.Config: node count or explicit super-leaves, a
 // per-node protocol Config template, seed and log sink).

@@ -1,22 +1,18 @@
 // Command benchdiff is the CI benchmark drift gate: it compares fresh
-// benchmark results against a committed baseline and fails (exit 1)
-// when any shared metric drifts beyond the threshold.
+// `go test -bench` results against the committed BENCH_baseline.json and
+// fails (exit 1) when any shared metric drifts beyond the threshold:
 //
-// Two comparison modes:
-//
-//	# go test -bench output vs BENCH_baseline.json
 //	go test -run=NONE -bench=. -benchtime=1x ./... | benchdiff -baseline BENCH_baseline.json
 //
-//	# live-cluster metrics JSON vs BENCH_live.json
-//	canopus-bench -exp live -quick -json fresh.json
-//	benchdiff -baseline BENCH_live.json -live fresh.json -only 'allocs_per_request|closed_p50_ms'
-//
-// Bench mode parses custom metrics (Mreq/s, median-ms, and the
-// micro-benchmarks' per-frame and per-entry counts) from `go test
-// -bench` lines; benchmarks absent from the baseline are reported but
-// not gated (new benchmarks are fine), while baseline entries missing
-// from the run fail the gate (a deleted or renamed benchmark means the
-// baseline must be regenerated, with -write).
+// It parses custom metrics (Mreq/s, median-ms, and the micro-benchmarks'
+// per-frame and per-entry counts) from the bench lines. Every gated row
+// is deterministic: a virtual-time simulator run or a count that does
+// not depend on the machine, so any drift is a behavioural change.
+// Benchmarks absent from the baseline are reported but not gated (new
+// benchmarks are fine), while baseline entries missing from the run fail
+// the gate (a deleted or renamed benchmark means the baseline must be
+// regenerated, with -write). Wall-clock end-to-end numbers are not
+// gated here; `go run ./benchmark` measures them.
 package main
 
 import (
@@ -42,19 +38,10 @@ type benchBaseline struct {
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 }
 
-// liveBaseline mirrors BENCH_live.json.
-type liveBaseline struct {
-	Comment string             `json:"_comment"`
-	GOOS    string             `json:"goos"`
-	GOARCH  string             `json:"goarch"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
 // unitMetric maps `go test -bench` custom-metric units to baseline keys.
 var unitMetric = map[string]string{
 	"Mreq/s":    "mreq_per_s",
 	"median-ms": "median_ms",
-	"mean-ms":   "mean_ms",
 	// The replication-plane micro-benchmarks (transport BenchmarkRecvBurst,
 	// raftlite BenchmarkBroadcastRoundTrip, wire BenchmarkDecodeRaftAppend)
 	// report counts that do not depend on the machine.
@@ -74,10 +61,9 @@ var unitMetric = map[string]string{
 
 func main() {
 	baselinePath := flag.String("baseline", "", "committed baseline JSON (required)")
-	livePath := flag.String("live", "", "fresh live-metrics JSON: compare metric maps instead of parsing bench output")
 	threshold := flag.Float64("threshold", 0.25, "maximum allowed relative drift per metric")
-	only := flag.String("only", "", "regexp: gate only metrics whose name matches (live mode) or benchmarks whose name matches (bench mode)")
-	write := flag.String("write", "", "bench mode: write a fresh baseline JSON to this path instead of comparing")
+	only := flag.String("only", "", "regexp: gate only benchmarks whose name matches")
+	write := flag.String("write", "", "write a fresh baseline JSON to this path instead of comparing")
 	flag.Parse()
 
 	if *baselinePath == "" && *write == "" {
@@ -91,11 +77,7 @@ func main() {
 		}
 	}
 
-	if *livePath != "" {
-		compareLive(*baselinePath, *livePath, *threshold, filter)
-		return
-	}
-	benchMode(*baselinePath, *write, *threshold, filter, flag.Args())
+	run(*baselinePath, *write, *threshold, filter, flag.Args())
 }
 
 func fatal(format string, args ...interface{}) {
@@ -123,40 +105,6 @@ func drift(old, cur float64) float64 {
 	}
 	return math.Abs(cur-old) / math.Abs(old)
 }
-
-// --- live mode ---
-
-func compareLive(baselinePath, livePath string, threshold float64, filter *regexp.Regexp) {
-	var base, fresh liveBaseline
-	readJSON(baselinePath, &base)
-	readJSON(livePath, &fresh)
-
-	var violations []string
-	keys := sortedKeys(base.Metrics)
-	for _, k := range keys {
-		if filter != nil && !filter.MatchString(k) {
-			fmt.Printf("  %-28s (not gated)\n", k)
-			continue
-		}
-		old := base.Metrics[k]
-		cur, ok := fresh.Metrics[k]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: missing from %s", k, livePath))
-			continue
-		}
-		d := drift(old, cur)
-		status := "ok"
-		if d > threshold {
-			status = "DRIFT"
-			violations = append(violations,
-				fmt.Sprintf("%s: %.3f -> %.3f (%+.0f%%, limit ±%.0f%%)", k, old, cur, 100*(cur-old)/old, 100*threshold))
-		}
-		fmt.Printf("  %-28s %12.3f -> %12.3f  %5.1f%%  %s\n", k, old, cur, 100*d, status)
-	}
-	report(violations, baselinePath)
-}
-
-// --- bench mode ---
 
 // benchLine matches one `go test -bench` result line.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
@@ -190,7 +138,7 @@ func parseBench(r io.Reader) map[string]map[string]float64 {
 	return out
 }
 
-func benchMode(baselinePath, writePath string, threshold float64, filter *regexp.Regexp, args []string) {
+func run(baselinePath, writePath string, threshold float64, filter *regexp.Regexp, args []string) {
 	in := io.Reader(os.Stdin)
 	if len(args) == 1 {
 		f, err := os.Open(args[0])

@@ -8,22 +8,20 @@
 //
 //	canopus-bench -exp fig4a            # Figure 4(a)
 //	canopus-bench -exp all -quick       # everything, fast
-//	canopus-bench -exp live -quick      # real-socket loopback cluster
+//	canopus-bench -exp live-chaos -quick
 //
 // Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, all (the
-// virtual-time set), plus two real-socket modes "all" excludes so
-// figure regeneration stays deterministic: live, a loopback-TCP cluster
-// driven through the binary client protocol (with -json it also writes
-// its metrics to the given path, used to regenerate BENCH_live.json),
-// and live-chaos, the fault-injection campaign catalog run against the
-// chaosnet proxy fabric (exits non-zero on any violated budget — the CI
-// live-chaos-smoke gate).
+// virtual-time set), plus live-chaos, which "all" excludes so figure
+// regeneration stays deterministic: the fault-injection campaign catalog
+// run against a loopback cluster behind the chaosnet proxy fabric (exits
+// non-zero on any violated budget — the CI live-chaos-smoke gate).
+// End-to-end numbers on real sockets come from `go run ./benchmark`.
 //
 // -cpuprofile / -memprofile capture pprof evidence for performance
 // work, e.g.:
 //
-//	canopus-bench -exp live -quick -cpuprofile live.cpu.pprof
-//	go tool pprof -top live.cpu.pprof
+//	canopus-bench -exp fig4a -quick -cpuprofile fig4a.cpu.pprof
+//	go tool pprof -top fig4a.cpu.pprof
 package main
 
 import (
@@ -34,16 +32,12 @@ import (
 
 	"canopus/internal/harness"
 	"canopus/internal/pprofutil"
-	"canopus/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table1|fig4a|fig4b|fig5|fig6|fig7|all|live|live-chaos")
+	exp := flag.String("exp", "all", "experiment id: table1|fig4a|fig4b|fig5|fig6|fig7|all|live-chaos")
 	quick := flag.Bool("quick", false, "short windows and coarse search (CI mode)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	jsonOut := flag.String("json", "", "also write metrics as JSON to this path (live only)")
-	dataDir := flag.String("data-dir", "", "run the live cluster durably under this directory (live only; default: in-memory)")
-	keyDist := flag.String("key-dist", "uniform", "key popularity distribution: uniform|zipf (live only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path on exit")
 	flag.Parse()
@@ -55,18 +49,9 @@ func main() {
 	}
 	defer stopProfiles()
 
-	switch workload.KeyDist(*keyDist) {
-	case workload.DistUniform, workload.DistZipf:
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -key-dist %q (want uniform|zipf)\n", *keyDist)
-		os.Exit(2)
-	}
 	o := harness.NewOptions(
 		harness.WithQuick(*quick),
 		harness.WithSeed(*seed),
-		harness.WithJSONOut(*jsonOut),
-		harness.WithDataDir(*dataDir),
-		harness.WithKeyDist(workload.KeyDist(*keyDist)),
 	)
 	runs := map[string]func(*harness.Options){
 		"table1":     harness.Table1,
@@ -75,7 +60,6 @@ func main() {
 		"fig5":       harness.Fig5,
 		"fig6":       harness.Fig6,
 		"fig7":       harness.Fig7,
-		"live":       harness.Live,
 		"live-chaos": harness.LiveChaos,
 	}
 	order := []string{"table1", "fig4a", "fig4b", "fig5", "fig6", "fig7"}
@@ -91,7 +75,7 @@ func main() {
 	default:
 		run, ok := runs[*exp]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4a|fig4b|fig5|fig6|fig7|all|live|live-chaos)\n", *exp)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4a|fig4b|fig5|fig6|fig7|all|live-chaos)\n", *exp)
 			os.Exit(2)
 		}
 		run(o)

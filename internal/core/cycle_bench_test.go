@@ -76,7 +76,7 @@ func (cycleSM) Read(uint64) []byte       { return nil }
 func (cycleSM) Snapshot() []wire.Request { return nil }
 
 // benchInterval is the cycle and tick interval of the deployment, the one
-// harness.Live and the repository's benchmark run.
+// the repository's end-to-end benchmark (benchmark/) runs.
 const benchInterval = 2 * time.Millisecond
 
 func newCycleNet(tb testing.TB, leaves, perLeaf int) *cycleNet {

@@ -7,36 +7,17 @@ import (
 	"time"
 
 	"canopus/internal/metrics"
-	"canopus/internal/workload"
 )
 
 // Options tunes experiment execution. Quick mode shortens measurement
-// windows and search resolution for CI-speed runs; full mode matches the
-// documented EXPERIMENTS.md results. Build one with NewOptions; every
-// experiment entry point (Fig4a…Fig7, Table1, Live) takes this single
-// surface.
+// windows and search resolution for CI-speed runs; full mode is the
+// resolution README's "Build, test, bench" section regenerates the
+// figures at. Build one with NewOptions; every experiment entry point
+// (Fig4a…Fig7, Table1, LiveChaos) takes this single surface.
 type Options struct {
 	Quick bool
 	Seed  int64
 	Out   io.Writer
-	// JSONOut, when non-empty, makes experiments that support it (Live)
-	// also write their metrics as JSON to this path.
-	JSONOut string
-	// DataDir, when non-empty, runs the live cluster with the durable
-	// storage engine under this directory (one subdirectory per cluster
-	// shape and node) — the measured path then includes WAL appends and
-	// fsync-gated replies, for checking durability against the committed
-	// in-memory baseline.
-	DataDir string
-	// Registry, when non-nil, receives the instruments of experiments
-	// that run real nodes (Live wires it into its headline cluster
-	// shape), letting drivers attribute throughput to pipeline stages
-	// and serve the run's /metrics.
-	Registry *metrics.Registry
-	// KeyDist selects the live workload's key popularity distribution
-	// (workload.DistUniform when empty; workload.DistZipf for the
-	// contended hot-key shape).
-	KeyDist workload.KeyDist
 }
 
 // Option mutates Options; see NewOptions.
@@ -60,18 +41,6 @@ func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
 // WithOutput directs the experiment's table output.
 func WithOutput(w io.Writer) Option { return func(o *Options) { o.Out = w } }
-
-// WithJSONOut also writes supported experiments' metrics as JSON here.
-func WithJSONOut(path string) Option { return func(o *Options) { o.JSONOut = path } }
-
-// WithDataDir runs live clusters durably under this directory.
-func WithDataDir(dir string) Option { return func(o *Options) { o.DataDir = dir } }
-
-// WithRegistry exports real-node experiment instruments into reg.
-func WithRegistry(reg *metrics.Registry) Option { return func(o *Options) { o.Registry = reg } }
-
-// WithKeyDist selects the live workload's key distribution.
-func WithKeyDist(d workload.KeyDist) Option { return func(o *Options) { o.KeyDist = d } }
 
 func (o *Options) windows() (warm, measure time.Duration) {
 	if o.Quick {

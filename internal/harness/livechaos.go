@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -64,6 +65,11 @@ func LiveChaos(o *Options) {
 	}
 	fmt.Fprint(o.Out, tbl.String())
 	fmt.Fprintln(o.Out, "live-chaos: all campaigns within budget")
+}
+
+func fail(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 // waitLive polls cond at wall-clock granularity until it holds or the

@@ -11,7 +11,6 @@ import (
 	"canopus/client"
 	"canopus/internal/core"
 	"canopus/internal/wire"
-	"canopus/internal/workload"
 )
 
 func startCluster(t *testing.T, nodes int) *Cluster {
@@ -470,44 +469,4 @@ func TestCrashCompletesLocalSubmits(t *testing.T) {
 			t.Fatalf("only %d of %d done callbacks fired after crash", i, n)
 		}
 	}
-}
-
-// TestWorkloadClosedLoop runs the workload driver's closed loop against
-// a live cluster and checks complete accounting.
-func TestWorkloadClosedLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live load run")
-	}
-	c := startCluster(t, 3)
-	defer c.Stop(5 * time.Second)
-
-	conns := make([]workload.Doer, c.NumNodes())
-	for i := range conns {
-		cl := dialClient(t, c, i)
-		conns[i] = doerAdapter{cl}
-	}
-	res := workload.RunLive(workload.LiveConfig{
-		Concurrency: 8,
-		Duration:    600 * time.Millisecond,
-		Warmup:      100 * time.Millisecond,
-		WriteRatio:  0.5,
-	}, conns)
-	if res.Offered == 0 {
-		t.Fatal("no requests offered")
-	}
-	if res.Completed != res.Offered || res.Failed != 0 {
-		t.Fatalf("offered %d, completed %d, failed %d", res.Offered, res.Completed, res.Failed)
-	}
-	if res.All().Count() != res.Completed {
-		t.Fatalf("histogram count %d != completed %d", res.All().Count(), res.Completed)
-	}
-}
-
-// doerAdapter bridges the public client to workload.Doer.
-type doerAdapter struct{ cl *client.Client }
-
-func (d doerAdapter) Do(op wire.Op, key uint64, val []byte, done func(ok bool)) {
-	d.cl.Async(client.Op{Kind: op, Key: key, Val: val}, func(_ client.Result, err error) {
-		done(err == nil)
-	})
 }

@@ -8,7 +8,6 @@ import (
 	"canopus/client"
 	"canopus/internal/core"
 	"canopus/internal/kvstore"
-	"canopus/internal/workload"
 )
 
 // driveMixed pushes a seeded mixed workload (reads, writes, deletes,
@@ -156,20 +155,9 @@ func TestWatermarks(t *testing.T) {
 		}
 	}()
 
-	conns := make([]workload.Doer, c.NumNodes())
-	for i := range conns {
-		cl := dialClient(t, c, i)
-		defer cl.Close()
-		conns[i] = doerAdapter{cl}
-	}
-	res := workload.RunLive(workload.LiveConfig{
-		Concurrency: 16, Duration: 500 * time.Millisecond, WriteRatio: 0.5, Seed: 5,
-	}, conns)
+	driveMixed(t, c, 1000) // fails the test on any failed op
 	close(stop)
 	wg.Wait()
-	if res.Failed != 0 || res.Lost != 0 {
-		t.Fatalf("workload failed=%d lost=%d", res.Failed, res.Lost)
-	}
 	if violations != 0 {
 		t.Fatalf("observed %d Ordered() < Committed() violations", violations)
 	}

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement tools the benchmark harness
-// needs — log-bucketed latency histograms and windowed throughput
-// counters — and, on top of the same primitives, the named-instrument
+// needs — log-bucketed latency histograms, availability windows and
+// atomic counters — and, on top of the same primitives, the named-instrument
 // Registry the operations plane exports through the admin gateway's
 // /metrics endpoint (see registry.go). Everything is allocation-light so
 // measurement does not perturb simulations or the live hot path.
@@ -291,14 +291,6 @@ func (g *Gauge) Set(n uint64) { g.v.Store(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() uint64 { return g.v.Load() }
-
-// Throughput converts a request count over a window into requests/second.
-func Throughput(count uint64, window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(count) / window.Seconds()
-}
 
 // FormatRate renders a requests/second figure the way the paper's plots
 // label their axes (millions of requests per second).

@@ -83,8 +83,8 @@ func benchProposal() *wire.Proposal {
 // BenchmarkSendPath measures the transport send hot path: encode a
 // realistic proposal inside one Invoke turn and write it to a live
 // loopback socket. Run with -benchmem when touching this path; the
-// end-to-end allocation budget (which includes this path) is gated in
-// CI as BENCH_live.json's allocs_per_request.
+// end-to-end allocation budget (which includes this path) is
+// benchmark/'s allocs_per_req, which CI's live-smoke job gates.
 func BenchmarkSendPath(b *testing.B) {
 	r, received := benchSender(b)
 	msg := benchProposal()

@@ -111,51 +111,3 @@ func TestLocalReadsMode(t *testing.T) {
 		t.Fatal("no writes offered")
 	}
 }
-
-// TestKeyPickerDistributions pins the key-distribution contract: both
-// pickers stay inside [0, Keys), uniform spreads traffic evenly, and
-// zipf concentrates it — the most popular key must absorb a large
-// multiple of the uniform share.
-func TestKeyPickerDistributions(t *testing.T) {
-	const keys, draws = 1024, 200_000
-	for _, dist := range []KeyDist{DistUniform, DistZipf} {
-		cfg := LiveConfig{Keys: keys, KeyDist: dist}
-		cfg.fill()
-		pick := newKeyPicker(&cfg, rand.New(rand.NewSource(7)))
-		counts := make([]int, keys)
-		for i := 0; i < draws; i++ {
-			k := pick()
-			if k >= keys {
-				t.Fatalf("%s: key %d outside [0, %d)", dist, k, keys)
-			}
-			counts[k]++
-		}
-		max := 0
-		for _, c := range counts {
-			if c > max {
-				max = c
-			}
-		}
-		share := float64(max) / draws
-		switch dist {
-		case DistUniform:
-			if share > 10.0/keys {
-				t.Fatalf("uniform: hottest key holds %.2f%% of traffic", 100*share)
-			}
-		case DistZipf:
-			if share < 0.05 {
-				t.Fatalf("zipf: hottest key holds only %.2f%% of traffic — not skewed", 100*share)
-			}
-		}
-	}
-}
-
-// TestKeyPickerDefaultsUniform pins that an unset KeyDist fills to
-// uniform, so existing LiveConfig call sites are unchanged.
-func TestKeyPickerDefaultsUniform(t *testing.T) {
-	cfg := LiveConfig{}
-	cfg.fill()
-	if cfg.KeyDist != DistUniform {
-		t.Fatalf("default KeyDist = %q, want %q", cfg.KeyDist, DistUniform)
-	}
-}
