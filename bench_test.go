@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts at reduced
 // scale: one benchmark per table/figure plus ablations of the design
 // choices docs/ARCHITECTURE.md maps onto packages (pipelining, the LOT,
-// representatives, switch-assisted broadcast, write leases).
+// representatives, switch-assisted broadcast, tree height).
 // Each iteration simulates a full deployment at a representative offered
 // load and reports measured throughput and median completion time as
 // custom metrics (Mreq/s and median-ms). Run the cmd/canopus-bench tool
@@ -140,30 +140,6 @@ func BenchmarkAblationRepresentatives3(b *testing.B) {
 func BenchmarkAblationHardwareBroadcast(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, Groups: 3, PerGroup: 9, WriteRatio: 0.2,
 		SwitchBcast: true}, 1e6)
-}
-
-// BenchmarkAblationWriteLeases measures the §7.2 read path: explicit
-// requests against a small cluster, read-mostly on unleased keys, which
-// answer locally without a consensus-cycle delay.
-func BenchmarkAblationWriteLeases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := canopus.MustSimCluster(canopus.SimOptions{
-			Racks: 2, NodesPerRack: 3, Seed: int64(i + 1),
-			Node: canopus.Config{WriteLeases: true},
-		})
-		var replies int
-		c.OnReply(0, func(*canopus.Request, []byte) { replies++ })
-		for s := 0; s < 200; s++ {
-			seq := uint64(s + 1)
-			c.At(time.Duration(s+1)*time.Millisecond, func() {
-				c.SubmitRequest(0, canopus.Read(1, seq, seq%16+1000))
-			})
-		}
-		c.RunUntil(time.Second)
-		if replies != 200 {
-			b.Fatalf("replies = %d", replies)
-		}
-	}
 }
 
 // BenchmarkAblationTreeHeight compares LOT heights at 27 nodes: 9

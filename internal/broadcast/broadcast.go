@@ -16,8 +16,8 @@
 // once, and support removing/re-adding peers at Canopus cycle boundaries.
 //
 // This package is the substrate under internal/core's round 1: a node's
-// cycle proposal — carrying its request batch plus any membership,
-// lease and session updates — is what travels here, and the identical
+// cycle proposal — carrying its request batch plus any membership and
+// session updates — is what travels here, and the identical
 // delivery cut is what lets every super-leaf member compute identical
 // vnode states. The Raft flavour is built on internal/raftlite.
 package broadcast

@@ -23,11 +23,11 @@ func (n *Node) tryCommit() {
 
 // commit resolves cycle c's total order and hands it to the apply stage.
 // Order resolution runs here, inside the machine turn: session
-// classification of the total order, membership, lease activation and
-// revocation, session GC — everything that must evolve in lock-step on
-// every replica. The resulting applyPlan (state-machine operations plus
-// this node's completion records) goes to the stage (stage.go), the only
-// path from a cycle to the store, the WAL and the consumers.
+// classification of the total order, membership, session GC — everything
+// that must evolve in lock-step on every replica. The resulting applyPlan
+// (state-machine operations plus this node's completion records) goes to
+// the stage (stage.go), the only path from a cycle to the store, the WAL
+// and the consumers.
 func (n *Node) commit(c *cycle) {
 	root := c.states[n.tree.Height]
 	n.committed = c.id
@@ -50,10 +50,7 @@ func (n *Node) commit(c *cycle) {
 	plan := n.resolveOrder(c.id, root.Batches)
 	plan.expired = append(plan.expired, n.expiredScratch...)
 	joiners := n.applyMembership(c.id, root.Updates)
-	n.applyLeases(c.id, root.Leases)
-	n.revokeLeases(c.id, root.Updates)
 	n.gcSessions(c.id)
-	n.collectDeferredReads(c.id, plan)
 
 	plan.root, plan.Order = root, root.Batches
 	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
@@ -216,21 +213,6 @@ func (n *Node) addRead(p *applyPlan, req *wire.Request, dup bool) {
 	}
 }
 
-// collectDeferredReads appends reads parked behind cycle cyc's commit
-// (the §7.2 lease path) to the plan: they linearize at the end of the
-// cycle, after every write the cycle ordered, because they sit last in the
-// plan.
-func (n *Node) collectDeferredReads(cyc uint64, plan *applyPlan) {
-	reads, ok := n.deferredReads[cyc]
-	if !ok {
-		return
-	}
-	delete(n.deferredReads, cyc)
-	for i := range reads {
-		n.addRead(plan, &reads[i].req, false)
-	}
-}
-
 // deliverPlan hands one applied (and, when durable, synced) plan to the
 // node's consumers: the one choke point every committed cycle leaves the
 // node through, in cycle order, on the apply stage. A join install is
@@ -240,13 +222,8 @@ func (n *Node) deliverPlan(p *applyPlan) {
 		return
 	}
 	n.buildPlanEvents(p)
-	n.deliver(&p.Commit)
-}
-
-// deliver hands c to every consumer, in list order.
-func (n *Node) deliver(c *Commit) {
 	for _, cons := range n.cbs.Consumers {
-		cons.Committed(c)
+		cons.Committed(&p.Commit)
 	}
 }
 
@@ -286,16 +263,6 @@ func (n *Node) freePlan(p *applyPlan) {
 		ownSetPool.Put(set)
 	}
 	planPool.Put(p)
-}
-
-// reply completes a single request outside the plan path: a lease
-// fast-path read, answered on the apply stage like every other reply, as
-// a Commit of cycle 0 (the scratch is the stage's).
-func (n *Node) reply(req *wire.Request, val []byte) {
-	c := &n.stage.fastRead
-	c.Replies = append(c.Replies[:0], *req)
-	c.Vals = append(c.Vals[:0], val)
-	n.deliver(c)
 }
 
 // applyMembership folds the cycle's committed membership updates into

@@ -13,9 +13,11 @@
 //
 // Reads are never disseminated: a node buffers each read at its arrival
 // position inside its own request set and answers it when the cycle that
-// orders that set commits (§5), or immediately under the optional
-// write-lease optimization (§7.2). Pipelining (§7.1) lets many cycles be
-// in flight with commits strictly in cycle order.
+// orders that set commits (§5); only the weaker Sequential and Stale
+// levels read committed state without a cycle (Node.ReadLocal). The §7.2
+// write leases are not implemented: they require at most one outstanding
+// request per client. Pipelining (§7.1) lets many cycles be in flight
+// with commits strictly in cycle order.
 package core
 
 import (
@@ -78,14 +80,6 @@ type Config struct {
 	// TickInterval drives heartbeats, elections and fetch-retry checks.
 	// Default 5ms.
 	TickInterval time.Duration
-
-	// WriteLeases enables the §7.2 read optimization. Requires clients
-	// to keep at most one outstanding request (the Paxos Quorum Leases
-	// model the paper adopts).
-	WriteLeases bool
-	// LeaseTTL is the lease lifetime in cycles after activation.
-	// Default 8.
-	LeaseTTL int
 
 	// SessionIdleCycles is the replicated client-session idle bound: a
 	// session with no committed mutation for this many consensus cycles
@@ -155,9 +149,6 @@ func (c *Config) fill() {
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 5 * time.Millisecond
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 8
 	}
 	if c.SessionIdleCycles == 0 {
 		c.SessionIdleCycles = 4096
@@ -240,12 +231,11 @@ type Callbacks struct {
 type Consumer interface {
 	// Committed is called once per committed cycle, strictly in cycle
 	// order, on the node's apply stage: after the cycle has applied and,
-	// with a Durability hook, after the Sync that covers it. A §7.2
-	// fast-path read is answered by a Commit with Cycle 0 that holds only
-	// its reply. Under a live runner it runs off the machine lock, so a
-	// consumer does its own synchronization and must not block. c and its
-	// slices are only valid during the call; event values are immutable
-	// and may be kept (see TxnMachine.ApplyWriteAt).
+	// with a Durability hook, after the Sync that covers it. Under a live
+	// runner it runs off the machine lock, so a consumer does its own
+	// synchronization and must not block. c and its slices are only valid
+	// during the call; event values are immutable and may be kept (see
+	// TxnMachine.ApplyWriteAt).
 	Committed(c *Commit)
 }
 
@@ -257,7 +247,8 @@ func (f ConsumerFunc) Committed(c *Commit) { f(c) }
 
 // Commit is one committed cycle as a node's consumers see it.
 type Commit struct {
-	// Cycle is the committed cycle; 0 for a fast-path read reply.
+	// Cycle is the committed cycle: never 0, and above the Cycle of every
+	// earlier Commit of the same node.
 	Cycle uint64
 	// Order is the cycle's total order. Batches are read-only.
 	Order []*wire.Batch

@@ -8,6 +8,7 @@ import (
 
 	"canopus/internal/engine"
 	"canopus/internal/kvstore"
+	"canopus/internal/lincheck"
 	"canopus/internal/lot"
 	"canopus/internal/netsim"
 	"canopus/internal/wire"
@@ -104,9 +105,16 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 			for i := range c.Replies {
 				tc.replies[id] = append(tc.replies[id], replyRec{req: c.Replies[i], val: c.Vals[i], at: at})
 			}
-			if c.Cycle != 0 {
-				tc.commits[id] = append(tc.commits[id], c.Cycle)
+			// The Commit contract: a committed cycle (never 0), above the
+			// last one this node delivered.
+			var last uint64
+			if got := tc.commits[id]; len(got) > 0 {
+				last = got[len(got)-1]
 			}
+			if c.Cycle <= last {
+				t.Errorf("node %d delivered cycle %d after cycle %d", id, c.Cycle, last)
+			}
+			tc.commits[id] = append(tc.commits[id], c.Cycle)
 			if tc.onCommit != nil {
 				tc.onCommit(id, c)
 			}
@@ -298,6 +306,70 @@ func TestReadDoesNotSeeOwnLaterWrite(t *testing.T) {
 		t.Fatalf("read saw %v, want the first write (1), not the later one", readVal)
 	}
 	tc.requireAgreement()
+}
+
+// TestLinearizableHistory replays a mixed read/write run through the
+// Wing-Gong checker: the §5 construction must produce linearizable
+// histories even though reads never travel on the wire.
+func TestLinearizableHistory(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3})
+	type inflight struct {
+		invoke time.Duration
+		kind   lincheck.OpKind
+		key    uint64
+		wrote  uint64
+	}
+	pending := make(map[[2]uint64]inflight) // (client,seq) -> op
+	var history []lincheck.Op
+	tc.onCommit = func(_ wire.NodeID, c *Commit) {
+		for i := range c.Replies {
+			k := [2]uint64{c.Replies[i].Client, c.Replies[i].Seq}
+			op, ok := pending[k]
+			if !ok {
+				continue
+			}
+			delete(pending, k)
+			rec := lincheck.Op{
+				Kind: op.kind, Key: op.key,
+				Invoke: int64(op.invoke), Return: int64(tc.sim.Now()),
+			}
+			if op.kind == lincheck.OpWrite {
+				rec.Value = op.wrote
+			} else if val := c.Vals[i]; len(val) == 8 {
+				rec.Value = uint64(val[0])
+			}
+			history = append(history, rec)
+		}
+	}
+	submit := func(at time.Duration, node wire.NodeID, req wire.Request, kind lincheck.OpKind, wrote uint64) {
+		tc.sim.At(at, func() {
+			pending[[2]uint64{req.Client, req.Seq}] = inflight{invoke: at, kind: kind, key: req.Key, wrote: wrote}
+			tc.nodes[node].Submit(req)
+		})
+	}
+	// Clients at different nodes interleave writes and reads on two keys.
+	seq := map[uint64]uint64{}
+	next := func(c uint64) uint64 { seq[c]++; return seq[c] }
+	for step := 0; step < 12; step++ {
+		at := time.Duration(step+1) * 7 * time.Millisecond
+		switch step % 4 {
+		case 0:
+			submit(at, 0, wr(1, next(1), 10, uint64(step+1)), lincheck.OpWrite, uint64(step+1))
+		case 1:
+			submit(at, 3, rd(2, next(2), 10), lincheck.OpRead, 0)
+		case 2:
+			submit(at, 5, wr(3, next(3), 11, uint64(step+1)), lincheck.OpWrite, uint64(step+1))
+		case 3:
+			submit(at, 1, rd(4, next(4), 11), lincheck.OpRead, 0)
+		}
+	}
+	tc.run(3 * time.Second)
+	if len(history) != 12 {
+		t.Fatalf("history has %d ops, want 12", len(history))
+	}
+	if !lincheck.Check(history) {
+		t.Fatalf("history is not linearizable: %+v", history)
+	}
 }
 
 func TestSelfSynchronization(t *testing.T) {

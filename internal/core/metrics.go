@@ -30,8 +30,8 @@ const (
 	causePeer
 	// causeOverflow: MaxBatch requests were pending (§7.1, third trigger).
 	causeOverflow
-	// causeOther: a join sponsorship, a lease request or a start that apply
-	// backpressure had held back.
+	// causeOther: a join sponsorship or a start that apply backpressure had
+	// held back.
 	causeOther
 	numStartCauses
 )
@@ -72,9 +72,6 @@ type nodeStats struct {
 	stallsDetected atomic.Uint64
 	// replayed counts cycles re-committed from the WAL during recovery.
 	replayed atomic.Uint64
-	// leasesActive mirrors len(n.leases) (machine-turn state) at every
-	// lease-table mutation so observers need no lock.
-	leasesActive atomic.Uint64
 	// txnCommits/txnAborts count evaluated transactions by verdict
 	// (duplicates resolve from cache and count nothing).
 	txnCommits atomic.Uint64
@@ -127,9 +124,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.GaugeFunc("canopus_core_sessions_active",
 		"Replicated client sessions in the dedup table.",
 		func() float64 { return float64(n.sessions.Occupancy()) }, labels...)
-	reg.GaugeFunc("canopus_core_leases_active",
-		"Keys with an active write lease (§7.2).",
-		func() float64 { return float64(n.stats.leasesActive.Load()) }, labels...)
 	reg.CounterFunc("canopus_core_state_pushes_total",
 		"Vnode states pushed to another super-leaf's representative.",
 		n.stats.statePushes.Load, labels...)

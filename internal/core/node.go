@@ -194,14 +194,6 @@ type Node struct {
 	// versa) — its reply would carry the wrong incarnations.
 	sponsoring map[wire.NodeID]sponsorship
 
-	// Lease state (§7.2).
-	pendingLeases  []wire.LeaseRequest
-	leaseRequested map[uint64]bool
-	leases         map[uint64]uint64      // key -> last cycle the lease is active for
-	leaseHolder    map[uint64]wire.NodeID // key -> node that last acquired/renewed the lease
-	heldWrites     map[uint64][]heldWrite
-	deferredReads  map[uint64][]deferredRead
-
 	// stats are the always-on operational counters the admin gateway
 	// exports (see metrics.go).
 	stats nodeStats
@@ -250,21 +242,11 @@ type Node struct {
 	nextCycleAt   time.Duration // phase-anchored cycle timer target
 }
 
-type heldWrite struct {
-	req     wire.Request
-	arrived time.Duration
-}
-
 // localRead is one deferred committed-state read (see Node.ReadLocal).
 type localRead struct {
 	key      uint64
 	minCycle uint64
 	fn       func(val []byte, cycle uint64, ok bool)
-}
-
-type deferredRead struct {
-	req     wire.Request
-	arrived time.Duration
 }
 
 var _ engine.Machine = (*Node)(nil)
@@ -281,25 +263,20 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 		panic(fmt.Sprintf("core: node %v not in tree", cfg.Self))
 	}
 	n := &Node{
-		cfg:            cfg,
-		tree:           cfg.Tree,
-		sl:             sl,
-		sm:             sm,
-		cbs:            cbs,
-		sessions:       kvstore.NewSessionTable(),
-		closedPeers:    make(map[wire.NodeID]bool),
-		proposed:       make(map[uint64]*ownSet),
-		cycles:         make(map[uint64]*cycle),
-		recent:         make(map[uint64][]*wire.Proposal),
-		recentChild:    make(map[uint64]map[string]*wire.Proposal),
-		leafDeadAt:     make(map[int]uint64),
-		leafReadmitAt:  make(map[int]time.Duration),
-		sponsoring:     make(map[wire.NodeID]sponsorship),
-		leaseRequested: make(map[uint64]bool),
-		leases:         make(map[uint64]uint64),
-		leaseHolder:    make(map[uint64]wire.NodeID),
-		heldWrites:     make(map[uint64][]heldWrite),
-		deferredReads:  make(map[uint64][]deferredRead),
+		cfg:           cfg,
+		tree:          cfg.Tree,
+		sl:            sl,
+		sm:            sm,
+		cbs:           cbs,
+		sessions:      kvstore.NewSessionTable(),
+		closedPeers:   make(map[wire.NodeID]bool),
+		proposed:      make(map[uint64]*ownSet),
+		cycles:        make(map[uint64]*cycle),
+		recent:        make(map[uint64][]*wire.Proposal),
+		recentChild:   make(map[uint64]map[string]*wire.Proposal),
+		leafDeadAt:    make(map[int]uint64),
+		leafReadmitAt: make(map[int]time.Duration),
+		sponsoring:    make(map[wire.NodeID]sponsorship),
 	}
 	if tm, ok := sm.(TxnMachine); ok {
 		n.tm = tm
@@ -553,21 +530,12 @@ func (n *Node) Submit(req wire.Request) {
 		// lost; clients time out and retry elsewhere. We drop.
 		return
 	}
-	if n.cfg.WriteLeases {
-		n.submitLeased(req)
-		return
-	}
-	n.enqueue(req)
-	n.afterSubmit()
-}
-
-// enqueue appends a request to the accumulating set.
-func (n *Node) enqueue(req wire.Request) {
 	n.accum.reqs = append(n.accum.reqs, req)
 	n.accum.arrivals = append(n.accum.arrivals, n.env.Now())
 	if req.Op.Mutates() {
 		n.accum.writes++
 	}
+	n.afterSubmit()
 }
 
 // ReadLocal answers a read from this replica's committed state without
@@ -724,10 +692,6 @@ func (n *Node) startCycle(k uint64, cause startCause) {
 		p.Updates = n.pendingUpdates
 		n.pendingUpdates = nil
 		n.noteUpdates(k, p.Updates)
-	}
-	if len(n.pendingLeases) > 0 {
-		p.Leases = n.pendingLeases
-		n.pendingLeases = nil
 	}
 	if len(n.pendingSessions) > 0 {
 		p.Sessions = n.pendingSessions

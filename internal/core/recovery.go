@@ -29,10 +29,9 @@ import (
 //     vnode state — which peers serve from their retained recent window
 //     — and installs it as the committed result directly.
 //
-// Scope: recovery is the cold-start path. Membership and lease updates
-// in replayed roots are intentionally NOT re-applied — the view resets
-// to the configured tree (a full-cluster restart brings everyone back)
-// and leases are cycle-bounded ephemera that expired with the outage. A
+// Scope: recovery is the cold-start path. Membership updates in replayed
+// roots are intentionally NOT re-applied — the view resets to the
+// configured tree (a full-cluster restart brings everyone back). A
 // single node restarting into a live cluster still uses the join
 // protocol: its peers committed its Leave, and only a Join update
 // re-admits it to the broadcast groups.
@@ -189,16 +188,15 @@ func (n *Node) requeueSet(cyc uint64, set *ownSet) {
 	ownSetPool.Put(set)
 }
 
-// requeueUpdates returns the session, membership and lease updates of
-// own — this node's abandoned round-1 proposal — to the pending queues,
-// ahead of newer ones, except those the installed root carries too (round
-// 1 completed elsewhere with the proposal).
+// requeueUpdates returns the session and membership updates of own — this
+// node's abandoned round-1 proposal — to the pending queues, ahead of
+// newer ones, except those the installed root carries too (round 1
+// completed elsewhere with the proposal).
 func (n *Node) requeueUpdates(own, root *wire.Proposal) {
 	if own == nil {
 		return
 	}
 	n.pendingSessions = append(missingFrom(own.Sessions, root.Sessions), n.pendingSessions...)
-	n.pendingLeases = append(missingFrom(own.Leases, root.Leases), n.pendingLeases...)
 	updates := missingFrom(own.Updates, root.Updates)
 	for _, u := range updates {
 		// A join rides again under a new cycle: let noteUpdates re-stamp

@@ -105,57 +105,6 @@ func TestEffectiveRepsSkipCutPeers(t *testing.T) {
 	}
 }
 
-// TestLeaseRevokedOnHolderCrash verifies the §7.2 extension for crashes:
-// once the failure cut commits the holder's Leave, its write leases are
-// revoked, so other nodes' reads on the key return to the local fast
-// path instead of being deferred to cycle boundaries until the TTL runs
-// out.
-func TestLeaseRevokedOnHolderCrash(t *testing.T) {
-	cfg := Config{WriteLeases: true, LeaseTTL: 64, TickInterval: time.Millisecond}
-	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg})
-
-	// Node 3 (super-leaf 1, not a fetch-critical representative of
-	// super-leaf 0) acquires a lease on key 7 by writing it.
-	tc.submitAt(5*time.Millisecond, 3, wr(4, 1, 7, 1))
-	tc.run(300 * time.Millisecond)
-	if !tc.nodes[0].leaseActive(7) {
-		t.Fatal("lease on key 7 never activated")
-	}
-
-	// Crash the holder; keep cycles flowing from node 0 so the Leave
-	// update can ride a proposal and commit.
-	tc.runner.Crash(3)
-	for s := 1; s <= 5; s++ {
-		tc.submitAt(time.Duration(300+s*150)*time.Millisecond, 0, wr(1, uint64(s), uint64(100+s), 1))
-	}
-	tc.run(2500 * time.Millisecond)
-
-	if tc.nodes[0].View().Alive(3) {
-		t.Fatal("holder's Leave never committed")
-	}
-	if tc.nodes[0].leaseActive(7) {
-		t.Fatalf("lease on key 7 still active after holder crash (until cycle %d, committed %d)",
-			tc.nodes[0].leases[7], tc.nodes[0].Committed())
-	}
-
-	// A read on the revoked key must complete synchronously (local fast
-	// path), not wait for a cycle boundary.
-	const readAt = 2600 * time.Millisecond
-	tc.submitAt(readAt, 0, rd(1, 99, 7))
-	tc.run(3 * time.Second)
-	reps := tc.replies[0]
-	last := reps[len(reps)-1]
-	if last.req.Op != wire.OpRead || last.req.Seq != 99 {
-		t.Fatalf("missing read reply; last reply %+v", last.req)
-	}
-	if last.at != readAt {
-		t.Fatalf("read was deferred to %v, want synchronous local reply at %v", last.at, readAt)
-	}
-	if len(last.val) != 8 || last.val[0] != 1 {
-		t.Fatalf("read returned %v, want the committed write", last.val)
-	}
-}
-
 // TestWANPartitionStallsThenHeals cuts one super-leaf off and verifies
 // stall semantics (§6) during the cut and full recovery after the heal,
 // with all replicas converging.

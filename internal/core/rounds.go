@@ -256,7 +256,7 @@ func (c *cycle) releaseProps(props []*wire.Proposal) {
 
 // mergeProposals builds the state of vnode target from its ordered
 // children: concatenated batches, the largest proposal number, and the
-// union of membership updates and lease requests. The result is a pure
+// unions of membership and session updates. The result is a pure
 // function of the inputs, so every emulator of target computes an
 // identical message.
 func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []*wire.Proposal) *wire.Proposal {
@@ -266,11 +266,10 @@ func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []
 		VNode:  target,
 		Origin: wire.NoNode,
 	}
-	// The dedup maps are created lazily: most cycles carry no membership,
-	// lease or session updates, and the maps would be three dead
-	// allocations per merge on the commit hot path.
+	// The dedup maps are created lazily: most cycles carry no membership
+	// or session updates, and the maps would be two dead allocations per
+	// merge on the commit hot path.
 	var seenUpd map[wire.MemberUpdate]bool
-	var seenLease map[wire.LeaseRequest]bool
 	var seenSess map[wire.SessionUpdate]bool
 	batches := 0
 	for _, p := range ordered {
@@ -291,15 +290,6 @@ func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []
 				}
 				seenUpd[u] = true
 				out.Updates = append(out.Updates, u)
-			}
-		}
-		for _, l := range p.Leases {
-			if !seenLease[l] {
-				if seenLease == nil {
-					seenLease = make(map[wire.LeaseRequest]bool)
-				}
-				seenLease[l] = true
-				out.Leases = append(out.Leases, l)
 			}
 		}
 		for _, s := range p.Sessions {

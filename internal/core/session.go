@@ -7,8 +7,8 @@ import (
 
 // Replicated client sessions. A session is the unit of exactly-once
 // mutation semantics: registration and expiry ride proposal messages
-// (like membership updates and lease requests), so every replica applies
-// the same session-table change at the same cycle boundary, and every
+// (like membership updates), so every replica applies the same
+// session-table change at the same cycle boundary, and every
 // replica classifies each committed mutation carrying a session identity
 // — duplicate or first sight — identically from the same total order.
 // This is the RCanopus move of making client-visible guarantees part of

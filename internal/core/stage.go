@@ -9,11 +9,10 @@ import (
 // The apply stage: the one way a committed cycle reaches the store.
 //
 // A committed cycle splits into two steps. Order resolution runs inside
-// the machine turn (commit.go): session classification, membership,
-// leases and deferred-read collection — all the protocol state that must
-// evolve in lock-step on every replica. It produces an applyPlan: the
-// cycle's state-machine operations in total order plus the node's own
-// completion records. The stage takes the plan from there and owns
+// the machine turn (commit.go): session classification and membership —
+// all the protocol state that must evolve in lock-step on every replica.
+// It produces an applyPlan: the cycle's state-machine operations in total
+// order plus the node's own completion records. The stage takes the plan from there and owns
 // everything downstream of the order: it applies the operations, runs
 // this node's reads at their recorded positions, advances the applied
 // watermark, appends the root to the WAL, group-syncs, hands the cycle to
@@ -112,8 +111,6 @@ type stage struct {
 	// batch's single Sync — the group commit. Only used with a
 	// Durability hook.
 	durPending []*applyPlan
-	// fastRead is the Commit that carries a §7.2 fast-path read's reply.
-	fastRead Commit
 }
 
 // stageCmd kinds.

@@ -147,8 +147,7 @@ func NewHub(o Options) *Hub {
 }
 
 // Committed publishes one Commit of the node's committed stream: the hub
-// is a core.Consumer. A fast-path read reply (cycle 0) carries no events
-// and is ignored like any cycle already seen.
+// is a core.Consumer.
 func (h *Hub) Committed(c *core.Commit) { h.Publish(c.Cycle, c.Events) }
 
 // Publish consumes one committed cycle's events, in commit order. Empty

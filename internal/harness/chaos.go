@@ -410,7 +410,7 @@ func (r *chaosRun) committed(id wire.NodeID, c *core.Commit) {
 	for i := range c.Replies {
 		r.onReply(&c.Replies[i], c.Vals[i])
 	}
-	if id == r.ref && c.Cycle != 0 {
+	if id == r.ref {
 		r.commits = c.Cycle
 		r.avail.Record(r.sim.Now())
 		r.commitDigest = digestCommit(r.commitDigest, c.Cycle, c.Order)

@@ -387,6 +387,12 @@ const (
 	memberResurrectFlag = 0x02
 )
 
+// The u32 after the member updates is reserved and always 0. It was the
+// count of a write-lease section the protocol no longer has; keeping the
+// word keeps every proposal, and so every WAL record, byte-identical to
+// what earlier builds wrote. The decoder rejects any other value like a
+// malformed bool.
+
 func (p *Proposal) WireSize() int {
 	n := 1 + 8 + 1 + 2 + len(p.VNode) + 4 + 8
 	n += 4 // batch count
@@ -394,7 +400,7 @@ func (p *Proposal) WireSize() int {
 		n += batchSize(bt)
 	}
 	n += 4 + 5*len(p.Updates)
-	n += 4 + 13*len(p.Leases)
+	n += 4 // reserved
 	if len(p.Sessions) > 0 {
 		n += 4 + 9*len(p.Sessions)
 	}
@@ -431,12 +437,7 @@ func (p *Proposal) AppendTo(b []byte) []byte {
 		}
 		b = putU8(b, f)
 	}
-	b = putU32(b, uint32(len(p.Leases)))
-	for _, l := range p.Leases {
-		b = putU64(b, l.Key)
-		b = putNode(b, l.Node)
-		b = putBool(b, l.Release)
-	}
+	b = putU32(b, 0) // reserved
 	if len(p.Sessions) > 0 {
 		b = putU32(b, uint32(len(p.Sessions)))
 		for _, s := range p.Sessions {
@@ -534,14 +535,8 @@ func readProposal(r *reader) *Proposal {
 			p.Updates[i].Resurrect = f&memberResurrectFlag != 0
 		}
 	}
-	nl := r.count(13)
-	if nl > 0 {
-		p.Leases = make([]LeaseRequest, nl)
-		for i := 0; i < nl; i++ {
-			p.Leases[i].Key = r.u64()
-			p.Leases[i].Node = r.node()
-			p.Leases[i].Release = r.boolean()
-		}
+	if r.u32() != 0 && r.err == nil {
+		r.err = ErrBadBool // reserved
 	}
 	if hasSessions {
 		ns := r.count(9)

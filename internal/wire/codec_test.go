@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -23,7 +27,6 @@ func exemplars() []Message {
 		&Proposal{Cycle: 7, Round: 2, VNode: "1.2", Origin: 4, Num: 99,
 			Batches:  []*Batch{b},
 			Updates:  []MemberUpdate{{Node: 5, Leave: true}},
-			Leases:   []LeaseRequest{{Key: 11, Node: 2}},
 			Sessions: []SessionUpdate{{ID: 21 | SessionIDBit}, {ID: 9 | SessionIDBit, Expire: true}}},
 		&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.3", From: 1},
 		&RaftAppend{Group: 9, Term: 3, Leader: 0, PrevIndex: 4, PrevTerm: 2, Commit: 4,
@@ -94,6 +97,71 @@ func TestDecodeUnknownKind(t *testing.T) {
 	}
 	if _, _, err := Decode(nil); err == nil {
 		t.Fatal("empty buffer decoded")
+	}
+}
+
+// goldenProposal has two batches, a Leave, a Resurrect join and a session
+// registration. goldenProposalHex is the encoding commit b4e6680 produced
+// for it, when proposals still carried a write-lease section (empty, as on
+// every proposal a default node sent). Equal bytes prove the reserved word
+// kept the format: WAL segments written then still replay, and simulated
+// message sizes are unchanged.
+func goldenProposal() *Proposal {
+	return &Proposal{Cycle: 12, Round: 2, VNode: "1.2", Origin: NoNode, Num: 77,
+		Batches: []*Batch{
+			{Origin: 0, Reqs: []Request{
+				{Client: 5 | SessionIDBit, Seq: 1, Op: OpWrite, Key: 3, Val: []byte("ab")},
+				{Client: 5 | SessionIDBit, Seq: 2, Op: OpDelete, Key: 4},
+			}, NumRead: 2, NumWrite: 2},
+			{Origin: 1, Reqs: []Request{{Client: 6, Seq: 9, Op: OpWrite, Key: 8, Val: []byte("z")}},
+				NumWrite: 1, Samples: []ArrivalSample{{At: 1000, Count: 1}}},
+		},
+		Updates:  []MemberUpdate{{Node: 2, Leave: true}, {Node: 7, Resurrect: true}},
+		Sessions: []SessionUpdate{{ID: 5 | SessionIDBit}},
+	}
+}
+
+const goldenProposalHex = "010c00000000000000820300312e32ffffffff4d00000000000000020000000000000001020000000500000000000080010000000000000001030000000000000002000000616205000000000000800200000000000000020400000000000000000000000200000002000000000000000000000001000000010100000006000000000000000900000000000000010800000000000000010000007a00000000010000000000000001000000e803000000000000010000000002000000020000000107000000020000000001000000050000000000008000"
+
+func TestProposalGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenProposalHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := goldenProposal()
+	if enc := p.AppendTo(nil); !bytes.Equal(enc, want) {
+		t.Fatalf("encoded\n%x\nwant\n%x", enc, want)
+	}
+	if p.WireSize() != len(want) {
+		t.Fatalf("WireSize %d, golden %d bytes", p.WireSize(), len(want))
+	}
+	got, n, err := Decode(want)
+	if err != nil || n != len(want) {
+		t.Fatalf("decode: %v (consumed %d of %d)", err, n, len(want))
+	}
+	if !reflect.DeepEqual(got, p) {
+		t.Fatalf("decoded\n%#v\nwant\n%#v", got, p)
+	}
+}
+
+// TestProposalReservedWordRejected: a proposal whose reserved word is not
+// 0 does not decode. The corruption is the one an old lease-carrying
+// proposal had: count 1 and a 13-byte lease entry (key, node, release)
+// after it.
+func TestProposalReservedWordRejected(t *testing.T) {
+	p := goldenProposal()
+	enc := p.AppendTo(nil)
+	off := len(enc) - (4 + 9*len(p.Sessions)) - 4 // the word before the sessions section
+	if w := binary.LittleEndian.Uint32(enc[off:]); w != 0 {
+		t.Fatalf("reserved word at %d is %d, want 0", off, w)
+	}
+	lease := binary.LittleEndian.AppendUint32(nil, 1)
+	lease = binary.LittleEndian.AppendUint64(lease, 3)
+	lease = binary.LittleEndian.AppendUint32(lease, 0)
+	lease = append(lease, 0)
+	bad := append(append(append([]byte(nil), enc[:off]...), lease...), enc[off+4:]...)
+	if _, _, err := Decode(bad); !errors.Is(err, ErrBadBool) {
+		t.Fatalf("decode with reserved word 1: %v, want %v", err, ErrBadBool)
 	}
 }
 

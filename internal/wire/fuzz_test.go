@@ -19,8 +19,7 @@ func fuzzSeeds() []Message {
 	return []Message{
 		&Proposal{Cycle: 7, Round: 2, VNode: "1.2", Origin: 3, Num: 42,
 			Batches: []*Batch{batch, fluid},
-			Updates: []MemberUpdate{{Node: 4, Leave: true}},
-			Leases:  []LeaseRequest{{Key: 9, Node: 1}}},
+			Updates: []MemberUpdate{{Node: 4, Leave: true}}},
 		// One batch and five: the single-allocation boxes and the path
 		// beyond them (see newProposal).
 		&Proposal{Cycle: 8, Round: 1, Origin: 1, Num: 43, Batches: []*Batch{batch}},

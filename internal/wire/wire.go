@@ -161,13 +161,6 @@ type MemberUpdate struct {
 	Resurrect bool
 }
 
-// LeaseRequest asks for or releases a write lease on a key (paper §7.2).
-type LeaseRequest struct {
-	Key     uint64
-	Node    NodeID
-	Release bool
-}
-
 // SessionIDBit marks a Request.Client identity as a replicated client
 // session. Session IDs are drawn with this bit set; connection-scoped
 // identities (and the driver sentinel) keep it clear, so the apply path
@@ -318,7 +311,6 @@ type Proposal struct {
 	Batches []*Batch
 
 	Updates  []MemberUpdate
-	Leases   []LeaseRequest
 	Sessions []SessionUpdate
 
 	// Resolve marks a proposal that is allowed past a leaf seal: either a

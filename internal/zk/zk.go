@@ -46,7 +46,7 @@ type ZNode struct {
 }
 
 // PathKey hashes a znode path to the 64-bit key space the consensus
-// engines order on (and take write leases on).
+// engines order on.
 func PathKey(path string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(path))
