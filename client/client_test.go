@@ -281,7 +281,7 @@ func TestExactlyOnceAcrossReplyLoss(t *testing.T) {
 
 	// Inject the reply-loss fault, then pipeline writes through node 0:
 	// they commit cluster-wide, but the client never hears back.
-	c.Port(0).DropReplies()
+	c.Port(0).SetDropReplies(true)
 	const n = 10
 	futs := make([]*client.Future, n)
 	for i := 0; i < n; i++ {
@@ -360,7 +360,7 @@ func TestSessionExpiredMidFlightSurfaces(t *testing.T) {
 	sess := cl.SessionID()
 
 	// Commit a write whose reply is lost.
-	c.Port(0).DropReplies()
+	c.Port(0).SetDropReplies(true)
 	fut := cl.PutAsync(2, []byte("orphan"))
 	logLenAt := func(node int) uint64 {
 		var n uint64

@@ -18,9 +18,7 @@
 package main
 
 import (
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -29,9 +27,7 @@ import (
 	"syscall"
 	"time"
 
-	"canopus/internal/adminsrv"
 	"canopus/internal/core"
-	"canopus/internal/events"
 	"canopus/internal/livecluster"
 	"canopus/internal/lot"
 	"canopus/internal/metrics"
@@ -104,33 +100,6 @@ func main() {
 	if err != nil {
 		log.Fatal("canopus-server: ", err)
 	}
-	st := livecluster.NewStore()
-	nodeCfg := core.Config{
-		Tree: tree, Self: self,
-		LeafTimeout:    *leafTimeout,
-		StallThreshold: *stallThreshold,
-	}
-	var mgr *wal.Manager
-	if *dataDir != "" {
-		if *join {
-			// An evicted node's Leave is committed; recovering its old
-			// disk would resurrect pre-eviction state the cluster has
-			// moved past. Joining is a state-less re-entry by design.
-			log.Fatal("canopus-server: -join and -data-dir are mutually exclusive (a joiner re-enters state-less)")
-		}
-		mgr, err = wal.Open(wal.Options{Dir: *dataDir, Store: st, SnapshotCycles: *snapshotCycles})
-		if err != nil {
-			log.Fatal("canopus-server: ", err)
-		}
-		// Closed after the node (LIFO defers): the apply stage must flush
-		// its last durability batch first.
-		defer func() {
-			if err := mgr.Close(); err != nil {
-				log.Printf("node %v: wal close: %v", self, err)
-			}
-		}()
-		nodeCfg.Durability = mgr
-	}
 	if os.Getenv("CANOPUS_DEBUG_JOIN") != "" {
 		core.DebugHook = func(who wire.NodeID, event string, cycle uint64, detail string) {
 			if strings.HasPrefix(event, "join") || strings.HasPrefix(event, "member") || strings.HasPrefix(event, "leaf") || strings.HasPrefix(event, "evict") {
@@ -138,104 +107,50 @@ func main() {
 			}
 		}
 	}
-	// The event hub and the client port consume the node's committed
-	// stream — the hub first, so a cycle's events go out before its
-	// replies. Recovery replay publishes nothing: its cycles land as a gap
-	// the hub treats as evicted history, so no watch can resume across
-	// state it never saw.
-	hub := events.NewHub(events.Options{})
-	cbs := core.Callbacks{Consumers: []core.Consumer{hub}}
-
-	// Bind the client address before recovery (a restarting node owns its
-	// advertised endpoint immediately) but accept only after recovery has
-	// replayed the log — no client ever reads mid-recovery state.
-	var port *livecluster.ClientPort
-	if *clientAddr != "" {
-		port, err = livecluster.NewClientPort(runner, *clientAddr)
-		if err != nil {
+	rc := livecluster.ReplicaConfig{
+		Runner: runner,
+		Node: core.Config{
+			Tree:           tree,
+			LeafTimeout:    *leafTimeout,
+			StallThreshold: *stallThreshold,
+		},
+		Join:           *join,
+		SnapshotCycles: *snapshotCycles,
+		ClientAddr:     *clientAddr,
+		AdminAddr:      *adminAddr,
+		FaultVerbs:     *adminChaos,
+	}
+	if *dataDir != "" {
+		if rc.Disk, err = wal.DirFS(*dataDir); err != nil {
 			log.Fatal("canopus-server: ", err)
 		}
-		cbs.Consumers = append(cbs.Consumers, port)
+	}
+	if *adminAddr != "" {
+		rc.Registry = metrics.NewRegistry()
 	}
 	if *exitOnEvict {
 		// Fires on the machine turn when an Evicted notice proves the
 		// rest of the cluster committed this node's Leave: this
 		// incarnation can never make progress again. The short delay
 		// lets the log line and any in-flight admin replies out first.
-		cbs.OnEvicted = func() {
+		rc.OnEvicted = func() {
 			log.Printf("node %v: super-leaf evicted by the cluster; exiting for a -join restart", self)
 			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
 		}
 	}
-	var node *core.Node
-	if *join {
-		node = core.NewJoiner(nodeCfg, st, cbs)
-	} else {
-		node = core.NewNode(nodeCfg, st, cbs)
+	rep, err := livecluster.Boot(rc)
+	if err != nil {
+		log.Fatal("canopus-server: ", err)
 	}
-	defer node.Close()
-
-	// The admin gateway binds AND serves before recovery — one notch
-	// earlier than the client port's accept — so /healthz reports
-	// "recovering" during WAL replay instead of connection-refused.
-	// /status and /metrics are live throughout; the Status document
-	// carries only the phase until SetPhase("ok").
-	var adm *adminsrv.Server
+	defer rep.Close()
+	runner.Attach(rep.Node())
+	rep.Start()
 	if *adminAddr != "" {
-		reg := metrics.NewRegistry()
-		nodeLabel := metrics.Label{Key: "node", Value: strconv.Itoa(*id)}
-		node.RegisterMetrics(reg, nodeLabel)
-		runner.RegisterMetrics(reg, nodeLabel)
-		if port != nil {
-			port.RegisterMetrics(reg, nodeLabel)
-		}
-		if mgr != nil {
-			mgr.RegisterMetrics(reg, nodeLabel)
-		}
-		hub.RegisterMetrics(reg, nodeLabel)
-		cfg := adminsrv.Config{
-			Registry: reg,
-			Node:     int32(self),
-			Status:   livecluster.StatusSource(runner, node, st, mgr, hub),
-			Degraded: func() string {
-				if node.StallSuspected() {
-					return "stalled"
-				}
-				return ""
-			},
-		}
-		if mgr != nil {
-			walMgr := mgr
-			cfg.Snapshot = func() error { walMgr.RequestSnapshot(); return nil }
-		}
-		if *adminChaos {
-			cfg.Chaos = chaosActions(self, port)
-		}
-		adm, err = adminsrv.Listen(*adminAddr, cfg)
-		if err != nil {
-			log.Fatal("canopus-server: ", err)
-		}
-		defer adm.Close()
-		log.Printf("node %v: admin gateway on %s (chaos %v)", self, adm.Addr(), *adminChaos)
+		log.Printf("node %v: admin gateway on %s (chaos %v)", self, *adminAddr, *adminChaos)
 	}
-
-	if mgr != nil {
-		info, err := mgr.Recover(node)
-		if err != nil {
-			log.Fatal("canopus-server: recovery: ", err)
-		}
-		if info.Durable > 0 {
-			log.Printf("node %v: recovered to cycle %d from %s (snapshot at cycle %d, %d WAL records replayed)",
-				self, info.Durable, *dataDir, info.SnapshotCycle, info.Replayed)
-		}
-	}
+	port := rep.Port()
 	if port != nil {
-		port.SetNode(node, hub)
-		port.AcceptClients()
 		log.Printf("node %v: client API on %s", self, port.Addr())
-	}
-	if adm != nil {
-		adm.SetPhase("ok")
 	}
 
 	sigs := make(chan os.Signal, 1)
@@ -258,34 +173,6 @@ func main() {
 
 	log.Printf("node %v: consensus on %s (super-leaf %d of %d, LOT height %d)",
 		self, peers[self], tree.SuperLeafOf(self), tree.NumSuperLeaves(), tree.Height)
-	runner.Serve(node)
+	runner.Serve(nil)
 	log.Printf("node %v: shut down", self)
-}
-
-// chaosActions maps POST /chaos actions onto live fault injection. The
-// verbs mirror what the in-process fault tests do: drop-replies opens
-// the committed-but-unacknowledged reply-loss window, serve-replies
-// closes it, kill crash-stops the process (exit 137, as SIGKILL would)
-// after a short delay so the HTTP response gets out first.
-func chaosActions(self wire.NodeID, port *livecluster.ClientPort) func(string) error {
-	return func(action string) error {
-		switch action {
-		case "drop-replies":
-			if port == nil {
-				return errors.New("no client port")
-			}
-			port.SetDropReplies(true)
-		case "serve-replies":
-			if port == nil {
-				return errors.New("no client port")
-			}
-			port.SetDropReplies(false)
-		case "kill":
-			log.Printf("node %v: chaos kill requested", self)
-			time.AfterFunc(100*time.Millisecond, func() { os.Exit(137) })
-		default:
-			return fmt.Errorf("unknown chaos action %q (want drop-replies, serve-replies or kill)", action)
-		}
-		return nil
-	}
 }

@@ -15,7 +15,6 @@ package adminsrv
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,10 +43,9 @@ type Config struct {
 	Node int32
 	// Snapshot backs POST /snapshot (wal.Manager.RequestSnapshot).
 	Snapshot func() error
-	// Chaos backs POST /chaos with the decoded action string. An action
-	// that needs a backend the deployment was not started with should
-	// return (a wrap of) ErrChaosUnavailable, which maps to 409 Conflict;
-	// every other error maps to 400.
+	// Chaos backs POST /chaos with the decoded action string; an error
+	// maps to 400. canopus-server sets it under -admin-chaos, with the
+	// verbs drop-replies, serve-replies and kill; nothing else does.
 	Chaos func(action string) error
 	// Degraded, when set, is consulted on every /healthz and /status
 	// while the phase is "ok": a non-empty return (e.g. "stalled") makes
@@ -55,13 +53,6 @@ type Config struct {
 	// Status.Degraded. It must be cheap and safe from any goroutine.
 	Degraded func() string
 }
-
-// ErrChaosUnavailable marks a chaos action whose backing fabric is not
-// enabled on this deployment (e.g. a partition verb without
-// livecluster's Config.Chaos). The gateway maps it to 409 Conflict —
-// the verb surface exists, the current configuration cannot honor it —
-// distinct from the 403 of a gateway started without -admin-chaos.
-var ErrChaosUnavailable = errors.New("chaos backend not enabled")
 
 // Handler is the gateway's http.Handler with its readiness state; tests
 // drive it through httptest without sockets.
@@ -166,14 +157,7 @@ func (h *Handler) handleChaos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.cfg.Chaos(req.Action); err != nil {
-		// Distinguish "this deployment has no fabric for that" (409) from
-		// "that action is malformed" (400): callers probing for capability
-		// should not read a conflict as their own mistake.
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrChaosUnavailable) {
-			code = http.StatusConflict
-		}
-		http.Error(w, err.Error(), code)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	fmt.Fprintf(w, "chaos action %q applied\n", req.Action)

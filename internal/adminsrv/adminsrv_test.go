@@ -3,7 +3,6 @@ package adminsrv
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,22 +145,6 @@ func TestChaosVerb(t *testing.T) {
 	}
 	if rec := post(t, h, "/chaos", `{"action":"drop-replies"}`); rec.Code != http.StatusOK || got != "drop-replies" {
 		t.Fatalf("/chaos = %d got=%q", rec.Code, got)
-	}
-}
-
-// TestChaosVerbConflict pins the ErrChaosUnavailable mapping: an action
-// whose backing fabric is missing answers 409 Conflict (capability
-// problem), not 400 (caller problem) and not 500.
-func TestChaosVerbConflict(t *testing.T) {
-	h := NewHandler(Config{Chaos: func(a string) error {
-		return fmt.Errorf("%w: cluster started without Config.Chaos", ErrChaosUnavailable)
-	}})
-	rec := post(t, h, "/chaos", `{"action":"partition:0|1"}`)
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("fabric-less /chaos = %d, want 409", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "not enabled") {
-		t.Fatalf("conflict body = %q", rec.Body.String())
 	}
 }
 

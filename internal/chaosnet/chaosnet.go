@@ -11,9 +11,8 @@
 //
 // Impairments, all runtime-switchable while connections are live:
 //
-//   - latency: one-way store-and-forward delay per link. WAN classes
-//     reuse netsim's Metro/Regional/Continental/Intercontinental
-//     constants so sim and live campaigns share one vocabulary.
+//   - latency: one-way store-and-forward delay per link, or a DC-pair
+//     delay matrix built from netsim's WAN classes (ApplyDelayMatrix).
 //   - drop: probability per forwarded chunk of a hard connection reset
 //     (TCP cannot lose bytes mid-stream without corrupting framing, so
 //     loss manifests as resets — which is exactly what exercises the
@@ -25,9 +24,10 @@
 //     detects), not errors. Heal closes the blackholed zombies so
 //     senders redial through the now-healthy path within one backoff.
 //
-// livecluster.Config.Chaos routes a live cluster's transport through a
-// fabric; the admin gateway's POST /chaos and harness.LiveChaos script
-// it via Apply's action grammar.
+// The fabric is a Go API with no text form: livecluster.Config.Chaos
+// routes an in-process cluster's transport through one (Cluster.Chaos),
+// and cmd/chaos-smoke builds one around canopus-server processes; both,
+// harness.LiveChaos and the benchmark call the methods of Net directly.
 package chaosnet
 
 import (
@@ -36,14 +36,10 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"canopus/internal/netsim"
 	"canopus/internal/wire"
 )
 
@@ -64,7 +60,6 @@ type Net struct {
 
 	mu     sync.Mutex
 	links  map[linkKey]*link
-	nodes  map[wire.NodeID]struct{}
 	rng    *rand.Rand
 	closed bool
 }
@@ -84,7 +79,6 @@ func New(cfg Config) *Net {
 	return &Net{
 		logf:  logf,
 		links: make(map[linkKey]*link),
-		nodes: make(map[wire.NodeID]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
@@ -117,23 +111,9 @@ func (n *Net) AddLink(from, to wire.NodeID, upstream string) (string, error) {
 		return "", fmt.Errorf("chaosnet: duplicate link %d->%d", from, to)
 	}
 	n.links[linkKey{from, to}] = l
-	n.nodes[from] = struct{}{}
-	n.nodes[to] = struct{}{}
 	n.mu.Unlock()
 	go l.serve()
 	return ln.Addr().String(), nil
-}
-
-// Nodes returns the sorted set of node IDs that appear on any link.
-func (n *Net) Nodes() []wire.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]wire.NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (n *Net) forEachLink(fn func(*link)) {
@@ -155,25 +135,12 @@ func (n *Net) SetLatency(from, to wire.NodeID, oneWay time.Duration) {
 	}
 }
 
-// SetAllLatency sets the one-way delay on every link.
-func (n *Net) SetAllLatency(oneWay time.Duration) {
-	n.forEachLink(func(l *link) { l.latency.Store(int64(oneWay)) })
-	n.logf("chaosnet: latency %v on all links", oneWay)
-}
-
 // SetDrop sets the probability, per forwarded chunk on the from→to
 // link, of a forced connection reset. p is clamped to [0,1].
 func (n *Net) SetDrop(from, to wire.NodeID, p float64) {
 	if l := n.link(from, to); l != nil {
 		l.dropPerMillion.Store(perMillion(p))
 	}
-}
-
-// SetAllDrop sets the reset probability on every link.
-func (n *Net) SetAllDrop(p float64) {
-	pm := perMillion(p)
-	n.forEachLink(func(l *link) { l.dropPerMillion.Store(pm) })
-	n.logf("chaosnet: drop p=%g on all links", p)
 }
 
 // SetBandwidth throttles the from→to link to bytesPerSec (0 removes the
@@ -466,100 +433,4 @@ func (l *link) close() {
 	}
 	l.ln.Close()
 	l.closeConns()
-}
-
-// latencyClasses maps action-grammar class names to netsim's WAN
-// constants, keeping the sim and live vocabularies identical.
-var latencyClasses = map[string]time.Duration{
-	"metro":            netsim.MetroOneWay,
-	"regional":         netsim.RegionalOneWay,
-	"continental":      netsim.ContinentalOneWay,
-	"intercontinental": netsim.IntercontinentalOneWay,
-}
-
-// Apply executes one control action against the fabric. The grammar is
-// shared by the admin gateway's POST /chaos and the harness:
-//
-//	partition:1,2|3,4   blackhole between the two groups (both ways)
-//	partition:2         isolate node 2 from everyone
-//	heal                lift all partitions
-//	latency:regional    one-way WAN class on every link (metro,
-//	                    regional, continental, intercontinental)
-//	latency:15ms        explicit one-way delay on every link
-//	drop:0.05           per-chunk reset probability on every link
-//	bandwidth:1048576   bytes/sec throttle on every link (0 = off)
-func (n *Net) Apply(action string) error {
-	verb, arg, _ := strings.Cut(action, ":")
-	switch verb {
-	case "heal":
-		n.Heal()
-		return nil
-	case "partition":
-		if !strings.Contains(arg, "|") {
-			ids, err := parseIDs(arg)
-			if err != nil {
-				return err
-			}
-			if len(ids) != 1 {
-				return fmt.Errorf("chaosnet: partition wants one node or two groups, got %q", arg)
-			}
-			n.Isolate(ids[0])
-			return nil
-		}
-		left, right, _ := strings.Cut(arg, "|")
-		a, err := parseIDs(left)
-		if err != nil {
-			return err
-		}
-		b, err := parseIDs(right)
-		if err != nil {
-			return err
-		}
-		n.Partition(a, b)
-		return nil
-	case "latency":
-		if d, ok := latencyClasses[arg]; ok {
-			n.SetAllLatency(d)
-			return nil
-		}
-		d, err := time.ParseDuration(arg)
-		if err != nil || d < 0 {
-			return fmt.Errorf("chaosnet: latency wants a WAN class or duration, got %q", arg)
-		}
-		n.SetAllLatency(d)
-		return nil
-	case "drop":
-		p, err := strconv.ParseFloat(arg, 64)
-		if err != nil || p < 0 || p > 1 {
-			return fmt.Errorf("chaosnet: drop wants a probability in [0,1], got %q", arg)
-		}
-		n.SetAllDrop(p)
-		return nil
-	case "bandwidth":
-		bps, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || bps < 0 {
-			return fmt.Errorf("chaosnet: bandwidth wants bytes/sec, got %q", arg)
-		}
-		n.forEachLink(func(l *link) { l.bwBytesPerSec.Store(bps) })
-		n.logf("chaosnet: bandwidth %d B/s on all links", bps)
-		return nil
-	default:
-		return fmt.Errorf("chaosnet: unknown action %q", action)
-	}
-}
-
-func parseIDs(s string) ([]wire.NodeID, error) {
-	if s == "" {
-		return nil, errors.New("chaosnet: empty node list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]wire.NodeID, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("chaosnet: bad node id %q", p)
-		}
-		out = append(out, wire.NodeID(v))
-	}
-	return out, nil
 }

@@ -216,57 +216,3 @@ func TestDirectedPartitionIsAsymmetric(t *testing.T) {
 		t.Fatalf("1->0 should be healthy, got %q", got)
 	}
 }
-
-func TestApplyGrammar(t *testing.T) {
-	up := echoServer(t)
-	n := newTestNet(t)
-	if _, err := n.AddLink(0, 1, up.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddLink(1, 0, up.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	ok := []string{
-		"heal",
-		"partition:0|1",
-		"partition:1",
-		"heal",
-		"latency:regional",
-		"latency:15ms",
-		"latency:0s",
-		"drop:0.25",
-		"drop:0",
-		"bandwidth:1048576",
-		"bandwidth:0",
-	}
-	for _, a := range ok {
-		if err := n.Apply(a); err != nil {
-			t.Fatalf("Apply(%q): %v", a, err)
-		}
-	}
-	bad := []string{
-		"", "explode", "partition:", "partition:a|b", "partition:1,2",
-		"latency:warp", "drop:2", "drop:x", "bandwidth:-1",
-	}
-	for _, a := range bad {
-		if err := n.Apply(a); err == nil {
-			t.Fatalf("Apply(%q) should fail", a)
-		}
-	}
-
-	// latency:regional actually landed on the links.
-	if got := n.link(0, 1).latency.Load(); got != 0 {
-		t.Fatalf("latency:0s should clear, got %d", got)
-	}
-	if err := n.Apply("latency:continental"); err != nil {
-		t.Fatal(err)
-	}
-	if got := time.Duration(n.link(1, 0).latency.Load()); got != latencyClasses["continental"] {
-		t.Fatalf("latency class not applied: %v", got)
-	}
-
-	if nodes := n.Nodes(); len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 1 {
-		t.Fatalf("Nodes() = %v", nodes)
-	}
-}

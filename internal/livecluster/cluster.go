@@ -1,20 +1,16 @@
-// Package livecluster boots real Canopus deployments in-process: N nodes
-// on loopback TCP behind internal/transport runners (the same sockets
-// cmd/canopus-server uses — not the simulator), each with a client port
-// speaking the client protocol. The benchmark harness
-// uses it to measure the live path; tests use it to exercise end-to-end
-// client traffic and graceful shutdown.
+// Package livecluster boots live Canopus nodes on real sockets, not the
+// simulator. Boot builds one replica — protocol node, store, WAL, event
+// hub, client port speaking the client protocol, admin gateway — around
+// one internal/transport runner; cmd/canopus-server runs one per process,
+// and Start runs N of them on loopback in-process. The benchmark uses
+// Start to measure the live path; tests use it to exercise end-to-end
+// client traffic, faults and graceful shutdown.
 package livecluster
 
 import (
 	"fmt"
-	"path/filepath"
-	"strconv"
-	"sync"
 	"time"
 
-	"canopus/admin"
-	"canopus/internal/adminsrv"
 	"canopus/internal/chaosnet"
 	"canopus/internal/core"
 	"canopus/internal/events"
@@ -46,14 +42,11 @@ type Config struct {
 	// Logf receives transport log lines; default discards them (loopback
 	// teardown noise is not interesting).
 	Logf func(format string, args ...interface{})
-	// DataDir, when set, gives every node a durable storage engine
-	// (internal/wal): a group-commit WAL plus periodic snapshots under
-	// DataDir/node-<id>, recovered from at Start before the node joins
-	// consensus or accepts clients.
-	DataDir string
-	// DataFS overrides the per-node durability filesystem (tests use
-	// wal.MemFS to model a disk surviving a restart without touching the
-	// host). Non-nil enables durability even with an empty DataDir.
+	// DataFS, when set, gives node i a durable storage engine
+	// (internal/wal) on DataFS(i): a group-commit WAL plus periodic
+	// snapshots, recovered from at Start before the node joins consensus
+	// or accepts clients. wal.DirFS is a real disk; tests use wal.MemFS
+	// to model a disk surviving a restart without touching the host.
 	DataFS func(i int) wal.FS
 	// SnapshotCycles is the snapshot cadence in committed cycles
 	// (wal.Options.SnapshotCycles; 0 selects the wal default).
@@ -66,6 +59,7 @@ type Config struct {
 	// Admin gives every node an HTTP admin gateway on a loopback
 	// ephemeral port (see AdminAddr), serving the shared Metrics registry
 	// (or a private one when Metrics is nil) plus /status and /healthz.
+	// Its POST /chaos answers 403: faults come from Chaos.
 	Admin bool
 	// Chaos routes every inter-node transport connection through a
 	// chaosnet fabric: one TCP proxy per directed peer pair, so
@@ -73,10 +67,6 @@ type Config struct {
 	// runtime on real sockets (Cluster.Chaos). Client ports are not
 	// proxied — chaos hits the replication path, not the client edge.
 	Chaos bool
-	// AdminChaos arms the gateways' POST /chaos verb (requires Admin)
-	// with the chaosnet action grammar. Without Chaos the verb exists
-	// but every action answers 409 Conflict.
-	AdminChaos bool
 	// OnEvicted, when set, fires from node i's machine turn when the
 	// rest of the cluster evicts it (core.Callbacks.OnEvicted). It must
 	// not block and must not call RestartNode inline — hand off to a
@@ -84,37 +74,18 @@ type Config struct {
 	OnEvicted func(i int)
 }
 
-// storeShards is the partition count of every live replica's kvstore. A
-// constant: the snapshot format records it, and a data directory whose
-// snapshot was written with another count is refused at recovery.
-const storeShards = 8
-
-// NewStore builds the empty store of one live replica; canopus-server and
-// Start share it.
-func NewStore() *kvstore.Store { return kvstore.NewSharded(storeShards) }
-
-// Cluster is a running loopback deployment.
+// Cluster is a running loopback deployment: one Replica per node, booted
+// by the same Boot canopus-server runs.
 type Cluster struct {
-	Tree    *lot.Tree
-	cfg     Config // normalized by Start (defaults resolved); RestartNode rebuilds from it
-	runners []*transport.Runner
-	ports   []*ClientPort
-	reg     *metrics.Registry
-	admins  []*adminsrv.Server // nil (or nil entries) when Admin is off
-	chaos   *chaosnet.Net      // nil without Config.Chaos
-
-	// mu guards the per-node slices below: RestartNode swaps entries
-	// while the deployment is live (the runner, port, gateway and chaos
-	// links persist across a restart; the protocol node does not).
-	mu     sync.Mutex
-	nodes  []*core.Node
-	stores []*kvstore.Store
-	hubs   []*events.Hub
-	mgrs   []*wal.Manager // nil entries when durability is off
+	Tree     *lot.Tree
+	reg      *metrics.Registry
+	chaos    *chaosnet.Net // nil without Config.Chaos
+	replicas []*Replica
 }
 
-// Start boots the deployment: listeners first (so every node knows every
-// address), then nodes, then client ports.
+// Start boots the deployment: every runner's listener first (so every
+// node knows every address, through its chaos links when Chaos is set),
+// then one Boot per node, then Attach, Serve and Start on each.
 func Start(cfg Config) (*Cluster, error) {
 	sls := cfg.SuperLeaves
 	if sls == nil {
@@ -142,10 +113,7 @@ func Start(cfg Config) (*Cluster, error) {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-
-	cfg.SuperLeaves = sls
-	cfg.Logf = logf
-	c := &Cluster{Tree: tree, cfg: cfg, reg: cfg.Metrics}
+	c := &Cluster{Tree: tree, reg: cfg.Metrics}
 	if c.reg == nil && cfg.Admin {
 		// Gateways without a caller-supplied registry still serve a
 		// fully-instrumented /metrics.
@@ -154,196 +122,79 @@ func Start(cfg Config) (*Cluster, error) {
 	if cfg.Chaos {
 		c.chaos = chaosnet.New(chaosnet.Config{Logf: logf, Seed: cfg.Seed})
 	}
+	runners := make([]*transport.Runner, 0, n)
+	fail := func(err error) (*Cluster, error) {
+		for _, r := range runners {
+			r.Close()
+		}
+		c.kill()
+		return nil, err
+	}
 	// Each runner gets its OWN peer table: with chaos, node i's entry for
 	// j is the i→j proxy's address, which is necessarily different per
 	// direction. Tables are filled once every listener is bound (and
-	// before RegisterMetrics — the per-peer gauges enumerate the table at
-	// registration).
+	// before Boot registers metrics — the per-peer gauges enumerate the
+	// table at registration).
 	peersFor := make([]map[wire.NodeID]string, n)
 	for i := 0; i < n; i++ {
 		peersFor[i] = make(map[wire.NodeID]string, n)
 		r, err := transport.NewRunner(wire.NodeID(i), "127.0.0.1:0", peersFor[i], cfg.Seed)
 		if err != nil {
-			c.kill()
-			return nil, err
+			return fail(err)
 		}
 		r.Logf = logf
-		c.runners = append(c.runners, r)
+		runners = append(runners, r)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			addr := c.runners[j].Addr().String()
+			addr := runners[j].Addr().String()
 			if c.chaos != nil && i != j {
 				var err error
 				if addr, err = c.chaos.AddLink(wire.NodeID(i), wire.NodeID(j), addr); err != nil {
-					c.kill()
-					return nil, fmt.Errorf("livecluster: %w", err)
+					return fail(fmt.Errorf("livecluster: %w", err))
 				}
 			}
 			peersFor[i][wire.NodeID(j)] = addr
 		}
 	}
-	durable := cfg.DataDir != "" || cfg.DataFS != nil
-	for i := 0; i < n; i++ {
-		nodeCfg := cfg.Node
-		nodeCfg.Tree = tree
-		nodeCfg.Self = wire.NodeID(i)
-		st := c.newStore()
-		var mgr *wal.Manager
-		if durable {
-			opts := wal.Options{Store: st, SnapshotCycles: cfg.SnapshotCycles}
-			if cfg.DataFS != nil {
-				opts.FS = cfg.DataFS(i)
-			} else {
-				opts.Dir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))
-			}
-			var err error
-			if mgr, err = wal.Open(opts); err != nil {
-				c.kill()
-				return nil, fmt.Errorf("livecluster: node %d durability: %w", i, err)
-			}
-			nodeCfg.Durability = mgr
+	adminAddr := ""
+	if cfg.Admin {
+		adminAddr = "127.0.0.1:0"
+	}
+	for i, runner := range runners {
+		rc := ReplicaConfig{
+			Runner:         runner,
+			Node:           cfg.Node,
+			SnapshotCycles: cfg.SnapshotCycles,
+			LoggedStore:    cfg.LoggedStores,
+			ClientAddr:     "127.0.0.1:0",
+			AdminAddr:      adminAddr,
+			Registry:       c.reg,
 		}
-		port, err := NewClientPort(c.runners[i], "127.0.0.1:0")
+		rc.Node.Tree = tree
+		if cfg.DataFS != nil {
+			rc.Disk = cfg.DataFS(i)
+		}
+		if cfg.OnEvicted != nil {
+			rc.OnEvicted = func() { cfg.OnEvicted(i) }
+		}
+		r, err := Boot(rc)
 		if err != nil {
-			c.kill()
-			return nil, err
+			return fail(err)
 		}
-		c.ports = append(c.ports, port)
-		hub := events.NewHub(events.Options{})
-		node := core.NewNode(nodeCfg, st, c.nodeCallbacks(i, hub, port))
-		c.stores = append(c.stores, st)
-		c.nodes = append(c.nodes, node)
-		c.mgrs = append(c.mgrs, mgr)
-		c.hubs = append(c.hubs, hub)
-		if mgr != nil {
-			// Recover before Attach (Init) and before the port accepts:
-			// the node rejoins consensus and serves clients only from its
-			// replayed state.
-			if info, err := mgr.Recover(node); err != nil {
-				c.kill()
-				return nil, fmt.Errorf("livecluster: node %d recovery: %w", i, err)
-			} else if info.Durable > 0 {
-				logf("livecluster: node %d recovered to cycle %d (snapshot %d + %d replayed)",
-					i, info.Durable, info.SnapshotCycle, info.Replayed)
-			}
-		}
-		port.SetNode(node, hub)
-		if c.reg != nil {
-			nodeLabel := metrics.Label{Key: "node", Value: strconv.Itoa(i)}
-			node.RegisterMetrics(c.reg, nodeLabel)
-			c.runners[i].RegisterMetrics(c.reg, nodeLabel)
-			port.RegisterMetrics(c.reg, nodeLabel)
-			hub.RegisterMetrics(c.reg, nodeLabel)
-			if mgr != nil {
-				mgr.RegisterMetrics(c.reg, nodeLabel)
-			}
-		}
-		if cfg.Admin {
-			srv, err := adminsrv.Listen("127.0.0.1:0", adminsrv.Config{
-				Registry: c.reg,
-				Node:     int32(i),
-				Status:   c.statusSource(i),
-				Snapshot: snapshotVerb(mgr),
-				Chaos:    c.chaosVerb(),
-				Degraded: c.degradedSource(i),
-			})
-			if err != nil {
-				c.kill()
-				return nil, fmt.Errorf("livecluster: node %d admin: %w", i, err)
-			}
-			c.admins = append(c.admins, srv)
-		}
+		c.replicas = append(c.replicas, r)
 	}
 	// Attach only after every node is built and bound to its port — and
 	// synchronously, so Submit works the moment Start returns (the
 	// canopus.Cluster contract).
-	for i := 0; i < n; i++ {
-		c.runners[i].Attach(c.nodes[i])
+	for _, r := range c.replicas {
+		r.cfg.Runner.Attach(r.Node())
 	}
-	for i := 0; i < n; i++ {
-		go c.runners[i].Serve(nil)
-		c.ports[i].AcceptClients()
-	}
-	for _, srv := range c.admins {
-		srv.SetPhase("ok")
+	for _, r := range c.replicas {
+		go r.cfg.Runner.Serve(nil)
+		r.Start()
 	}
 	return c, nil
-}
-
-// newStore builds one replica's empty store.
-func (c *Cluster) newStore() *kvstore.Store {
-	if c.cfg.LoggedStores {
-		return kvstore.NewShardedLogged(storeShards)
-	}
-	return NewStore()
-}
-
-// snapshotVerb adapts an optional WAL manager to the gateway's POST
-// /snapshot hook (nil manager disables the verb).
-func snapshotVerb(mgr *wal.Manager) func() error {
-	if mgr == nil {
-		return nil
-	}
-	return func() error {
-		mgr.RequestSnapshot()
-		return nil
-	}
-}
-
-// nodeCallbacks builds node i's core callbacks: its event hub and client
-// port consume the committed stream — the hub first, so a cycle's events
-// are published before its replies go out — and the cluster config's
-// eviction hook.
-func (c *Cluster) nodeCallbacks(i int, hub *events.Hub, port *ClientPort) core.Callbacks {
-	cbs := core.Callbacks{Consumers: []core.Consumer{hub, port}}
-	if c.cfg.OnEvicted != nil {
-		cbs.OnEvicted = func() { c.cfg.OnEvicted(i) }
-	}
-	return cbs
-}
-
-// statusSource builds node i's /status source, resolving the current
-// node, store, WAL and hub on every call so an in-place restart
-// (RestartNode) is picked up without rewiring the gateway.
-func (c *Cluster) statusSource(i int) func() admin.Status {
-	return func() admin.Status {
-		c.mu.Lock()
-		node, st, mgr, hub := c.nodes[i], c.stores[i], c.mgrs[i], c.hubs[i]
-		c.mu.Unlock()
-		return StatusSource(c.runners[i], node, st, mgr, hub)()
-	}
-}
-
-// degradedSource backs node i's gateway liveness hook: "stalled" while
-// the node's stall detector (core.Config.StallThreshold) or hard-halt
-// flag is raised, "" otherwise.
-func (c *Cluster) degradedSource(i int) func() string {
-	return func() string {
-		c.mu.Lock()
-		node := c.nodes[i]
-		c.mu.Unlock()
-		if node.StallSuspected() {
-			return "stalled"
-		}
-		return ""
-	}
-}
-
-// chaosVerb adapts the fabric to the gateways' POST /chaos. Nil (verb
-// answers 403) unless AdminChaos; with the verb armed but no fabric,
-// every action answers ErrChaosUnavailable (409) — the surface exists,
-// this deployment cannot honor it.
-func (c *Cluster) chaosVerb() func(string) error {
-	if !c.cfg.AdminChaos {
-		return nil
-	}
-	return func(action string) error {
-		if c.chaos == nil {
-			return fmt.Errorf("%w: cluster started without Config.Chaos", adminsrv.ErrChaosUnavailable)
-		}
-		return c.chaos.Apply(action)
-	}
 }
 
 // Chaos returns the fault-injection fabric, nil without Config.Chaos.
@@ -362,55 +213,28 @@ func (c *Cluster) Chaos() *chaosnet.Net { return c.chaos }
 // Must not be called from a node callback or machine turn (it re-enters
 // the runner's serialization lock via Attach).
 func (c *Cluster) RestartNode(i int) error {
-	c.mu.Lock()
-	if c.mgrs[i] != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("livecluster: RestartNode(%d): not supported with durability", i)
+	if err := c.replicas[i].restart(); err != nil {
+		return fmt.Errorf("livecluster: RestartNode(%d): %w", i, err)
 	}
-	old := c.nodes[i]
-	c.mu.Unlock()
-
-	nodeCfg := c.cfg.Node
-	nodeCfg.Tree = c.Tree
-	nodeCfg.Self = wire.NodeID(i)
-	st := c.newStore()
-	hub := events.NewHub(events.Options{})
-	node := core.NewJoiner(nodeCfg, st, c.nodeCallbacks(i, hub, c.ports[i]))
-
-	c.mu.Lock()
-	c.nodes[i], c.stores[i], c.hubs[i] = node, st, hub
-	c.mu.Unlock()
-	// Swap the client port first so no request reaches the dying node,
-	// then attach the joiner (Init sends its JoinRequest through the
-	// runner; the old node's armed timers die with it — transport drops
-	// timers whose arming machine was replaced).
-	c.ports[i].SetNode(node, hub)
-	c.runners[i].Attach(node)
-	old.Close()
 	return nil
 }
 
 // NumNodes returns the deployment size.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
+func (c *Cluster) NumNodes() int { return len(c.replicas) }
 
 // ClientAddr returns node i's client-port address.
-func (c *Cluster) ClientAddr(i int) string { return c.ports[i].Addr() }
+func (c *Cluster) ClientAddr(i int) string { return c.replicas[i].port.Addr() }
 
 // Node returns protocol node i (for tests and tooling) — the current
 // one, after any RestartNode.
-func (c *Cluster) Node(i int) *core.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[i]
-}
+func (c *Cluster) Node(i int) *core.Node { return c.replicas[i].Node() }
 
 // Store returns node i's local replica state (for tests and tooling).
 // The node's apply stage owns the store; foreign reads are only coherent
 // through InspectStore.
 func (c *Cluster) Store(i int) *kvstore.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stores[i]
+	_, st, _ := c.replicas[i].current()
+	return st
 }
 
 // InspectStore runs fn against node i's replica state on the node's apply
@@ -419,33 +243,27 @@ func (c *Cluster) Store(i int) *kvstore.Store {
 // equality and exactly-once application. fn must not submit operations
 // or block on cluster progress.
 func (c *Cluster) InspectStore(i int, fn func(st *kvstore.Store)) {
-	c.mu.Lock()
-	node, st := c.nodes[i], c.stores[i]
-	c.mu.Unlock()
+	node, st, _ := c.replicas[i].current()
 	node.InspectApplied(func() { fn(st) })
 }
 
 // Port returns node i's client port.
-func (c *Cluster) Port(i int) *ClientPort { return c.ports[i] }
+func (c *Cluster) Port(i int) *ClientPort { return c.replicas[i].port }
 
 // Durability returns node i's storage engine (nil when the cluster runs
-// without DataDir/DataFS).
-func (c *Cluster) Durability(i int) *wal.Manager {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mgrs[i]
-}
+// without DataFS).
+func (c *Cluster) Durability(i int) *wal.Manager { return c.replicas[i].mgr }
 
 // Runner returns node i's transport runner.
-func (c *Cluster) Runner(i int) *transport.Runner { return c.runners[i] }
+func (c *Cluster) Runner(i int) *transport.Runner { return c.replicas[i].cfg.Runner }
 
 // AdminAddr returns node i's admin-gateway address, or "" when the
 // cluster was started without Config.Admin.
 func (c *Cluster) AdminAddr(i int) string {
-	if len(c.admins) == 0 {
-		return ""
+	if adm := c.replicas[i].admin; adm != nil {
+		return adm.Addr()
 	}
-	return c.admins[i].Addr()
+	return ""
 }
 
 // Registry returns the cluster's metrics registry: Config.Metrics when
@@ -460,20 +278,20 @@ func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 // mutations and misses) and whether the operation was served; ok=false
 // means the node is draining, stalled or crashed.
 func (c *Cluster) Submit(node int, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
-	c.ports[node].SubmitLocal(op, key, val, done)
+	c.Port(node).SubmitLocal(op, key, val, done)
 }
 
 // Endpoint returns node's client-port address, implementing the
 // canopus.Cluster interface: a canopus/client.Client pointed at the
 // endpoints drives this deployment over real sockets.
-func (c *Cluster) Endpoint(node int) string { return c.ports[node].Addr() }
+func (c *Cluster) Endpoint(node int) string { return c.Port(node).Addr() }
 
 // RegisterSession commits a fresh replicated client session through
 // node, implementing the canopus.SessionCluster interface. done runs
 // from the node's machine turn (it must not block) with the session ID
 // every replica now knows; ok=false means the node could not commit it.
 func (c *Cluster) RegisterSession(node int, done func(id uint64, ok bool)) {
-	c.ports[node].RegisterLocal(done)
+	c.Port(node).RegisterLocal(done)
 }
 
 // SubmitSession executes one session-scoped operation at node's replica,
@@ -483,7 +301,7 @@ func (c *Cluster) RegisterSession(node int, done func(id uint64, ok bool)) {
 // on the node's apply stage (see Submit); ok=false means the
 // node is draining, stalled, crashed, or the session has expired.
 func (c *Cluster) SubmitSession(node int, session, seq uint64, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
-	c.ports[node].SubmitSessionLocal(session, seq, op, key, val, done)
+	c.Port(node).SubmitSessionLocal(session, seq, op, key, val, done)
 }
 
 // SubmitTxn executes one multi-op transaction at node's replica,
@@ -494,15 +312,14 @@ func (c *Cluster) SubmitSession(node int, session, seq uint64, op wire.Op, key u
 // at-most-once. done runs on the node's apply stage (see Submit) and must
 // not block.
 func (c *Cluster) SubmitTxn(node int, session, seq uint64, body []byte, done func(val []byte, ok bool)) {
-	c.ports[node].SubmitSessionLocal(session, seq, wire.OpTxn, 0, body, done)
+	c.Port(node).SubmitSessionLocal(session, seq, wire.OpTxn, 0, body, done)
 }
 
 // Hub returns node i's event hub (the current one, after any
 // RestartNode).
 func (c *Cluster) Hub(i int) *events.Hub {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hubs[i]
+	_, _, hub := c.replicas[i].current()
+	return hub
 }
 
 // Watch registers a watch on node's event hub, implementing the
@@ -531,12 +348,13 @@ func (c *Cluster) Close() error {
 // broadcast majority); clients connected to the node observe a broken
 // connection, exactly as if the process died.
 func (c *Cluster) Crash(i int) {
-	c.ports[i].Abort()
-	c.runners[i].Close()
+	r := c.replicas[i]
+	r.port.Abort()
+	r.cfg.Runner.Close()
 	// The transport is closed (no further machine turns); stop the node's
 	// apply stage. Queued cycles finish applying first, so a post-mortem
 	// Store inspection still sees everything ordered here.
-	c.Node(i).Close()
+	r.Node().Close()
 }
 
 // Stop shuts the deployment down gracefully: drain every client port
@@ -544,38 +362,26 @@ func (c *Cluster) Crash(i int) {
 // whether all ports drained inside the per-port timeout.
 func (c *Cluster) Stop(drain time.Duration) bool {
 	drained := true
-	for _, p := range c.ports {
-		if !p.Stop(drain) {
+	for _, r := range c.replicas {
+		if !r.port.Stop(drain) {
 			drained = false
 		}
 	}
-	for _, r := range c.runners {
-		r.Drain(time.Second)
+	for _, r := range c.replicas {
+		r.cfg.Runner.Drain(time.Second)
 	}
 	c.kill()
 	return drained
 }
 
 func (c *Cluster) kill() {
-	for _, srv := range c.admins {
-		srv.Close()
-	}
-	for _, r := range c.runners {
-		r.Close()
+	for _, r := range c.replicas {
+		r.cfg.Runner.Close()
 	}
 	if c.chaos != nil {
 		c.chaos.Close()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		n.Close()
-	}
-	// Node.Close stopped each apply stage (flushing its durability
-	// batch), so the managers can close their segments cleanly.
-	for _, m := range c.mgrs {
-		if m != nil {
-			m.Close()
-		}
+	for _, r := range c.replicas {
+		r.Close()
 	}
 }

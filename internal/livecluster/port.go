@@ -126,18 +126,17 @@ type clientConn struct {
 	closing bool
 }
 
-// NewClientPort binds the client protocol for the node runner serves on
+// newClientPort binds the client protocol for the node runner serves on
 // addr (e.g. "127.0.0.1:0"). The port is built before its node — it is
 // one of the node's Consumers — and bound to it by SetNode. It does NOT
-// accept connections yet: call AcceptClients once the node is bound and
-// ready to serve — in particular, after crash recovery has replayed the
-// WAL. Binding early and accepting late means a restarting server owns its
-// advertised address immediately without ever exposing mid-recovery state
-// to a client.
-func NewClientPort(runner *transport.Runner, addr string) (*ClientPort, error) {
+// accept connections yet: Replica.Start calls AcceptClients once crash
+// recovery has replayed the WAL. Binding early and accepting late means a
+// restarting server owns its advertised address immediately without ever
+// exposing mid-recovery state to a client.
+func newClientPort(runner *transport.Runner, addr string) (*ClientPort, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("livecluster: client listen %s: %w", addr, err)
+		return nil, fmt.Errorf("client listen %s: %w", addr, err)
 	}
 	p := &ClientPort{
 		runner:      runner,
@@ -165,7 +164,7 @@ func (p *ClientPort) connID(n uint64) uint64 {
 }
 
 // AcceptClients starts accepting client connections. Idempotent; see
-// NewClientPort for why accepting is separate from binding.
+// newClientPort for why accepting is separate from binding.
 func (p *ClientPort) AcceptClients() {
 	p.accept.Do(func() { go p.acceptLoop() })
 }
@@ -196,16 +195,13 @@ func (p *ClientPort) SetNode(node *core.Node, hub *events.Hub) {
 // Addr returns the bound client address.
 func (p *ClientPort) Addr() string { return p.ln.Addr().String() }
 
-// DropReplies makes the port silently discard every response instead of
-// writing it to the socket: ops still enter consensus, commit and apply,
-// but their clients never hear back. Crash-failover tests use it to
-// inject the reply-loss race deterministically — the committed-but-
-// unacknowledged window that forces a client retry of a committed op.
-func (p *ClientPort) DropReplies() { p.dropReplies.Store(true) }
-
 // SetDropReplies switches reply-loss fault injection on or off at
-// runtime — the admin gateway's /chaos verb uses the off switch to end a
-// game-day that DropReplies started.
+// runtime. While on, the port silently discards every response instead
+// of writing it to the socket: ops still enter consensus, commit and
+// apply, but their clients never hear back — the committed-but-
+// unacknowledged window that forces a client retry of a committed op,
+// made deterministic for crash-failover tests and the server's
+// drop-replies/serve-replies chaos verbs.
 func (p *ClientPort) SetDropReplies(on bool) { p.dropReplies.Store(on) }
 
 // Outstanding returns the number of accepted, not-yet-answered requests.

@@ -23,7 +23,7 @@ func TestPreamble(t *testing.T) {
 	preambleTimeout = 200 * time.Millisecond
 	c := startCluster(t, 1)
 	defer c.Stop(5 * time.Second)
-	stats := &c.ports[0].stats
+	stats := &c.Port(0).stats
 
 	for _, tc := range []struct {
 		name      string

@@ -54,10 +54,8 @@ var _ core.Durable = (*Manager)(nil)
 
 // Options configures a Manager.
 type Options struct {
-	// Dir is the node's data directory (real disk). Ignored when FS is
-	// set.
-	Dir string
-	// FS overrides the filesystem (simulations and tests use MemFS).
+	// FS is the node's disk: DirFS over a data directory, or a MemFS in
+	// simulations and tests.
 	FS FS
 	// Store is the node's state machine; snapshots read and restore it.
 	Store *kvstore.Store
@@ -68,28 +66,24 @@ type Options struct {
 	SnapshotCycles int
 }
 
-// Open creates a Manager over the directory. Call Recover before Init
-// and before any appends; an empty directory recovers to nothing and
-// leaves the node untouched.
+// Open creates a Manager over the disk. Call Recover before Init and
+// before any appends; an empty disk recovers to nothing and leaves the
+// node untouched.
 func Open(opts Options) (*Manager, error) {
 	if opts.Store == nil {
 		return nil, errors.New("wal: Options.Store is required")
 	}
-	fs := opts.FS
-	if fs == nil {
-		var err error
-		if fs, err = DirFS(opts.Dir); err != nil {
-			return nil, err
-		}
+	if opts.FS == nil {
+		return nil, errors.New("wal: Options.FS is required")
 	}
 	snapEvery := opts.SnapshotCycles
 	if snapEvery == 0 {
 		snapEvery = 4096
 	}
 	return &Manager{
-		fs:        fs,
+		fs:        opts.FS,
 		store:     opts.Store,
-		log:       newLogWriter(fs, opts.SegmentBytes),
+		log:       newLogWriter(opts.FS, opts.SegmentBytes),
 		shadow:    kvstore.NewSessionTable(),
 		snapEvery: snapEvery,
 	}, nil
