@@ -30,9 +30,9 @@ func family(series map[string]float64, name string) float64 {
 
 // TestAdminGatewayObservesLoad drives client traffic through a cluster
 // with admin gateways and asserts the operations plane sees it: the
-// cycle-commit counter and the applied watermark advance between
-// scrapes, /status parses with live membership, and POST /snapshot is
-// accepted on a durable deployment.
+// cycle-commit counter, the applied watermark and the timer-lateness
+// histogram advance between scrapes, /status parses with live
+// membership, and POST /snapshot is accepted on a durable deployment.
 func TestAdminGatewayObservesLoad(t *testing.T) {
 	disks := []*wal.MemFS{wal.NewMemFS(), wal.NewMemFS(), wal.NewMemFS()}
 	c, err := Start(durableConfig(disks))
@@ -70,6 +70,7 @@ func TestAdminGatewayObservesLoad(t *testing.T) {
 		"canopus_core_cycle_applied",
 		"canopus_client_requests_total",
 		"canopus_wal_appends_total",
+		"canopus_transport_timer_late_seconds_count",
 	} {
 		if family(after, name) <= family(before, name) {
 			t.Errorf("%s did not advance under load: %v -> %v",

@@ -238,14 +238,16 @@ func (m *rearmMachine) Timer(tag engine.TimerTag) {
 }
 
 // timerRearmAllocCeiling is the committed ceiling on heap objects per
-// Runner.After. Steady state is zero — the deadline goes into the runner's
-// heap and its one time.Timer is reset; time.AfterFunc per call cost a
-// timer and a closure. The slack absorbs the runtime's own background
-// allocations.
+// Runner.After. Steady state is zero — the deadline goes into one of the
+// runner's heaps and that heap's deadline source (for this benchmark's
+// sub-millisecond deadlines a timerfd on Linux, set by a system call on a
+// stack-held value) is re-armed; time.AfterFunc per call cost a timer and
+// a closure. The slack absorbs the runtime's own background allocations.
 const timerRearmAllocCeiling = 0.05
 
 // BenchmarkTimerRearm measures a timer chain — every handler arms the next
-// timer, as a node's tick and cycle timers do: allocs/After fails the
+// timer, as a node's tick and cycle timers do, so every After re-arms the
+// deadline source and every fire reads it: allocs/After fails the
 // benchmark above timerRearmAllocCeiling.
 func BenchmarkTimerRearm(b *testing.B) {
 	m := &rearmMachine{done: make(chan struct{}, 1)}

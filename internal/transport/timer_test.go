@@ -2,6 +2,8 @@ package transport
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,7 +136,7 @@ func TestTimerHeapUnderLoad(t *testing.T) {
 		last = m.at[i]
 	}
 	r.mu.Lock()
-	left := len(r.timers)
+	left := len(r.near.heap) + len(r.far.heap)
 	r.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d timers left in the heap after all fired", left)
@@ -160,8 +162,11 @@ func TestReplacedMachinesTimersDie(t *testing.T) {
 	}
 }
 
-// TestCloseStopsTimers: nothing fires after Close.
+// TestCloseStopsTimers: nothing fires after Close, and Close ends the
+// goroutine that waits on the deadline source — a process that restarts
+// nodes creates and closes many runners.
 func TestCloseStopsTimers(t *testing.T) {
+	before := runtime.NumGoroutine()
 	r := timerRunner(t)
 	m := &timerMachine{want: 1, done: make(chan struct{}, 1)}
 	m.onIni = func(env engine.Env) { env.After(20*time.Millisecond, 1) }
@@ -170,5 +175,81 @@ func TestCloseStopsTimers(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	if got := m.fired(); len(got) != 0 {
 		t.Fatalf("timers %v fired after Close", got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the runner", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPastDeadlineFires: a deadline that is already due when it is armed
+// still fires (a timerfd set to zero would be disarmed instead).
+func TestPastDeadlineFires(t *testing.T) {
+	r := timerRunner(t)
+	m := &timerMachine{want: 2, done: make(chan struct{}, 1)}
+	m.onIni = func(env engine.Env) {
+		env.After(0, 1)
+		env.After(-time.Millisecond, 2)
+	}
+	r.Attach(m)
+	waitTimers(t, m)
+}
+
+// TestOnlyNearDeadlinesAreTimed: a near deadline armed after a far one
+// fires first, and the lateness histogram times only the near deadline —
+// the far one's sub-millisecond lateness is the time.Timer's by design.
+func TestOnlyNearDeadlinesAreTimed(t *testing.T) {
+	r := timerRunner(t)
+	m := &timerMachine{want: 2, done: make(chan struct{}, 1)}
+	m.onIni = func(env engine.Env) {
+		env.After(20*time.Millisecond, 2)
+		env.After(300*time.Microsecond, 1)
+	}
+	r.Attach(m)
+	waitTimers(t, m)
+	if got := m.fired(); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("timers fired in order %v, want [1 2]", got)
+	}
+	if got := r.stats.timerLate.Count(); got != 1 {
+		t.Fatalf("the lateness histogram holds %d observations, want 1 (the near deadline's)", got)
+	}
+}
+
+// TestTimerFiresOnTime: on an idle runner a sub-millisecond deadline fires
+// within a fraction of itself — the pace of a node's cycles is such a
+// deadline. A time.Timer fires a 500 µs one about 570 µs late at the
+// median while the process is idle, because the runtime's netpoller sleeps
+// in whole milliseconds; the timerfd fires it within about 10 µs.
+func TestTimerFiresOnTime(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the deadline source is a time.Timer here, which may fire a millisecond late")
+	}
+	r := timerRunner(t)
+	m := &timerMachine{done: make(chan struct{}, 1)}
+	r.Attach(m)
+	const n, d = 200, 500 * time.Microsecond
+	late := make([]time.Duration, n)
+	for i := range late {
+		m.mu.Lock()
+		m.want = i + 1
+		m.mu.Unlock()
+		var due time.Duration
+		r.Invoke(func() {
+			r.After(d, 1)
+			due = r.near.heap[0].at
+		})
+		waitTimers(t, m)
+		m.mu.Lock()
+		late[i] = m.at[i] - due
+		m.mu.Unlock()
+	}
+	slices.Sort(late)
+	if p50 := late[n/2]; p50 > 200*time.Microsecond {
+		t.Fatalf("a %v deadline fired %v late at the median (p99 %v), want under 200µs", d, p50, late[n*99/100])
+	}
+	if got := r.stats.timerLate.Count(); got != n {
+		t.Fatalf("the lateness histogram holds %d observations for %d fires", got, n)
 	}
 }

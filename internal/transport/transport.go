@@ -18,8 +18,11 @@
 // reused after the turn (see engine.Machine.Recv for the ownership rule).
 //
 // Timers are the runner's own: the deadlines machines arm with After sit
-// in a heap behind one reusable time.Timer, and every timer that is due
-// when it fires runs in the same machine turn.
+// in two heaps, each behind a deadline source of its own — on Linux a
+// timerfd for deadlines armed under a millisecond ahead, which fires them
+// on time where a time.Timer may run a millisecond late, and a time.Timer
+// for the rest — and every timer that is due when either fires runs in
+// the same machine turn.
 package transport
 
 import (
@@ -52,6 +55,11 @@ const maxQueuedBytes = 32 << 20
 // trying that peer again; batches arriving in between are dropped.
 const dialBackoff = 100 * time.Millisecond
 
+// fineDeadline splits the runner's deadlines: one armed less than this
+// far ahead is near, and the waker fires it from a timerfd on Linux; the
+// rest are far, fired from a time.Timer (waker_linux.go).
+const fineDeadline = time.Millisecond
+
 // Runner hosts one protocol machine on a TCP endpoint.
 type Runner struct {
 	id    wire.NodeID
@@ -62,13 +70,12 @@ type Runner struct {
 	start   time.Time
 	rng     *rand.Rand
 
-	// timers holds the pending After deadlines as a min-heap on (at,
-	// seq); wake is armed for the earliest, wakeAt (0: not armed). All
-	// guarded by mu.
-	timers   []pendingTimer
-	timerSeq uint64
-	wake     *time.Timer
-	wakeAt   time.Duration
+	// near and far hold the pending After deadlines: near those armed
+	// less than fineDeadline ahead, far the rest. wake fires each from a
+	// source of its own. All guarded by mu.
+	near, far timerQueue
+	timerSeq  uint64
+	wake      *waker
 
 	// pending accumulates this turn's encoded frames per destination;
 	// guarded by mu (sends only happen inside machine turns).
@@ -131,6 +138,11 @@ type runnerStats struct {
 	reads    atomic.Uint64 // socket reads that delivered at least one frame
 	connects atomic.Uint64 // outbound peer transitions to up (dial successes)
 	resets   atomic.Uint64 // outbound peer transitions to down (lost conns)
+
+	// timerLate is how late a wake served the earliest due near deadline,
+	// one observation per wake that found one: the deadlines that need the
+	// precision.
+	timerLate metrics.LatencyHistogram
 }
 
 // RegisterMetrics exports the transport's counters into reg under the
@@ -161,6 +173,9 @@ func (r *Runner) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label)
 	reg.CounterFunc("canopus_transport_peer_resets_total",
 		"Outbound peer connections lost (write errors and failed redials).",
 		r.stats.resets.Load, labels...)
+	reg.AttachHistogram("canopus_transport_timer_late_seconds",
+		"How long after the earliest due deadline armed less than a millisecond ahead the runner woke to fire it, before waiting for the machine lock (one observation per wake that found one).",
+		&r.stats.timerLate, labels...)
 	// Per-peer liveness gauges: peers are read at registration time, so
 	// callers must fill the address map first (livecluster does).
 	ids := make([]wire.NodeID, 0, len(r.peers))
@@ -259,6 +274,10 @@ func NewRunner(id wire.NodeID, listen string, peers map[wire.NodeID]string, seed
 		done:     make(chan struct{}),
 		Logf:     log.Printf,
 	}
+	if r.wake, err = newWaker(func() { r.fireTimers(true) }, func() { r.fireTimers(false) }); err != nil {
+		ln.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -305,11 +324,10 @@ func (r *Runner) Close() {
 		return
 	}
 	r.closed = true
-	if r.wake != nil {
-		r.wake.Stop()
-	}
-	clear(r.timers)
-	r.timers = nil
+	r.wake.close()
+	clear(r.near.heap)
+	clear(r.far.heap)
+	r.near, r.far = timerQueue{}, timerQueue{}
 	r.mu.Unlock()
 	close(r.done)
 	r.listener.Close()
@@ -397,9 +415,66 @@ func (a *pendingTimer) before(b *pendingTimer) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// timerQueue is one deadline source's pending timers, a min-heap on
+// (at, seq), and the deadline its source is armed for (0: not armed).
+type timerQueue struct {
+	heap   timerHeap
+	wakeAt time.Duration
+}
+
+// timerHeap is a min-heap of pending timers on (at, seq).
+type timerHeap []pendingTimer
+
+// push adds t and reports whether it is now the earliest.
+func (h *timerHeap) push(t pendingTimer) bool {
+	i := len(*h)
+	*h = append(*h, t)
+	s := *h
+	for i > 0 { // sift up
+		parent := (i - 1) / 2
+		if !t.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = t
+	return i == 0
+}
+
+// pop removes and returns the earliest timer.
+func (h *timerHeap) pop() pendingTimer {
+	s := *h
+	top, n := s[0], len(s)-1
+	t := s[n]
+	s[n] = pendingTimer{} // do not pin the machine
+	s = s[:n]
+	i := 0
+	for { // sift t down from the root
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && s[child+1].before(&s[child]) {
+			child++
+		}
+		if !s[child].before(&t) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	if n > 0 {
+		s[i] = t
+	}
+	*h = s
+	return top
+}
+
 // After implements engine.Env using wall-clock time. It costs no
-// allocation: the deadline goes into the runner's heap, and the runner's
-// one time.Timer is re-armed only when the new deadline is the earliest.
+// allocation: the deadline goes into one of the runner's two heaps — near
+// if it lies less than fineDeadline ahead — and that heap's deadline
+// source is re-armed only when the new deadline is its earliest.
 // The arming machine is recorded so a timer never fires into a successor
 // installed by a later Attach (livecluster.RestartNode replaces an evicted
 // node with a joiner on the same runner; the old node's tick chain must
@@ -408,88 +483,75 @@ func (r *Runner) After(d time.Duration, tag engine.TimerTag) {
 	// Called from the machine turn, under r.mu.
 	r.timerSeq++
 	t := pendingTimer{at: r.Now() + max(d, 0), seq: r.timerSeq, tag: tag, machine: r.machine}
-	i := len(r.timers)
-	r.timers = append(r.timers, t)
-	for i > 0 { // sift up
-		parent := (i - 1) / 2
-		if !t.before(&r.timers[parent]) {
-			break
-		}
-		r.timers[i] = r.timers[parent]
-		i = parent
-	}
-	r.timers[i] = t
-	if i == 0 {
-		r.armWake()
+	if near := d < fineDeadline; r.queue(near).heap.push(t) {
+		r.armWake(near)
 	}
 }
 
-// popTimer removes and returns the earliest pending timer.
-func (r *Runner) popTimer() pendingTimer {
-	h := r.timers
-	top, n := h[0], len(h)-1
-	t := h[n]
-	h[n] = pendingTimer{} // do not pin the machine
-	h = h[:n]
-	i := 0
-	for { // sift t down from the root
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if child+1 < n && h[child+1].before(&h[child]) {
-			child++
-		}
-		if !h[child].before(&t) {
-			break
-		}
-		h[i] = h[child]
-		i = child
+// queue returns the near or the far timer queue.
+func (r *Runner) queue(near bool) *timerQueue {
+	if near {
+		return &r.near
 	}
-	if n > 0 {
-		h[i] = t
-	}
-	r.timers = h
-	return top
+	return &r.far
 }
 
-// armWake points the runner's time.Timer at the earliest pending deadline,
-// unless it already is. Called with r.mu held.
-func (r *Runner) armWake() {
-	if len(r.timers) == 0 || r.closed {
+// armWake points the near or the far deadline source at the earliest
+// deadline of its queue, unless it already is. Called with r.mu held.
+func (r *Runner) armWake(near bool) {
+	q := r.queue(near)
+	if len(q.heap) == 0 || r.closed {
 		return
 	}
-	at := r.timers[0].at
-	if r.wakeAt != 0 && r.wakeAt <= at {
+	at := q.heap[0].at
+	if q.wakeAt != 0 && q.wakeAt <= at {
 		return // fires no later than needed; fireTimers re-arms
 	}
-	r.wakeAt = max(at, 1)
-	if d := at - r.Now(); r.wake == nil {
-		r.wake = time.AfterFunc(d, r.fireTimers)
-	} else {
-		r.wake.Reset(d)
+	q.wakeAt = max(at, 1)
+	// A deadline already due is armed 1 ns out: a zero timerfd setting
+	// disarms it, and the timer would be lost.
+	if err := r.wake.arm(near, max(at-r.Now(), 1)); err != nil {
+		q.wakeAt = 0
+		r.Logf("transport: arming the timer: %v", err)
 	}
 }
 
-// fireTimers runs every due timer in one machine turn, in deadline order,
-// and re-arms for the next. A timer armed by a machine that has since been
-// replaced is dropped.
-func (r *Runner) fireTimers() {
+// fireTimers runs every due timer of both heaps in one machine turn, in
+// deadline order, and re-arms both sources. near says which source woke.
+// A timer armed by a machine that has since been replaced is dropped.
+func (r *Runner) fireTimers(near bool) {
+	woke := r.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.wakeAt = 0
+	r.queue(near).wakeAt = 0
 	if r.closed {
 		return
 	}
+	// How late the earliest due near deadline is served, read before the
+	// machine lock: waiting for the turn in progress is the turns' cost,
+	// not the timer's. Far deadlines are not timed: their sub-millisecond
+	// lateness is the time.Timer's by design.
+	if h := r.near.heap; len(h) > 0 && h[0].at <= woke {
+		r.stats.timerLate.Observe(woke - h[0].at)
+	}
 	// Due as of now: what a handler arms for "at once" waits for the next
 	// turn, so a machine cannot hold the turn for ever.
-	for now := r.Now(); len(r.timers) > 0 && r.timers[0].at <= now; {
-		if t := r.popTimer(); t.machine == r.machine && t.machine != nil {
+	now := r.Now()
+	for {
+		h := &r.near.heap
+		if f := r.far.heap; len(f) > 0 && (len(*h) == 0 || f[0].before(&(*h)[0])) {
+			h = &r.far.heap
+		}
+		if len(*h) == 0 || (*h)[0].at > now {
+			break
+		}
+		if t := h.pop(); t.machine == r.machine && t.machine != nil {
 			r.machine.Timer(t.tag)
 		}
 	}
 	r.flushTurn()
-	r.armWake()
+	r.armWake(true)
+	r.armWake(false)
 }
 
 // Send implements engine.Env. The frame is encoded into the turn's
