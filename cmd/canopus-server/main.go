@@ -100,13 +100,6 @@ func main() {
 	if err != nil {
 		log.Fatal("canopus-server: ", err)
 	}
-	if os.Getenv("CANOPUS_DEBUG_JOIN") != "" {
-		core.DebugHook = func(who wire.NodeID, event string, cycle uint64, detail string) {
-			if strings.HasPrefix(event, "join") || strings.HasPrefix(event, "member") || strings.HasPrefix(event, "leaf") || strings.HasPrefix(event, "evict") {
-				log.Printf("debug %v: %s cycle=%d %s", who, event, cycle, detail)
-			}
-		}
-	}
 	rc := livecluster.ReplicaConfig{
 		Runner: runner,
 		Node: core.Config{

@@ -23,8 +23,8 @@ import (
 const timerQuantum = 20 * time.Microsecond
 
 // starts returns the recorded cycle starts, in time order.
-func starts(evs []hookEvent) []hookEvent {
-	var out []hookEvent
+func starts(evs []traceEvent) []traceEvent {
+	var out []traceEvent
 	for _, e := range evs {
 		if e.event == "start" {
 			out = append(out, e)
@@ -35,8 +35,8 @@ func starts(evs []hookEvent) []hookEvent {
 
 // firstStarts returns, per cycle, the first start among the nodes keep
 // admits.
-func firstStarts(evs []hookEvent, keep func(wire.NodeID) bool) map[uint64]hookEvent {
-	out := make(map[uint64]hookEvent)
+func firstStarts(evs []traceEvent, keep func(wire.NodeID) bool) map[uint64]traceEvent {
+	out := make(map[uint64]traceEvent)
 	for _, e := range starts(evs) {
 		if _, seen := out[e.cycle]; !seen && keep(e.self) {
 			out[e.cycle] = e
@@ -131,8 +131,8 @@ var lanClock = Config{CycleInterval: lanInterval, TickInterval: lanInterval}
 // tick, 12 ms.
 func TestClockRequestOnIdleLeafStartsAtOnce(t *testing.T) {
 	const t0 = 10*time.Millisecond + 300*time.Microsecond
-	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, trace: true})
+	evs := &tc.trace.evs
 	tc.submitAt(t0, 1, wr(1, 1, 7, 7))
 	tc.run(50 * time.Millisecond)
 	tc.requireAgreement()
@@ -163,8 +163,8 @@ func TestClockRefusedStartIsOwedByOnePaceTimer(t *testing.T) {
 	} {
 		t.Run(fmt.Sprint(later), func(t *testing.T) {
 			pt, wrap := countPaceTimers()
-			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, wrap: wrap})
-			evs := tc.recordHook()
+			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, wrap: wrap, trace: true})
+			evs := &tc.trace.evs
 			tc.submitAt(t0, 1, wr(1, 1, 7, 7))
 			for i, d := range later {
 				tc.submitAt(t0+d, 1, wr(1, uint64(i+2), 8, 8))
@@ -200,8 +200,8 @@ func TestClockLoadedLeafStartsEveryPace(t *testing.T) {
 		t.Run(fmt.Sprint(boot), func(t *testing.T) {
 			const from, until = 20 * time.Millisecond, 220 * time.Millisecond
 			pt, wrap := countPaceTimers()
-			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, bootAt: boot, wrap: wrap})
-			evs := tc.recordHook()
+			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, bootAt: boot, wrap: wrap, trace: true})
+			evs := &tc.trace.evs
 			tc.load([]wire.NodeID{0, 1}, 5*time.Millisecond, until, 50*time.Microsecond)
 			tc.run(until)
 			first := firstStarts(*evs, anyNode)
@@ -243,12 +243,12 @@ func wanBoot(leaf int) time.Duration { return time.Duration(leaf) * 1700 * time.
 // of the benchmark's wan_9n, injected delay included. (A netsim WAN
 // topology would not do: a message in flight on a long link occupies the
 // receiver's downlink until it lands, and rack traffic queues behind it.)
-func wanCluster(t *testing.T, until time.Duration, clients []wire.NodeID) (*testCluster, *[]hookEvent, map[uint64]time.Duration) {
+func wanCluster(t *testing.T, until time.Duration, clients []wire.NodeID) (*testCluster, *[]traceEvent, map[uint64]time.Duration) {
 	boot := make([]time.Duration, 9)
 	for i := range boot {
 		boot[i] = wanBoot(i / 3)
 	}
-	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, bootAt: boot,
+	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, bootAt: boot, trace: true,
 		cfg: Config{CycleInterval: wanInterval, TickInterval: 2 * time.Millisecond}})
 	var plan netsim.FaultPlan
 	for a := 0; a < 3; a++ {
@@ -260,15 +260,14 @@ func wanCluster(t *testing.T, until time.Duration, clients []wire.NodeID) (*test
 		}
 	}
 	tc.runner.InstallFaults(plan, nil)
-	evs := tc.recordHook()
 	submitted := tc.load(clients, 10*time.Millisecond, until, 250*time.Microsecond)
-	return tc, evs, submitted
+	return tc, &tc.trace.evs, submitted
 }
 
 // cyclesPerLeaf counts, per leaf, the cycles whose first start at the leaf
 // falls in [from, until), and fails if a leaf skipped a cycle another
 // started.
-func (tc *testCluster) cyclesPerLeaf(evs []hookEvent, from, until time.Duration) [3]int {
+func (tc *testCluster) cyclesPerLeaf(evs []traceEvent, from, until time.Duration) [3]int {
 	tc.t.Helper()
 	var n [3]int
 	var last uint64
@@ -372,8 +371,8 @@ func TestClockFastCyclesAreNotPipelined(t *testing.T) {
 	for i := range boot {
 		boot[i] = time.Duration(i) * 210 * time.Microsecond
 	}
-	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, cfg: lanClock, bootAt: boot})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, cfg: lanClock, bootAt: boot, trace: true})
+	evs := &tc.trace.evs
 	tc.load([]wire.NodeID{0, 4}, 5*time.Millisecond, until, 50*time.Microsecond)
 	tc.run(until)
 	for _, e := range starts(*evs) {
@@ -399,8 +398,8 @@ func TestClockStuckCycleIsPipelinedByTheTick(t *testing.T) {
 	const cutAt = 30 * time.Millisecond
 	cfg := lanClock
 	cfg.FetchTimeout = time.Second
-	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg, trace: true})
+	evs := &tc.trace.evs
 	tc.runner.InstallFaults(netsim.FaultPlan{Partitions: []netsim.PartitionFault{
 		netsim.LeafPartition(cutAt, 0, tc.topo.RackMembers(1), tc.topo.RackMembers(0)),
 	}}, nil)
@@ -411,7 +410,7 @@ func TestClockStuckCycleIsPipelinedByTheTick(t *testing.T) {
 	if got, want := int(n0.started-n0.committed), n0.cfg.MaxInFlight; got != want {
 		t.Fatalf("node 0 has %d cycles in flight behind the cut, want MaxInFlight (%d)", got, want)
 	}
-	var stuck []hookEvent
+	var stuck []traceEvent
 	for _, e := range starts(*evs) {
 		if e.self == 0 && e.cycle > n0.committed {
 			stuck = append(stuck, e)
@@ -443,15 +442,15 @@ func TestClockStuckCycleIsPipelinedByTheTick(t *testing.T) {
 // again.
 func TestClockJoinResetsThePaceTimer(t *testing.T) {
 	const crashAt, rejoinAt, joined = 20 * time.Millisecond, 300 * time.Millisecond, 1500 * time.Millisecond
-	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, trace: true})
+	evs := &tc.trace.evs
 	var joiner *Node
 	tc.runner.InstallFaults(netsim.FaultPlan{Crashes: []netsim.CrashFault{{At: crashAt, Node: 2, RestartAt: rejoinAt}}},
 		func(id wire.NodeID) engine.Machine {
 			cfg := lanClock
 			cfg.Tree, cfg.Self = tc.tree, id
 			tc.stores[id] = kvstore.NewLogged()
-			joiner = NewJoiner(cfg, tc.stores[id], Callbacks{})
+			joiner = NewJoiner(cfg, tc.stores[id], Callbacks{Log: tc.log})
 			tc.nodes[id] = joiner
 			// What a timer armed before the re-initialization leaves behind.
 			joiner.paceArmed = true

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 
@@ -42,9 +42,7 @@ func (n *Node) commit(c *cycle) {
 			n.stallDetected.Store(false)
 		}
 	}
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "commit", c.id, "")
-	}
+	n.trace("commit", c.id)
 
 	n.applySessions(c.id, root.Sessions)
 	plan := n.resolveOrder(c.id, root.Batches)
@@ -346,15 +344,11 @@ func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) (joiners
 			// watermark forward.
 			before := n.cfg.LeafTimeout > 0 && usl >= 0 && len(n.view.Members(usl)) > 0
 			n.view.Apply([]wire.MemberUpdate{u})
-			if DebugHook != nil {
-				DebugHook(n.cfg.Self, "member-leave", cyc, fmt.Sprintf("%d", u.Node))
-			}
+			n.trace("member-leave", cyc, slog.Int("member", int(u.Node)))
 			if before && len(n.view.Members(usl)) == 0 {
 				n.leafDeadAt[usl] = cyc
 				n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
-				if DebugHook != nil {
-					DebugHook(n.cfg.Self, "leaf-dead", cyc, fmt.Sprintf("sl%d", usl))
-				}
+				n.trace("leaf-dead", cyc, slog.Int("dead_leaf", usl))
 			}
 			if inOwnSL && u.Node != n.cfg.Self {
 				n.bc.RemovePeer(u.Node)
@@ -362,9 +356,7 @@ func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) (joiners
 			continue
 		}
 		n.view.Apply([]wire.MemberUpdate{u})
-		if DebugHook != nil {
-			DebugHook(n.cfg.Self, "member-join", cyc, fmt.Sprintf("%d", u.Node))
-		}
+		n.trace("member-join", cyc, slog.Int("member", int(u.Node)))
 		if usl >= 0 {
 			if _, wasDead := n.leafDeadAt[usl]; wasDead {
 				// A member of an evicted leaf rejoined: re-admit the leaf

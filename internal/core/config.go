@@ -21,6 +21,8 @@
 package core
 
 import (
+	"fmt"
+	"log/slog"
 	"time"
 
 	"canopus/internal/lot"
@@ -114,7 +116,8 @@ type Config struct {
 	//
 	// Zero (the default) disables eviction entirely: a dead super-leaf
 	// stalls global consensus, the stock Canopus behaviour. Set it well
-	// above FetchTimeout and the worst-case WAN round-trip; a false
+	// above FetchTimeout (Validate rejects it at or below) and the
+	// worst-case WAN round-trip; a false
 	// suspicion costs an eviction plus re-join (an availability blip),
 	// never divergence. All nodes must configure the same LeafTimeout and
 	// MaxInFlight. Eviction assumes crash-stop or symmetric partitions
@@ -153,6 +156,17 @@ func (c *Config) fill() {
 	if c.SessionIdleCycles == 0 {
 		c.SessionIdleCycles = 4096
 	}
+}
+
+// Validate rejects a configuration that runs but defeats itself. Zero
+// fields stand for their defaults.
+func (c Config) Validate() error {
+	c.fill()
+	if c.LeafTimeout > 0 && c.LeafTimeout <= c.FetchTimeout {
+		// A leaf would be evicted before the pull of its state is overdue.
+		return fmt.Errorf("core: LeafTimeout %v must exceed FetchTimeout %v", c.LeafTimeout, c.FetchTimeout)
+	}
+	return nil
 }
 
 // retention is how many committed cycles' states a node keeps to serve
@@ -222,6 +236,10 @@ type Callbacks struct {
 	// its state is no longer part of consensus and it must restart through
 	// the join protocol.
 	OnEvicted func()
+	// Log receives the node's protocol trace at Debug level: one record per
+	// event (start, commit, fetch, join-reply, ...), carrying the node and
+	// its leaf, the cycle and the event's own attributes. Nil discards it.
+	Log *slog.Logger
 }
 
 // Consumer receives a node's committed stream (§5: each cycle's total

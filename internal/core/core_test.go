@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,11 @@ type testCluster struct {
 	// onCommit, when set, sees every Commit of every initial node after it
 	// is recorded.
 	onCommit func(id wire.NodeID, c *Commit)
+	// trace collects what the nodes traced (clusterOpts.trace) through log,
+	// their Callbacks.Log; a node built later, such as a joiner, records
+	// there when it is given log.
+	trace *recordedTrace
+	log   *slog.Logger
 }
 
 type replyRec struct {
@@ -61,6 +67,8 @@ type clusterOpts struct {
 	// goStage runs every node's apply stage on a goroutine of its own (the
 	// live driver); replies are then recorded without their time.
 	goStage bool
+	// trace records every node's protocol trace in testCluster.trace.
+	trace bool
 }
 
 func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
@@ -88,6 +96,10 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		t: t, sim: sim, runner: runner, topo: topo, tree: tree,
 		replies: make(map[wire.NodeID][]replyRec),
 		commits: make(map[wire.NodeID][]uint64),
+	}
+	if o.trace {
+		tc.trace = &recordedTrace{now: sim.Now}
+		tc.log = slog.New(traceRecorder{recordedTrace: tc.trace})
 	}
 	for i := 0; i < topo.NumNodes(); i++ {
 		id := wire.NodeID(i)
@@ -118,7 +130,7 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 			if tc.onCommit != nil {
 				tc.onCommit(id, c)
 			}
-		})}}
+		})}, Log: tc.log}
 		if o.onEvicted != nil {
 			cbs.OnEvicted = func() { o.onEvicted(tc, id) }
 		}

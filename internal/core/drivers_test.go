@@ -58,6 +58,9 @@ type driverTrace struct {
 	// Streams are node 0's committed stream as each of its two consumers
 	// was handed it, one line per Commit.
 	Streams [2][]string
+	// Undurable is node 1's committed stream: a node without Durability,
+	// whose plans take the same delivery path with nothing to sync.
+	Undurable []string
 }
 
 // orphan is a session no replica ever registered.
@@ -140,6 +143,11 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 		defer mu.Unlock()
 		out.Streams[1] = append(out.Streams[1], renderCommit(c))
 	})
+	undurable := core.ConsumerFunc(func(c *core.Commit) {
+		mu.Lock()
+		defer mu.Unlock()
+		out.Undurable = append(out.Undurable, renderCommit(c))
+	})
 
 	stores := []*kvstore.Store{store0, kvstore.NewLogged(), kvstore.NewLogged()}
 	nodes := make([]*core.Node, 3)
@@ -153,9 +161,12 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 	for i := range nodes {
 		cfg := core.Config{Tree: tree, Self: wire.NodeID(i)}
 		cbs := core.Callbacks{}
-		if i == 0 {
+		switch i {
+		case 0:
 			cfg.Durability = dur
 			cbs.Consumers = []core.Consumer{trace, twin}
+		case 1:
+			cbs.Consumers = []core.Consumer{undurable}
 		}
 		n := core.NewNode(cfg, stores[i], cbs)
 		start(wire.NodeID(i), n)
@@ -277,9 +288,10 @@ func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 // TestStageDriversAgree runs the schedule once through each driver and
 // compares everything a node shows the outside: per-cycle event lists,
 // reply order, session rejections, committed-state reads, replica and log
-// digests, the WAL record sequence and the committed stream — and, in
-// both, that nothing of cycle k was released before the Sync covering k
-// returned, and that the node's two consumers were handed one stream.
+// digests, the WAL record sequence and the committed streams of a durable
+// node and of one without Durability — and, in both, that nothing of
+// cycle k was released before the Sync covering k returned, and that the
+// durable node's two consumers were handed one stream.
 func TestStageDriversAgree(t *testing.T) {
 	inline := runDriverSchedule(t, false)
 	if len(inline.Early) != 0 {
@@ -291,6 +303,9 @@ func TestStageDriversAgree(t *testing.T) {
 	}
 	if len(inline.Streams[0]) != len(inline.Events) || !reflect.DeepEqual(inline.Streams[0], inline.Streams[1]) {
 		t.Fatalf("two consumers of one node were handed different streams:\n%q\n%q", inline.Streams[0], inline.Streams[1])
+	}
+	if len(inline.Undurable) != len(inline.Streams[0]) {
+		t.Fatalf("node 1 delivered %d cycles, node 0 %d", len(inline.Undurable), len(inline.Streams[0]))
 	}
 	// The schedule did what it says: the read between the two writes saw
 	// the first, the transaction committed, the parked read was served

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"log/slog"
 	"time"
 
 	"canopus/internal/engine"
@@ -114,9 +114,7 @@ func (n *Node) onJoinRequest(from wire.NodeID, m *wire.JoinRequest) {
 				// this, every retry is dropped here (the leaf is no
 				// longer empty) while the original sponsor's cleared
 				// sponsorship makes it mute too.
-				if DebugHook != nil {
-					DebugHook(n.cfg.Self, "join-rereply", n.committed, fmt.Sprintf("%d", m.From))
-				}
+				n.trace("join-rereply", n.committed, slog.Int("joiner", int(m.From)))
 				n.sendJoinReply(m.From, n.committed)
 			}
 			return
@@ -127,9 +125,7 @@ func (n *Node) onJoinRequest(from wire.NodeID, m *wire.JoinRequest) {
 		return // join in flight; the joiner's retry changes nothing
 	}
 	n.sponsoring[m.From] = sponsorship{resurrect: resurrect} // carrying cycle assigned at proposal time
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "join-accept", 0, fmt.Sprintf("%d", m.From))
-	}
+	n.trace("join-accept", 0, slog.Int("joiner", int(m.From)))
 	if n.view.Alive(m.From) && !n.closedPeers[m.From] {
 		// The previous incarnation never got a failure cut (e.g. the
 		// node restarted faster than detection): retire it first.
@@ -174,9 +170,7 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, cyc uint64) {
 		n.stage.call(func() { reply.Snapshot = n.sm.Snapshot() })
 	}
 	reply.Sessions = n.sessions.Snapshot()
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "join-reply", cyc, fmt.Sprintf("%d", joiner))
-	}
+	n.trace("join-reply", cyc, slog.Int("joiner", int(joiner)))
 	n.env.Send(joiner, reply)
 }
 
@@ -197,9 +191,7 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	if !n.rejoin {
 		return // duplicate reply from a second sponsor attempt
 	}
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "join-install", m.StartCycle, "")
-	}
+	n.trace("join-install", m.StartCycle)
 	n.rejoin = false
 	if n.cfg.LeafTimeout > 0 {
 		// Remotes that have not yet committed our Join still see us dead

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -136,9 +136,7 @@ func (n *Node) driveEviction(c *cycle, u string, now time.Duration) {
 		}
 		es = &evictState{promised: make(map[int]wire.NodeID)}
 		c.evict[u] = es
-		if DebugHook != nil {
-			DebugHook(n.cfg.Self, "evict-start", c.id, fmt.Sprintf("%s@%v started=%v", u, now, c.startedAt))
-		}
+		n.trace("evict-start", c.id, slog.String("vnode", u), slog.Duration("at", now), slog.Duration("started", c.startedAt))
 		n.bc.Broadcast(&wire.LeafSeal{Cycle: c.id, VNode: u, Initiator: n.cfg.Self})
 		n.sendEvictQueries(c, u, es, now)
 		return
@@ -236,9 +234,7 @@ func (n *Node) onLeafSeal(origin wire.NodeID, m *wire.LeafSeal) {
 		c.sealed = make(map[string]bool)
 	}
 	c.sealed[u] = true
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "seal", m.Cycle, u)
-	}
+	n.trace("seal", m.Cycle, slog.String("vnode", u))
 	if origin == n.cfg.Self && m.Initiator != n.cfg.Self {
 		n.env.Send(m.Initiator, &wire.EvictPromise{Cycle: m.Cycle, VNode: u, From: n.cfg.Self})
 	}
@@ -321,9 +317,7 @@ func (n *Node) checkEviction(c *cycle, u string) {
 	}
 	es.resolved = true
 	n.stats.leafEvictions.Add(1)
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "evict-resolve", c.id, u)
-	}
+	n.trace("evict-resolve", c.id, slog.String("vnode", u))
 	tomb := n.tombstone(c.id, u)
 	// Own leaf incorporates the tombstone at broadcast delivery (the
 	// slot is sealed; Resolve lets it through); each promiser receives
@@ -406,9 +400,7 @@ func (n *Node) substituteDead() {
 				c.child[u] = n.tombstone(c.id, u)
 				delete(c.evict, u)
 				changed = true
-				if DebugHook != nil {
-					DebugHook(n.cfg.Self, "substitute", c.id, u)
-				}
+				n.trace("substitute", c.id, slog.String("vnode", u))
 			}
 		}
 		if !changed {

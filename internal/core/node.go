@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -106,6 +108,8 @@ type Node struct {
 	// enables transactions, key metadata, and ephemeral-key expiry.
 	tm  TxnMachine
 	cbs Callbacks
+	// log is Callbacks.Log bound to this node and its leaf (see trace).
+	log *slog.Logger
 
 	closedPeers map[wire.NodeID]bool
 	// repsBuf backs effectiveReps' result.
@@ -217,8 +221,11 @@ type Node struct {
 	// watermark gap against peers after a full-cluster restart.
 	recovered bool
 	// durFailed latches after the first Durability error (fail-stop
-	// logging); durErr holds that error for external observers.
+	// logging); durErr holds that error for external observers. unsynced
+	// is set while an appended record awaits its Sync. All three belong to
+	// the apply stage.
 	durFailed bool
+	unsynced  bool
 	durErr    atomic.Value
 	lastTick  time.Duration
 	// lastCycleStart is when this node last started a cycle, on any
@@ -281,8 +288,25 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 	if tm, ok := sm.(TxnMachine); ok {
 		n.tm = tm
 	}
+	log := cbs.Log
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
+	n.log = log.With(slog.Int("node", int(cfg.Self)), slog.Int("leaf", sl))
 	n.stage = newStage(n)
 	return n
+}
+
+// trace records one protocol event of cycle at Debug level. The level is
+// checked before anything is built, so with tracing off a call costs a
+// few nanoseconds and allocates nothing; callers pass typed attributes
+// only, never a formatted string.
+func (n *Node) trace(event string, cycle uint64, attrs ...slog.Attr) {
+	ctx := context.Background()
+	if !n.log.Enabled(ctx, slog.LevelDebug) {
+		return
+	}
+	n.log.LogAttrs(ctx, slog.LevelDebug, event, append([]slog.Attr{slog.Uint64("cycle", cycle)}, attrs...)...)
 }
 
 // Close stops the node's apply stage: queued cycles finish applying, the
@@ -675,9 +699,7 @@ func (n *Node) startCycle(k uint64, cause startCause) {
 	c.round = 1
 	c.startedAt = n.env.Now()
 	n.lastCycleStart = c.startedAt
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "start", k, cause.String())
-	}
+	n.trace("start", k, slog.String("cause", cause.String()))
 
 	// The proposal, its batch list and its batch are one heap object, the
 	// writes a second: what a cycle costs the node that has requests.

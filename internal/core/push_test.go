@@ -14,25 +14,7 @@ import (
 // a state does not arrive. These tests run on netsim's virtual clock, so
 // the latency bounds are exact.
 
-type hookEvent struct {
-	self   wire.NodeID
-	event  string
-	cycle  uint64
-	detail string
-	at     time.Duration
-}
-
-// recordHook captures every DebugHook event of the test's cluster.
-func (tc *testCluster) recordHook() *[]hookEvent {
-	evs := new([]hookEvent)
-	DebugHook = func(self wire.NodeID, event string, cycle uint64, detail string) {
-		*evs = append(*evs, hookEvent{self, event, cycle, detail, tc.sim.Now()})
-	}
-	tc.t.Cleanup(func() { DebugHook = nil })
-	return evs
-}
-
-func countEvents(evs []hookEvent, event string) int {
+func countEvents(evs []traceEvent, event string) int {
 	n := 0
 	for _, e := range evs {
 		if e.event == event {
@@ -60,8 +42,8 @@ const roundSlack = 2 * time.Millisecond
 // first. (The pull needed two.)
 func TestPushCommitsWithinOneWayDelay(t *testing.T) {
 	const wan, t0 = 20 * time.Millisecond, 10 * time.Millisecond
-	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, wan: wan})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, wan: wan, trace: true})
+	evs := &tc.trace.evs
 	for r := 0; r < 3; r++ {
 		tc.submitAt(t0, tc.topo.RackMembers(r)[0], wr(uint64(r+1), 1, uint64(r), 1))
 	}
@@ -87,8 +69,8 @@ func TestPushCommitsWithinOneWayDelay(t *testing.T) {
 func TestLostPushIsPulledAfterFetchTimeout(t *testing.T) {
 	const t0, timeout = 10 * time.Millisecond, 50 * time.Millisecond
 	cfg := Config{TickInterval: time.Millisecond, FetchTimeout: timeout}
-	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg, trace: true})
+	evs := &tc.trace.evs
 	sl0, sl1 := tc.topo.RackMembers(0), tc.topo.RackMembers(1)
 	// Leaf 0 hears nothing from leaf 1 until after its first pull: the
 	// push and the first answer are dropped, the second answer arrives.
@@ -135,8 +117,8 @@ func TestCutRepresentativeIsPulledAround(t *testing.T) {
 	const wan, timeout = 20 * time.Millisecond, 2 * time.Second
 	const t0, crashAt, t1 = 10 * time.Millisecond, 15 * time.Millisecond, 400 * time.Millisecond
 	cfg := Config{TickInterval: time.Millisecond, FetchTimeout: timeout}
-	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, wan: wan, cfg: cfg})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, wan: wan, cfg: cfg, trace: true})
+	evs := &tc.trace.evs
 	victim := tc.nodes[0].View().RepresentativeFor(0, tc.tree.Remote(0)[0], 2)
 	submitter := wire.NodeID(2) // in leaf 0, never a representative
 	tc.runner.InstallFaults(netsim.FaultPlan{
@@ -177,11 +159,11 @@ func TestCutRepresentativeIsPulledAround(t *testing.T) {
 // merges exactly once per cycle, all of them pushed — no ProposalRequest
 // is sent at all.
 func TestHeightThreeEveryStatePushedOnce(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{racks: 9, perRack: 3, fanout: 3})
+	tc := newTestCluster(t, clusterOpts{racks: 9, perRack: 3, fanout: 3, trace: true})
 	if tc.tree.Height != 3 {
 		t.Fatalf("height = %d, want 3", tc.tree.Height)
 	}
-	evs := tc.recordHook()
+	evs := &tc.trace.evs
 	const cycles = 5
 	for k := 0; k < cycles; k++ {
 		for i := 0; i < 27; i++ {
@@ -237,8 +219,8 @@ func TestHeightThreeEveryStatePushedOnce(t *testing.T) {
 // trip without having asked for anything.
 func TestPushStartsIdleLeaf(t *testing.T) {
 	const wan, t0 = 20 * time.Millisecond, 10 * time.Millisecond
-	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, wan: wan})
-	evs := tc.recordHook()
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, wan: wan, trace: true})
+	evs := &tc.trace.evs
 	tc.submitAt(t0, 0, wr(1, 1, 7, 7))
 	tc.run(time.Second)
 	tc.requireAgreement()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"slices"
 	"time"
 
@@ -100,26 +101,29 @@ func (n *Node) DurabilityError() error {
 	return nil
 }
 
-// appendDurable logs one committed cycle's root, returning whether the
-// record was accepted (and therefore owes a Sync before its replies).
-func (n *Node) appendDurable(cycle uint64, root *wire.Proposal) bool {
+// appendDurable logs one committed cycle's root; the record then owes a
+// Sync (unsynced) before the cycle is released.
+func (n *Node) appendDurable(cycle uint64, root *wire.Proposal) {
 	d := n.cfg.Durability
 	if d == nil || n.durFailed || root == nil {
-		return false
+		return
 	}
 	if err := d.AppendCommit(cycle, root); err != nil {
 		n.durFailed = true
 		n.durErr.Store(err)
-		return false
-	}
-	return true
-}
-
-// syncDurable ends a group commit; on error logging fail-stops.
-func (n *Node) syncDurable() {
-	if n.durFailed {
 		return
 	}
+	n.unsynced = true
+}
+
+// syncDurable ends a group commit: one Sync covers every record appended
+// since the last, and nothing appended means nothing to do. On error
+// logging fail-stops.
+func (n *Node) syncDurable() {
+	if !n.unsynced || n.durFailed {
+		return
+	}
+	n.unsynced = false
 	if err := n.cfg.Durability.Sync(); err != nil {
 		n.durFailed = true
 		n.durErr.Store(err)
@@ -157,9 +161,7 @@ func (n *Node) onRootState(p *wire.Proposal) {
 	// requests: a session registration dropped here is a client that
 	// waits for ever.
 	n.requeueUpdates(c.own, p)
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "root-catchup", p.Cycle, p.VNode)
-	}
+	n.trace("root-catchup", p.Cycle, slog.String("vnode", p.VNode))
 	c.states[n.tree.Height] = p
 	c.round = n.tree.Height + 1
 	c.complete = true

@@ -2,15 +2,13 @@ package core
 
 import (
 	"cmp"
+	"log/slog"
 	"slices"
 	"sort"
 	"time"
 
 	"canopus/internal/wire"
 )
-
-// DebugHook, when set, observes protocol events (test diagnostics only).
-var DebugHook func(self wire.NodeID, event string, cycle uint64, detail string)
 
 // onDeliver handles a reliable-broadcast delivery within the super-leaf:
 // either a peer's round-1 proposal, or a representative's rebroadcast of
@@ -27,9 +25,7 @@ func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 	if !ok {
 		return
 	}
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "deliver-from-"+origin.String(), p.Cycle, p.VNode)
-	}
+	n.trace("deliver", p.Cycle, slog.String("vnode", p.VNode), slog.Int("origin", int(origin)))
 	if p.Cycle <= n.committed {
 		return // stale delivery for an already-committed cycle
 	}
@@ -194,9 +190,7 @@ func (n *Node) finishRound1(c *cycle) {
 	c.states[1] = n.mergeProposals(c.id, 1, n.tree.Ancestor(n.sl, 1), props)
 	c.releaseProps(props)
 	c.round = 2
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "r1-done", c.id, "")
-	}
+	n.trace("r1-done", c.id)
 	n.serveWaiting(c)
 	n.pushState(c, 1)
 }
@@ -231,9 +225,7 @@ func (n *Node) mergeRound(c *cycle) bool {
 	c.states[r] = n.mergeProposals(c.id, uint8(r), target, props)
 	c.releaseProps(props)
 	c.round = r + 1
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "round-done", c.id, target)
-	}
+	n.trace("round-done", c.id, slog.String("vnode", target))
 	n.serveWaiting(c)
 	n.pushState(c, r)
 	return true
@@ -356,9 +348,7 @@ func (n *Node) pushState(c *cycle, r int) {
 			if to == wire.NoNode {
 				continue // the whole leaf is dead in the view
 			}
-			if DebugHook != nil {
-				DebugHook(n.cfg.Self, "push", c.id, p.VNode)
-			}
+			n.trace("push", c.id, slog.String("vnode", p.VNode))
 			n.stats.statePushes.Add(1)
 			n.env.Send(to, p)
 		}
@@ -473,9 +463,7 @@ func (n *Node) liveRepresentative() bool {
 // next (§4.6: "if the chosen emulator does not respond before a timeout
 // ... picks another live emulator from the table").
 func (n *Node) sendFetch(c *cycle, u string) {
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "fetch", c.id, u)
-	}
+	n.trace("fetch", c.id, slog.String("vnode", u))
 	ems := n.view.Emulators(u)
 	if c.fetchAttempt == nil {
 		c.fetchAttempt = make(map[string]int)
@@ -517,9 +505,7 @@ func (n *Node) sendFetch(c *cycle, u string) {
 // for a vnode state. Requests for already-committed cycles — a lagging
 // super-leaf catching up — are served from the retained state window.
 func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "fetch-req", m.Cycle, m.VNode)
-	}
+	n.trace("fetch-req", m.Cycle, slog.String("vnode", m.VNode))
 	if m.Cycle <= n.committed {
 		if states := n.recent[m.Cycle]; states != nil {
 			if vn := n.tree.VNode(m.VNode); vn != nil && vn.Height < len(states) && states[vn.Height] != nil {
@@ -548,9 +534,7 @@ func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
 // delivery so that every member — including this one — incorporates it
 // at an agreed point.
 func (n *Node) onFetchResponse(p *wire.Proposal) {
-	if DebugHook != nil {
-		DebugHook(n.cfg.Self, "fetch-resp", p.Cycle, p.VNode)
-	}
+	n.trace("fetch-resp", p.Cycle, slog.String("vnode", p.VNode))
 	if p.VNode == "" || p.Cycle <= n.committed {
 		return
 	}

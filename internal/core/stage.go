@@ -106,11 +106,9 @@ type stage struct {
 	// The rest belongs to whoever drains.
 
 	parked []localRead // committed-state reads awaiting their min cycle
-	// durPending are applied-but-unsynced plans: their cycles' records
-	// sit in the WAL buffer, and their delivery is withheld until the
-	// batch's single Sync — the group commit. Only used with a
-	// Durability hook.
-	durPending []*applyPlan
+	// done are the plans the batch has applied, in cycle order: delivered
+	// once the batch's one Sync has returned.
+	done []*applyPlan
 }
 
 // stageCmd kinds.
@@ -223,15 +221,26 @@ func (s *stage) run() {
 }
 
 // drain is the stage's one body: the batch's commands in order, then the
-// group commit that releases the replies of the plans among them. Batches
-// self-clock the fsync cadence — a slow disk makes the goroutine driver's
-// batches (and the cycles per fsync) larger instead of queueing fsyncs;
-// the inline driver's batch is always one command.
+// group commit — one Sync covering every record the batch appended — and
+// the delivery of the batch's plans in cycle order. Batches self-clock the
+// fsync cadence — a slow disk makes the goroutine driver's batches (and
+// the cycles per fsync) larger instead of queueing fsyncs; the inline
+// driver's batch is always one command.
 func (s *stage) drain(batch []stageCmd) {
 	for i := range batch {
 		s.handle(&batch[i])
 	}
-	s.flushDurable()
+	s.n.syncDurable()
+	// A consumer may re-enter the inline driver (a Submit that commits a
+	// cycle on the spot): the nested drain gets a list of its own.
+	done := s.done
+	s.done = nil
+	for _, p := range done {
+		s.n.deliverPlan(p)
+		s.n.freePlan(p)
+	}
+	clear(done)
+	s.done = done[:0]
 }
 
 func (s *stage) handle(c *stageCmd) {
@@ -240,17 +249,11 @@ func (s *stage) handle(c *stageCmd) {
 	case cmdPlan:
 		n.applyPlan(c.plan)
 		n.applied.Store(c.plan.Cycle)
-		if n.appendDurable(c.plan.Cycle, c.plan.root) {
-			// Group commit: the record is buffered; delivery waits for the
-			// batch's Sync. Parked reads do not — they observe the applied
-			// watermark, which durability never gates.
-			s.durPending = append(s.durPending, c.plan)
-			s.serveParked()
-			return
-		}
-		n.deliverPlan(c.plan)
+		n.appendDurable(c.plan.Cycle, c.plan.root)
+		s.done = append(s.done, c.plan)
+		// Parked reads observe the applied watermark, which neither the
+		// Sync nor the delivery gates.
 		s.serveParked()
-		n.freePlan(c.plan)
 	case cmdRead:
 		if applied := n.applied.Load(); applied >= c.read.minCycle {
 			c.read.fn(n.readState(c.read.key), applied, true)
@@ -263,21 +266,6 @@ func (s *stage) handle(c *stageCmd) {
 		c.fn()
 		close(c.done)
 	}
-}
-
-// flushDurable ends one group commit: a single Sync covers every plan
-// appended since the last flush, then they are delivered in cycle order.
-func (s *stage) flushDurable() {
-	if len(s.durPending) == 0 {
-		return
-	}
-	s.n.syncDurable()
-	for _, p := range s.durPending {
-		s.n.deliverPlan(p)
-		s.n.freePlan(p)
-	}
-	clear(s.durPending)
-	s.durPending = s.durPending[:0]
 }
 
 // serveParked completes parked reads whose minimum cycle has applied.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"canopus/internal/kvstore"
 	"canopus/internal/lot"
+	"canopus/internal/netsim"
 	"canopus/internal/wire"
 )
 
@@ -86,5 +89,36 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 				t.Fatal("InspectApplied on a closed stage did not run fn")
 			}
 		})
+	}
+}
+
+// TestStageReentrantDeliveryOnce: on the inline driver a consumer that
+// submits from Committed re-enters the stage when the node can order a
+// cycle on the spot — a one-node leaf on the switch broadcast delivers its
+// own round-1 proposal synchronously — so the next cycle is applied and
+// delivered inside the delivery of the last. Each cycle still reaches the
+// consumer once, in cycle order.
+func TestStageReentrantDeliveryOnce(t *testing.T) {
+	sim := netsim.NewSim()
+	runner := netsim.NewRunner(sim, netsim.SingleDC(1, 1, netsim.Params{}), netsim.DefaultCosts(), 1)
+	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{{0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n *Node
+	var got []uint64
+	n = NewNode(Config{Tree: tree, Self: 0, Broadcast: BroadcastSwitch}, kvstore.New(), Callbacks{Consumers: []Consumer{
+		ConsumerFunc(func(c *Commit) {
+			got = append(got, c.Cycle)
+			if c.Cycle < 3 {
+				n.Submit(wr(1, c.Cycle+1, 1, c.Cycle+1))
+			}
+		}),
+	}})
+	runner.Register(0, n)
+	sim.At(time.Millisecond, func() { n.Submit(wr(1, 1, 1, 1)) })
+	sim.RunUntil(time.Second)
+	if !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("delivered cycles %v, want [1 2 3]", got)
 	}
 }

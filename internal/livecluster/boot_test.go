@@ -59,6 +59,26 @@ func TestBootRefusesJoinerWithDisk(t *testing.T) {
 	}
 }
 
+// TestBootRefusesLeafTimeoutAtFetchTimeout: a LeafTimeout not above the
+// FetchTimeout (canopus-server -leaf-timeout 20ms against the 50 ms
+// default) would evict a leaf before its state's pull is overdue, so Boot
+// refuses it before it opens the disk.
+func TestBootRefusesLeafTimeoutAtFetchTimeout(t *testing.T) {
+	runner, tree := bootRunner(t)
+	disk := wal.NewMemFS()
+	_, err := Boot(ReplicaConfig{
+		Runner: runner,
+		Node:   core.Config{Tree: tree, LeafTimeout: 20 * time.Millisecond},
+		Disk:   disk,
+	})
+	if err == nil || !strings.Contains(err.Error(), "LeafTimeout 20ms must exceed FetchTimeout 50ms") {
+		t.Fatalf("Boot(LeafTimeout 20ms) = %v, want the LeafTimeout refusal", err)
+	}
+	if names, _ := disk.List(); len(names) != 0 {
+		t.Fatalf("refused replica touched its disk: %v", names)
+	}
+}
+
 // healthz returns the gateway's /healthz status code and phase.
 func healthz(t *testing.T, addr string) (int, string) {
 	t.Helper()

@@ -80,12 +80,17 @@ const storeShards = 8
 // but until Start the port accepts no client and /healthz answers 503
 // "recovering": a restarting node owns its advertised endpoints at once
 // and never shows a client mid-recovery state. Recovery precedes the
-// node's Attach, which the caller does before or after Start.
+// node's Attach, which the caller does before or after Start. A joiner
+// with a disk, or a Node config core.Config.Validate rejects, is refused
+// before anything is opened.
 func Boot(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Join && cfg.Disk != nil {
 		// An evicted node's Leave is committed; recovering its old disk
 		// would resurrect pre-eviction state the cluster has moved past.
 		return nil, errors.New("livecluster: a joiner re-enters state-less and never opens a disk")
+	}
+	if err := cfg.Node.Validate(); err != nil {
+		return nil, fmt.Errorf("livecluster: %w", err)
 	}
 	self := cfg.Runner.ID()
 	cfg.Node.Self = self
