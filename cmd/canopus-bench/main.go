@@ -8,14 +8,11 @@
 //
 //	canopus-bench -exp fig4a            # Figure 4(a)
 //	canopus-bench -exp all -quick       # everything, fast
-//	canopus-bench -exp live-chaos -quick
 //
-// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, all (the
-// virtual-time set), plus live-chaos, which "all" excludes so figure
-// regeneration stays deterministic: the fault-injection campaign catalog
-// run against a loopback cluster behind the chaosnet proxy fabric (exits
-// non-zero on any violated budget — the CI live-chaos-smoke gate).
-// End-to-end numbers on real sockets come from `go run ./benchmark`.
+// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7 and all, every one
+// in virtual time. End-to-end numbers on real sockets come from
+// `go run ./benchmark`; the live chaos campaigns run as
+// TestLiveChaosCampaigns (internal/harness) and cmd/chaos-smoke.
 //
 // -cpuprofile / -memprofile capture pprof evidence for performance
 // work, e.g.:
@@ -35,7 +32,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table1|fig4a|fig4b|fig5|fig6|fig7|all|live-chaos")
+	exp := flag.String("exp", "all", "experiment id: table1|fig4a|fig4b|fig5|fig6|fig7|all")
 	quick := flag.Bool("quick", false, "short windows and coarse search (CI mode)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (pprof evidence for perf work)")
@@ -54,13 +51,12 @@ func main() {
 		harness.WithSeed(*seed),
 	)
 	runs := map[string]func(*harness.Options){
-		"table1":     harness.Table1,
-		"fig4a":      harness.Fig4a,
-		"fig4b":      harness.Fig4b,
-		"fig5":       harness.Fig5,
-		"fig6":       harness.Fig6,
-		"fig7":       harness.Fig7,
-		"live-chaos": harness.LiveChaos,
+		"table1": harness.Table1,
+		"fig4a":  harness.Fig4a,
+		"fig4b":  harness.Fig4b,
+		"fig5":   harness.Fig5,
+		"fig6":   harness.Fig6,
+		"fig7":   harness.Fig7,
 	}
 	order := []string{"table1", "fig4a", "fig4b", "fig5", "fig6", "fig7"}
 
@@ -75,7 +71,7 @@ func main() {
 	default:
 		run, ok := runs[*exp]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4a|fig4b|fig5|fig6|fig7|all|live-chaos)\n", *exp)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4a|fig4b|fig5|fig6|fig7|all)\n", *exp)
 			os.Exit(2)
 		}
 		run(o)

@@ -1,43 +1,51 @@
-// Command chaos-smoke is the CI live-chaos gate across real process
-// boundaries. It boots three canopus-server processes as three
-// single-node super-leaves with every inter-node byte routed through a
-// chaosnet proxy fabric owned by this orchestrator, then walks the full
-// operator storyline of a super-leaf outage:
+// Command chaos-smoke runs the live chaos campaigns across real process
+// boundaries: three canopus-server processes per campaign, every
+// inter-node byte routed through a chaosnet proxy fabric owned by this
+// orchestrator, client and admin ports direct. The eviction and stall
+// storylines and every wait are internal/harness's, the same ones
+// TestLiveChaosCampaigns runs on in-process clusters; only the power
+// cut, which processes alone can run, is written here.
 //
-//  1. blackhole node 2's super-leaf at the socket layer;
-//  2. wait for the survivors to evict it — observed the way an operator
-//     would, by scraping canopus_core_leaf_evictions_total through the
-//     admin gateway — and require the eviction within 4× the configured
-//     -leaf-timeout;
-//  3. drive post-eviction writes to prove the survivors kept serving;
-//  4. heal; the evicted process learns its fate from the survivors'
-//     dead-in-view notices and exits with status 3 (-exit-on-evict);
-//  5. restart it with -join and pass only once all three replicas
-//     converge to one non-zero state digest that serves the
-//     post-eviction writes from the rejoined node.
+//   - power-cut: one super-leaf with -data-dir. 300 acked PUTs, digest
+//     convergence, a /metrics inventory and /status durability check,
+//     SIGKILL of every process, a restart from the same directories, the
+//     exact pre-kill digest and the applied watermarks back at or above
+//     the pre-kill durable cycle. In-process clusters cannot run it:
+//     livecluster.RestartNode refuses a node with a disk.
+//   - evict-readmit: three single-node super-leaves, -leaf-timeout 500ms
+//     and -exit-on-evict. Exit status 3 is the eviction notice, and the
+//     rejoin restarts the process with -join (harness.EvictReadmit).
+//   - stall: super-leaves {0,1};{2}, -stall-threshold 200ms
+//     (harness.StallDetect).
 //
 // Usage:
 //
 //	chaos-smoke -server ./bin/canopus-server [-timeout 60s]
 //
-// Exit status 0 means the live eviction/readmission loop held end to
-// end across process boundaries.
+// Exit status 0 means every campaign held end to end. A failed wait
+// quotes every node's /status.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"canopus/admin"
 	"canopus/client"
 	"canopus/internal/chaosnet"
+	"canopus/internal/harness"
 	"canopus/internal/wire"
 )
 
@@ -45,172 +53,372 @@ const nodes = 3
 
 func main() {
 	server := flag.String("server", "", "path to the canopus-server binary (required)")
-	leafTimeout := flag.Duration("leaf-timeout", 500*time.Millisecond, "eviction timeout handed to the servers")
-	timeout := flag.Duration("timeout", 60*time.Second, "overall deadline for each phase")
+	timeout := flag.Duration("timeout", 60*time.Second, "deadline for each wait of a campaign")
 	flag.Parse()
 	if *server == "" {
 		log.Fatal("chaos-smoke: -server is required")
 	}
-
-	peerAddrs := reservePorts(nodes)
-	clientAddrs := reservePorts(nodes)
-	adminAddrs := reservePorts(nodes)
-
-	// The fabric lives in the orchestrator: each node's -peers entry for
-	// every OTHER node is that directed link's proxy, so all inter-node
-	// traffic is impairable while client and admin ports stay direct.
-	fabric := chaosnet.New(chaosnet.Config{Logf: log.Printf, Seed: 42})
-	defer fabric.Close()
-	proxied := make([][]string, nodes)
-	for i := range proxied {
-		proxied[i] = make([]string, nodes)
-		for j := range proxied[i] {
-			if i == j {
-				proxied[i][j] = peerAddrs[i]
-				continue
-			}
-			addr, err := fabric.AddLink(wire.NodeID(i), wire.NodeID(j), peerAddrs[j])
-			if err != nil {
-				log.Fatalf("chaos-smoke: link %d->%d: %v", i, j, err)
-			}
-			proxied[i][j] = addr
+	for _, c := range []struct {
+		name string
+		run  func(server string, wait time.Duration) (string, error)
+	}{
+		{"power-cut", powerCut},
+		{"evict-readmit", evictReadmit},
+		{"stall", stall},
+	} {
+		start := time.Now()
+		line, err := c.run(*server, *timeout)
+		if err != nil {
+			log.Fatalf("chaos-smoke: %s: FAIL: %v", c.name, err)
 		}
-	}
-
-	admins := make([]*admin.Client, nodes)
-	for i := range admins {
-		admins[i] = admin.New(adminAddrs[i])
-	}
-
-	start := func(i int, join bool) *exec.Cmd {
-		peers := proxied[i][0]
-		for _, a := range proxied[i][1:] {
-			peers += "," + a
-		}
-		args := []string{
-			"-id", strconv.Itoa(i),
-			"-peers", peers,
-			"-superleaves", "0;1;2",
-			"-client", clientAddrs[i],
-			"-admin-addr", adminAddrs[i],
-			"-leaf-timeout", leafTimeout.String(),
-			"-exit-on-evict",
-		}
-		if join {
-			args = append(args, "-join")
-		}
-		cmd := exec.Command(*server, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			log.Fatalf("chaos-smoke: start node %d: %v", i, err)
-		}
-		return cmd
-	}
-	procs := make([]*exec.Cmd, nodes)
-	for i := range procs {
-		procs[i] = start(i, false)
-	}
-	defer func() {
-		for _, p := range procs {
-			if p != nil && p.Process != nil {
-				p.Process.Kill()
-				p.Wait()
-			}
-		}
-	}()
-
-	ctx := context.Background()
-	waitAllHealthy(admins, *timeout)
-	log.Print("chaos-smoke: cluster up; seeding pre-partition writes")
-	cl := dial(clientAddrs[0])
-	defer cl.Close()
-	for k := uint64(1); k <= 6; k++ {
-		if err := cl.Put(ctx, k, []byte("pre")); err != nil {
-			log.Fatalf("chaos-smoke: pre-partition put %d: %v", k, err)
-		}
-	}
-
-	// Blackhole node 2 and wedge one write inside it through its direct
-	// client port: the cycle that write starts keeps retrying cross-leaf
-	// fetches, and the first retry to land after the heal draws the
-	// Evicted notice that -exit-on-evict turns into exit status 3.
-	log.Print("chaos-smoke: partitioning node 2")
-	fabric.Partition([]wire.NodeID{0, 1}, []wire.NodeID{2})
-	cut := time.Now()
-	wedge := dial(clientAddrs[2])
-	defer wedge.Close()
-	_ = wedge.PutAsync(200, []byte("doomed"))
-
-	// The post-partition writes go in right away: eviction rounds are
-	// driven by cycles wedged on the dead leaf's missing state, so the
-	// survivors need in-flight load to notice the silence. The writes
-	// must complete once (and only once) the leaf is evicted.
-	post := make([]*client.Future, 0, 5)
-	for k := uint64(100); k < 105; k++ {
-		post = append(post, cl.PutAsync(k, []byte("post")))
-	}
-
-	// Eviction, observed through the survivors' metrics.
-	evictBudget := 4 * *leafTimeout
-	waitMetric(ctx, admins[0], "canopus_core_leaf_evictions_total", 1, evictBudget+*timeout)
-	evictIn := time.Since(cut)
-	if evictIn > evictBudget {
-		log.Fatalf("chaos-smoke: eviction took %v, budget 4*leaf-timeout = %v", evictIn, evictBudget)
-	}
-	log.Printf("chaos-smoke: survivors evicted node 2's leaf in %v", evictIn)
-	for i, f := range post {
-		if _, err := f.Wait(ctx); err != nil {
-			log.Fatalf("chaos-smoke: post-partition put %d: %v", i, err)
-		}
-	}
-
-	// Heal, then require the evicted process to discover its fate and
-	// exit 3 so a supervisor (here: us) can bounce it back in as a
-	// joiner.
-	log.Print("chaos-smoke: healing; waiting for node 2 to exit on eviction")
-	fabric.Heal()
-	exited := make(chan error, 1)
-	go func() { exited <- procs[2].Wait() }()
-	select {
-	case err := <-exited:
-		code := procs[2].ProcessState.ExitCode()
-		if code != 3 {
-			log.Fatalf("chaos-smoke: evicted node exited %d (err %v), want 3", code, err)
-		}
-	case <-time.After(*timeout):
-		log.Fatalf("chaos-smoke: evicted node did not exit within %v of the heal", *timeout)
-	}
-	log.Print("chaos-smoke: node 2 exited 3; restarting with -join")
-	procs[2] = start(2, true)
-
-	waitAllHealthy(admins, *timeout)
-	state := converge(ctx, admins, *timeout)
-	got, err := dial(clientAddrs[2]).Get(ctx, 104)
-	if err != nil || string(got) != "post" {
-		log.Fatalf("chaos-smoke: Get(104) via rejoined node = %q, %v", got, err)
-	}
-	log.Printf("chaos-smoke: PASS: evicted in %v, readmitted; all %d replicas at state digest %016x", evictIn, nodes, state)
-
-	for i, p := range procs {
-		if err := p.Process.Signal(os.Interrupt); err != nil {
-			log.Fatalf("chaos-smoke: stop node %d: %v", i, err)
-		}
-	}
-	for i, p := range procs {
-		if err := p.Wait(); err != nil {
-			log.Fatalf("chaos-smoke: node %d shutdown: %v", i, err)
-		}
-		procs[i] = nil
+		log.Printf("chaos-smoke: %s: PASS in %v: %s", c.name, time.Since(start).Round(10*time.Millisecond), line)
 	}
 }
 
-func dial(addr string) *client.Client {
-	cl, err := client.New(client.Config{Endpoints: []string{addr}, RequestTimeout: 30 * time.Second})
+func evictReadmit(server string, wait time.Duration) (string, error) {
+	const leafTimeout = 500 * time.Millisecond
+	flags := func(int) []string { return []string{"-leaf-timeout", leafTimeout.String(), "-exit-on-evict"} }
+	return campaign(server, "0;1;2", flags, wait, func(p *procs) (string, error) {
+		return harness.EvictReadmit(p, harness.Eviction{
+			LeafTimeout: leafTimeout,
+			Victims:     []wire.NodeID{2},
+			Survivors:   []wire.NodeID{0, 1},
+			Wait:        wait,
+		})
+	})
+}
+
+func stall(server string, wait time.Duration) (string, error) {
+	const threshold = 200 * time.Millisecond
+	flags := func(int) []string { return []string{"-stall-threshold", threshold.String()} }
+	return campaign(server, "0,1;2", flags, wait, func(p *procs) (string, error) {
+		return harness.StallDetect(p, harness.Stall{
+			Threshold: threshold,
+			Majority:  []wire.NodeID{0, 1},
+			Wedged:    2,
+			Wait:      wait,
+		})
+	})
+}
+
+// powerCut is the crash-recovery campaign: everything acked before a
+// SIGKILL of every process (an ack is fsync-gated) must come back, bit
+// for bit, from the data directories.
+func powerCut(server string, wait time.Duration) (string, error) {
+	const puts = 300
+	root, err := os.MkdirTemp("", "canopus-chaos-smoke-")
 	if err != nil {
-		log.Fatal("chaos-smoke: ", err)
+		return "", err
 	}
-	return cl
+	defer os.RemoveAll(root)
+	flags := func(i int) []string {
+		return []string{"-data-dir", filepath.Join(root, fmt.Sprintf("node-%d", i)), "-snapshot-cycles", "16"}
+	}
+	return campaign(server, "", flags, wait, func(p *procs) (string, error) {
+		for i := 0; i < nodes; i++ {
+			if err := drive(p, i, puts/nodes); err != nil {
+				return "", fmt.Errorf("load via node %d: %w", i, err)
+			}
+		}
+		before, err := harness.Converge(p, wait)
+		if err != nil {
+			return "", err
+		}
+		if err := scrapeCheck(p); err != nil {
+			return "", fmt.Errorf("pre-kill metrics scrape: %w", err)
+		}
+		durable, err := minDurableCycle(p)
+		if err != nil {
+			return "", err
+		}
+		if durable == 0 {
+			return "", errors.New("fsync-gated load left the durable cycle at 0")
+		}
+
+		// Power cut: SIGKILL, no warning. Buffered WAL bytes past the
+		// last fsync are gone; acked writes must not be.
+		p.kill()
+		for i := 0; i < nodes; i++ {
+			if err := p.start(i); err != nil {
+				return "", err
+			}
+		}
+		if err := harness.AwaitHealthy(p, wait); err != nil {
+			return "", err
+		}
+		after, err := harness.Converge(p, wait)
+		if err != nil {
+			return "", err
+		}
+		if after != before {
+			return "", fmt.Errorf("recovered state digest %016x != pre-kill %016x", after, before)
+		}
+		// Recovery replays the WAL to at least the pre-kill durable
+		// cycle, so every applied watermark comes back at or above it
+		// and, at quiesce, within one convergence window of the others
+		// (cycles advance continuously, so exact equality is not
+		// expected).
+		const window = 64
+		what := fmt.Sprintf("applied watermarks re-converged at or above cycle %d", durable)
+		if err := harness.Await(p, wait, what, func() bool {
+			lo, hi := ^uint64(0), uint64(0)
+			for i := 0; i < nodes; i++ {
+				s, err := admin.New(p.AdminAddr(i)).Status(context.Background())
+				if err != nil {
+					return false
+				}
+				lo, hi = min(lo, s.Applied), max(hi, s.Applied)
+			}
+			return lo >= durable && hi-lo <= window
+		}); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d acked PUTs, digest %016x recovered on all %d nodes from durable cycle %d",
+			puts, after, nodes, durable), nil
+	})
+}
+
+// campaign boots three processes, node i with extra(i) on top of the
+// wiring flags, waits until all serve, runs the storyline and requires
+// a clean graceful shutdown.
+func campaign(server, superLeaves string, extra func(i int) []string, wait time.Duration, run func(p *procs) (string, error)) (string, error) {
+	p, err := boot(server, superLeaves, extra)
+	if err != nil {
+		return "", err
+	}
+	defer p.close()
+	if err := harness.AwaitHealthy(p, wait); err != nil {
+		return "", err
+	}
+	line, err := run(p)
+	if err != nil {
+		return "", err
+	}
+	return line, p.stop()
+}
+
+// drive sends n pipelined PUTs to one node and requires an ack for each.
+func drive(p *procs, node, n int) error {
+	cl, err := harness.Dial(p, node)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	puts := make([]*client.Future, n)
+	for i := range puts {
+		puts[i] = cl.PutAsync(uint64(node*1_000_000+i), fmt.Appendf(nil, "smoke-%d-%d", node, i))
+	}
+	for i, f := range puts {
+		if _, err := f.Wait(context.Background()); err != nil {
+			return fmt.Errorf("reply %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// instrumentPrefixes are the four subsystems a gateway must cover.
+var instrumentPrefixes = []string{
+	"canopus_core_", "canopus_transport_", "canopus_wal_", "canopus_client_",
+}
+
+// scrapeCheck asserts each node's /metrics exposes the operations-plane
+// inventory: at least 12 instrument families spanning all four subsystem
+// prefixes, with WAL fsyncs actually observed.
+func scrapeCheck(p *procs) error {
+	for i := 0; i < nodes; i++ {
+		series, err := admin.New(p.AdminAddr(i)).Metrics(context.Background())
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
+		families := map[string]bool{}
+		covered := map[string]bool{}
+		var fsyncs float64
+		for key, v := range series {
+			name, _, _ := strings.Cut(key, "{")
+			if !strings.HasPrefix(name, "canopus_") {
+				continue
+			}
+			families[name] = true
+			for _, pre := range instrumentPrefixes {
+				if strings.HasPrefix(name, pre) {
+					covered[pre] = true
+				}
+			}
+			if name == "canopus_wal_fsyncs_total" {
+				fsyncs += v
+			}
+		}
+		if len(families) < 12 {
+			return fmt.Errorf("node %d: only %d instrument families exposed, want >= 12", i, len(families))
+		}
+		if len(covered) != len(instrumentPrefixes) {
+			return fmt.Errorf("node %d: instrument families cover %d/%d subsystems", i, len(covered), len(instrumentPrefixes))
+		}
+		if fsyncs == 0 {
+			return fmt.Errorf("node %d: canopus_wal_fsyncs_total is 0 after fsync-gated load", i)
+		}
+	}
+	return nil
+}
+
+// minDurableCycle reads every node's /status durability block and
+// returns the smallest durable cycle.
+func minDurableCycle(p *procs) (uint64, error) {
+	lo := ^uint64(0)
+	for i := 0; i < nodes; i++ {
+		s, err := admin.New(p.AdminAddr(i)).Status(context.Background())
+		if err != nil {
+			return 0, fmt.Errorf("node %d: %w", i, err)
+		}
+		if s.Durability == nil {
+			return 0, fmt.Errorf("node %d: /status has no durability section", i)
+		}
+		lo = min(lo, s.Durability.DurableCycle)
+	}
+	return lo, nil
+}
+
+// procs is the process Deployment: three canopus-server processes whose
+// -peers entries for every other node are the fabric's proxies.
+type procs struct {
+	server      string
+	superLeaves string
+	extra       func(i int) []string
+	fabric      *chaosnet.Net
+	peers       [][]string // peers[i][j]: node i's address for node j
+	client      []string
+	admin       []string
+	evicted     chan int
+
+	mu   sync.Mutex
+	proc [nodes]*proc
+}
+
+// proc is one process; done closes once it has exited.
+type proc struct {
+	cmd  *exec.Cmd
+	done chan struct{}
+}
+
+// boot starts the three processes; extra(i) is node i's campaign flags.
+func boot(server, superLeaves string, extra func(i int) []string) (*procs, error) {
+	p := &procs{
+		server:      server,
+		superLeaves: superLeaves,
+		extra:       extra,
+		fabric:      chaosnet.New(chaosnet.Config{Logf: log.Printf, Seed: 42}),
+		peers:       make([][]string, nodes),
+		client:      reservePorts(nodes),
+		admin:       reservePorts(nodes),
+		evicted:     make(chan int, nodes), // one exit per process at a time
+	}
+	listen := reservePorts(nodes)
+	for i := range p.peers {
+		p.peers[i] = make([]string, nodes)
+		for j := range p.peers[i] {
+			if i == j {
+				p.peers[i][j] = listen[i]
+				continue
+			}
+			addr, err := p.fabric.AddLink(wire.NodeID(i), wire.NodeID(j), listen[j])
+			if err != nil {
+				p.fabric.Close()
+				return nil, err
+			}
+			p.peers[i][j] = addr
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		if err := p.start(i); err != nil {
+			p.close()
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+func (p *procs) Chaos() *chaosnet.Net    { return p.fabric }
+func (p *procs) NumNodes() int           { return nodes }
+func (p *procs) ClientAddr(i int) string { return p.client[i] }
+func (p *procs) AdminAddr(i int) string  { return p.admin[i] }
+func (p *procs) Evicted() <-chan int     { return p.evicted }
+
+// Rejoin restarts node i, whose process has exited, with -join.
+func (p *procs) Rejoin(i int) error { return p.start(i, "-join") }
+
+// start launches node i. Exit status 3 (-exit-on-evict) is the eviction
+// notice: it feeds the Evicted stream once the process is gone.
+func (p *procs) start(i int, flags ...string) error {
+	args := []string{
+		"-id", strconv.Itoa(i),
+		"-peers", strings.Join(p.peers[i], ","),
+		"-client", p.client[i],
+		"-admin-addr", p.admin[i],
+	}
+	if p.superLeaves != "" {
+		args = append(args, "-superleaves", p.superLeaves)
+	}
+	cmd := exec.Command(p.server, append(append(args, p.extra(i)...), flags...)...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("start node %d: %w", i, err)
+	}
+	pr := &proc{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		cmd.Wait()
+		close(pr.done)
+		if code := cmd.ProcessState.ExitCode(); code == 3 {
+			select {
+			case p.evicted <- i:
+			default:
+			}
+		} else if code > 0 {
+			log.Printf("chaos-smoke: node %d exited %d", i, code)
+		}
+	}()
+	p.mu.Lock()
+	p.proc[i] = pr
+	p.mu.Unlock()
+	return nil
+}
+
+// signal sends sig to every process and waits for all to exit.
+func (p *procs) signal(sig os.Signal) [nodes]*proc {
+	p.mu.Lock()
+	running := p.proc
+	p.mu.Unlock()
+	for _, pr := range running {
+		if pr != nil {
+			pr.cmd.Process.Signal(sig)
+		}
+	}
+	for _, pr := range running {
+		if pr != nil {
+			<-pr.done
+		}
+	}
+	return running
+}
+
+// kill SIGKILLs every process: the power cut. The fabric stays up for
+// the restart.
+func (p *procs) kill() { p.signal(syscall.SIGKILL) }
+
+// close kills every process and the fabric: a campaign's cleanup.
+func (p *procs) close() {
+	p.kill()
+	p.fabric.Close()
+}
+
+// stop shuts every process down gracefully and requires a clean exit.
+func (p *procs) stop() error {
+	for i, pr := range p.signal(os.Interrupt) {
+		if !pr.cmd.ProcessState.Success() {
+			return fmt.Errorf("node %d graceful shutdown: %v", i, pr.cmd.ProcessState)
+		}
+	}
+	return nil
 }
 
 // reservePorts binds n loopback listeners to pick free ports, then
@@ -226,84 +434,4 @@ func reservePorts(n int) []string {
 		l.Close()
 	}
 	return addrs
-}
-
-func waitAllHealthy(admins []*admin.Client, timeout time.Duration) {
-	for i, cl := range admins {
-		deadline := time.Now().Add(timeout)
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			h, err := cl.Health(ctx)
-			cancel()
-			if err == nil && h.Status == "ok" {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("chaos-smoke: node %d not healthy after %v (status %q, err %v)", i, timeout, h.Status, err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-}
-
-// waitMetric polls one gateway's /metrics until the summed family
-// reaches min.
-func waitMetric(ctx context.Context, cl *admin.Client, family string, min float64, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		series, err := cl.Metrics(ctx)
-		if err == nil {
-			total := 0.0
-			for key, v := range series {
-				if len(key) >= len(family) && key[:len(family)] == family {
-					total += v
-				}
-			}
-			if total >= min {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			log.Fatalf("chaos-smoke: %s did not reach %v within %v", family, min, timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// converge waits for every replica's admin digest to agree on one
-// non-zero state digest and returns it.
-func converge(ctx context.Context, admins []*admin.Client, timeout time.Duration) uint64 {
-	deadline := time.Now().Add(timeout)
-	for {
-		var ref uint64
-		agree := true
-		for i, cl := range admins {
-			d, err := cl.Digest(ctx)
-			if err != nil || d.State == 0 {
-				agree = false
-				break
-			}
-			if i == 0 {
-				ref = d.State
-			} else if d.State != ref {
-				agree = false
-				break
-			}
-		}
-		if agree {
-			return ref
-		}
-		if time.Now().After(deadline) {
-			states := make([]string, len(admins))
-			for i, cl := range admins {
-				if d, err := cl.Digest(ctx); err == nil {
-					states[i] = fmt.Sprintf("%016x", d.State)
-				} else {
-					states[i] = err.Error()
-				}
-			}
-			log.Fatalf("chaos-smoke: replicas did not converge within %v: %v", timeout, states)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

@@ -27,7 +27,7 @@
 // The fabric is a Go API with no text form: livecluster.Config.Chaos
 // routes an in-process cluster's transport through one (Cluster.Chaos),
 // and cmd/chaos-smoke builds one around canopus-server processes; both,
-// harness.LiveChaos and the benchmark call the methods of Net directly.
+// the harness's live campaigns and the benchmark call Net's methods.
 package chaosnet
 
 import (

@@ -36,7 +36,7 @@ func (n *Node) commit(c *cycle) {
 	if c.started {
 		n.lastCycleTook = n.env.Now() - c.startedAt
 	}
-	if n.cfg.StallThreshold > 0 {
+	if n.cfg.StallThreshold > 0 || n.cfg.LeafTimeout > 0 {
 		n.lastCommitAt = n.env.Now()
 		if n.stallDetected.Load() {
 			n.stallDetected.Store(false)

@@ -14,7 +14,8 @@ import (
 // Stock Canopus stalls globally when one super-leaf dies: every cycle's
 // merge needs every leaf's branch state, and a dead leaf serves nobody
 // (§6). With Config.LeafTimeout armed, a representative whose cross-leaf
-// fetch has gone unanswered for LeafTimeout past the cycle's start runs
+// fetch for the next cycle to commit, K, has gone unanswered for
+// LeafTimeout past the later of K's start and the previous commit runs
 // an eviction round for the silent branch u in cycle K:
 //
 //  1. Seal own leaf: broadcast LeafSeal{K, u} intra-leaf. The reliable
@@ -104,13 +105,26 @@ func (n *Node) driveEvictions() {
 					n.driveEviction(c, u, now)
 					continue
 				}
-				// The silence clock starts at the later of the cycle's
-				// start and the branch's last readmission: a cycle begun
-				// while the leaf was dead carries a startedAt that had
-				// already expired when the rejoin committed, and charging
-				// that stale wait would re-evict the leaf before its
-				// first state can cross the WAN.
+				// Only the next cycle to commit is charged, and its silence
+				// clock starts at the latest of its start, the previous
+				// commit and the branch's last readmission. A leaf cannot
+				// start cycle k before it commits k-MaxInFlight: while an
+				// earlier cycle here waits on a dead leaf, a healthy leaf
+				// held one cycle further back by the same dead leaf (a
+				// fault cut off that leaf's copy of the state we got) has
+				// not served k yet, and the clock of a pipelined cycle
+				// would evict it. Likewise a cycle begun while the leaf was
+				// dead carries a startedAt that had already expired when
+				// the rejoin committed, and charging that stale wait would
+				// re-evict the leaf before its first state can cross the
+				// WAN.
+				if c.id != n.committed+1 {
+					continue
+				}
 				since := c.startedAt
+				if n.lastCommitAt > since {
+					since = n.lastCommitAt
+				}
 				if ra := n.readmittedAt(u); ra > since {
 					since = ra
 				}

@@ -251,6 +251,53 @@ func TestTwoLeavesCannotEvict(t *testing.T) {
 	}
 }
 
+// TestHeldBackLeafIsNotEvicted: five single-node leaves across a WAN,
+// cycles pipelined. Node 4 dies, but its link to node 3 fails a moment
+// before its other links: node 3 misses the last states 4 sent, which the
+// others received and committed. So node 3 resolves those cycles one
+// eviction round later than the others and, its pipeline full
+// (MaxInFlight), cannot start the cycles the others began after them.
+// Node 3 is healthy and must not be evicted with node 4.
+func TestHeldBackLeafIsNotEvicted(t *testing.T) {
+	cfg := evictionCfg()
+	cfg.CycleInterval = 5 * time.Millisecond
+	cfg.TickInterval = 5 * time.Millisecond
+	tc := newTestCluster(t, clusterOpts{racks: 5, perRack: 1, wan: 20 * time.Millisecond, cfg: cfg})
+	const cutAt = 300 * time.Millisecond
+	dead, heldBack := wire.NodeID(4), wire.NodeID(3)
+	live := []wire.NodeID{0, 1, 2, 3}
+	tc.runner.InstallFaults(netsim.FaultPlan{
+		Drops: []netsim.DropFault{{At: cutAt, From: []wire.NodeID{dead}, To: []wire.NodeID{heldBack}, Prob: 1}},
+		Partitions: []netsim.PartitionFault{
+			netsim.LeafPartition(cutAt+10*time.Millisecond, 0, []wire.NodeID{dead}, live),
+		},
+	}, nil)
+	// A write every 5 ms, round-robin over the live nodes, keeps cycles
+	// in flight across the cut.
+	const writes = 400
+	for i := 0; i < writes; i++ {
+		node := live[i%len(live)]
+		tc.submitAt(time.Duration(i+1)*5*time.Millisecond, node, wr(uint64(node)+1, uint64(i/len(live))+1, uint64(i), uint64(i)))
+	}
+	tc.run(4 * time.Second)
+
+	lh := tc.nodes[0].LeafHealth()
+	if !lh[dead].Evicted {
+		t.Fatalf("leaf health = %+v, want the dead leaf evicted", lh)
+	}
+	for _, id := range live {
+		if lh[id].Evicted || tc.nodes[id].Stalled() {
+			t.Fatalf("live node %d evicted or stalled: leaf health = %+v", id, lh)
+		}
+	}
+	for _, id := range live {
+		if got := tc.stores[id].LogLen(); got != writes {
+			t.Fatalf("node %d applied %d writes, want %d", id, got, writes)
+		}
+	}
+	tc.requireAgreementAmong(live)
+}
+
 // TestLeafTimeoutZeroIsStock: LeafTimeout unset must preserve the stock
 // stall behaviour bit-for-bit — same digests, same simulator step count —
 // as a build without any eviction machinery would produce. Guarded by

@@ -238,11 +238,12 @@ type Node struct {
 	// paceArmed is set while the one-shot pace timer is outstanding
 	// (startSelfClocked arms it, Timer clears it).
 	paceArmed bool
-	// Stall detector state (Config.StallThreshold): lastCommitAt is the
-	// machine time of the most recent commit; stallDetected and halted
-	// are atomic mirrors for off-turn observers (metrics, /healthz) —
-	// stallDetected tracks the no-commit-progress detector, halted the
-	// hard §6 stall/eviction states.
+	// lastCommitAt is the machine time of the most recent commit: the
+	// stall detector and the leaf-eviction clock measure silence from it,
+	// so it is kept only while one of them is armed. stallDetected and halted are atomic mirrors for off-turn observers
+	// (metrics, /healthz) — stallDetected tracks the no-commit-progress
+	// detector (Config.StallThreshold), halted the hard §6 stall/eviction
+	// states.
 	lastCommitAt  time.Duration
 	stallDetected atomic.Bool
 	halted        atomic.Bool

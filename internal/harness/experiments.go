@@ -13,7 +13,7 @@ import (
 // windows and search resolution for CI-speed runs; full mode is the
 // resolution README's "Build, test, bench" section regenerates the
 // figures at. Build one with NewOptions; every experiment entry point
-// (Fig4a…Fig7, Table1, LiveChaos) takes this single surface.
+// (Fig4a…Fig7, Table1) takes this single surface.
 type Options struct {
 	Quick bool
 	Seed  int64

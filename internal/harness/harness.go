@@ -1,7 +1,9 @@
 // Package harness assembles simulated deployments of Canopus, EPaxos
 // and Zab/ZooKeeper, drives them with the paper's workloads, and
 // regenerates each table and figure of the evaluation section (§8).
-// cmd/canopus-bench is its CLI.
+// cmd/canopus-bench is its CLI. livechaos.go holds the live chaos
+// campaigns, which TestLiveChaosCampaigns runs on in-process clusters
+// and cmd/chaos-smoke on canopus-server processes.
 package harness
 
 import (

@@ -2,145 +2,148 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"os"
+	"strings"
 	"sync"
 	"time"
 
 	"canopus/admin"
 	"canopus/client"
-	"canopus/internal/core"
-	"canopus/internal/livecluster"
-	"canopus/internal/metrics"
-	"canopus/internal/netsim"
+	"canopus/internal/chaosnet"
 	"canopus/internal/wire"
 )
 
-// LiveChaos runs the live chaos campaign catalog: the simulator
-// scenarios' fault families re-enacted on a real loopback cluster, with
-// faults injected at the socket layer by the chaosnet per-link proxy
-// fabric instead of the virtual clock. Where the sim catalog proves the
-// protocol logic, these campaigns prove the deployment surface around
-// it — transport redial and peer-state tracking, the admin gateway's
-// liveness reporting, in-place node restart, and the operator loop of
-// evict → bounce → readmit — all under wall-clock timeouts.
-//
-//   - leaf-partition-evict-readmit: a whole super-leaf is blackholed;
-//     the surviving leaf majority evicts it within the 4×LeafTimeout
-//     budget and keeps committing; after the heal the evicted members
-//     learn their fate, restart in place as joiners, and the cluster
-//     converges to one state digest.
-//   - geo-wan-evict-readmit: the same campaign across five emulated
-//     datacenters at mixed WAN latency classes (metro to transoceanic,
-//     injected per directed link from the netsim GeoWANDelay matrix),
-//     so the eviction and readmission budgets ride real geo round
-//     trips over real sockets.
-//   - asymmetric-partition-stall: one node's inbound links are cut
-//     while its outbound links flow — the half-open failure only a
-//     per-directed-link fabric can produce. The node wedges, its armed
-//     stall detector degrades /healthz within the threshold, and the
-//     heal restores both the wedged write and the health report.
-//
-// Every campaign fails the process (exit 1) on a violated budget or
-// assertion, making `canopus-bench -exp live-chaos` a CI gate; -quick
-// shrinks the WAN classes so the geo campaign fits smoke timescales.
-func LiveChaos(o *Options) {
-	type liveScenario struct {
-		name string
-		run  func(o *Options) (string, error)
-	}
-	scenarios := []liveScenario{
-		{"leaf-partition-evict-readmit", liveLeafEvictReadmit},
-		{"geo-wan-evict-readmit", liveGeoWANEvictReadmit},
-		{"asymmetric-partition-stall", liveAsymmetricStall},
-	}
-	tbl := &metrics.Table{Header: []string{"scenario", "outcome"}}
-	for _, s := range scenarios {
-		start := time.Now()
-		line, err := s.run(o)
-		if err != nil {
-			fail("live-chaos: %s: %v", s.name, err)
-		}
-		tbl.Add(s.name, fmt.Sprintf("%s (%v)", line, time.Since(start).Round(10*time.Millisecond)))
-	}
-	fmt.Fprint(o.Out, tbl.String())
-	fmt.Fprintln(o.Out, "live-chaos: all campaigns within budget")
+// Deployment is what a live chaos campaign may touch of a running
+// cluster: what an operator has. The campaigns below are written once
+// against it and run by two backends — an in-process livecluster
+// (TestLiveChaosCampaigns) and real canopus-server processes
+// (cmd/chaos-smoke). They observe the nodes only through canopus/client
+// and canopus/admin, and act on them only through the fabric and Rejoin.
+type Deployment interface {
+	// Chaos is the fabric every inter-node byte crosses.
+	Chaos() *chaosnet.Net
+	NumNodes() int
+	ClientAddr(i int) string
+	AdminAddr(i int) string
+	// Evicted streams the nodes that learned the cluster evicted them.
+	Evicted() <-chan int
+	// Rejoin restarts node i as a joiner (§4.6).
+	Rejoin(i int) error
 }
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
-}
-
-// waitLive polls cond at wall-clock granularity until it holds or the
-// budget runs out.
-func waitLive(budget time.Duration, what string, cond func() bool) error {
+// Await polls cond every 10 ms until it holds or budget runs out. The
+// timeout error quotes every node's /status, one line each, so a failed
+// wait says where the cluster stood.
+func Await(d Deployment, budget time.Duration, what string, cond func() bool) error {
 	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timed out after %v waiting for %s:\n%s", budget, what, statusDump(d))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return fmt.Errorf("timed out after %v waiting for %s", budget, what)
+	return nil
 }
 
-func liveDial(c *livecluster.Cluster, node int) (*client.Client, error) {
-	return client.New(client.Config{Endpoints: []string{c.ClientAddr(node)}})
-}
-
-// evictCampaign parameterizes one partition→evict→heal→readmit run.
-type evictCampaign struct {
-	superLeaves [][]wire.NodeID
-	node        core.Config
-	victims     []wire.NodeID // the super-leaf to blackhole
-	survivors   []wire.NodeID
-	// delayClass, when set, is each super-leaf's WAN latency class: the
-	// fabric injects the GeoWANDelay matrix before any load runs.
-	delayClass []time.Duration
-	seed       int64
-}
-
-// runEvictCampaign executes the shared eviction storyline and returns a
-// one-line outcome summary.
-func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
-	// Evicted notices arrive on the machine turn; the buffered,
-	// non-blocking relay keeps the callback from ever stalling a node.
-	evicted := make(chan int, 64)
-	c, err := livecluster.Start(livecluster.Config{
-		SuperLeaves: camp.superLeaves,
-		Node:        camp.node,
-		Seed:        camp.seed,
-		Chaos:       true,
-		Admin:       true,
-		Metrics:     metrics.NewRegistry(),
-		OnEvicted: func(i int) {
-			select {
-			case evicted <- i:
-			default:
-			}
-		},
-	})
-	if err != nil {
-		return "", err
-	}
-	defer c.Stop(10 * time.Second)
-
-	if camp.delayClass != nil {
-		leafOf := make(map[wire.NodeID]int)
-		for li, sl := range camp.superLeaves {
-			for _, id := range sl {
-				leafOf[id] = li
+// statusDump renders one line per node from its /status: phase, cycle
+// watermarks, liveness verdict and every super-leaf's state.
+func statusDump(d Deployment) string {
+	var b strings.Builder
+	for i := 0; i < d.NumNodes(); i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		s, err := admin.New(d.AdminAddr(i)).Status(ctx)
+		cancel()
+		if err != nil {
+			fmt.Fprintf(&b, "  node %d: unreachable (%v)\n", i, err)
+			continue
+		}
+		fmt.Fprintf(&b, "  node %d: %s, started/ordered/applied %d/%d/%d, degraded %q, leaves",
+			i, s.Phase, s.Started, s.Ordered, s.Applied, s.Degraded)
+		for _, sl := range s.Membership {
+			fmt.Fprintf(&b, " %d:alive%v", sl.Index, sl.Alive)
+			if sl.Evicted {
+				fmt.Fprintf(&b, "/evicted@%d", sl.EvictedAt)
 			}
 		}
-		c.Chaos().ApplyDelayMatrix(
-			func(id wire.NodeID) int { return leafOf[id] },
-			netsim.GeoWANDelay(camp.delayClass),
-		)
+		b.WriteByte('\n')
 	}
+	return strings.TrimRight(b.String(), "\n")
+}
 
+// AwaitHealthy waits until every node's /healthz reports ok — past WAL
+// recovery, with its client port accepting.
+func AwaitHealthy(d Deployment, budget time.Duration) error {
+	return Await(d, budget, "every node healthy", func() bool {
+		for i := 0; i < d.NumNodes(); i++ {
+			if h, err := admin.New(d.AdminAddr(i)).Health(context.Background()); err != nil || h.Status != "ok" {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Converge waits until every node reports one non-zero state digest and
+// returns it.
+func Converge(d Deployment, budget time.Duration) (uint64, error) {
+	var state uint64
+	err := Await(d, budget, "state-digest convergence", func() bool {
+		ref, err := admin.New(d.AdminAddr(0)).Digest(context.Background())
+		if err != nil || ref.State == 0 {
+			return false
+		}
+		for i := 1; i < d.NumNodes(); i++ {
+			if di, err := admin.New(d.AdminAddr(i)).Digest(context.Background()); err != nil || di.State != ref.State {
+				return false
+			}
+		}
+		state = ref.State
+		return true
+	})
+	return state, err
+}
+
+// Dial opens a client on node i's client port.
+func Dial(d Deployment, i int) (*client.Client, error) {
+	return client.New(client.Config{Endpoints: []string{d.ClientAddr(i)}})
+}
+
+// leafAt reads node i's /status and returns the super-leaf holding id.
+func leafAt(d Deployment, i int, id wire.NodeID) (admin.SuperLeaf, bool) {
+	s, err := admin.New(d.AdminAddr(i)).Status(context.Background())
+	if err != nil {
+		return admin.SuperLeaf{}, false
+	}
+	for _, sl := range s.Membership {
+		for _, m := range sl.Members {
+			if m == int32(id) {
+				return sl, true
+			}
+		}
+	}
+	return admin.SuperLeaf{}, false
+}
+
+// Eviction parameterizes the partition → evict → heal → readmit
+// campaign. Victims are one whole super-leaf; Wait bounds every phase
+// after the eviction, whose budget is 4×LeafTimeout.
+type Eviction struct {
+	LeafTimeout        time.Duration
+	Victims, Survivors []wire.NodeID
+	Wait               time.Duration
+}
+
+// EvictReadmit runs the super-leaf outage storyline (§6 and RCanopus'
+// answer to it): blackhole the victims' leaf, require the survivors to
+// evict it within 4×LeafTimeout and keep committing, heal, restart every
+// node that learns it was evicted as a joiner, and require the leaf's
+// readmission and one state digest on every node. It returns a one-line
+// outcome summary.
+func EvictReadmit(d Deployment, e Eviction) (string, error) {
 	ctx := context.Background()
-	cl, err := liveDial(c, int(camp.survivors[0]))
+	ref := int(e.Survivors[0])
+	cl, err := Dial(d, ref)
 	if err != nil {
 		return "", err
 	}
@@ -157,27 +160,30 @@ func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
 	// to land after the heal draws the dead-in-view Evicted notice — the
 	// only way a partitioned member learns its fate (§6). The writes
 	// themselves die with the eviction.
-	c.Chaos().Partition(camp.survivors, camp.victims)
+	d.Chaos().Partition(e.Survivors, e.Victims)
 	cut := time.Now()
-	for vi, v := range camp.victims {
-		vcl, err := liveDial(c, int(v))
+	for vi, v := range e.Victims {
+		vcl, err := Dial(d, int(v))
 		if err != nil {
 			return "", err
 		}
 		defer vcl.Close()
 		_ = vcl.PutAsync(200+uint64(vi), []byte("doomed"))
 	}
+	// The post-partition writes go in right away: eviction rounds are
+	// driven by cycles wedged on the dead leaf's missing state, so the
+	// survivors need in-flight load to notice the silence. They must
+	// complete once the leaf is evicted.
 	post := make([]*client.Future, 0, 5)
 	for k := uint64(100); k < 105; k++ {
 		post = append(post, cl.PutAsync(k, []byte("post")))
 	}
 
-	// Eviction: the survivors' counters move once the leaf's slots
-	// resolve to tombstones (atomic reads — safe off the machine turn).
-	evictBudget := 4 * camp.node.LeafTimeout
-	ref := int(camp.survivors[0])
-	if err := waitLive(evictBudget+10*time.Second, "leaf eviction at the survivors", func() bool {
-		return c.Node(ref).LeafEvictions() >= 1
+	// Eviction, as a survivor's /status shows it.
+	evictBudget := 4 * e.LeafTimeout
+	if err := Await(d, evictBudget+e.Wait, "the victims' leaf evicted at a survivor", func() bool {
+		sl, ok := leafAt(d, ref, e.Victims[0])
+		return ok && sl.Evicted
 	}); err != nil {
 		return "", err
 	}
@@ -192,43 +198,50 @@ func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
 	}
 
 	// Heal; the wedged members' fetch retries now reach the survivors,
-	// draw Evicted notices, and the operator hook bounces each back in
-	// as an in-place joiner. The drain restarts ANY evicted node for the
-	// rest of the campaign — under real wall clocks a healthy-but-slow
-	// leaf can occasionally lose the eviction race too, and the operator
-	// answer is the same bounce — but the cut leaf's members must be
-	// among them.
-	c.Chaos().Heal()
+	// draw Evicted notices, and each is bounced back in as a joiner. The
+	// drain restarts ANY evicted node for the rest of the campaign —
+	// under real wall clocks a healthy-but-slow leaf can occasionally
+	// lose the eviction race too, and the operator answer is the same
+	// bounce — but the cut leaf's members must be among them.
+	d.Chaos().Heal()
 	healed := time.Now()
 	var mu sync.Mutex
 	restarted := map[int]bool{}
 	var restartErr error
-	drainDone := make(chan struct{})
-	defer close(drainDone)
+	drainDone, drained := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(drainDone)
+		<-drained // no Rejoin may outlive the campaign
+	}()
 	go func() {
+		defer close(drained)
 		for {
 			select {
-			case i := <-evicted:
+			case i := <-d.Evicted():
 				mu.Lock()
-				if !restarted[i] && restartErr == nil {
-					restarted[i] = true
-					if err := c.RestartNode(i); err != nil {
-						restartErr = fmt.Errorf("restart node %d: %w", i, err)
-					}
-				}
+				again := restarted[i]
+				restarted[i] = true
 				mu.Unlock()
+				if again {
+					continue
+				}
+				if err := d.Rejoin(i); err != nil {
+					mu.Lock()
+					restartErr = errors.Join(restartErr, fmt.Errorf("rejoin node %d: %w", i, err))
+					mu.Unlock()
+				}
 			case <-drainDone:
 				return
 			}
 		}
 	}()
-	if err := waitLive(30*time.Second, "the cut leaf's members to learn their eviction", func() bool {
+	if err := Await(d, e.Wait, "the cut leaf's members to learn their eviction", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if restartErr != nil {
 			return true
 		}
-		for _, v := range camp.victims {
+		for _, v := range e.Victims {
 			if !restarted[int(v)] {
 				return false
 			}
@@ -239,41 +252,27 @@ func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
 	}
 	mu.Lock()
 	err = restartErr
-	extra := len(restarted) - len(camp.victims)
 	mu.Unlock()
 	if err != nil {
 		return "", err
 	}
 
-	// Readmission and convergence, observed through the public admin
-	// surface: every node's digest endpoint — including the restarted
-	// joiners' — must agree on one non-zero state digest.
-	if err := waitLive(30*time.Second, "leaf readmission at the survivors", func() bool {
-		return c.Node(ref).LeafReadmissions() >= 1
+	// Readmission at a survivor, then one state digest everywhere —
+	// the rejoined joiners' included.
+	if err := Await(d, e.Wait, "the victims' leaf alive again at a survivor", func() bool {
+		sl, ok := leafAt(d, ref, e.Victims[0])
+		return ok && !sl.Evicted && len(sl.Alive) > 0
 	}); err != nil {
 		return "", err
 	}
-	var state uint64
-	if err := waitLive(30*time.Second, "state-digest convergence", func() bool {
-		d, err := admin.New(c.AdminAddr(ref)).Digest(ctx)
-		if err != nil || d.State == 0 {
-			return false
-		}
-		for i := 0; i < c.NumNodes(); i++ {
-			di, err := admin.New(c.AdminAddr(i)).Digest(ctx)
-			if err != nil || di.State != d.State {
-				return false
-			}
-		}
-		state = d.State
-		return true
-	}); err != nil {
+	state, err := Converge(d, e.Wait)
+	if err != nil {
 		return "", err
 	}
 	readmitIn := time.Since(healed)
 
 	// The rejoined member serves a post-partition write.
-	vcl, err := liveDial(c, int(camp.victims[0]))
+	vcl, err := Dial(d, int(e.Victims[0]))
 	if err != nil {
 		return "", err
 	}
@@ -281,101 +280,36 @@ func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
 	if v, err := vcl.Get(ctx, 104); err != nil || string(v) != "post" {
 		return "", fmt.Errorf("Get(104) via rejoined node = %q, %v", v, err)
 	}
+	mu.Lock()
+	extra := len(restarted) - len(e.Victims)
+	mu.Unlock()
 	line := fmt.Sprintf("evicted in %v, readmitted in %v, digest %016x on all %d nodes",
-		evictIn.Round(time.Millisecond), readmitIn.Round(time.Millisecond), state, c.NumNodes())
+		evictIn.Round(time.Millisecond), readmitIn.Round(time.Millisecond), state, d.NumNodes())
 	if extra > 0 {
 		line += fmt.Sprintf(" (+%d bystander evictions bounced)", extra)
 	}
 	return line, nil
 }
 
-// liveLeafEvictReadmit is the LAN-scale eviction campaign: three
-// two-node super-leaves on loopback, leaf 2 blackholed.
-func liveLeafEvictReadmit(o *Options) (string, error) {
-	return runEvictCampaign(o, evictCampaign{
-		superLeaves: [][]wire.NodeID{{0, 1}, {2, 3}, {4, 5}},
-		node: core.Config{
-			CycleInterval: 2 * time.Millisecond,
-			TickInterval:  2 * time.Millisecond,
-			FetchTimeout:  50 * time.Millisecond,
-			LeafTimeout:   250 * time.Millisecond,
-		},
-		victims:   []wire.NodeID{4, 5},
-		survivors: []wire.NodeID{0, 1, 2, 3},
-		seed:      o.Seed + 21,
-	})
+// Stall parameterizes the asymmetric-partition stall campaign: Wedged is
+// a node alone in its super-leaf with StallThreshold armed, Majority the
+// rest of the cluster.
+type Stall struct {
+	Threshold time.Duration
+	Majority  []wire.NodeID
+	Wedged    wire.NodeID
+	Wait      time.Duration
 }
 
-// liveGeoWANEvictReadmit is the geo-scale campaign: five two-node
-// super-leaves standing in for five datacenters spanning the WAN
-// latency classes, the transoceanic DC blackholed. Timeout budgets
-// scale with the worst one-way delay exactly as in the simulator's geo
-// scenario: LeafTimeout must sit well above a pipelined cycle's few WAN
-// round trips, FetchTimeout above the worst RTT. Quick mode divides the
-// classes by ten so the campaign fits CI smoke timescales while keeping
-// the same 150:1 spread between the nearest and farthest DC — but the
-// timeout budgets shrink less than the latencies: wall-clock noise
-// (scheduler jitter, GC, the proxy hop itself) does not shrink with
-// them, and a LeafTimeout too close to a stalled cycle's resolution
-// time can evict a healthy-but-slow leaf.
-func liveGeoWANEvictReadmit(o *Options) (string, error) {
-	node := core.Config{
-		CycleInterval: 20 * time.Millisecond,
-		TickInterval:  5 * time.Millisecond,
-		FetchTimeout:  600 * time.Millisecond,
-		LeafTimeout:   2 * time.Second,
-	}
-	div := time.Duration(1)
-	if o.Quick {
-		div = 10
-		node.CycleInterval = 5 * time.Millisecond
-		node.FetchTimeout = 100 * time.Millisecond
-		node.LeafTimeout = 600 * time.Millisecond
-	}
-	classes := []time.Duration{
-		netsim.MetroOneWay / div,
-		netsim.MetroOneWay / div,
-		netsim.RegionalOneWay / div,
-		netsim.ContinentalOneWay / div,
-		netsim.IntercontinentalOneWay / div,
-	}
-	return runEvictCampaign(o, evictCampaign{
-		superLeaves: [][]wire.NodeID{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}},
-		node:        node,
-		victims:     []wire.NodeID{8, 9},
-		survivors:   []wire.NodeID{0, 1, 2, 3, 4, 5, 6, 7},
-		delayClass:  classes,
-		seed:        o.Seed + 22,
-	})
-}
-
-// liveAsymmetricStall cuts only the inbound direction of a minority
-// node's links: its traffic still reaches the majority, but every fetch
-// reply falls into the blackhole. The wedged node's armed stall
-// detector must flip its /healthz to "degraded: stalled" within the
-// threshold (plus detector granularity), and the heal must release both
-// the wedged write and the health report — no restart anywhere.
-func liveAsymmetricStall(o *Options) (string, error) {
-	threshold := 200 * time.Millisecond
-	c, err := livecluster.Start(livecluster.Config{
-		SuperLeaves: [][]wire.NodeID{{0, 1}, {2}},
-		Node: core.Config{
-			CycleInterval:  2 * time.Millisecond,
-			TickInterval:   2 * time.Millisecond,
-			FetchTimeout:   50 * time.Millisecond,
-			StallThreshold: threshold,
-		},
-		Seed:  o.Seed + 23,
-		Chaos: true,
-		Admin: true,
-	})
-	if err != nil {
-		return "", err
-	}
-	defer c.Stop(10 * time.Second)
-
+// StallDetect cuts only the inbound direction of the wedged node's links
+// (majority → wedged): its traffic still reaches the majority, but every
+// fetch reply falls into the blackhole — the half-open failure only a
+// per-directed-link fabric can produce. Its stall detector must flip
+// /healthz to "degraded: stalled", and the heal must release both the
+// write wedged at it and the health report, with no restart anywhere.
+func StallDetect(d Deployment, s Stall) (string, error) {
 	ctx := context.Background()
-	cl, err := liveDial(c, 0)
+	cl, err := Dial(d, int(s.Majority[0]))
 	if err != nil {
 		return "", err
 	}
@@ -383,45 +317,46 @@ func liveAsymmetricStall(o *Options) (string, error) {
 	if err := cl.Put(ctx, 1, []byte("a")); err != nil {
 		return "", err
 	}
-
-	ac := admin.New(c.AdminAddr(2))
+	ac := admin.New(d.AdminAddr(int(s.Wedged)))
 	if h, err := ac.Health(ctx); err != nil || h.Status != "ok" {
 		return "", fmt.Errorf("pre-fault health = %+v, %v", h, err)
 	}
 
-	// Cut only majority→minority: node 2 keeps sending (so nothing
-	// looks crashed from the outside) but hears no replies. A write
-	// through its unproxied client port starts the cycle it can never
-	// commit — the detector needs local evidence of wedged progress.
-	c.Chaos().PartitionDirected([]wire.NodeID{0, 1}, []wire.NodeID{2})
+	// The write through the wedged node's unproxied client port starts
+	// the cycle it can never commit: the detector needs local evidence
+	// of wedged progress.
+	d.Chaos().PartitionDirected(s.Majority, []wire.NodeID{s.Wedged})
 	cut := time.Now()
-	cl2, err := liveDial(c, 2)
+	wcl, err := Dial(d, int(s.Wedged))
 	if err != nil {
 		return "", err
 	}
-	defer cl2.Close()
-	f := cl2.PutAsync(2, []byte("b"))
-	if err := waitLive(10*threshold+5*time.Second, "node 2 /healthz degraded", func() bool {
+	defer wcl.Close()
+	f := wcl.PutAsync(2, []byte("b"))
+	if err := Await(d, 10*s.Threshold+s.Wait, "the wedged node's /healthz degraded", func() bool {
 		h, err := ac.Health(ctx)
 		return err == nil && h.Status == "degraded: stalled"
 	}); err != nil {
 		return "", err
 	}
 	detectIn := time.Since(cut)
-	if s, err := ac.Status(ctx); err != nil || s.Degraded != "stalled" {
-		return "", fmt.Errorf("degraded /status = %+v, %v", s, err)
+	if st, err := ac.Status(ctx); err != nil || st.Degraded != "stalled" {
+		return "", fmt.Errorf("degraded /status = %+v, %v", st, err)
 	}
 
-	c.Chaos().Heal()
+	d.Chaos().Heal()
 	if _, err := f.Wait(ctx); err != nil {
-		return "", fmt.Errorf("wedged write across heal: %w", err)
+		return "", fmt.Errorf("write wedged at node %d across the heal: %w", s.Wedged, err)
 	}
-	if err := waitLive(10*time.Second, "node 2 /healthz recovery", func() bool {
+	if err := Await(d, s.Wait, "the wedged node's /healthz ok again", func() bool {
 		h, err := ac.Health(ctx)
 		return err == nil && h.Status == "ok"
 	}); err != nil {
 		return "", err
 	}
+	if st, err := ac.Status(ctx); err != nil || st.Degraded != "" {
+		return "", fmt.Errorf("post-heal /status = %+v, %v", st, err)
+	}
 	return fmt.Sprintf("stall detected in %v (threshold %v), recovered after heal",
-		detectIn.Round(time.Millisecond), threshold), nil
+		detectIn.Round(time.Millisecond), s.Threshold), nil
 }

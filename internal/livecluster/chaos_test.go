@@ -1,9 +1,9 @@
 package livecluster
 
-// Live chaos-plane tests: fault injection over real sockets via the
-// chaosnet proxy fabric (Config.Chaos). These are the live-mode ports of
-// the simulator's eviction and stall scenarios — same protocol paths,
-// wall clocks and TCP resets instead of the virtual clock.
+// Fault injection over real sockets via the chaosnet proxy fabric
+// (Config.Chaos). The eviction and stall storylines are the live
+// campaigns of internal/harness (TestLiveChaosCampaigns), which run on
+// this package's clusters and on canopus-server processes alike.
 
 import (
 	"context"
@@ -18,223 +18,6 @@ import (
 	"canopus/internal/metrics"
 	"canopus/internal/wire"
 )
-
-// chaosEvictionCfg arms leaf eviction with timings suited to loopback
-// TCP: LeafTimeout well above proxy round-trips, cycles fast enough to
-// drive evictions promptly.
-func chaosEvictionCfg() core.Config {
-	return core.Config{
-		CycleInterval: 2 * time.Millisecond,
-		TickInterval:  2 * time.Millisecond,
-		FetchTimeout:  50 * time.Millisecond,
-		LeafTimeout:   250 * time.Millisecond,
-	}
-}
-
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
-// TestChaosLeafEvictionAndReadmission is the live port of the sim's
-// partition→evict→heal→readmit scenario: a whole super-leaf is
-// blackholed at the socket layer, the surviving leaf majority evicts it
-// within the LeafTimeout budget, and after heal + RestartNode the
-// evicted members rejoin through the join protocol and converge to the
-// survivors' state digest.
-func TestChaosLeafEvictionAndReadmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second live chaos scenario")
-	}
-	evicted := make(chan int, 8)
-	cfg := Config{
-		SuperLeaves:  [][]wire.NodeID{{0, 1}, {2, 3}, {4, 5}},
-		Node:         chaosEvictionCfg(),
-		Seed:         11,
-		LoggedStores: true,
-		Chaos:        true,
-		OnEvicted:    func(i int) { evicted <- i },
-	}
-	c, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop(5 * time.Second)
-	if c.Chaos() == nil {
-		t.Fatal("Chaos() = nil with Config.Chaos set")
-	}
-
-	ctx := context.Background()
-	cl := dialClient(t, c, 0)
-	for k := uint64(1); k <= 6; k++ {
-		if err := cl.Put(ctx, k, []byte("pre")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Blackhole leaf 2 (nodes 4,5) away from the rest. The survivors'
-	// fetches into the leaf now time out; with LeafTimeout armed the
-	// majority of leaves evicts it and consensus resumes.
-	c.Chaos().Partition([]wire.NodeID{0, 1, 2, 3}, []wire.NodeID{4, 5})
-	start := time.Now()
-	// Wedge one write inside the doomed leaf through its (unproxied)
-	// client port: the cycle it starts keeps retrying cross-leaf fetches,
-	// and the first retry to land after heal draws the dead-in-view
-	// Evicted notice — how a partitioned member learns its fate (§6).
-	// The writes themselves die with the eviction; ignore their futures.
-	_ = dialClient(t, c, 4).PutAsync(200, []byte("doomed"))
-	_ = dialClient(t, c, 5).PutAsync(201, []byte("doomed"))
-	post := make([]chan error, 0, 5)
-	for k := uint64(100); k < 105; k++ {
-		f := cl.PutAsync(k, []byte("post"))
-		ch := make(chan error, 1)
-		go func() { _, err := f.Wait(ctx); ch <- err }()
-		post = append(post, ch)
-	}
-	// LeafHealth reads the committed view — a machine-turn structure, so
-	// go through the runner's serialization lock.
-	leafHealth := func(i int) []core.LeafHealth {
-		var lh []core.LeafHealth
-		nd := c.Node(i)
-		c.Runner(i).Invoke(func() { lh = nd.LeafHealth() })
-		return lh
-	}
-	waitFor(t, 10*time.Second, "leaf 2 eviction at node 0", func() bool {
-		lh := leafHealth(0)
-		return len(lh) == 3 && lh[2].Evicted
-	})
-	if d := time.Since(start); d > 4*cfg.Node.LeafTimeout {
-		t.Errorf("eviction took %v, want <= 4*LeafTimeout (%v)", d, 4*cfg.Node.LeafTimeout)
-	}
-	for i, ch := range post {
-		if err := <-ch; err != nil {
-			t.Fatalf("post-partition put %d: %v", i, err)
-		}
-	}
-
-	// Heal, let the Evicted notices reach nodes 4 and 5, and restart each
-	// in place as a joiner (the operator response OnEvicted asks for).
-	c.Chaos().Heal()
-	restarted := map[int]bool{}
-	for len(restarted) < 2 {
-		select {
-		case i := <-evicted:
-			if restarted[i] {
-				continue
-			}
-			restarted[i] = true
-			if err := c.RestartNode(i); err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatalf("evicted notices reached only %d of 2 nodes", len(restarted))
-		}
-	}
-	if !restarted[4] || !restarted[5] {
-		t.Fatalf("unexpected eviction set: %v", restarted)
-	}
-
-	// Readmission: the survivors re-admit the leaf, and the joiners
-	// converge to the exact survivor state digest.
-	waitFor(t, 15*time.Second, "leaf 2 readmission at node 0", func() bool {
-		lh := leafHealth(0)
-		return len(lh) == 3 && !lh[2].Evicted && !lh[2].Failed
-	})
-	digest := func(i int) (uint64, uint64, uint64) {
-		return digest(c.Node(i), c.Store(i))
-	}
-	waitFor(t, 15*time.Second, "state-digest convergence across all 6 nodes", func() bool {
-		_, ref, _ := digest(0)
-		for i := 1; i < 6; i++ {
-			if _, st, _ := digest(i); st != ref {
-				return false
-			}
-		}
-		return true
-	})
-
-	// The rejoined node serves reads of pre- and post-partition writes.
-	cl2 := dialClient(t, c, 4)
-	if v, err := cl2.Get(ctx, 104); err != nil || string(v) != "post" {
-		t.Fatalf("Get(104) via rejoined node = %q, %v", v, err)
-	}
-}
-
-// TestChaosStallDetectionHealthz: an asymmetric partition (stock config,
-// no eviction) wedges the cluster; a node with StallThreshold armed
-// notices the missing commit progress and degrades its /healthz to 503
-// "degraded: stalled", then recovers to ok after heal.
-func TestChaosStallDetectionHealthz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second live chaos scenario")
-	}
-	threshold := 200 * time.Millisecond
-	c, err := Start(Config{
-		SuperLeaves: [][]wire.NodeID{{0, 1}, {2}},
-		Node: core.Config{
-			CycleInterval:  2 * time.Millisecond,
-			TickInterval:   2 * time.Millisecond,
-			FetchTimeout:   50 * time.Millisecond,
-			StallThreshold: threshold,
-		},
-		Seed:  13,
-		Chaos: true,
-		Admin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop(5 * time.Second)
-
-	ctx := context.Background()
-	cl := dialClient(t, c, 0)
-	if err := cl.Put(ctx, 1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-
-	ac := admin.New(c.AdminAddr(2))
-	if h, err := ac.Health(ctx); err != nil || h.Status != "ok" {
-		t.Fatalf("pre-fault health = %+v, %v", h, err)
-	}
-
-	// Cut node 2's leaf off, then hand it a write through its (unproxied)
-	// client port: the node starts a cycle it cannot commit — its fetch
-	// of the majority leaf's state falls into the blackhole — and the
-	// armed detector flags the wedge once StallThreshold passes.
-	c.Chaos().Isolate(2)
-	f := cl.PutAsync(2, []byte("b"))
-	cl2 := dialClient(t, c, 2)
-	f2 := cl2.PutAsync(3, []byte("c"))
-	waitFor(t, 10*threshold+5*time.Second, "node 2 /healthz degraded", func() bool {
-		h, err := ac.Health(ctx)
-		return err == nil && h.Status == "degraded: stalled"
-	})
-	if s, err := ac.Status(ctx); err != nil || s.Degraded != "stalled" {
-		t.Fatalf("/status degraded = %+v, %v", s, err)
-	}
-
-	c.Chaos().Heal()
-	if _, err := f.Wait(ctx); err != nil {
-		t.Fatalf("write across heal: %v", err)
-	}
-	if _, err := f2.Wait(ctx); err != nil {
-		t.Fatalf("minority write across heal: %v", err)
-	}
-	waitFor(t, 10*time.Second, "node 2 /healthz recovery", func() bool {
-		h, err := ac.Health(ctx)
-		return err == nil && h.Status == "ok"
-	})
-	if s, err := ac.Status(ctx); err != nil || s.Degraded != "" {
-		t.Fatalf("post-heal /status degraded = %+v, %v", s, err)
-	}
-}
 
 // TestAdminGatewayUnderPartition drives the fabric through its Go API beside a
 // live admin gateway: a cross-leaf partition wedges a write (the cycle
@@ -351,7 +134,7 @@ func TestConnectionResetMidLoad(t *testing.T) {
 	digest := func(i int) (uint64, uint64, uint64) {
 		return digest(c.Node(i), c.Store(i))
 	}
-	waitFor(t, 10*time.Second, "state-digest convergence", func() bool {
+	converged := func() bool {
 		cyc, ref, _ := digest(0)
 		for i := 1; i < 3; i++ {
 			if ci, st, _ := digest(i); ci != cyc || st != ref {
@@ -359,7 +142,12 @@ func TestConnectionResetMidLoad(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}
+	for deadline := time.Now().Add(10 * time.Second); !converged(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replicas did not converge to one state digest")
+		}
+	}
 	for i := 0; i < 3; i++ {
 		var members int
 		var stalled bool
