@@ -96,7 +96,10 @@ func main() {
 	defer stopProfiles()
 
 	self := wire.NodeID(*id)
-	runner, err := transport.NewRunner(self, peers[self], peers, 42)
+	// Seeded per start: a restarted process must not repeat its
+	// predecessor's random draws, the join request's nonce among them
+	// (internal/core join.go).
+	runner, err := transport.NewRunner(self, peers[self], peers, time.Now().UnixNano())
 	if err != nil {
 		log.Fatal("canopus-server: ", err)
 	}

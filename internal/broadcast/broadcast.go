@@ -64,12 +64,12 @@ type Broadcaster interface {
 	// RemovePeer drops a failed peer from the membership (applied by the
 	// owner at a cycle boundary, after the failure cut).
 	RemovePeer(peer wire.NodeID)
-	// AddPeer admits a (re)joined peer with a fresh incarnation.
-	AddPeer(peer wire.NodeID)
-	// Members returns the current membership, including self. The
-	// returned slice is owned by the broadcaster: callers must treat it
-	// as read-only and must not retain it across AddPeer/RemovePeer.
-	Members() []wire.NodeID
+	// Expect announces a peer that a later AddPeer admits: everything
+	// broadcast from now on must still reach it then.
+	Expect(peer wire.NodeID)
+	// AddPeer admits a (re)joined peer under incarnation inc, the count of
+	// its joins that the owner's membership view holds.
+	AddPeer(peer wire.NodeID, inc uint32)
 }
 
 // Config is shared by both implementations.
@@ -77,9 +77,9 @@ type Config struct {
 	Members []wire.NodeID // initial super-leaf membership, including self
 
 	// Incarnations maps members to their current incarnation number (how
-	// many times they have re-joined). A node building its broadcaster
-	// after a re-join seeds this from the JoinReply so its group IDs line
-	// up with the survivors'. Missing entries default to zero.
+	// many times they have re-joined), as the owner's membership view
+	// holds it, so every member's group IDs line up. Missing entries
+	// default to zero.
 	Incarnations map[wire.NodeID]uint32
 
 	// TickInterval is how often the owner promises to call Tick; used to

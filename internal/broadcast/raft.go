@@ -1,6 +1,8 @@
 package broadcast
 
 import (
+	"slices"
+
 	"canopus/internal/engine"
 	"canopus/internal/raftlite"
 	"canopus/internal/wire"
@@ -17,9 +19,10 @@ type Raft struct {
 	members     []wire.NodeID
 	incarnation map[wire.NodeID]uint32
 	groups      map[uint64]*raftlite.Raft
-	order       []uint64        // deterministic group iteration order
-	closed      map[uint64]bool // groups whose origin's failure cut is delivered
-	failed      map[uint64]bool // PeerFailed already reported for this group
+	order       []uint64             // deterministic group iteration order
+	closed      map[uint64]bool      // groups whose origin's failure cut is delivered
+	failed      map[uint64]bool      // PeerFailed already reported for this group
+	expected    map[wire.NodeID]bool // Expect'ed peers not yet added
 }
 
 var _ Broadcaster = (*Raft)(nil)
@@ -37,6 +40,7 @@ func NewRaft(env engine.Env, cfg Config, cbs Callbacks) *Raft {
 		groups:      make(map[uint64]*raftlite.Raft),
 		closed:      make(map[uint64]bool),
 		failed:      make(map[uint64]bool),
+		expected:    make(map[wire.NodeID]bool),
 	}
 	for _, origin := range b.members {
 		b.openGroup(origin, cfg.Incarnations[origin])
@@ -60,7 +64,7 @@ func (b *Raft) openGroup(origin wire.NodeID, inc uint32) {
 		ElectionTimeoutMax: 2 * b.cfg.FailAfter,
 	}
 	b.order = append(b.order, g)
-	b.groups[g] = raftlite.New(cfg, raftlite.IO{
+	r := raftlite.New(cfg, raftlite.IO{
 		Send: b.env.Send,
 		Deliver: func(_ uint64, payload wire.Message) {
 			b.deliver(g, payload)
@@ -72,6 +76,8 @@ func (b *Raft) openGroup(origin wire.NodeID, inc uint32) {
 		Rand:  b.env.Rand(),
 		Stats: b.cbs.RaftStats,
 	})
+	r.HoldCompaction(len(b.expected) > 0)
+	b.groups[g] = r
 }
 
 func (b *Raft) deliver(g uint64, payload wire.Message) {
@@ -130,11 +136,7 @@ func (b *Raft) Handle(from wire.NodeID, m wire.Message) bool {
 	}
 	r, ok := b.groups[g]
 	if !ok {
-		origin := groupOrigin(g)
-		if groupIncarnation(g) != b.incarnation[origin] {
-			return true // stale incarnation: drop
-		}
-		return true // unknown group (e.g. for a peer we removed): drop
+		return true // a stale incarnation or a removed peer's group: drop
 	}
 	r.Handle(from, m)
 	return true
@@ -150,27 +152,14 @@ func (b *Raft) Tick() {
 	}
 }
 
-// Members returns the current membership including self. Read-only;
-// stable until the next AddPeer/RemovePeer (RemovePeer re-slices with a
-// fresh backing array, so a slice handed out earlier never mutates).
-func (b *Raft) Members() []wire.NodeID {
-	return b.members
-}
-
 // RemovePeer drops peer from every group's voting set and retires peer's
 // own group. Called at a cycle boundary, identically on all survivors.
 func (b *Raft) RemovePeer(peer wire.NodeID) {
-	idx := -1
-	for i, m := range b.members {
-		if m == peer {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(b.members, peer)
 	if idx < 0 {
 		return
 	}
-	b.members = append(b.members[:idx:idx], b.members[idx+1:]...)
+	b.members = slices.Delete(b.members, idx, idx+1)
 	g := groupID(peer, b.incarnation[peer])
 	delete(b.groups, g)
 	b.closed[g] = true
@@ -185,21 +174,30 @@ func (b *Raft) setAllPeers() {
 	}
 }
 
-// AddPeer admits peer with a fresh incarnation: a new group for it, and a
-// seat in every existing group. Called at a cycle boundary, identically
-// on all members (including the joiner itself, which builds the same
-// state from the JoinReply).
-func (b *Raft) AddPeer(peer wire.NodeID) {
-	for _, m := range b.members {
-		if m == peer {
-			return
-		}
-	}
-	b.members = append(b.members, peer)
-	b.setAllPeers()
-	b.openGroup(peer, b.incarnation[peer]+1)
+// Expect holds every group's compaction until peer is added, so the
+// entries appended in between are still there to replicate to it.
+func (b *Raft) Expect(peer wire.NodeID) {
+	b.expected[peer] = true
+	b.holdCompaction()
 }
 
-// Incarnation reports a member's current incarnation number, used by the
-// join protocol's state transfer.
-func (b *Raft) Incarnation(id wire.NodeID) uint32 { return b.incarnation[id] }
+func (b *Raft) holdCompaction() {
+	for _, r := range b.groups {
+		r.HoldCompaction(len(b.expected) > 0)
+	}
+}
+
+// AddPeer admits peer under incarnation inc: a new group for it, and a
+// seat in every existing group, whose matchIndex for it keeps what it
+// has not received from compaction. Called at a cycle boundary,
+// identically on all members (the joiner itself builds the same state
+// from the JoinReply).
+func (b *Raft) AddPeer(peer wire.NodeID, inc uint32) {
+	delete(b.expected, peer)
+	if !slices.Contains(b.members, peer) {
+		b.members = append(b.members, peer)
+		b.setAllPeers()
+		b.openGroup(peer, inc)
+	}
+	b.holdCompaction()
+}

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -112,29 +113,20 @@ func (b *Switch) Tick() {
 	}
 }
 
-// Members returns current membership including self. Read-only; stable
-// until the next AddPeer/RemovePeer.
-func (b *Switch) Members() []wire.NodeID {
-	return b.members
-}
-
 // RemovePeer drops a peer after its failure cut.
 func (b *Switch) RemovePeer(peer wire.NodeID) {
-	for i, m := range b.members {
-		if m == peer {
-			b.members = append(b.members[:i:i], b.members[i+1:]...)
-			break
-		}
-	}
+	b.members = slices.DeleteFunc(b.members, func(m wire.NodeID) bool { return m == peer })
 	delete(b.lastSeen, peer)
 }
 
-// AddPeer admits a (re)joined peer.
-func (b *Switch) AddPeer(peer wire.NodeID) {
-	for _, m := range b.members {
-		if m == peer {
-			return
-		}
+// Expect does nothing: the fabric keeps no log to replay to a peer, so a
+// peer receives only what is multicast after AddPeer.
+func (b *Switch) Expect(wire.NodeID) {}
+
+// AddPeer admits a (re)joined peer. The fabric needs no incarnation.
+func (b *Switch) AddPeer(peer wire.NodeID, _ uint32) {
+	if slices.Contains(b.members, peer) {
+		return
 	}
 	b.members = append(b.members, peer)
 	b.lastSeen[peer] = b.env.Now()

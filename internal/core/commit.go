@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"canopus/internal/engine"
 	"canopus/internal/kvstore"
 	"canopus/internal/wire"
 )
@@ -47,7 +48,8 @@ func (n *Node) commit(c *cycle) {
 	n.applySessions(c.id, root.Sessions)
 	plan := n.resolveOrder(c.id, root.Batches)
 	plan.expired = append(plan.expired, n.expiredScratch...)
-	joiners := n.applyMembership(c.id, root.Updates)
+	n.applyMembership(c.id, root.Updates)
+	answers := n.seat(c.id + 1)
 	n.gcSessions(c.id)
 
 	plan.root, plan.Order = root, root.Batches
@@ -55,11 +57,14 @@ func (n *Node) commit(c *cycle) {
 
 	// Join replies go out only after cycle c's plan is with the stage,
 	// where sendJoinReply takes the snapshot behind it. A reply sent from
-	// applyMembership would snapshot the state as of c-1 while telling the
-	// joiner to resume at c+1, silently losing cycle c's writes on every
-	// rejoin.
-	for _, j := range joiners {
-		n.sendJoinReply(j, c.id)
+	// seat would snapshot the state as of c-1 while telling the joiner to
+	// resume at c+1, silently losing cycle c's writes on every rejoin.
+	for _, j := range answers {
+		n.sendJoinReply(j, n.sponsoring[j].nonce, c.id)
+	}
+	if len(answers) > 0 && !n.resending {
+		n.resending = true
+		n.env.After(joinRetryInterval, engine.Tag(tagJoinRetry, 0)) // resendJoinReplies
 	}
 
 	delete(n.cycles, c.id)
@@ -75,9 +80,6 @@ func (n *Node) commit(c *cycle) {
 	n.freeCycle(c)
 	if old := c.id - n.retention(); old > 0 && old <= c.id {
 		n.dropRecent(old)
-	}
-	if n.stallAfter != 0 && n.committed >= n.stallAfter {
-		n.stallAfter = 0
 	}
 
 	// Self-clocking (§4.2): a node starts the next cycle if it received
@@ -264,14 +266,17 @@ func (n *Node) freePlan(p *applyPlan) {
 }
 
 // applyMembership folds the cycle's committed membership updates into
-// the emulation table and, for this super-leaf, the broadcast layer.
-// Every live node applies the same updates at the same cycle boundary,
-// which is the invariant keeping emulation tables identical (§4.6).
-// Leaves apply before joins so a crash/rejoin pair in one cycle nets out
-// to a fresh incarnation.
-func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) (joiners []wire.NodeID) {
+// the view and, for this super-leaf, the broadcast layer. Every live node
+// applies the same updates at the same cycle boundary, which is the
+// invariant keeping emulation tables identical (§4.6). Leaves apply
+// before joins, so a node retired and rejoined in one cycle holds a fresh
+// seat. A join seats the node from cycle cyc + MaxInFlight (see join.go
+// and seat); its leaf-mates, which cannot have started that cycle yet,
+// keep everything they broadcast from now on for it (Expect). A Leave
+// retires only a seated member (lot.View.Leave).
+func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) {
 	if len(updates) == 0 {
-		return nil
+		return
 	}
 	ordered := append([]wire.MemberUpdate(nil), updates...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -280,110 +285,63 @@ func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) (joiners
 		}
 		return ordered[i].Node < ordered[j].Node
 	})
-	// Resurrect joins (cross-leaf sponsorships, see onJoinRequest) are
-	// only valid if the joiner's leaf is still empty when the update
-	// applies: the sponsor checked emptiness when it accepted the
-	// request, but another member's join may have committed in between,
-	// and seating this one anyway would add a member holding stale (zero)
-	// broadcast incarnations — a zombie the leaf's round 1 then waits on
-	// forever. The pre-cycle member counts decide, so every node voids
-	// exactly the same stale updates (the committed prefix, and therefore
-	// the pre-cycle view, is identical everywhere). Two resurrect joins
-	// landing in the SAME cycle both see a pre-cycle-empty leaf and both
-	// seat with all-zero incarnations, which is consistent.
-	//
-	// Voids are decided — and the voided sponsor's reply cancelled —
-	// BEFORE any update applies: when a stale resurrect join and a live
-	// member's valid join for the same node share a cycle, the valid
-	// entry must not trip the stale sponsor's reply guard (its reply
-	// would hand the joiner zero incarnations the leaf no longer runs).
-	var voided []bool
-	{
-		var preMembers map[int]int
-		for i, u := range ordered {
-			if u.Leave || !u.Resurrect {
-				continue
+	for _, u := range ordered {
+		if !u.Leave {
+			if n.view.Join(u.Node, cyc+uint64(n.cfg.MaxInFlight)) {
+				n.trace("member-join", cyc, slog.Int("member", int(u.Node)))
+				n.expect(u.Node)
 			}
-			usl := n.tree.SuperLeafOf(u.Node)
-			if usl < 0 {
-				continue
-			}
-			if preMembers == nil {
-				preMembers = make(map[int]int)
-			}
-			if _, ok := preMembers[usl]; !ok {
-				preMembers[usl] = len(n.view.Members(usl))
-			}
-			if preMembers[usl] != 0 {
-				if voided == nil {
-					voided = make([]bool, len(ordered))
-				}
-				voided[i] = true
-				if s, ok := n.sponsoring[u.Node]; ok && s.resurrect && s.cycle == cyc {
-					delete(n.sponsoring, u.Node)
-				}
-			}
-		}
-	}
-	for i, u := range ordered {
-		if voided != nil && voided[i] {
-			// Stale resurrection (see above): no view change, no peer add,
-			// no reply. The joiner is still in its retry loop and will be
-			// sponsored by a now-live leaf member (a Leave+Join with
-			// properly bumped incarnations).
 			continue
 		}
+		// Leaf-death watermark: the cycle whose commit emptied a
+		// super-leaf's membership (an eviction tombstone landing) is when
+		// local tombstone substitution may begin (leaf.go). Only the
+		// non-empty -> empty transition records it — a redundant Leave
+		// against an already-empty leaf must not push the watermark
+		// forward.
 		usl := n.tree.SuperLeafOf(u.Node)
-		inOwnSL := usl == n.sl
-		if u.Leave {
-			// Leaf-death watermark: the cycle whose commit emptied a
-			// super-leaf's membership (an eviction tombstone landing) is
-			// when local tombstone substitution may begin (leaf.go). Only
-			// the non-empty -> empty transition records it — a redundant
-			// Leave against an already-empty leaf must not push the
-			// watermark forward.
-			before := n.cfg.LeafTimeout > 0 && usl >= 0 && len(n.view.Members(usl)) > 0
-			n.view.Apply([]wire.MemberUpdate{u})
-			n.trace("member-leave", cyc, slog.Int("member", int(u.Node)))
-			if before && len(n.view.Members(usl)) == 0 {
-				n.leafDeadAt[usl] = cyc
-				n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
-				n.trace("leaf-dead", cyc, slog.Int("dead_leaf", usl))
-			}
-			if inOwnSL && u.Node != n.cfg.Self {
-				n.bc.RemovePeer(u.Node)
-			}
+		before := n.cfg.LeafTimeout > 0 && usl >= 0 && len(n.view.Members(usl)) > 0
+		if !n.view.Leave(u.Node) {
 			continue
 		}
-		n.view.Apply([]wire.MemberUpdate{u})
-		n.trace("member-join", cyc, slog.Int("member", int(u.Node)))
-		if usl >= 0 {
-			if _, wasDead := n.leafDeadAt[usl]; wasDead {
-				// A member of an evicted leaf rejoined: re-admit the leaf
-				// to the merge (substitution stops; its states are fetched
-				// again).
-				delete(n.leafDeadAt, usl)
-				n.leafReadmitAt[usl] = n.env.Now()
-				n.stats.leafReadmissions.Add(1)
-				n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
-			}
+		n.trace("member-leave", cyc, slog.Int("member", int(u.Node)))
+		delete(n.sponsoring, u.Node)
+		if before && len(n.view.Members(usl)) == 0 {
+			n.leafDeadAt[usl] = cyc
+			n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
+			n.trace("leaf-dead", cyc, slog.Int("dead_leaf", usl))
 		}
-		if inOwnSL && u.Node != n.cfg.Self {
-			n.bc.AddPeer(u.Node)
-			delete(n.closedPeers, u.Node)
-		}
-		// Reply only when this node's own sponsorship kind matches the
-		// applied update: an own-leaf sponsor replies for a normal join
-		// (it holds the bumped broadcast incarnations), a cross-leaf
-		// sponsor only for an applied resurrection (the leaf was empty,
-		// so its all-zero incarnations are exactly right). A mismatched
-		// reply would hand the joiner incarnations the leaf doesn't run,
-		// wedging its round 1. The reply itself is deferred to the caller
-		// (commit) so the snapshot includes this cycle's writes.
-		if s, ok := n.sponsoring[u.Node]; ok && s.cycle == cyc && s.resurrect == u.Resurrect {
-			delete(n.sponsoring, u.Node)
-			joiners = append(joiners, u.Node)
+		if usl == n.sl && u.Node != n.cfg.Self {
+			n.bc.RemovePeer(u.Node)
 		}
 	}
-	return joiners
+}
+
+// seat takes, at the commit of cycle k-1, every seat that counts from
+// cycle k: the joiner's leaf-mates open its broadcast group under the
+// incarnation the view holds, an evicted leaf it belongs to is re-admitted
+// to the merge, and the joins this node sponsored are returned to be
+// answered. Every node has committed the joins by now (they committed by
+// k - MaxInFlight), so every node seats the same members here.
+func (n *Node) seat(k uint64) (answer []wire.NodeID) {
+	for _, id := range n.view.Seat(k) {
+		usl := n.tree.SuperLeafOf(id)
+		n.trace("member-seat", k, slog.Int("member", int(id)))
+		if usl == n.sl && id != n.cfg.Self {
+			n.bc.AddPeer(id, n.view.Incarnation(id))
+			delete(n.closedPeers, id)
+		}
+		if _, wasDead := n.leafDeadAt[usl]; wasDead {
+			// Substitution stops; the leaf's states are fetched again.
+			delete(n.leafDeadAt, usl)
+			n.stats.leafReadmissions.Add(1)
+			n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
+		}
+		if s, ok := n.sponsoring[id]; ok {
+			s.seat = k
+			n.sponsoring[id] = s
+			answer = append(answer, id)
+		}
+	}
+	return answer
 }

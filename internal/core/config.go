@@ -70,6 +70,13 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing cycles (§7.1). Default
 	// 4; wide-area pipelines want RTT/CycleInterval or more. 1 disables
 	// pipelining.
+	//
+	// Every node of a cluster must configure the same value. No node
+	// starts cycle k before it has committed k − MaxInFlight, and two
+	// membership rules count on that bound being the same everywhere: a
+	// join committed in cycle X seats its node from cycle X + MaxInFlight,
+	// and a leaf evicted at cycle D is substituted locally from cycle
+	// D + MaxInFlight. Nothing compares the value across nodes.
 	MaxInFlight int
 
 	// FetchTimeout is how long a representative waits, from the start of

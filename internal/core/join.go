@@ -2,6 +2,8 @@ package core
 
 import (
 	"log/slog"
+	"maps"
+	"slices"
 	"time"
 
 	"canopus/internal/engine"
@@ -11,156 +13,120 @@ import (
 
 // Join protocol (§3 assumption 6: "nodes fail by crashing and require a
 // failed node to rejoin the system using a join protocol", modeled on
-// Raft's approach as the paper suggests).
+// Raft's approach as the paper suggests). The committed membership view
+// (lot.View, changed only by applyMembership and seat) owns who is in a
+// leaf; see docs/ARCHITECTURE.md "Joining and leaving a leaf".
 //
-// Joiner J:  send JoinRequest to each configured super-leaf peer in turn
+// Joiner J:  send JoinRequest to every other configured node in turn
 //            until a JoinReply arrives, then install the sponsor's state
 //            and participate from the reply's StartCycle + 1.
 //
-// Sponsor S: queue a membership update (a Leave, if J's previous
-//            incarnation is still in the view, then a Join); the update
-//            rides S's next round-1 proposal (cycle X). Every member
-//            applies it when X commits — simultaneously arming a
-//            pipeline barrier so no member evaluates cycle X+1's round-1
-//            completion with a stale membership. At commit S sends
-//            JoinReply{StartCycle: X} with a state snapshot.
+// Sponsor S: any participating node in whose committed view J holds no
+//            seat. A Join update rides S's next round-1 proposal; its
+//            cycle X commits everywhere, and the view gives J a new
+//            incarnation and a seat counting from X + MaxInFlight. No node
+//            can start that cycle before it has committed X (canStart), so
+//            every node seats J in the same cycles' round 1. J's
+//            leaf-mates keep their broadcast logs whole from X's commit
+//            (Expect), so J receives every proposal of its first cycles.
+//            At the commit of the cycle before the seat, every node seats
+//            J (its leaf-mates open its broadcast group) and S sends
+//            JoinReply{StartCycle: X + MaxInFlight - 1} with a snapshot.
+//            S sends it again each joinRetryInterval until it commits the
+//            seat's cycle: the transport may lose the frame, and the cycle
+//            cannot commit before J has proposed in it. J installs only a
+//            reply that echoes its own request's nonce, so no process
+//            takes over a seat that an earlier process of the same node
+//            may have proposed under.
+//
+// A J still seated in S's view is not sponsored: only its leaf's agreed
+// failure cut (the broadcast takeover's GroupClosed, which every member
+// delivers) retires it, and J's retry is sponsored once that Leave has
+// committed. S does not hasten the cut: a retry already in flight when
+// J's reply lands would cut the incarnation just seated.
 
 const joinRetryInterval = 200 * time.Millisecond
 
-// sponsorship records an accepted JoinRequest on the sponsor: the cycle
-// whose membership update answers it (0 until one is proposed) and
-// whether the sponsorship was a cross-leaf resurrection. See the
-// Node.sponsoring field and applyMembership for the kind rules.
-type sponsorship struct {
-	cycle     uint64
-	resurrect bool
-}
+// sponsored is one join this node proposed: the nonce of the request it
+// answers, and the cycle the seat counts from once taken (0 until then).
+// It ends when that cycle commits here (resendJoinReplies) or a Leave
+// retires the joiner.
+type sponsored struct{ nonce, seat uint64 }
 
-// sendJoinRequest tries the next peer, alternating deterministically
-// between own super-leaf members (the common restart; they hold the
-// broadcast incarnations) and cross-leaf nodes — the fallback that
-// resurrects a fully-dead (evicted) leaf, whose members can only be
-// sponsored from outside (see leaf.go). Alternating rather than
-// exhausting one list first keeps both paths fast: a joiner behind live
-// leafmates is picked up within two attempts instead of waiting out a
-// full lap of cross-leaf denials, and a dead leaf's first joiner reaches
-// an outside sponsor just as quickly.
+// sendJoinRequest asks the next of the other configured nodes, in a fixed
+// rotation: any of them may sponsor.
 func (n *Node) sendJoinRequest() {
-	var own, cross []wire.NodeID
-	for _, p := range n.tree.SuperLeaf(n.sl).Members {
-		if p != n.cfg.Self {
-			own = append(own, p)
-		}
-	}
-	for _, p := range n.tree.AllNodes() {
-		if n.tree.SuperLeafOf(p) != n.sl {
-			cross = append(cross, p)
-		}
-	}
-	seq := n.joinSeq
-	n.joinSeq++
-	var target wire.NodeID
-	switch {
-	case len(own) == 0 && len(cross) == 0:
+	others := slices.DeleteFunc(n.tree.AllNodes(), func(p wire.NodeID) bool { return p == n.cfg.Self })
+	if len(others) == 0 {
 		return // single-node cluster: nothing to rejoin
-	case len(own) == 0:
-		target = cross[seq%len(cross)]
-	case len(cross) == 0:
-		target = own[seq%len(own)]
-	case seq%2 == 0:
-		target = own[(seq/2)%len(own)]
-	default:
-		target = cross[(seq/2)%len(cross)]
 	}
-	n.env.Send(target, &wire.JoinRequest{From: n.cfg.Self})
+	n.env.Send(others[n.joinSeq%len(others)], &wire.JoinRequest{From: n.cfg.Self, Nonce: n.joinNonce})
+	n.joinSeq++
 	n.env.After(joinRetryInterval, engine.Tag(tagJoinRetry, 0))
 }
 
 // onJoinRequest is the sponsor side.
-func (n *Node) onJoinRequest(from wire.NodeID, m *wire.JoinRequest) {
-	if n.rejoin || n.stalled {
-		return // cannot sponsor while not participating
+func (n *Node) onJoinRequest(m *wire.JoinRequest) {
+	j := m.From
+	if n.rejoin || n.stalled || j == n.cfg.Self || n.tree.SuperLeafOf(j) < 0 {
+		return // not participating, or not a configured peer
 	}
-	if m.From == n.cfg.Self {
+	if n.view.Alive(j) {
+		if members := n.view.Members(n.tree.SuperLeafOf(j)); len(members) == 1 && members[0] == j {
+			// J is its leaf's only seated member and asks again: it
+			// restarted, or lost its reply and its sponsor is gone. No
+			// leaf-mate exists to cut it, so no Leave will ever free the
+			// seat; and nobody else holds leaf state, so the committed
+			// state IS the original reply's content. Re-answer.
+			n.trace("join-rereply", n.committed, slog.Int("joiner", int(j)))
+			n.sendJoinReply(j, m.Nonce, n.committed)
+		}
 		return
 	}
-	resurrect := false
-	if joinerSL := n.tree.SuperLeafOf(m.From); joinerSL != n.sl {
-		if joinerSL < 0 {
-			return // not a configured node
-		}
-		// Cross-leaf sponsorship resurrects only a fully-empty (evicted)
-		// leaf: while any member of the joiner's leaf is alive in the
-		// view, only those peers may sponsor — they alone know the leaf's
-		// broadcast incarnation numbers, and a cross-leaf Join committing
-		// next to live members would hand the joiner stale (zero)
-		// incarnations for its broadcast groups. A fully-dead leaf
-		// restarts every group from incarnation zero with no survivors
-		// holding old state, so zeros are then exactly right. The update
-		// is flagged Resurrect so that, if another member's join commits
-		// first, this one is voided at apply time everywhere instead of
-		// seating a member the sponsor cannot actually brief (see
-		// applyMembership).
-		if members := n.view.Members(joinerSL); len(members) > 0 {
-			if len(members) == 1 && members[0] == m.From {
-				// The joiner's resurrection already committed, yet it is
-				// still asking: the one-shot JoinReply was lost (a live
-				// deployment drops frames at a process-restart boundary —
-				// the sponsor's first write after the restart can land on
-				// a stale connection). The joiner is its leaf's only
-				// seated member, so nobody else holds leaf state and the
-				// current committed state IS the original reply's
-				// content. Re-answer instead of deadlocking: without
-				// this, every retry is dropped here (the leaf is no
-				// longer empty) while the original sponsor's cleared
-				// sponsorship makes it mute too.
-				n.trace("join-rereply", n.committed, slog.Int("joiner", int(m.From)))
-				n.sendJoinReply(m.From, n.committed)
-			}
-			return
-		}
-		resurrect = true
-	}
-	if _, already := n.sponsoring[m.From]; already {
+	if _, ok := n.sponsoring[j]; ok {
 		return // join in flight; the joiner's retry changes nothing
 	}
-	n.sponsoring[m.From] = sponsorship{resurrect: resurrect} // carrying cycle assigned at proposal time
-	n.trace("join-accept", 0, slog.Int("joiner", int(m.From)))
-	if n.view.Alive(m.From) && !n.closedPeers[m.From] {
-		// The previous incarnation never got a failure cut (e.g. the
-		// node restarted faster than detection): retire it first.
-		n.pendingUpdates = append(n.pendingUpdates, wire.MemberUpdate{Node: m.From, Leave: true})
-		n.onPeerFailedLocal(m.From)
-	}
-	n.pendingUpdates = append(n.pendingUpdates, wire.MemberUpdate{Node: m.From, Resurrect: resurrect})
-	// Make sure a cycle carries the update promptly.
-	if n.started == n.committed {
-		n.tryStartCycles(n.started+1, causeOther)
-	}
+	n.sponsoring[j] = sponsored{nonce: m.Nonce}
+	n.trace("join-accept", 0, slog.Int("joiner", int(j)))
+	n.pendingUpdates = append(n.pendingUpdates, wire.MemberUpdate{Node: j})
+	n.startSelfClocked(causeOther) // a cycle carries the update promptly
 }
 
-// onPeerFailedLocal marks a peer closed without queueing another Leave
-// update (the caller already has).
-func (n *Node) onPeerFailedLocal(peer wire.NodeID) {
-	n.closedPeers[peer] = true
-	for k := n.committed + 1; k <= n.started; k++ {
-		if c, ok := n.cycles[k]; ok && c.started && !c.complete {
-			n.advance(c)
+// resendJoinReplies answers again every joiner seated from a cycle this
+// node has not committed yet — the committed state is still the first
+// reply's — and ends the sponsorships whose seat cycle it has: the joiner
+// proposed in it, or its leaf's failure cut let the cycle go on without
+// it.
+func (n *Node) resendJoinReplies() {
+	owed := false
+	for _, j := range slices.Sorted(maps.Keys(n.sponsoring)) {
+		switch s := n.sponsoring[j]; s.seat {
+		case 0:
+		case n.committed + 1:
+			n.sendJoinReply(j, s.nonce, n.committed)
+			owed = true
+		default:
+			delete(n.sponsoring, j)
 		}
 	}
+	if n.resending = owed; owed {
+		n.env.After(joinRetryInterval, engine.Tag(tagJoinRetry, 0))
+	}
 }
 
-// sendJoinReply transfers state to the joiner once its join update has
-// committed in cycle cyc.
-func (n *Node) sendJoinReply(joiner wire.NodeID, cyc uint64) {
+// sendJoinReply transfers state to the joiner, answering its request's
+// nonce, once its seat is taken at the commit of cycle cyc.
+func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 	reply := &wire.JoinReply{
 		From:       n.cfg.Self,
+		Nonce:      nonce,
 		StartCycle: cyc,
 	}
 	for _, id := range n.tree.AllNodes() {
 		if n.view.Alive(id) {
 			reply.Alive = append(reply.Alive, id)
-			reply.Incarnations = append(reply.Incarnations, n.incarnationOf(id))
+			reply.Incarnations = append(reply.Incarnations, n.view.Incarnation(id))
+			reply.Seats = append(reply.Seats, n.view.PendingFrom(id))
 		}
 	}
 	if n.sm != nil {
@@ -174,22 +140,10 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, cyc uint64) {
 	n.env.Send(joiner, reply)
 }
 
-// incarnationOf reports the broadcast-layer incarnation for own-SL
-// members (others are irrelevant to the joiner).
-func (n *Node) incarnationOf(id wire.NodeID) uint32 {
-	type incarnations interface {
-		Incarnation(wire.NodeID) uint32
-	}
-	if b, ok := n.bc.(incarnations); ok && n.tree.SuperLeafOf(id) == n.sl {
-		return b.Incarnation(id)
-	}
-	return 0
-}
-
 // onJoinReply installs the sponsor's state and resumes participation.
 func (n *Node) onJoinReply(m *wire.JoinReply) {
-	if !n.rejoin {
-		return // duplicate reply from a second sponsor attempt
+	if !n.rejoin || m.Nonce != n.joinNonce {
+		return // a duplicate, or the answer to an earlier process's request
 	}
 	n.trace("join-install", m.StartCycle)
 	n.rejoin = false
@@ -203,20 +157,9 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	n.committed = m.StartCycle
 	n.orderedW.Store(m.StartCycle)
 
-	// Rebuild the membership view: start from the static tree and fail
-	// everyone absent from the sponsor's alive set.
-	n.view = lot.NewView(n.tree)
-	alive := make(map[wire.NodeID]bool, len(m.Alive))
-	for _, id := range m.Alive {
-		alive[id] = true
-	}
-	var dead []wire.MemberUpdate
-	for _, id := range n.tree.AllNodes() {
-		if !alive[id] {
-			dead = append(dead, wire.MemberUpdate{Node: id, Leave: true})
-		}
-	}
-	n.view.Apply(dead)
+	// The sponsor's committed view: who holds a seat, under which
+	// incarnation, and which seats are still pending.
+	n.view = lot.RestoreView(n.tree, m.Alive, m.Incarnations, m.Seats)
 
 	// Install the state machine snapshot. The install rides the apply
 	// stage as a synthetic plan, like everything that writes the store, so
@@ -238,18 +181,7 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	// here exactly as on replicas that never crashed.
 	n.sessions.Restore(m.Sessions)
 
-	// Build the broadcast layer with the sponsor's incarnation numbers.
-	var members []wire.NodeID
-	incs := make(map[wire.NodeID]uint32)
-	for i, id := range m.Alive {
-		if n.tree.SuperLeafOf(id) == n.sl {
-			members = append(members, id)
-			if i < len(m.Incarnations) {
-				incs[id] = m.Incarnations[i]
-			}
-		}
-	}
-	n.initBroadcast(members, incs)
+	n.initBroadcast()
 
 	// The clock starts over with the protocol state: a pace timer armed
 	// before this is not owed any more (its firing finds paceArmed clear).

@@ -37,9 +37,10 @@ import (
 // Committing the tombstone empties the leaf's membership in every view
 // at the same cycle boundary (leafDeadAt records it). From then on the
 // slot for a later cycle M is substituted locally — no protocol round —
-// once M is next in commit order and M >= leafDeadAt + MaxInFlight: any
-// join resurrecting the leaf would ride a cycle < M and therefore commit
-// (and erase leafDeadAt) first, so every node resolves M the same way.
+// once M is next in commit order and M >= leafDeadAt + MaxInFlight: a
+// join seating a member of the leaf at M or earlier takes its seat (and
+// erases leafDeadAt) at the commit of a cycle < M, so every node resolves
+// M the same way.
 // Cycles in the gap (leafDeadAt, leafDeadAt+MaxInFlight) may have been
 // served real state by the leaf before it died and always use full
 // eviction rounds.
@@ -106,8 +107,8 @@ func (n *Node) driveEvictions() {
 					continue
 				}
 				// Only the next cycle to commit is charged, and its silence
-				// clock starts at the latest of its start, the previous
-				// commit and the branch's last readmission. A leaf cannot
+				// clock starts at the later of its start and the previous
+				// commit. A leaf cannot
 				// start cycle k before it commits k-MaxInFlight: while an
 				// earlier cycle here waits on a dead leaf, a healthy leaf
 				// held one cycle further back by the same dead leaf (a
@@ -115,19 +116,14 @@ func (n *Node) driveEvictions() {
 				// not served k yet, and the clock of a pipelined cycle
 				// would evict it. Likewise a cycle begun while the leaf was
 				// dead carries a startedAt that had already expired when
-				// the rejoin committed, and charging that stale wait would
-				// re-evict the leaf before its first state can cross the
-				// WAN.
+				// the leaf was readmitted, and charging that stale wait
+				// would re-evict the leaf before its first state can cross
+				// the WAN; a readmission happens at a commit (seat), so the
+				// previous commit covers it.
 				if c.id != n.committed+1 {
 					continue
 				}
-				since := c.startedAt
-				if n.lastCommitAt > since {
-					since = n.lastCommitAt
-				}
-				if ra := n.readmittedAt(u); ra > since {
-					since = ra
-				}
+				since := max(c.startedAt, n.lastCommitAt)
 				if now-since <= n.cfg.LeafTimeout {
 					continue
 				}
@@ -362,7 +358,8 @@ func (n *Node) checkEviction(c *cycle, u string) {
 // tombstone builds the canonical replacement state for dead branch u of
 // cycle k: no batches, a Leave for every static member of u's subtree
 // (idempotent for members already dead in the view — applying a Leave
-// twice is a no-op). A pure function of (k, u, static tree), so every
+// twice is a no-op — and void for a seat still pending, whose member never
+// served cycle k). A pure function of (k, u, static tree), so every
 // construction — any initiator's eviction round, any node's local
 // substitution — is byte-identical.
 func (n *Node) tombstone(k uint64, u string) *wire.Proposal {
@@ -386,8 +383,8 @@ func (n *Node) tombstone(k uint64, u string) *wire.Proposal {
 // with tombstones when every leaf under the branch has been dead — in
 // the committed view — for at least MaxInFlight cycles. Restricting
 // substitution to committed+1 makes it consistent cluster-wide without a
-// protocol round: a Join resurrecting the leaf before cycle M would ride
-// a cycle < M, hence commit here first and erase leafDeadAt; and the
+// protocol round: a Join seating a member of the leaf at cycle M or
+// earlier takes the seat, erasing leafDeadAt, by the commit of M-1; and the
 // dead leaf cannot have served a real state for M, because it never even
 // started a cycle that far past its own last commit.
 func (n *Node) substituteDead() {
@@ -445,18 +442,6 @@ func (n *Node) deadSince(u string) uint64 {
 		}
 	}
 	return d
-}
-
-// readmittedAt returns the latest local time any super-leaf under
-// branch u was re-admitted after an eviction, or 0 if none ever was.
-func (n *Node) readmittedAt(u string) time.Duration {
-	var t time.Duration
-	for _, sl := range n.tree.DescendantSuperLeaves(u) {
-		if at, ok := n.leafReadmitAt[sl]; ok && at > t {
-			t = at
-		}
-	}
-	return t
 }
 
 // serveEvictResolved answers an eviction-round query for an

@@ -30,8 +30,8 @@ const (
 	causePeer
 	// causeOverflow: MaxBatch requests were pending (§7.1, third trigger).
 	causeOverflow
-	// causeOther: a join sponsorship or a start that apply backpressure had
-	// held back.
+	// causeOther: a join sponsorship, a failure cut's Leave, or a start
+	// that apply backpressure had held back.
 	causeOther
 	numStartCauses
 )

@@ -148,13 +148,6 @@ type Node struct {
 	// tombstone locally without a new eviction round. Deleted when a
 	// member of the leaf rejoins.
 	leafDeadAt map[int]uint64
-	// leafReadmitAt records, per super-leaf ordinal, the local time at
-	// which the leaf was last re-admitted (leafDeadAt cleared by a
-	// committed rejoin). Eviction waits measure from the later of the
-	// cycle's start and this mark: cycles started while the leaf was
-	// dead would otherwise carry a long-expired startedAt and evict the
-	// rejoined leaf before it can serve a single state.
-	leafReadmitAt map[int]time.Duration
 
 	// Commit watermarks (see stage.go). orderedW mirrors n.committed for
 	// lock-free observers; applied is the highest cycle the apply stage
@@ -186,17 +179,10 @@ type Node struct {
 	expireProposed map[uint64]bool
 
 	pendingUpdates []wire.MemberUpdate
-	// stallAfter, when non-zero, blocks starting cycles beyond it until
-	// it commits: a join rode cycle stallAfter, and membership must be
-	// applied before anyone evaluates later round-1 completion sets.
-	stallAfter uint64
-	// sponsoring maps a joining node to this node's sponsorship: the
-	// cycle carrying a matching join update (0 until one is proposed)
-	// and whether the sponsorship was a cross-leaf resurrection. The
-	// kind matters: a resurrect sponsor must stay silent when an
-	// own-leaf member's join for the same node commits (and vice
-	// versa) — its reply would carry the wrong incarnations.
-	sponsoring map[wire.NodeID]sponsorship
+	// sponsoring holds the joins this node proposed, by joiner (join.go);
+	// resending is set while the resendJoinReplies timer is armed.
+	sponsoring map[wire.NodeID]sponsored
+	resending  bool
 
 	// stats are the always-on operational counters the admin gateway
 	// exports (see metrics.go).
@@ -216,6 +202,7 @@ type Node struct {
 	evictGraceUntil time.Duration
 	rejoin          bool
 	joinSeq         int
+	joinNonce       uint64 // this joining process's JoinRequest.Nonce
 	// recovered marks a node restarted from durable state (see
 	// recovery.go): it enables the root catch-up path that closes the
 	// watermark gap against peers after a full-cluster restart.
@@ -271,20 +258,19 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 		panic(fmt.Sprintf("core: node %v not in tree", cfg.Self))
 	}
 	n := &Node{
-		cfg:           cfg,
-		tree:          cfg.Tree,
-		sl:            sl,
-		sm:            sm,
-		cbs:           cbs,
-		sessions:      kvstore.NewSessionTable(),
-		closedPeers:   make(map[wire.NodeID]bool),
-		proposed:      make(map[uint64]*ownSet),
-		cycles:        make(map[uint64]*cycle),
-		recent:        make(map[uint64][]*wire.Proposal),
-		recentChild:   make(map[uint64]map[string]*wire.Proposal),
-		leafDeadAt:    make(map[int]uint64),
-		leafReadmitAt: make(map[int]time.Duration),
-		sponsoring:    make(map[wire.NodeID]sponsorship),
+		cfg:         cfg,
+		tree:        cfg.Tree,
+		sl:          sl,
+		sm:          sm,
+		cbs:         cbs,
+		sessions:    kvstore.NewSessionTable(),
+		closedPeers: make(map[wire.NodeID]bool),
+		proposed:    make(map[uint64]*ownSet),
+		cycles:      make(map[uint64]*cycle),
+		recent:      make(map[uint64][]*wire.Proposal),
+		recentChild: make(map[uint64]map[string]*wire.Proposal),
+		leafDeadAt:  make(map[int]uint64),
+		sponsoring:  make(map[wire.NodeID]sponsored),
 	}
 	if tm, ok := sm.(TxnMachine); ok {
 		n.tm = tm
@@ -346,11 +332,12 @@ func (n *Node) Init(env engine.Env) {
 	}
 	if n.rejoin {
 		// Defer all protocol state to the JoinReply.
+		n.joinNonce = env.Rand().Uint64()
 		n.sendJoinRequest()
 		return
 	}
 	n.view = lot.NewView(n.tree)
-	n.initBroadcast(n.tree.SuperLeaf(n.sl).Members, nil)
+	n.initBroadcast()
 	env.After(n.cfg.TickInterval, engine.Tag(tagTick, 0))
 	if n.cfg.CycleInterval > 0 {
 		n.nextCycleAt = n.env.Now() + n.cfg.CycleInterval
@@ -358,10 +345,17 @@ func (n *Node) Init(env engine.Env) {
 	}
 }
 
-func (n *Node) initBroadcast(members []wire.NodeID, incarnations map[wire.NodeID]uint32) {
+// initBroadcast builds the leaf's broadcast layer from the committed
+// view: its seated members, each under the incarnation the view holds.
+func (n *Node) initBroadcast() {
+	members := n.view.Members(n.sl)
+	incs := make(map[wire.NodeID]uint32, len(members))
+	for _, id := range members {
+		incs[id] = n.view.Incarnation(id)
+	}
 	bcfg := broadcast.Config{
 		Members:      members,
-		Incarnations: incarnations,
+		Incarnations: incs,
 		TickInterval: n.cfg.TickInterval,
 	}
 	cbs := broadcast.Callbacks{
@@ -375,13 +369,23 @@ func (n *Node) initBroadcast(members []wire.NodeID, incarnations map[wire.NodeID
 	default:
 		n.bc = broadcast.NewRaft(n.env, bcfg, cbs)
 	}
+	for _, s := range n.view.Pending() {
+		n.expect(s.Node)
+	}
+}
+
+// expect readies the broadcast layer for a pending seat in this leaf.
+func (n *Node) expect(id wire.NodeID) {
+	if n.tree.SuperLeafOf(id) == n.sl && id != n.cfg.Self {
+		n.bc.Expect(id)
+	}
 }
 
 // Recv implements engine.Machine.
 func (n *Node) Recv(from wire.NodeID, m wire.Message) {
 	switch v := m.(type) {
 	case *wire.JoinRequest:
-		n.onJoinRequest(from, v)
+		n.onJoinRequest(v)
 		return
 	case *wire.JoinReply:
 		n.onJoinReply(v)
@@ -444,8 +448,11 @@ func (n *Node) Timer(tag engine.TimerTag) {
 		}
 		n.env.After(n.nextCycleAt-n.env.Now(), engine.Tag(tagCycleTimer, 0))
 	case tagJoinRetry:
-		if n.rejoin {
+		switch {
+		case n.rejoin:
 			n.sendJoinRequest()
+		case !n.stalled:
+			n.resendJoinReplies()
 		}
 	case tagPace:
 		if !n.paceArmed {
@@ -509,8 +516,7 @@ func (n *Node) checkStall() {
 // interval are not overlapped — the commit, paced, starts the next — so on
 // a fast network the ticks of nodes without clients add no cycles. On an
 // idle node with requests pending it is the safety net behind
-// startSelfClocked for starts canStart refused (join barrier, apply
-// backpressure).
+// startSelfClocked for starts canStart refused (apply backpressure).
 func (n *Node) onCycleTimer() {
 	if n.rejoin || n.stalled {
 		return
@@ -541,10 +547,13 @@ func (n *Node) cyclesAreSlow() bool {
 }
 
 // pendingCount is the number of accumulated-but-unproposed requests.
-// Pending session updates count too: a registration must get a cycle to
-// ride even on an otherwise idle node.
+// Pending session and membership updates count too: a registration or a
+// Leave must get a cycle to ride even on an otherwise idle node. So do
+// pending seats: a joiner is answered only when the cycle before its seat
+// commits.
 func (n *Node) pendingCount() int {
-	return len(n.accum.reqs) + int(n.fluidRead) + int(n.fluidWrite) + len(n.pendingSessions)
+	return len(n.accum.reqs) + int(n.fluidRead) + int(n.fluidWrite) + len(n.pendingSessions) +
+		len(n.pendingUpdates) + len(n.view.Pending())
 }
 
 // Submit hands the node one client request (explicit mode). It must be
@@ -648,7 +657,7 @@ func (n *Node) SubmitFluid(reads, writes, bytes uint32, samples []wire.ArrivalSa
 }
 
 // tryStartCycles starts cycles in sequence up to target, subject to the
-// pipelining bound, the join barrier and super-leaf health.
+// pipelining bound, apply backpressure and super-leaf health.
 func (n *Node) tryStartCycles(target uint64, cause startCause) {
 	for n.started+1 <= target && n.canStart(n.started+1) {
 		n.startCycle(n.started+1, cause)
@@ -677,9 +686,6 @@ func (n *Node) canStart(k uint64) bool {
 		// up. (A stage drained inline never lags.)
 		n.applyBlocked = k
 		return false
-	}
-	if n.stallAfter != 0 && k > n.stallAfter && n.committed < n.stallAfter {
-		return false // membership change in flight: wait for it to land
 	}
 	return true
 }
@@ -714,7 +720,6 @@ func (n *Node) startCycle(k uint64, cause startCause) {
 	if len(n.pendingUpdates) > 0 {
 		p.Updates = n.pendingUpdates
 		n.pendingUpdates = nil
-		n.noteUpdates(k, p.Updates)
 	}
 	if len(n.pendingSessions) > 0 {
 		p.Sessions = n.pendingSessions
@@ -766,25 +771,6 @@ func (n *Node) takeAccum(batch *wire.Batch) *ownSet {
 		n.fluidSamples = nil
 	}
 	return set
-}
-
-// noteUpdates records join barriers for updates this node just proposed
-// (or saw proposed) in cycle k. Any leaf's join arms the barrier: with
-// cross-leaf sponsorship (leaf.go) a Join may resurrect a remote leaf,
-// and round-1 completion sets everywhere must see the membership applied
-// before later cycles start.
-func (n *Node) noteUpdates(k uint64, updates []wire.MemberUpdate) {
-	for _, u := range updates {
-		if !u.Leave {
-			if n.stallAfter == 0 || k > n.stallAfter {
-				n.stallAfter = k
-			}
-			if s, ok := n.sponsoring[u.Node]; ok && s.cycle == 0 && s.resurrect == u.Resurrect {
-				s.cycle = k
-				n.sponsoring[u.Node] = s
-			}
-		}
-	}
 }
 
 // ensureCycle returns (creating or recycling as needed) cycle k's state.
@@ -884,14 +870,10 @@ func (n *Node) DebugCycle(k uint64) string {
 	}
 	miss := ""
 	if c.started && c.round == 1 {
-		for _, m := range n.bc.Members() {
-			if n.closedPeers[m] {
-				continue
-			}
-			if _, ok := c.r1[m]; !ok {
-				miss += fmt.Sprintf(" r1:%v", m)
-			}
-		}
+		n.awaitR1(c, func(m wire.NodeID) bool {
+			miss += fmt.Sprintf(" r1:%v", m)
+			return true
+		})
 	}
 	if c.started && c.round >= 2 && c.round <= n.tree.Height {
 		target := n.tree.Ancestor(n.sl, c.round)

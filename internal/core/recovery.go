@@ -199,16 +199,7 @@ func (n *Node) requeueUpdates(own, root *wire.Proposal) {
 		return
 	}
 	n.pendingSessions = append(missingFrom(own.Sessions, root.Sessions), n.pendingSessions...)
-	updates := missingFrom(own.Updates, root.Updates)
-	for _, u := range updates {
-		// A join rides again under a new cycle: let noteUpdates re-stamp
-		// its sponsorship, or the commit would never answer the joiner.
-		if s, ok := n.sponsoring[u.Node]; ok && !u.Leave && s.cycle == own.Cycle {
-			s.cycle = 0
-			n.sponsoring[u.Node] = s
-		}
-	}
-	n.pendingUpdates = append(updates, n.pendingUpdates...)
+	n.pendingUpdates = append(missingFrom(own.Updates, root.Updates), n.pendingUpdates...)
 }
 
 // missingFrom returns the elements of own that have lacks, in order.

@@ -45,9 +45,6 @@ func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 			c.r1 = make(map[wire.NodeID]*wire.Proposal)
 		}
 		c.r1[origin] = p
-		// A join update observed in a peer's proposal arms the same
-		// barrier as proposing one ourselves.
-		n.noteUpdates(p.Cycle, p.Updates)
 		n.advance(c)
 		return
 	}
@@ -85,12 +82,11 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 	}
 	n.closedPeers[peer] = true
 	n.pendingUpdates = append(n.pendingUpdates, wire.MemberUpdate{Node: peer, Leave: true})
-	delete(n.sponsoring, peer)
 
 	// Super-leaf health: reliable broadcast needs a majority of the
 	// current membership (§4.3). Count configured members minus closed.
 	live := 0
-	for _, m := range n.bc.Members() {
+	for _, m := range n.view.Members(n.sl) {
 		if !n.closedPeers[m] {
 			live++
 		}
@@ -99,12 +95,15 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 		n.halt(false)
 		return
 	}
-	// Re-evaluate all in-flight cycles stuck in round 1.
+	// Re-evaluate all in-flight cycles stuck in round 1, and have a cycle
+	// carry the Leave on an idle node: the peer's retry to join is
+	// sponsored only once it has committed.
 	for k := n.committed + 1; k <= n.started; k++ {
 		if c, ok := n.cycles[k]; ok && c.started && !c.complete {
 			n.advance(c)
 		}
 	}
+	n.startSelfClocked(causeOther)
 	// Representative takeover (RCanopus §3, restricted to crash-stop):
 	// states pushed to the dead peer are lost, and the ones the modulo
 	// rule assigned to it would otherwise wait for the slow escalation
@@ -162,16 +161,28 @@ out:
 	}
 }
 
-// round1Complete reports whether proposals from every live super-leaf
-// member (including self) have been delivered. Proposals already
-// delivered from since-failed peers still count: the failure cut
-// guarantees every survivor saw the same ones.
+// round1Complete reports whether proposals from every member of the
+// super-leaf seated in cycle c (including self) have been delivered.
+// Proposals already delivered from since-failed peers still count: the
+// failure cut guarantees every survivor saw the same ones.
 func (n *Node) round1Complete(c *cycle) bool {
-	for _, m := range n.bc.Members() {
-		if n.closedPeers[m] {
-			continue
+	return n.awaitR1(c, func(wire.NodeID) bool { return false })
+}
+
+// awaitR1 calls fn for each member of this super-leaf whose round-1
+// proposal cycle c still waits for, and reports false as soon as fn does.
+// The committed view decides who is owed: its seated members short of a
+// failure cut, and a pending seat that counts from c or earlier — a node
+// may start c before it commits the cycle that takes the seat, and the old
+// incarnation's cut says nothing about the new one.
+func (n *Node) awaitR1(c *cycle, fn func(wire.NodeID) bool) bool {
+	for _, m := range n.view.Members(n.sl) {
+		if !n.closedPeers[m] && c.r1[m] == nil && !fn(m) {
+			return false
 		}
-		if _, ok := c.r1[m]; !ok {
+	}
+	for _, s := range n.view.Pending() {
+		if s.From <= c.id && n.tree.SuperLeafOf(s.Node) == n.sl && c.r1[s.Node] == nil && !fn(s.Node) {
 			return false
 		}
 	}

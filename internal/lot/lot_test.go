@@ -130,7 +130,7 @@ func TestQuickEmulationClosure(t *testing.T) {
 func TestViewMembershipUpdates(t *testing.T) {
 	tree := mustTree(t, 3, 3, 0)
 	v := NewView(tree)
-	v.Apply([]wire.MemberUpdate{{Node: 4, Leave: true}})
+	v.Leave(4)
 	if v.Alive(4) {
 		t.Fatal("node 4 still alive")
 	}
@@ -140,11 +140,21 @@ func TestViewMembershipUpdates(t *testing.T) {
 	if got := len(v.Emulators(tree.Ancestor(1, 1))); got != 2 {
 		t.Fatalf("emulators = %d, want 2", got)
 	}
-	// Idempotent re-apply, then re-join.
-	v.Apply([]wire.MemberUpdate{{Node: 4, Leave: true}})
-	v.Apply([]wire.MemberUpdate{{Node: 4}})
-	if !v.Alive(4) || len(v.Members(1)) != 3 {
-		t.Fatal("re-join failed")
+	// Idempotent re-apply, then re-join: pending until its seat is taken.
+	if v.Leave(4) {
+		t.Fatal("second Leave retired node 4 again")
+	}
+	if !v.Join(4, 5) || v.Join(4, 5) || !v.Alive(4) || len(v.Members(1)) != 2 || v.Incarnation(4) != 1 {
+		t.Fatal("join did not leave node 4 pending at incarnation 1")
+	}
+	if v.Leave(4) {
+		t.Fatal("a Leave retired a pending seat")
+	}
+	if got := v.Seat(4); len(got) != 0 {
+		t.Fatalf("Seat(4) took %v, want nothing before cycle 5", got)
+	}
+	if got := v.Seat(5); len(got) != 1 || got[0] != 4 || len(v.Members(1)) != 3 {
+		t.Fatalf("Seat(5) took %v, want node 4 seated", got)
 	}
 	// Members stay sorted.
 	m := v.Members(1)
@@ -176,7 +186,7 @@ func TestRepresentativesDeterministic(t *testing.T) {
 		}
 	}
 	// Representative failure promotes the next member.
-	v.Apply([]wire.MemberUpdate{{Node: 0, Leave: true}})
+	v.Leave(0)
 	reps = v.Representatives(0, 2)
 	if len(reps) != 2 || reps[0] != 1 || reps[1] != 2 {
 		t.Fatalf("reps after failure = %v, want [1 2]", reps)
@@ -189,11 +199,11 @@ func TestSuperLeafFailed(t *testing.T) {
 	if v.SuperLeafFailed(0) {
 		t.Fatal("healthy super-leaf reported failed")
 	}
-	v.Apply([]wire.MemberUpdate{{Node: 0, Leave: true}})
+	v.Leave(0)
 	if v.SuperLeafFailed(0) {
 		t.Fatal("one failure of three should not fail the super-leaf")
 	}
-	v.Apply([]wire.MemberUpdate{{Node: 1, Leave: true}})
+	v.Leave(1)
 	if !v.SuperLeafFailed(0) {
 		t.Fatal("majority failure must fail the super-leaf")
 	}
@@ -224,7 +234,7 @@ func TestRemoteAndEmulatorAt(t *testing.T) {
 		t.Fatalf("height-1 tree: Remote(0) = %v, want none", got)
 	}
 	v := NewView(tree)
-	v.Apply([]wire.MemberUpdate{{Node: 1, Leave: true}})
+	v.Leave(1)
 	for _, id := range []string{"1.1.1", "1.1", "1"} {
 		ems := v.Emulators(id)
 		for i := 0; i < 2*len(ems); i++ {
@@ -233,7 +243,8 @@ func TestRemoteAndEmulatorAt(t *testing.T) {
 			}
 		}
 	}
-	v.Apply([]wire.MemberUpdate{{Node: 0, Leave: true}, {Node: 2, Leave: true}})
+	v.Leave(0)
+	v.Leave(2)
 	if got := v.EmulatorAt("1.1.1", 7); got != wire.NoNode {
 		t.Fatalf("EmulatorAt of a dead leaf = %v, want NoNode", got)
 	}

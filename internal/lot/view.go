@@ -1,6 +1,7 @@
 package lot
 
 import (
+	"slices"
 	"sort"
 
 	"canopus/internal/wire"
@@ -10,80 +11,135 @@ import (
 // live pnodes that emulate it (paper §4.6). Each node owns a private View;
 // identical membership updates are applied at identical cycle boundaries,
 // which keeps all views equal — the invariant Appendix A's proof rests on.
+//
+// A node holds a seat from the commit of the join that gives it one until
+// the commit of the Leave that retires it. A seat takes effect at a cycle
+// the join names (Join's from): until then the node is pending — alive,
+// so no second join seats it, but absent from Members, so no cycle before
+// from waits for it or routes to it. Seat makes it a member.
 type View struct {
-	tree  *Tree
-	alive map[wire.NodeID]bool
-	// members[sl] is the current (alive) membership of each super-leaf in
+	tree *Tree
+	// members[sl] is the current seated membership of each super-leaf in
 	// ascending node-ID order.
 	members [][]wire.NodeID
+	// inc counts each node's joins: the incarnation its broadcast group
+	// runs under.
+	inc map[wire.NodeID]uint32
+	// pending lists the seats not yet taken, in join order.
+	pending []Seat
 }
 
-// NewView creates a view in which every configured node is alive.
+// Seat is a joiner's pending seat: Node counts from cycle From on.
+type Seat struct {
+	Node wire.NodeID
+	From uint64
+}
+
+// NewView creates a view in which every configured node is seated at
+// incarnation zero.
 func NewView(t *Tree) *View {
-	v := &View{
-		tree:    t,
-		alive:   make(map[wire.NodeID]bool),
-		members: make([][]wire.NodeID, t.NumSuperLeaves()),
+	v := newView(t)
+	for i := range v.members {
+		v.members[i] = append([]wire.NodeID(nil), t.SuperLeaf(i).Members...)
 	}
-	for i := 0; i < t.NumSuperLeaves(); i++ {
-		sl := t.SuperLeaf(i)
-		v.members[i] = append([]wire.NodeID(nil), sl.Members...)
-		for _, id := range sl.Members {
-			v.alive[id] = true
+	return v
+}
+
+// RestoreView rebuilds a view from a sponsor's transfer: the nodes holding
+// a seat, their incarnations, and for each the cycle its pending seat
+// counts from (0 once seated). The three slices are aligned.
+func RestoreView(t *Tree, alive []wire.NodeID, incs []uint32, from []uint64) *View {
+	v := newView(t)
+	for i, id := range alive {
+		sl := t.SuperLeafOf(id)
+		switch {
+		case sl < 0:
+			continue
+		case i < len(from) && from[i] > 0:
+			v.pending = append(v.pending, Seat{Node: id, From: from[i]})
+		default:
+			v.members[sl] = insertSorted(v.members[sl], id)
+		}
+		if i < len(incs) {
+			v.inc[id] = incs[i]
 		}
 	}
 	return v
 }
 
-// Clone returns an independent copy of the view.
-func (v *View) Clone() *View {
-	c := &View{
-		tree:    v.tree,
-		alive:   make(map[wire.NodeID]bool, len(v.alive)),
-		members: make([][]wire.NodeID, len(v.members)),
-	}
-	for id, a := range v.alive {
-		c.alive[id] = a
-	}
-	for i, m := range v.members {
-		c.members[i] = append([]wire.NodeID(nil), m...)
-	}
-	return c
+func newView(t *Tree) *View {
+	return &View{tree: t, members: make([][]wire.NodeID, t.NumSuperLeaves()), inc: make(map[wire.NodeID]uint32)}
 }
 
-// Tree returns the underlying immutable tree.
-func (v *View) Tree() *Tree { return v.tree }
+// Alive reports whether node id holds a seat, taken or pending.
+func (v *View) Alive(id wire.NodeID) bool {
+	sl := v.tree.SuperLeafOf(id)
+	return sl >= 0 && (slices.Contains(v.members[sl], id) || v.PendingFrom(id) > 0)
+}
 
-// Alive reports whether the view considers node id live.
-func (v *View) Alive(id wire.NodeID) bool { return v.alive[id] }
+// Incarnation reports how many times node id has been seated by a join.
+func (v *View) Incarnation(id wire.NodeID) uint32 { return v.inc[id] }
 
-// Members returns the live members of super-leaf sl in ascending order.
+// Members returns the seated members of super-leaf sl in ascending order.
 // The returned slice must not be modified.
 func (v *View) Members(sl int) []wire.NodeID { return v.members[sl] }
 
-// Apply folds a batch of membership updates into the view. Updates are
-// idempotent: removing an absent node or adding a present one is a no-op,
-// which makes replayed piggybacked updates harmless.
-func (v *View) Apply(updates []wire.MemberUpdate) {
-	for _, u := range updates {
-		sl := v.tree.SuperLeafOf(u.Node)
-		if sl < 0 {
-			continue // unknown node: structure never changes (A3)
-		}
-		if u.Leave {
-			if !v.alive[u.Node] {
-				continue
-			}
-			v.alive[u.Node] = false
-			v.members[sl] = remove(v.members[sl], u.Node)
-		} else {
-			if v.alive[u.Node] {
-				continue
-			}
-			v.alive[u.Node] = true
-			v.members[sl] = insertSorted(v.members[sl], u.Node)
+// Pending returns the seats not yet taken. The returned slice must not be
+// modified.
+func (v *View) Pending() []Seat { return v.pending }
+
+// PendingFrom reports the cycle node id's pending seat counts from, or 0
+// if it has none.
+func (v *View) PendingFrom(id wire.NodeID) uint64 {
+	for _, s := range v.pending {
+		if s.Node == id {
+			return s.From
 		}
 	}
+	return 0
+}
+
+// Join gives node id a seat counting from cycle from (at least 1) under a
+// new incarnation. It reports false, changing nothing, if id already
+// holds one or is not a configured node.
+func (v *View) Join(id wire.NodeID, from uint64) bool {
+	if v.tree.SuperLeafOf(id) < 0 || v.Alive(id) {
+		return false
+	}
+	v.inc[id]++
+	v.pending = append(v.pending, Seat{Node: id, From: from})
+	return true
+}
+
+// Seat makes every pending seat that counts from cycle k or earlier a
+// membership, and returns those nodes in join order.
+func (v *View) Seat(k uint64) []wire.NodeID {
+	var seated []wire.NodeID
+	kept := v.pending[:0]
+	for _, s := range v.pending {
+		if s.From > k {
+			kept = append(kept, s)
+			continue
+		}
+		sl := v.tree.SuperLeafOf(s.Node)
+		v.members[sl] = insertSorted(v.members[sl], s.Node)
+		seated = append(seated, s.Node)
+	}
+	v.pending = kept
+	return seated
+}
+
+// Leave retires seated member id and reports whether it did. A pending
+// seat is not retired: a Leave that commits before the seat is taken was
+// issued against the node's previous incarnation, or by an eviction of
+// cycles the new one never served.
+func (v *View) Leave(id wire.NodeID) bool {
+	sl := v.tree.SuperLeafOf(id)
+	if sl < 0 || !slices.Contains(v.members[sl], id) {
+		return false
+	}
+	v.members[sl] = remove(v.members[sl], id)
+	return true
 }
 
 func remove(s []wire.NodeID, id wire.NodeID) []wire.NodeID {

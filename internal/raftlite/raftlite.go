@@ -155,6 +155,8 @@ type Raft struct {
 	// term covered. Entries past it may be a deposed leader's leftovers, so
 	// they are neither acknowledged nor committed on the leader's say-so.
 	verified uint64
+	// hold stops compaction (HoldCompaction).
+	hold bool
 
 	nextIndex  map[wire.NodeID]uint64
 	matchIndex map[wire.NodeID]uint64
@@ -461,10 +463,13 @@ func (r *Raft) onAppend(m *wire.RaftAppend) {
 	// after a rejoin starts with an empty log, while the leader has
 	// compacted everything below its horizon and so can never send a
 	// prefix starting at index 1. The leader only compacts entries
-	// applied by every member of the group at compaction time, and the
-	// join protocol's state transfer subsumes their effects, so a
-	// completely fresh member may adopt the leader's compaction base as
-	// its own log start. Two gates keep this from skipping live data:
+	// applied by every member of the group at compaction time, and none
+	// while the owner holds compaction for a member it will seat
+	// (HoldCompaction). Canopus holds from the commit of the member's join,
+	// before its leaf-mates may start any cycle the member serves, so
+	// every proposal below the base is of a cycle the join protocol's
+	// state transfer covers, and a completely fresh member may adopt the
+	// leader's compaction base as its own log start. Two gates keep this from skipping live data:
 	// PrevIndex == Base restricts the install to the horizon probe a
 	// backed-off leader sends when it genuinely cannot replay earlier
 	// entries (a first-contact probe carries PrevIndex = LastIndex, and
@@ -630,7 +635,7 @@ func (r *Raft) apply() {
 // the commit index (and never discarding entries some peer still needs,
 // when this member is the leader).
 func (r *Raft) maybeCompact() {
-	if r.applied < compactionMargin {
+	if r.hold || r.applied < compactionMargin {
 		return
 	}
 	horizon := r.applied - compactionMargin
@@ -687,6 +692,12 @@ func (r *Raft) onVoteReply(m *wire.RaftVoteReply) {
 		r.becomeLeader()
 	}
 }
+
+// HoldCompaction stops (on) or resumes log compaction. An owner that will
+// seat a member at a later boundary holds it from the moment the seat is
+// decided: until SetPeers names the member, no matchIndex keeps the
+// entries appended in between, and the member must receive them all.
+func (r *Raft) HoldCompaction(on bool) { r.hold = on }
 
 // SetPeers reconfigures the group membership. Canopus applies membership
 // changes at consensus-cycle boundaries, identically on every member, so

@@ -379,12 +379,12 @@ const proposalSessionsFlag = 0x80
 // bytes; both flags are stripped from Round on decode.
 const proposalResolveFlag = 0x40
 
-// MemberUpdate flag byte: bit 0 is Leave, bit 1 is Resurrect (a
-// cross-leaf sponsored join, void unless the leaf is still empty at
-// apply time). The decoder rejects unknown bits like a malformed bool.
+// MemberUpdate flag byte: bit 0 is Leave. Bit 1 marked a kind of join
+// that older builds wrote into their WAL; the decoder accepts it (see
+// MemberUpdate.legacy) and rejects any other bit like a malformed bool.
 const (
-	memberLeaveFlag     = 0x01
-	memberResurrectFlag = 0x02
+	memberLeaveFlag  = 0x01
+	memberLegacyFlag = 0x02
 )
 
 // The u32 after the member updates is reserved and always 0. It was the
@@ -432,8 +432,8 @@ func (p *Proposal) AppendTo(b []byte) []byte {
 		if u.Leave {
 			f |= memberLeaveFlag
 		}
-		if u.Resurrect {
-			f |= memberResurrectFlag
+		if u.legacy {
+			f |= memberLegacyFlag
 		}
 		b = putU8(b, f)
 	}
@@ -528,11 +528,11 @@ func readProposal(r *reader) *Proposal {
 		for i := 0; i < nu; i++ {
 			p.Updates[i].Node = r.node()
 			f := r.u8()
-			if f&^(memberLeaveFlag|memberResurrectFlag) != 0 && r.err == nil {
+			if f&^(memberLeaveFlag|memberLegacyFlag) != 0 && r.err == nil {
 				r.err = ErrBadBool
 			}
 			p.Updates[i].Leave = f&memberLeaveFlag != 0
-			p.Updates[i].Resurrect = f&memberResurrectFlag != 0
+			p.Updates[i].legacy = f&memberLegacyFlag != 0
 		}
 	}
 	if r.u32() != 0 && r.err == nil {
@@ -985,15 +985,16 @@ func readGroupClosed(r *reader) *GroupClosed {
 	return &GroupClosed{Origin: r.node()}
 }
 
-func (m *JoinRequest) WireSize() int { return 1 + 4 }
+func (m *JoinRequest) WireSize() int { return 1 + 4 + 8 }
 
 func (m *JoinRequest) AppendTo(b []byte) []byte {
 	b = putU8(b, uint8(KindJoinRequest))
-	return putNode(b, m.From)
+	b = putNode(b, m.From)
+	return putU64(b, m.Nonce)
 }
 
 func readJoinRequest(r *reader) *JoinRequest {
-	return &JoinRequest{From: r.node()}
+	return &JoinRequest{From: r.node(), Nonce: r.u64()}
 }
 
 // --- Leaf eviction ---
@@ -1061,12 +1062,9 @@ func readEvicted(r *reader) *Evicted {
 }
 
 func (m *JoinReply) WireSize() int {
-	n := 1 + 4 + 8 + 4 + 4*len(m.Alive) + 4 + 4*len(m.Incarnations) + 4 + 4
+	n := 1 + 4 + 8 + 8 + 4 + 4*len(m.Alive) + 4 + 4*len(m.Incarnations) + 4 + 8*len(m.Seats) + 4
 	for i := range m.Snapshot {
 		n += requestSize(&m.Snapshot[i])
-	}
-	if m.Snapshot == nil {
-		n += int(m.StateBytes)
 	}
 	n += 4
 	for i := range m.Sessions {
@@ -1088,6 +1086,7 @@ func sessionStateSize(s *SessionState) int {
 func (m *JoinReply) AppendTo(b []byte) []byte {
 	b = putU8(b, uint8(KindJoinReply))
 	b = putNode(b, m.From)
+	b = putU64(b, m.Nonce)
 	b = putU64(b, m.StartCycle)
 	b = putU32(b, uint32(len(m.Alive)))
 	for _, id := range m.Alive {
@@ -1097,11 +1096,14 @@ func (m *JoinReply) AppendTo(b []byte) []byte {
 	for _, inc := range m.Incarnations {
 		b = putU32(b, inc)
 	}
+	b = putU32(b, uint32(len(m.Seats)))
+	for _, from := range m.Seats {
+		b = putU64(b, from)
+	}
 	b = putU32(b, uint32(len(m.Snapshot)))
 	for i := range m.Snapshot {
 		b = appendRequest(b, &m.Snapshot[i])
 	}
-	b = putU32(b, m.StateBytes)
 	b = putU32(b, uint32(len(m.Sessions)))
 	for i := range m.Sessions {
 		s := &m.Sessions[i]
@@ -1120,6 +1122,7 @@ func (m *JoinReply) AppendTo(b []byte) []byte {
 func readJoinReply(r *reader) *JoinReply {
 	m := &JoinReply{}
 	m.From = r.node()
+	m.Nonce = r.u64()
 	m.StartCycle = r.u64()
 	na := r.count(4)
 	if na > 0 {
@@ -1135,6 +1138,12 @@ func readJoinReply(r *reader) *JoinReply {
 			m.Incarnations[i] = r.u32()
 		}
 	}
+	if n := r.count(8); n > 0 {
+		m.Seats = make([]uint64, n)
+		for i := range m.Seats {
+			m.Seats[i] = r.u64()
+		}
+	}
 	ns := r.count(requestFixedSize)
 	if ns > 0 {
 		m.Snapshot = make([]Request, ns)
@@ -1144,7 +1153,6 @@ func readJoinReply(r *reader) *JoinReply {
 		}
 		readRequests(r, m.Snapshot, &arena)
 	}
-	m.StateBytes = r.u32()
 	nsess := r.count(sessionStateFixed)
 	if nsess > 0 {
 		m.Sessions = make([]SessionState, nsess)

@@ -48,10 +48,10 @@ func exemplars() []Message {
 		&ZabInform{Epoch: 1, Zxid: 44, Batch: b},
 		&Ping{From: 2, Seq: 77},
 		&GroupClosed{Origin: 5},
-		&JoinRequest{From: 4},
-		&JoinReply{From: 2, StartCycle: 12, Alive: []NodeID{0, 1, 2},
-			Incarnations: []uint32{0, 1, 0},
-			Snapshot:     []Request{{Op: OpWrite, Key: 3, Val: []byte("v")}},
+		&JoinRequest{From: 4, Nonce: 0x5eed},
+		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
+			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
+			Snapshot: []Request{{Op: OpWrite, Key: 3, Val: []byte("v")}},
 			Sessions: []SessionState{{ID: 4 | SessionIDBit, Low: 3, LastActive: 11,
 				Applied: []SessionReply{{Seq: 5, Val: nil}, {Seq: 7, Val: []byte("r")}}}}},
 		&Envelope{Origin: 1, Payload: &Ping{From: 1, Seq: 2}},
@@ -100,11 +100,12 @@ func TestDecodeUnknownKind(t *testing.T) {
 	}
 }
 
-// goldenProposal has two batches, a Leave, a Resurrect join and a session
-// registration. goldenProposalHex is the encoding commit b4e6680 produced
-// for it, when proposals still carried a write-lease section (empty, as on
-// every proposal a default node sent). Equal bytes prove the reserved word
-// kept the format: WAL segments written then still replay, and simulated
+// goldenProposal has two batches, a Leave, a join carrying the retired
+// flag bit 1 (MemberUpdate.legacy) and a session registration.
+// goldenProposalHex is the encoding commit b4e6680 produced for it, when
+// proposals still carried a write-lease section (empty, as on every
+// proposal a default node sent). Equal bytes prove the reserved word kept
+// the format: WAL segments written then still replay, and simulated
 // message sizes are unchanged.
 func goldenProposal() *Proposal {
 	return &Proposal{Cycle: 12, Round: 2, VNode: "1.2", Origin: NoNode, Num: 77,
@@ -116,12 +117,42 @@ func goldenProposal() *Proposal {
 			{Origin: 1, Reqs: []Request{{Client: 6, Seq: 9, Op: OpWrite, Key: 8, Val: []byte("z")}},
 				NumWrite: 1, Samples: []ArrivalSample{{At: 1000, Count: 1}}},
 		},
-		Updates:  []MemberUpdate{{Node: 2, Leave: true}, {Node: 7, Resurrect: true}},
+		Updates:  []MemberUpdate{{Node: 2, Leave: true}, {Node: 7, legacy: true}},
 		Sessions: []SessionUpdate{{ID: 5 | SessionIDBit}},
 	}
 }
 
 const goldenProposalHex = "010c00000000000000820300312e32ffffffff4d00000000000000020000000000000001020000000500000000000080010000000000000001030000000000000002000000616205000000000000800200000000000000020400000000000000000000000200000002000000000000000000000001000000010100000006000000000000000900000000000000010800000000000000010000007a00000000010000000000000001000000e803000000000000010000000002000000020000000107000000020000000001000000050000000000008000"
+
+// TestLegacyJoinFlagDecodes: a WAL record an older build wrote with flag
+// bit 1 on a join (goldenProposalHex) decodes to a plain join, and the
+// join this build writes carries no such bit.
+func TestLegacyJoinFlagDecodes(t *testing.T) {
+	old, err := hex.DecodeString(goldenProposalHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := Decode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.(*Proposal).Updates
+	if len(got) != 2 || got[1].Node != 7 || got[1].Leave {
+		t.Fatalf("decoded updates %+v, want a Leave of 2 and a join of 7", got)
+	}
+	fresh := goldenProposal()
+	fresh.Updates[1] = MemberUpdate{Node: 7}
+	enc := fresh.AppendTo(nil)
+	flag := bytes.Index(enc, []byte{7, 0, 0, 0}) + 4
+	if enc[flag] != 0 || old[flag] != memberLegacyFlag || !bytes.Equal(enc[:flag], old[:flag]) || !bytes.Equal(enc[flag+1:], old[flag+1:]) {
+		t.Fatalf("a fresh join encodes flag %#x at %d (old record %#x); the rest must match", enc[flag], flag, old[flag])
+	}
+	bad := bytes.Clone(old)
+	bad[flag] = 0x04
+	if _, _, err := Decode(bad); !errors.Is(err, ErrBadBool) {
+		t.Fatalf("decode with unknown member flag 0x04: %v, want %v", err, ErrBadBool)
+	}
+}
 
 func TestProposalGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenProposalHex)

@@ -151,14 +151,9 @@ func (b *Batch) WireSize() int { return batchSize(b) }
 type MemberUpdate struct {
 	Node  NodeID
 	Leave bool // true: node left/crashed; false: node (re)joined
-	// Resurrect marks a join sponsored from OUTSIDE the joiner's
-	// super-leaf — valid only while that leaf is fully empty (evicted).
-	// The sponsor checks emptiness when it accepts the request, but the
-	// update commits a cycle later; if the leaf gained a member in
-	// between, every node voids the update at apply time (identically,
-	// from the committed pre-cycle view) instead of admitting a member
-	// whose sponsor could only hand it stale broadcast incarnations.
-	Resurrect bool
+	// legacy is flag bit 1, set on some joins by older builds' WAL. Never
+	// read: it keeps such a record's decoding canonical (FuzzCodec).
+	legacy bool
 }
 
 // SessionIDBit marks a Request.Client identity as a replicated client
@@ -527,28 +522,33 @@ type GroupClosed struct {
 
 func (m *GroupClosed) Kind() Kind { return KindGroupClosed }
 
-// JoinRequest asks a live super-leaf peer to sponsor this node's re-join
-// (paper §3, assumption 6: failed nodes rejoin via a join protocol).
+// JoinRequest asks a live peer to sponsor this node's re-join (paper §3,
+// assumption 6: failed nodes rejoin via a join protocol).
 type JoinRequest struct {
 	From NodeID
+	// Nonce is drawn once per joining process: a reply echoes it, so a
+	// process installs only a reply to its own request.
+	Nonce uint64
 }
 
 func (m *JoinRequest) Kind() Kind { return KindJoinRequest }
 
-// JoinReply carries the sponsor's state transfer: the cycle at which the
-// joiner becomes live, the sponsor's membership view and a state-machine
-// snapshot (explicit pairs in correctness tests, modeled bytes in fluid
-// benchmarks).
+// JoinReply carries the sponsor's state transfer: the cycle after which
+// the joiner takes part, the sponsor's membership view and a
+// state-machine snapshot.
 type JoinReply struct {
 	From       NodeID
+	Nonce      uint64 // the answered JoinRequest's
 	StartCycle uint64
 	Alive      []NodeID
 	// Incarnations is aligned with Alive: how many times each member has
 	// re-joined, so the joiner's broadcast group IDs match the
 	// survivors'. The joiner's own (new) incarnation is included.
 	Incarnations []uint32
-	Snapshot     []Request // OpWrite entries reconstructing the KV state
-	StateBytes   uint32    // modeled snapshot size when Snapshot is nil
+	// Seats is aligned with Alive: the cycle a member's pending seat
+	// counts from, 0 for a member already seated.
+	Seats    []uint64
+	Snapshot []Request // OpWrite entries reconstructing the KV state
 	// Sessions transfers the replicated client-session dedup table, so a
 	// rejoined replica classifies retried mutations exactly like the
 	// replicas that never crashed.
