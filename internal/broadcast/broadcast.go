@@ -75,6 +75,10 @@ type Broadcaster interface {
 // Config is shared by both implementations.
 type Config struct {
 	Members []wire.NodeID // initial super-leaf membership, including self
+	// Seats is the super-leaf's static size: the most members it can ever
+	// have, however many are seated now. The Raft flavour bounds its
+	// groups by it (raftlite.Config.MaxPeers); 0 means unbounded.
+	Seats int
 
 	// Incarnations maps members to their current incarnation number (how
 	// many times they have re-joined), as the owner's membership view
@@ -92,6 +96,11 @@ type Config struct {
 	// queueing under load: a deposed-but-alive member is treated as
 	// crashed (crash-stop semantics) and must rejoin.
 	FailAfter time.Duration
+	// SeatGrace is how much longer than FailAfter the group of a peer
+	// admitted by AddPeer waits for its first word: the peer learns of
+	// its seat from a JoinReply that its sponsor, perhaps a wide-area hop
+	// away, sends when it commits the cycle before the seat.
+	SeatGrace time.Duration
 }
 
 func (c *Config) fill() {

@@ -56,6 +56,7 @@ func (b *Raft) openGroup(origin wire.NodeID, inc uint32) {
 		Group:         g,
 		Self:          b.env.ID(),
 		Peers:         append([]wire.NodeID(nil), b.members...),
+		MaxPeers:      b.cfg.Seats,
 		InitialLeader: origin,
 		// Heartbeats ride on the configured intervals; elections must be
 		// slow enough that a healthy origin is never deposed.
@@ -198,6 +199,7 @@ func (b *Raft) AddPeer(peer wire.NodeID, inc uint32) {
 		b.members = append(b.members, peer)
 		b.setAllPeers()
 		b.openGroup(peer, inc)
+		b.groups[groupID(peer, inc)].DeferElection(b.cfg.SeatGrace)
 	}
 	b.holdCompaction()
 }

@@ -90,3 +90,27 @@ func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 		t.Fatalf("node 2's state %x differs from node 0's %x", got, want)
 	}
 }
+
+// TestPeerStartAtMaxInFlightIsOwed: a leaf-mate's round-1 proposal for
+// cycle k+1 reaches a node that still has MaxInFlight cycles in flight, so
+// it may not start k+1 then. Nothing asks it again — the delivery has come
+// and gone, and it has no client of its own — so unless the refused start
+// is owed and the tick starts it, the super-leaf waits for its round 1 for
+// ever. Two leaves of two, one cycle in flight, every client on node 1:
+// node 1 rebroadcasts the remote state, node 0 delivers it on append,
+// completes cycle k and starts k+1, and its k+1 append leaves before its
+// ack of the state, which node 1 needs to complete k.
+func TestPeerStartAtMaxInFlightIsOwed(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 2, cfg: Config{MaxInFlight: 1}})
+	const writes = 20
+	for i := uint64(1); i <= writes; i++ {
+		tc.submitAt(10*time.Millisecond+time.Duration(i)*50*time.Microsecond, 1, wr(1, i, i, i))
+	}
+	tc.run(100 * time.Millisecond)
+	if got := len(tc.replies[1]); got != writes {
+		t.Fatalf("node 1 answered %d of %d writes; started %d %d %d %d, ordered %d %d %d %d", got, writes,
+			tc.nodes[0].Started(), tc.nodes[1].Started(), tc.nodes[2].Started(), tc.nodes[3].Started(),
+			tc.nodes[0].Ordered(), tc.nodes[1].Ordered(), tc.nodes[2].Ordered(), tc.nodes[3].Ordered())
+	}
+	tc.requireAgreement()
+}

@@ -319,8 +319,8 @@ func TestClockWanRunsOneCycleAnInterval(t *testing.T) {
 
 // (d, the leapfrog) A leaf that started cycle k late, on hearing of it,
 // and whose cycles outlive the interval starts k+1 at its own next tick,
-// ahead of the news, and from then on runs on its own ticks; otherwise it
-// would trail the others by its lateness for ever. Clients at one leaf:
+// ahead of the news, and from then on runs on its own ticks while the load
+// lasts; otherwise it would trail the others by its lateness for ever. Clients at one leaf:
 // the two others hear of cycle 1 a delay late, wait another delay for
 // each other's states, and so find their cycles slow. Mutation (dead end
 // a): gate the in-flight tick on now-lastCycleStart >= CycleInterval, and
@@ -333,9 +333,9 @@ func TestClockWanLeafLeapfrogsAtItsOwnTick(t *testing.T) {
 
 	const leaf = 1
 	first := firstStarts(*evs, func(id wire.NodeID) bool { return tc.tree.SuperLeafOf(id) == leaf })
-	var heard uint64 // the last cycle the leaf started on a peer's prompt
+	var heard uint64 // the last cycle the leaf started on a peer's prompt under load
 	for k, e := range first {
-		if e.detail == "peer" {
+		if e.detail == "peer" && e.at < until {
 			heard = max(heard, k)
 		}
 	}
@@ -358,6 +358,32 @@ func TestClockWanLeafLeapfrogsAtItsOwnTick(t *testing.T) {
 	const parentMedian = 13059 * time.Microsecond
 	if got := tc.medianLatency(submitted, from, until); got > parentMedian*105/100 {
 		t.Fatalf("median submit-to-commit %v, parent %v; want within 5 %%", got, parentMedian)
+	}
+}
+
+// (d, the drain) Once the load stops, a wide-area cluster goes idle: after
+// MaxInFlight empty cycles in a row each node's tick stops overlapping the
+// empty cycles still in flight, and every node ends with nothing started
+// that is not committed. Mutation: let the in-flight tick ignore
+// emptyCycles, and each tick starts another empty cycle for ever.
+func TestClockWanIdleClusterDrains(t *testing.T) {
+	const until = 300 * time.Millisecond
+	tc, evs, _ := wanCluster(t, until, []wire.NodeID{0, 4})
+	tc.run(until + 200*time.Millisecond)
+	tc.requireAgreement()
+	for _, n := range tc.nodes {
+		if n.started != n.committed {
+			t.Fatalf("node %v has started %d and committed %d, 200 ms after the load stopped", n.ID(), n.started, n.committed)
+		}
+	}
+	var last traceEvent
+	for _, e := range starts(*evs) {
+		if e.at > last.at {
+			last = e
+		}
+	}
+	if last.at > until+100*time.Millisecond {
+		t.Fatalf("node %v started cycle %d at %v on %s, 100 ms after the load stopped", last.self, last.cycle, last.at, last.detail)
 	}
 }
 

@@ -37,6 +37,11 @@ func (n *Node) commit(c *cycle) {
 	if c.started {
 		n.lastCycleTook = n.env.Now() - c.startedAt
 	}
+	if len(root.Batches) == 0 && len(root.Sessions) == 0 && len(root.Updates) == 0 {
+		n.emptyCycles++
+	} else {
+		n.emptyCycles = 0
+	}
 	if n.cfg.StallThreshold > 0 || n.cfg.LeafTimeout > 0 {
 		n.lastCommitAt = n.env.Now()
 		if n.stallDetected.Load() {

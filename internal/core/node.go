@@ -157,13 +157,14 @@ type Node struct {
 	// stage is the apply stage: the only path from a committed cycle to
 	// the state machine, the WAL, the event plane and the clients.
 	stage *stage
-	// applyBlocked is the cycle up to which starts are owed because the
-	// apply stage lagged when they were asked for (canStart's
-	// backpressure); tick retries them. The trigger that asked — a peer's
-	// round-1 delivery, a fetch — does not come again on an idle node, and
-	// without the retry the super-leaf would wait for this node's round 1
-	// for ever.
-	applyBlocked uint64
+	// owedStart is the cycle up to which starts are owed because canStart
+	// refused them when they were asked for: for any cause when the apply
+	// stage lagged (backpressure), and when a peer asked while MaxInFlight
+	// cycles were in flight here. tick retries them. The trigger that
+	// asked — a peer's round-1 delivery, a fetch — does not come again on
+	// an idle node, and without the retry the super-leaf would wait for
+	// this node's round 1 for ever.
+	owedStart uint64
 
 	// Replicated client sessions (see session.go): the dedup table is
 	// replicated state, updated only at commit boundaries; the rest is
@@ -222,6 +223,10 @@ type Node struct {
 	// node committed; with the age of the oldest cycle in flight it tells
 	// the cycle timer whether cycles outlive the interval (cyclesAreSlow).
 	lastCycleTook time.Duration
+	// emptyCycles counts the cycles this node committed in a row that
+	// ordered nothing — no request, session or membership update — so an
+	// idle cluster stops pipelining (onCycleTimer).
+	emptyCycles int
 	// paceArmed is set while the one-shot pace timer is outstanding
 	// (startSelfClocked arms it, Timer clears it).
 	paceArmed bool
@@ -355,8 +360,12 @@ func (n *Node) initBroadcast() {
 	}
 	bcfg := broadcast.Config{
 		Members:      members,
+		Seats:        len(n.tree.SuperLeaf(n.sl).Members),
 		Incarnations: incs,
 		TickInterval: n.cfg.TickInterval,
+		// A joiner hears of its seat one sponsor-to-joiner delay after its
+		// leaf-mates, which FetchTimeout bounds.
+		SeatGrace: n.cfg.FetchTimeout,
 	}
 	cbs := broadcast.Callbacks{
 		Deliver:    n.onDeliver,
@@ -472,8 +481,8 @@ func (n *Node) tick() {
 	}
 	n.lastTick = n.env.Now()
 	n.checkStall()
-	if n.applyBlocked > n.started {
-		n.tryStartCycles(n.applyBlocked, causeOther)
+	if n.owedStart > n.started {
+		n.tryStartCycles(n.owedStart, causeOther)
 	}
 	n.bc.Tick()
 	n.retryFetches()
@@ -514,16 +523,24 @@ func (n *Node) checkStall() {
 // outlive the interval it starts the next one, which bounds the offset
 // between consecutive starts by CycleInterval. Cycles shorter than the
 // interval are not overlapped — the commit, paced, starts the next — so on
-// a fast network the ticks of nodes without clients add no cycles. On an
-// idle node with requests pending it is the safety net behind
-// startSelfClocked for starts canStart refused (apply backpressure).
+// a fast network the ticks of nodes without clients add no cycles. Nor
+// are cycles overlapped once the cluster is idle: nothing is pending here
+// and the last MaxInFlight cycles committed, a pipeline's depth, ordered
+// nothing. Otherwise every tick of a wide-area cluster would start another
+// empty cycle while the previous empty ones are still in flight, and it
+// would never drain. One empty cycle is no sign of idleness: under a
+// closed-loop load across a wide area, cycles between two bursts of
+// replies carry nothing, and a leaf without clients that stopped at each
+// would lose its leapfrog (see cyclesAreSlow). On an idle node with
+// requests pending it is the safety net behind startSelfClocked for
+// starts canStart refused (apply backpressure).
 func (n *Node) onCycleTimer() {
 	if n.rejoin || n.stalled {
 		return
 	}
 	switch {
 	case n.started > n.committed:
-		if n.cyclesAreSlow() {
+		if (n.pendingCount() > 0 || n.emptyCycles < n.cfg.MaxInFlight) && n.cyclesAreSlow() {
 			n.tryStartCycles(n.started+1, causeTickPipeline)
 		}
 	case n.pendingCount() > 0:
@@ -662,9 +679,10 @@ func (n *Node) tryStartCycles(target uint64, cause startCause) {
 	for n.started+1 <= target && n.canStart(n.started+1) {
 		n.startCycle(n.started+1, cause)
 	}
-	if n.applyBlocked == n.started+1 && target > n.applyBlocked {
-		// Backpressure cut the sequence short: owe all of it.
-		n.applyBlocked = target
+	if n.started < target && target > n.owedStart && (cause == causePeer || n.owedStart == n.started+1) {
+		// A peer is waiting for this node's round 1, or backpressure cut
+		// the sequence short: owe all of it.
+		n.owedStart = target
 	}
 }
 
@@ -684,7 +702,7 @@ func (n *Node) canStart(k uint64) bool {
 		// instead of letting it (and the retained cycle state) grow
 		// without limit. tick starts the cycle once the stage has caught
 		// up. (A stage drained inline never lags.)
-		n.applyBlocked = k
+		n.owedStart = max(n.owedStart, k)
 		return false
 	}
 	return true

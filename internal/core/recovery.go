@@ -25,10 +25,11 @@ import (
 //     with the same session table.
 //  3. Init starts the node normally. Durable watermarks differ across
 //     replicas by the group-commit lag, so the node marked `recovered`
-//     closes the gap through root catch-up (rounds.go): a cycle stuck in
-//     round 1 at committed+1 past the fetch timeout fetches the ROOT
-//     vnode state — which peers serve from their retained recent window
-//     — and installs it as the committed result directly.
+//     closes the gap through root catch-up (rounds.go): the cycle at
+//     committed+1, stuck past the fetch timeout in any round, fetches
+//     the ROOT vnode state — which peers serve from their retained
+//     recent window, filled by ReplayCommit and RetainRoot — and
+//     installs it as the committed result directly.
 //
 // Scope: recovery is the cold-start path. Membership updates in replayed
 // roots are intentionally NOT re-applied — the view resets to the
@@ -76,15 +77,33 @@ func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	n.applied.Store(cycle)
 	n.freePlan(plan)
 
-	states := make([]*wire.Proposal, n.tree.Height+1)
-	states[n.tree.Height] = root
-	n.recent[cycle] = states
+	n.retainRoot(cycle, root)
 	if old := cycle - n.retention(); old > 0 && old <= cycle {
 		n.dropRecent(old)
 	}
 	n.recovered = true
 	n.stats.replayed.Add(1)
 	return nil
+}
+
+// RetainRoot keeps the logged root of a cycle at or below the snapshot
+// RestoreState installed, so that peers which had not committed it when
+// the power went can still root-catch-up from this node: the snapshot
+// holds the state after the cycle, not the order that produced it.
+// Cycles older than the retention window are ignored. Must be called
+// before Init.
+func (n *Node) RetainRoot(cycle uint64, root *wire.Proposal) {
+	if cycle <= n.committed && cycle+n.retention() > n.committed {
+		n.retainRoot(cycle, root)
+	}
+}
+
+// retainRoot puts a committed root in the recent-state window, from which
+// onProposalRequest serves it.
+func (n *Node) retainRoot(cycle uint64, root *wire.Proposal) {
+	states := make([]*wire.Proposal, n.tree.Height+1)
+	states[n.tree.Height] = root
+	n.recent[cycle] = states
 }
 
 // Recovered reports whether this node restarted from durable state.
@@ -137,17 +156,19 @@ func (n *Node) syncDurable() {
 func (n *Node) rootVNode() string { return n.tree.Ancestor(n.sl, n.tree.Height) }
 
 // onRootState installs a fetched committed root: the recovered node was
-// stuck in round 1 for this cycle because its peers are already past it
-// and drop its round-1 proposals as stale, so consensus can never finish
-// locally — but the cycle's result is already agreed, and installing the
-// root verbatim commits exactly what every other replica committed.
+// stuck on this cycle because its peers are already past it — they drop
+// its round-1 proposals as stale, and one that replayed the cycle from its
+// log holds its root but not the vnode states a later round pulls — so
+// consensus can never finish locally. But the cycle's result is already
+// agreed, and installing the root verbatim commits exactly what every
+// other replica committed.
 func (n *Node) onRootState(p *wire.Proposal) {
 	if !n.recovered || p.Cycle != n.committed+1 {
 		return
 	}
 	c, ok := n.cycles[p.Cycle]
-	if !ok || !c.started || c.complete || c.round > 1 {
-		return // progressing normally; the broadcast path will commit it
+	if !ok || !c.started || c.complete {
+		return
 	}
 	// This node's post-restart request set cannot be in the agreed order
 	// (peers dropped the proposal carrying it), so requeue it for a later
@@ -166,9 +187,9 @@ func (n *Node) onRootState(p *wire.Proposal) {
 	c.round = n.tree.Height + 1
 	c.complete = true
 	n.tryCommit()
-	// Chain: if the next cycle is already round-1-stuck the same way,
+	// Chain: if the next cycle is already stuck the same way,
 	// fetch its root immediately instead of waiting out another timeout.
-	if c2, ok := n.cycles[n.committed+1]; ok && c2.started && !c2.complete && c2.round <= 1 {
+	if c2, ok := n.cycles[n.committed+1]; ok && c2.started && !c2.complete {
 		n.sendFetch(c2, n.rootVNode())
 	}
 }

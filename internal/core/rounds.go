@@ -588,11 +588,12 @@ func (n *Node) retryFetches() {
 		if !ok || !c.started || c.complete {
 			continue
 		}
-		if n.recovered && k == n.committed+1 && c.round <= 1 &&
-			now-c.startedAt > 2*n.cfg.FetchTimeout {
-			// Root catch-up (recovery.go): round 1 cannot complete when
-			// peers are already past this cycle — fetch the committed
-			// root instead. Re-sends ride the normal deadline rotation.
+		if n.recovered && k == n.committed+1 && now-c.startedAt > 2*n.cfg.FetchTimeout {
+			// Root catch-up (recovery.go): the cycle cannot complete when
+			// peers are already past it — they drop its round-1 proposals,
+			// and a peer that replayed it holds only its root, not the
+			// states round 2 pulls — so fetch the committed root instead.
+			// Re-sends ride the normal deadline rotation.
 			root := n.rootVNode()
 			if dl, armed := c.fetchDeadline[root]; !armed || now >= dl {
 				n.sendFetch(c, root)

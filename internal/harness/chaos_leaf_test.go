@@ -217,6 +217,30 @@ func TestGeoLeafEvictReadmitCampaign(t *testing.T) {
 	}
 }
 
+// TestGeoRejoinerSeatedFromAfarConverges pins two seeds of the geo
+// campaign at which a rejoined node used to end halted a hundred cycles
+// behind: its leaf-mates seated it and opened its broadcast group, whose
+// election timers fired before its JoinReply, sent by a sponsor an
+// intercontinental hop away, reached it, so the leaf cut it again. A
+// seated joiner's group now waits FetchTimeout longer for its first word.
+func TestGeoRejoinerSeatedFromAfarConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("geo campaign runs in full mode")
+	}
+	for _, seed := range []int64{1, 6} {
+		r := RunChaos(ScenarioGeoLeafEvictReadmit(seed).Spec)
+		if !r.Linearizable || r.Readmissions == 0 {
+			t.Fatalf("seed %d: %s", seed, r)
+		}
+		ref := r.Replicas[0]
+		for _, rep := range r.Replicas {
+			if rep.Committed != ref.Committed || rep.StateDigest != ref.StateDigest {
+				t.Fatalf("seed %d: replica n%d committed %d, n%d committed %d", seed, rep.Node, rep.Committed, ref.Node, ref.Committed)
+			}
+		}
+	}
+}
+
 // TestLargeTopologySoak is the width test: seven super-leaves of nine
 // nodes — 63 replicas — with one whole leaf cut and healed
 // mid-run. Asserts the catalog invariants plus replica-set convergence

@@ -35,7 +35,7 @@ func newWireNet(n int) *wireNet {
 	for _, id := range peers {
 		id := id
 		w.dec[id] = new(wire.Decoder)
-		w.members[id] = New(Config{Group: 1, Self: id, Peers: peers, InitialLeader: 0}, IO{
+		w.members[id] = New(Config{Group: 1, Self: id, Peers: peers, MaxPeers: n, InitialLeader: 0}, IO{
 			Send: func(to wire.NodeID, m wire.Message) {
 				off := len(w.buf)
 				w.buf = m.AppendTo(w.buf)
@@ -64,19 +64,19 @@ func (w *wireNet) pump(tb testing.TB) {
 
 // broadcastCeilings are the committed ceilings of
 // BenchmarkBroadcastRoundTrip per group size: messages and heap objects
-// per committed entry. The messages are 3(n-1): append, reply and commit
-// notice per follower; a notice is not answered (see onAppend). The
-// objects of a group of three are the entry's payload (once at the
+// per committed entry. The messages are 3(n-1) in a group of five:
+// append, reply and commit notice per follower; a notice is not answered
+// (see onAppend). A group of three sends no notice, its followers commit
+// on append: 2(n-1). Its objects are the entry's payload (once at the
 // proposer, once decoded at each follower), one AppendEntries shared by
-// both followers, one allocation holding both commit notices (the
-// followers' matchIndex differ at that moment) and two replies — notices
-// and replies must be heap objects because the simulator delivers the
-// pointers later. It was 26 objects (and 4.8 us, now 1.4) with
-// per-follower appends, per-message decode structs and a log copied on
-// every compaction, and 8 messages and 10 objects while notices were
-// answered.
+// both followers and two replies — replies must be heap objects because
+// the simulator delivers the pointers later. It was 26 objects (and
+// 4.8 us, now 1.4) with per-follower appends, per-message decode structs
+// and a log copied on every compaction, 8 messages and 10 objects while
+// notices were answered, and 6 messages and 8 objects while they were
+// sent (one allocation held both).
 var broadcastCeilings = map[int]struct{ msgs, allocs float64 }{
-	3: {msgs: 6, allocs: 8},
+	3: {msgs: 4, allocs: 7},
 	5: {msgs: 12, allocs: 12},
 }
 

@@ -22,12 +22,24 @@
 // entries, heartbeats over an uncommitted suffix and every rejection are
 // answered; liveness is the followers' election timer, which never read
 // the replies.
+//
+// A group that can never have more than three members (Config.MaxPeers)
+// sends no notice, so a broadcast costs 2(n-1) messages: a follower
+// commits what an append brought it as soon as the append's last entry is
+// of the leader's current term. That entry is then on the leader and on
+// the follower, and two of at most three nodes are a majority of every
+// membership the group can ever have — the set the leader's own commit
+// counts — so it is committed by Raft's definition, and a candidate that
+// lacks it cannot win an election. The bound must be the static one: in
+// a group that may grow past three, seats added on the leader before the
+// follower make the pair a minority.
 package raftlite
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -76,6 +88,11 @@ type Config struct {
 	Group uint64        // group identity carried in every message
 	Self  wire.NodeID   // this member
 	Peers []wire.NodeID // all members including Self
+	// MaxPeers is the most members Peers can ever name, whatever
+	// SetPeers later does; 0 means unbounded. At three or fewer a
+	// follower commits on append and the leader sends no commit notice
+	// (see the package comment).
+	MaxPeers int
 
 	// InitialLeader skips the initial election: all members start at term
 	// 1 believing InitialLeader leads. NoNode means "elect normally".
@@ -229,6 +246,10 @@ func (r *Raft) entryAt(index uint64) *wire.RaftEntry {
 }
 
 func (r *Raft) majority() int { return len(r.cfg.Peers)/2 + 1 }
+
+// commitsOnAppend reports whether the leader and any one follower are a
+// majority of every membership this group can have.
+func (r *Raft) commitsOnAppend() bool { return r.cfg.MaxPeers > 0 && r.cfg.MaxPeers <= 3 }
 
 func (r *Raft) resetElectionTimer() {
 	span := r.cfg.ElectionTimeoutMax - r.cfg.ElectionTimeoutMin
@@ -427,7 +448,14 @@ func (r *Raft) sendAppend(to wire.NodeID, reuse *wire.RaftAppend) *wire.RaftAppe
 // and only during the call: log entries are copied out of an AppendEntries
 // by value, and all that stays referenced is their immutable payloads —
 // so the caller may decode m into scratch it reuses afterwards.
+//
+// Traffic from a node outside Peers is dropped: a member this one has
+// removed — say, one that restarted before it learned of its removal —
+// must neither depose a live leader with its higher term nor vote.
 func (r *Raft) Handle(from wire.NodeID, m wire.Message) {
+	if !slices.Contains(r.cfg.Peers, from) {
+		return
+	}
 	switch v := m.(type) {
 	case *wire.RaftAppend:
 		r.onAppend(v)
@@ -521,7 +549,13 @@ func (r *Raft) onAppend(m *wire.RaftAppend) {
 	if covered > r.verified {
 		r.verified = covered
 	}
-	if c := min(m.Commit, r.verified); c > r.commit {
+	c := min(m.Commit, r.verified)
+	if covered > max(c, r.commit) && r.commitsOnAppend() && r.termAt(covered) == m.Term {
+		// The leader and this member hold the prefix up to an entry of the
+		// leader's term: a majority of any membership of at most three.
+		c = covered
+	}
+	if c > r.commit {
 		r.commit = c
 		r.apply()
 	}
@@ -587,6 +621,11 @@ func (r *Raft) advanceCommit() {
 		if n >= r.majority() {
 			r.commit = idx
 			r.apply()
+			if r.commitsOnAppend() {
+				// Every follower holding the entry committed it on
+				// append; one that does not learns it with the append.
+				break
+			}
 			// Followers learn the new commit index immediately rather
 			// than waiting a heartbeat, keeping broadcast latency at one
 			// round trip plus one one-way hop. Peers at one matchIndex
@@ -692,6 +731,11 @@ func (r *Raft) onVoteReply(m *wire.RaftVoteReply) {
 		r.becomeLeader()
 	}
 }
+
+// DeferElection pushes this member's next election d further out, until
+// a leader's message resets the timer: a group opened for a member that
+// has yet to learn it leads gives that member time to hear so.
+func (r *Raft) DeferElection(d time.Duration) { r.electionDeadline += d }
 
 // HoldCompaction stops (on) or resumes log compaction. An owner that will
 // seat a member at a later boundary holds it from the moment the seat is

@@ -37,7 +37,7 @@ func newNet(n int, initialLeader wire.NodeID) *net {
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
 		w.members[id] = New(Config{
-			Group: 1, Self: id, Peers: peers, InitialLeader: initialLeader,
+			Group: 1, Self: id, Peers: peers, MaxPeers: n, InitialLeader: initialLeader,
 			HeartbeatInterval:  10 * time.Millisecond,
 			ElectionTimeoutMin: 50 * time.Millisecond,
 			ElectionTimeoutMax: 100 * time.Millisecond,
@@ -208,7 +208,7 @@ func TestRejoinAfterCompaction(t *testing.T) {
 	// group, re-seated everywhere.
 	old := w.members[2]
 	w.members[2] = New(Config{
-		Group: 1, Self: 2, Peers: []wire.NodeID{0, 1, 2}, InitialLeader: 0,
+		Group: 1, Self: 2, Peers: []wire.NodeID{0, 1, 2}, MaxPeers: 3, InitialLeader: 0,
 		HeartbeatInterval:  10 * time.Millisecond,
 		ElectionTimeoutMin: 50 * time.Millisecond,
 		ElectionTimeoutMax: 100 * time.Millisecond,
@@ -378,5 +378,32 @@ func TestStaleSuffixIsNeverCommitted(t *testing.T) {
 	}
 	if got := w.deliver[1]; len(got) != 0 {
 		t.Fatalf("member 1 delivered %d entries of the dead leader's uncommitted suffix (first: %+v)", len(got), got[0])
+	}
+}
+
+// TestDeferElectionWaitsForTheLeader: a group opened for a leader that
+// has not yet learned it leads (a joiner seated by its leaf-mates before
+// its JoinReply arrives) holds its followers' first election back by the
+// deferral, and no longer.
+func TestDeferElectionWaitsForTheLeader(t *testing.T) {
+	const grace = 500 * time.Millisecond
+	w := newNet(3, 0)
+	w.dead[0] = true
+	for _, id := range []wire.NodeID{1, 2} {
+		w.members[id].DeferElection(grace)
+	}
+	for w.now < grace+40*time.Millisecond {
+		w.tickAll(10 * time.Millisecond)
+		for _, id := range []wire.NodeID{1, 2} {
+			if r := w.members[id].Role(); r != Follower {
+				t.Fatalf("member %v became %v at %v, inside the deferral", id, r, w.now)
+			}
+		}
+	}
+	for w.now < grace+200*time.Millisecond {
+		w.tickAll(10 * time.Millisecond)
+	}
+	if w.members[1].Role() != Leader && w.members[2].Role() != Leader {
+		t.Fatalf("no takeover %v after the deferral", w.now-grace)
 	}
 }

@@ -281,8 +281,9 @@ var errGap = errors.New("wal: cycle gap in log")
 
 // Recover rebuilds node state from the directory: restore the newest
 // decodable snapshot (verified against its digest trailer), replay the
-// WAL tail through core.Node.ReplayCommit, and leave the log positioned
-// to append into a fresh segment. Must run before n.Init and before any
+// WAL tail through core.Node.ReplayCommit, hand the records the snapshot
+// covers to core.Node.RetainRoot for peers' root catch-up, and leave the
+// log positioned to append into a fresh segment. Must run before n.Init and before any
 // appends. An empty directory is a clean first boot: nothing happens.
 func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 	var info RecoveryInfo
@@ -348,6 +349,7 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 		}
 		scanErr := ScanSegment(data, func(cycle uint64, root *wire.Proposal) error {
 			if cycle <= base {
+				n.RetainRoot(cycle, root)
 				return nil
 			}
 			if cycle != next {
