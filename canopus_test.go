@@ -1,13 +1,18 @@
 package canopus_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"canopus"
+	"canopus/internal/wire"
 )
 
 func TestSimClusterPublicAPI(t *testing.T) {
@@ -62,26 +67,6 @@ func TestSimClusterDelete(t *testing.T) {
 		if c.StoreOf(id).Read(5) != nil {
 			t.Fatalf("node %v still holds deleted key", id)
 		}
-	}
-}
-
-func TestSimClusterLegacyRequestAPI(t *testing.T) {
-	// The low-level event-loop surface: caller-owned Request identity
-	// with node-level reply hooks.
-	c := canopus.MustSimCluster(canopus.SimOptions{Racks: 2, NodesPerRack: 3})
-	var readVal []byte
-	c.OnReply(0, func(req *canopus.Request, val []byte) {
-		if req.Op == canopus.OpRead {
-			readVal = val
-		}
-	})
-	c.At(time.Millisecond, func() {
-		c.SubmitRequest(0, canopus.Write(1, 1, 5, []byte("v")))
-	})
-	c.At(200*time.Millisecond, func() { c.SubmitRequest(0, canopus.Read(1, 2, 5)) })
-	c.RunUntil(time.Second)
-	if string(readVal) != "v" {
-		t.Fatalf("read = %q", readVal)
 	}
 }
 
@@ -140,41 +125,32 @@ func TestCrashAndRejoinPublicAPI(t *testing.T) {
 	}
 }
 
-// TestSessionSurvivesRejoinStateTransfer pins the join-protocol session
-// transfer: a node restarted with total state loss receives the
-// replicated dedup table in its JoinReply, so a retried committed
-// mutation submitted AT the rejoined node still classifies as a
-// duplicate instead of re-applying.
-func TestSessionSurvivesRejoinStateTransfer(t *testing.T) {
-	c := canopus.MustSimCluster(canopus.SimOptions{Racks: 2, NodesPerRack: 3})
-	var sess uint64
-	c.At(time.Millisecond, func() {
-		c.RegisterSession(0, func(id uint64, ok bool) {
-			if !ok {
-				t.Error("registration refused")
-			}
-			sess = id
+// TestRestartAsJoinerKeepsNodeTemplate pins that a restarted node runs
+// the cluster's node template, not the defaults: every node must seat a
+// joiner at the same cycle (join commit + MaxInFlight), so a node that
+// rejoined with the default MaxInFlight of 4 among peers running 8
+// disagrees with them about the next join.
+func TestRestartAsJoinerKeepsNodeTemplate(t *testing.T) {
+	c := canopus.MustSimCluster(canopus.SimOptions{
+		Racks: 2, NodesPerRack: 3,
+		Node: canopus.Config{MaxInFlight: 8},
+	})
+	for i := 0; i < 60; i++ {
+		i := i
+		c.At(time.Duration(i)*100*time.Millisecond+time.Millisecond, func() {
+			c.Submit(i%4, canopus.OpWrite, uint64(i), []byte(fmt.Sprint(i)), nil)
 		})
-	})
-	c.At(300*time.Millisecond, func() {
-		c.SubmitSession(0, sess, 1, canopus.OpWrite, 5, []byte("first"), nil)
-	})
-	c.At(600*time.Millisecond, func() { c.Crash(5) })
-	c.At(1500*time.Millisecond, func() { c.RestartAsJoiner(5) })
-	dupAcked := false
-	c.At(3*time.Second, func() {
-		// The reply-loss retry, aimed at the node that lost all state.
-		c.SubmitSession(5, sess, 1, canopus.OpWrite, 5, []byte("second"), func(_ []byte, ok bool) {
-			dupAcked = ok
-		})
-	})
-	c.RunUntil(6 * time.Second)
-	if !dupAcked {
-		t.Fatal("rejoined node refused the duplicate (session table lost in transfer)")
 	}
+	c.At(500*time.Millisecond, func() { c.Crash(5) })
+	c.At(1000*time.Millisecond, func() { c.RestartAsJoiner(5) })
+	c.At(2500*time.Millisecond, func() { c.Crash(4) })
+	c.At(3000*time.Millisecond, func() { c.RestartAsJoiner(4) })
+	c.RunUntil(8 * time.Second)
 	for id := canopus.NodeID(0); int(id) < c.NumNodes(); id++ {
-		if got := string(c.StoreOf(id).Read(5)); got != "first" {
-			t.Fatalf("node %v = %q: duplicate re-applied after rejoin", id, got)
+		for k := 0; k < 60; k++ {
+			if got, want := string(c.StoreOf(id).Read(uint64(k))), fmt.Sprint(k); got != want {
+				t.Fatalf("node %v key %d = %q, want %q", id, k, got, want)
+			}
 		}
 	}
 }
@@ -197,70 +173,16 @@ func TestCoordClusterPublicAPI(t *testing.T) {
 	}
 }
 
-// TestSimClusterCloseCompletesSubmits pins the serve-mode shutdown
-// contract: every Submit's done fires even when Close races the pump —
-// queued operations are rejected (ok=false), not dropped.
-func TestSimClusterCloseCompletesSubmits(t *testing.T) {
-	c := canopus.MustSimCluster(canopus.SimOptions{Racks: 1, NodesPerRack: 3})
-	c.Serve()
-	const n = 200
-	results := make(chan bool, n+1)
-	go func() {
-		for i := 0; i < n; i++ {
-			c.Submit(i%3, canopus.OpWrite, uint64(i), []byte("x"), func(_ []byte, ok bool) {
-				results <- ok
-			})
-		}
-	}()
-	c.Close()
-	// Submits after Close are rejected immediately, too.
-	c.Submit(0, canopus.OpWrite, 999, nil, func(_ []byte, ok bool) { results <- ok })
-	deadline := time.After(5 * time.Second)
-	for i := 0; i < n+1; i++ {
-		select {
-		case <-results:
-		case <-deadline:
-			t.Fatalf("only %d of %d done callbacks fired across Close", i, n+1)
-		}
-	}
-}
-
-// TestSimClusterCloseCompletesInjected pins the other half of the
-// shutdown contract: an operation injected into the simulation but
-// unable to ever commit (its super-leaf lost quorum) still gets its
-// done callback — rejected by the stall detection or, at the latest,
-// by Close draining the in-flight completion table.
-func TestSimClusterCloseCompletesInjected(t *testing.T) {
-	c := canopus.MustSimCluster(canopus.SimOptions{Racks: 1, NodesPerRack: 3})
-	// Crash a majority before serving: node 0 will stall as soon as the
-	// failure detector runs, and nothing it accepted can commit.
-	c.Crash(1)
-	c.Crash(2)
-	c.Serve()
-	done := make(chan bool, 1)
-	c.Submit(0, canopus.OpWrite, 1, []byte("x"), func(_ []byte, ok bool) { done <- ok })
-	time.Sleep(50 * time.Millisecond) // let the pump inject it and detect the failures
-	c.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("uncommittable operation reported success")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("injected operation's done never fired across Close")
-	}
-}
-
-// TestWorkloadDriverBothBackends is the unified-API acceptance check:
-// the same closed-loop driver — 8 goroutines, each with one Submit
-// outstanding, half of them writes — runs unmodified through the
-// canopus.Cluster interface against a simulated cluster (in serve mode)
-// and a live loopback cluster, and every offered operation completes.
+// TestWorkloadDriverBothBackends drives a live loopback cluster with a
+// closed-loop load — 8 goroutines, each with one Submit outstanding,
+// half of them writes — and requires every offered operation to
+// complete. Submit is the in-process path benchmark/ measures beside
+// canopus/client.
 func TestWorkloadDriverBothBackends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock load run")
 	}
-	drive := func(t *testing.T, c canopus.Cluster) {
+	drive := func(t *testing.T, c *canopus.LiveCluster) {
 		t.Helper()
 		defer c.Close()
 		var offered, completed, failed atomic.Uint64
@@ -302,11 +224,6 @@ func TestWorkloadDriverBothBackends(t *testing.T) {
 		}
 	}
 
-	t.Run("sim", func(t *testing.T) {
-		c := canopus.MustSimCluster(canopus.SimOptions{Racks: 1, NodesPerRack: 3})
-		c.Serve()
-		drive(t, c)
-	})
 	t.Run("live", func(t *testing.T) {
 		c, err := canopus.StartLiveCluster(canopus.LiveOptions{
 			Nodes: 3,
@@ -320,60 +237,49 @@ func TestWorkloadDriverBothBackends(t *testing.T) {
 }
 
 // TestSessionExactlyOnceBothBackends asserts the replicated-session
-// guarantee holds identically behind the one SessionCluster interface:
-// on both backends, re-submitting a committed mutation with its
-// original (session, seq) — the reply-loss retry, reproduced directly —
-// acknowledges from the dedup table without re-applying, and an unknown
-// session is refused rather than silently applied.
+// guarantee on a live loopback cluster: re-submitting a committed
+// mutation with its original (session, seq) — the reply-loss retry,
+// reproduced directly — at another node acknowledges from the dedup
+// table without re-applying, and an unknown session is refused rather
+// than silently applied. canopus/client assigns (session, seq) itself,
+// so the test speaks the client protocol directly to forge the retry.
 func TestSessionExactlyOnceBothBackends(t *testing.T) {
-	drive := func(t *testing.T, c canopus.SessionCluster, read func(node int, key uint64) []byte) {
-		t.Helper()
+	t.Run("live", func(t *testing.T) {
+		c, err := canopus.StartLiveCluster(canopus.LiveOptions{
+			Nodes: 3,
+			Node:  canopus.Config{CycleInterval: 2 * time.Millisecond, TickInterval: 2 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer c.Close()
-
-		wait := func(what string, ch chan []byte) []byte {
-			t.Helper()
-			select {
-			case v := <-ch:
-				return v
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%s never completed", what)
-				return nil
-			}
+		write := func(node int, session uint64, val string) wire.ClientResponseV2 {
+			return rawCall(t, c.ClientAddr(node), wire.ClientRequestV2{ID: 1, Session: session, Seq: 1,
+				Ops: []wire.ClientOp{{Op: wire.OpWrite, Key: 7, Val: []byte(val)}}})
 		}
-		regCh := make(chan []byte, 1)
-		var sess uint64
-		c.RegisterSession(0, func(id uint64, ok bool) {
-			if !ok {
-				t.Error("session registration refused")
-			}
-			sess = id
-			regCh <- nil
-		})
-		wait("registration", regCh)
-		if sess == 0 {
-			t.Fatal("no session ID committed")
+		read := func(node int, key uint64) []byte {
+			var v []byte
+			c.InspectStore(node, func(st *canopus.Store) {
+				if val := st.Read(key); val != nil {
+					v = append([]byte(nil), val...)
+				}
+			})
+			return v
 		}
 
-		done := make(chan []byte, 1)
-		okCh := make(chan bool, 2)
-		c.SubmitSession(0, sess, 1, canopus.OpWrite, 7, []byte("first"), func(_ []byte, ok bool) {
-			okCh <- ok
-			done <- nil
-		})
-		wait("first submission", done)
-
+		reg := rawCall(t, c.ClientAddr(0), wire.ClientRequestV2{ID: 1, Register: true})
+		if reg.Status != wire.ClientStatusOK || len(reg.Val) != 8 {
+			t.Fatalf("session registration refused: %+v", reg)
+		}
+		sess := binary.LittleEndian.Uint64(reg.Val)
+		if resp := write(0, sess, "first"); resp.Status != wire.ClientStatusOK {
+			t.Fatalf("first submission refused: %+v", resp)
+		}
 		// The reply-loss retry: same (session, seq), different node, and
 		// — to make a re-apply visible — a different payload. The dedup
 		// table must acknowledge without applying.
-		c.SubmitSession(1, sess, 1, canopus.OpWrite, 7, []byte("second"), func(_ []byte, ok bool) {
-			okCh <- ok
-			done <- nil
-		})
-		wait("duplicate submission", done)
-		for i := 0; i < 2; i++ {
-			if !<-okCh {
-				t.Fatal("session submission refused")
-			}
+		if resp := write(1, sess, "second"); resp.Status != wire.ClientStatusOK {
+			t.Fatalf("duplicate submission refused: %+v", resp)
 		}
 		// Let the duplicate's cycle reach every replica before checking
 		// their states (commits land asynchronously across nodes).
@@ -386,59 +292,42 @@ func TestSessionExactlyOnceBothBackends(t *testing.T) {
 
 		// An unknown session must be refused, not silently applied.
 		bogus := sess ^ 0x5a5a
-		c.SubmitSession(2, bogus, 1, canopus.OpWrite, 8, []byte("x"), func(_ []byte, ok bool) {
-			if ok {
-				t.Error("unknown session accepted")
-			}
-			done <- nil
-		})
-		wait("unknown-session submission", done)
+		resp := rawCall(t, c.ClientAddr(2), wire.ClientRequestV2{ID: 1, Session: bogus, Seq: 1,
+			Ops: []wire.ClientOp{{Op: wire.OpWrite, Key: 8, Val: []byte("x")}}})
+		if resp.Status != wire.ClientStatusErr || resp.Code != wire.CodeSessionExpired {
+			t.Fatalf("unknown session answered %+v, want a session-expired refusal", resp)
+		}
 		time.Sleep(100 * time.Millisecond)
 		if v := read(0, 8); v != nil {
 			t.Fatalf("unknown session mutated state: %q", v)
 		}
-	}
+	})
+}
 
-	t.Run("sim", func(t *testing.T) {
-		c := canopus.MustSimCluster(canopus.SimOptions{Racks: 1, NodesPerRack: 3})
-		c.Serve()
-		drive(t, c, func(node int, key uint64) []byte {
-			// The pump owns the simulation context; a Stale read through
-			// the interface observes the node's committed state safely.
-			ch := make(chan []byte, 1)
-			c.Submit(node, canopus.OpRead, key, nil, func(val []byte, ok bool) {
-				v := make([]byte, len(val))
-				copy(v, val)
-				if val == nil {
-					v = nil
-				}
-				ch <- v
-			})
-			select {
-			case v := <-ch:
-				return v
-			case <-time.After(10 * time.Second):
-				t.Fatal("read never completed")
-				return nil
-			}
-		})
-	})
-	t.Run("live", func(t *testing.T) {
-		c, err := canopus.StartLiveCluster(canopus.LiveOptions{
-			Nodes: 3,
-			Node:  canopus.Config{CycleInterval: 2 * time.Millisecond, TickInterval: 2 * time.Millisecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(t, c, func(node int, key uint64) []byte {
-			var v []byte
-			c.Runner(node).Invoke(func() {
-				if val := c.Store(node).Read(key); val != nil {
-					v = append([]byte(nil), val...)
-				}
-			})
-			return v
-		})
-	})
+// rawCall sends one client-protocol frame to addr on a fresh connection
+// and returns the response.
+func rawCall(t *testing.T, addr string, q wire.ClientRequestV2) wire.ClientResponseV2 {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(wire.AppendClientRequestV3(wire.ClientMagicV3[:], &q)); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.ParseClientResponseV3(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }

@@ -33,30 +33,30 @@ type CoordCluster struct {
 // topology options as NewSimCluster, returning an error for invalid
 // tree shapes.
 func NewCoordCluster(opts SimOptions) (*CoordCluster, error) {
-	base, err := NewSimCluster(opts) // reuse topology/tree wiring, then swap state machines
+	sim, runner, tree, err := newSimDeployment(&opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &CoordCluster{Sim: base.Sim, Runner: base.Runner}
-	for i := 0; i < base.NumNodes(); i++ {
+	c := &CoordCluster{Sim: sim, Runner: runner}
+	for i := 0; i < opts.Racks*opts.NodesPerRack; i++ {
 		id := NodeID(i)
 		cfg := opts.Node
-		cfg.Tree = base.Tree
+		cfg.Tree = tree
 		cfg.Self = id
-		tree := zk.NewTree()
+		zt := zk.NewTree()
 		// The server consumes its node's committed stream, and the node is
 		// the server's backend: the consumer is built first.
 		var server *zk.Server
-		node := core.NewNode(cfg, tree, core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) {
+		node := core.NewNode(cfg, zt, core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) {
 			for i := range c.Replies {
 				server.Complete(&c.Replies[i], c.Vals[i])
 			}
 		})}})
-		server = zk.NewServer(tree, node, uint64(i)+1, true /* linearizable reads */)
+		server = zk.NewServer(zt, node, uint64(i)+1, true /* linearizable reads */)
 		c.servers = append(c.servers, server)
-		c.trees = append(c.trees, tree)
+		c.trees = append(c.trees, zt)
 		c.nodes = append(c.nodes, node)
-		base.Runner.Restart(id, node)
+		runner.Register(id, node)
 	}
 	return c, nil
 }

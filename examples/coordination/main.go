@@ -2,26 +2,49 @@
 // canopus/recipes — distributed mutexes, counters, leader election and
 // barriers assembled from the event plane's primitives (guarded
 // transactions, ordered watches, replicated sessions). The cluster here
-// is the in-process simulator in serve mode; the identical recipe code
-// drives a live TCP deployment through recipes.FromClient.
+// is six live nodes on loopback TCP, and every participant is a
+// canopus/client.Client: the same code drives canopus-server processes.
 package main
 
 import (
 	"context"
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
 	"canopus"
+	"canopus/client"
 	"canopus/recipes"
 )
 
 func main() {
-	cluster := canopus.MustSimCluster(canopus.SimOptions{Racks: 2, NodesPerRack: 3})
-	cluster.Serve()
+	cluster, err := canopus.StartLiveCluster(canopus.LiveOptions{
+		SuperLeaves: [][]canopus.NodeID{{0, 1, 2}, {3, 4, 5}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+
+	// Each participant is a client of its own node, with its own
+	// replicated session: the identity that holds a lock or a post.
+	var clients []*client.Client
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
+	at := func(node int) *client.Client {
+		cl, err := client.New(client.Config{Endpoints: []string{cluster.ClientAddr(node)}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		clients = append(clients, cl)
+		return cl
+	}
 
 	const (
 		lockKey    = 1 // the mutex everyone contends on
@@ -37,15 +60,15 @@ func main() {
 	// ever lost.
 	var wg sync.WaitGroup
 	for _, node := range nodes {
-		b := recipes.FromCluster(cluster, node)
+		cl := at(node)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := recipes.NewMutex(b, lockKey)
+			m := recipes.NewMutex(cl, lockKey)
 			if err := m.Lock(ctx); err != nil {
 				panic(err)
 			}
-			turn, err := recipes.NewCounter(b, counterKey).Add(ctx, 1)
+			turn, err := recipes.NewCounter(cl, counterKey).Add(ctx, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -56,7 +79,7 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	total, err := recipes.NewCounter(recipes.FromCluster(cluster, 5), counterKey).Value(ctx)
+	total, err := recipes.NewCounter(at(5), counterKey).Value(ctx)
 	if err != nil {
 		panic(err)
 	}
@@ -65,8 +88,8 @@ func main() {
 	// Leader election: alice wins the vacant post, bob campaigns and
 	// blocks, and alice's resignation hands over. A crashed leader hands
 	// over the same way — its ephemeral claim dies with its session.
-	alice := recipes.NewElection(recipes.FromCluster(cluster, 0), leaderKey, []byte("alice"))
-	bob := recipes.NewElection(recipes.FromCluster(cluster, 3), leaderKey, []byte("bob"))
+	alice := recipes.NewElection(at(0), leaderKey, []byte("alice"))
+	bob := recipes.NewElection(at(3), leaderKey, []byte("bob"))
 	if err := alice.Campaign(ctx); err != nil {
 		panic(err)
 	}
@@ -85,7 +108,7 @@ func main() {
 	// one arrives.
 	done := make(chan struct{})
 	for i, node := range nodes {
-		bar := recipes.NewBarrier(recipes.FromCluster(cluster, node), doneKey, len(nodes))
+		bar := recipes.NewBarrier(at(node), doneKey, len(nodes))
 		delay := time.Duration(i) * 10 * time.Millisecond
 		go func() {
 			time.Sleep(delay)

@@ -28,7 +28,7 @@ func main() {
 	// over along the list if that node dies.
 	endpoints := make([]string, cluster.NumNodes())
 	for i := range endpoints {
-		endpoints[i] = cluster.Endpoint(i)
+		endpoints[i] = cluster.ClientAddr(i)
 	}
 	cl, err := client.New(client.Config{Endpoints: endpoints})
 	if err != nil {

@@ -1,8 +1,8 @@
 // Quickstart: the paper's Figure 2 scenario — six nodes in two
 // super-leaves reaching consensus in two rounds — on the in-process
-// simulator (virtual time, deterministic, no sockets), driven through
-// the unified Cluster API: per-operation completion callbacks instead
-// of node-level reply hooks.
+// simulator (virtual time, deterministic, no sockets), driven from its
+// event loop: At schedules work, Submit completes each operation with
+// its own callback, RunUntil advances time.
 package main
 
 import (

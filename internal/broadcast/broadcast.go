@@ -86,17 +86,11 @@ type Config struct {
 	// default to zero.
 	Incarnations map[wire.NodeID]uint32
 
-	// TickInterval is how often the owner promises to call Tick; used to
-	// derive sensible default timeouts.
+	// TickInterval is how often the owner promises to call Tick (default
+	// 5ms); the liveness probe interval and the failure threshold derive
+	// from it (heartbeat, failAfter).
 	TickInterval time.Duration
-	// HeartbeatInterval between liveness probes (default 4×Tick).
-	HeartbeatInterval time.Duration
-	// FailAfter is the silence threshold declaring a peer dead
-	// (default 25×Heartbeat). It must comfortably exceed transient CPU
-	// queueing under load: a deposed-but-alive member is treated as
-	// crashed (crash-stop semantics) and must rejoin.
-	FailAfter time.Duration
-	// SeatGrace is how much longer than FailAfter the group of a peer
+	// SeatGrace is how much longer than failAfter the group of a peer
 	// admitted by AddPeer waits for its first word: the peer learns of
 	// its seat from a JoinReply that its sponsor, perhaps a wide-area hop
 	// away, sends when it commits the cycle before the seat.
@@ -107,13 +101,16 @@ func (c *Config) fill() {
 	if c.TickInterval == 0 {
 		c.TickInterval = 5 * time.Millisecond
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 4 * c.TickInterval
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 25 * c.HeartbeatInterval
-	}
 }
+
+// heartbeat is the interval between liveness probes: four ticks.
+func (c *Config) heartbeat() time.Duration { return 4 * c.TickInterval }
+
+// failAfter is the silence that declares a peer dead: 25 heartbeats. It
+// must comfortably exceed transient CPU queueing under load: a
+// deposed-but-alive member is treated as crashed (crash-stop semantics)
+// and must rejoin.
+func (c *Config) failAfter() time.Duration { return 25 * c.heartbeat() }
 
 // groupID packs an origin and its incarnation into a Raft group ID.
 // Incarnations advance when a node re-joins after a crash, so stragglers

@@ -58,11 +58,11 @@ func (b *Raft) openGroup(origin wire.NodeID, inc uint32) {
 		Peers:         append([]wire.NodeID(nil), b.members...),
 		MaxPeers:      b.cfg.Seats,
 		InitialLeader: origin,
-		// Heartbeats ride on the configured intervals; elections must be
+		// Heartbeats ride on the tick-derived intervals; elections must be
 		// slow enough that a healthy origin is never deposed.
-		HeartbeatInterval:  b.cfg.HeartbeatInterval,
-		ElectionTimeoutMin: b.cfg.FailAfter,
-		ElectionTimeoutMax: 2 * b.cfg.FailAfter,
+		HeartbeatInterval:  b.cfg.heartbeat(),
+		ElectionTimeoutMin: b.cfg.failAfter(),
+		ElectionTimeoutMax: 2 * b.cfg.failAfter(),
 	}
 	b.order = append(b.order, g)
 	r := raftlite.New(cfg, raftlite.IO{

@@ -93,7 +93,7 @@ func (b *Switch) Handle(from wire.NodeID, m wire.Message) bool {
 func (b *Switch) Tick() {
 	now := b.env.Now()
 	if now >= b.nextPing {
-		b.nextPing = now + b.cfg.HeartbeatInterval
+		b.nextPing = now + b.cfg.heartbeat()
 		b.pingSeq++
 		b.env.Multicast(b.peersOnly(), &wire.Ping{From: b.env.ID(), Seq: b.pingSeq})
 	}
@@ -104,7 +104,7 @@ func (b *Switch) Tick() {
 		if b.failed[p] {
 			continue
 		}
-		if now-b.lastSeen[p] > b.cfg.FailAfter {
+		if now-b.lastSeen[p] > b.cfg.failAfter() {
 			b.failed[p] = true
 			if b.cbs.PeerFailed != nil {
 				b.cbs.PeerFailed(p)

@@ -168,3 +168,54 @@ func TestLostJoinReplyIsResent(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionSurvivesRejoinStateTransfer pins the join-protocol session
+// transfer: a node restarted with total state loss receives the
+// replicated dedup table in its JoinReply, so a retried committed
+// mutation submitted AT the rejoined node still classifies as a
+// duplicate instead of re-applying.
+func TestSessionSurvivesRejoinStateTransfer(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3})
+	var sess uint64
+	tc.sim.At(time.Millisecond, func() {
+		tc.nodes[0].RegisterSession(func(id uint64, ok bool) {
+			if !ok {
+				t.Error("registration refused")
+			}
+			sess = id
+		})
+	})
+	tc.sim.At(300*time.Millisecond, func() {
+		tc.nodes[0].Submit(wire.Request{Client: sess, Seq: 1, Op: wire.OpWrite, Key: 5, Val: []byte("first")})
+	})
+	tc.sim.At(600*time.Millisecond, func() { tc.runner.Crash(5) })
+	// The joiner's one consumer records how the retry below is answered:
+	// a reply (the dedup table knows it) or a rejection (it does not).
+	dupAcked, dupRejected := false, false
+	tc.sim.At(1500*time.Millisecond, func() {
+		st := kvstore.NewLogged()
+		joiner := NewJoiner(Config{Tree: tc.tree, Self: 5}, st, Callbacks{Consumers: []Consumer{ConsumerFunc(func(c *Commit) {
+			for i := range c.Replies {
+				dupAcked = dupAcked || c.Replies[i].Client == sess
+			}
+			for i := range c.Rejected {
+				dupRejected = dupRejected || c.Rejected[i].Client == sess
+			}
+		})}})
+		tc.nodes[5], tc.stores[5] = joiner, st
+		tc.runner.Restart(5, joiner)
+	})
+	tc.sim.At(3*time.Second, func() {
+		// The reply-loss retry, aimed at the node that lost all state.
+		tc.nodes[5].Submit(wire.Request{Client: sess, Seq: 1, Op: wire.OpWrite, Key: 5, Val: []byte("second")})
+	})
+	tc.run(6 * time.Second)
+	if !dupAcked || dupRejected {
+		t.Fatalf("rejoined node refused the duplicate (acked %v, rejected %v): session table lost in transfer", dupAcked, dupRejected)
+	}
+	for id, st := range tc.stores {
+		if got := string(st.Read(5)); got != "first" {
+			t.Fatalf("node %d = %q: duplicate re-applied after rejoin", id, got)
+		}
+	}
+}

@@ -286,16 +286,7 @@ func buildTopo(spec Spec) *netsim.Topology {
 	if rtt == nil {
 		rtt = Table1RTT(spec.Groups)
 	}
-	oneway := make([][]time.Duration, spec.Groups)
-	for i := range oneway {
-		oneway[i] = make([]time.Duration, spec.Groups)
-		for j := range oneway[i] {
-			if i != j {
-				oneway[i][j] = rtt[i][j] / 2
-			}
-		}
-	}
-	return netsim.MultiDC(spec.Groups, spec.PerGroup, netsim.Params{WANDelay: oneway})
+	return netsim.MultiDCFromRTT(spec.Groups, spec.PerGroup, rtt)
 }
 
 // buildSystem instantiates the protocol nodes and returns one workload

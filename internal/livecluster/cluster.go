@@ -13,7 +13,6 @@ import (
 
 	"canopus/internal/chaosnet"
 	"canopus/internal/core"
-	"canopus/internal/events"
 	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/metrics"
@@ -185,8 +184,7 @@ func Start(cfg Config) (*Cluster, error) {
 		c.replicas = append(c.replicas, r)
 	}
 	// Attach only after every node is built and bound to its port — and
-	// synchronously, so Submit works the moment Start returns (the
-	// canopus.Cluster contract).
+	// synchronously, so Submit works the moment Start returns.
 	for _, r := range c.replicas {
 		r.cfg.Runner.Attach(r.Node())
 	}
@@ -271,72 +269,18 @@ func (c *Cluster) AdminAddr(i int) string {
 // otherwise.
 func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 
-// Submit asynchronously executes one keyed operation at node's replica,
-// implementing the canopus.Cluster interface over the same reply fan-out
-// the socket clients use. done runs on the node's apply stage and must
-// not block; it receives the read value (nil for
-// mutations and misses) and whether the operation was served; ok=false
-// means the node is draining, stalled or crashed.
+// Submit asynchronously executes one keyed operation at node's replica
+// without a socket, over the same reply fan-out the socket clients use
+// (ClientPort.SubmitLocal). benchmark/ drives its probes and read load
+// through it; applications use canopus/client against ClientAddr. done
+// runs on the node's apply stage and must not block; it receives the
+// read value (nil for mutations and misses) and whether the operation
+// was served; ok=false means the node is draining, stalled or crashed.
 func (c *Cluster) Submit(node int, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
 	c.Port(node).SubmitLocal(op, key, val, done)
 }
 
-// Endpoint returns node's client-port address, implementing the
-// canopus.Cluster interface: a canopus/client.Client pointed at the
-// endpoints drives this deployment over real sockets.
-func (c *Cluster) Endpoint(node int) string { return c.Port(node).Addr() }
-
-// RegisterSession commits a fresh replicated client session through
-// node, implementing the canopus.SessionCluster interface. done runs
-// from the node's machine turn (it must not block) with the session ID
-// every replica now knows; ok=false means the node could not commit it.
-func (c *Cluster) RegisterSession(node int, done func(id uint64, ok bool)) {
-	c.Port(node).RegisterLocal(done)
-}
-
-// SubmitSession executes one session-scoped operation at node's replica,
-// implementing the canopus.SessionCluster interface: a mutation carrying
-// a (session, seq) that already committed — a retry after a lost reply —
-// completes with the cached result instead of applying twice. done runs
-// on the node's apply stage (see Submit); ok=false means the
-// node is draining, stalled, crashed, or the session has expired.
-func (c *Cluster) SubmitSession(node int, session, seq uint64, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
-	c.Port(node).SubmitSessionLocal(session, seq, op, key, val, done)
-}
-
-// SubmitTxn executes one multi-op transaction at node's replica,
-// implementing the canopus.EventCluster interface. body is the encoded
-// transaction (wire.AppendTxn); done receives the encoded
-// wire.TxnResult. A non-zero session makes the txn exactly-once across
-// retries via the replicated (session, seq) identity; session 0 submits
-// at-most-once. done runs on the node's apply stage (see Submit) and must
-// not block.
-func (c *Cluster) SubmitTxn(node int, session, seq uint64, body []byte, done func(val []byte, ok bool)) {
-	c.Port(node).SubmitSessionLocal(session, seq, wire.OpTxn, 0, body, done)
-}
-
-// Hub returns node i's event hub (the current one, after any
-// RestartNode).
-func (c *Cluster) Hub(i int) *events.Hub {
-	_, _, hub := c.replicas[i].current()
-	return hub
-}
-
-// Watch registers a watch on node's event hub, implementing the
-// canopus.EventCluster interface. The sink runs on the node's apply
-// stage and must not block; see events.Hub.Watch for the resume and
-// overflow contract.
-func (c *Cluster) Watch(node int, spec events.Spec, sink events.Sink) (uint64, error) {
-	return c.Hub(node).Watch(spec, sink)
-}
-
-// Unwatch cancels a watch registered through Watch.
-func (c *Cluster) Unwatch(node int, id uint64) {
-	c.Hub(node).Cancel(id)
-}
-
-// Close implements the canopus.Cluster lifecycle: a bounded graceful
-// stop (see Stop for the drain semantics).
+// Close is Stop with a five-second drain.
 func (c *Cluster) Close() error {
 	c.Stop(5 * time.Second)
 	return nil

@@ -2,6 +2,7 @@ package livecluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -53,21 +54,15 @@ func TestDurableRestartRecoversState(t *testing.T) {
 
 	// One replicated session with one applied mutation: its dedup entry
 	// must survive the restart.
-	regDone := make(chan uint64, 1)
-	c1.RegisterSession(0, func(id uint64, ok bool) {
-		if !ok {
-			id = 0
-		}
-		regDone <- id
-	})
-	sid := <-regDone
-	if sid == 0 {
-		t.Fatal("session registration failed")
+	raw := dialRaw(t, c1.ClientAddr(0))
+	raw.send(t, wire.ClientRequestV2{ID: 1, Register: true})
+	reg := raw.next(t)
+	if reg.Status != wire.ClientStatusOK || len(reg.Val) != 8 {
+		t.Fatalf("session registration failed: %+v", reg)
 	}
-	putDone := make(chan bool, 1)
-	c1.SubmitSession(0, sid, 1, wire.OpWrite, 1000, []byte("first"), func(_ []byte, ok bool) { putDone <- ok })
-	if !<-putDone {
-		t.Fatal("session put failed")
+	sid := binary.LittleEndian.Uint64(reg.Val)
+	if resp := sessionWrite(t, c1, 0, sid, 1000, "first"); resp.Status != wire.ClientStatusOK {
+		t.Fatalf("session put failed: %+v", resp)
 	}
 
 	// Capture the replica identity every node agrees on. All mutations
@@ -150,10 +145,8 @@ func TestDurableRestartRecoversState(t *testing.T) {
 	// Exactly-once across the restart: retry the session mutation with a
 	// different payload through a different node. The recovered dedup
 	// table must classify it as applied and leave the original value.
-	retryDone := make(chan bool, 1)
-	c2.SubmitSession(2, sid, 1, wire.OpWrite, 1000, []byte("evil"), func(_ []byte, ok bool) { retryDone <- ok })
-	if !<-retryDone {
-		t.Fatal("session retry rejected; dedup state lost in recovery")
+	if resp := sessionWrite(t, c2, 2, sid, 1000, "evil"); resp.Status != wire.ClientStatusOK {
+		t.Fatalf("session retry rejected; dedup state lost in recovery: %+v", resp)
 	}
 	cli := dialClient(t, c2, 1)
 	val, err := cli.Get(ctx, 1000)
@@ -175,6 +168,18 @@ func TestDurableRestartRecoversState(t *testing.T) {
 			t.Fatalf("node %d disk has no snapshots: %v", i, names)
 		}
 	}
+}
+
+// sessionWrite submits one write under a forged (session, seq 1) to node
+// over the client protocol — the identity canopus/client would assign
+// itself — and returns the port's answer.
+func sessionWrite(t *testing.T, c *Cluster, node int, session, key uint64, val string) wire.ClientResponseV2 {
+	t.Helper()
+	q := single(1, wire.OpWrite, key, val)
+	q.Session, q.Seq = session, 1
+	raw := dialRaw(t, c.ClientAddr(node))
+	raw.send(t, q)
+	return raw.next(t)
 }
 
 // TestDurableStatsVisible pins the ack/fsync ordering contract from the

@@ -310,7 +310,7 @@ func TestRejectedWhileDraining(t *testing.T) {
 }
 
 // TestClusterSubmitLocal drives the socketless Cluster.Submit path (the
-// canopus.Cluster interface backend) end to end.
+// one benchmark/ uses beside canopus/client) end to end.
 func TestClusterSubmitLocal(t *testing.T) {
 	c := startCluster(t, 3)
 	defer c.Stop(5 * time.Second)

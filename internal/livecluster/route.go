@@ -177,9 +177,6 @@ func (p *ClientPort) sessionExpiredLocked(req *wire.Request) {
 	}
 	delete(p.sessPending, k)
 	switch {
-	case se.e.done != nil:
-		se.e.done(nil, false)
-		p.outstanding.Add(-1)
 	case se.e.agg != nil:
 		p.completeBatchOp(se.cc, se.e.agg, se.e.idx, wire.ClientStatusErr, wire.CodeSessionExpired,
 			[]byte("session expired"), p.node().Committed())
@@ -195,11 +192,8 @@ func (p *ClientPort) sessionExpiredLocked(req *wire.Request) {
 // this node before its first submission's bookkeeping was torn down.
 // Runs with the port mutex held; owns the outstanding increment.
 func (p *ClientPort) putSessPendingLocked(k sessKey, se sessEntry) {
-	if old, ok := p.sessPending[k]; ok {
+	if _, ok := p.sessPending[k]; ok {
 		p.outstanding.Add(-1)
-		if old.e.done != nil {
-			old.e.done(nil, false)
-		}
 	}
 	p.sessPending[k] = se
 	p.admitRequest()
@@ -212,9 +206,6 @@ func (p *ClientPort) dropSessPendingLocked(cc *clientConn) {
 		if se.cc == cc {
 			delete(p.sessPending, k)
 			p.outstanding.Add(-1)
-			if se.e.done != nil {
-				se.e.done(nil, false)
-			}
 		}
 	}
 }
@@ -533,9 +524,9 @@ func (p *ClientPort) submitTxn(cc *clientConn, q *wire.ClientRequestV2) {
 // no frame encoding — while sharing the port's reply fan-out, drain
 // rejection and outstanding accounting with socket clients. done is
 // invoked on the node's apply stage (it must not block) with the read
-// value and whether the operation was served; ok=false
-// means the port is draining or the node has stalled. This is the
-// backend path of the public canopus.Cluster interface.
+// value and whether the operation was served; ok=false means the port
+// is draining or the node has stalled. Cluster.Submit, which benchmark/
+// drives, is its one caller.
 func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
 	if p.draining.Load() {
 		done(nil, false)
@@ -553,62 +544,5 @@ func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(v
 			return
 		}
 		p.node().Submit(wire.Request{Client: cc.id, Seq: seq, Op: op, Key: key, Val: val})
-	})
-}
-
-// RegisterLocal proposes a fresh replicated session without a socket —
-// the Cluster-interface twin of the register frame. done runs from
-// the node's machine turn (it must not block) with the committed session
-// ID; ok=false means the port is draining or the node cannot commit.
-func (p *ClientPort) RegisterLocal(done func(id uint64, ok bool)) {
-	if p.draining.Load() {
-		done(0, false)
-		return
-	}
-	p.runner.Invoke(func() {
-		p.admitRequest()
-		p.node().RegisterSession(func(id uint64, ok bool) {
-			done(id, ok)
-			p.outstanding.Add(-1)
-		})
-	})
-}
-
-// SubmitSessionLocal injects one session-scoped operation directly into
-// the node, sharing the session reply routing with socket clients: a
-// mutation whose (session, seq) already committed completes with the
-// cached reply instead of applying twice. done runs from the node's
-// execution context (see SubmitLocal); ok=false means draining, stalled,
-// crashed — or the session expired.
-func (p *ClientPort) SubmitSessionLocal(session, seq uint64, op wire.Op, key uint64, val []byte, done func(val []byte, ok bool)) {
-	if p.draining.Load() {
-		done(nil, false)
-		return
-	}
-	cc := p.loc
-	p.runner.Invoke(func() {
-		if p.node().Stalled() {
-			done(nil, false)
-			return
-		}
-		if !op.Mutates() {
-			// Reads are idempotent: no dedup identity needed.
-			seq, ok := p.track(cc, pendingEntry{done: done})
-			if !ok {
-				done(nil, false)
-				return
-			}
-			p.node().Submit(wire.Request{Client: cc.id, Seq: seq, Op: op, Key: key, Val: val})
-			return
-		}
-		p.mu.Lock()
-		if cc.pending == nil {
-			p.mu.Unlock()
-			done(nil, false)
-			return
-		}
-		p.putSessPendingLocked(sessKey{session, seq}, sessEntry{cc: cc, e: pendingEntry{done: done}})
-		p.mu.Unlock()
-		p.node().Submit(wire.Request{Client: session, Seq: seq, Op: op, Key: key, Val: val})
 	})
 }

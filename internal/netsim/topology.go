@@ -193,6 +193,22 @@ func MultiDC(dcs, perDC int, p Params) *Topology {
 	return t
 }
 
+// MultiDCFromRTT is MultiDC with the WAN given as a round-trip matrix
+// (rtt[i][j] between DCs i and j, as Table 1 reports it): each one-way
+// delay is half the round trip.
+func MultiDCFromRTT(dcs, perDC int, rtt [][]time.Duration) *Topology {
+	oneway := make([][]time.Duration, dcs)
+	for i := range oneway {
+		oneway[i] = make([]time.Duration, dcs)
+		for j := range oneway[i] {
+			if i != j {
+				oneway[i][j] = rtt[i][j] / 2
+			}
+		}
+	}
+	return MultiDC(dcs, perDC, Params{WANDelay: oneway})
+}
+
 func (t *Topology) buildLinks() {
 	p := t.params
 	t.nodeUp = make([]*Link, len(t.Nodes))

@@ -1,6 +1,10 @@
 package recipes
 
-import "context"
+import (
+	"context"
+
+	"canopus/client"
+)
 
 // Barrier is a single-use rendezvous over one key: Arrive increments
 // the key's counter and blocks until n parties have arrived. The count
@@ -11,10 +15,10 @@ type Barrier struct {
 	n int64
 }
 
-// NewBarrier returns a barrier at key awaiting n parties. All parties
-// must agree on key and n.
-func NewBarrier(b Backend, key uint64, n int) *Barrier {
-	return &Barrier{c: NewCounter(b, key), n: int64(n)}
+// NewBarrier returns a barrier at key awaiting n parties, arriving
+// through cl. All parties must agree on key and n.
+func NewBarrier(cl *client.Client, key uint64, n int) *Barrier {
+	return &Barrier{c: NewCounter(cl, key), n: int64(n)}
 }
 
 // Arrive registers this party and blocks until all n have arrived or
@@ -28,7 +32,7 @@ func (bar *Barrier) Arrive(ctx context.Context) error {
 	for {
 		// Watch-before-read: an arrival committed after the watch is
 		// armed wakes us, so the final count is never missed.
-		w, err := bar.c.b.WatchKey(ctx, bar.c.key)
+		w, err := bar.c.cl.Watch(ctx, bar.c.key)
 		if err != nil {
 			return err
 		}
@@ -38,7 +42,7 @@ func (bar *Barrier) Arrive(ctx context.Context) error {
 			return nil
 		}
 		if err == nil {
-			err = w.Wait(ctx)
+			err = wait(ctx, w)
 		}
 		w.Close()
 		if err != nil {

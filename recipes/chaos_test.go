@@ -9,11 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"canopus"
-	"canopus/client"
 	"canopus/internal/core"
 	"canopus/internal/livecluster"
-	"canopus/internal/netsim"
 	"canopus/internal/wire"
 	"canopus/recipes"
 )
@@ -25,7 +22,7 @@ import (
 // acquisition, and the waiter's pre-armed watch fires on that delete.
 // No operator action, no unlock from the dead holder.
 func TestMutexCrashedHolderExpires(t *testing.T) {
-	cluster, err := livecluster.Start(livecluster.Config{
+	cluster := startLive(t, livecluster.Config{
 		Nodes: 3,
 		Node: core.Config{
 			CycleInterval: 2 * time.Millisecond, TickInterval: time.Millisecond,
@@ -35,37 +32,23 @@ func TestMutexCrashedHolderExpires(t *testing.T) {
 		},
 		Seed: 41,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop(5 * time.Second)
-
-	dial := func(eps ...string) *client.Client {
-		t.Helper()
-		cl, err := client.New(client.Config{Endpoints: eps, RequestTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
 	// The holder is pinned to node 0 — when that node dies, so does the
 	// holder's connectivity (a real crashed process). The waiter and the
 	// traffic driver live on the survivors.
-	holder := dial(cluster.ClientAddr(0))
-	waiter := dial(cluster.ClientAddr(1), cluster.ClientAddr(2))
-	driver := dial(cluster.ClientAddr(2), cluster.ClientAddr(1))
+	holder := dial(t, cluster, 0)
+	waiter := dial(t, cluster, 1, 2)
+	driver := dial(t, cluster, 2, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	const lockKey = 700
-	mHold := recipes.NewMutex(recipes.FromClient(holder), lockKey)
+	mHold := recipes.NewMutex(holder, lockKey)
 	if err := mHold.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	mWait := recipes.NewMutex(recipes.FromClient(waiter), lockKey)
+	mWait := recipes.NewMutex(waiter, lockKey)
 	acquired := make(chan error, 1)
 	go func() { acquired <- mWait.Lock(ctx) }()
 
@@ -120,24 +103,24 @@ func TestMutexCrashedHolderExpires(t *testing.T) {
 // most one leader at every committed cycle, before, during, and after
 // the partition.
 func TestElectionUniquenessUnderPartition(t *testing.T) {
-	c := canopus.MustSimCluster(canopus.SimOptions{
-		Racks: 2, NodesPerRack: 3,
-		Node: canopus.Config{
+	c := startLive(t, livecluster.Config{
+		Node: core.Config{
 			CycleInterval: time.Millisecond, TickInterval: time.Millisecond,
 			SessionIdleCycles: 64,
 		},
-		Seed: 29,
+		Seed:  29,
+		Chaos: true,
 	})
-	c.Serve()
-	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	const key = 800
-	alice := recipes.NewElection(recipes.FromCluster(c, 0), key, []byte("alice"))
-	bob := recipes.NewElection(recipes.FromCluster(c, 3), key, []byte("bob"))
-	observer := recipes.NewElection(recipes.FromCluster(c, 4), key, []byte("observer"))
+	// alice's client reaches node 0 only: when the node is cut off, so
+	// is she.
+	alice := recipes.NewElection(dial(t, c, 0), key, []byte("alice"))
+	bob := recipes.NewElection(dial(t, c, 3), key, []byte("bob"))
+	observer := recipes.NewElection(dial(t, c, 4), key, []byte("observer"))
 
 	if err := alice.Campaign(ctx); err != nil {
 		t.Fatal(err)
@@ -152,20 +135,8 @@ func TestElectionUniquenessUnderPartition(t *testing.T) {
 
 	// Cut node 0 — alice's node — off from the rest of the deployment.
 	// Its super-leaf peers retain quorum, depose it, and cycles resume
-	// without it; alice can no longer reach consensus at all. Invoke runs
-	// the injection in the simulation context, so it cannot race the
-	// serve-mode pump.
-	if !c.Invoke(func() {
-		c.Runner.InstallFaults(netsim.FaultPlan{
-			Partitions: []netsim.PartitionFault{{
-				At: c.Sim.Now(),
-				A:  []wire.NodeID{0},
-				B:  []wire.NodeID{1, 2, 3, 4, 5},
-			}},
-		}, nil)
-	}) {
-		t.Fatal("fault injection dropped")
-	}
+	// without it; alice can no longer reach consensus at all.
+	c.Chaos().Partition([]wire.NodeID{0}, []wire.NodeID{1, 2, 3, 4, 5})
 
 	// Observe from a connected node until the handover completes. The
 	// polling reads double as the background traffic that keeps cycles —
@@ -226,9 +197,9 @@ func TestElectionUniquenessUnderPartition(t *testing.T) {
 // rejoins through the join protocol and must be able to take the same
 // lock: readmission restores full service, not just membership.
 func TestMutexContendedWholeLeafPartition(t *testing.T) {
-	c := canopus.MustSimCluster(canopus.SimOptions{
-		Racks: 3, NodesPerRack: 3,
-		Node: canopus.Config{
+	c := startLive(t, livecluster.Config{
+		SuperLeaves: [][]wire.NodeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}},
+		Node: core.Config{
 			CycleInterval: 2 * time.Millisecond, TickInterval: time.Millisecond,
 			SessionIdleCycles: 64,
 			// Evictions armed: without LeafTimeout the cut rack wedges
@@ -236,29 +207,28 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 			LeafTimeout:  300 * time.Millisecond,
 			FetchTimeout: 50 * time.Millisecond,
 		},
-		Seed: 37,
+		Seed:  37,
+		Chaos: true,
 	})
-	c.Serve()
-	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
 	const lockKey = 900
 	// Holder on the doomed rack; contenders spread over the survivors.
-	holderBackend := recipes.FromCluster(c, 6)
-	holder := recipes.NewMutex(holderBackend, lockKey)
+	holderCl := dial(t, c, 6)
+	holder := recipes.NewMutex(holderCl, lockKey)
 	if err := holder.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// Keep the holder's session refreshed until the cut: idle expiry is
-	// 64 cycles of *virtual* time, the serve-mode pump free-runs
-	// virtual time at CPU speed, and only session-bound mutations touch
-	// the activity clock (reads are sessionless). Back-to-back no-op
-	// writes through the holder's own session bound the refresh gap to
-	// one commit round-trip; the session must die because the rack goes
-	// dark, not because the holder sat quietly before the fault.
+	// 64 cycles, the background reads below drive cycles back to back,
+	// and only session-bound mutations touch the activity clock (reads
+	// are sessionless). Back-to-back writes through the holder's own
+	// session bound the refresh gap to one commit round-trip; the session
+	// must die because the rack goes dark, not because the holder sat
+	// quietly before the fault.
 	keepDone := make(chan struct{})
 	go func() {
 		for {
@@ -268,8 +238,7 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 			default:
 			}
 			kctx, kcancel := context.WithTimeout(ctx, time.Second)
-			_, _ = holderBackend.Txn(kctx, nil,
-				[]recipes.TxnOp{{Op: canopus.OpWrite, Key: 998, Val: []byte("ka")}})
+			_ = holderCl.Put(kctx, 998, []byte("ka"))
 			kcancel()
 		}
 	}()
@@ -278,7 +247,7 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 	driveDone := make(chan struct{})
 	defer close(driveDone)
 	go func() {
-		driver := recipes.FromCluster(c, 4)
+		driver := dial(t, c, 4)
 		for {
 			select {
 			case <-driveDone:
@@ -298,7 +267,7 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 	errs := make(chan error, 3)
 	for i, node := range []int{0, 1, 3} {
 		i, node := i, node
-		m := recipes.NewMutex(recipes.FromCluster(c, node), lockKey)
+		m := recipes.NewMutex(dial(t, c, node), lockKey)
 		go func() {
 			if err := m.Lock(ctx); err != nil {
 				errs <- fmt.Errorf("contender %d: %w", i, err)
@@ -327,18 +296,9 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 		t.Fatalf("contender %d acquired a held lock before the fault", i)
 	default:
 	}
-	if !c.Invoke(func() {
-		now := c.Sim.Now()
-		c.Runner.InstallFaults(netsim.FaultPlan{
-			Partitions: []netsim.PartitionFault{
-				netsim.LeafPartition(now, now+2*time.Second,
-					[]wire.NodeID{6, 7, 8},
-					[]wire.NodeID{0, 1, 2, 3, 4, 5}),
-			},
-		}, nil)
-	}) {
-		t.Fatal("fault injection dropped")
-	}
+	c.Chaos().Partition([]wire.NodeID{6, 7, 8}, []wire.NodeID{0, 1, 2, 3, 4, 5})
+	healed := time.AfterFunc(2*time.Second, c.Chaos().Heal)
+	defer healed.Stop()
 	close(keepDone)
 
 	// All three contenders must eventually pass through the critical
@@ -360,15 +320,15 @@ func TestMutexContendedWholeLeafPartition(t *testing.T) {
 	}
 
 	// Post-heal: rejoin one evicted-rack node and take the lock from it.
-	// (Crash first — the healed node is a stalled zombie, and eviction
-	// restart semantics are crash + fresh joiner.)
-	if !c.Invoke(func() {
-		c.Crash(7)
-		c.RestartAsJoiner(7)
-	}) {
-		t.Fatal("rejoin injection dropped")
+	// (The healed node is a stalled zombie; RestartNode replaces it with
+	// a fresh joiner, the eviction restart semantics.)
+	if healed.Stop() {
+		c.Chaos().Heal()
 	}
-	rejoined := recipes.NewMutex(recipes.FromCluster(c, 7), lockKey)
+	if err := c.RestartNode(7); err != nil {
+		t.Fatal(err)
+	}
+	rejoined := recipes.NewMutex(dial(t, c, 7), lockKey)
 	deadline := time.Now().Add(90 * time.Second)
 	for {
 		rctx, rcancel := context.WithTimeout(ctx, 2*time.Second)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+
+	"canopus/client"
 )
 
 // Counter is a replicated signed counter over one key, updated by
@@ -12,13 +14,13 @@ import (
 // increments from any number of clients never lose updates. The value
 // is stored as 8 big-endian bytes; an absent key counts as zero.
 type Counter struct {
-	b   Backend
+	cl  *client.Client
 	key uint64
 }
 
-// NewCounter returns a counter over key on b.
-func NewCounter(b Backend, key uint64) *Counter {
-	return &Counter{b: b, key: key}
+// NewCounter returns a counter over key, updated through cl.
+func NewCounter(cl *client.Client, key uint64) *Counter {
+	return &Counter{cl: cl, key: key}
 }
 
 func decodeCount(val []byte) (int64, error) {
@@ -41,7 +43,7 @@ func encodeCount(v int64) []byte {
 // caller decides whether the operation is re-issuable.
 func (c *Counter) Add(ctx context.Context, delta int64) (int64, error) {
 	for {
-		cur, err := c.b.Get(ctx, c.key)
+		cur, err := get(ctx, c.cl, c.key)
 		if err != nil {
 			return 0, err
 		}
@@ -50,13 +52,11 @@ func (c *Counter) Add(ctx context.Context, delta int64) (int64, error) {
 			return 0, err
 		}
 		next := n + delta
-		res, err := c.b.Txn(ctx,
-			[]TxnGuard{guardValueEq(c.key, cur)},
-			[]TxnOp{put(c.key, encodeCount(next))})
+		won, err := commit(ctx, c.cl, client.NewTxn().IfValueEq(c.key, cur).Put(c.key, encodeCount(next)))
 		if err != nil {
 			return 0, err
 		}
-		if res.Committed {
+		if won {
 			return next, nil
 		}
 		// Lost the race: somebody committed between our read and our
@@ -69,7 +69,7 @@ func (c *Counter) Add(ctx context.Context, delta int64) (int64, error) {
 
 // Value returns the counter's committed value.
 func (c *Counter) Value(ctx context.Context) (int64, error) {
-	val, err := c.b.Get(ctx, c.key)
+	val, err := get(ctx, c.cl, c.key)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+
+	"canopus/client"
 )
 
 // Election is leader election over one key: the leader's name sits in
@@ -13,40 +15,39 @@ import (
 // every waiting candidate races for the vacancy through the same
 // watch-then-CAS pattern as Mutex.
 type Election struct {
-	b    Backend
+	cl   *client.Client
 	key  uint64
 	name []byte
 }
 
-// NewElection returns a candidate handle for the election at key. name
-// identifies this candidate to observers (Leader returns it) and MUST
-// be unique among candidates — reusing a name would let one candidate
-// resign another's leadership.
-func NewElection(b Backend, key uint64, name []byte) *Election {
-	return &Election{b: b, key: key, name: append([]byte(nil), name...)}
+// NewElection returns a candidate handle for the election at key,
+// campaigning under cl's replicated session. name identifies this
+// candidate to observers (Leader returns it) and MUST be unique among
+// candidates — reusing a name would let one candidate resign another's
+// leadership.
+func NewElection(cl *client.Client, key uint64, name []byte) *Election {
+	return &Election{cl: cl, key: key, name: append([]byte(nil), name...)}
 }
 
 // Campaign blocks until this candidate is elected or ctx ends.
 func (e *Election) Campaign(ctx context.Context) error {
 	for {
-		w, err := e.b.WatchKey(ctx, e.key)
+		w, err := e.cl.Watch(ctx, e.key)
 		if err != nil {
 			return err
 		}
-		res, err := e.b.Txn(ctx,
-			[]TxnGuard{guardAbsent(e.key)},
-			[]TxnOp{putEphemeral(e.key, e.name)})
+		won, err := commit(ctx, e.cl, acquireTxn(e.key, e.name))
 		if err != nil && !errors.Is(err, ErrUncertain) {
 			w.Close()
 			return err
 		}
-		if err == nil && res.Committed {
+		if err == nil && won {
 			w.Close()
 			return nil
 		}
 		// Lost — or (on ErrUncertain) possibly elected by an earlier
 		// retry of our own transaction; the name in the key settles it.
-		val, gerr := e.b.Get(ctx, e.key)
+		val, gerr := get(ctx, e.cl, e.key)
 		if gerr != nil {
 			w.Close()
 			return gerr
@@ -56,7 +57,7 @@ func (e *Election) Campaign(ctx context.Context) error {
 			return nil // already leading
 		}
 		if val != nil {
-			err = w.Wait(ctx)
+			err = wait(ctx, w)
 		} else {
 			err = ctx.Err() // vacant: retry the CAS immediately
 		}
@@ -70,12 +71,12 @@ func (e *Election) Campaign(ctx context.Context) error {
 // Leader returns the current leader's name, or nil when the post is
 // vacant.
 func (e *Election) Leader(ctx context.Context) ([]byte, error) {
-	return e.b.Get(ctx, e.key)
+	return get(ctx, e.cl, e.key)
 }
 
 // IsLeader reports whether this candidate currently leads.
 func (e *Election) IsLeader(ctx context.Context) (bool, error) {
-	val, err := e.b.Get(ctx, e.key)
+	val, err := get(ctx, e.cl, e.key)
 	if err != nil {
 		return false, err
 	}
@@ -86,13 +87,11 @@ func (e *Election) IsLeader(ctx context.Context) (bool, error) {
 // the leader (never elected, already resigned, or deposed by expiry).
 func (e *Election) Resign(ctx context.Context) error {
 	for {
-		res, err := e.b.Txn(ctx,
-			[]TxnGuard{guardValueEq(e.key, e.name)},
-			[]TxnOp{del(e.key)})
+		resigned, err := commit(ctx, e.cl, releaseTxn(e.key, e.name))
 		if errors.Is(err, ErrUncertain) {
 			// An earlier retry of this delete may have committed; if the
 			// key no longer names us, the resignation happened.
-			val, gerr := e.b.Get(ctx, e.key)
+			val, gerr := get(ctx, e.cl, e.key)
 			if gerr != nil {
 				return gerr
 			}
@@ -104,7 +103,7 @@ func (e *Election) Resign(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if !res.Committed {
+		if !resigned {
 			return ErrNotHeld
 		}
 		return nil

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"canopus/client"
 )
 
 // Mutex is a distributed mutual-exclusion lock over one key. Acquiring
@@ -19,22 +21,23 @@ import (
 // applies (the locker unlocks). Lock is idempotent while held by the
 // same session.
 type Mutex struct {
-	b   Backend
+	cl  *client.Client
 	key uint64
 
 	mu  sync.Mutex
 	tok []byte // token written by the last successful acquisition
 }
 
-// NewMutex returns a mutex over key on b. Distinct keys are independent
-// locks; all contenders must agree on the key.
-func NewMutex(b Backend, key uint64) *Mutex {
-	return &Mutex{b: b, key: key}
+// NewMutex returns a mutex over key, held by cl's replicated session.
+// Distinct keys are independent locks; all contenders must agree on the
+// key.
+func NewMutex(cl *client.Client, key uint64) *Mutex {
+	return &Mutex{cl: cl, key: key}
 }
 
 // setToken records the value this handle wrote into the key, so Unlock
-// guards on what was actually written even if the backend's session
-// (and thus SessionToken) was transparently replaced mid-acquisition.
+// guards on what was actually written even if the client's session
+// (and thus its token) was transparently replaced mid-acquisition.
 func (m *Mutex) setToken(tok []byte) {
 	m.mu.Lock()
 	m.tok = append(m.tok[:0], tok...)
@@ -48,40 +51,38 @@ func (m *Mutex) token(ctx context.Context) ([]byte, error) {
 	if tok != nil {
 		return tok, nil
 	}
-	return m.b.SessionToken(ctx)
+	return sessionToken(ctx, m.cl)
 }
 
-// Lock blocks until this backend's session holds the lock or ctx ends.
+// Lock blocks until the client's session holds the lock or ctx ends.
 func (m *Mutex) Lock(ctx context.Context) error {
 	for {
-		// Re-read the token every attempt: if the backend's session
+		// Re-read the token every attempt: if the client's session
 		// idle-expired while we waited, the replacement session is the
 		// identity that must own the acquisition.
-		token, err := m.b.SessionToken(ctx)
+		token, err := sessionToken(ctx, m.cl)
 		if err != nil {
 			return err
 		}
 		// Arm the watch before trying: a release committed in any cycle
 		// after this point is guaranteed to wake us.
-		w, err := m.b.WatchKey(ctx, m.key)
+		w, err := m.cl.Watch(ctx, m.key)
 		if err != nil {
 			return err
 		}
-		res, err := m.b.Txn(ctx,
-			[]TxnGuard{guardAbsent(m.key)},
-			[]TxnOp{putEphemeral(m.key, token)})
+		won, err := commit(ctx, m.cl, acquireTxn(m.key, token))
 		if err != nil && !errors.Is(err, ErrUncertain) {
 			w.Close()
 			return err
 		}
-		if err == nil && res.Committed {
+		if err == nil && won {
 			w.Close()
 			m.setToken(token)
 			return nil
 		}
 		// Held — or (on ErrUncertain) possibly acquired by an earlier
 		// retry of our own transaction. The key's value settles it.
-		val, gerr := m.b.Get(ctx, m.key)
+		val, gerr := get(ctx, m.cl, m.key)
 		if gerr != nil {
 			w.Close()
 			return gerr
@@ -93,7 +94,7 @@ func (m *Mutex) Lock(ctx context.Context) error {
 		}
 		if val != nil {
 			// Someone else holds it; sleep until the key changes.
-			err = w.Wait(ctx)
+			err = wait(ctx, w)
 		} else {
 			err = ctx.Err() // vacant: retry the CAS immediately
 		}
@@ -105,23 +106,21 @@ func (m *Mutex) Lock(ctx context.Context) error {
 }
 
 // TryLock attempts one acquisition without waiting. It returns true
-// when this backend's session now holds (or already held) the lock.
+// when the client's session now holds (or already held) the lock.
 func (m *Mutex) TryLock(ctx context.Context) (bool, error) {
-	token, err := m.b.SessionToken(ctx)
+	token, err := sessionToken(ctx, m.cl)
 	if err != nil {
 		return false, err
 	}
-	res, err := m.b.Txn(ctx,
-		[]TxnGuard{guardAbsent(m.key)},
-		[]TxnOp{putEphemeral(m.key, token)})
+	won, err := commit(ctx, m.cl, acquireTxn(m.key, token))
 	if err != nil && !errors.Is(err, ErrUncertain) {
 		return false, err
 	}
-	if err == nil && res.Committed {
+	if err == nil && won {
 		m.setToken(token)
 		return true, nil
 	}
-	val, gerr := m.b.Get(ctx, m.key)
+	val, gerr := get(ctx, m.cl, m.key)
 	if gerr != nil {
 		return false, gerr
 	}
@@ -140,14 +139,12 @@ func (m *Mutex) Unlock(ctx context.Context) error {
 		return err
 	}
 	for {
-		res, err := m.b.Txn(ctx,
-			[]TxnGuard{guardValueEq(m.key, token)},
-			[]TxnOp{del(m.key)})
+		released, err := commit(ctx, m.cl, releaseTxn(m.key, token))
 		if errors.Is(err, ErrUncertain) {
 			// An earlier retry of this delete may have committed. If the
 			// key no longer carries our token, the release happened (or
 			// expiry beat us to it) — either way the lock is not ours.
-			val, gerr := m.b.Get(ctx, m.key)
+			val, gerr := get(ctx, m.cl, m.key)
 			if gerr != nil {
 				return gerr
 			}
@@ -159,7 +156,7 @@ func (m *Mutex) Unlock(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if !res.Committed {
+		if !released {
 			return ErrNotHeld
 		}
 		return nil

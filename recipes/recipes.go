@@ -17,63 +17,30 @@
 //     replicated session, so a crashed owner releases automatically
 //     when its session idle-expires through consensus.
 //
-// Recipes are written against the small Backend port, with two
-// adapters: FromClient wraps a canopus/client.Client (live TCP
-// deployments), FromCluster wraps any canopus.EventCluster node (the
-// in-process simulator or a live cluster driven locally). The recipe
-// code is identical on both.
+// Recipes run on a canopus/client.Client, the one client surface of a
+// deployment. Transactions ride the client's replicated session
+// (exactly-once across failover) and watches are the client's
+// resume-by-cycle watches, so recipes inherit the client's failover
+// transparency.
 package recipes
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 
-	"canopus"
+	"canopus/client"
 )
-
-// Transaction vocabulary, re-exported from the root package so recipe
-// backends can be implemented without reaching into internals.
-type (
-	// TxnGuard is one transaction precondition.
-	TxnGuard = canopus.TxnGuard
-	// TxnOp is one transaction write or delete.
-	TxnOp = canopus.TxnOp
-)
-
-// Guard and op constructors recipes build their transactions from.
-
-func guardAbsent(key uint64) TxnGuard {
-	return TxnGuard{Kind: canopus.GuardValueEq, Key: key}
-}
-
-func guardValueEq(key uint64, val []byte) TxnGuard {
-	return TxnGuard{Kind: canopus.GuardValueEq, Key: key, Val: val}
-}
-
-func putEphemeral(key uint64, val []byte) TxnOp {
-	return TxnOp{Op: canopus.OpWrite, Key: key, Val: val, Ephemeral: true}
-}
-
-func put(key uint64, val []byte) TxnOp {
-	return TxnOp{Op: canopus.OpWrite, Key: key, Val: val}
-}
-
-func del(key uint64) TxnOp {
-	return TxnOp{Op: canopus.OpDelete, Key: key}
-}
 
 // ErrNotHeld reports a release (Unlock, Resign) by a caller that does
 // not hold the lock or leadership — it was never acquired, was already
 // released, or was lost to session expiry.
 var ErrNotHeld = errors.New("recipes: not held")
 
-// ErrUnavailable reports that the backend could not serve the
-// operation (node crashed, stalled, draining, or session rejected).
-var ErrUnavailable = errors.New("recipes: backend unavailable")
-
 // ErrUncertain reports a transaction whose fate is unknowable: the final
 // submission was rejected, but an earlier one may have committed before
-// the backend's session expired (the dedup state that could tell is
+// the client's session expired (the dedup state that could tell is
 // gone). Recipes whose transactions are self-identifying — a lock
 // acquire writes the holder's token, so re-reading the key settles what
 // happened — recover from this internally. Recipes that are not
@@ -81,42 +48,69 @@ var ErrUnavailable = errors.New("recipes: backend unavailable")
 // surface it and let the caller decide.
 var ErrUncertain = errors.New("recipes: transaction outcome uncertain")
 
-// Verdict is a transaction's committed-order outcome.
-type Verdict struct {
-	// Committed reports that every guard held and all ops applied.
-	Committed bool
-	// FailedGuard is the index of the first guard that did not hold;
-	// -1 when Committed.
-	FailedGuard int
+// acquireTxn claims a vacant key for val, bound to the client's session.
+func acquireTxn(key uint64, val []byte) *client.Txn {
+	return client.NewTxn().IfAbsent(key).PutEphemeral(key, val)
 }
 
-// Waiter is one armed change watch on a single key. It is registered
-// (and its resume point pinned) before the constructor returns, so a
-// change committed after construction is never missed.
-type Waiter interface {
-	// Wait blocks until the key changes in a cycle committed after the
-	// Waiter was armed, the watch dies (overflow — the caller re-checks
-	// state anyway), or ctx ends. A nil return means "re-examine the
-	// key"; it deliberately does not say what changed.
-	Wait(ctx context.Context) error
-	// Close releases the watch registration.
-	Close()
+// releaseTxn deletes key if it still holds val.
+func releaseTxn(key uint64, val []byte) *client.Txn {
+	return client.NewTxn().IfValueEq(key, val).Delete(key)
 }
 
-// Backend is the minimal coordination surface recipes run on: committed
-// reads, guarded transactions under a replicated session, and armed
-// change watches. Implementations: FromClient, FromCluster.
-type Backend interface {
-	// Get returns key's committed value, nil when the key is absent.
-	Get(ctx context.Context, key uint64) ([]byte, error)
-	// Txn executes one guarded transaction bound to the backend's
-	// replicated session (exactly-once across internal retries).
-	Txn(ctx context.Context, guards []TxnGuard, ops []TxnOp) (Verdict, error)
-	// WatchKey arms a change watch on key before returning.
-	WatchKey(ctx context.Context, key uint64) (Waiter, error)
-	// SessionToken returns a stable, deployment-unique byte identity
-	// derived from the backend's replicated session, registering the
-	// session first if needed. Recipes write it into lock and leader
-	// keys as the fencing value.
-	SessionToken(ctx context.Context) ([]byte, error)
+// get returns key's committed value, nil when the key is absent.
+func get(ctx context.Context, cl *client.Client, key uint64) ([]byte, error) {
+	val, err := cl.Get(ctx, key)
+	if errors.Is(err, client.ErrNotFound) {
+		return nil, nil
+	}
+	return val, err
+}
+
+// commit runs t under the client's replicated session and reports
+// whether every guard held.
+func commit(ctx context.Context, cl *client.Client, t *client.Txn) (bool, error) {
+	res, err := cl.Txn(ctx, t)
+	if errors.Is(err, client.ErrSessionExpired) {
+		// The final submission was not applied, but an earlier failover
+		// retry may have committed under the now-expired session. Map to
+		// the recipes' uncertainty sentinel; self-identifying recipes
+		// re-read the key and settle it.
+		return false, fmt.Errorf("%w: %v", ErrUncertain, err)
+	}
+	if err != nil {
+		return false, err
+	}
+	return res.Committed, nil
+}
+
+// sessionToken returns a stable, deployment-unique byte identity derived
+// from the client's replicated session, registering the session first
+// if needed. Recipes write it into lock keys as the fencing value.
+func sessionToken(ctx context.Context, cl *client.Client) ([]byte, error) {
+	sess, err := cl.EnsureSession(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return binary.BigEndian.AppendUint64(nil, sess), nil
+}
+
+// wait blocks until w's key changes in a cycle committed after the watch
+// was armed, the watch dies, or ctx ends. A nil return means "re-examine
+// the key"; it deliberately does not say what changed. Overflow just
+// means "you fell behind": the caller re-reads committed state before
+// deciding anything, so it counts as a wake-up.
+func wait(ctx context.Context, w *client.Watch) error {
+	select {
+	case _, ok := <-w.Events():
+		if ok {
+			return nil
+		}
+		if err := w.Err(); err != nil && !errors.Is(err, client.ErrWatchOverflow) {
+			return err
+		}
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

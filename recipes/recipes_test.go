@@ -9,24 +9,45 @@ import (
 	"testing"
 	"time"
 
-	"canopus"
+	"canopus/client"
+	"canopus/internal/livecluster"
+	"canopus/internal/wire"
 	"canopus/recipes"
 )
 
-// startSim boots a serve-mode simulated deployment: six nodes in two
-// super-leaves, fast cycles. Recipes drive it through FromCluster
-// backends exactly as they would drive a live deployment through
-// FromClient.
-func startSim(t *testing.T, seed int64) *canopus.SimCluster {
+// startLive boots a live loopback deployment — by default six nodes in
+// two super-leaves with fast cycles — torn down when the test ends.
+func startLive(t *testing.T, cfg livecluster.Config) *livecluster.Cluster {
 	t.Helper()
-	c := canopus.MustSimCluster(canopus.SimOptions{
-		Racks: 2, NodesPerRack: 3,
-		Node: canopus.Config{CycleInterval: time.Millisecond, TickInterval: time.Millisecond},
-		Seed: seed,
-	})
-	c.Serve()
-	t.Cleanup(func() { c.Close() })
+	if cfg.Nodes == 0 && cfg.SuperLeaves == nil {
+		cfg.SuperLeaves = [][]wire.NodeID{{0, 1, 2}, {3, 4, 5}}
+	}
+	if cfg.Node.CycleInterval == 0 {
+		cfg.Node.CycleInterval, cfg.Node.TickInterval = time.Millisecond, time.Millisecond
+	}
+	c, err := livecluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Stop(5 * time.Second) })
 	return c
+}
+
+// dial connects a client to the given nodes, in failover order, closed
+// when the test ends. Each client is one replicated session: one lock
+// holder, one candidate.
+func dial(t *testing.T, c *livecluster.Cluster, nodes ...int) *client.Client {
+	t.Helper()
+	eps := make([]string, len(nodes))
+	for i, n := range nodes {
+		eps[i] = c.ClientAddr(n)
+	}
+	cl, err := client.New(client.Config{Endpoints: eps, RequestTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -40,7 +61,7 @@ func testCtx(t *testing.T) context.Context {
 // Lock/Unlock and asserts no two ever sit in the critical section at
 // once — the committed cycle order admits exactly one CAS per vacancy.
 func TestMutexMutualExclusion(t *testing.T) {
-	c := startSim(t, 11)
+	c := startLive(t, livecluster.Config{Seed: 11})
 	ctx := testCtx(t)
 
 	const key = 100
@@ -51,7 +72,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 	var acquired atomic.Int32
 	var wg sync.WaitGroup
 	for _, node := range nodes {
-		m := recipes.NewMutex(recipes.FromCluster(c, node), key)
+		m := recipes.NewMutex(dial(t, c, node), key)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -84,12 +105,12 @@ func TestMutexMutualExclusion(t *testing.T) {
 // by a non-holder is refused (it never deletes another session's
 // acquisition).
 func TestMutexTryLockAndNotHeld(t *testing.T) {
-	c := startSim(t, 13)
+	c := startLive(t, livecluster.Config{Seed: 13})
 	ctx := testCtx(t)
 
 	const key = 200
-	m1 := recipes.NewMutex(recipes.FromCluster(c, 0), key)
-	m2 := recipes.NewMutex(recipes.FromCluster(c, 3), key)
+	m1 := recipes.NewMutex(dial(t, c, 0), key)
+	m2 := recipes.NewMutex(dial(t, c, 3), key)
 
 	if err := m1.Lock(ctx); err != nil {
 		t.Fatal(err)
@@ -119,7 +140,7 @@ func TestMutexTryLockAndNotHeld(t *testing.T) {
 // asserts no increment is ever lost: every Add is a guarded CAS that
 // only commits against the value it read.
 func TestCounterConcurrentAdds(t *testing.T) {
-	c := startSim(t, 17)
+	c := startLive(t, livecluster.Config{Seed: 17})
 	ctx := testCtx(t)
 
 	const key = 300
@@ -128,7 +149,7 @@ func TestCounterConcurrentAdds(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for _, node := range nodes {
-		ctr := recipes.NewCounter(recipes.FromCluster(c, node), key)
+		ctr := recipes.NewCounter(dial(t, c, node), key)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -142,7 +163,7 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	}
 	wg.Wait()
 
-	ctr := recipes.NewCounter(recipes.FromCluster(c, 5), key)
+	ctr := recipes.NewCounter(dial(t, c, 5), key)
 	got, err := ctr.Value(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -156,12 +177,12 @@ func TestCounterConcurrentAdds(t *testing.T) {
 // wins, a second blocks campaigning, resignation hands over, and a
 // resigned candidate's Resign reports ErrNotHeld.
 func TestElectionHandover(t *testing.T) {
-	c := startSim(t, 19)
+	c := startLive(t, livecluster.Config{Seed: 19})
 	ctx := testCtx(t)
 
 	const key = 400
-	alice := recipes.NewElection(recipes.FromCluster(c, 0), key, []byte("alice"))
-	bob := recipes.NewElection(recipes.FromCluster(c, 3), key, []byte("bob"))
+	alice := recipes.NewElection(dial(t, c, 0), key, []byte("alice"))
+	bob := recipes.NewElection(dial(t, c, 3), key, []byte("bob"))
 
 	if err := alice.Campaign(ctx); err != nil {
 		t.Fatal(err)
@@ -180,7 +201,7 @@ func TestElectionHandover(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	observer := recipes.NewElection(recipes.FromCluster(c, 5), key, []byte("observer"))
+	observer := recipes.NewElection(dial(t, c, 5), key, []byte("observer"))
 	if name, err := observer.Leader(ctx); err != nil || !bytes.Equal(name, []byte("alice")) {
 		t.Fatalf("Leader = %q, %v; want alice", name, err)
 	}
@@ -210,7 +231,7 @@ func TestElectionHandover(t *testing.T) {
 // TestBarrierReleasesAll parks n-1 parties on a rendezvous and asserts
 // the nth arrival releases every one of them.
 func TestBarrierReleasesAll(t *testing.T) {
-	c := startSim(t, 23)
+	c := startLive(t, livecluster.Config{Seed: 23})
 	ctx := testCtx(t)
 
 	const key = 500
@@ -218,7 +239,7 @@ func TestBarrierReleasesAll(t *testing.T) {
 
 	done := make(chan error, len(nodes))
 	for i, node := range nodes {
-		bar := recipes.NewBarrier(recipes.FromCluster(c, node), key, len(nodes))
+		bar := recipes.NewBarrier(dial(t, c, node), key, len(nodes))
 		delay := time.Duration(i) * 20 * time.Millisecond
 		go func() {
 			time.Sleep(delay) // stagger so early parties really park
