@@ -2,9 +2,11 @@
 // topology-aware, massively parallel consensus protocol of Rizvi, Wong
 // and Keshav (CoNEXT 2017), together with every substrate it depends on:
 // a Leaf-Only Tree overlay, Raft-based reliable broadcast inside
-// super-leaves, a discrete-event datacenter/WAN network simulator, the
-// EPaxos and Zab/ZooKeeper baselines the paper evaluates against, and a
-// ZooKeeper-like coordination layer ("ZKCanopus").
+// super-leaves, a discrete-event datacenter/WAN network simulator, and
+// the EPaxos, Zab/ZooKeeper and ZKCanopus systems of the paper's
+// evaluation (internal/harness). Every replica runs one state machine,
+// the sharded key-value store, whose image a WAL snapshot holds and a
+// joiner installs.
 //
 // The root package is a thin facade: protocol types are aliases of the
 // internal implementations, plus constructors for the two ways to run a
@@ -66,52 +68,15 @@ type (
 	Config = core.Config
 	// Node is one Canopus protocol participant.
 	Node = core.Node
-	// Callbacks connect a node to its committed stream and its eviction.
-	Callbacks = core.Callbacks
-	// Consumer receives a node's committed stream.
-	Consumer = core.Consumer
-	// Commit is one committed cycle as a node's consumers see it.
-	Commit = core.Commit
-	// StateMachine is the replicated application state interface.
-	StateMachine = core.StateMachine
 	// Tree is the Leaf-Only Tree overlay.
 	Tree = lot.Tree
-	// TreeConfig shapes a LOT.
-	TreeConfig = lot.Config
-	// Store is the standard key-value state machine.
+	// Store is the replicated key-value state machine.
 	Store = kvstore.Store
 )
-
-// NewTree builds a Leaf-Only Tree from super-leaf memberships.
-func NewTree(cfg TreeConfig) (*Tree, error) { return lot.New(cfg) }
-
-// NewNode builds a Canopus node (see core.NewNode).
-func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
-	return core.NewNode(cfg, sm, cbs)
-}
-
-// NewJoiner builds a node that re-enters a running deployment through
-// the join protocol.
-func NewJoiner(cfg Config, sm StateMachine, cbs Callbacks) *Node {
-	return core.NewJoiner(cfg, sm, cbs)
-}
-
-// NewStore creates an empty key-value state machine.
-func NewStore() *Store { return kvstore.New() }
 
 // Write builds a write request.
 func Write(client, seq, key uint64, val []byte) Request {
 	return Request{Client: client, Seq: seq, Op: OpWrite, Key: key, Val: val}
-}
-
-// Read builds a read request.
-func Read(client, seq, key uint64) Request {
-	return Request{Client: client, Seq: seq, Op: OpRead, Key: key}
-}
-
-// Delete builds a delete request.
-func Delete(client, seq, key uint64) Request {
-	return Request{Client: client, Seq: seq, Op: OpDelete, Key: key}
 }
 
 // SimOptions shapes a simulated deployment.
@@ -186,11 +151,12 @@ type SimCluster struct {
 	driverSeq uint64
 }
 
-// newSimDeployment builds the simulated network, its tree (one
-// super-leaf per rack) and the runner that hosts the nodes.
-func newSimDeployment(opts *SimOptions) (*netsim.Sim, *netsim.Runner, *Tree, error) {
+// NewSimCluster builds and registers a full simulated deployment — one
+// super-leaf per rack — with a KV store per node. It returns an error
+// for invalid tree shapes (negative sizes, mismatched WANRTT matrices).
+func NewSimCluster(opts SimOptions) (*SimCluster, error) {
 	if err := opts.fill(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	sim := netsim.NewSim()
 	var topo *netsim.Topology
@@ -205,29 +171,18 @@ func newSimDeployment(opts *SimOptions) (*netsim.Sim, *netsim.Runner, *Tree, err
 	}
 	tree, err := lot.New(lot.Config{SuperLeaves: sls})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("canopus: %w", err)
-	}
-	return sim, netsim.NewRunner(sim, topo, netsim.DefaultCosts(), opts.Seed), tree, nil
-}
-
-// NewSimCluster builds and registers a full simulated deployment with a
-// KV store per node. It returns an error for invalid tree shapes
-// (negative sizes, mismatched WANRTT matrices).
-func NewSimCluster(opts SimOptions) (*SimCluster, error) {
-	sim, runner, tree, err := newSimDeployment(&opts)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("canopus: %w", err)
 	}
 	n := opts.Racks * opts.NodesPerRack
 	c := &SimCluster{
-		Sim: sim, Runner: runner, Tree: tree,
+		Sim: sim, Runner: netsim.NewRunner(sim, topo, netsim.DefaultCosts(), opts.Seed), Tree: tree,
 		template: opts.Node,
 		nodes:    make([]*Node, n),
 		stores:   make([]*Store, n),
 		dones:    make(map[uint64]func(val []byte, ok bool)),
 	}
 	for i := 0; i < n; i++ {
-		runner.Register(NodeID(i), c.newNode(NodeID(i), false))
+		c.Runner.Register(NodeID(i), c.newNode(NodeID(i), false))
 	}
 	return c, nil
 }
@@ -239,7 +194,7 @@ func (c *SimCluster) newNode(id NodeID, joiner bool) *Node {
 	cfg := c.template
 	cfg.Tree, cfg.Self = c.Tree, id
 	st := kvstore.New()
-	cbs := Callbacks{Consumers: []Consumer{core.ConsumerFunc(c.complete)}}
+	cbs := core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(c.complete)}}
 	var n *Node
 	if joiner {
 		n = core.NewJoiner(cfg, st, cbs)
@@ -262,7 +217,7 @@ func MustSimCluster(opts SimOptions) *SimCluster {
 
 // complete is every node's consumer: it runs the Submit callbacks of the
 // operations a committed cycle answers at that node.
-func (c *SimCluster) complete(cm *Commit) {
+func (c *SimCluster) complete(cm *core.Commit) {
 	for i := range cm.Replies {
 		if req := &cm.Replies[i]; req.Client == driverClient {
 			if done, ok := c.dones[req.Seq]; ok {

@@ -80,9 +80,6 @@ func TestNewSimClusterRejectsBadShapes(t *testing.T) {
 	}); err == nil {
 		t.Fatal("mismatched WANRTT accepted")
 	}
-	if _, err := canopus.NewCoordCluster(canopus.SimOptions{NodesPerRack: -3}); err == nil {
-		t.Fatal("coordination cluster accepted negative shape")
-	}
 }
 
 func TestSimClusterWAN(t *testing.T) {
@@ -152,24 +149,6 @@ func TestRestartAsJoinerKeepsNodeTemplate(t *testing.T) {
 				t.Fatalf("node %v key %d = %q, want %q", id, k, got, want)
 			}
 		}
-	}
-}
-
-func TestCoordClusterPublicAPI(t *testing.T) {
-	c := canopus.MustCoordCluster(canopus.SimOptions{Racks: 2, NodesPerRack: 3})
-	var got string
-	c.At(time.Millisecond, func() {
-		c.Server(0).Set("/cfg", []byte("on"), func(n *canopus.ZNode) {
-			c.Server(3).Get("/cfg", func(n *canopus.ZNode) {
-				if n != nil {
-					got = string(n.Data)
-				}
-			})
-		})
-	})
-	c.RunUntil(time.Second)
-	if got != "on" {
-		t.Fatalf("linearizable get = %q", got)
 	}
 }
 

@@ -17,7 +17,6 @@
 //     (TCP cannot lose bytes mid-stream without corrupting framing, so
 //     loss manifests as resets — which is exactly what exercises the
 //     transport's redial/backoff path).
-//   - bandwidth: token-style throttle on forwarded bytes.
 //   - partition: blackhole. Existing connections are killed; new ones
 //     are accepted but nothing is forwarded and inbound bytes are
 //     discarded, so the victim sees silence (the failure LeafTimeout
@@ -143,14 +142,6 @@ func (n *Net) SetDrop(from, to wire.NodeID, p float64) {
 	}
 }
 
-// SetBandwidth throttles the from→to link to bytesPerSec (0 removes the
-// throttle).
-func (n *Net) SetBandwidth(from, to wire.NodeID, bytesPerSec int64) {
-	if l := n.link(from, to); l != nil {
-		l.bwBytesPerSec.Store(bytesPerSec)
-	}
-}
-
 // ApplyDelayMatrix sets per-link latency from a DC-pair delay matrix
 // (e.g. netsim.GeoWANDelay output): link i→j gets m[dc(i)][dc(j)].
 func (n *Net) ApplyDelayMatrix(dc func(wire.NodeID) int, m [][]time.Duration) {
@@ -189,20 +180,9 @@ func (n *Net) PartitionDirected(a, b []wire.NodeID) {
 	n.logf("chaosnet: partition (directed) %v -> %v", a, b)
 }
 
-// Isolate blackholes every link touching id, cutting it off in both
-// directions.
-func (n *Net) Isolate(id wire.NodeID) {
-	n.forEachLink(func(l *link) {
-		if l.from == id || l.to == id {
-			l.block()
-		}
-	})
-	n.logf("chaosnet: isolate node %d", id)
-}
-
 // Heal lifts every partition. Blackholed zombie connections are closed
-// so senders redial through the healthy path; latency, drop and
-// bandwidth settings are left in place.
+// so senders redial through the healthy path; latency and drop
+// settings are left in place.
 func (n *Net) Heal() {
 	n.forEachLink(func(l *link) { l.unblock() })
 	n.logf("chaosnet: heal")
@@ -270,7 +250,6 @@ type link struct {
 
 	latency        atomic.Int64 // one-way delay, ns
 	dropPerMillion atomic.Int64 // reset probability per chunk, in 1e-6
-	bwBytesPerSec  atomic.Int64 // 0 = unlimited
 	blocked        atomic.Bool
 	closed         atomic.Bool
 
@@ -374,11 +353,6 @@ func (l *link) forward(lc *linkConn) {
 	for c := range ch {
 		if d := time.Until(c.due); d > 0 {
 			time.Sleep(d)
-		}
-		if bw := l.bwBytesPerSec.Load(); bw > 0 {
-			// Pace before writing so every chunk pays its transmission
-			// time — the receiver cannot see byte N before N/bw.
-			time.Sleep(time.Duration(int64(len(c.b)) * int64(time.Second) / bw))
 		}
 		if _, err := lc.up.Write(c.b); err != nil {
 			lc.close()

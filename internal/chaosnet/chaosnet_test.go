@@ -3,7 +3,6 @@ package chaosnet
 import (
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -168,24 +167,6 @@ func TestDropResetsConnections(t *testing.T) {
 	c2 := dialT(t, addr)
 	if got := roundTrip(t, c2, "survives"); got != "survives" {
 		t.Fatalf("echo mismatch after clearing drop: %q", got)
-	}
-}
-
-func TestBandwidthThrottles(t *testing.T) {
-	up := echoServer(t)
-	n := newTestNet(t)
-	addr, err := n.AddLink(0, 1, up.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 64 KiB at 256 KiB/s ≈ 250ms floor.
-	n.SetBandwidth(0, 1, 256*1024)
-	c := dialT(t, addr)
-	payload := strings.Repeat("x", 64*1024)
-	start := time.Now()
-	roundTrip(t, c, payload)
-	if el := time.Since(start); el < 150*time.Millisecond {
-		t.Fatalf("64KiB crossed a 256KiB/s link in %v; throttle not applied", el)
 	}
 }
 

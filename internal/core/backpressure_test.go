@@ -17,11 +17,6 @@ type gatedStore struct {
 	gate chan struct{} // closed = open
 }
 
-func (g *gatedStore) ApplyWrite(req *wire.Request) {
-	<-g.gate
-	g.Store.ApplyWrite(req)
-}
-
 func (g *gatedStore) ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte {
 	<-g.gate
 	return g.Store.ApplyWriteAt(req, cycle, owner)

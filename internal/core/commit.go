@@ -61,8 +61,8 @@ func (n *Node) commit(c *cycle) {
 	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 
 	// Join replies go out only after cycle c's plan is with the stage,
-	// where sendJoinReply takes the snapshot behind it. A reply sent from
-	// seat would snapshot the state as of c-1 while telling the joiner to
+	// where sendJoinReply takes the image behind it. A reply sent from
+	// seat would carry the state as of c-1 while telling the joiner to
 	// resume at c+1, silently losing cycle c's writes on every rejoin.
 	for _, j := range answers {
 		n.sendJoinReply(j, n.sponsoring[j].nonce, c.id)
@@ -220,10 +220,9 @@ func (n *Node) addRead(p *applyPlan, req *wire.Request, dup bool) {
 
 // deliverPlan hands one applied (and, when durable, synced) plan to the
 // node's consumers: the one choke point every committed cycle leaves the
-// node through, in cycle order, on the apply stage. A join install is
-// not a committed cycle and is not delivered.
+// node through, in cycle order, on the apply stage.
 func (n *Node) deliverPlan(p *applyPlan) {
-	if p.snapshot || len(n.cbs.Consumers) == 0 {
+	if len(n.cbs.Consumers) == 0 {
 		return
 	}
 	n.buildPlanEvents(p)
@@ -254,7 +253,6 @@ func (n *Node) freePlan(p *applyPlan) {
 	clear(p.Rejected)
 	p.ops, p.Replies, p.Vals, p.Rejected = p.ops[:0], p.Replies[:0], p.Vals[:0], p.Rejected[:0]
 	p.root, p.Order = nil, nil
-	p.snapshot = false
 	clear(p.outcomes)
 	clear(p.txnEvents)
 	clear(p.Events)

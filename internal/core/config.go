@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"time"
 
+	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/wire"
 )
@@ -76,7 +77,8 @@ type Config struct {
 	// membership rules count on that bound being the same everywhere: a
 	// join committed in cycle X seats its node from cycle X + MaxInFlight,
 	// and a leaf evicted at cycle D is substituted locally from cycle
-	// D + MaxInFlight. Nothing compares the value across nodes.
+	// D + MaxInFlight. A joiner compares its value, and LeafTimeout, with
+	// its sponsor's and stays out when they differ.
 	MaxInFlight int
 
 	// FetchTimeout is how long a representative waits, from the start of
@@ -192,44 +194,33 @@ type Durable interface {
 	Sync() error
 }
 
-// StateMachine is the replicated application state Canopus drives. The
-// kvstore package provides the standard implementation; ZKCanopus plugs
-// in the znode tree. Once the node runs, only its apply stage calls it.
+// StateMachine is the replicated application state Canopus drives;
+// kvstore.Store implements it. Once the node runs, only its apply stage
+// calls it. A node built without one (nil) runs fluid workloads: it orders
+// request counts and materializes no state.
 type StateMachine interface {
-	// ApplyWrite applies one committed write.
-	ApplyWrite(req *wire.Request)
+	// ApplyWriteAt applies one committed write as of the given commit
+	// cycle; a non-zero owner binds the key to that session (ephemeral).
+	// It returns the machine's own copy of the written value (nil for a
+	// delete), which must never change again: the cycle's events carry it,
+	// and their consumers may keep it.
+	ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte
 	// Read returns the current value for key (nil if absent). Called
 	// only at linearization points chosen by the protocol.
 	Read(key uint64) []byte
-	// Snapshot returns requests that rebuild the state (for the join
-	// protocol's state transfer). The returned values must not alias
-	// live store state: the protocol sends them while later writes keep
-	// applying.
-	Snapshot() []wire.Request
-}
-
-// TxnMachine is optionally implemented by StateMachines that support
-// the event plane: per-key modification-cycle metadata (backing
-// GuardCycleLE transactions), session-owned ephemeral keys, and the
-// metadata-stamping write path. kvstore.Store implements it. When the
-// node's StateMachine is a TxnMachine, every committed write goes
-// through ApplyWriteAt (so modification cycles stay current) and
-// multi-op transactions become available; otherwise transactions abort
-// deterministically on every replica.
-type TxnMachine interface {
-	StateMachine
-	// ApplyWriteAt is ApplyWrite plus metadata: the write is recorded as
-	// of the given commit cycle, and a non-zero owner binds the key to
-	// that session (ephemeral). It returns the machine's own copy of the
-	// written value (nil for a delete), which must never change again:
-	// the cycle's events carry it, and their consumers may keep it.
-	ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte
 	// ModCycle returns the commit cycle that last wrote key (0 when
-	// absent or untracked).
+	// absent), which GuardCycleLE transactions compare against.
 	ModCycle(key uint64) uint64
 	// ExpireOwned deletes every key owned by the given session,
 	// returning the deleted keys sorted ascending.
 	ExpireOwned(owner uint64) []uint64
+	// SnapshotShards returns the state's image — contents, key metadata
+	// and apply-log chains — which a sponsor sends a joiner. It must not
+	// alias live state: later writes keep applying while it is sent.
+	SnapshotShards() []kvstore.ShardState
+	// RestoreShards replaces the state with an image; it refuses one
+	// whose shard count differs from the machine's.
+	RestoreShards(image []kvstore.ShardState) error
 }
 
 // Callbacks connect a node to its surroundings. They are fixed when the
@@ -260,7 +251,7 @@ type Consumer interface {
 	// runner it runs off the machine lock, so a consumer does its own
 	// synchronization and must not block. c and its slices are only valid
 	// during the call; event values are immutable and may be kept (see
-	// TxnMachine.ApplyWriteAt).
+	// StateMachine.ApplyWriteAt).
 	Committed(c *Commit)
 }
 
@@ -279,9 +270,8 @@ type Commit struct {
 	Order []*wire.Batch
 	// Events are the cycle's key-change events in committed total order:
 	// plain writes and deletes, committed transaction ops, and the
-	// deletions of an expired session's ephemeral keys. Only a TxnMachine
-	// produces events; a cycle without any still commits, so consumers
-	// can advance their cycle watermark.
+	// deletions of an expired session's ephemeral keys. A cycle without
+	// any still commits, so consumers can advance their cycle watermark.
 	Events []wire.Event
 	// Replies are the requests this node completes in the cycle, in client
 	// arrival order; Vals[i] is the result of Replies[i]: a read's value,

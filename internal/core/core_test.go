@@ -548,8 +548,6 @@ func TestCrashedNodeRejoins(t *testing.T) {
 	if tc.nodes[5].Committed() == 0 {
 		t.Fatal("rejoined node never committed")
 	}
-	// State equality (the joiner's log digest differs — it snapshotted —
-	// so compare full state contents).
 	want := tc.stores[0].StateDigest()
 	if got := tc.stores[5].StateDigest(); got != want {
 		t.Fatalf("rejoined state digest %x != %x", got, want)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"canopus/internal/engine"
+	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/wire"
 )
@@ -71,9 +72,12 @@ func (e *cycleEnv) After(d time.Duration, tag engine.TimerTag) {
 // what a cycle costs, not what a write costs the store.
 type cycleSM struct{}
 
-func (cycleSM) ApplyWrite(*wire.Request) {}
-func (cycleSM) Read(uint64) []byte       { return nil }
-func (cycleSM) Snapshot() []wire.Request { return nil }
+func (cycleSM) ApplyWriteAt(*wire.Request, uint64, uint64) []byte { return nil }
+func (cycleSM) Read(uint64) []byte                                { return nil }
+func (cycleSM) ModCycle(uint64) uint64                            { return 0 }
+func (cycleSM) ExpireOwned(uint64) []uint64                       { return nil }
+func (cycleSM) SnapshotShards() []kvstore.ShardState              { return nil }
+func (cycleSM) RestoreShards([]kvstore.ShardState) error          { return nil }
 
 // benchInterval is the cycle and tick interval of the deployment, the one
 // the repository's end-to-end benchmark (benchmark/) runs.

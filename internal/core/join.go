@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"log/slog"
 	"maps"
 	"slices"
 	"time"
 
 	"canopus/internal/engine"
+	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/wire"
 )
@@ -31,7 +35,8 @@ import (
 //            (Expect), so J receives every proposal of its first cycles.
 //            At the commit of the cycle before the seat, every node seats
 //            J (its leaf-mates open its broadcast group) and S sends
-//            JoinReply{StartCycle: X + MaxInFlight - 1} with a snapshot.
+//            JoinReply{StartCycle: X + MaxInFlight - 1} with its store
+//            image, which J installs through RestoreShards.
 //            S sends it again each joinRetryInterval until it commits the
 //            seat's cycle: the transport may lose the frame, and the cycle
 //            cannot commit before J has proposed in it. J installs only a
@@ -118,9 +123,12 @@ func (n *Node) resendJoinReplies() {
 // nonce, once its seat is taken at the commit of cycle cyc.
 func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 	reply := &wire.JoinReply{
-		From:       n.cfg.Self,
-		Nonce:      nonce,
-		StartCycle: cyc,
+		From:        n.cfg.Self,
+		Nonce:       nonce,
+		StartCycle:  cyc,
+		Sessions:    kvstore.AppendSessions(nil, n.sessions.Snapshot()),
+		MaxInFlight: uint32(n.cfg.MaxInFlight),
+		LeafTimeout: n.cfg.LeafTimeout,
 	}
 	for _, id := range n.tree.AllNodes() {
 		if n.view.Alive(id) {
@@ -130,20 +138,36 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 		}
 	}
 	if n.sm != nil {
-		// Taken on the apply stage, which owns the store: the snapshot
+		// Taken on the apply stage, which owns the store: the image
 		// reflects every cycle up to cyc (all ordered, so their plans are
 		// with the stage, possibly still applying off the machine lock).
-		n.stage.call(func() { reply.Snapshot = n.sm.Snapshot() })
+		var image []kvstore.ShardState
+		n.stage.call(func() { image = n.sm.SnapshotShards() })
+		reply.Shards = make([][]byte, len(image))
+		for i := range image {
+			reply.Shards[i] = kvstore.AppendShard(nil, &image[i])
+		}
 	}
-	reply.Sessions = n.sessions.Snapshot()
 	n.trace("join-reply", cyc, slog.Int("joiner", int(joiner)))
 	n.env.Send(joiner, reply)
 }
 
-// onJoinReply installs the sponsor's state and resumes participation.
+// onJoinReply installs the sponsor's state and resumes participation. A
+// reply it cannot install — the sponsor runs another MaxInFlight or
+// LeafTimeout, or its image does not fit this node's store — halts the
+// node: it stays out of the cluster, whose next failure cut retires the
+// seat it was given.
 func (n *Node) onJoinReply(m *wire.JoinReply) {
-	if !n.rejoin || m.Nonce != n.joinNonce {
-		return // a duplicate, or the answer to an earlier process's request
+	if !n.rejoin || n.stalled || m.Nonce != n.joinNonce {
+		return // a duplicate, a refused join, or the answer to an earlier process's request
+	}
+	if err := n.installJoinImage(m); err != nil {
+		n.log.LogAttrs(context.Background(), slog.LevelError, "join refused",
+			slog.Int("sponsor", int(m.From)), slog.String("reason", err.Error()),
+			slog.Int("max_in_flight", n.cfg.MaxInFlight), slog.Int("sponsor_max_in_flight", int(m.MaxInFlight)),
+			slog.Duration("leaf_timeout", n.cfg.LeafTimeout), slog.Duration("sponsor_leaf_timeout", m.LeafTimeout))
+		n.halt(false)
+		return
 	}
 	n.trace("join-install", m.StartCycle)
 	n.rejoin = false
@@ -161,26 +185,6 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	// incarnation, and which seats are still pending.
 	n.view = lot.RestoreView(n.tree, m.Alive, m.Incarnations, m.Seats)
 
-	// Install the state machine snapshot. The install rides the apply
-	// stage as a synthetic plan, like everything that writes the store, so
-	// it serializes with the committed-state reads already there; the
-	// applied watermark advances to StartCycle when it lands.
-	// Snapshot entries smuggle each key's last-modified cycle and owner
-	// session in Seq/Client (see kvstore.Store.Snapshot): a TxnMachine
-	// installs them through ApplyWriteAt so the joiner's event-plane
-	// metadata matches every replica that never crashed.
-	plan := n.newPlan(m.StartCycle)
-	plan.snapshot = true
-	if n.sm != nil {
-		for i := range m.Snapshot {
-			plan.ops = append(plan.ops, planOp{req: &m.Snapshot[i], comp: -1})
-		}
-	}
-	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
-	// Install the session dedup table: retried mutations must classify
-	// here exactly as on replicas that never crashed.
-	n.sessions.Restore(m.Sessions)
-
 	n.initBroadcast()
 
 	// The clock starts over with the protocol state: a pace timer armed
@@ -191,4 +195,43 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 		n.nextCycleAt = n.env.Now() + n.cfg.CycleInterval
 		n.env.After(n.cfg.CycleInterval, engine.Tag(tagCycleTimer, 0))
 	}
+}
+
+// installJoinImage checks a reply's cluster-wide settings against this
+// node's and installs its image: the store on the apply stage, which owns
+// it, and the session dedup table, so retried mutations classify here
+// exactly as on replicas that never crashed. The applied watermark
+// reaches StartCycle with the store; the install is not a committed
+// cycle, so no consumer sees it. Nothing changes when it fails.
+func (n *Node) installJoinImage(m *wire.JoinReply) error {
+	if int(m.MaxInFlight) != n.cfg.MaxInFlight || m.LeafTimeout != n.cfg.LeafTimeout {
+		return errors.New("cluster-wide settings differ")
+	}
+	sessions, err := kvstore.DecodeSessions(m.Sessions)
+	if err != nil {
+		return fmt.Errorf("session image: %w", err)
+	}
+	var image []kvstore.ShardState
+	if n.sm != nil {
+		image = make([]kvstore.ShardState, len(m.Shards))
+		for i, b := range m.Shards {
+			if image[i], err = kvstore.DecodeShard(b, true); err != nil {
+				return fmt.Errorf("shard %d image: %w", i, err)
+			}
+		}
+	}
+	n.stage.call(func() {
+		if n.sm != nil {
+			if err = n.sm.RestoreShards(image); err != nil {
+				return
+			}
+		}
+		n.applied.Store(m.StartCycle)
+		n.stage.serveParked()
+	})
+	if err != nil {
+		return err
+	}
+	n.sessions.Restore(sessions)
+	return nil
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,5 +220,95 @@ func TestSessionSurvivesRejoinStateTransfer(t *testing.T) {
 		if got := string(st.Read(5)); got != "first" {
 			t.Fatalf("node %d = %q: duplicate re-applied after rejoin", id, got)
 		}
+	}
+}
+
+// TestJoinerInstallsItsSponsorsImage: a node that restarts as a joiner
+// installs its sponsor's store image, log chains included, so once every
+// replica has committed the same cycle the joiner agrees with its peers
+// on LogLen and LogDigest as well as on StateDigest. A joiner that
+// replayed the state as writes would chain its own apply log.
+func TestJoinerInstallsItsSponsorsImage(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3})
+	for s := uint64(1); s <= 6; s++ {
+		tc.submitAt(time.Duration(s)*20*time.Millisecond, wire.NodeID(s%3), wr(s, 1, s, s))
+	}
+	tc.submitAt(200*time.Millisecond, 1, wire.Request{Client: 9, Seq: 1, Op: wire.OpDelete, Key: 2})
+	tc.sim.At(300*time.Millisecond, func() { tc.runner.Crash(5) })
+	tc.submitAt(600*time.Millisecond, 0, wr(7, 1, 7, 7))
+	tc.sim.At(time.Second, func() { tc.restartAsJoiner(5, Config{}, nil) })
+	for s := uint64(8); s <= 12; s++ {
+		tc.submitAt(time.Duration(2000+20*s)*time.Millisecond, wire.NodeID(s%6), wr(s, 1, s, s))
+	}
+	tc.run(4 * time.Second)
+
+	if n := tc.nodes[5]; n.rejoin || n.Stalled() || n.Committed() != tc.nodes[0].Committed() {
+		t.Fatalf("joiner at cycle %d (rejoin=%v stalled=%v), node 0 at %d",
+			n.Committed(), n.rejoin, n.Stalled(), tc.nodes[0].Committed())
+	}
+	ref, got := tc.stores[0], tc.stores[5]
+	if got.LogLen() != ref.LogLen() || got.LogDigest() != ref.LogDigest() || got.StateDigest() != ref.StateDigest() {
+		t.Fatalf("joiner log %d/%x state %x, node 0 log %d/%x state %x",
+			got.LogLen(), got.LogDigest(), got.StateDigest(), ref.LogLen(), ref.LogDigest(), ref.StateDigest())
+	}
+	tc.requireAgreement()
+}
+
+// TestJoinerWithOtherClusterSettingsStaysOut: a node restarts as a
+// joiner that cannot share its peers' state — it runs MaxInFlight 8 where
+// they run the default 4, or its store has two shards where theirs has
+// one. It must refuse its sponsor's reply, say why at Error level and take
+// no part; the cluster cuts the seat it was given, and a later joiner with
+// the cluster's settings is admitted and every write commits.
+func TestJoinerWithOtherClusterSettingsStaysOut(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		cfg    Config
+		shards int
+		says   []string
+	}{
+		{"max-in-flight", Config{MaxInFlight: 8}, 1, []string{"max_in_flight=8", "sponsor_max_in_flight=4"}},
+		{"shard-count", Config{}, 2, []string{"image has 1 shards, store has 2"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3})
+			tc.submitAt(time.Millisecond, 0, wr(1, 1, 1, 1))
+			tc.sim.At(100*time.Millisecond, func() { tc.runner.Crash(5) })
+			var refusal bytes.Buffer
+			tc.sim.At(500*time.Millisecond, func() {
+				cfg := tt.cfg
+				cfg.Tree, cfg.Self = tc.tree, 5
+				st := kvstore.NewShardedLogged(tt.shards)
+				log := slog.New(slog.NewTextHandler(&refusal, &slog.HandlerOptions{Level: slog.LevelError}))
+				joiner := NewJoiner(cfg, st, Callbacks{Log: log})
+				tc.nodes[5], tc.stores[5] = joiner, st
+				tc.runner.Restart(5, joiner)
+			})
+			tc.sim.At(2*time.Second, func() { tc.runner.Crash(2) })
+			tc.sim.At(2500*time.Millisecond, func() { tc.restartAsJoiner(2, Config{}, nil) })
+			for s := uint64(2); s <= 6; s++ {
+				tc.submitAt(time.Duration(3500+100*s)*time.Millisecond, wire.NodeID(s%4), wr(1, s, s, s))
+			}
+			tc.run(6 * time.Second)
+
+			if n := tc.nodes[5]; !n.rejoin || n.Committed() != 0 || tc.stores[5].Len() != 0 {
+				t.Fatalf("mismatched joiner took part: rejoin=%v committed=%d keys=%d", n.rejoin, n.Committed(), tc.stores[5].Len())
+			}
+			msg := refusal.String()
+			for _, want := range append([]string{"level=ERROR", "join refused"}, tt.says...) {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("refusal log lacks %q: %q", want, msg)
+				}
+			}
+			if n := tc.nodes[2]; n.rejoin || n.Stalled() {
+				t.Fatalf("second joiner not admitted (rejoin=%v stalled=%v)", n.rejoin, n.Stalled())
+			}
+			for _, id := range []wire.NodeID{0, 1, 2, 3, 4} {
+				if got := tc.stores[id].Len(); got != 6 {
+					t.Fatalf("node %d holds %d keys, want 6", id, got)
+				}
+			}
+			tc.requireAgreementAmong([]wire.NodeID{0, 1, 2, 3, 4})
+		})
 	}
 }

@@ -104,10 +104,7 @@ type Node struct {
 	sl   int
 	bc   broadcast.Broadcaster
 	sm   StateMachine
-	// tm is sm's TxnMachine facet when it has one (cached assertion):
-	// enables transactions, key metadata, and ephemeral-key expiry.
-	tm  TxnMachine
-	cbs Callbacks
+	cbs  Callbacks
 	// log is Callbacks.Log bound to this node and its leaf (see trace).
 	log *slog.Logger
 
@@ -276,9 +273,6 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 		recentChild: make(map[uint64]map[string]*wire.Proposal),
 		leafDeadAt:  make(map[int]uint64),
 		sponsoring:  make(map[wire.NodeID]sponsored),
-	}
-	if tm, ok := sm.(TxnMachine); ok {
-		n.tm = tm
 	}
 	log := cbs.Log
 	if log == nil {
@@ -458,9 +452,10 @@ func (n *Node) Timer(tag engine.TimerTag) {
 		n.env.After(n.nextCycleAt-n.env.Now(), engine.Tag(tagCycleTimer, 0))
 	case tagJoinRetry:
 		switch {
+		case n.stalled: // halted, or a joiner that refused its reply
 		case n.rejoin:
 			n.sendJoinRequest()
-		case !n.stalled:
+		default:
 			n.resendJoinReplies()
 		}
 	case tagPace:

@@ -124,7 +124,7 @@ func (n *Node) DurabilityError() error {
 // Sync (unsynced) before the cycle is released.
 func (n *Node) appendDurable(cycle uint64, root *wire.Proposal) {
 	d := n.cfg.Durability
-	if d == nil || n.durFailed || root == nil {
+	if d == nil || n.durFailed {
 		return
 	}
 	if err := d.AppendCommit(cycle, root); err != nil {

@@ -62,15 +62,11 @@ type applyPlan struct {
 	// (its reqs back the ops entries until then).
 	set *ownSet
 	// root is the cycle's committed root proposal, which the stage logs
-	// (given a Durability hook) before releasing the plan's replies; nil
-	// for a join install. Roots are retained by Node.recent and never
-	// pooled, so the pointer stays valid for the plan's lifetime.
+	// (given a Durability hook) before releasing the plan's replies. Roots
+	// are retained by Node.recent and never pooled, so the pointer stays
+	// valid for the plan's lifetime.
 	root *wire.Proposal
 
-	// snapshot marks a synthetic join-install plan: each op's Seq/Client
-	// carry the key's last-modified cycle and owner session, installed
-	// via ApplyWriteAt, and the plan emits no events.
-	snapshot bool
 	// expired are the sessions this cycle's boundary expired; the apply
 	// tail deletes their ephemeral keys (filling expiredKeys).
 	expired     []uint64
@@ -326,12 +322,8 @@ func (n *Node) applyPlan(p *applyPlan) {
 			n.applyTxnOp(p, op)
 		case op.comp >= 0:
 			p.Vals[op.comp] = n.sm.Read(op.req.Key)
-		case n.tm == nil:
-			n.sm.ApplyWrite(op.req)
-		case p.snapshot:
-			n.tm.ApplyWriteAt(op.req, op.req.Seq, op.req.Client)
 		default:
-			op.stored = n.tm.ApplyWriteAt(op.req, p.Cycle, 0)
+			op.stored = n.sm.ApplyWriteAt(op.req, p.Cycle, 0)
 		}
 	}
 	n.applyExpiry(p)

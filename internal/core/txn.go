@@ -36,16 +36,9 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 	}
 
 	res := wire.TxnResult{Committed: false, Failed: 0}
-	var t wire.Txn
-	var decodeOK bool
-	if n.tm != nil {
-		var err error
-		if t, err = wire.ParseTxn(req.Val); err == nil {
-			decodeOK = true
-		}
-	}
+	t, err := wire.ParseTxn(req.Val)
 	out := txnOutcome{}
-	if decodeOK {
+	if err == nil {
 		res.Committed = true
 		res.Failed = wire.TxnFailedNone
 		for i := range t.Guards {
@@ -68,7 +61,7 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 				}
 				treq.Op, treq.Key, treq.Val = top.Op, top.Key, top.Val
 				// The event carries the store's copy, not the decode scratch.
-				val := n.tm.ApplyWriteAt(&treq, p.Cycle, owner)
+				val := n.sm.ApplyWriteAt(&treq, p.Cycle, owner)
 				p.txnEvents = append(p.txnEvents, wire.Event{Op: top.Op, Key: top.Key, Val: val})
 			}
 		}
@@ -95,13 +88,13 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 func (n *Node) txnGuardHolds(g *wire.TxnGuard) bool {
 	switch g.Kind {
 	case wire.GuardValueEq:
-		cur := n.tm.Read(g.Key)
+		cur := n.sm.Read(g.Key)
 		if g.Val == nil {
 			return cur == nil
 		}
 		return cur != nil && bytes.Equal(cur, g.Val)
 	case wire.GuardCycleLE:
-		return n.tm.ModCycle(g.Key) <= g.Cycle
+		return n.sm.ModCycle(g.Key) <= g.Cycle
 	}
 	return false // unknown guard kinds never pass (and never decode)
 }
@@ -110,11 +103,11 @@ func (n *Node) txnGuardHolds(g *wire.TxnGuard) bool {
 // boundary expired has its ephemeral keys deleted, in sorted key order
 // per owner, on every replica identically. Runs after all plan ops.
 func (n *Node) applyExpiry(p *applyPlan) {
-	if len(p.expired) == 0 || n.tm == nil {
+	if len(p.expired) == 0 || n.sm == nil {
 		return
 	}
 	for _, owner := range p.expired {
-		p.expiredKeys = append(p.expiredKeys, n.tm.ExpireOwned(owner)...)
+		p.expiredKeys = append(p.expiredKeys, n.sm.ExpireOwned(owner)...)
 	}
 }
 
@@ -122,13 +115,8 @@ func (n *Node) applyExpiry(p *applyPlan) {
 // committed total order: plan ops front to back (plain mutations
 // directly, transactions from their recorded outcomes), then the
 // expiry tail's deletions. Event values are the state machine's own
-// stored copies (planOp.stored), which outlive the plan; a plain
-// StateMachine does not say what it stored, so only a TxnMachine has
-// events.
+// stored copies (planOp.stored), which outlive the plan.
 func (n *Node) buildPlanEvents(p *applyPlan) {
-	if n.tm == nil {
-		return
-	}
 	oi := 0
 	for i := range p.ops {
 		op := &p.ops[i]

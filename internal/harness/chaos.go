@@ -164,9 +164,9 @@ type ReplicaState struct {
 	Committed uint64
 	// Restarted reports the replica was replaced at least once during
 	// the run — by the fault plan (crash/power-loss restart) or by the
-	// eviction-restart path. A restarted replica's apply log starts at
-	// its recovery point (snapshot install or disk recovery), so log
-	// digests only compare between never-restarted replicas.
+	// eviction-restart path. Its apply log still compares with every
+	// other replica's at the same cycle: a join image and a disk snapshot
+	// both carry the log chains.
 	Restarted   bool
 	LogLen      uint64
 	LogDigest   uint64

@@ -6,10 +6,10 @@ import (
 
 // TestChaosReplicaEquality runs the chaos scenario catalog and pins
 // replica equality on the one commit path: replicas that finished at the
-// same committed cycle agree on StateDigest, and — when neither was
-// crash-restarted, so their apply logs cover the same prefix — on
-// LogLen/LogDigest; and a replay of the spec is bit-identical, per-replica
-// digests included.
+// same committed cycle agree on StateDigest and on LogLen/LogDigest,
+// restarted or not — a joiner installs its sponsor's log chains with the
+// image, and a disk recovery restores them from its snapshot — and a
+// replay of the spec is bit-identical, per-replica digests included.
 func TestChaosReplicaEquality(t *testing.T) {
 	scenarios := Scenarios(23)
 	if testing.Short() {
@@ -34,13 +34,7 @@ func TestChaosReplicaEquality(t *testing.T) {
 					t.Fatalf("replicas %v and %v at cycle %d disagree on state: %x vs %x",
 						ref.Node, rep.Node, rep.Committed, ref.StateDigest, rep.StateDigest)
 				}
-				// Log digests only compare between never-restarted
-				// replicas (per ReplicaState.Restarted, which covers both
-				// fault-plan and eviction restarts): a rejoined node's log
-				// starts from a snapshot install, not the historical write
-				// sequence.
-				if !rep.Restarted && !ref.Restarted &&
-					(rep.LogDigest != ref.LogDigest || rep.LogLen != ref.LogLen) {
+				if rep.LogDigest != ref.LogDigest || rep.LogLen != ref.LogLen {
 					t.Fatalf("replicas %v and %v at cycle %d disagree on apply log: %d/%x vs %d/%x",
 						ref.Node, rep.Node, rep.Committed, ref.LogLen, ref.LogDigest, rep.LogLen, rep.LogDigest)
 				}

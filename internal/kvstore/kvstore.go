@@ -95,9 +95,10 @@ func (s *Store) ShardOf(key uint64) int {
 	return int((h >> 32) & s.mask)
 }
 
-// ApplyWrite implements core.StateMachine. OpDelete requests remove the
-// key; anything else stores the value. Concurrent calls are permitted
-// only for keys in distinct shards.
+// ApplyWrite applies one write without key metadata (the Zab and EPaxos
+// baselines apply through it; core uses ApplyWriteAt). OpDelete requests
+// remove the key; anything else stores the value. Concurrent calls are
+// permitted only for keys in distinct shards.
 func (s *Store) ApplyWrite(req *wire.Request) { s.apply(req) }
 
 // apply is ApplyWrite, returning the store's own copy of the written
@@ -188,33 +189,9 @@ func (s *Store) sortedKeys() []uint64 {
 	return keys
 }
 
-// Snapshot implements core.StateMachine: a deterministic rebuild script
-// for the current contents (apply order irrelevant; one write per key).
-// Values are copied — the script must stay valid while it is in flight
-// to a joiner even if the live store keeps applying writes. Each
-// entry's Client/Seq fields smuggle the key's owner session and
-// last-modified cycle so a joiner rebuilds the event-plane metadata
-// (core installs scripts through ApplyWriteAt(req, req.Seq,
-// req.Client)).
-func (s *Store) Snapshot() []wire.Request {
-	keys := s.sortedKeys()
-	out := make([]wire.Request, 0, len(keys))
-	var arena []byte
-	for _, k := range keys {
-		v := s.Read(k)
-		arena = append(arena, v...)
-		m := s.shards[s.ShardOf(k)].meta[k]
-		out = append(out, wire.Request{
-			Client: m.owner, Seq: m.cycle,
-			Op: wire.OpWrite, Key: k, Val: arena[len(arena)-len(v):],
-		})
-	}
-	return out
-}
-
-// ShardState is one shard's durable image: its slice of the
-// order-sensitive commit log plus its contents in sorted-key order. The
-// wal snapshot writer serializes these section by section.
+// ShardState is one shard's image: its slice of the order-sensitive
+// commit log plus its contents in sorted-key order. AppendShard encodes
+// it for a WAL snapshot's shard section and for a JoinReply.
 type ShardState struct {
 	LogLen    uint64
 	LogDigest uint64
@@ -226,8 +203,8 @@ type ShardState struct {
 	Owners []uint64
 }
 
-// SnapshotShards renders every shard's durable image, values copied.
-// Like Snapshot, the result stays valid while later writes apply.
+// SnapshotShards renders every shard's image, values copied: the result
+// stays valid while later writes apply.
 func (s *Store) SnapshotShards() []ShardState {
 	out := make([]ShardState, len(s.shards))
 	for i := range s.shards {
@@ -254,12 +231,13 @@ func (s *Store) SnapshotShards() []ShardState {
 	return out
 }
 
-// RestoreShards replaces the store's contents with a snapshot image. The
-// shard count must match the one the image was taken with — per-shard
-// log digests are running chains and cannot be re-partitioned.
+// RestoreShards replaces the store's contents, metadata and log chains
+// with an image. The shard count must match the one the image was taken
+// with — per-shard log digests are running chains and cannot be
+// re-partitioned.
 func (s *Store) RestoreShards(states []ShardState) error {
 	if len(states) != len(s.shards) {
-		return fmt.Errorf("kvstore: snapshot has %d shards, store has %d", len(states), len(s.shards))
+		return fmt.Errorf("kvstore: image has %d shards, store has %d", len(states), len(s.shards))
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]

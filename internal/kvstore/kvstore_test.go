@@ -64,24 +64,25 @@ func TestStateDigestOrderInsensitive(t *testing.T) {
 }
 
 // TestSnapshotDoesNotAliasLiveValues is the regression test for the
-// join-transfer corruption bug: Snapshot used to hand out the live value
-// slices, so a post-snapshot ApplyWrite to an existing key could rewrite
-// the bytes of an in-flight state transfer. The script must be immutable
-// once taken.
+// join-transfer corruption bug: the image handed out the live value
+// slices, so a write after it was taken could rewrite the bytes of an
+// in-flight state transfer. The image must be immutable once taken.
 func TestSnapshotDoesNotAliasLiveValues(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s := NewSharded(shards)
 		s.ApplyWrite(w(1, "old-one"))
 		s.ApplyWrite(w(2, "old-two"))
-		snap := s.Snapshot()
+		img := s.SnapshotShards()
 		s.ApplyWrite(w(1, "NEW-ONE"))
 		s.ApplyWrite(&wire.Request{Op: wire.OpDelete, Key: 2})
 		got := map[uint64]string{}
-		for i := range snap {
-			got[snap[i].Key] = string(snap[i].Val)
+		for i := range img {
+			for j, k := range img[i].Keys {
+				got[k] = string(img[i].Vals[j])
+			}
 		}
 		if got[1] != "old-one" || got[2] != "old-two" {
-			t.Fatalf("shards=%d: snapshot mutated by post-snapshot writes: %v", shards, got)
+			t.Fatalf("shards=%d: image mutated by later writes: %v", shards, got)
 		}
 	}
 }
@@ -123,9 +124,6 @@ func TestShardedReplicaDeterminism(t *testing.T) {
 		}
 		if a.LogLen() != flat.LogLen() {
 			t.Fatalf("shards=%d: LogLen depends on shard count", shards)
-		}
-		if !reflect.DeepEqual(a.Snapshot(), flat.Snapshot()) {
-			t.Fatalf("shards=%d: Snapshot depends on shard count", shards)
 		}
 	}
 	// In-shard reorder: swap two writes to the same key (same shard by
@@ -175,26 +173,63 @@ func TestShardOfStable(t *testing.T) {
 	}
 }
 
-// Property: Snapshot rebuilds a state-digest-identical store for any
-// write sequence.
+// Property: a store's image, through its encoding, rebuilds a store with
+// the same contents and the same apply-log chains, for any write
+// sequence.
 func TestQuickSnapshotRebuild(t *testing.T) {
 	f := func(keys []uint64, vals []uint16) bool {
-		s := New()
+		s := NewShardedLogged(4)
 		for i, k := range keys {
 			v := "v"
 			if i < len(vals) {
 				v = string(rune('a'+vals[i]%26)) + "x"
 			}
-			s.ApplyWrite(w(k%32, v))
+			s.ApplyWriteAt(w(k%32, v), uint64(i+1), k%3)
 		}
-		r := New()
-		for _, req := range s.Snapshot() {
-			req := req
-			r.ApplyWrite(&req)
+		img := s.SnapshotShards()
+		for i := range img {
+			st, err := DecodeShard(AppendShard(nil, &img[i]), true)
+			if err != nil || !reflect.DeepEqual(st, img[i]) {
+				return false
+			}
+			img[i] = st
 		}
-		return r.StateDigest() == s.StateDigest() && r.Len() == s.Len()
+		r := NewShardedLogged(4)
+		if err := r.RestoreShards(img); err != nil {
+			return false
+		}
+		for _, k := range keys {
+			if r.ModCycle(k%32) != s.ModCycle(k%32) || r.OwnerOf(k%32) != s.OwnerOf(k%32) {
+				return false
+			}
+		}
+		return r.StateDigest() == s.StateDigest() && r.Len() == s.Len() &&
+			r.LogLen() == s.LogLen() && r.LogDigest() == s.LogDigest()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionImageKeepsNilApartFromEmpty pins the session image: a nil
+// cached reply (a write's ack) and an empty one (a read of an empty value)
+// decode as they were encoded.
+func TestSessionImageKeepsNilApartFromEmpty(t *testing.T) {
+	in := []wire.SessionState{{ID: 7, Low: 2, LastActive: 9, Applied: []wire.SessionReply{
+		{Seq: 2}, {Seq: 3, Val: []byte{}}, {Seq: 4, Val: []byte("v")},
+	}}, {ID: 8, Low: 1}}
+	out, err := DecodeSessions(AppendSessions(nil, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Applied[0].Val != nil || out[0].Applied[1].Val == nil || string(out[0].Applied[2].Val) != "v" {
+		t.Fatalf("decoded replies %+v", out[0].Applied)
+	}
+	out[1].Applied = nil // decoded as an empty list
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	if _, err := DecodeSessions(AppendSessions(nil, in)[:20]); err == nil {
+		t.Fatal("a truncated image decoded")
 	}
 }

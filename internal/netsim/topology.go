@@ -39,9 +39,6 @@ func (l *Link) Transmit(now time.Duration, size int) time.Duration {
 // BytesCarried returns the total bytes transmitted over the link.
 func (l *Link) BytesCarried() uint64 { return l.bytes }
 
-// Reset clears queue state and counters (used between measurement runs).
-func (l *Link) Reset() { l.busyUntil = 0; l.bytes = 0 }
-
 // NodeInfo places one protocol node in the physical topology.
 type NodeInfo struct {
 	ID   wire.NodeID
@@ -336,38 +333,3 @@ func (t *Topology) multicast(now time.Duration, src wire.NodeID, dsts []wire.Nod
 	}
 	return arrivals
 }
-
-// ResetLinks clears link queues and byte counters.
-func (t *Topology) ResetLinks() {
-	for _, l := range t.nodeUp {
-		l.Reset()
-	}
-	for _, l := range t.nodeDown {
-		l.Reset()
-	}
-	for _, l := range t.rackUp {
-		l.Reset()
-	}
-	for _, l := range t.rackDown {
-		l.Reset()
-	}
-	for _, row := range t.wan {
-		for _, l := range row {
-			if l != nil {
-				l.Reset()
-			}
-		}
-	}
-}
-
-// WANLink exposes the WAN link from DC i to DC j (nil when i==j or in a
-// single-DC topology); used by tests and utilization reports.
-func (t *Topology) WANLink(i, j int) *Link {
-	if t.wan == nil {
-		return nil
-	}
-	return t.wan[i][j]
-}
-
-// RackUplink exposes rack r's uplink for reporting.
-func (t *Topology) RackUplink(r int) *Link { return t.rackUp[r] }

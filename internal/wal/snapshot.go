@@ -21,13 +21,10 @@ import (
 // Every section is [u32 payloadLen][u32 crc32c][payload], independently
 // checksummed so the writer appends the container incrementally — one
 // shard at a time, straight off kvstore.SnapshotShards — without
-// buffering the whole image. Section payloads:
-//
-//	shard:   [u64 logLen][u64 logDigest][u32 numKeys]
-//	         numKeys × [u64 key][u32 valLen][val][u64 modCycle][u64 owner]
-//	         (keys sorted; version 1 omits modCycle/owner)
-//	session: [u32 count] count × session state
-//	trailer: [u64 stateDigest][u64 logDigest]
+// buffering the whole image. The shard and session payloads are the
+// store's image (kvstore.AppendShard, kvstore.AppendSessions: version 1
+// shards omit the key metadata), the same bytes a JoinReply carries; the
+// trailer is [u64 stateDigest][u64 logDigest].
 //
 // The trailer digests are recomputed from the restored store at load
 // time; a mismatch fails recovery rather than resurrecting a replica
@@ -40,9 +37,6 @@ const (
 	snapPrefix            = "snap-"
 	snapSuffix            = ".snap"
 	snapTmpSuffix         = ".tmp"
-
-	// nilLen marks a nil value (distinct from empty) in session replies.
-	nilLen = ^uint32(0)
 )
 
 func snapName(cycle uint64) string {
@@ -98,49 +92,14 @@ func writeSnapshot(fs FS, cycle uint64, shards []kvstore.ShardState, sessions []
 	}
 	var section, payload []byte
 	for i := range shards {
-		sh := &shards[i]
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, sh.LogLen)
-		payload = binary.LittleEndian.AppendUint64(payload, sh.LogDigest)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sh.Keys)))
-		for j, k := range sh.Keys {
-			payload = binary.LittleEndian.AppendUint64(payload, k)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sh.Vals[j])))
-			payload = append(payload, sh.Vals[j]...)
-			var cycle, owner uint64
-			if j < len(sh.Cycles) {
-				cycle = sh.Cycles[j]
-			}
-			if j < len(sh.Owners) {
-				owner = sh.Owners[j]
-			}
-			payload = binary.LittleEndian.AppendUint64(payload, cycle)
-			payload = binary.LittleEndian.AppendUint64(payload, owner)
-		}
+		payload = kvstore.AppendShard(payload[:0], &shards[i])
 		section = appendSection(section[:0], payload)
 		if _, err := f.Write(section); err != nil {
 			f.Close()
 			return err
 		}
 	}
-	payload = binary.LittleEndian.AppendUint32(payload[:0], uint32(len(sessions)))
-	for i := range sessions {
-		s := &sessions[i]
-		payload = binary.LittleEndian.AppendUint64(payload, s.ID)
-		payload = binary.LittleEndian.AppendUint64(payload, s.Low)
-		payload = binary.LittleEndian.AppendUint64(payload, s.LastActive)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(s.Applied)))
-		for j := range s.Applied {
-			r := &s.Applied[j]
-			payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-			if r.Val == nil {
-				payload = binary.LittleEndian.AppendUint32(payload, nilLen)
-				continue
-			}
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Val)))
-			payload = append(payload, r.Val...)
-		}
-	}
+	payload = kvstore.AppendSessions(payload[:0], sessions)
 	section = appendSection(section[:0], payload)
 	if _, err := f.Write(section); err != nil {
 		f.Close()
@@ -251,98 +210,16 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &snap.Shards[i]
-		if sh.LogLen, err = s.u64(); err != nil {
-			return nil, err
-		}
-		if sh.LogDigest, err = s.u64(); err != nil {
-			return nil, err
-		}
-		numKeys, err := s.u32()
-		if err != nil {
-			return nil, err
-		}
-		perKeyMin := 12
-		if version >= 2 {
-			perKeyMin = 28 // key + len + modCycle + owner
-		}
-		if uint64(numKeys) > uint64(len(s.b)/perKeyMin)+1 {
-			return nil, fmt.Errorf("%w: implausible key count %d", ErrCorrupt, numKeys)
-		}
-		sh.Keys = make([]uint64, numKeys)
-		sh.Vals = make([][]byte, numKeys)
-		// Allocated for v1 too (left zero) so a decoded image re-encodes
-		// to an equal image regardless of source version.
-		sh.Cycles = make([]uint64, numKeys)
-		sh.Owners = make([]uint64, numKeys)
-		for j := range sh.Keys {
-			if sh.Keys[j], err = s.u64(); err != nil {
-				return nil, err
-			}
-			vlen, err := s.u32()
-			if err != nil {
-				return nil, err
-			}
-			if sh.Vals[j], err = s.take(int(vlen)); err != nil {
-				return nil, err
-			}
-			if version >= 2 {
-				if sh.Cycles[j], err = s.u64(); err != nil {
-					return nil, err
-				}
-				if sh.Owners[j], err = s.u64(); err != nil {
-					return nil, err
-				}
-			}
+		if snap.Shards[i], err = kvstore.DecodeShard(s.b, version >= 2); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrCorrupt, i, err)
 		}
 	}
 	s, err := r.section()
 	if err != nil {
 		return nil, err
 	}
-	count, err := s.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(count) > uint64(len(s.b)/28)+1 {
-		return nil, fmt.Errorf("%w: implausible session count %d", ErrCorrupt, count)
-	}
-	snap.Sessions = make([]wire.SessionState, count)
-	for i := range snap.Sessions {
-		st := &snap.Sessions[i]
-		if st.ID, err = s.u64(); err != nil {
-			return nil, err
-		}
-		if st.Low, err = s.u64(); err != nil {
-			return nil, err
-		}
-		if st.LastActive, err = s.u64(); err != nil {
-			return nil, err
-		}
-		n, err := s.u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n) > uint64(len(s.b)/12)+1 {
-			return nil, fmt.Errorf("%w: implausible reply count %d", ErrCorrupt, n)
-		}
-		st.Applied = make([]wire.SessionReply, n)
-		for j := range st.Applied {
-			rep := &st.Applied[j]
-			if rep.Seq, err = s.u64(); err != nil {
-				return nil, err
-			}
-			vlen, err := s.u32()
-			if err != nil {
-				return nil, err
-			}
-			if vlen == nilLen {
-				continue
-			}
-			if rep.Val, err = s.take(int(vlen)); err != nil {
-				return nil, err
-			}
-		}
+	if snap.Sessions, err = kvstore.DecodeSessions(s.b); err != nil {
+		return nil, fmt.Errorf("%w: sessions: %v", ErrCorrupt, err)
 	}
 	s, err = r.section()
 	if err != nil {

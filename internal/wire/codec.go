@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 )
 
 // Binary layout: little-endian fixed-width integers, length-prefixed
@@ -1063,24 +1064,10 @@ func readEvicted(r *reader) *Evicted {
 
 func (m *JoinReply) WireSize() int {
 	n := 1 + 4 + 8 + 8 + 4 + 4*len(m.Alive) + 4 + 4*len(m.Incarnations) + 4 + 8*len(m.Seats) + 4
-	for i := range m.Snapshot {
-		n += requestSize(&m.Snapshot[i])
+	for _, sh := range m.Shards {
+		n += 4 + len(sh)
 	}
-	n += 4
-	for i := range m.Sessions {
-		n += sessionStateSize(&m.Sessions[i])
-	}
-	return n
-}
-
-const sessionStateFixed = 8 + 8 + 8 + 4 // id, low, lastActive, applied count
-
-func sessionStateSize(s *SessionState) int {
-	n := sessionStateFixed
-	for i := range s.Applied {
-		n += 8 + 4 + len(s.Applied[i].Val)
-	}
-	return n
+	return n + 4 + len(m.Sessions) + 4 + 8
 }
 
 func (m *JoinReply) AppendTo(b []byte) []byte {
@@ -1100,23 +1087,13 @@ func (m *JoinReply) AppendTo(b []byte) []byte {
 	for _, from := range m.Seats {
 		b = putU64(b, from)
 	}
-	b = putU32(b, uint32(len(m.Snapshot)))
-	for i := range m.Snapshot {
-		b = appendRequest(b, &m.Snapshot[i])
+	b = putU32(b, uint32(len(m.Shards)))
+	for _, sh := range m.Shards {
+		b = putBytes(b, sh)
 	}
-	b = putU32(b, uint32(len(m.Sessions)))
-	for i := range m.Sessions {
-		s := &m.Sessions[i]
-		b = putU64(b, s.ID)
-		b = putU64(b, s.Low)
-		b = putU64(b, s.LastActive)
-		b = putU32(b, uint32(len(s.Applied)))
-		for j := range s.Applied {
-			b = putU64(b, s.Applied[j].Seq)
-			b = putBytes(b, s.Applied[j].Val)
-		}
-	}
-	return b
+	b = putBytes(b, m.Sessions)
+	b = putU32(b, m.MaxInFlight)
+	return putU64(b, uint64(m.LeafTimeout))
 }
 
 func readJoinReply(r *reader) *JoinReply {
@@ -1144,33 +1121,15 @@ func readJoinReply(r *reader) *JoinReply {
 			m.Seats[i] = r.u64()
 		}
 	}
-	ns := r.count(requestFixedSize)
-	if ns > 0 {
-		m.Snapshot = make([]Request, ns)
-		var arena []byte
-		if _, _, total := scanRequests(r.b, r.off, ns); r.err == nil && total > 0 {
-			arena = make([]byte, 0, total)
-		}
-		readRequests(r, m.Snapshot, &arena)
-	}
-	nsess := r.count(sessionStateFixed)
-	if nsess > 0 {
-		m.Sessions = make([]SessionState, nsess)
-		for i := 0; i < nsess; i++ {
-			s := &m.Sessions[i]
-			s.ID = r.u64()
-			s.Low = r.u64()
-			s.LastActive = r.u64()
-			na := r.count(12)
-			if na > 0 {
-				s.Applied = make([]SessionReply, na)
-				for j := 0; j < na; j++ {
-					s.Applied[j].Seq = r.u64()
-					s.Applied[j].Val = r.bytes()
-				}
-			}
+	if n := r.count(4); n > 0 {
+		m.Shards = make([][]byte, n)
+		for i := range m.Shards {
+			m.Shards[i] = r.bytes()
 		}
 	}
+	m.Sessions = r.bytes()
+	m.MaxInFlight = r.u32()
+	m.LeafTimeout = time.Duration(r.u64())
 	return m
 }
 

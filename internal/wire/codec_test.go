@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // messages returns one exemplar of every message type with explicit
@@ -51,9 +52,8 @@ func exemplars() []Message {
 		&JoinRequest{From: 4, Nonce: 0x5eed},
 		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
 			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
-			Snapshot: []Request{{Op: OpWrite, Key: 3, Val: []byte("v")}},
-			Sessions: []SessionState{{ID: 4 | SessionIDBit, Low: 3, LastActive: 11,
-				Applied: []SessionReply{{Seq: 5, Val: nil}, {Seq: 7, Val: []byte("r")}}}}},
+			Shards: [][]byte{[]byte("shard-0"), []byte("shard-1")}, Sessions: []byte("sessions"),
+			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond},
 		&Envelope{Origin: 1, Payload: &Ping{From: 1, Seq: 2}},
 	}
 }

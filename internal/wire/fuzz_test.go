@@ -47,7 +47,7 @@ func fuzzSeeds() []Message {
 		&GroupClosed{Origin: 3},
 		&JoinRequest{From: 4},
 		&JoinReply{From: 1, StartCycle: 9, Alive: []NodeID{0, 1, 2}, Incarnations: []uint32{0, 1, 0},
-			Snapshot: []Request{{Client: 1, Seq: 1, Op: OpWrite, Key: 2, Val: []byte("v")}}},
+			Shards: [][]byte{[]byte("image")}, MaxInFlight: 8},
 		&Envelope{Origin: 2, Payload: &Ping{From: 2, Seq: 5}},
 		&Proposal{Cycle: 11, Round: 3, VNode: "1", Origin: NoNode, Num: 0, Resolve: true,
 			Updates: []MemberUpdate{{Node: 6, Leave: true}, {Node: 7, Leave: true}}},

@@ -25,7 +25,10 @@
 // wire. There is no other version.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // NodeID identifies a physical protocol participant (a pnode in Canopus
 // terms, a replica in EPaxos/Zab terms). IDs are dense small integers
@@ -534,8 +537,8 @@ type JoinRequest struct {
 func (m *JoinRequest) Kind() Kind { return KindJoinRequest }
 
 // JoinReply carries the sponsor's state transfer: the cycle after which
-// the joiner takes part, the sponsor's membership view and a
-// state-machine snapshot.
+// the joiner takes part, the sponsor's membership view, its store image
+// and the cluster-wide settings the joiner must share.
 type JoinReply struct {
 	From       NodeID
 	Nonce      uint64 // the answered JoinRequest's
@@ -547,12 +550,19 @@ type JoinReply struct {
 	Incarnations []uint32
 	// Seats is aligned with Alive: the cycle a member's pending seat
 	// counts from, 0 for a member already seated.
-	Seats    []uint64
-	Snapshot []Request // OpWrite entries reconstructing the KV state
-	// Sessions transfers the replicated client-session dedup table, so a
-	// rejoined replica classifies retried mutations exactly like the
-	// replicas that never crashed.
-	Sessions []SessionState
+	Seats []uint64
+	// Shards is the sponsor's store image, one kvstore.AppendShard
+	// encoding per shard (none from a node without a state machine): the
+	// payloads of a WAL snapshot's shard sections.
+	Shards [][]byte
+	// Sessions is the replicated client-session dedup table as
+	// kvstore.AppendSessions encodes it, so a rejoined replica classifies
+	// retried mutations exactly like the replicas that never crashed.
+	Sessions []byte
+	// MaxInFlight and LeafTimeout are the sponsor's values after
+	// defaults; every node of a cluster must use the same ones.
+	MaxInFlight uint32
+	LeafTimeout time.Duration
 }
 
 func (m *JoinReply) Kind() Kind { return KindJoinReply }
