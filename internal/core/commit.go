@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"canopus/internal/engine"
-	"canopus/internal/kvstore"
 	"canopus/internal/wire"
 )
 
@@ -23,12 +22,12 @@ func (n *Node) tryCommit() {
 }
 
 // commit resolves cycle c's total order and hands it to the apply stage.
-// Order resolution runs here, inside the machine turn: session
-// classification of the total order, membership, session GC — everything
-// that must evolve in lock-step on every replica. The resulting applyPlan
+// Order resolution runs here, inside the machine turn, with the protocol
+// state that must evolve in lock-step on every replica: membership, and
+// the waiters of the cycle's session updates. The resulting applyPlan
 // (state-machine operations plus this node's completion records) goes to
-// the stage (stage.go), the only path from a cycle to the store, the WAL
-// and the consumers.
+// the stage (stage.go), the only path from a cycle to the store — its
+// session table included — the WAL and the consumers.
 func (n *Node) commit(c *cycle) {
 	root := c.states[n.tree.Height]
 	n.committed = c.id
@@ -50,14 +49,11 @@ func (n *Node) commit(c *cycle) {
 	}
 	n.trace("commit", c.id)
 
-	n.applySessions(c.id, root.Sessions)
-	plan := n.resolveOrder(c.id, root.Batches)
-	plan.expired = append(plan.expired, n.expiredScratch...)
+	n.settleSessionWaiters(root.Sessions)
+	plan := n.resolveOrder(c.id, root)
 	n.applyMembership(c.id, root.Updates)
 	answers := n.seat(c.id + 1)
-	n.gcSessions(c.id)
 
-	plan.root, plan.Order = root, root.Batches
 	n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 
 	// Join replies go out only after cycle c's plan is with the stage,
@@ -112,32 +108,21 @@ func (n *Node) dropRecent(old uint64) {
 // Remote batches contribute their writes; this node's own batch is
 // replayed from the locally retained full request set so reads execute
 // at their arrival positions among the node's own writes (§5). Session
-// classification (the replicated dedup table) happens here, serially, in
-// the committed order — the apply stage never touches protocol state.
-func (n *Node) resolveOrder(cyc uint64, order []*wire.Batch) *applyPlan {
+// classification is the apply stage's: a plan holds every committed
+// mutation, and the stage decides which apply.
+func (n *Node) resolveOrder(cyc uint64, root *wire.Proposal) *applyPlan {
 	plan := n.newPlan(cyc)
+	plan.root, plan.Order = root, root.Batches
 	set := n.proposed[cyc]
-	for _, b := range order {
+	for _, b := range root.Batches {
 		if b.Origin == n.cfg.Self && set != nil {
-			n.resolveOwnSet(cyc, set, plan)
-			plan.set = set
+			n.resolveOwnSet(set, plan)
 			set = nil
 			continue
 		}
-		if n.sm != nil && b.Reqs != nil {
+		if n.sm != nil {
 			for i := range b.Reqs {
-				req := &b.Reqs[i]
-				if wire.IsSessionID(req.Client) {
-					if _, verdict := n.sessions.Begin(req.Client, req.Seq, cyc); verdict != kvstore.SessionApply {
-						continue // duplicate (or expired): never re-apply
-					}
-					n.sessions.Record(req.Client, req.Seq, nil)
-				}
-				// A remote transaction is an op like any other here: every
-				// replica evaluates it at apply time and records the result
-				// (the session table is replicated state, and a failover
-				// retry may land here).
-				plan.ops = append(plan.ops, planOp{req: req, comp: -1})
+				plan.ops = append(plan.ops, planOp{req: &b.Reqs[i], comp: -1})
 			}
 		}
 	}
@@ -147,74 +132,23 @@ func (n *Node) resolveOrder(cyc uint64, order []*wire.Batch) *applyPlan {
 	// issued no interleaved writes, so this placement is consistent
 	// with both real time and per-client order.
 	if set != nil {
-		n.resolveOwnSet(cyc, set, plan)
-		plan.set = set
+		n.resolveOwnSet(set, plan)
 	}
 	return plan
 }
 
-// resolveOwnSet classifies this node's own request set into the plan:
-// every request gets a completion record (in arrival order), mutations
-// that must apply and reads that must execute become plan operations.
-func (n *Node) resolveOwnSet(cyc uint64, set *ownSet, plan *applyPlan) {
+// resolveOwnSet puts this node's own request set into the plan: every
+// request gets a completion record, in arrival order, and — given a state
+// machine — the operation that fills it (a read's value, a transaction's
+// verdict, a duplicate's committed reply; nil for a write's ack).
+func (n *Node) resolveOwnSet(set *ownSet, plan *applyPlan) {
+	plan.set = set
 	for i := range set.reqs {
-		req := &set.reqs[i]
-		switch req.Op {
-		case wire.OpWrite, wire.OpDelete:
-			if wire.IsSessionID(req.Client) {
-				cached, verdict := n.sessions.Begin(req.Client, req.Seq, cyc)
-				switch verdict {
-				case kvstore.SessionUnknown:
-					// Deterministically not applied anywhere; the serving
-					// node surfaces the expiry instead of an OK.
-					plan.Rejected = append(plan.Rejected, *req)
-					continue
-				case kvstore.SessionDuplicate:
-					// The committed result; do not re-apply.
-					plan.Replies = append(plan.Replies, *req)
-					plan.Vals = append(plan.Vals, cached)
-					continue
-				default:
-					n.sessions.Record(req.Client, req.Seq, nil)
-				}
-			}
-			if n.sm != nil {
-				plan.ops = append(plan.ops, planOp{req: req, comp: -1})
-			}
-			plan.Replies = append(plan.Replies, *req)
-			plan.Vals = append(plan.Vals, nil)
-		case wire.OpRead:
-			n.addRead(plan, req, false)
-		case wire.OpTxn:
-			if wire.IsSessionID(req.Client) {
-				_, verdict := n.sessions.Begin(req.Client, req.Seq, cyc)
-				switch verdict {
-				case kvstore.SessionUnknown:
-					plan.Rejected = append(plan.Rejected, *req)
-					continue
-				case kvstore.SessionDuplicate:
-					// The original's result resolves at apply time (its own
-					// plan has applied by then — strict cycle order), from
-					// the compaction-surviving txn slot.
-					n.addRead(plan, req, true)
-					continue
-				default:
-					n.sessions.Record(req.Client, req.Seq, nil)
-				}
-			}
-			n.addRead(plan, req, false)
+		plan.Replies = append(plan.Replies, set.reqs[i])
+		plan.Vals = append(plan.Vals, nil)
+		if n.sm != nil {
+			plan.ops = append(plan.ops, planOp{req: &set.reqs[i], comp: int32(len(plan.Replies) - 1)})
 		}
-	}
-}
-
-// addRead records a completion whose value the apply stage fills — a
-// read, a transaction's verdict, or (dup) a duplicate transaction's cached
-// verdict — and, given a state machine, the operation that fills it.
-func (n *Node) addRead(p *applyPlan, req *wire.Request, dup bool) {
-	p.Replies = append(p.Replies, *req)
-	p.Vals = append(p.Vals, nil)
-	if n.sm != nil {
-		p.ops = append(p.ops, planOp{req: req, comp: int32(len(p.Replies) - 1), dup: dup})
 	}
 }
 
@@ -257,7 +191,7 @@ func (n *Node) freePlan(p *applyPlan) {
 	clear(p.txnEvents)
 	clear(p.Events)
 	p.outcomes, p.txnEvents, p.Events = p.outcomes[:0], p.txnEvents[:0], p.Events[:0]
-	p.expired, p.expiredKeys = p.expired[:0], p.expiredKeys[:0]
+	p.expired, p.expiredKeys, p.rejects = p.expired[:0], p.expiredKeys[:0], p.rejects[:0]
 	if set := p.set; set != nil {
 		p.set = nil
 		clear(set.reqs)

@@ -92,12 +92,15 @@ type Config struct {
 	// Default 5ms.
 	TickInterval time.Duration
 
-	// SessionIdleCycles is the replicated client-session idle bound: a
-	// session with no committed mutation for this many consensus cycles
-	// is reclaimed through consensus (an expiry update riding a
-	// proposal), freeing its dedup state on every replica. Default 4096
-	// cycles (~tens of seconds at millisecond cycle intervals); negative
-	// disables idle reclamation.
+	// SessionIdleCycles is the replicated client-session idle bound: at
+	// every stride cycle (a sixteenth of the bound) the apply stage
+	// expires the sessions with no committed mutation in this many
+	// cycles, freeing their dedup state and ephemeral keys on every
+	// replica. It is a cluster-wide value: the expiry is a function of
+	// the committed order and this bound, so every node must use the
+	// same one (a joiner refuses a sponsor's reply otherwise). Default
+	// 4096 cycles (~tens of seconds at millisecond cycle intervals);
+	// negative disables idle reclamation.
 	SessionIdleCycles int
 
 	// Durability, when non-nil, receives every committed cycle's root
@@ -214,13 +217,17 @@ type StateMachine interface {
 	// ExpireOwned deletes every key owned by the given session,
 	// returning the deleted keys sorted ascending.
 	ExpireOwned(owner uint64) []uint64
-	// SnapshotShards returns the state's image — contents, key metadata
-	// and apply-log chains — which a sponsor sends a joiner. It must not
-	// alias live state: later writes keep applying while it is sent.
-	SnapshotShards() []kvstore.ShardState
-	// RestoreShards replaces the state with an image; it refuses one
-	// whose shard count differs from the machine's.
-	RestoreShards(image []kvstore.ShardState) error
+	// Sessions returns the machine's replicated client-session table
+	// (never nil). The apply stage is its only writer.
+	Sessions() *kvstore.SessionTable
+	// Image returns the state's image — contents, key metadata, apply-log
+	// chains and session table — which a WAL snapshot holds and a sponsor
+	// sends a joiner. It must not alias live state: later writes keep
+	// applying while it is sent.
+	Image() kvstore.Image
+	// RestoreImage replaces the state with an image; it refuses one whose
+	// shard count differs from the machine's.
+	RestoreImage(img kvstore.Image) error
 }
 
 // Callbacks connect a node to its surroundings. They are fixed when the

@@ -68,16 +68,18 @@ func (e *cycleEnv) After(d time.Duration, tag engine.TimerTag) {
 	e.net.timers = append(e.net.timers, cycleTimer{at: e.net.now + d, to: e.id, tag: tag})
 }
 
-// cycleSM is a state machine that stores nothing: the benchmark measures
-// what a cycle costs, not what a write costs the store.
-type cycleSM struct{}
+// cycleSM is a state machine that stores nothing but its (empty) session
+// table: the benchmark measures what a cycle costs, not what a write costs
+// the store.
+type cycleSM struct{ sessions *kvstore.SessionTable }
 
 func (cycleSM) ApplyWriteAt(*wire.Request, uint64, uint64) []byte { return nil }
 func (cycleSM) Read(uint64) []byte                                { return nil }
 func (cycleSM) ModCycle(uint64) uint64                            { return 0 }
 func (cycleSM) ExpireOwned(uint64) []uint64                       { return nil }
-func (cycleSM) SnapshotShards() []kvstore.ShardState              { return nil }
-func (cycleSM) RestoreShards([]kvstore.ShardState) error          { return nil }
+func (m cycleSM) Sessions() *kvstore.SessionTable                 { return m.sessions }
+func (cycleSM) Image() kvstore.Image                              { return kvstore.Image{} }
+func (cycleSM) RestoreImage(kvstore.Image) error                  { return nil }
 
 // benchInterval is the cycle and tick interval of the deployment, the one
 // the repository's end-to-end benchmark (benchmark/) runs.
@@ -100,7 +102,7 @@ func newCycleNet(tb testing.TB, leaves, perLeaf int) *cycleNet {
 		w.nodes = append(w.nodes, NewNode(Config{
 			Tree: tree, Self: id,
 			CycleInterval: benchInterval, TickInterval: benchInterval, MaxBatch: 4096,
-		}, cycleSM{}, Callbacks{}))
+		}, cycleSM{kvstore.NewSessionTable()}, Callbacks{}))
 		w.envs = append(w.envs, &cycleEnv{net: w, id: id, rng: rand.New(rand.NewSource(int64(i) + 11))})
 	}
 	for i, n := range w.nodes {

@@ -36,7 +36,8 @@ import (
 //            At the commit of the cycle before the seat, every node seats
 //            J (its leaf-mates open its broadcast group) and S sends
 //            JoinReply{StartCycle: X + MaxInFlight - 1} with its store
-//            image, which J installs through RestoreShards.
+//            image (shards and session table), which J installs through
+//            RestoreImage.
 //            S sends it again each joinRetryInterval until it commits the
 //            seat's cycle: the transport may lose the frame, and the cycle
 //            cannot commit before J has proposed in it. J installs only a
@@ -123,12 +124,12 @@ func (n *Node) resendJoinReplies() {
 // nonce, once its seat is taken at the commit of cycle cyc.
 func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 	reply := &wire.JoinReply{
-		From:        n.cfg.Self,
-		Nonce:       nonce,
-		StartCycle:  cyc,
-		Sessions:    kvstore.AppendSessions(nil, n.sessions.Snapshot()),
-		MaxInFlight: uint32(n.cfg.MaxInFlight),
-		LeafTimeout: n.cfg.LeafTimeout,
+		From:              n.cfg.Self,
+		Nonce:             nonce,
+		StartCycle:        cyc,
+		MaxInFlight:       uint32(n.cfg.MaxInFlight),
+		LeafTimeout:       n.cfg.LeafTimeout,
+		SessionIdleCycles: int64(n.cfg.SessionIdleCycles),
 	}
 	for _, id := range n.tree.AllNodes() {
 		if n.view.Alive(id) {
@@ -141,22 +142,23 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 		// Taken on the apply stage, which owns the store: the image
 		// reflects every cycle up to cyc (all ordered, so their plans are
 		// with the stage, possibly still applying off the machine lock).
-		var image []kvstore.ShardState
-		n.stage.call(func() { image = n.sm.SnapshotShards() })
-		reply.Shards = make([][]byte, len(image))
-		for i := range image {
-			reply.Shards[i] = kvstore.AppendShard(nil, &image[i])
+		var img kvstore.Image
+		n.stage.call(func() { img = n.sm.Image() })
+		reply.Shards = make([][]byte, len(img.Shards))
+		for i := range img.Shards {
+			reply.Shards[i] = kvstore.AppendShard(nil, &img.Shards[i])
 		}
+		reply.Sessions = kvstore.AppendSessions(nil, img.Sessions)
 	}
 	n.trace("join-reply", cyc, slog.Int("joiner", int(joiner)))
 	n.env.Send(joiner, reply)
 }
 
 // onJoinReply installs the sponsor's state and resumes participation. A
-// reply it cannot install — the sponsor runs another MaxInFlight or
-// LeafTimeout, or its image does not fit this node's store — halts the
-// node: it stays out of the cluster, whose next failure cut retires the
-// seat it was given.
+// reply it cannot install — the sponsor runs another MaxInFlight,
+// LeafTimeout or SessionIdleCycles, or its image does not fit this node's
+// store — halts the node: it stays out of the cluster, whose next failure
+// cut retires the seat it was given.
 func (n *Node) onJoinReply(m *wire.JoinReply) {
 	if !n.rejoin || n.stalled || m.Nonce != n.joinNonce {
 		return // a duplicate, a refused join, or the answer to an earlier process's request
@@ -165,7 +167,8 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 		n.log.LogAttrs(context.Background(), slog.LevelError, "join refused",
 			slog.Int("sponsor", int(m.From)), slog.String("reason", err.Error()),
 			slog.Int("max_in_flight", n.cfg.MaxInFlight), slog.Int("sponsor_max_in_flight", int(m.MaxInFlight)),
-			slog.Duration("leaf_timeout", n.cfg.LeafTimeout), slog.Duration("sponsor_leaf_timeout", m.LeafTimeout))
+			slog.Duration("leaf_timeout", n.cfg.LeafTimeout), slog.Duration("sponsor_leaf_timeout", m.LeafTimeout),
+			slog.Int("session_idle_cycles", n.cfg.SessionIdleCycles), slog.Int64("sponsor_session_idle_cycles", m.SessionIdleCycles))
 		n.halt(false)
 		return
 	}
@@ -198,40 +201,37 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 }
 
 // installJoinImage checks a reply's cluster-wide settings against this
-// node's and installs its image: the store on the apply stage, which owns
-// it, and the session dedup table, so retried mutations classify here
-// exactly as on replicas that never crashed. The applied watermark
-// reaches StartCycle with the store; the install is not a committed
-// cycle, so no consumer sees it. Nothing changes when it fails.
+// node's and installs its image — shards and session table, so retried
+// mutations classify here exactly as on replicas that never crashed — on
+// the apply stage, which owns the store. The applied watermark reaches
+// StartCycle with the store; the install is not a committed cycle, so no
+// consumer sees it. Nothing changes when it fails.
 func (n *Node) installJoinImage(m *wire.JoinReply) error {
-	if int(m.MaxInFlight) != n.cfg.MaxInFlight || m.LeafTimeout != n.cfg.LeafTimeout {
+	if int(m.MaxInFlight) != n.cfg.MaxInFlight || m.LeafTimeout != n.cfg.LeafTimeout ||
+		m.SessionIdleCycles != int64(n.cfg.SessionIdleCycles) {
 		return errors.New("cluster-wide settings differ")
 	}
-	sessions, err := kvstore.DecodeSessions(m.Sessions)
-	if err != nil {
-		return fmt.Errorf("session image: %w", err)
-	}
-	var image []kvstore.ShardState
+	var img kvstore.Image
+	var err error
 	if n.sm != nil {
-		image = make([]kvstore.ShardState, len(m.Shards))
+		img.Shards = make([]kvstore.ShardState, len(m.Shards))
 		for i, b := range m.Shards {
-			if image[i], err = kvstore.DecodeShard(b, true); err != nil {
+			if img.Shards[i], err = kvstore.DecodeShard(b, true); err != nil {
 				return fmt.Errorf("shard %d image: %w", i, err)
 			}
+		}
+		if img.Sessions, err = kvstore.DecodeSessions(m.Sessions); err != nil {
+			return fmt.Errorf("session image: %w", err)
 		}
 	}
 	n.stage.call(func() {
 		if n.sm != nil {
-			if err = n.sm.RestoreShards(image); err != nil {
+			if err = n.sm.RestoreImage(img); err != nil {
 				return
 			}
 		}
 		n.applied.Store(m.StartCycle)
 		n.stage.serveParked()
 	})
-	if err != nil {
-		return err
-	}
-	n.sessions.Restore(sessions)
-	return nil
+	return err
 }

@@ -121,9 +121,11 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.GaugeFunc("canopus_core_apply_queue_depth",
 		"Apply-stage commands accepted but not yet picked up.",
 		func() float64 { return float64(n.stage.depth()) }, labels...)
-	reg.GaugeFunc("canopus_core_sessions_active",
-		"Replicated client sessions in the dedup table.",
-		func() float64 { return float64(n.sessions.Occupancy()) }, labels...)
+	if t := n.Sessions(); t != nil {
+		reg.GaugeFunc("canopus_core_sessions_active",
+			"Replicated client sessions in the dedup table.",
+			func() float64 { return float64(t.Occupancy()) }, labels...)
+	}
 	reg.CounterFunc("canopus_core_state_pushes_total",
 		"Vnode states pushed to another super-leaf's representative.",
 		n.stats.statePushes.Load, labels...)

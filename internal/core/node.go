@@ -9,7 +9,6 @@ import (
 
 	"canopus/internal/broadcast"
 	"canopus/internal/engine"
-	"canopus/internal/kvstore"
 	"canopus/internal/lot"
 	"canopus/internal/wire"
 )
@@ -163,18 +162,12 @@ type Node struct {
 	// this node's round 1 for ever.
 	owedStart uint64
 
-	// Replicated client sessions (see session.go): the dedup table is
-	// replicated state, updated only at commit boundaries; the rest is
-	// this node's local proposal/notification bookkeeping.
-	sessions        *kvstore.SessionTable
+	// Replicated client sessions (see session.go): the table is the state
+	// machine's, written by the apply stage; this is the node's local
+	// proposal and notification bookkeeping.
 	pendingSessions []wire.SessionUpdate
-	// expiredScratch collects the session IDs each commit's boundary
-	// expired (applySessions resets and fills it; the cycle's plan takes
-	// a copy so the apply tail can delete their ephemeral keys).
-	expiredScratch []uint64
-	regWaiters     map[uint64]func(id uint64, ok bool)
-	expWaiters     map[uint64][]func(ok bool)
-	expireProposed map[uint64]bool
+	regWaiters      map[uint64]func(id uint64, ok bool)
+	expWaiters      map[uint64][]func(ok bool)
 
 	pendingUpdates []wire.MemberUpdate
 	// sponsoring holds the joins this node proposed, by joiner (join.go);
@@ -265,7 +258,6 @@ func NewNode(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 		sl:          sl,
 		sm:          sm,
 		cbs:         cbs,
-		sessions:    kvstore.NewSessionTable(),
 		closedPeers: make(map[wire.NodeID]bool),
 		proposed:    make(map[uint64]*ownSet),
 		cycles:      make(map[uint64]*cycle),

@@ -15,14 +15,14 @@ import (
 // resolved); after a full-cluster power loss each node rebuilds from its
 // own disk instead of the join protocol's state transfer:
 //
-//  1. The wal manager restores the state machine from the latest
-//     snapshot and calls RestoreState with the snapshot's cycle and
-//     session table.
+//  1. The wal manager restores the state machine — shards and session
+//     table, one image — from the latest snapshot and calls RestoreState
+//     with the snapshot's cycle.
 //  2. It replays the WAL tail through ReplayCommit, one committed root
-//     per cycle, which re-runs the order-resolution path (session
-//     classification included) and re-applies the writes — bit-identical
-//     to the original commits, because both consume the same total order
-//     with the same session table.
+//     per cycle, which re-runs order resolution and the apply stage's
+//     first step (session classification and idle reclamation included)
+//     — bit-identical to the original commits, because both consume the
+//     same total order with the same session table.
 //  3. Init starts the node normally. Durable watermarks differ across
 //     replicas by the group-commit lag, so the node marked `recovered`
 //     closes the gap through root catch-up (rounds.go): the cycle at
@@ -39,17 +39,14 @@ import (
 // re-admits it to the broadcast groups.
 
 // RestoreState installs recovered baseline state. Must be called before
-// Init, after the caller restored the state machine's contents: it sets
-// every watermark to cycle, replaces the session table, and marks the
-// node recovered (enabling root catch-up).
-func (n *Node) RestoreState(cycle uint64, sessions []wire.SessionState) {
+// Init, after the caller restored the state machine's image: it sets
+// every watermark to cycle and marks the node recovered (enabling root
+// catch-up).
+func (n *Node) RestoreState(cycle uint64) {
 	n.committed = cycle
 	n.started = cycle
 	n.orderedW.Store(cycle)
 	n.applied.Store(cycle)
-	if sessions != nil {
-		n.sessions.Restore(sessions)
-	}
 	n.recovered = true
 }
 
@@ -64,10 +61,7 @@ func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	if cycle != n.committed+1 {
 		return fmt.Errorf("core: replay of cycle %d at watermark %d (want %d)", cycle, n.committed, n.committed+1)
 	}
-	n.applySessions(cycle, root.Sessions)
-	plan := n.resolveOrder(cycle, root.Batches)
-	plan.expired = append(plan.expired, n.expiredScratch...)
-	n.gcSessions(cycle)
+	plan := n.resolveOrder(cycle, root)
 	n.committed = cycle
 	n.started = cycle
 	n.orderedW.Store(cycle)

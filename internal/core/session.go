@@ -7,22 +7,23 @@ import (
 
 // Replicated client sessions. A session is the unit of exactly-once
 // mutation semantics: registration and expiry ride proposal messages
-// (like membership updates), so every replica applies the same
-// session-table change at the same cycle boundary, and every
-// replica classifies each committed mutation carrying a session identity
-// — duplicate or first sight — identically from the same total order.
-// This is the RCanopus move of making client-visible guarantees part of
-// the replicated state machine rather than per-connection bookkeeping:
-// dedup state survives the serving node, so a retried-after-failover
-// mutation whose first submission committed returns the cached reply
-// instead of applying twice.
+// (like membership updates), and the session table lives in the state
+// machine (kvstore.Store), written only by the apply stage. As a cycle
+// applies, the stage registers and expires its sessions, classifies each
+// mutation carrying a session identity — first sight, duplicate or
+// unknown session — and records each transaction's verdict, in the
+// committed total order, identically on every replica. This is the
+// RCanopus move of making client-visible guarantees part of the
+// replicated state machine rather than per-connection bookkeeping: dedup
+// state survives the serving node, so a retried-after-failover mutation
+// whose first submission committed returns the cached reply instead of
+// applying twice.
 //
-// Idle sessions are reclaimed through consensus, not local timers: at
-// each commit every node scans its (replicated, identical) table and
-// proposes an expiry update for sessions with no committed mutation in
-// Config.SessionIdleCycles cycles. The proposal itself is just a hint —
-// only its commit changes the table — so duplicate proposals from
-// several nodes are harmless and no clock skew can split the replicas.
+// Idle sessions are reclaimed as a function of the committed order, not
+// local timers: at every stride cycle the stage expires the sessions with
+// no committed mutation in Config.SessionIdleCycles cycles (expireIdle),
+// so no clock skew can split the replicas. The machine turn keeps only
+// the register and expire waiters.
 
 // RegisterSession proposes a fresh session through the next consensus
 // cycle. done fires from the node's event context once the registration
@@ -36,8 +37,10 @@ func (n *Node) RegisterSession(done func(id uint64, ok bool)) {
 		}
 		return
 	}
+	// The table is read under its lock (the stage may be writing it); a
+	// registration committed but not yet applied is a 2^-63 collision.
 	id := n.env.Rand().Uint64() | wire.SessionIDBit
-	for n.sessions.Has(id) || n.regWaiters[id] != nil {
+	for t := n.Sessions(); (t != nil && t.Has(id)) || n.regWaiters[id] != nil; {
 		id = n.env.Rand().Uint64() | wire.SessionIDBit
 	}
 	n.pendingSessions = append(n.pendingSessions, wire.SessionUpdate{ID: id})
@@ -89,58 +92,91 @@ func (n *Node) FailSessionWaiters() {
 	}
 }
 
-// Sessions exposes the replicated session table (for tests and tooling).
-func (n *Node) Sessions() *kvstore.SessionTable { return n.sessions }
+// Sessions exposes the replicated session table (for tests and tooling),
+// nil without a state machine.
+func (n *Node) Sessions() *kvstore.SessionTable {
+	if n.sm == nil {
+		return nil
+	}
+	return n.sm.Sessions()
+}
 
-// applySessions folds one committed cycle's session updates into the
-// replicated table. Applied before the cycle's request order, so a
-// registration and the session's first mutations may share a cycle.
-func (n *Node) applySessions(cyc uint64, updates []wire.SessionUpdate) {
-	n.expiredScratch = n.expiredScratch[:0]
+// settleSessionWaiters completes the waiters of one committed cycle's
+// session updates. The table itself changes when the cycle applies
+// (applySessions); a mutation the waiter's client sends next rides a later
+// cycle, which applies after this one.
+func (n *Node) settleSessionWaiters(updates []wire.SessionUpdate) {
 	for _, u := range updates {
 		if u.Expire {
-			n.sessions.Expire(u.ID)
-			n.expiredScratch = append(n.expiredScratch, u.ID)
-			delete(n.expireProposed, u.ID)
-			if dones := n.expWaiters[u.ID]; dones != nil {
-				delete(n.expWaiters, u.ID)
-				for _, done := range dones {
-					done(true)
-				}
+			dones := n.expWaiters[u.ID]
+			delete(n.expWaiters, u.ID)
+			for _, done := range dones {
+				done(true)
 			}
-			continue
-		}
-		n.sessions.Register(u.ID, cyc)
-		if done, ok := n.regWaiters[u.ID]; ok {
+		} else if done, ok := n.regWaiters[u.ID]; ok {
 			delete(n.regWaiters, u.ID)
 			done(u.ID, true)
 		}
 	}
 }
 
-// gcSessions proposes expiry for sessions with no committed mutation in
-// the configured idle window. Every node runs the same scan over the
-// same table; expireProposed keeps each node from re-proposing every
-// cycle while an expiry is in flight.
-func (n *Node) gcSessions(cyc uint64) {
-	idle := uint64(n.cfg.SessionIdleCycles)
-	if n.cfg.SessionIdleCycles <= 0 || n.sessions.Len() == 0 || cyc <= idle {
-		return
-	}
-	// Stride the scan: idleness is measured in thousands of cycles, so
-	// a full-table sweep at every commit buys nothing — at idle/16 the
-	// commit hot path pays the O(sessions) cost on a small fraction of
-	// cycles while expiry still lands within ~6% of the bound.
-	if stride := idle / 16; stride > 1 && cyc%stride != 0 {
-		return
-	}
-	for _, id := range n.sessions.IdleBefore(cyc - idle) {
-		if !n.expireProposed[id] {
-			if n.expireProposed == nil {
-				n.expireProposed = make(map[uint64]bool)
-			}
-			n.expireProposed[id] = true
-			n.pendingSessions = append(n.pendingSessions, wire.SessionUpdate{ID: id, Expire: true})
+// applySessions folds a plan's committed session updates into the table,
+// before its operations, so a registration and the session's first
+// mutations may share a cycle. Expired sessions join the plan's expiry
+// tail. Runs on the stage.
+func (n *Node) applySessions(t *kvstore.SessionTable, p *applyPlan) {
+	for _, u := range p.root.Sessions {
+		if u.Expire {
+			t.Expire(u.ID)
+			p.expired = append(p.expired, u.ID)
+		} else {
+			t.Register(u.ID, p.Cycle)
 		}
+	}
+}
+
+// admitSession classifies one committed session mutation of a plan and
+// reports whether it applies. A duplicate does not, and its own
+// completion gets the committed reply (a transaction's recorded verdict,
+// nil once a later transaction of the session displaced it: the serving
+// layer then surfaces an error rather than guessing); neither does a mutation of an unknown session (expired, or never
+// registered), whose own completion the serving node surfaces as an
+// expiry. Runs on the stage.
+func (n *Node) admitSession(t *kvstore.SessionTable, p *applyPlan, op *planOp) bool {
+	req := op.req
+	cached, verdict := t.Begin(req.Client, req.Seq, p.Cycle)
+	if verdict == kvstore.SessionApply {
+		return true
+	}
+	op.skip = true
+	switch {
+	case op.comp < 0:
+	case verdict == kvstore.SessionUnknown:
+		p.rejects = append(p.rejects, op.comp)
+	case req.Op == wire.OpTxn:
+		p.Vals[op.comp] = t.CachedTxn(req.Client, req.Seq)
+	default:
+		p.Vals[op.comp] = cached
+	}
+	return false
+}
+
+// expireIdle reclaims, at every stride cycle, the sessions with no
+// committed mutation in the last SessionIdleCycles cycles. Idleness is
+// measured in thousands of cycles, so the scan runs on a sixteenth of them
+// and expiry still lands within ~6% of the bound. The result is a function
+// of the committed order alone: every replica expires the same sessions at
+// the same cycle. Runs on the stage, after the plan's operations.
+func (n *Node) expireIdle(t *kvstore.SessionTable, p *applyPlan) {
+	idle := uint64(n.cfg.SessionIdleCycles)
+	if n.cfg.SessionIdleCycles <= 0 || p.Cycle <= idle {
+		return
+	}
+	if stride := idle / 16; stride > 1 && p.Cycle%stride != 0 {
+		return
+	}
+	for _, id := range t.IdleBefore(p.Cycle - idle) {
+		t.Expire(id)
+		p.expired = append(p.expired, id)
 	}
 }

@@ -9,12 +9,13 @@ import (
 // The apply stage: the one way a committed cycle reaches the store.
 //
 // A committed cycle splits into two steps. Order resolution runs inside
-// the machine turn (commit.go): session classification and membership —
-// all the protocol state that must evolve in lock-step on every replica.
-// It produces an applyPlan: the cycle's state-machine operations in total
-// order plus the node's own completion records. The stage takes the plan from there and owns
-// everything downstream of the order: it applies the operations, runs
-// this node's reads at their recorded positions, advances the applied
+// the machine turn (commit.go) with the membership view — the protocol
+// state that must evolve in lock-step on every replica. It produces an
+// applyPlan: the cycle's state-machine operations in total order plus the
+// node's own completion records. The stage takes the plan from there and
+// owns everything downstream of the order: it applies the session updates,
+// classifies and applies the operations, runs this node's reads at their
+// recorded positions, reclaims idle sessions, advances the applied
 // watermark, appends the root to the WAL, group-syncs, hands the cycle to
 // the node's consumers as one Commit (deliverPlan) and serves the
 // committed-state reads parked on it — on one goroutine, strictly in cycle
@@ -33,27 +34,26 @@ import (
 // (Node.applied, what Committed() and ReadLocal observe) make the overlap
 // explicit; inline they only differ inside a commit's own turn.
 
-// planOp is one state-machine operation of a committed cycle: a write to
-// apply, or (comp >= 0) one of this node's own reads, whose result lands
-// in the plan's completion value slot comp.
+// planOp is one state-machine operation of a committed cycle: a
+// mutation to apply or a read to run. One of this node's own requests
+// (comp >= 0) puts its result in the plan's completion value slot comp.
 type planOp struct {
 	req *wire.Request
 	// stored is, once a write has applied, the state machine's own
 	// immutable copy of its value: what the cycle's event carries.
 	stored []byte
-	comp   int32 // completion-value index for reads/txns; -1 for writes
-	// dup marks a duplicate transaction whose result resolves at apply
-	// time from the session table (the original applied in an earlier
-	// plan, and plans apply strictly in cycle order).
-	dup bool
+	comp   int32 // completion-value index of an own request; -1 for remote ones
+	// skip marks a session mutation the stage did not apply: a duplicate,
+	// or one of an unknown session.
+	skip bool
 }
 
 // applyPlan is one committed cycle's work order for the apply stage,
 // produced by order resolution. Its Commit is what the consumers receive:
-// Order and the completion records — Replies in client arrival order,
-// Rejected — are filled at resolve time, Vals at resolve time for
-// duplicate-cached mutations and by the apply stage for reads (nil for
-// plain write acks), Events just before delivery.
+// Order and Replies (in client arrival order) are filled at resolve time;
+// the apply stage fills Vals (nil for plain write acks), moves the
+// mutations of unknown sessions from Replies to Rejected, and fills Events
+// just before delivery.
 type applyPlan struct {
 	Commit
 	// ops is the cycle's state-machine work in total order.
@@ -67,10 +67,13 @@ type applyPlan struct {
 	// valid for the plan's lifetime.
 	root *wire.Proposal
 
-	// expired are the sessions this cycle's boundary expired; the apply
-	// tail deletes their ephemeral keys (filling expiredKeys).
+	// expired are the sessions the cycle expired, explicitly or idle; the
+	// apply tail deletes their ephemeral keys (filling expiredKeys).
 	expired     []uint64
 	expiredKeys []uint64
+	// rejects are the completion indexes of own mutations of unknown
+	// sessions, ascending.
+	rejects []int32
 	// outcomes records each non-duplicate transaction's verdict in apply
 	// order; committed ops' events sit in txnEvents[start:start+count].
 	outcomes  []txnOutcome
@@ -309,22 +312,59 @@ func (n *Node) readState(key uint64) []byte {
 	return n.sm.Read(key)
 }
 
-// applyPlan applies one plan's operations front to back — the committed
-// total order: writes mutate the store, reads record their value into the
-// plan's completion slot, transactions evaluate their guards against
-// applied state — and then runs the expiry tail. Called by the stage, and
-// by ReplayCommit before the node runs.
+// applyPlan applies one plan: the cycle's session updates, then its
+// operations front to back — the committed total order: each session
+// mutation is classified first, writes mutate the store, reads record
+// their value into the plan's completion slot, transactions evaluate their
+// guards against applied state — then idle reclamation and the expiry
+// tail. Called by the stage, and by ReplayCommit before the node runs.
 func (n *Node) applyPlan(p *applyPlan) {
+	if n.sm == nil {
+		return
+	}
+	t := n.sm.Sessions()
+	n.applySessions(t, p)
 	for i := range p.ops {
 		op := &p.ops[i]
-		switch {
-		case op.req.Op == wire.OpTxn:
+		req := op.req
+		session := req.Op.Mutates() && wire.IsSessionID(req.Client)
+		if session && !n.admitSession(t, p, op) {
+			continue
+		}
+		switch req.Op {
+		case wire.OpTxn:
 			n.applyTxnOp(p, op)
-		case op.comp >= 0:
-			p.Vals[op.comp] = n.sm.Read(op.req.Key)
+		case wire.OpRead:
+			p.Vals[op.comp] = n.sm.Read(req.Key)
 		default:
-			op.stored = n.sm.ApplyWriteAt(op.req, p.Cycle, 0)
+			op.stored = n.sm.ApplyWriteAt(req, p.Cycle, 0)
+			if session {
+				t.Record(req.Client, req.Seq, nil)
+			}
 		}
 	}
+	n.expireIdle(t, p)
 	n.applyExpiry(p)
+	p.reject()
+}
+
+// reject moves the completions of own mutations of unknown sessions from
+// Replies to Rejected, keeping both in arrival order.
+func (p *applyPlan) reject() {
+	if len(p.rejects) == 0 {
+		return
+	}
+	kept, r := 0, 0
+	for i := range p.Replies {
+		if r < len(p.rejects) && p.rejects[r] == int32(i) {
+			p.Rejected = append(p.Rejected, p.Replies[i])
+			r++
+			continue
+		}
+		p.Replies[kept], p.Vals[kept] = p.Replies[i], p.Vals[i]
+		kept++
+	}
+	clear(p.Replies[kept:])
+	clear(p.Vals[kept:])
+	p.Replies, p.Vals = p.Replies[:kept], p.Vals[:kept]
 }

@@ -35,6 +35,7 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 			submitPlan := func(cycle uint64, val string) {
 				write := wire.Request{Op: wire.OpWrite, Key: 7, Val: []byte(val)}
 				plan := n.newPlan(cycle)
+				plan.root = &wire.Proposal{Cycle: cycle}
 				plan.ops = append(plan.ops, planOp{req: &write, comp: -1})
 				n.stage.submit(stageCmd{kind: cmdPlan, plan: plan})
 			}

@@ -9,7 +9,7 @@ import (
 // Multi-op transactions. A transaction travels the ordinary consensus
 // path as one wire.Request with Op == wire.OpTxn whose Val carries the
 // encoded body (guards + ops), so it rides batches, proposals, and the
-// session dedup table like any other mutation — exactly-once via
+// session table like any other mutation — exactly-once via
 // (session, seq). Guards evaluate at APPLY time against the store state
 // every prior committed operation produced, which is identical on every
 // replica because plans apply strictly in cycle order, each front to
@@ -17,24 +17,12 @@ import (
 // of its ops inside its committed position or none of them: an aborted
 // transaction leaves the store byte-identical on every replica.
 
-// applyTxnOp evaluates one transaction op of an applying plan: duplicate
-// txns resolve their cached result, fresh ones evaluate
-// guards, apply ops when committed, and record their result in the
-// session table (compaction-surviving, so a failover retry learns the
-// original outcome).
+// applyTxnOp evaluates one admitted transaction op of an applying plan:
+// it evaluates the guards, applies the ops when committed, and records
+// the verdict in the session table (compaction-surviving, so a failover
+// retry learns the original outcome).
 func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 	req := op.req
-	if op.dup {
-		// The original's apply already completed (earlier plan, strict
-		// cycle order): return its recorded result. A nil here means the
-		// result was displaced by a later txn on the same session — the
-		// serving layer surfaces an explicit error rather than guessing.
-		if op.comp >= 0 {
-			p.Vals[op.comp] = n.sessions.CachedTxn(req.Client, req.Seq)
-		}
-		return
-	}
-
 	res := wire.TxnResult{Committed: false, Failed: 0}
 	t, err := wire.ParseTxn(req.Val)
 	out := txnOutcome{}
@@ -75,7 +63,7 @@ func (n *Node) applyTxnOp(p *applyPlan, op *planOp) {
 
 	resBytes := wire.AppendTxnResult(nil, res)
 	if wire.IsSessionID(req.Client) {
-		n.sessions.RecordTxn(req.Client, req.Seq, resBytes)
+		n.sm.Sessions().RecordTxn(req.Client, req.Seq, resBytes)
 	}
 	if op.comp >= 0 {
 		p.Vals[op.comp] = resBytes
@@ -99,13 +87,10 @@ func (n *Node) txnGuardHolds(g *wire.TxnGuard) bool {
 	return false // unknown guard kinds never pass (and never decode)
 }
 
-// applyExpiry is the plan's apply tail: every session the cycle's
-// boundary expired has its ephemeral keys deleted, in sorted key order
-// per owner, on every replica identically. Runs after all plan ops.
+// applyExpiry is the plan's apply tail: every session the cycle expired
+// has its ephemeral keys deleted, in sorted key order per owner, on every
+// replica identically. Runs after all plan ops.
 func (n *Node) applyExpiry(p *applyPlan) {
-	if len(p.expired) == 0 || n.sm == nil {
-		return
-	}
 	for _, owner := range p.expired {
 		p.expiredKeys = append(p.expiredKeys, n.sm.ExpireOwned(owner)...)
 	}
@@ -120,15 +105,15 @@ func (n *Node) buildPlanEvents(p *applyPlan) {
 	oi := 0
 	for i := range p.ops {
 		op := &p.ops[i]
+		if op.skip {
+			continue
+		}
 		switch op.req.Op {
 		case wire.OpWrite:
 			p.Events = append(p.Events, wire.Event{Op: wire.OpWrite, Key: op.req.Key, Val: op.stored})
 		case wire.OpDelete:
 			p.Events = append(p.Events, wire.Event{Op: wire.OpDelete, Key: op.req.Key})
 		case wire.OpTxn:
-			if op.dup {
-				continue
-			}
 			out := p.outcomes[oi]
 			oi++
 			if out.committed {

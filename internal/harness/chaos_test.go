@@ -113,23 +113,6 @@ func TestRollingRestartsConverge(t *testing.T) {
 	}
 }
 
-// TestFluidRunSurvivesFaults exercises the Spec.Faults plumbing on the
-// fluid (figure-generating) path: a crash plus restart mid-measurement
-// must not wedge the run, and throughput must stay positive.
-func TestFluidRunSurvivesFaults(t *testing.T) {
-	spec := quickSpec(Canopus)
-	spec.Faults = netsim.FaultPlan{
-		Crashes: []netsim.CrashFault{{
-			At: 300 * time.Millisecond, Node: 5, RestartAt: 450 * time.Millisecond,
-		}},
-	}
-	r := Run(spec, 50_000)
-	if r.Throughput <= 0 {
-		t.Fatalf("throughput %.0f with a crash-restart plan", r.Throughput)
-	}
-	t.Logf("fluid with faults: tput=%.0f median=%v", r.Throughput, r.Median)
-}
-
 // TestChaosReferencePicksUncrashedNode pins the digest anchor rule.
 func TestChaosReferencePicksUncrashedNode(t *testing.T) {
 	plan := netsim.FaultPlan{Crashes: []netsim.CrashFault{

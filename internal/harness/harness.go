@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"canopus/internal/core"
-	"canopus/internal/engine"
 	"canopus/internal/epaxos"
 	"canopus/internal/lot"
 	"canopus/internal/netsim"
@@ -85,12 +84,6 @@ type Spec struct {
 	// Cost model; zero-valued fields take per-system defaults.
 	Costs     netsim.CostParams
 	ClientCPU time.Duration
-
-	// Faults is the deterministic fault schedule injected into the run
-	// (empty = failure-free, the paper's setting). Canopus-family nodes
-	// with a RestartAt come back through the §4.6 join protocol; the
-	// baselines' crashed nodes stay down.
-	Faults netsim.FaultPlan
 
 	Seed    int64
 	Warmup  time.Duration
@@ -241,10 +234,7 @@ func Run(spec Spec, rate float64) Result {
 	end := spec.Warmup + spec.Measure
 	rec := &workload.Recorder{WarmFrom: spec.Warmup, ArriveUntil: end}
 
-	targets, restart := buildSystem(spec, sim, topo, runner, rec)
-	if !spec.Faults.Empty() {
-		runner.InstallFaults(spec.Faults, restart)
-	}
+	targets := buildSystem(spec, sim, topo, runner, rec)
 
 	wcfg := workload.Config{
 		Rate:       rate,
@@ -290,9 +280,8 @@ func buildTopo(spec Spec) *netsim.Topology {
 }
 
 // buildSystem instantiates the protocol nodes and returns one workload
-// target per node, plus a restart factory for fault plans (nil for
-// systems without a modeled join protocol).
-func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *netsim.Runner, rec *workload.Recorder) ([]workload.Target, func(wire.NodeID) engine.Machine) {
+// target per node.
+func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *netsim.Runner, rec *workload.Recorder) []workload.Target {
 	n := topo.NumNodes()
 	targets := make([]workload.Target, n)
 	switch spec.System {
@@ -313,7 +302,8 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 		if err != nil {
 			panic(err)
 		}
-		makeNode := func(id wire.NodeID, joiner bool) *core.Node {
+		for i := 0; i < n; i++ {
+			id := wire.NodeID(i)
 			cfg := core.Config{
 				Tree:          tree,
 				Self:          id,
@@ -333,21 +323,9 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 					}
 				}
 			})}}
-			if joiner {
-				return core.NewJoiner(cfg, nil, cbs)
-			}
-			return core.NewNode(cfg, nil, cbs)
-		}
-		for i := 0; i < n; i++ {
-			id := wire.NodeID(i)
-			node := makeNode(id, false)
+			node := core.NewNode(cfg, nil, cbs)
 			runner.Register(id, node)
 			targets[i] = canopusTarget{n: node}
-		}
-		return targets, func(id wire.NodeID) engine.Machine {
-			node := makeNode(id, true)
-			targets[id] = canopusTarget{n: node}
-			return node
 		}
 	case EPaxos:
 		peers := make([]wire.NodeID, n)
@@ -366,7 +344,6 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			runner.Register(id, rep)
 			targets[i] = epaxosTarget{r: rep}
 		}
-		return targets, nil
 	case Zab:
 		voters := spec.ZabVoters
 		if voters > n {
@@ -392,5 +369,5 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			targets[i] = zabTarget{n: node}
 		}
 	}
-	return targets, nil
+	return targets
 }

@@ -22,6 +22,29 @@ import (
 // Decoding arbitrary input yields an error, never a panic or an
 // allocation larger than the input can back.
 
+// Image is the store's whole replicated state: every shard's image and
+// the session table. A WAL snapshot and a JoinReply carry it.
+type Image struct {
+	Shards   []ShardState
+	Sessions []wire.SessionState
+}
+
+// Image renders the store's image; it stays valid while later writes
+// apply.
+func (s *Store) Image() Image {
+	return Image{Shards: s.SnapshotShards(), Sessions: s.sessions.Snapshot()}
+}
+
+// RestoreImage replaces the store's contents and session table with an
+// image. Nothing changes when the shard count differs from the store's.
+func (s *Store) RestoreImage(img Image) error {
+	if err := s.RestoreShards(img.Shards); err != nil {
+		return err
+	}
+	s.sessions.Restore(img.Sessions)
+	return nil
+}
+
 // nilLen marks a nil cached reply, which is distinct from an empty one.
 const nilLen = ^uint32(0)
 

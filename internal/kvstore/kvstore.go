@@ -47,6 +47,10 @@ type Store struct {
 	shards []shard
 	mask   uint64 // len(shards) - 1; shard count is a power of two
 
+	// sessions is the replicated client-session table, part of the
+	// store's image beside the shards.
+	sessions *SessionTable
+
 	// recordLog keeps an order-sensitive digest of applied writes so
 	// tests can assert replica equality cheaply.
 	recordLog bool
@@ -63,7 +67,7 @@ func NewSharded(n int) *Store {
 	for size < n {
 		size <<= 1
 	}
-	s := &Store{shards: make([]shard, size), mask: uint64(size - 1)}
+	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), sessions: NewSessionTable()}
 	for i := range s.shards {
 		s.shards[i].data = make(map[uint64][]byte)
 	}
@@ -81,6 +85,9 @@ func NewShardedLogged(n int) *Store {
 	s.recordLog = true
 	return s
 }
+
+// Sessions returns the store's replicated client-session table.
+func (s *Store) Sessions() *SessionTable { return s.sessions }
 
 // NumShards returns the shard count (a power of two).
 func (s *Store) NumShards() int { return len(s.shards) }

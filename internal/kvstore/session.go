@@ -46,13 +46,13 @@ type sessionEntry struct {
 	txnVal []byte
 }
 
-// SessionTable is the replicated client-session dedup table: session
-// registrations, expiries, and per-mutation classification all happen at
-// commit boundaries in the committed total order, so every replica holds
-// an identical table (the same invariant as the membership view). A mutex
-// makes it safe to drive from two contexts at once: the machine turn
-// classifies (Begin/Record) while the node's apply stage records and
-// looks up transaction results at apply time.
+// SessionTable is the replicated client-session dedup table. A
+// kvstore.Store holds it, and the node's apply stage is its only writer:
+// registrations, expiries (explicit and idle) and the classification of
+// each mutation all happen as the committed total order applies, so every
+// replica holds an identical table (the same invariant as the store's
+// contents). A store image carries it beside the shards. The mutex lets
+// the machine turn ask Has while the stage writes.
 type SessionTable struct {
 	mu       sync.Mutex
 	sessions map[uint64]*sessionEntry
@@ -86,9 +86,9 @@ func (t *SessionTable) Expire(id uint64) {
 	t.occ.Store(int64(len(t.sessions)))
 }
 
-// Occupancy returns the number of registered sessions. Unlike Len it is
-// safe to call from any goroutine (it reads an atomic mirror), which is
-// what the metrics registry samples at scrape time.
+// Occupancy returns the number of registered sessions. It reads an
+// atomic mirror, so the metrics registry samples it at scrape time
+// without taking the table's lock.
 func (t *SessionTable) Occupancy() int64 { return t.occ.Load() }
 
 // Has reports whether a session is registered.
@@ -97,13 +97,6 @@ func (t *SessionTable) Has(id uint64) bool {
 	defer t.mu.Unlock()
 	_, ok := t.sessions[id]
 	return ok
-}
-
-// Len returns the number of registered sessions.
-func (t *SessionTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.sessions)
 }
 
 // Begin classifies one committed mutation (session id, seq) at commit
@@ -178,10 +171,9 @@ func (t *SessionTable) record(id, seq uint64, val []byte) {
 	}
 }
 
-// RecordTxn records a transaction's result bytes for (session, seq):
-// the regular dedup Record plus the compaction-surviving latest-txn
-// slot. Safe to call from the apply context while the machine turn
-// classifies other requests.
+// RecordTxn records a transaction's verdict for (session, seq) — the seq
+// Begin classified SessionApply: the regular dedup Record plus the
+// compaction-surviving latest-txn slot.
 func (t *SessionTable) RecordTxn(id, seq uint64, val []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -217,8 +209,8 @@ func (t *SessionTable) CachedTxn(id, seq uint64) []byte {
 	return nil
 }
 
-// IdleBefore returns (sorted, for replayable traces) the sessions whose
-// last activity is at or before the given cycle — the idle-GC scan.
+// IdleBefore returns, sorted, the sessions whose last activity is at or
+// before the given cycle — the idle-reclamation scan.
 func (t *SessionTable) IdleBefore(cycle uint64) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -232,8 +224,8 @@ func (t *SessionTable) IdleBefore(cycle uint64) []uint64 {
 	return ids
 }
 
-// Snapshot renders the table for a join-protocol state transfer,
-// deterministically ordered. The latest-txn slot rides along as an
+// Snapshot renders the table for a store image, deterministically
+// ordered. The latest-txn slot rides along as an
 // Applied entry (possibly below the floor), so a joiner can still
 // answer a retried txn with the original outcome.
 func (t *SessionTable) Snapshot() []wire.SessionState {
@@ -278,18 +270,20 @@ func (t *SessionTable) Snapshot() []wire.SessionState {
 	return out
 }
 
-// Restore replaces the table's contents with a snapshot (the join
-// protocol's state install).
+// Restore replaces the table's contents with a snapshot (a joiner's or a
+// recovering node's image install). Plain mutations record nil and a
+// transaction verdict is never empty, so the latest-transaction slot is
+// the session's highest-seq non-empty reply: Snapshot lists it below the
+// floor once it compacted, and among the applied seqs otherwise. A
+// restored table then answers CachedTxn and later Snapshots exactly as its
+// source does.
 func (t *SessionTable) Restore(states []wire.SessionState) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sessions = make(map[uint64]*sessionEntry, len(states))
 	for i := range states {
 		st := &states[i]
-		e := &sessionEntry{low: st.Low, applied: make(map[uint64][]byte, len(st.Applied)), lastActive: st.LastActive}
-		if e.low == 0 {
-			e.low = 1
-		}
+		e := &sessionEntry{low: max(st.Low, 1), applied: make(map[uint64][]byte, len(st.Applied)), lastActive: st.LastActive}
 		e.max = e.low - 1
 		for j := range st.Applied {
 			rep := &st.Applied[j]
@@ -298,9 +292,12 @@ func (t *SessionTable) Restore(states []wire.SessionState) {
 				v = make([]byte, len(rep.Val))
 				copy(v, rep.Val)
 			}
-			e.applied[rep.Seq] = v
-			if rep.Seq > e.max {
-				e.max = rep.Seq
+			if len(v) > 0 && rep.Seq >= e.txnSeq {
+				e.txnSeq, e.txnVal = rep.Seq, v
+			}
+			if rep.Seq >= e.low {
+				e.applied[rep.Seq] = v
+				e.max = max(e.max, rep.Seq)
 			}
 		}
 		t.sessions[st.ID] = e

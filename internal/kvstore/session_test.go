@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"reflect"
 	"testing"
 
 	"canopus/internal/wire"
@@ -14,7 +15,7 @@ func TestSessionDedupBasics(t *testing.T) {
 		t.Fatalf("unregistered session classified %v, want SessionUnknown", v)
 	}
 	tab.Register(sid, 3)
-	if !tab.Has(sid) || tab.Len() != 1 {
+	if !tab.Has(sid) || tab.Occupancy() != 1 {
 		t.Fatal("registration not recorded")
 	}
 	if _, v := tab.Begin(sid, 1, 5); v != SessionApply {
@@ -105,5 +106,56 @@ func TestSessionSnapshotRestore(t *testing.T) {
 	}
 	if ids := restored.IdleBefore(7); len(ids) != 2 {
 		t.Fatalf("IdleBefore(7) = %v, want both sessions", ids)
+	}
+}
+
+// TestSessionRestoreKeepsTheTxnSlot pins Restore against its source: the
+// latest-transaction slot is rebuilt as a slot, not filed as an applied
+// seq that never compacts, so after the same later transaction both
+// tables answer a retry of the superseded one, and render, alike.
+func TestSessionRestoreKeepsTheTxnSlot(t *testing.T) {
+	src := NewSessionTable()
+	src.Register(sid, 1)
+	src.Begin(sid, 1, 2)
+	src.RecordTxn(sid, 1, []byte("v1"))
+	for seq := uint64(2); seq <= 3; seq++ {
+		src.Begin(sid, seq, 3)
+		src.Record(sid, seq, nil)
+	}
+	restored := NewSessionTable()
+	restored.Restore(src.Snapshot())
+	if got := restored.CachedTxn(sid, 1); string(got) != "v1" {
+		t.Fatalf("restored table answers txn 1 with %q, want v1", got)
+	}
+	for _, tab := range []*SessionTable{src, restored} {
+		tab.Begin(sid, 4, 4)
+		tab.RecordTxn(sid, 4, []byte("v4"))
+	}
+	for _, seq := range []uint64{1, 4} {
+		if a, b := src.CachedTxn(sid, seq), restored.CachedTxn(sid, seq); string(a) != string(b) {
+			t.Fatalf("retry of txn %d: source answers %q, restored table %q", seq, a, b)
+		}
+	}
+	if a, b := src.Snapshot(), restored.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshots differ:\nsource   %+v\nrestored %+v", a, b)
+	}
+
+	// A slot still among the applied seqs (a gap below it) survives the
+	// restore too: once the gap fills, only the slot answers.
+	src = NewSessionTable()
+	src.Register(sid, 1)
+	src.Begin(sid, 2, 2)
+	src.RecordTxn(sid, 2, []byte("v2"))
+	restored = NewSessionTable()
+	restored.Restore(src.Snapshot())
+	for _, tab := range []*SessionTable{src, restored} {
+		tab.Begin(sid, 1, 3)
+		tab.Record(sid, 1, nil)
+	}
+	if got := restored.CachedTxn(sid, 2); string(got) != "v2" {
+		t.Fatalf("restored table answers txn 2 with %q after compaction, want v2", got)
+	}
+	if a, b := src.Snapshot(), restored.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshots differ:\nsource   %+v\nrestored %+v", a, b)
 	}
 }

@@ -374,9 +374,10 @@ func TestStopRejectsParkedSequentialReads(t *testing.T) {
 
 // TestSessionIdleReclaimedThroughConsensus pins session GC: a session
 // with no committed mutation for SessionIdleCycles consensus cycles is
-// expired by an update riding a proposal — every replica drops it at
-// the same commit boundary, with no local timers involved — and the
-// owning client transparently re-registers on its next mutation.
+// expired by every replica's apply stage at the same stride cycle — a
+// function of the committed order, with no local timers and no expiry
+// proposal involved — and the owning client transparently re-registers
+// on its next mutation.
 func TestSessionIdleReclaimedThroughConsensus(t *testing.T) {
 	c, err := Start(Config{
 		Nodes: 3,

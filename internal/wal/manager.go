@@ -23,12 +23,6 @@ type Manager struct {
 	store *kvstore.Store
 	log   *logWriter
 
-	// shadow mirrors the replicated session table by replaying every
-	// appended root — the same derivation recovery uses — so snapshots
-	// capture session state coherent with their cycle without touching
-	// the node's table across goroutines.
-	shadow *kvstore.SessionTable
-
 	snapEvery   int
 	snapCycle   uint64 // newest on-disk snapshot's cycle
 	haveSnap    bool
@@ -84,7 +78,6 @@ func Open(opts Options) (*Manager, error) {
 		fs:        opts.FS,
 		store:     opts.Store,
 		log:       newLogWriter(opts.FS, opts.SegmentBytes),
-		shadow:    kvstore.NewSessionTable(),
 		snapEvery: snapEvery,
 	}, nil
 }
@@ -95,7 +88,6 @@ func (m *Manager) AppendCommit(cycle uint64, root *wire.Proposal) error {
 	if err := m.log.append(cycle, root); err != nil {
 		return err
 	}
-	m.applyShadow(cycle, root)
 	if m.firstAppend == 0 {
 		m.firstAppend = cycle
 	}
@@ -142,12 +134,14 @@ func (m *Manager) shouldSnapshot() bool {
 	return m.snapEvery > 0 && m.appended-m.snapCycle >= uint64(m.snapEvery)
 }
 
-// snapshot publishes the store's image at the appended watermark and
-// drops log segments (and older snapshots) the new baseline supersedes.
+// snapshot publishes the store's image — shards and session table, read
+// on the apply stage, which has applied exactly the appended cycles — at
+// the appended watermark and drops log segments (and older snapshots) the
+// new baseline supersedes.
 func (m *Manager) snapshot() error {
 	cycle := m.appended
-	err := writeSnapshot(m.fs, cycle, m.store.SnapshotShards(), m.shadow.Snapshot(),
-		m.store.StateDigest(), m.store.LogDigest())
+	img := m.store.Image()
+	err := writeSnapshot(m.fs, cycle, img.Shards, img.Sessions, m.store.StateDigest(), m.store.LogDigest())
 	if err != nil {
 		return err
 	}
@@ -317,7 +311,7 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 			return info, fmt.Errorf("wal: snapshot has %d shards, store configured with %d (shard count must be stable per data dir)",
 				len(snap.Shards), m.store.NumShards())
 		}
-		if err := m.store.RestoreShards(snap.Shards); err != nil {
+		if err := m.store.RestoreImage(snap.Image); err != nil {
 			return info, err
 		}
 		if got := m.store.StateDigest(); got != snap.StateDigest {
@@ -326,8 +320,7 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 		if got := m.store.LogDigest(); got != snap.LogDigest {
 			return info, fmt.Errorf("%w: snapshot log digest mismatch (got %x want %x)", ErrCorrupt, got, snap.LogDigest)
 		}
-		n.RestoreState(snap.Cycle, snap.Sessions)
-		m.shadow.Restore(snap.Sessions)
+		n.RestoreState(snap.Cycle)
 		base = snap.Cycle
 		m.snapCycle, m.haveSnap = base, true
 		m.snapCycG.Set(base)
@@ -358,7 +351,6 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 			if err := n.ReplayCommit(cycle, root); err != nil {
 				return err
 			}
-			m.applyShadow(cycle, root)
 			next++
 			info.Replayed++
 			return nil
@@ -373,30 +365,6 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 	// New appends go to a fresh segment (the writer rotates on first
 	// append), never onto a possibly-torn tail.
 	return info, nil
-}
-
-// applyShadow folds one committed root into the shadow session table —
-// the same derivation ReplayCommit applies to the node's table, so the
-// two stay identical at every cycle boundary.
-func (m *Manager) applyShadow(cycle uint64, root *wire.Proposal) {
-	for _, u := range root.Sessions {
-		if u.Expire {
-			m.shadow.Expire(u.ID)
-		} else {
-			m.shadow.Register(u.ID, cycle)
-		}
-	}
-	for _, b := range root.Batches {
-		for i := range b.Reqs {
-			req := &b.Reqs[i]
-			if !wire.IsSessionID(req.Client) {
-				continue
-			}
-			if _, verdict := m.shadow.Begin(req.Client, req.Seq, cycle); verdict == kvstore.SessionApply {
-				m.shadow.Record(req.Client, req.Seq, nil)
-			}
-		}
-	}
 }
 
 func (m *Manager) readFile(name string) ([]byte, error) {

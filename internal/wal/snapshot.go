@@ -20,8 +20,8 @@ import (
 //
 // Every section is [u32 payloadLen][u32 crc32c][payload], independently
 // checksummed so the writer appends the container incrementally — one
-// shard at a time, straight off kvstore.SnapshotShards — without
-// buffering the whole image. The shard and session payloads are the
+// shard at a time, straight off kvstore.Store.Image — without buffering
+// the whole encoded image. The shard and session payloads are the
 // store's image (kvstore.AppendShard, kvstore.AppendSessions: version 1
 // shards omit the key metadata), the same bytes a JoinReply carries; the
 // trailer is [u64 stateDigest][u64 logDigest].
@@ -57,9 +57,8 @@ func parseSnapName(name string) (uint64, bool) {
 
 // Snapshot is one decoded container.
 type Snapshot struct {
-	Cycle       uint64
-	Shards      []kvstore.ShardState
-	Sessions    []wire.SessionState
+	Cycle uint64
+	kvstore.Image
 	StateDigest uint64
 	LogDigest   uint64
 }

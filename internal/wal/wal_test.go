@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -517,5 +518,68 @@ func TestSnapshotV1Compat(t *testing.T) {
 	}
 	if st2.ModCycle(42) != 0 || st2.OwnerOf(42) != 0 {
 		t.Fatal("v1 restore invented key metadata")
+	}
+}
+
+// TestRecoveredSessionsAnswerLikeAReplica pins the session table a WAL
+// snapshot holds: it is the store's own, transaction verdicts included, so
+// a node recovered from a snapshot taken at a session transaction's cycle
+// answers a retry of that transaction as a replica that replayed the same
+// roots does.
+func TestRecoveredSessionsAnswerLikeAReplica(t *testing.T) {
+	tree := testTree(t)
+	const sess = wire.SessionIDBit | 3
+	txn := wire.Request{Client: sess, Seq: 1, Op: wire.OpTxn, Val: wire.AppendTxn(nil, &wire.Txn{
+		Ops: []wire.TxnOp{{Op: wire.OpWrite, Key: 5, Val: []byte("t")}},
+	})}
+	roots := []*wire.Proposal{
+		{Cycle: 1, Sessions: []wire.SessionUpdate{{ID: sess}}},
+		makeRoot(2, txn),
+	}
+
+	// The writer applies each root, then logs it and syncs — the apply
+	// stage's order; its snapshot cadence takes the image at cycle 2.
+	fs := NewMemFS()
+	st := kvstore.NewSharded(2)
+	mgr, err := Open(Options{FS: fs, Store: st, SnapshotCycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := core.NewNode(core.Config{Tree: tree, Self: 0}, st, core.Callbacks{})
+	replica := core.NewNode(core.Config{Tree: tree, Self: 0}, kvstore.NewSharded(2), core.Callbacks{})
+	for i, root := range roots {
+		c := uint64(i + 1)
+		for _, n := range []*core.Node{writer, replica} {
+			if err := n.ReplayCommit(c, root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mgr.AppendCommit(c, root); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2 := kvstore.NewSharded(2)
+	mgr2, err := Open(Options{FS: fs, Store: st2, SnapshotCycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := core.NewNode(core.Config{Tree: tree, Self: 0, Durability: mgr2}, st2, core.Callbacks{})
+	info, err := mgr2.Recover(recovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotCycle != 2 || info.Replayed != 0 {
+		t.Fatalf("recovery shape %+v, want the cycle-2 snapshot and no replay", info)
+	}
+	want := replica.Sessions().CachedTxn(sess, 1)
+	if want == nil {
+		t.Fatal("the replica holds no verdict for the transaction")
+	}
+	if got := recovered.Sessions().CachedTxn(sess, 1); !bytes.Equal(got, want) {
+		t.Fatalf("recovered node answers the retried transaction with %x, the replica with %x", got, want)
 	}
 }

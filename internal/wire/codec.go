@@ -1067,7 +1067,7 @@ func (m *JoinReply) WireSize() int {
 	for _, sh := range m.Shards {
 		n += 4 + len(sh)
 	}
-	return n + 4 + len(m.Sessions) + 4 + 8
+	return n + 4 + len(m.Sessions) + 4 + 8 + 8
 }
 
 func (m *JoinReply) AppendTo(b []byte) []byte {
@@ -1093,7 +1093,8 @@ func (m *JoinReply) AppendTo(b []byte) []byte {
 	}
 	b = putBytes(b, m.Sessions)
 	b = putU32(b, m.MaxInFlight)
-	return putU64(b, uint64(m.LeafTimeout))
+	b = putU64(b, uint64(m.LeafTimeout))
+	return putU64(b, uint64(m.SessionIdleCycles))
 }
 
 func readJoinReply(r *reader) *JoinReply {
@@ -1130,6 +1131,7 @@ func readJoinReply(r *reader) *JoinReply {
 	m.Sessions = r.bytes()
 	m.MaxInFlight = r.u32()
 	m.LeafTimeout = time.Duration(r.u64())
+	m.SessionIdleCycles = int64(r.u64())
 	return m
 }
 

@@ -53,7 +53,7 @@ func exemplars() []Message {
 		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
 			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
 			Shards: [][]byte{[]byte("shard-0"), []byte("shard-1")}, Sessions: []byte("sessions"),
-			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond},
+			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond, SessionIdleCycles: -1},
 		&Envelope{Origin: 1, Payload: &Ping{From: 1, Seq: 2}},
 	}
 }

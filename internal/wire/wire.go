@@ -555,14 +555,16 @@ type JoinReply struct {
 	// encoding per shard (none from a node without a state machine): the
 	// payloads of a WAL snapshot's shard sections.
 	Shards [][]byte
-	// Sessions is the replicated client-session dedup table as
+	// Sessions is the store image's replicated client-session table as
 	// kvstore.AppendSessions encodes it, so a rejoined replica classifies
 	// retried mutations exactly like the replicas that never crashed.
 	Sessions []byte
-	// MaxInFlight and LeafTimeout are the sponsor's values after
-	// defaults; every node of a cluster must use the same ones.
-	MaxInFlight uint32
-	LeafTimeout time.Duration
+	// MaxInFlight, LeafTimeout and SessionIdleCycles are the sponsor's
+	// values after defaults; every node of a cluster must use the same
+	// ones.
+	MaxInFlight       uint32
+	LeafTimeout       time.Duration
+	SessionIdleCycles int64
 }
 
 func (m *JoinReply) Kind() Kind { return KindJoinReply }
