@@ -135,8 +135,8 @@ func BenchmarkAblationRepresentatives3(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, Groups: 3, PerGroup: 9, WriteRatio: 0.2, NumReps: 3}, 1e6)
 }
 
-// BenchmarkAblationHardwareBroadcast swaps the Raft reliable broadcast
-// for switch-assisted atomic broadcast (§4.3).
+// BenchmarkAblationHardwareBroadcast swaps the sequenced reliable
+// broadcast for switch-assisted broadcast (§4.3).
 func BenchmarkAblationHardwareBroadcast(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, Groups: 3, PerGroup: 9, WriteRatio: 0.2,
 		SwitchBcast: true}, 1e6)

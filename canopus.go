@@ -1,8 +1,8 @@
 // Package canopus is a Go implementation of Canopus, the scalable,
 // topology-aware, massively parallel consensus protocol of Rizvi, Wong
 // and Keshav (CoNEXT 2017), together with every substrate it depends on:
-// a Leaf-Only Tree overlay, Raft-based reliable broadcast inside
-// super-leaves, a discrete-event datacenter/WAN network simulator, and
+// a Leaf-Only Tree overlay, a sequenced reliable broadcast inside each
+// super-leaf, a discrete-event datacenter/WAN network simulator, and
 // the EPaxos, Zab/ZooKeeper and ZKCanopus systems of the paper's
 // evaluation (internal/harness). Every replica runs one state machine,
 // the sharded key-value store, whose image a WAL snapshot holds and a

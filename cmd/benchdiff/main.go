@@ -43,7 +43,7 @@ var unitMetric = map[string]string{
 	"Mreq/s":    "mreq_per_s",
 	"median-ms": "median_ms",
 	// The replication-plane micro-benchmarks (transport BenchmarkRecvBurst,
-	// raftlite BenchmarkBroadcastRoundTrip, wire BenchmarkDecodeRaftAppend)
+	// broadcast BenchmarkSequencedBroadcast, wire BenchmarkDecodeSeqAppend)
 	// report counts that do not depend on the machine.
 	"frames/read":   "frames_per_read",
 	"msgs/entry":    "msgs_per_entry",

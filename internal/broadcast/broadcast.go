@@ -1,16 +1,19 @@
 // Package broadcast provides reliable broadcast within a super-leaf
 // (paper §4.3) in two interchangeable flavours:
 //
-//   - Raft: the paper's software path. Every super-leaf member leads its
-//     own Raft group with its peers as followers; broadcasting appends to
-//     the origin's group log and delivery happens on commit. If an origin
-//     fails, the group elects a takeover leader which finishes any
-//     in-flight replication and then appends a GroupClosed barrier,
-//     giving every survivor an identical cut of the origin's messages.
+//   - Sequencer: the paper's software path. One member of the leaf, the
+//     sequencer of the current epoch, stamps every broadcast with the
+//     next slot of one leaf-wide log and fans it out; a member delivers
+//     the log in slot order once a majority of the seated members holds
+//     a slot. A silent member is cut by a GroupClosed entry in the same
+//     log, and a silent sequencer is replaced by an epoch change whose
+//     new sequencer carries every delivered slot over and cuts the old
+//     one. Every member therefore delivers one sequence.
 //
-//   - Switch: hardware-assisted atomic broadcast (the paper notes modern
-//     ToR switches can provide this). The sender serializes once and the
-//     switch fans out; liveness comes from multicast heartbeats.
+//   - Switch: hardware-assisted broadcast (the paper notes modern ToR
+//     switches can provide this). The sender serializes once and the
+//     switch fans out; liveness comes from multicast heartbeats. It
+//     promises per-origin order only, so it cannot run leaf eviction.
 //
 // Both deliver messages per-origin FIFO, report peer failures exactly
 // once, and support removing/re-adding peers at Canopus cycle boundaries.
@@ -19,30 +22,42 @@
 // cycle proposal — carrying its request batch plus any membership and
 // session updates — is what travels here, and the identical
 // delivery cut is what lets every super-leaf member compute identical
-// vnode states. The Raft flavour is built on internal/raftlite.
+// vnode states.
 package broadcast
 
 import (
+	"sync/atomic"
 	"time"
 
-	"canopus/internal/raftlite"
 	"canopus/internal/wire"
 )
 
 // Callbacks connect a broadcaster to its owner (the Canopus node).
 type Callbacks struct {
 	// Deliver hands up one broadcast payload from origin. For a given
-	// origin, deliveries arrive in the origin's send order, and all live
-	// members deliver the same sequence. The payload is immutable and
-	// the owner may keep it (it is also what the Raft log retains).
+	// origin, deliveries arrive in the origin's send order; under the
+	// Sequencer every live member delivers the same sequence across
+	// origins too. The payload is immutable and the owner may keep it (it
+	// is also what the log retains).
 	Deliver func(origin wire.NodeID, payload wire.Message)
 	// PeerFailed reports a crashed super-leaf peer, exactly once per
 	// incarnation, after the failure cut is established (i.e. no further
 	// deliveries from that origin will follow).
 	PeerFailed func(peer wire.NodeID)
-	// RaftStats, when non-nil, is where the Raft flavour counts the
-	// AppendEntries and replies its groups send; the owner exports it.
-	RaftStats *raftlite.Stats
+	// Stats, when non-nil, is where the Sequencer counts the messages it
+	// sends; the owner exports it.
+	Stats *Stats
+}
+
+// Stats counts the Sequencer's messages by kind. The fields are atomic so
+// an exporter may read them from any goroutine.
+type Stats struct {
+	// Forwards carried an origin's broadcast to the sequencer (and in a
+	// leaf of more than three seats to every member); Appends carried
+	// stamped entries from it; Heartbeats are appends with nothing to
+	// carry; Acks are members' answers; Epochs are an epoch change's
+	// requests and answers.
+	Forwards, Appends, Heartbeats, Acks, Epochs atomic.Uint64
 }
 
 // Broadcaster is the reliable-broadcast abstraction the Canopus core
@@ -58,14 +73,15 @@ type Broadcaster interface {
 	// neither implementation keeps it — only the payloads it carries,
 	// which are immutable and are what Deliver hands up.
 	Handle(from wire.NodeID, m wire.Message) bool
-	// Tick drives heartbeats, elections and failure detection; the owner
-	// calls it on a periodic timer.
+	// Tick drives heartbeats, epoch changes and failure detection; the
+	// owner calls it on a periodic timer.
 	Tick()
 	// RemovePeer drops a failed peer from the membership (applied by the
 	// owner at a cycle boundary, after the failure cut).
 	RemovePeer(peer wire.NodeID)
 	// Expect announces a peer that a later AddPeer admits: everything
-	// broadcast from now on must still reach it then.
+	// broadcast from now on must still reach it then, so the log is kept
+	// from here until the peer has acknowledged it.
 	Expect(peer wire.NodeID)
 	// AddPeer admits a (re)joined peer under incarnation inc, the count of
 	// its joins that the owner's membership view holds.
@@ -76,24 +92,26 @@ type Broadcaster interface {
 type Config struct {
 	Members []wire.NodeID // initial super-leaf membership, including self
 	// Seats is the super-leaf's static size: the most members it can ever
-	// have, however many are seated now. The Raft flavour bounds its
-	// groups by it (raftlite.Config.MaxPeers); 0 means unbounded.
+	// have, however many are seated now. The Sequencer commits on a
+	// majority of the seated members; Seats only bounds delivery on
+	// receipt (at most three) and a larger leaf's own counting. 0 selects
+	// the larger-leaf path.
 	Seats int
 
 	// Incarnations maps members to their current incarnation number (how
 	// many times they have re-joined), as the owner's membership view
-	// holds it, so every member's group IDs line up. Missing entries
-	// default to zero.
+	// holds it, so traffic and failure cuts of an earlier incarnation are
+	// told apart. Missing entries default to zero.
 	Incarnations map[wire.NodeID]uint32
 
 	// TickInterval is how often the owner promises to call Tick (default
 	// 5ms); the liveness probe interval and the failure threshold derive
 	// from it (heartbeat, failAfter).
 	TickInterval time.Duration
-	// SeatGrace is how much longer than failAfter the group of a peer
-	// admitted by AddPeer waits for its first word: the peer learns of
-	// its seat from a JoinReply that its sponsor, perhaps a wide-area hop
-	// away, sends when it commits the cycle before the seat.
+	// SeatGrace is how much longer than failAfter the failure detector
+	// waits for the first word of a peer admitted by AddPeer: the peer
+	// learns of its seat from a JoinReply that its sponsor, perhaps a
+	// wide-area hop away, sends when it commits the cycle before the seat.
 	SeatGrace time.Duration
 }
 
@@ -111,29 +129,3 @@ func (c *Config) heartbeat() time.Duration { return 4 * c.TickInterval }
 // deposed-but-alive member is treated as crashed (crash-stop semantics)
 // and must rejoin.
 func (c *Config) failAfter() time.Duration { return 25 * c.heartbeat() }
-
-// groupID packs an origin and its incarnation into a Raft group ID.
-// Incarnations advance when a node re-joins after a crash, so stragglers
-// from the previous incarnation's group cannot disturb the new one.
-func groupID(origin wire.NodeID, incarnation uint32) uint64 {
-	return uint64(uint32(origin)) | uint64(incarnation)<<32
-}
-
-func groupOrigin(g uint64) wire.NodeID { return wire.NodeID(int32(uint32(g))) }
-
-func groupIncarnation(g uint64) uint32 { return uint32(g >> 32) }
-
-// messageGroup extracts the Raft group from a broadcast-layer message.
-func messageGroup(m wire.Message) (uint64, bool) {
-	switch v := m.(type) {
-	case *wire.RaftAppend:
-		return v.Group, true
-	case *wire.RaftAppendReply:
-		return v.Group, true
-	case *wire.RaftVote:
-		return v.Group, true
-	case *wire.RaftVoteReply:
-		return v.Group, true
-	}
-	return 0, false
-}

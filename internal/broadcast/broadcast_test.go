@@ -51,7 +51,7 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 			if useSwitch {
 				return NewSwitch(env, cfg, cbs)
 			}
-			return NewRaft(env, cfg, cbs)
+			return NewSequencer(env, cfg, cbs)
 		}
 		hosts[i] = h
 		runner.Register(wire.NodeID(i), h)
@@ -100,12 +100,5 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 	}
 }
 
-func TestRaftBroadcast(t *testing.T)   { runBroadcastTest(t, false) }
-func TestSwitchBroadcast(t *testing.T) { runBroadcastTest(t, true) }
-
-func TestGroupIDPacking(t *testing.T) {
-	g := groupID(7, 3)
-	if groupOrigin(g) != 7 || groupIncarnation(g) != 3 {
-		t.Fatalf("packing broken: %x -> %v/%d", g, groupOrigin(g), groupIncarnation(g))
-	}
-}
+func TestSequencerBroadcast(t *testing.T) { runBroadcastTest(t, false) }
+func TestSwitchBroadcast(t *testing.T)    { runBroadcastTest(t, true) }

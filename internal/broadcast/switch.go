@@ -15,10 +15,13 @@ import (
 // distribute proposal messages".
 //
 // The sender serializes each payload once (Env.Multicast) and the switch
-// replicates it; atomicity and total per-origin order are provided by the
+// replicates it; atomicity and per-origin order are provided by the
 // fabric, which the simulator models faithfully and a real deployment
-// would obtain from the switch. Liveness uses multicast heartbeats with a
-// silence threshold.
+// would obtain from the switch. Nothing orders two origins' messages
+// against each other: two members broadcasting at one instant may be
+// delivered in different orders on different members, which is why
+// core.Config.Validate refuses leaf eviction over this flavour. Liveness
+// uses multicast heartbeats with a silence threshold.
 type Switch struct {
 	env engine.Env
 	cfg Config

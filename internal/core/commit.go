@@ -255,7 +255,7 @@ func (n *Node) applyMembership(cyc uint64, updates []wire.MemberUpdate) {
 }
 
 // seat takes, at the commit of cycle k-1, every seat that counts from
-// cycle k: the joiner's leaf-mates open its broadcast group under the
+// cycle k: the joiner's leaf-mates seat it in their broadcast under the
 // incarnation the view holds, an evicted leaf it belongs to is re-admitted
 // to the merge, and the joins this node sponsored are returned to be
 // answered. Every node has committed the joins by now (they committed by

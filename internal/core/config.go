@@ -34,9 +34,12 @@ import (
 type BroadcastKind uint8
 
 const (
-	// BroadcastRaft is the software path: per-origin Raft groups (§4.3).
-	BroadcastRaft BroadcastKind = iota
-	// BroadcastSwitch uses hardware-assisted atomic broadcast.
+	// BroadcastSequencer is the software path (§4.3): one sequencer per
+	// super-leaf gives every member one delivery order.
+	BroadcastSequencer BroadcastKind = iota
+	// BroadcastSwitch uses hardware-assisted broadcast, which orders each
+	// origin's messages but not the origins against each other, so it
+	// cannot run leaf eviction (see Validate).
 	BroadcastSwitch
 )
 
@@ -177,6 +180,11 @@ func (c Config) Validate() error {
 	if c.LeafTimeout > 0 && c.LeafTimeout <= c.FetchTimeout {
 		// A leaf would be evicted before the pull of its state is overdue.
 		return fmt.Errorf("core: LeafTimeout %v must exceed FetchTimeout %v", c.LeafTimeout, c.FetchTimeout)
+	}
+	if c.LeafTimeout > 0 && c.Broadcast == BroadcastSwitch {
+		// A seal must land in one order with the state it races (leaf.go),
+		// and the switch orders each origin's messages only.
+		return fmt.Errorf("core: LeafTimeout needs the sequencer broadcast; BroadcastSwitch orders per origin only")
 	}
 	return nil
 }

@@ -185,7 +185,7 @@ func BenchmarkCycleFixedCost(b *testing.B) {
 				w.advance(b, benchInterval)
 			}
 			for i := 0; i < 512; i++ {
-				round() // fill the pools, reach the raft logs' compacting steady state
+				round() // fill the pools, reach the broadcast log's trimming steady state
 			}
 			const runs = 200
 			msgs, committed := w.msgs, w.nodes[0].Ordered()

@@ -34,7 +34,7 @@ import (
 //            leaf-mates keep their broadcast logs whole from X's commit
 //            (Expect), so J receives every proposal of its first cycles.
 //            At the commit of the cycle before the seat, every node seats
-//            J (its leaf-mates open its broadcast group) and S sends
+//            J (its leaf-mates seat it in their broadcast) and S sends
 //            JoinReply{StartCycle: X + MaxInFlight - 1} with its store
 //            image (shards and session table), which J installs through
 //            RestoreImage.
@@ -46,10 +46,10 @@ import (
 //            may have proposed under.
 //
 // A J still seated in S's view is not sponsored: only its leaf's agreed
-// failure cut (the broadcast takeover's GroupClosed, which every member
-// delivers) retires it, and J's retry is sponsored once that Leave has
-// committed. S does not hasten the cut: a retry already in flight when
-// J's reply lands would cut the incarnation just seated.
+// failure cut (the GroupClosed its sequencer orders, which every member
+// delivers at one slot) retires it, and J's retry is sponsored once that
+// Leave has committed. S does not hasten the cut: a retry already in
+// flight when J's reply lands would cut the incarnation just seated.
 
 const joinRetryInterval = 200 * time.Millisecond
 

@@ -18,10 +18,11 @@ import (
 // LeafTimeout past the later of K's start and the previous commit runs
 // an eviction round for the silent branch u in cycle K:
 //
-//  1. Seal own leaf: broadcast LeafSeal{K, u} intra-leaf. The reliable
-//     broadcast's shared delivery order decides, identically for every
-//     member, whether u's real state arrived first (eviction cancels)
-//     or the seal did (plain states for u are refused from then on).
+//  1. Seal own leaf: broadcast LeafSeal{K, u} intra-leaf. The leaf's
+//     one delivery order (the sequencer's log) decides, identically for
+//     every member, whether u's real state arrived first (eviction
+//     cancels) or the seal did (plain states for u are refused from then
+//     on).
 //  2. Query every other surviving leaf with EvictQuery{K, u}. A queried
 //     leaf that holds u's state answers with it (Resolve-flagged, so it
 //     passes seals); otherwise it seals u in its own leaf the same way
@@ -213,9 +214,9 @@ func (n *Node) evictionQuorum(c *cycle) (required []int, ok bool) {
 }
 
 // onLeafSeal handles a LeafSeal at its reliable-broadcast delivery: the
-// shared delivery order is what makes "sealed before the state arrived"
-// a leaf-wide fact. origin is the member that broadcast the seal; it
-// alone answers the initiator, so a query yields one reply.
+// leaf's one delivery order is what makes "sealed before the state
+// arrived" a leaf-wide fact. origin is the member that broadcast the
+// seal; it alone answers the initiator, so a query yields one reply.
 func (n *Node) onLeafSeal(origin wire.NodeID, m *wire.LeafSeal) {
 	u := m.VNode
 	if m.Cycle <= n.committed {

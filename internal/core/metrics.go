@@ -3,8 +3,8 @@ package core
 import (
 	"sync/atomic"
 
+	"canopus/internal/broadcast"
 	"canopus/internal/metrics"
-	"canopus/internal/raftlite"
 )
 
 // startCause says which trigger started a cycle (docs/ARCHITECTURE.md
@@ -87,9 +87,8 @@ type nodeStats struct {
 	// leavesDead mirrors len(n.leafDeadAt) — super-leaves currently
 	// excluded from the merge.
 	leavesDead atomic.Int64
-	// raft counts the reliable-broadcast traffic this node's Raft groups
-	// send, by message kind (the broadcaster's groups share it).
-	raft raftlite.Stats
+	// bcast counts the messages this node's leaf broadcast sends, by kind.
+	bcast broadcast.Stats
 }
 
 // RegisterMetrics exports the node's operational instruments into reg
@@ -166,22 +165,22 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 		n.stats.evictedSelf.Load, labels...)
 	// The intra-leaf broadcast's messages by kind: with
 	// canopus_transport_writes_total they attribute a cycle's socket
-	// writes to the appends, notices, heartbeats and replies behind them.
+	// writes to the forwards, appends, acknowledgements, heartbeats and
+	// epoch changes behind them.
 	for _, k := range []struct {
 		kind string
 		load func() uint64
 	}{
-		{"entries", n.stats.raft.AppendsEntries.Load},
-		{"notice", n.stats.raft.AppendsNotice.Load},
-		{"heartbeat", n.stats.raft.AppendsHeartbeat.Load},
+		{"forward", n.stats.bcast.Forwards.Load},
+		{"append", n.stats.bcast.Appends.Load},
+		{"ack", n.stats.bcast.Acks.Load},
+		{"heartbeat", n.stats.bcast.Heartbeats.Load},
+		{"epoch", n.stats.bcast.Epochs.Load},
 	} {
-		reg.CounterFunc("canopus_raft_appends_total",
-			"AppendEntries sent by this node's broadcast groups: with log entries, as commit notices, as idle heartbeats.",
+		reg.CounterFunc("canopus_broadcast_messages_total",
+			"Messages sent by this node's leaf broadcast: forwards of its own broadcasts, the sequencer's appends with entries, acknowledgements, idle heartbeats and epoch changes.",
 			k.load, withLabel(labels, "kind", k.kind)...)
 	}
-	reg.CounterFunc("canopus_raft_replies_total",
-		"AppendEntries replies sent by this node's broadcast groups (commit notices and idle heartbeats are not answered).",
-		n.stats.raft.Replies.Load, labels...)
 	reg.GaugeFunc("canopus_core_leaves_dead",
 		"Super-leaves currently evicted from the merge in this node's view.",
 		func() float64 { return float64(n.stats.leavesDead.Load()) }, labels...)

@@ -356,13 +356,13 @@ func (n *Node) initBroadcast() {
 	cbs := broadcast.Callbacks{
 		Deliver:    n.onDeliver,
 		PeerFailed: n.onPeerFailed,
-		RaftStats:  &n.stats.raft,
+		Stats:      &n.stats.bcast,
 	}
 	switch n.cfg.Broadcast {
 	case BroadcastSwitch:
 		n.bc = broadcast.NewSwitch(n.env, bcfg, cbs)
 	default:
-		n.bc = broadcast.NewRaft(n.env, bcfg, cbs)
+		n.bc = broadcast.NewSequencer(n.env, bcfg, cbs)
 	}
 	for _, s := range n.view.Pending() {
 		n.expect(s.Node)

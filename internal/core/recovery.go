@@ -36,7 +36,7 @@ import (
 // configured tree (a full-cluster restart brings everyone back). A
 // single node restarting into a live cluster still uses the join
 // protocol: its peers committed its Leave, and only a Join update
-// re-admits it to the broadcast groups.
+// re-admits it to its leaf's broadcast.
 
 // RestoreState installs recovered baseline state. Must be called before
 // Init, after the caller restored the state machine's image: it sets

@@ -15,9 +15,9 @@ import (
 // a fetched vnode state.
 func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 	if seal, ok := payload.(*wire.LeafSeal); ok {
-		// An eviction round's seal (leaf.go): the shared delivery order
-		// decides, leaf-wide, whether it lands before or after the state
-		// it races.
+		// An eviction round's seal (leaf.go): the leaf's one delivery
+		// order decides, leaf-wide, whether it lands before or after the
+		// state it races.
 		n.onLeafSeal(origin, seal)
 		return
 	}
@@ -71,8 +71,8 @@ func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 // ride the next proposal (§4.6).
 func (n *Node) onPeerFailed(peer wire.NodeID) {
 	if peer == n.cfg.Self {
-		// The super-leaf deposed this node's broadcast group: the rest
-		// of the rack considers us dead. Crash-stop semantics forbid
+		// The super-leaf cut this node from its broadcast: the rest of
+		// the rack considers us dead. Crash-stop semantics forbid
 		// continuing; halt until restarted through the join protocol.
 		n.halt(false)
 		return

@@ -1,7 +1,7 @@
 // Package engine defines the execution contract shared by every protocol
 // implementation in this repository.
 //
-// Protocol engines (Canopus, Raft, EPaxos, Zab) are deterministic
+// Protocol engines (Canopus, EPaxos, Zab) are deterministic
 // event-driven state machines: they react to messages and timers and emit
 // messages and timers through an Env. The same machine code runs under
 // two drivers:
@@ -83,15 +83,15 @@ type Machine interface {
 	//
 	// Ownership: m is lent, read-only, for the duration of the call. The
 	// simulator hands the same pointer to every recipient; the live
-	// runner decodes Raft control traffic (RaftAppend — including its
-	// Entries slice —, RaftAppendReply, ProposalRequest) into
-	// per-connection scratch it reuses once the turn is over. A machine
-	// that needs any of it later copies what it keeps, by value, before
-	// returning (raftlite copies log entries; core keeps a request's
-	// VNode string, which is never scratch). Entry payloads and every
-	// other message kind are immutable heap objects and may be retained
-	// as they are — that is how a delivered Proposal lives on in the
-	// Raft log and the cycle state without a copy.
+	// runner decodes the leaf broadcast's control traffic (SeqForward,
+	// SeqAppend — including its Entries slice —, SeqAck) and
+	// ProposalRequest into per-connection scratch it reuses once the turn
+	// is over. A machine that needs any of it later copies what it keeps,
+	// by value, before returning (the broadcast copies log entries; core
+	// keeps a request's VNode string, which is never scratch). Payloads
+	// and every other message kind are immutable heap objects and may be
+	// retained as they are — that is how a delivered Proposal lives on in
+	// the broadcast log and the cycle state without a copy.
 	//
 	// The live runner calls Recv once per frame, in arrival order, for
 	// all frames one socket read returned, inside a single turn: sends

@@ -222,7 +222,8 @@ func TestGeoLeafEvictReadmitCampaign(t *testing.T) {
 // behind: its leaf-mates seated it and opened its broadcast group, whose
 // election timers fired before its JoinReply, sent by a sponsor an
 // intercontinental hop away, reached it, so the leaf cut it again. A
-// seated joiner's group now waits FetchTimeout longer for its first word.
+// seated joiner now gets FetchTimeout longer before its leaf's sequencer
+// may cut it.
 func TestGeoRejoinerSeatedFromAfarConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("geo campaign runs in full mode")
@@ -233,6 +234,39 @@ func TestGeoRejoinerSeatedFromAfarConverges(t *testing.T) {
 			t.Fatalf("seed %d: %s", seed, r)
 		}
 		ref := r.Replicas[0]
+		for _, rep := range r.Replicas {
+			if rep.Committed != ref.Committed || rep.StateDigest != ref.StateDigest {
+				t.Fatalf("seed %d: replica n%d committed %d, n%d committed %d", seed, rep.Node, rep.Committed, ref.Node, ref.Committed)
+			}
+		}
+	}
+}
+
+// TestGeoCampaignSeedsOfOneLeafOrder pins three seeds of the geo
+// campaign that failed while each member of a leaf ran its own broadcast
+// group, which ordered each origin alone: at seed 24 the history was not
+// linearizable, at seeds 2 and 44 a replica ended behind the others.
+// With one sequencer per leaf every member delivers one order, and the
+// three runs are linearizable and converge.
+func TestGeoCampaignSeedsOfOneLeafOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("geo campaign runs in full mode")
+	}
+	for _, seed := range []int64{2, 24, 44} {
+		r := RunChaos(ScenarioGeoLeafEvictReadmit(seed).Spec)
+		if !r.Linearizable || r.Readmissions == 0 {
+			t.Fatalf("seed %d: %s", seed, r)
+		}
+		var ref *ReplicaState
+		for i := range r.Replicas {
+			if !r.Replicas[i].Restarted {
+				ref = &r.Replicas[i]
+				break
+			}
+		}
+		if ref == nil {
+			t.Fatalf("seed %d: no never-restarted replica", seed)
+		}
 		for _, rep := range r.Replicas {
 			if rep.Committed != ref.Committed || rep.StateDigest != ref.StateDigest {
 				t.Fatalf("seed %d: replica n%d committed %d, n%d committed %d", seed, rep.Node, rep.Committed, ref.Node, ref.Committed)

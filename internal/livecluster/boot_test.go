@@ -59,23 +59,33 @@ func TestBootRefusesJoinerWithDisk(t *testing.T) {
 	}
 }
 
-// TestBootRefusesLeafTimeoutAtFetchTimeout: a LeafTimeout not above the
-// FetchTimeout (canopus-server -leaf-timeout 20ms against the 50 ms
-// default) would evict a leaf before its state's pull is overdue, so Boot
-// refuses it before it opens the disk.
+// TestBootRefusesLeafTimeoutAtFetchTimeout: Boot refuses, before it opens
+// the disk, a Node config core.Config.Validate rejects. A LeafTimeout not
+// above the FetchTimeout (canopus-server -leaf-timeout 20ms against the
+// 50 ms default) would evict a leaf before its state's pull is overdue;
+// and eviction needs one delivery order across a leaf's members, which
+// the switch broadcast, ordering each origin alone, does not give.
 func TestBootRefusesLeafTimeoutAtFetchTimeout(t *testing.T) {
-	runner, tree := bootRunner(t)
-	disk := wal.NewMemFS()
-	_, err := Boot(ReplicaConfig{
-		Runner: runner,
-		Node:   core.Config{Tree: tree, LeafTimeout: 20 * time.Millisecond},
-		Disk:   disk,
-	})
-	if err == nil || !strings.Contains(err.Error(), "LeafTimeout 20ms must exceed FetchTimeout 50ms") {
-		t.Fatalf("Boot(LeafTimeout 20ms) = %v, want the LeafTimeout refusal", err)
-	}
-	if names, _ := disk.List(); len(names) != 0 {
-		t.Fatalf("refused replica touched its disk: %v", names)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"leaf timeout at fetch timeout", core.Config{LeafTimeout: 20 * time.Millisecond},
+			"LeafTimeout 20ms must exceed FetchTimeout 50ms"},
+		{"eviction over the switch broadcast", core.Config{LeafTimeout: time.Second, Broadcast: core.BroadcastSwitch},
+			"LeafTimeout needs the sequencer broadcast"},
+	} {
+		runner, tree := bootRunner(t)
+		disk := wal.NewMemFS()
+		tc.cfg.Tree = tree
+		_, err := Boot(ReplicaConfig{Runner: runner, Node: tc.cfg, Disk: disk})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Boot = %v, want %q", tc.name, err, tc.want)
+		}
+		if names, _ := disk.List(); len(names) != 0 {
+			t.Fatalf("%s: refused replica touched its disk: %v", tc.name, names)
+		}
 	}
 }
 

@@ -158,9 +158,12 @@ func TestRequestsIn(t *testing.T) {
 	if got := RequestsIn(&wire.Proposal{Batches: []*wire.Batch{b, b}}); got != 10 {
 		t.Fatalf("proposal requests = %d, want 10", got)
 	}
-	if got := RequestsIn(&wire.RaftAppend{Entries: []wire.RaftEntry{
-		{Payload: &wire.Proposal{Batches: []*wire.Batch{b}}},
+	if got := RequestsIn(&wire.SeqAppend{Entries: []wire.SeqEntry{
+		{Payload: &wire.Proposal{Batches: []*wire.Batch{b}}}, {},
 	}}); got != 5 {
+		t.Fatalf("nested requests = %d, want 5", got)
+	}
+	if got := RequestsIn(&wire.SeqForward{Payload: &wire.Proposal{Batches: []*wire.Batch{b}}}); got != 5 {
 		t.Fatalf("nested requests = %d, want 5", got)
 	}
 	if RequestsIn(&wire.Ping{}) != 0 {

@@ -66,7 +66,11 @@ func RequestsIn(m wire.Message) int {
 		if v.Batch != nil {
 			return v.Batch.Requests()
 		}
-	case *wire.RaftAppend:
+	case *wire.SeqForward:
+		if v.Payload != nil {
+			return RequestsIn(v.Payload)
+		}
+	case *wire.SeqAppend:
 		n := 0
 		for i := range v.Entries {
 			if v.Entries[i].Payload != nil {

@@ -153,13 +153,14 @@ func (m *burstMachine) Recv(wire.NodeID, wire.Message) {
 }
 
 // recvBurstAllocCeiling is the committed ceiling on what the receive path
-// may allocate per frame of Raft control traffic. Steady state is zero;
-// the slack absorbs the runtime's own background allocations.
+// may allocate per frame of the leaf broadcast's control traffic. Steady
+// state is zero; the slack absorbs the runtime's own background
+// allocations.
 const recvBurstAllocCeiling = 0.25
 
 // BenchmarkRecvBurst measures the receive hot path over a loopback socket:
-// per iteration, a peer writes 64 frames of Raft control traffic (the
-// appends, replies and commit notices of a round-1 broadcast) in one
+// per iteration, a peer writes 64 frames of the leaf broadcast's control
+// traffic (the heartbeats, notices and acknowledgements of round 1) in one
 // segment and waits until the machine has seen them. frames/read is how
 // many frames one read syscall — one machine turn — delivered; with a read
 // per frame header and another per body it was 0.5. allocs/frame fails the
@@ -183,8 +184,8 @@ func BenchmarkRecvBurst(b *testing.B) {
 
 	var segment []byte
 	for i := 0; i < burst; i += 2 {
-		segment = appendFrame(segment, 1, &wire.RaftAppend{Group: 1, Term: 1, Leader: 1, PrevIndex: uint64(i), PrevTerm: 1, Commit: uint64(i)})
-		segment = appendFrame(segment, 1, &wire.RaftAppendReply{Group: 2, Term: 1, From: 1, Success: true, Match: uint64(i)})
+		segment = appendFrame(segment, 1, &wire.SeqAppend{Epoch: 1<<32 | 1, Seq: uint64(i) + 1, PrevEpoch: 1<<32 | 1, Commit: uint64(i)})
+		segment = appendFrame(segment, 1, &wire.SeqAck{Epoch: 1<<32 | 1, From: 1, Match: uint64(i)})
 	}
 	send := func() {
 		if _, err := conn.Write(segment); err != nil {

@@ -44,7 +44,7 @@ type recorder struct {
 	// echoTo, when not NoNode, gets one Ping per received message, so the
 	// number of turn buffers the runner flushes counts the turns.
 	echoTo wire.NodeID
-	// scribble overwrites every RaftAppend after recording it.
+	// scribble overwrites every SeqAppend after recording it.
 	scribble bool
 }
 
@@ -56,12 +56,12 @@ func (m *recorder) Recv(from wire.NodeID, msg wire.Message) {
 	if m.echoTo != wire.NoNode {
 		m.env.Send(m.echoTo, &wire.Ping{From: m.env.ID(), Seq: uint64(len(m.got))})
 	}
-	if a, ok := msg.(*wire.RaftAppend); ok && m.scribble {
+	if a, ok := msg.(*wire.SeqAppend); ok && m.scribble {
 		for i := range a.Entries {
-			a.Entries[i] = wire.RaftEntry{Term: 0xdead}
+			a.Entries[i] = wire.SeqEntry{Epoch: 0xdead}
 		}
-		a.Entries = append(a.Entries, wire.RaftEntry{Term: 0xbeef}, wire.RaftEntry{Term: 0xbeef})
-		a.Group, a.Term, a.PrevIndex, a.Commit = 0xbad, 0xbad, 0xbad, 0xbad
+		a.Entries = append(a.Entries, wire.SeqEntry{Epoch: 0xbeef}, wire.SeqEntry{Epoch: 0xbeef})
+		a.Epoch, a.Seq, a.PrevEpoch, a.Commit = 0xbad, 0xbad, 0xbad, 0xbad
 	}
 }
 
@@ -91,16 +91,17 @@ func testStream() (stream []byte, frames [][]byte) {
 		},
 	}}}
 	msgs := []wire.Message{
-		&wire.RaftAppend{Group: 5, Term: 1, Leader: 2, PrevIndex: 6, PrevTerm: 1, Commit: 6, Base: 2,
-			Entries: []wire.RaftEntry{{Term: 1, Payload: proposal}, {Term: 1}}},
-		&wire.RaftAppendReply{Group: 5, Term: 1, From: 1, Success: true, Match: 8},
+		&wire.SeqAppend{Epoch: 1<<32 | 2, Seq: 7, PrevEpoch: 1<<32 | 2, Commit: 6, Trim: 2,
+			Entries: []wire.SeqEntry{{Epoch: 1<<32 | 2, Origin: 2, OSeq: 5, Payload: proposal}, {Epoch: 1<<32 | 2, Origin: 1}}},
+		&wire.SeqAck{Epoch: 1<<32 | 2, From: 1, Match: 8},
 		&wire.ProposalRequest{Cycle: 4, Round: 2, VNode: "1.2", From: 3},
 		&wire.Ping{From: 2, Seq: 9},
-		&wire.RaftAppend{Group: 5, Term: 1, Leader: 2, PrevIndex: 8, PrevTerm: 1, Commit: 8, Base: 2},
+		&wire.SeqAppend{Epoch: 1<<32 | 2, Seq: 9, PrevEpoch: 1<<32 | 2, Commit: 8, Trim: 2},
+		&wire.SeqForward{Epoch: 1<<32 | 2, Origin: 3, OSeq: 6, Match: 8, Payload: proposal},
 		proposal,
 		&wire.ProposalRequest{Cycle: 5, Round: 2, VNode: "1.2", From: 3},
-		&wire.RaftAppend{Group: 6, Term: 2, Leader: 1, PrevIndex: 1, PrevTerm: 1, Commit: 1,
-			Entries: []wire.RaftEntry{{Term: 2, Payload: &wire.GroupClosed{Origin: 4}}}},
+		&wire.SeqAppend{Epoch: 2<<32 | 1, Seq: 2, PrevEpoch: 1<<32 | 2, Commit: 1,
+			Entries: []wire.SeqEntry{{Epoch: 2<<32 | 1, Origin: 1, Payload: &wire.GroupClosed{Origin: 4, Inc: 1}}}},
 	}
 	for i, m := range msgs {
 		f := appendFrame(nil, wire.NodeID(i%3+1), m)
@@ -220,13 +221,13 @@ func TestBadFrameMidBurst(t *testing.T) {
 }
 
 // TestScratchDoesNotLeakBetweenMessages is the receive side of the
-// ownership contract. Raft control messages live in scratch the reader
-// reuses, so a machine may do what it likes to the message it was handed
-// — overwrite it, append to its Entries — and no later message, in the
-// same turn or a later one, shows a trace of it: every decode rewrites
-// its slot in full and Entries cannot grow into a neighbour's. What a
-// machine copied by value (here: the recorder's encoding, in raftlite: the
-// log entries) is untouched by the reuse.
+// ownership contract. The leaf broadcast's control messages live in
+// scratch the reader reuses, so a machine may do what it likes to the
+// message it was handed — overwrite it, append to its Entries — and no
+// later message, in the same turn or a later one, shows a trace of it:
+// every decode rewrites its slot in full and Entries cannot grow into a
+// neighbour's. What a machine copied by value (here: the recorder's
+// encoding, in the broadcast: the log entries) is untouched by the reuse.
 func TestScratchDoesNotLeakBetweenMessages(t *testing.T) {
 	stream, frames := testStream()
 	var chunks [][]byte

@@ -14,8 +14,9 @@
 // Receives are batched the same way: a reader decodes every complete
 // frame one socket read returned and delivers them in a single machine
 // turn, so the replies to a burst leave in one vectored write per peer.
-// Raft control messages are decoded into per-connection scratch that is
-// reused after the turn (see engine.Machine.Recv for the ownership rule).
+// The leaf broadcast's control messages are decoded into per-connection
+// scratch that is reused after the turn (see engine.Machine.Recv for the
+// ownership rule).
 //
 // Timers are the runner's own: the deadlines machines arm with After sit
 // in two heaps, each behind a deadline source of its own — on Linux a
@@ -559,7 +560,7 @@ func (r *Runner) fireTimers(near bool) {
 // message (protocol retries recover, exactly as on a lossy-at-crash
 // network).
 //
-// A message sent to several peers in a row (a Raft leader replicating
+// A message sent to several peers in a row (a sequencer fanning out
 // one entry, an emulator answering several fetches of one state) is
 // encoded once and copied for the rest: messages are immutable once
 // sent, so the same pointer (every wire.Message is one) means the same

@@ -575,138 +575,159 @@ func readProposalRequest(r *reader, p *ProposalRequest) {
 	p.From = r.node()
 }
 
-// --- Raft ---
+// --- Sequenced broadcast ---
 
-func entrySize(e *RaftEntry) int {
-	n := 8 + 1
-	if e.Payload != nil {
-		n += e.Payload.WireSize()
+const seqEntryFixed = 8 + 4 + 8 + 1
+
+func seqEntriesSize(es []SeqEntry) int {
+	n := 4
+	for i := range es {
+		n += seqEntryFixed
+		if es[i].Payload != nil {
+			n += es[i].Payload.WireSize()
+		}
 	}
 	return n
 }
 
-func appendEntry(b []byte, e *RaftEntry) []byte {
-	b = putU64(b, e.Term)
-	if e.Payload == nil {
-		return putBool(b, false)
-	}
-	b = putBool(b, true)
-	return e.Payload.AppendTo(b)
-}
-
-func readEntry(r *reader) RaftEntry {
-	var e RaftEntry
-	e.Term = r.u64()
-	if r.boolean() {
-		// On the same reader: the payload shares the intern table, and a
-		// truncated payload is the entry's truncation.
-		e.Payload = readMessage(r, Kind(r.u8()))
-	}
-	return e
-}
-
-func (m *RaftAppend) WireSize() int {
-	n := 1 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 4
-	for i := range m.Entries {
-		n += entrySize(&m.Entries[i])
-	}
-	return n
-}
-
-func (m *RaftAppend) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindRaftAppend))
-	b = putU64(b, m.Group)
-	b = putU64(b, m.Term)
-	b = putNode(b, m.Leader)
-	b = putU64(b, m.PrevIndex)
-	b = putU64(b, m.PrevTerm)
-	b = putU64(b, m.Commit)
-	b = putU64(b, m.Base)
-	b = putU32(b, uint32(len(m.Entries)))
-	for i := range m.Entries {
-		b = appendEntry(b, &m.Entries[i])
+func appendSeqEntries(b []byte, es []SeqEntry) []byte {
+	b = putU32(b, uint32(len(es)))
+	for i := range es {
+		e := &es[i]
+		b = putU64(b, e.Epoch)
+		b = putNode(b, e.Origin)
+		b = putU64(b, e.OSeq)
+		b = appendOptional(b, e.Payload)
 	}
 	return b
 }
 
-// readRaftAppend decodes into m, appending its entries to entries (which
-// m.Entries then sub-slices) and returning the grown slice.
-func readRaftAppend(r *reader, m *RaftAppend, entries []RaftEntry) []RaftEntry {
-	m.Group = r.u64()
-	m.Term = r.u64()
-	m.Leader = r.node()
-	m.PrevIndex = r.u64()
-	m.PrevTerm = r.u64()
-	m.Commit = r.u64()
-	m.Base = r.u64()
-	n := r.count(9)
+// readSeqEntries appends the entries read to entries and returns the grown
+// slice and the part of it just read (nil when none), capped at its
+// length.
+func readSeqEntries(r *reader, entries []SeqEntry) (grown, read []SeqEntry) {
+	n := r.count(seqEntryFixed)
 	start := len(entries)
 	for i := 0; i < n && r.err == nil; i++ {
-		entries = append(entries, readEntry(r))
+		var e SeqEntry
+		e.Epoch = r.u64()
+		e.Origin = r.node()
+		e.OSeq = r.u64()
+		e.Payload = readOptional(r)
+		entries = append(entries, e)
 	}
-	m.Entries = nil
 	if len(entries) > start {
-		m.Entries = entries[start:len(entries):len(entries)]
+		read = entries[start:len(entries):len(entries)]
 	}
+	return entries, read
+}
+
+// appendOptional encodes a message that may be nil behind a presence flag.
+func appendOptional(b []byte, m Message) []byte {
+	if m == nil {
+		return putBool(b, false)
+	}
+	return m.AppendTo(putBool(b, true))
+}
+
+func optionalSize(m Message) int {
+	if m == nil {
+		return 1
+	}
+	return 1 + m.WireSize()
+}
+
+func readOptional(r *reader) Message {
+	if !r.boolean() {
+		return nil
+	}
+	// On the same reader: the payload shares the intern table, and a
+	// truncated payload is the enclosing message's truncation.
+	return readMessage(r, Kind(r.u8()))
+}
+
+func (m *SeqForward) WireSize() int { return 1 + 8 + 4 + 8 + 8 + optionalSize(m.Payload) }
+
+func (m *SeqForward) AppendTo(b []byte) []byte {
+	b = putU8(b, uint8(KindSeqForward))
+	b = putU64(b, m.Epoch)
+	b = putNode(b, m.Origin)
+	b = putU64(b, m.OSeq)
+	b = putU64(b, m.Match)
+	return appendOptional(b, m.Payload)
+}
+
+func readSeqForward(r *reader, m *SeqForward) {
+	m.Epoch = r.u64()
+	m.Origin = r.node()
+	m.OSeq = r.u64()
+	m.Match = r.u64()
+	m.Payload = readOptional(r)
+}
+
+func (m *SeqAppend) WireSize() int { return 1 + 5*8 + seqEntriesSize(m.Entries) }
+
+func (m *SeqAppend) AppendTo(b []byte) []byte {
+	b = putU8(b, uint8(KindSeqAppend))
+	b = putU64(b, m.Epoch)
+	b = putU64(b, m.Seq)
+	b = putU64(b, m.PrevEpoch)
+	b = putU64(b, m.Commit)
+	b = putU64(b, m.Trim)
+	return appendSeqEntries(b, m.Entries)
+}
+
+// readSeqAppend decodes into m, appending its entries to entries (which
+// m.Entries then sub-slices) and returning the grown slice.
+func readSeqAppend(r *reader, m *SeqAppend, entries []SeqEntry) []SeqEntry {
+	m.Epoch = r.u64()
+	m.Seq = r.u64()
+	m.PrevEpoch = r.u64()
+	m.Commit = r.u64()
+	m.Trim = r.u64()
+	entries, m.Entries = readSeqEntries(r, entries)
 	return entries
 }
 
-func (m *RaftAppendReply) WireSize() int { return 1 + 8 + 8 + 4 + 1 + 8 }
+func (m *SeqAck) WireSize() int { return 1 + 8 + 4 + 4 + 8 + 1 }
 
-func (m *RaftAppendReply) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindRaftAppendReply))
-	b = putU64(b, m.Group)
-	b = putU64(b, m.Term)
+func (m *SeqAck) AppendTo(b []byte) []byte {
+	b = putU8(b, uint8(KindSeqAck))
+	b = putU64(b, m.Epoch)
 	b = putNode(b, m.From)
-	b = putBool(b, m.Success)
-	return putU64(b, m.Match)
+	b = putU32(b, m.Inc)
+	b = putU64(b, m.Match)
+	return putBool(b, m.Reject)
 }
 
-func readRaftAppendReply(r *reader, m *RaftAppendReply) {
-	m.Group = r.u64()
-	m.Term = r.u64()
+func readSeqAck(r *reader, m *SeqAck) {
+	m.Epoch = r.u64()
 	m.From = r.node()
-	m.Success = r.boolean()
+	m.Inc = r.u32()
 	m.Match = r.u64()
+	m.Reject = r.boolean()
 }
 
-func (m *RaftVote) WireSize() int { return 1 + 8 + 8 + 4 + 8 + 8 }
+func (m *SeqEpoch) WireSize() int { return 1 + 8 + 4 + 8 + 8 + 8 + seqEntriesSize(m.Entries) }
 
-func (m *RaftVote) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindRaftVote))
-	b = putU64(b, m.Group)
-	b = putU64(b, m.Term)
-	b = putNode(b, m.Candidate)
-	b = putU64(b, m.LastIndex)
-	return putU64(b, m.LastTerm)
-}
-
-func readRaftVote(r *reader) *RaftVote {
-	m := &RaftVote{}
-	m.Group = r.u64()
-	m.Term = r.u64()
-	m.Candidate = r.node()
-	m.LastIndex = r.u64()
-	m.LastTerm = r.u64()
-	return m
-}
-
-func (m *RaftVoteReply) WireSize() int { return 1 + 8 + 8 + 4 + 1 }
-
-func (m *RaftVoteReply) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindRaftVoteReply))
-	b = putU64(b, m.Group)
-	b = putU64(b, m.Term)
+func (m *SeqEpoch) AppendTo(b []byte) []byte {
+	b = putU8(b, uint8(KindSeqEpoch))
+	b = putU64(b, m.Epoch)
 	b = putNode(b, m.From)
-	return putBool(b, m.Granted)
+	b = putU64(b, m.Commit)
+	b = putU64(b, m.Seq)
+	b = putU64(b, m.PrevEpoch)
+	return appendSeqEntries(b, m.Entries)
 }
 
-func readRaftVoteReply(r *reader) *RaftVoteReply {
-	m := &RaftVoteReply{}
-	m.Group = r.u64()
-	m.Term = r.u64()
+func readSeqEpoch(r *reader) *SeqEpoch {
+	m := &SeqEpoch{}
+	m.Epoch = r.u64()
 	m.From = r.node()
-	m.Granted = r.boolean()
+	m.Commit = r.u64()
+	m.Seq = r.u64()
+	m.PrevEpoch = r.u64()
+	_, m.Entries = readSeqEntries(r, nil)
 	return m
 }
 
@@ -975,15 +996,16 @@ func readPing(r *reader) *Ping {
 	return m
 }
 
-func (m *GroupClosed) WireSize() int { return 1 + 4 }
+func (m *GroupClosed) WireSize() int { return 1 + 4 + 4 }
 
 func (m *GroupClosed) AppendTo(b []byte) []byte {
 	b = putU8(b, uint8(KindGroupClosed))
-	return putNode(b, m.Origin)
+	b = putNode(b, m.Origin)
+	return putU32(b, m.Inc)
 }
 
 func readGroupClosed(r *reader) *GroupClosed {
-	return &GroupClosed{Origin: r.node()}
+	return &GroupClosed{Origin: r.node(), Inc: r.u32()}
 }
 
 func (m *JoinRequest) WireSize() int { return 1 + 4 + 8 }
@@ -1190,18 +1212,20 @@ func readMessage(r *reader, k Kind) Message {
 		v := &ProposalRequest{}
 		readProposalRequest(r, v)
 		m = v
-	case KindRaftAppend:
-		v := &RaftAppend{}
-		readRaftAppend(r, v, nil)
+	case KindSeqForward:
+		v := &SeqForward{}
+		readSeqForward(r, v)
 		m = v
-	case KindRaftAppendReply:
-		v := &RaftAppendReply{}
-		readRaftAppendReply(r, v)
+	case KindSeqAppend:
+		v := &SeqAppend{}
+		readSeqAppend(r, v, nil)
 		m = v
-	case KindRaftVote:
-		m = readRaftVote(r)
-	case KindRaftVoteReply:
-		m = readRaftVoteReply(r)
+	case KindSeqAck:
+		v := &SeqAck{}
+		readSeqAck(r, v)
+		m = v
+	case KindSeqEpoch:
+		m = readSeqEpoch(r)
 	case KindPreAccept:
 		m = readPreAccept(r)
 	case KindPreAcceptReply:

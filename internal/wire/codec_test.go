@@ -30,11 +30,14 @@ func exemplars() []Message {
 			Updates:  []MemberUpdate{{Node: 5, Leave: true}},
 			Sessions: []SessionUpdate{{ID: 21 | SessionIDBit}, {ID: 9 | SessionIDBit, Expire: true}}},
 		&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.3", From: 1},
-		&RaftAppend{Group: 9, Term: 3, Leader: 0, PrevIndex: 4, PrevTerm: 2, Commit: 4,
-			Entries: []RaftEntry{{Term: 3, Payload: &ProposalRequest{Cycle: 1, VNode: "1"}}, {Term: 3}}},
-		&RaftAppendReply{Group: 9, Term: 3, From: 2, Success: true, Match: 6},
-		&RaftVote{Group: 9, Term: 4, Candidate: 1, LastIndex: 6, LastTerm: 3},
-		&RaftVoteReply{Group: 9, Term: 4, From: 2, Granted: true},
+		&SeqForward{Epoch: 9<<32 | 1, Origin: 2, OSeq: 3<<32 | 7, Match: 5,
+			Payload: &ProposalRequest{Cycle: 1, VNode: "1"}},
+		&SeqAppend{Epoch: 9<<32 | 1, Seq: 5, PrevEpoch: 8<<32 | 2, Commit: 4, Trim: 2,
+			Entries: []SeqEntry{{Epoch: 9<<32 | 1, Origin: 2, OSeq: 7, Payload: &ProposalRequest{Cycle: 1, VNode: "1"}},
+				{Epoch: 9<<32 | 1, Origin: 2, OSeq: 8}}},
+		&SeqAck{Epoch: 9<<32 | 1, From: 2, Inc: 3, Match: 6, Reject: true},
+		&SeqEpoch{Epoch: 10<<32 | 2, From: 1, Commit: 4, Seq: 5, PrevEpoch: 9<<32 | 1,
+			Entries: []SeqEntry{{Epoch: 9<<32 | 1, Origin: 1, Payload: &GroupClosed{Origin: 0, Inc: 2}}}},
 		&PreAccept{Replica: 1, Instance: 5, Ballot: 0, Batch: b, Seq: 2,
 			Deps: []InstanceRef{{Replica: 0, Instance: 4}}},
 		&PreAcceptReply{Replica: 1, Instance: 5, From: 2, OK: true, Seq: 3,

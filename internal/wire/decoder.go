@@ -1,14 +1,15 @@
 package wire
 
-// Decoder decodes the messages of one inbound connection. Raft control
-// traffic — RaftAppend, RaftAppendReply, ProposalRequest, several of which
-// ride every consensus cycle and none of which a receiver keeps — is
-// decoded into scratch the Decoder reuses, so steady state allocates
-// nothing for them; every other kind goes through Decode.
+// Decoder decodes the messages of one inbound connection. The leaf
+// broadcast's control traffic — SeqForward, SeqAppend, SeqAck — and
+// ProposalRequest ride every consensus cycle and no receiver keeps them,
+// so they are decoded into scratch the Decoder reuses, and steady state
+// allocates nothing for them but their payloads; every other kind goes
+// through Decode.
 //
 // Ownership: a scratch-backed message, and the Entries slice of a
-// RaftAppend, are valid until the next Reset. What they point to is not
-// scratch: entry payloads (and everything Decode returns) are ordinary
+// SeqAppend, are valid until the next Reset. What they point to is not
+// scratch: payloads (and everything Decode returns) are ordinary
 // immutable heap objects a receiver may keep, and a ProposalRequest's
 // VNode is an ordinary string. Every Decode overwrites its slot in full
 // and caps Entries at its own length, so nothing a receiver did to an
@@ -18,10 +19,11 @@ package wire
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use.
 type Decoder struct {
-	appends  []RaftAppend
-	replies  []RaftAppendReply
+	forwards []SeqForward
+	appends  []SeqAppend
+	acks     []SeqAck
 	requests []ProposalRequest
-	entries  []RaftEntry
+	entries  []SeqEntry
 	vnodes   map[string]string // interned ProposalRequest.VNode values
 }
 
@@ -37,15 +39,20 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 	r := reader{b: b, off: 1, vnodes: d.vnodes}
 	var m Message
 	switch Kind(b[0]) {
-	case KindRaftAppend:
-		d.appends = append(d.appends, RaftAppend{})
-		v := &d.appends[len(d.appends)-1]
-		d.entries = readRaftAppend(&r, v, d.entries)
+	case KindSeqForward:
+		d.forwards = append(d.forwards, SeqForward{})
+		v := &d.forwards[len(d.forwards)-1]
+		readSeqForward(&r, v)
 		m = v
-	case KindRaftAppendReply:
-		d.replies = append(d.replies, RaftAppendReply{})
-		v := &d.replies[len(d.replies)-1]
-		readRaftAppendReply(&r, v)
+	case KindSeqAppend:
+		d.appends = append(d.appends, SeqAppend{})
+		v := &d.appends[len(d.appends)-1]
+		d.entries = readSeqAppend(&r, v, d.entries)
+		m = v
+	case KindSeqAck:
+		d.acks = append(d.acks, SeqAck{})
+		v := &d.acks[len(d.acks)-1]
+		readSeqAck(&r, v)
 		m = v
 	case KindProposalRequest:
 		d.requests = append(d.requests, ProposalRequest{})
@@ -62,12 +69,14 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 }
 
 // Reset invalidates every scratch-backed message handed out since the
-// previous Reset and makes the scratch available again. Entry payloads
-// are dropped so the scratch does not keep delivered proposals alive.
+// previous Reset and makes the scratch available again. Payloads are
+// dropped so the scratch does not keep delivered proposals alive.
 func (d *Decoder) Reset() {
+	clear(d.forwards)
 	clear(d.entries)
+	d.forwards = d.forwards[:0]
 	d.appends = d.appends[:0]
-	d.replies = d.replies[:0]
+	d.acks = d.acks[:0]
 	d.requests = d.requests[:0]
 	d.entries = d.entries[:0]
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // TestDecoderReusesScratch pins what the Decoder is for: in steady state
-// Raft control traffic decodes without allocating, and a vnode ID seen
-// before is not allocated again.
+// the leaf broadcast's control traffic decodes without allocating, and a
+// vnode ID seen before is not allocated again.
 func TestDecoderReusesScratch(t *testing.T) {
 	frames := [][]byte{
-		(&RaftAppend{Group: 1, Term: 2, Leader: 0, PrevIndex: 3, PrevTerm: 1, Commit: 2, Base: 1,
-			Entries: []RaftEntry{{Term: 2}, {Term: 2}}}).AppendTo(nil),
-		(&RaftAppendReply{Group: 1, Term: 2, From: 1, Success: true, Match: 3}).AppendTo(nil),
+		(&SeqAppend{Epoch: 2<<32 | 1, Seq: 3, PrevEpoch: 2<<32 | 1, Commit: 2, Trim: 1,
+			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 1}, {Epoch: 2<<32 | 1, Origin: 2}}}).AppendTo(nil),
+		(&SeqAck{Epoch: 2<<32 | 1, From: 1, Match: 3}).AppendTo(nil),
+		(&SeqForward{Epoch: 2<<32 | 1, Origin: 2, OSeq: 9, Match: 4}).AppendTo(nil),
 		(&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.2", From: 5}).AppendTo(nil),
 	}
 	var d Decoder
@@ -30,8 +31,8 @@ func TestDecoderReusesScratch(t *testing.T) {
 		t.Fatalf("a turn of control traffic allocates %v objects, want 0", allocs)
 	}
 
-	a, _, _ := d.Decode(frames[2])
-	b, _, _ := d.Decode(frames[2])
+	a, _, _ := d.Decode(frames[3])
+	b, _, _ := d.Decode(frames[3])
 	va, vb := a.(*ProposalRequest).VNode, b.(*ProposalRequest).VNode
 	if va != "1.2" || unsafe.StringData(va) != unsafe.StringData(vb) {
 		t.Fatalf("vnode IDs %q and %q are not one interned string", va, vb)
@@ -43,10 +44,10 @@ func TestDecoderReusesScratch(t *testing.T) {
 // neighbour's, and entry payloads survive the Reset that recycles the
 // entries themselves.
 func TestDecoderMessagesAreIndependent(t *testing.T) {
-	first := &RaftAppend{Group: 1, Term: 1, PrevIndex: 1,
-		Entries: []RaftEntry{{Term: 1, Payload: &Ping{From: 3, Seq: 4}}}}
-	second := &RaftAppend{Group: 2, Term: 1, PrevIndex: 9,
-		Entries: []RaftEntry{{Term: 1, Payload: &Ping{From: 5, Seq: 6}}}}
+	first := &SeqAppend{Epoch: 1 << 32, Seq: 2,
+		Entries: []SeqEntry{{Epoch: 1 << 32, Payload: &Ping{From: 3, Seq: 4}}}}
+	second := &SeqAppend{Epoch: 2 << 32, Seq: 10,
+		Entries: []SeqEntry{{Epoch: 2 << 32, Payload: &Ping{From: 5, Seq: 6}}}}
 	var d Decoder
 	m1, _, err := d.Decode(first.AppendTo(nil))
 	if err != nil {
@@ -56,15 +57,15 @@ func TestDecoderMessagesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, a2 := m1.(*RaftAppend), m2.(*RaftAppend)
+	a1, a2 := m1.(*SeqAppend), m2.(*SeqAppend)
 	if a1 == a2 {
 		t.Fatal("two messages of one turn share a slot")
 	}
-	a1.Entries = append(a1.Entries, RaftEntry{Term: 99})
+	a1.Entries = append(a1.Entries, SeqEntry{Epoch: 99})
 	if !bytes.Equal(a2.AppendTo(nil), second.AppendTo(nil)) {
 		t.Fatal("appending to the first message's Entries changed the second message")
 	}
-	kept := a2.Entries[0] // by value, as raftlite's log does
+	kept := a2.Entries[0] // by value, as the broadcast log does
 	d.Reset()
 	if _, _, err := d.Decode(first.AppendTo(nil)); err != nil {
 		t.Fatal(err)
@@ -90,8 +91,8 @@ func TestProposalDecodeAllocations(t *testing.T) {
 			}
 			p.Batches = append(p.Batches, bt)
 		}
-		frame := (&RaftAppend{Group: 1, Term: 1, PrevIndex: 4, PrevTerm: 1, Commit: 4,
-			Entries: []RaftEntry{{Term: 1, Payload: p}}}).AppendTo(nil)
+		frame := (&SeqAppend{Epoch: 1 << 32, Seq: 5, PrevEpoch: 1 << 32, Commit: 4,
+			Entries: []SeqEntry{{Epoch: 1 << 32, Origin: 1, OSeq: 5, Payload: p}}}).AppendTo(nil)
 		var d Decoder
 		var got *Proposal
 		decode := func() {
@@ -99,7 +100,7 @@ func TestProposalDecodeAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = m.(*RaftAppend).Entries[0].Payload.(*Proposal)
+			got = m.(*SeqAppend).Entries[0].Payload.(*Proposal)
 			d.Reset()
 		}
 		decode() // grows the scratch, interns the vnode
@@ -118,17 +119,17 @@ func TestProposalDecodeAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeRaftAppend decodes the AppendEntries that carries one
-// round-1 proposal (a batch of 8 writes of 128 B — write_9n's shape) the
-// way a transport reader does: Decoder, then Reset. allocs/append is what
-// is left once the header and the entry slice are scratch: the payload.
-func BenchmarkDecodeRaftAppend(b *testing.B) {
+// BenchmarkDecodeSeqAppend decodes the append that carries one round-1
+// proposal (a batch of 8 writes of 128 B — write_9n's shape) the way a
+// transport reader does: Decoder, then Reset. allocs/append is what is
+// left once the header and the entry slice are scratch: the payload.
+func BenchmarkDecodeSeqAppend(b *testing.B) {
 	reqs := make([]Request, 8)
 	for i := range reqs {
 		reqs[i] = Request{Client: 1, Seq: uint64(i), Op: OpWrite, Key: uint64(i), Val: bytes.Repeat([]byte{'v'}, 128)}
 	}
-	frame := (&RaftAppend{Group: 1, Term: 1, Leader: 0, PrevIndex: 41, PrevTerm: 1, Commit: 41, Base: 2,
-		Entries: []RaftEntry{{Term: 1, Payload: &Proposal{Cycle: 42, Round: 1, Num: 7,
+	frame := (&SeqAppend{Epoch: 1 << 32, Seq: 42, PrevEpoch: 1 << 32, Commit: 41, Trim: 2,
+		Entries: []SeqEntry{{Epoch: 1 << 32, Origin: 1, OSeq: 42, Payload: &Proposal{Cycle: 42, Round: 1, Num: 7,
 			Batches: []*Batch{{Reqs: reqs, NumWrite: uint32(len(reqs))}}}}},
 	}).AppendTo(nil)
 	var d Decoder

@@ -26,11 +26,12 @@ func fuzzSeeds() []Message {
 		&Proposal{Cycle: 9, Round: 2, VNode: "1", Origin: NoNode, Num: 44,
 			Batches: []*Batch{batch, fluid, batch, {Origin: 3, Reqs: []Request{}}, fluid}},
 		&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.2", From: 5},
-		&RaftAppend{Group: 1, Term: 2, Leader: 0, PrevIndex: 3, PrevTerm: 1, Commit: 2, Base: 1,
-			Entries: []RaftEntry{{Term: 2, Payload: &Ping{From: 1, Seq: 9}}, {Term: 2}}},
-		&RaftAppendReply{Group: 1, Term: 2, From: 1, Success: true, Match: 3},
-		&RaftVote{Group: 1, Term: 3, Candidate: 2, LastIndex: 5, LastTerm: 2},
-		&RaftVoteReply{Group: 1, Term: 3, From: 0, Granted: true},
+		&SeqForward{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Match: 3, Payload: &Ping{From: 1, Seq: 9}},
+		&SeqAppend{Epoch: 2<<32 | 1, Seq: 4, PrevEpoch: 1 << 32, Commit: 2, Trim: 1,
+			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Payload: &Ping{From: 1, Seq: 9}}, {Epoch: 2<<32 | 1}}},
+		&SeqAck{Epoch: 2<<32 | 1, From: 1, Inc: 1, Match: 3},
+		&SeqEpoch{Epoch: 3<<32 | 2, From: 2, Commit: 5, Seq: 6, PrevEpoch: 1 << 32,
+			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 0, OSeq: 1 << 32, Payload: &Ping{From: 0, Seq: 1}}}},
 		&PreAccept{Replica: 1, Instance: 2, Ballot: 3, Batch: batch, Seq: 4,
 			Deps: []InstanceRef{{Replica: 0, Instance: 1}}},
 		&PreAcceptReply{Replica: 1, Instance: 2, Ballot: 3, From: 2, OK: true, Seq: 4,

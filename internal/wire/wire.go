@@ -1,12 +1,12 @@
 // Package wire defines the message types exchanged by every protocol in
-// this repository (Canopus, Raft, EPaxos, Zab) together with a compact
+// this repository (Canopus, EPaxos, Zab) together with a compact
 // binary codec.
 //
 // Messages serve double duty:
 //
 //   - On the real TCP transport they are encoded with AppendTo and decoded
 //     with Decode, or by a connection's Decoder, which reuses scratch for
-//     Raft control traffic (length-prefixed framing lives in
+//     the leaf broadcast's control traffic (length-prefixed framing lives in
 //     internal/transport).
 //   - On the discrete-event simulator they are passed by pointer and only
 //     WireSize is consulted, so the cost of a message on a link is modeled
@@ -205,11 +205,11 @@ const (
 	KindProposal        // proposal / proposal-response
 	KindProposalRequest // representative asks an emulator for a vnode state
 
-	// Raft (paper §4.3 reliable broadcast substrate).
-	KindRaftAppend
-	KindRaftAppendReply
-	KindRaftVote
-	KindRaftVoteReply
+	// The super-leaf's sequenced broadcast (paper §4.3).
+	KindSeqForward
+	KindSeqAppend
+	KindSeqAck
+	KindSeqEpoch
 
 	// EPaxos baseline.
 	KindPreAccept
@@ -245,10 +245,10 @@ var kindNames = [...]string{
 	KindInvalid:         "invalid",
 	KindProposal:        "proposal",
 	KindProposalRequest: "proposal-request",
-	KindRaftAppend:      "raft-append",
-	KindRaftAppendReply: "raft-append-reply",
-	KindRaftVote:        "raft-vote",
-	KindRaftVoteReply:   "raft-vote-reply",
+	KindSeqForward:      "seq-forward",
+	KindSeqAppend:       "seq-append",
+	KindSeqAck:          "seq-ack",
+	KindSeqEpoch:        "seq-epoch",
 	KindPreAccept:       "preaccept",
 	KindPreAcceptReply:  "preaccept-reply",
 	KindAccept:          "accept",
@@ -334,64 +334,86 @@ type ProposalRequest struct {
 
 func (p *ProposalRequest) Kind() Kind { return KindProposalRequest }
 
-// RaftEntry is one replicated log slot in a reliable-broadcast Raft group.
-type RaftEntry struct {
-	Term    uint64
-	Payload Message // nil for no-op barrier entries
+// SeqEntry is one slot of a super-leaf's broadcast log: the payload an
+// origin broadcast, stamped by the sequencer of Epoch. OSeq numbers the
+// origin's broadcasts — its incarnation in the high 32 bits, a count in
+// the low — so a sequencer stamps each of them once and in the origin's
+// order, and a later incarnation's numbers are all higher. Entries the
+// sequencer adds itself (failure cuts) carry OSeq 0.
+type SeqEntry struct {
+	Epoch   uint64
+	Origin  NodeID
+	OSeq    uint64
+	Payload Message // nil only in an append to the entry's origin, which holds it
 }
 
-// RaftAppend is AppendEntries: log replication plus heartbeat. Group
-// identifies which per-origin broadcast group (or standalone Raft cluster)
-// the message belongs to.
-type RaftAppend struct {
-	Group     uint64
-	Term      uint64
-	Leader    NodeID
-	PrevIndex uint64
-	PrevTerm  uint64
+// SeqForward carries an origin's broadcast to the sequencer of Epoch,
+// unstamped. Match is how far the origin's log matches the sequencer's,
+// which makes a forward an acknowledgement too.
+type SeqForward struct {
+	Epoch   uint64
+	Origin  NodeID
+	OSeq    uint64
+	Match   uint64
+	Payload Message
+}
+
+func (m *SeqForward) Kind() Kind { return KindSeqForward }
+
+// SeqAppend is the sequencer's fan-out: Entries occupy slots Seq, Seq+1,
+// ... of the log, after a slot Seq-1 stamped in PrevEpoch. Without
+// entries it is a heartbeat or a commit notice. The sender is the
+// sequencer that Epoch names (SeqLeader).
+type SeqAppend struct {
+	Epoch     uint64
+	Seq       uint64
+	PrevEpoch uint64
+	Commit    uint64 // the sequencer's delivered prefix
+	Trim      uint64 // every slot up to Trim is on every member and may be dropped
+	Entries   []SeqEntry
+}
+
+func (m *SeqAppend) Kind() Kind { return KindSeqAppend }
+
+// SeqAck tells the sequencer of Epoch that From holds its log up to
+// Match or, with Reject, that an append did not fit after From's slot
+// Match.
+type SeqAck struct {
+	Epoch  uint64
+	From   NodeID
+	Inc    uint32
+	Match  uint64
+	Reject bool
+}
+
+func (m *SeqAck) Kind() Kind { return KindSeqAck }
+
+// SeqEpoch opens a new epoch. From the candidate that Epoch names it asks
+// every member to stop accepting older epochs and to send its log above
+// Commit, the candidate's delivered prefix; a member's answer is a
+// SeqEpoch from it, whose Entries start at slot Seq, the slot before
+// which was stamped in PrevEpoch, and whose Commit is the member's own
+// delivered prefix.
+type SeqEpoch struct {
+	Epoch     uint64
+	From      NodeID
 	Commit    uint64
-	// Base is the leader's log compaction offset: entries at or below it
-	// have been discarded after being applied group-wide. A fresh
-	// (rejoined) follower may adopt the leader's base as its own log
-	// start, but must replay from index 1 when the leader still retains
-	// the full log.
-	Base    uint64
-	Entries []RaftEntry
+	Seq       uint64
+	PrevEpoch uint64
+	Entries   []SeqEntry
 }
 
-func (m *RaftAppend) Kind() Kind { return KindRaftAppend }
+func (m *SeqEpoch) Kind() Kind { return KindSeqEpoch }
 
-// RaftAppendReply acknowledges (or rejects) an AppendEntries call.
-type RaftAppendReply struct {
-	Group   uint64
-	Term    uint64
-	From    NodeID
-	Success bool
-	Match   uint64 // highest index known replicated on success; hint on failure
+// SeqLeader is the member that sequences epoch e: an epoch number packs a
+// round above the sequencer's node ID, so two candidates never open the
+// same epoch.
+func SeqLeader(e uint64) NodeID { return NodeID(int32(uint32(e))) }
+
+// SeqEpochOf is the epoch that round opens with leader as its sequencer.
+func SeqEpochOf(round uint32, leader NodeID) uint64 {
+	return uint64(round)<<32 | uint64(uint32(leader))
 }
-
-func (m *RaftAppendReply) Kind() Kind { return KindRaftAppendReply }
-
-// RaftVote is RequestVote.
-type RaftVote struct {
-	Group     uint64
-	Term      uint64
-	Candidate NodeID
-	LastIndex uint64
-	LastTerm  uint64
-}
-
-func (m *RaftVote) Kind() Kind { return KindRaftVote }
-
-// RaftVoteReply answers RequestVote.
-type RaftVoteReply struct {
-	Group   uint64
-	Term    uint64
-	From    NodeID
-	Granted bool
-}
-
-func (m *RaftVoteReply) Kind() Kind { return KindRaftVoteReply }
 
 // PreAccept is the EPaxos fast-path proposal for one instance.
 type PreAccept struct {
@@ -505,7 +527,7 @@ type ZabInform struct {
 func (m *ZabInform) Kind() Kind { return KindZabInform }
 
 // Ping is the liveness heartbeat used by the switch-assisted broadcast
-// variant (the Raft variant's AppendEntries doubles as its heartbeat).
+// variant (the sequencer's appends and acks double as its heartbeat).
 type Ping struct {
 	From NodeID
 	Seq  uint64
@@ -513,14 +535,16 @@ type Ping struct {
 
 func (m *Ping) Kind() Kind { return KindPing }
 
-// GroupClosed is the barrier entry a takeover leader appends to a failed
-// origin's broadcast group. Ordering it in the group log gives all
+// GroupClosed is the failure cut of Origin: the entry a super-leaf's
+// sequencer appends when Origin falls silent, or a new sequencer appends
+// for the one it replaces. Ordering it in the leaf's log gives all
 // survivors an identical cut: every proposal of Origin delivered before
-// the barrier counts, nothing after it ever will. This is what makes the
+// it counts, nothing after it ever will. This is what makes the
 // super-leaf's delivered-message sets identical despite asynchronous
 // failure detection (paper assumption A4 / Lemma 1).
 type GroupClosed struct {
 	Origin NodeID
+	Inc    uint32 // the incarnation cut: a later one of Origin is not
 }
 
 func (m *GroupClosed) Kind() Kind { return KindGroupClosed }
@@ -570,11 +594,13 @@ type JoinReply struct {
 func (m *JoinReply) Kind() Kind { return KindJoinReply }
 
 // LeafSeal is the intra-leaf broadcast that closes a (cycle, vnode) slot
-// during a leaf-eviction round. Because it is ordered by the same
-// reliable broadcast that delivers vnode states, every member of the
-// sealing leaf agrees on whether the real state arrived before the seal:
-// after delivery, plain proposals for the vnode are refused and only a
-// Resolve-flagged proposal (the held state or the tombstone) fills it.
+// during a leaf-eviction round. The leaf's sequencer puts it and the vnode
+// states one member may be re-broadcasting into one log, so every member
+// of the sealing leaf agrees on whether the real state arrived before the
+// seal: after delivery, plain proposals for the vnode are refused and only
+// a Resolve-flagged proposal (the held state or the tombstone) fills it.
+// A broadcast that orders each origin alone (the switch flavour) cannot
+// give that agreement, so eviction runs over the sequencer only.
 type LeafSeal struct {
 	Cycle     uint64
 	VNode     string
