@@ -135,8 +135,12 @@ func BenchmarkAblationRepresentatives3(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, Groups: 3, PerGroup: 9, WriteRatio: 0.2, NumReps: 3}, 1e6)
 }
 
-// BenchmarkAblationHardwareBroadcast swaps the sequenced reliable
-// broadcast for switch-assisted broadcast (§4.3).
+// BenchmarkAblationHardwareBroadcast runs each leaf's sequencer over
+// switch multicast (§4.3's hardware-assisted broadcast): in the leaves of
+// nine, a member's forward to the others and its acknowledgement to every
+// member are serialized once and replicated by the ToR switch; the one
+// delivery order is the sequencer's, as in BenchmarkAblationTreeHeight2,
+// its software twin.
 func BenchmarkAblationHardwareBroadcast(b *testing.B) {
 	benchRun(b, harness.Spec{System: harness.Canopus, Groups: 3, PerGroup: 9, WriteRatio: 0.2,
 		SwitchBcast: true}, 1e6)

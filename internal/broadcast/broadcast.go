@@ -1,22 +1,18 @@
 // Package broadcast provides reliable broadcast within a super-leaf
-// (paper §4.3) in two interchangeable flavours:
+// (paper §4.3): the Sequencer. One member of the leaf, the sequencer of
+// the current epoch, stamps every broadcast with the next slot of one
+// leaf-wide log and fans it out; a member delivers the log in slot order
+// once a majority of the seated members holds a slot. A silent member is
+// cut by a GroupClosed entry in the same log, and a silent sequencer is
+// replaced by an epoch change whose new sequencer carries every delivered
+// slot over and cuts the old one. Every member therefore delivers one
+// sequence, and reports each peer failure once, at the same place in it.
 //
-//   - Sequencer: the paper's software path. One member of the leaf, the
-//     sequencer of the current epoch, stamps every broadcast with the
-//     next slot of one leaf-wide log and fans it out; a member delivers
-//     the log in slot order once a majority of the seated members holds
-//     a slot. A silent member is cut by a GroupClosed entry in the same
-//     log, and a silent sequencer is replaced by an epoch change whose
-//     new sequencer carries every delivered slot over and cuts the old
-//     one. Every member therefore delivers one sequence.
-//
-//   - Switch: hardware-assisted broadcast (the paper notes modern ToR
-//     switches can provide this). The sender serializes once and the
-//     switch fans out; liveness comes from multicast heartbeats. It
-//     promises per-origin order only, so it cannot run leaf eviction.
-//
-// Both deliver messages per-origin FIFO, report peer failures exactly
-// once, and support removing/re-adding peers at Canopus cycle boundaries.
+// The paper's hardware-assisted flavour — ToR switches that replicate a
+// message to the members of a rack — is the same Sequencer with
+// Config.Multicast set: a message it sends to several members is
+// serialized once and replicated by the switch (engine.Env.Multicast).
+// The order stays the sequencer's, so the flavours differ in cost only.
 //
 // This package is the substrate under internal/core's round 1: a node's
 // cycle proposal — carrying its request batch plus any membership and
@@ -32,13 +28,12 @@ import (
 	"canopus/internal/wire"
 )
 
-// Callbacks connect a broadcaster to its owner (the Canopus node).
+// Callbacks connect a Sequencer to its owner (the Canopus node).
 type Callbacks struct {
-	// Deliver hands up one broadcast payload from origin. For a given
-	// origin, deliveries arrive in the origin's send order; under the
-	// Sequencer every live member delivers the same sequence across
-	// origins too. The payload is immutable and the owner may keep it (it
-	// is also what the log retains).
+	// Deliver hands up one broadcast payload from origin. Every live
+	// member delivers the same sequence, and each origin's broadcasts in
+	// its send order. The payload is immutable and the owner may keep it
+	// (it is also what the log retains).
 	Deliver func(origin wire.NodeID, payload wire.Message)
 	// PeerFailed reports a crashed super-leaf peer, exactly once per
 	// incarnation, after the failure cut is established (i.e. no further
@@ -56,39 +51,11 @@ type Stats struct {
 	// leaf of more than three seats to every member); Appends carried
 	// stamped entries from it; Heartbeats are appends with nothing to
 	// carry; Acks are members' answers; Epochs are an epoch change's
-	// requests and answers.
+	// requests and answers. A multicast counts once per member it is for.
 	Forwards, Appends, Heartbeats, Acks, Epochs atomic.Uint64
 }
 
-// Broadcaster is the reliable-broadcast abstraction the Canopus core
-// builds on. Implementations are single-threaded, driven by the owner's
-// Recv/Timer handlers.
-type Broadcaster interface {
-	// Broadcast reliably disseminates payload to all current super-leaf
-	// members, including the caller.
-	Broadcast(payload wire.Message)
-	// Handle processes an incoming message, returning true if it was a
-	// broadcast-layer message (consumed), false if the owner should
-	// interpret it. m is lent for the call (engine.Machine.Recv's rule):
-	// neither implementation keeps it — only the payloads it carries,
-	// which are immutable and are what Deliver hands up.
-	Handle(from wire.NodeID, m wire.Message) bool
-	// Tick drives heartbeats, epoch changes and failure detection; the
-	// owner calls it on a periodic timer.
-	Tick()
-	// RemovePeer drops a failed peer from the membership (applied by the
-	// owner at a cycle boundary, after the failure cut).
-	RemovePeer(peer wire.NodeID)
-	// Expect announces a peer that a later AddPeer admits: everything
-	// broadcast from now on must still reach it then, so the log is kept
-	// from here until the peer has acknowledged it.
-	Expect(peer wire.NodeID)
-	// AddPeer admits a (re)joined peer under incarnation inc, the count of
-	// its joins that the owner's membership view holds.
-	AddPeer(peer wire.NodeID, inc uint32)
-}
-
-// Config is shared by both implementations.
+// Config parameterizes a Sequencer.
 type Config struct {
 	Members []wire.NodeID // initial super-leaf membership, including self
 	// Seats is the super-leaf's static size: the most members it can ever
@@ -108,6 +75,12 @@ type Config struct {
 	// 5ms); the liveness probe interval and the failure threshold derive
 	// from it (heartbeat, failAfter).
 	TickInterval time.Duration
+	// Multicast hands a forward, an acknowledgement and an epoch's log
+	// request — each the same message for every member it goes to — to
+	// the switch in one engine.Env.Multicast (the hardware-assisted
+	// flavour of §4.3). Appends stay one per member: each carries what
+	// that member lacks.
+	Multicast bool
 	// SeatGrace is how much longer than failAfter the failure detector
 	// waits for the first word of a peer admitted by AddPeer: the peer
 	// learns of its seat from a JoinReply that its sponsor, perhaps a

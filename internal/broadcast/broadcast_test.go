@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,10 +10,10 @@ import (
 	"canopus/internal/wire"
 )
 
-// bcastHost adapts a Broadcaster to engine.Machine for the simulator.
+// bcastHost adapts a Sequencer to engine.Machine for the simulator.
 type bcastHost struct {
-	mk        func(env engine.Env) Broadcaster
-	b         Broadcaster
+	mk        func(env engine.Env) *Sequencer
+	b         *Sequencer
 	env       engine.Env
 	delivered []wire.Message
 	origins   []wire.NodeID
@@ -31,7 +32,9 @@ func (h *bcastHost) Timer(engine.TimerTag) {
 	h.env.After(h.tick, engine.Tag(1, 0))
 }
 
-func runBroadcastTest(t *testing.T, useSwitch bool) {
+// runBroadcastTest runs a leaf of three on the simulated network, its
+// fan-outs multicast through the switch or not.
+func runBroadcastTest(t *testing.T, multicast bool) {
 	sim := netsim.NewSim()
 	topo := netsim.SingleDC(1, 3, netsim.Params{})
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 8)
@@ -39,17 +42,14 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 	hosts := make([]*bcastHost, 3)
 	for i := 0; i < 3; i++ {
 		h := &bcastHost{tick: 5 * time.Millisecond}
-		h.mk = func(env engine.Env) Broadcaster {
-			cfg := Config{Members: members, TickInterval: 5 * time.Millisecond}
+		h.mk = func(env engine.Env) *Sequencer {
+			cfg := Config{Members: members, TickInterval: 5 * time.Millisecond, Multicast: multicast}
 			cbs := Callbacks{
 				Deliver: func(origin wire.NodeID, payload wire.Message) {
 					h.delivered = append(h.delivered, payload)
 					h.origins = append(h.origins, origin)
 				},
 				PeerFailed: func(p wire.NodeID) { h.failed = append(h.failed, p) },
-			}
-			if useSwitch {
-				return NewSwitch(env, cfg, cbs)
 			}
 			return NewSequencer(env, cfg, cbs)
 		}
@@ -58,10 +58,10 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 	}
 	// Node 0 broadcasts three messages; all members deliver them in order.
 	sim.At(10*time.Millisecond, func() {
-		hosts[0].b.Broadcast(&wire.Ping{From: 0, Seq: 1})
-		hosts[0].b.Broadcast(&wire.Ping{From: 0, Seq: 2})
+		hosts[0].b.Broadcast(&wire.JoinRequest{From: 0, Nonce: 1})
+		hosts[0].b.Broadcast(&wire.JoinRequest{From: 0, Nonce: 2})
 	})
-	sim.At(20*time.Millisecond, func() { hosts[1].b.Broadcast(&wire.Ping{From: 1, Seq: 3}) })
+	sim.At(20*time.Millisecond, func() { hosts[1].b.Broadcast(&wire.JoinRequest{From: 1, Nonce: 3}) })
 	sim.RunUntil(300 * time.Millisecond)
 	for i, h := range hosts {
 		if len(h.delivered) != 3 {
@@ -70,16 +70,20 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 		// Per-origin FIFO: seq 1 from node 0 precedes seq 2.
 		var s1, s2 = -1, -1
 		for idx, m := range h.delivered {
-			p := m.(*wire.Ping)
-			if p.Seq == 1 {
+			p := m.(*wire.JoinRequest)
+			if p.Nonce == 1 {
 				s1 = idx
 			}
-			if p.Seq == 2 {
+			if p.Nonce == 2 {
 				s2 = idx
 			}
 		}
 		if s1 > s2 {
 			t.Fatalf("host %d: per-origin order violated", i)
+		}
+		// One order across origins too.
+		if !slices.Equal(h.delivered, hosts[0].delivered) {
+			t.Fatalf("host %d delivered %v, host 0 %v", i, h.delivered, hosts[0].delivered)
 		}
 	}
 
@@ -93,7 +97,7 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 	}
 	// Broadcast still works with 2 of 3.
 	before := len(hosts[1].delivered)
-	sim.At(sim.Now(), func() { hosts[0].b.Broadcast(&wire.Ping{From: 0, Seq: 9}) })
+	sim.At(sim.Now(), func() { hosts[0].b.Broadcast(&wire.JoinRequest{From: 0, Nonce: 9}) })
 	sim.RunUntil(sim.Now() + 300*time.Millisecond)
 	if len(hosts[1].delivered) != before+1 {
 		t.Fatal("post-failure broadcast not delivered")
@@ -101,4 +105,8 @@ func runBroadcastTest(t *testing.T, useSwitch bool) {
 }
 
 func TestSequencerBroadcast(t *testing.T) { runBroadcastTest(t, false) }
-func TestSwitchBroadcast(t *testing.T)    { runBroadcastTest(t, true) }
+
+// TestSwitchBroadcast is the hardware flavour: the same sequencer, whose
+// forwards, acknowledgements to every member and log requests the switch
+// replicates.
+func TestSwitchBroadcast(t *testing.T) { runBroadcastTest(t, true) }

@@ -3,6 +3,7 @@ package broadcast
 import (
 	"maps"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"canopus/internal/engine"
@@ -49,6 +50,10 @@ import (
 // acknowledgement the trim point then waits for, and the sequencer sends
 // it the log from there. A peer that has delivered nothing starts its log
 // at that point.
+//
+// Switch. With Config.Multicast a forward, an acknowledgement or a log
+// request goes to the switch once, which replicates it to every member it
+// is for (fan); appends and everything else are unchanged.
 type Sequencer struct {
 	env   engine.Env
 	cfg   Config
@@ -106,6 +111,8 @@ type Sequencer struct {
 	// The candidate's gathered logs and the sequencer it replaces.
 	answers   map[wire.NodeID]*wire.SeqEpoch
 	replacing wire.NodeID
+
+	dst []wire.NodeID // fan's destinations, reused
 }
 
 type ownEntry struct {
@@ -119,8 +126,6 @@ const maxAppendEntries = 64
 
 // retain is how far the trim point stays below what every member holds.
 const retain = 64
-
-var _ Broadcaster = (*Sequencer)(nil)
 
 // NewSequencer builds the sequenced broadcaster for one node. env must
 // belong to a member listed in cfg.Members. The lowest member opens the
@@ -255,11 +260,26 @@ func (s *Sequencer) Broadcast(payload wire.Message) {
 func (s *Sequencer) forward(oseq uint64, payload wire.Message) {
 	f := &wire.SeqForward{Epoch: s.epoch, Origin: s.self, OSeq: oseq, Match: s.verified, Payload: payload}
 	s.lastSent = s.env.Now()
+	s.dst = s.dst[:0]
 	for _, m := range s.members {
 		if m == s.leader() || (s.direct() && m != s.self && !s.closed[m]) {
-			s.stats.Forwards.Add(1)
-			s.env.Send(m, f)
+			s.dst = append(s.dst, m)
 		}
+	}
+	s.fan(f, &s.stats.Forwards)
+}
+
+// fan sends m to every member in s.dst and counts each in c: through the
+// switch in one multicast when Config.Multicast is set, one send each
+// otherwise.
+func (s *Sequencer) fan(m wire.Message, c *atomic.Uint64) {
+	c.Add(uint64(len(s.dst)))
+	if s.cfg.Multicast {
+		s.env.Multicast(s.dst, m)
+		return
+	}
+	for _, d := range s.dst {
+		s.env.Send(d, m)
 	}
 }
 
@@ -364,8 +384,10 @@ func (s *Sequencer) send(m wire.NodeID, a *wire.SeqAppend) {
 	s.env.Send(m, a)
 }
 
-// Handle consumes the sequenced broadcast's messages; those from a node
-// that is not a member are dropped.
+// Handle consumes the sequenced broadcast's messages and reports whether
+// m was one; those from a node that is not a member are dropped. m is
+// lent for the call (engine.Machine.Recv's rule): only the payloads it
+// carries, which are immutable, are kept.
 func (s *Sequencer) Handle(from wire.NodeID, m wire.Message) bool {
 	switch m.(type) {
 	case *wire.SeqForward, *wire.SeqAppend, *wire.SeqAck, *wire.SeqEpoch:
@@ -568,12 +590,13 @@ func (s *Sequencer) allOwn(es []wire.SeqEntry) bool {
 func (s *Sequencer) ack(match uint64, reject, all bool) {
 	s.lastSent = s.env.Now()
 	k := &wire.SeqAck{Epoch: s.epoch, From: s.self, Inc: s.inc[s.self], Match: match, Reject: reject}
+	s.dst = s.dst[:0]
 	for _, m := range s.members {
 		if m != s.self && (all && !s.closed[m] || !all && m == s.leader()) {
-			s.stats.Acks.Add(1)
-			s.env.Send(m, k)
+			s.dst = append(s.dst, m)
 		}
 	}
+	s.fan(k, &s.stats.Acks)
 }
 
 // payload is origin's broadcast oseq if this member holds it: its own
@@ -624,6 +647,9 @@ func (s *Sequencer) onEpoch(from wire.NodeID, m *wire.SeqEpoch) {
 	start := max(s.base+1, min(m.Commit, s.lastIndex())+1)
 	answer := &wire.SeqEpoch{Epoch: m.Epoch, From: s.self, Commit: s.delivered, Seq: start,
 		PrevEpoch: s.epochAt(start - 1), Entries: slices.Clone(s.log[start-s.base-1:])}
+	for _, o := range slices.Sorted(maps.Keys(s.oseqs)) {
+		answer.Delivered = append(answer.Delivered, wire.OriginSeq{Origin: o, OSeq: s.oseqs[o]})
+	}
 	s.stats.Epochs.Add(1)
 	s.env.Send(from, answer)
 }
@@ -641,12 +667,13 @@ func (s *Sequencer) startEpoch() {
 func (s *Sequencer) requestLogs() {
 	s.lastSent = s.env.Now()
 	req := &wire.SeqEpoch{Epoch: s.epoch, From: s.self, Commit: s.delivered}
+	s.dst = s.dst[:0]
 	for _, m := range s.members {
 		if m != s.self && !s.closed[m] {
-			s.stats.Epochs.Add(1)
-			s.env.Send(m, req)
+			s.dst = append(s.dst, m)
 		}
 	}
+	s.fan(req, &s.stats.Epochs)
 }
 
 // tryComplete finishes the epoch change once a majority has answered: the
@@ -691,7 +718,15 @@ func (s *Sequencer) tryComplete() {
 		}
 	}
 	s.collecting = false
+	// Each origin's last stamped number: what any member delivered — the
+	// slots trimmed below this log's start included, which a candidate
+	// that starts its log at an answer's never saw — and the suffix.
 	s.stamped, s.cut = maps.Clone(s.oseqs), maps.Clone(s.closed)
+	for _, a := range s.answers {
+		for _, d := range a.Delivered {
+			s.stamped[d.Origin] = max(s.stamped[d.Origin], d.OSeq)
+		}
+	}
 	for i := s.delivered + 1; i <= s.lastIndex(); i++ {
 		s.note(s.log[i-s.base-1])
 	}

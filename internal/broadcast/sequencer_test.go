@@ -14,17 +14,20 @@ import (
 // seqNet is a leaf of Sequencers on a network the test steps by hand:
 // messages wait in one FIFO queue until pump delivers them, a filter may
 // drop any of them, a crashed node neither sends nor receives, and time
-// moves only when the test ticks.
+// moves only when the test ticks. A multicast queues one copy per
+// destination, as the switch replicates it.
 type seqNet struct {
-	tb    testing.TB
-	now   time.Duration
-	ids   []wire.NodeID
-	nodes map[wire.NodeID]*Sequencer
-	got   map[wire.NodeID][]string // deliveries and cuts, in order
-	down  map[wire.NodeID]bool
-	drop  func(from, to wire.NodeID, m wire.Message) bool
-	queue []seqMsg
-	msgs  int
+	tb         testing.TB
+	now        time.Duration
+	ids        []wire.NodeID
+	nodes      map[wire.NodeID]*Sequencer
+	got        map[wire.NodeID][]string // deliveries and cuts, in order
+	down       map[wire.NodeID]bool
+	drop       func(from, to wire.NodeID, m wire.Message) bool
+	queue      []seqMsg
+	msgs       int
+	multicast  bool // every node runs with Config.Multicast
+	multicasts int  // Multicast calls made
 }
 
 type seqMsg struct {
@@ -48,6 +51,7 @@ func (e *seqEnv) Send(to wire.NodeID, m wire.Message) {
 	}
 }
 func (e *seqEnv) Multicast(to []wire.NodeID, m wire.Message) {
+	e.net.multicasts++
 	for _, d := range to {
 		e.Send(d, m)
 	}
@@ -57,8 +61,14 @@ const testTick = time.Millisecond
 
 // newSeqNet builds a leaf of the given members with seats static seats.
 func newSeqNet(tb testing.TB, seats int, members ...wire.NodeID) *seqNet {
+	return newFlavourNet(tb, false, seats, members...)
+}
+
+// newFlavourNet is newSeqNet whose nodes multicast through the switch if
+// multicast is set.
+func newFlavourNet(tb testing.TB, multicast bool, seats int, members ...wire.NodeID) *seqNet {
 	n := &seqNet{tb: tb, ids: members, nodes: map[wire.NodeID]*Sequencer{},
-		got: map[wire.NodeID][]string{}, down: map[wire.NodeID]bool{}}
+		got: map[wire.NodeID][]string{}, down: map[wire.NodeID]bool{}, multicast: multicast}
 	for _, id := range members {
 		n.start(id, Config{Members: members, Seats: seats, TickInterval: testTick})
 	}
@@ -66,14 +76,15 @@ func newSeqNet(tb testing.TB, seats int, members ...wire.NodeID) *seqNet {
 	return n
 }
 
-// start (re)creates id's broadcaster with cfg.
+// start (re)creates id's broadcaster with cfg, in the net's flavour.
 func (n *seqNet) start(id wire.NodeID, cfg Config) {
+	cfg.Multicast = n.multicast
 	n.down[id] = false
 	n.got[id] = nil
 	env := &seqEnv{net: n, id: id, rng: rand.New(rand.NewSource(int64(id)))}
 	n.nodes[id] = NewSequencer(env, cfg, Callbacks{
 		Deliver: func(origin wire.NodeID, p wire.Message) {
-			n.got[id] = append(n.got[id], fmt.Sprintf("%d:%d", origin, p.(*wire.Ping).Seq))
+			n.got[id] = append(n.got[id], fmt.Sprintf("%d:%d", origin, p.(*wire.JoinRequest).Nonce))
 		},
 		PeerFailed: func(p wire.NodeID) { n.got[id] = append(n.got[id], fmt.Sprintf("cut %d", p)) },
 	})
@@ -106,7 +117,23 @@ func (n *seqNet) run(d time.Duration) {
 }
 
 func (n *seqNet) bcast(id wire.NodeID, seq uint64) {
-	n.nodes[id].Broadcast(&wire.Ping{From: id, Seq: seq})
+	n.nodes[id].Broadcast(&wire.JoinRequest{From: id, Nonce: seq})
+}
+
+// flavours are the rows of a test that runs in both flavours: each
+// member sent to alone, or through the switch.
+var flavours = []struct {
+	suffix    string
+	multicast bool
+}{{"", false}, {"-switch", true}}
+
+// switched fails if the net is of the switch flavour and nothing was
+// multicast: the rows would not differ.
+func (n *seqNet) switched() {
+	n.tb.Helper()
+	if n.multicast && n.multicasts == 0 {
+		n.tb.Fatal("the switch flavour multicast nothing")
+	}
 }
 
 // agree fails unless every listed node holds exactly want.
@@ -128,18 +155,21 @@ var heartbeatTest = (&Config{TickInterval: testTick}).heartbeat()
 // TestEveryMemberDelivers: a broadcast the sequencer stamps and one a
 // member forwards reach every member, once each.
 func TestEveryMemberDelivers(t *testing.T) {
-	for _, seats := range []int{3, 5} {
-		t.Run(fmt.Sprintf("leaf%d", seats), func(t *testing.T) {
-			ids := []wire.NodeID{0, 1, 2, 3, 4}[:seats]
-			n := newSeqNet(t, seats, ids...)
-			n.run(testTick)
-			last := ids[seats-1]
-			n.bcast(0, 1)
-			n.pump()
-			n.bcast(last, 2)
-			n.pump()
-			n.agree([]string{"0:1", fmt.Sprintf("%d:2", last)}, ids...)
-		})
+	for _, f := range flavours {
+		for _, seats := range []int{3, 5} {
+			t.Run(fmt.Sprintf("leaf%d%s", seats, f.suffix), func(t *testing.T) {
+				ids := []wire.NodeID{0, 1, 2, 3, 4}[:seats]
+				n := newFlavourNet(t, f.multicast, seats, ids...)
+				n.run(testTick)
+				last := ids[seats-1]
+				n.bcast(0, 1)
+				n.pump()
+				n.bcast(last, 2)
+				n.pump()
+				n.agree([]string{"0:1", fmt.Sprintf("%d:2", last)}, ids...)
+				n.switched()
+			})
+		}
 	}
 }
 
@@ -167,15 +197,20 @@ func TestBroadcastGoesOnAfterTheCut(t *testing.T) {
 // order. Per-origin groups ordered each origin alone, and the members
 // delivered the pair in different orders.
 func TestOneDeliveryOrderAcrossOrigins(t *testing.T) {
-	n := newSeqNet(t, 3, 0, 1, 2)
-	n.bcast(1, 1)
-	n.bcast(0, 2)
-	n.pump()
-	n.run(5 * testTick)
-	if len(n.got[0]) != 2 {
-		t.Fatalf("node 0 got %v, want two deliveries", n.got[0])
+	for _, f := range flavours {
+		t.Run("leaf3"+f.suffix, func(t *testing.T) {
+			n := newFlavourNet(t, f.multicast, 3, 0, 1, 2)
+			n.bcast(1, 1)
+			n.bcast(0, 2)
+			n.pump()
+			n.run(5 * testTick)
+			if len(n.got[0]) != 2 {
+				t.Fatalf("node 0 got %v, want two deliveries", n.got[0])
+			}
+			n.agree(n.got[0], 0, 1, 2)
+			n.switched()
+		})
 	}
-	n.agree(n.got[0], 0, 1, 2)
 }
 
 // TestMemberOfThreeDeliversOnReceipt: in a leaf of three seats a member
@@ -554,7 +589,7 @@ func TestStaleSuffixIsReplaced(t *testing.T) {
 	n.agree([]string{"cut 0", "2:9"}, 1, 2, 3, 4)
 	s4 := n.nodes[4]
 	for i := s4.base + 1; i <= s4.lastIndex(); i++ {
-		if p, ok := s4.log[i-s4.base-1].Payload.(*wire.Ping); ok && p.From == 0 {
+		if p, ok := s4.log[i-s4.base-1].Payload.(*wire.JoinRequest); ok && p.From == 0 {
 			t.Fatalf("node 4 still holds the stale slot %d", i)
 		}
 	}
@@ -612,7 +647,7 @@ func TestStaleTrafficIsDropped(t *testing.T) {
 	n.run(testTick)
 	seq, mem := n.nodes[0], n.nodes[1]
 	old := mem.epoch - 1<<32
-	mem.Handle(0, &wire.SeqAppend{Epoch: old, Seq: 1, Entries: []wire.SeqEntry{{Epoch: old, Origin: 0, OSeq: 1, Payload: &wire.Ping{Seq: 66}}}})
+	mem.Handle(0, &wire.SeqAppend{Epoch: old, Seq: 1, Entries: []wire.SeqEntry{{Epoch: old, Origin: 0, OSeq: 1, Payload: &wire.JoinRequest{Nonce: 66}}}})
 	n.pump()
 	if mem.lastIndex() != seq.lastIndex() {
 		t.Fatalf("a stale epoch's append changed the log: %d slots, sequencer %d", mem.lastIndex(), seq.lastIndex())
@@ -620,12 +655,12 @@ func TestStaleTrafficIsDropped(t *testing.T) {
 	seq.RemovePeer(2)
 	seq.AddPeer(2, 1) // node 2 rejoined: incarnation 1
 	last := seq.lastIndex()
-	seq.Handle(2, &wire.SeqForward{Epoch: seq.epoch, Origin: 2, OSeq: 1, Match: last, Payload: &wire.Ping{From: 2, Seq: 66}})
+	seq.Handle(2, &wire.SeqForward{Epoch: seq.epoch, Origin: 2, OSeq: 1, Match: last, Payload: &wire.JoinRequest{From: 2, Nonce: 66}})
 	seq.Handle(2, &wire.SeqAck{Epoch: seq.epoch, From: 2, Inc: 0, Match: last})
 	if seq.lastIndex() != last || seq.match[2] != 0 {
 		t.Fatalf("incarnation 0's traffic counted: %d slots (want %d), match %d", seq.lastIndex(), last, seq.match[2])
 	}
-	seq.Handle(2, &wire.SeqForward{Epoch: seq.epoch, Origin: 2, OSeq: 1<<32 | 1, Payload: &wire.Ping{From: 2, Seq: 67}})
+	seq.Handle(2, &wire.SeqForward{Epoch: seq.epoch, Origin: 2, OSeq: 1<<32 | 1, Payload: &wire.JoinRequest{From: 2, Nonce: 67}})
 	if seq.lastIndex() != last+1 {
 		t.Fatal("incarnation 1's first forward was not stamped")
 	}
@@ -634,46 +669,52 @@ func TestStaleTrafficIsDropped(t *testing.T) {
 // TestExpectedPeerReceivesEverything: a peer announced by Expect and
 // seated by AddPeer once the log has moved on — far enough that it would
 // have been trimmed — receives everything broadcast in between, pumped
-// in parts, and the trim resumes once it has acknowledged.
+// in parts, and the trim resumes once it has acknowledged. The switch
+// flavour keeps the same log, so its rejoiner gets the same replay.
 func TestExpectedPeerReceivesEverything(t *testing.T) {
-	n := newSeqNet(t, 3, 0, 1, 2)
-	n.down[2] = true
-	n.run(3 * failAfterTest)
-	for _, id := range []wire.NodeID{0, 1} {
-		n.nodes[id].RemovePeer(2)
-	}
-	for i := uint64(1); i <= 2*retain; i++ {
-		n.bcast(0, i) // trimmed behind the pair
-	}
-	n.pump()
-	for _, id := range []wire.NodeID{0, 1} {
-		n.nodes[id].Expect(2)
-	}
-	const between = 3 * maxAppendEntries
-	for i := uint64(1000); i < 1000+between; i++ {
-		n.bcast(1, i)
-		n.pump()
-	}
-	n.start(2, Config{Members: []wire.NodeID{0, 1, 2}, Seats: 3, TickInterval: testTick,
-		Incarnations: map[wire.NodeID]uint32{2: 1}})
-	for _, id := range []wire.NodeID{0, 1} {
-		n.nodes[id].AddPeer(2, 1)
-	}
-	n.run(10 * testTick)
-	var want []string
-	for i := 1000; i < 1000+between; i++ {
-		want = append(want, fmt.Sprintf("1:%d", i))
-	}
-	if got := n.got[2]; len(got) < len(want) || !slices.Equal(got[len(got)-len(want):], want) {
-		t.Fatalf("the seated peer got %d deliveries ending %v, want the %d broadcast since Expect", len(got), got[max(0, len(got)-3):], len(want))
-	}
-	for i := uint64(2000); i < 2000+2*retain; i++ {
-		n.bcast(2, i)
-		n.pump()
-	}
-	n.run(10 * testTick)
-	if s := n.nodes[0]; s.base < between {
-		t.Fatalf("the log kept %d slots from %d: the trim did not resume", len(s.log), s.base)
+	for _, f := range flavours {
+		t.Run("leaf3"+f.suffix, func(t *testing.T) {
+			n := newFlavourNet(t, f.multicast, 3, 0, 1, 2)
+			n.down[2] = true
+			n.run(3 * failAfterTest)
+			for _, id := range []wire.NodeID{0, 1} {
+				n.nodes[id].RemovePeer(2)
+			}
+			for i := uint64(1); i <= 2*retain; i++ {
+				n.bcast(0, i) // trimmed behind the pair
+			}
+			n.pump()
+			for _, id := range []wire.NodeID{0, 1} {
+				n.nodes[id].Expect(2)
+			}
+			const between = 3 * maxAppendEntries
+			for i := uint64(1000); i < 1000+between; i++ {
+				n.bcast(1, i)
+				n.pump()
+			}
+			n.start(2, Config{Members: []wire.NodeID{0, 1, 2}, Seats: 3, TickInterval: testTick,
+				Incarnations: map[wire.NodeID]uint32{2: 1}})
+			for _, id := range []wire.NodeID{0, 1} {
+				n.nodes[id].AddPeer(2, 1)
+			}
+			n.run(10 * testTick)
+			var want []string
+			for i := 1000; i < 1000+between; i++ {
+				want = append(want, fmt.Sprintf("1:%d", i))
+			}
+			if got := n.got[2]; len(got) < len(want) || !slices.Equal(got[len(got)-len(want):], want) {
+				t.Fatalf("the seated peer got %d deliveries ending %v, want the %d broadcast since Expect", len(got), got[max(0, len(got)-3):], len(want))
+			}
+			for i := uint64(2000); i < 2000+2*retain; i++ {
+				n.bcast(2, i)
+				n.pump()
+			}
+			n.run(10 * testTick)
+			if s := n.nodes[0]; s.base < between {
+				t.Fatalf("the log kept %d slots from %d: the trim did not resume", len(s.log), s.base)
+			}
+			n.switched()
+		})
 	}
 }
 
@@ -796,6 +837,53 @@ func TestRejoinerNoAppendReachedReplacesTheSequencer(t *testing.T) {
 	}
 }
 
+// TestSilentOriginIsStampedAfterAnEmptyLogTakeover: a member broadcasts
+// and then stays silent while the log is trimmed past its broadcasts; a
+// rejoiner no append reached opens the next epoch with an empty log. The
+// silent member's next broadcast is stamped once, and both survivors
+// deliver it at one slot: the new sequencer learns each origin's last
+// number from the answers, not only from the suffix they carry.
+func TestSilentOriginIsStampedAfterAnEmptyLogTakeover(t *testing.T) {
+	n := newSeqNet(t, 3, 0, 1, 2)
+	n.run(testTick)
+	for i := uint64(1); i <= 3; i++ {
+		n.bcast(2, i)
+		n.pump()
+	}
+	n.down[1] = true
+	n.run(3 * failAfterTest)
+	for _, id := range []wire.NodeID{0, 2} {
+		n.nodes[id].RemovePeer(1)
+	}
+	for i := uint64(4); i <= 600; i++ {
+		n.bcast(0, i)
+		n.pump()
+	}
+	if s2 := n.nodes[2]; s2.base < 5 {
+		t.Fatalf("node 2 trimmed to %d, not past its own broadcasts; test premise broken", s2.base)
+	}
+	n.down[0] = true
+	n.start(1, Config{Members: []wire.NodeID{0, 1, 2}, Seats: 3, TickInterval: testTick,
+		Incarnations: map[wire.NodeID]uint32{1: 1}})
+	n.nodes[2].AddPeer(1, 1)
+	n.run(3 * failAfterTest)
+	if !n.nodes[1].sequencing() {
+		t.Fatal("the rejoiner did not take over; test premise broken")
+	}
+	n.bcast(2, 700)
+	n.pump()
+	n.run(3 * failAfterTest)
+	want := []string{"cut 0", "2:700"}
+	for _, id := range []wire.NodeID{1, 2} {
+		if got := n.got[id]; len(got) < len(want) || !slices.Equal(got[len(got)-len(want):], want) {
+			t.Fatalf("node %d delivered %v last, want %v", id, got[max(0, len(got)-len(want)):], want)
+		}
+	}
+	if s1, s2 := n.nodes[1], n.nodes[2]; s1.delivered != s2.delivered {
+		t.Fatalf("node 1 delivered %d slots, node 2 %d", s1.delivered, s2.delivered)
+	}
+}
+
 // TestSeatGraceDelaysTheCut: a peer seated by AddPeer hears of its seat
 // later than its leaf-mates; the sequencer waits SeatGrace beyond
 // failAfter for its first word.
@@ -880,11 +968,11 @@ func benchSequenced(b *testing.B, seats int) {
 		n.queue = n.queue[:0]
 	}
 	seq := uint64(0)
-	ping := make([]wire.Ping, 0, 1)
+	payload := make([]wire.JoinRequest, 0, 1)
 	round := func() {
 		seq++
-		ping = append(ping[:0], wire.Ping{From: 1, Seq: seq})
-		n.nodes[1].Broadcast(&ping[0])
+		payload = append(payload[:0], wire.JoinRequest{From: 1, Nonce: seq})
+		n.nodes[1].Broadcast(&payload[0])
 		deliver()
 	}
 	for i := 0; i < 4*retain; i++ {

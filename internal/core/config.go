@@ -30,16 +30,18 @@ import (
 	"canopus/internal/wire"
 )
 
-// BroadcastKind selects the intra-super-leaf reliable broadcast.
+// BroadcastKind selects how the super-leaf's one sequencer (§4.3,
+// broadcast.Sequencer) reaches the members: both flavours give every
+// member one delivery order.
 type BroadcastKind uint8
 
 const (
-	// BroadcastSequencer is the software path (§4.3): one sequencer per
-	// super-leaf gives every member one delivery order.
+	// BroadcastSequencer sends each message to each member itself (the
+	// software path).
 	BroadcastSequencer BroadcastKind = iota
-	// BroadcastSwitch uses hardware-assisted broadcast, which orders each
-	// origin's messages but not the origins against each other, so it
-	// cannot run leaf eviction (see Validate).
+	// BroadcastSwitch hands a message for several members to the ToR
+	// switch, which replicates it (hardware-assisted broadcast,
+	// broadcast.Config.Multicast).
 	BroadcastSwitch
 )
 
@@ -52,7 +54,7 @@ type Config struct {
 	// Default 2: one failure does not delay remote fetches.
 	NumReps int
 
-	// Broadcast selects the reliable-broadcast implementation.
+	// Broadcast selects how the leaf's sequencer reaches its members.
 	Broadcast BroadcastKind
 
 	// MaxBatch starts the next cycle early once this many client
@@ -180,11 +182,6 @@ func (c Config) Validate() error {
 	if c.LeafTimeout > 0 && c.LeafTimeout <= c.FetchTimeout {
 		// A leaf would be evicted before the pull of its state is overdue.
 		return fmt.Errorf("core: LeafTimeout %v must exceed FetchTimeout %v", c.LeafTimeout, c.FetchTimeout)
-	}
-	if c.LeafTimeout > 0 && c.Broadcast == BroadcastSwitch {
-		// A seal must land in one order with the state it races (leaf.go),
-		// and the switch orders each origin's messages only.
-		return fmt.Errorf("core: LeafTimeout needs the sequencer broadcast; BroadcastSwitch orders per origin only")
 	}
 	return nil
 }

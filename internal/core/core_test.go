@@ -554,6 +554,8 @@ func TestCrashedNodeRejoins(t *testing.T) {
 	}
 }
 
+// TestSwitchBroadcastVariant: with the leaf's sequencer over switch
+// multicast every replica applies every write and agrees.
 func TestSwitchBroadcastVariant(t *testing.T) {
 	cfg := Config{Broadcast: BroadcastSwitch}
 	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg})

@@ -101,7 +101,7 @@ type Node struct {
 	tree *lot.Tree
 	view *lot.View
 	sl   int
-	bc   broadcast.Broadcaster
+	bc   *broadcast.Sequencer
 	sm   StateMachine
 	cbs  Callbacks
 	// log is Callbacks.Log bound to this node and its leaf (see trace).
@@ -352,18 +352,13 @@ func (n *Node) initBroadcast() {
 		// A joiner hears of its seat one sponsor-to-joiner delay after its
 		// leaf-mates, which FetchTimeout bounds.
 		SeatGrace: n.cfg.FetchTimeout,
+		Multicast: n.cfg.Broadcast == BroadcastSwitch,
 	}
-	cbs := broadcast.Callbacks{
+	n.bc = broadcast.NewSequencer(n.env, bcfg, broadcast.Callbacks{
 		Deliver:    n.onDeliver,
 		PeerFailed: n.onPeerFailed,
 		Stats:      &n.stats.bcast,
-	}
-	switch n.cfg.Broadcast {
-	case BroadcastSwitch:
-		n.bc = broadcast.NewSwitch(n.env, bcfg, cbs)
-	default:
-		n.bc = broadcast.NewSequencer(n.env, bcfg, cbs)
-	}
+	})
 	for _, s := range n.view.Pending() {
 		n.expect(s.Node)
 	}

@@ -94,11 +94,10 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 }
 
 // TestStageReentrantDeliveryOnce: on the inline driver a consumer that
-// submits from Committed re-enters the stage when the node can order a
-// cycle on the spot — a one-node leaf on the switch broadcast delivers its
-// own round-1 proposal synchronously — so the next cycle is applied and
-// delivered inside the delivery of the last. Each cycle still reaches the
-// consumer once, in cycle order.
+// submits from Committed starts the next cycle inside the delivery of the
+// last. Each cycle still reaches the consumer once, in cycle order. (A
+// one-node leaf's sequencer delivers its own proposal at its next tick,
+// not inside Broadcast, so the stage's nested drain is not reached here.)
 func TestStageReentrantDeliveryOnce(t *testing.T) {
 	sim := netsim.NewSim()
 	runner := netsim.NewRunner(sim, netsim.SingleDC(1, 1, netsim.Params{}), netsim.DefaultCosts(), 1)
@@ -108,7 +107,7 @@ func TestStageReentrantDeliveryOnce(t *testing.T) {
 	}
 	var n *Node
 	var got []uint64
-	n = NewNode(Config{Tree: tree, Self: 0, Broadcast: BroadcastSwitch}, kvstore.New(), Callbacks{Consumers: []Consumer{
+	n = NewNode(Config{Tree: tree, Self: 0}, kvstore.New(), Callbacks{Consumers: []Consumer{
 		ConsumerFunc(func(c *Commit) {
 			got = append(got, c.Cycle)
 			if c.Cycle < 3 {

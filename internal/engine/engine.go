@@ -48,10 +48,11 @@ type Env interface {
 	// and the live runner encodes a message handed to Send several times
 	// in a row only once. Sending one message to several nodes is fine.
 	Send(to NodeID, m wire.Message)
-	// Multicast delivers m to every node in to. Under the simulator this
-	// models switch-assisted replication: the sender serializes the
-	// message once and the fabric fans it out (used by the
-	// hardware-assisted broadcast variant of §4.3).
+	// Multicast delivers m to every node in to, under Send's rules for m;
+	// to is lent for the call. Under the simulator this models
+	// switch-assisted replication: the sender serializes the message once
+	// and the fabric fans it out (the hardware-assisted broadcast of §4.3,
+	// broadcast.Config.Multicast). The live runner sends to each in turn.
 	Multicast(to []NodeID, m wire.Message)
 	// After schedules a timer that fires tag on this machine after d.
 	// Timers are one-shot and cannot be canceled; machines discard stale

@@ -139,7 +139,7 @@ type traceMachine struct {
 	trace []string
 	// onInit programs behaviour scheduled during Init.
 	onInit func(m *traceMachine, env Env)
-	// echo replies to each received Ping once.
+	// echo replies to each received message once.
 	echo bool
 }
 
@@ -151,10 +151,10 @@ func (m *traceMachine) Init(env Env) {
 }
 
 func (m *traceMachine) Recv(from NodeID, msg wire.Message) {
-	p := msg.(*wire.Ping)
-	m.trace = append(m.trace, fmt.Sprintf("%v:recv:%v:%d", m.env.Now(), from, p.Seq))
+	p := msg.(*wire.JoinRequest)
+	m.trace = append(m.trace, fmt.Sprintf("%v:recv:%v:%d", m.env.Now(), from, p.Nonce))
 	if m.echo {
-		m.env.Send(from, &wire.Ping{From: m.env.ID(), Seq: p.Seq + 100})
+		m.env.Send(from, &wire.JoinRequest{From: m.env.ID(), Nonce: p.Nonce + 100})
 	}
 }
 
@@ -193,9 +193,9 @@ func TestTimerOrdering(t *testing.T) {
 func TestMessageDeliveryFIFOAndEcho(t *testing.T) {
 	w := newTestWorld(time.Millisecond, 1, 0, 1)
 	a := &traceMachine{onInit: func(m *traceMachine, env Env) {
-		env.Send(1, &wire.Ping{From: 0, Seq: 1})
-		env.Send(1, &wire.Ping{From: 0, Seq: 2})
-		env.Send(1, &wire.Ping{From: 0, Seq: 3})
+		env.Send(1, &wire.JoinRequest{From: 0, Nonce: 1})
+		env.Send(1, &wire.JoinRequest{From: 0, Nonce: 2})
+		env.Send(1, &wire.JoinRequest{From: 0, Nonce: 3})
 	}}
 	b := &traceMachine{echo: true}
 	w.register(1, b) // register b first: init order must not matter for FIFO
@@ -224,7 +224,7 @@ func TestEnvDeterminism(t *testing.T) {
 		a := &traceMachine{onInit: func(m *traceMachine, env Env) {
 			for i := uint64(1); i <= 5; i++ {
 				draws = append(draws, env.Rand().Uint64())
-				env.Send(1, &wire.Ping{From: 0, Seq: i})
+				env.Send(1, &wire.JoinRequest{From: 0, Nonce: i})
 				env.After(time.Duration(i)*time.Millisecond, Tag(1, i))
 			}
 		}}
@@ -254,7 +254,7 @@ func TestEnvDeterminism(t *testing.T) {
 func TestMulticastReachesAll(t *testing.T) {
 	w := newTestWorld(time.Millisecond, 1, 0, 1, 2, 3)
 	a := &traceMachine{onInit: func(m *traceMachine, env Env) {
-		env.Multicast([]NodeID{1, 2, 3}, &wire.Ping{From: 0, Seq: 7})
+		env.Multicast([]NodeID{1, 2, 3}, &wire.JoinRequest{From: 0, Nonce: 7})
 	}}
 	ms := []*traceMachine{a, {}, {}, {}}
 	for i, m := range ms {

@@ -27,12 +27,20 @@ func leafScenarios(seed int64) []Scenario {
 // length. Leaf eviction adds three nondeterminism hazards the plain
 // catalog doesn't have — timeout-triggered sends, map-keyed eviction
 // state, and the restart-as-joiner path — so replay identity is asserted
-// per scenario here, not just for the crash scenario.
+// per scenario here, not just for the crash scenario. The partition and
+// majority-crash scenarios run again with the leaf's sequencer over
+// switch multicast, whose leaves evict and readmit as the software ones.
 func TestLeafScenarioReplayBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("leaf replay matrix runs in full mode")
 	}
-	for _, sc := range leafScenarios(17) {
+	scenarios := leafScenarios(17)
+	for _, sc := range scenarios[:2] {
+		sc.Name += "-switch"
+		sc.Spec.Node.Broadcast = core.BroadcastSwitch
+		scenarios = append(scenarios, sc)
+	}
+	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			r1 := RunChaos(sc.Spec)

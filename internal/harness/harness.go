@@ -72,7 +72,10 @@ type Spec struct {
 	MaxInFlight   int
 	FetchTimeout  time.Duration
 	NumReps       int
-	SwitchBcast   bool // hardware-assisted broadcast ablation
+	// SwitchBcast runs the leaf's sequencer over switch multicast
+	// (core.BroadcastSwitch): the same order, each message for several
+	// members serialized once.
+	SwitchBcast bool
 
 	// EPaxos knobs.
 	EPaxosBatch time.Duration

@@ -62,9 +62,7 @@ func TestBootRefusesJoinerWithDisk(t *testing.T) {
 // TestBootRefusesLeafTimeoutAtFetchTimeout: Boot refuses, before it opens
 // the disk, a Node config core.Config.Validate rejects. A LeafTimeout not
 // above the FetchTimeout (canopus-server -leaf-timeout 20ms against the
-// 50 ms default) would evict a leaf before its state's pull is overdue;
-// and eviction needs one delivery order across a leaf's members, which
-// the switch broadcast, ordering each origin alone, does not give.
+// 50 ms default) would evict a leaf before its state's pull is overdue.
 func TestBootRefusesLeafTimeoutAtFetchTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -73,8 +71,6 @@ func TestBootRefusesLeafTimeoutAtFetchTimeout(t *testing.T) {
 	}{
 		{"leaf timeout at fetch timeout", core.Config{LeafTimeout: 20 * time.Millisecond},
 			"LeafTimeout 20ms must exceed FetchTimeout 50ms"},
-		{"eviction over the switch broadcast", core.Config{LeafTimeout: time.Second, Broadcast: core.BroadcastSwitch},
-			"LeafTimeout needs the sequencer broadcast"},
 	} {
 		runner, tree := bootRunner(t)
 		disk := wal.NewMemFS()

@@ -8,9 +8,9 @@ import (
 	"canopus/internal/wire"
 )
 
-// pingAt schedules a unicast Ping from a's env at virtual time at.
+// pingAt schedules a unicast message from a's env at virtual time at.
 func pingAt(sim *Sim, m *echoMachine, at time.Duration, to wire.NodeID) {
-	sim.At(at, func() { m.env.Send(to, &wire.Ping{From: m.env.ID()}) })
+	sim.At(at, func() { m.env.Send(to, &wire.JoinRequest{From: m.env.ID()}) })
 }
 
 func faultPair(t *testing.T) (*Sim, *Runner, *echoMachine, *echoMachine) {

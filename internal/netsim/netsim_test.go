@@ -79,7 +79,7 @@ func TestPathsByTopology(t *testing.T) {
 	}
 }
 
-// echoMachine replies to every Ping with its own Ping.
+// echoMachine replies to every message with one of its own.
 type echoMachine struct {
 	env   engine.Env
 	got   int
@@ -91,7 +91,7 @@ func (m *echoMachine) Timer(engine.TimerTag) {}
 func (m *echoMachine) Recv(from wire.NodeID, msg wire.Message) {
 	m.got++
 	if m.reply {
-		m.env.Send(from, &wire.Ping{From: m.env.ID()})
+		m.env.Send(from, &wire.JoinRequest{From: m.env.ID()})
 	}
 }
 
@@ -103,7 +103,7 @@ func TestRunnerDeliversWithCosts(t *testing.T) {
 	b := &echoMachine{reply: true}
 	r.Register(0, a)
 	r.Register(1, b)
-	sim.At(0, func() { a.env.Send(1, &wire.Ping{From: 0}) })
+	sim.At(0, func() { a.env.Send(1, &wire.JoinRequest{From: 0}) })
 	sim.RunUntil(10 * time.Millisecond)
 	if b.got != 1 || a.got != 1 {
 		t.Fatalf("ping-pong failed: a=%d b=%d", a.got, b.got)
@@ -123,7 +123,7 @@ func TestCrashDropsTraffic(t *testing.T) {
 	r.Register(0, a)
 	r.Register(1, b)
 	r.Crash(1)
-	sim.At(0, func() { a.env.Send(1, &wire.Ping{From: 0}) })
+	sim.At(0, func() { a.env.Send(1, &wire.JoinRequest{From: 0}) })
 	sim.RunUntil(10 * time.Millisecond)
 	if b.got != 0 {
 		t.Fatal("crashed node received a message")
@@ -131,7 +131,7 @@ func TestCrashDropsTraffic(t *testing.T) {
 	// Restart with a fresh machine; new traffic flows.
 	b2 := &echoMachine{}
 	r.Restart(1, b2)
-	sim.At(sim.Now(), func() { a.env.Send(1, &wire.Ping{From: 0}) })
+	sim.At(sim.Now(), func() { a.env.Send(1, &wire.JoinRequest{From: 0}) })
 	sim.RunUntil(20 * time.Millisecond)
 	if b2.got != 1 {
 		t.Fatal("restarted node did not receive")
@@ -166,7 +166,7 @@ func TestRequestsIn(t *testing.T) {
 	if got := RequestsIn(&wire.SeqForward{Payload: &wire.Proposal{Batches: []*wire.Batch{b}}}); got != 5 {
 		t.Fatalf("nested requests = %d, want 5", got)
 	}
-	if RequestsIn(&wire.Ping{}) != 0 {
+	if RequestsIn(&wire.JoinRequest{}) != 0 {
 		t.Fatal("ping has requests")
 	}
 }

@@ -41,7 +41,7 @@ type recorder struct {
 	env  engine.Env
 	from []wire.NodeID
 	got  [][]byte
-	// echoTo, when not NoNode, gets one Ping per received message, so the
+	// echoTo, when not NoNode, gets one JoinRequest per received message, so the
 	// number of turn buffers the runner flushes counts the turns.
 	echoTo wire.NodeID
 	// scribble overwrites every SeqAppend after recording it.
@@ -54,7 +54,7 @@ func (m *recorder) Recv(from wire.NodeID, msg wire.Message) {
 	m.from = append(m.from, from)
 	m.got = append(m.got, msg.AppendTo(nil))
 	if m.echoTo != wire.NoNode {
-		m.env.Send(m.echoTo, &wire.Ping{From: m.env.ID(), Seq: uint64(len(m.got))})
+		m.env.Send(m.echoTo, &wire.JoinRequest{From: m.env.ID(), Nonce: uint64(len(m.got))})
 	}
 	if a, ok := msg.(*wire.SeqAppend); ok && m.scribble {
 		for i := range a.Entries {
@@ -95,7 +95,7 @@ func testStream() (stream []byte, frames [][]byte) {
 			Entries: []wire.SeqEntry{{Epoch: 1<<32 | 2, Origin: 2, OSeq: 5, Payload: proposal}, {Epoch: 1<<32 | 2, Origin: 1}}},
 		&wire.SeqAck{Epoch: 1<<32 | 2, From: 1, Match: 8},
 		&wire.ProposalRequest{Cycle: 4, Round: 2, VNode: "1.2", From: 3},
-		&wire.Ping{From: 2, Seq: 9},
+		&wire.JoinRequest{From: 2, Nonce: 9},
 		&wire.SeqAppend{Epoch: 1<<32 | 2, Seq: 9, PrevEpoch: 1<<32 | 2, Commit: 8, Trim: 2},
 		&wire.SeqForward{Epoch: 1<<32 | 2, Origin: 3, OSeq: 6, Match: 8, Payload: proposal},
 		proposal,
@@ -179,9 +179,9 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 		Reqs: []wire.Request{{Op: wire.OpWrite, Key: 1, Val: bytes.Repeat([]byte{7}, 3*readBufSize)}}, NumWrite: 1,
 	}}}
 	frames := [][]byte{
-		appendFrame(nil, 1, &wire.Ping{From: 1, Seq: 1}),
+		appendFrame(nil, 1, &wire.JoinRequest{From: 1, Nonce: 1}),
 		appendFrame(nil, 1, big),
-		appendFrame(nil, 1, &wire.Ping{From: 1, Seq: 2}),
+		appendFrame(nil, 1, &wire.JoinRequest{From: 1, Nonce: 2}),
 	}
 	stream := bytes.Join(frames, nil)
 	m := &recorder{echoTo: wire.NoNode}
@@ -202,7 +202,7 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 func TestBadFrameMidBurst(t *testing.T) {
 	stream, frames := testStream()
 	good := bytes.Join(frames[:3], nil)
-	undecodable := appendFrame(nil, 1, &wire.Ping{From: 1, Seq: 1})
+	undecodable := appendFrame(nil, 1, &wire.JoinRequest{From: 1, Nonce: 1})
 	undecodable[8] = 0xEE // no such kind
 	oversized := []byte{0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0}
 	for name, bad := range map[string][]byte{"undecodable": undecodable, "oversized": oversized} {

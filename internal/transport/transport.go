@@ -81,7 +81,6 @@ type Runner struct {
 	// pending accumulates this turn's encoded frames per destination;
 	// guarded by mu (sends only happen inside machine turns).
 	pending map[wire.NodeID][]byte
-	scratch []byte // multicast encode-once buffer, guarded by mu
 	// lastSent remembers where this turn's most recent Send encoded its
 	// frame, so the same message sent to the next peer is copied, not
 	// encoded again. Guarded by mu; cleared when the turn ends.
@@ -582,19 +581,11 @@ func (r *Runner) Send(to wire.NodeID, m wire.Message) {
 	r.lastSent.to, r.lastSent.off, r.lastSent.end = to, off, len(buf)
 }
 
-// Multicast implements engine.Env (no switch assist on plain TCP: it is
-// a send loop, but the message is encoded only once).
+// Multicast implements engine.Env. Plain TCP has no switch to replicate
+// a message, so it is a send loop; Send encodes m once for the loop.
 func (r *Runner) Multicast(to []wire.NodeID, m wire.Message) {
-	if len(to) == 0 {
-		return
-	}
-	r.scratch = appendFrame(r.scratch[:0], r.id, m)
 	for _, dst := range to {
-		buf, ok := r.pending[dst]
-		if !ok {
-			buf = wire.EncodePool.Get(len(r.scratch))
-		}
-		r.pending[dst] = append(buf, r.scratch...)
+		r.Send(dst, m)
 	}
 }
 

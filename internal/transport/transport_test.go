@@ -22,7 +22,7 @@ func (m *countMachine) Timer(engine.TimerTag) {}
 func (m *countMachine) Recv(from wire.NodeID, msg wire.Message) {
 	m.got = append(m.got, msg)
 	if m.echo {
-		m.env.Send(from, &wire.Ping{From: m.env.ID(), Seq: 99})
+		m.env.Send(from, &wire.JoinRequest{From: m.env.ID(), Nonce: 99})
 	}
 }
 
@@ -50,16 +50,16 @@ func TestTCPRoundTrip(t *testing.T) {
 	go runners[1].Serve(nil)
 
 	runners[0].Invoke(func() {
-		a.env.Send(1, &wire.Ping{From: 0, Seq: 42})
+		a.env.Send(1, &wire.JoinRequest{From: 0, Nonce: 42})
 	})
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		var done bool
 		runners[0].Invoke(func() { done = len(a.got) == 1 })
 		if done {
-			p := a.got[0].(*wire.Ping)
-			if p.Seq != 99 {
-				t.Fatalf("echo seq = %d", p.Seq)
+			p := a.got[0].(*wire.JoinRequest)
+			if p.Nonce != 99 {
+				t.Fatalf("echo seq = %d", p.Nonce)
 			}
 			return
 		}
@@ -69,13 +69,13 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestFrameEncoding(t *testing.T) {
-	msg := &wire.Ping{From: 3, Seq: 7}
+	msg := &wire.JoinRequest{From: 3, Nonce: 7}
 	f := appendFrame(nil, 3, msg)
 	if len(f) != 8+msg.WireSize() {
 		t.Fatalf("frame length %d", len(f))
 	}
 	// Two frames appended to one buffer decode back to back.
-	f = appendFrame(f, 3, &wire.Ping{From: 3, Seq: 8})
+	f = appendFrame(f, 3, &wire.JoinRequest{From: 3, Nonce: 8})
 	if len(f) != 2*(8+msg.WireSize()) {
 		t.Fatalf("coalesced length %d", len(f))
 	}
@@ -84,8 +84,8 @@ func TestFrameEncoding(t *testing.T) {
 		if err != nil || n != msg.WireSize() {
 			t.Fatalf("decode frame %d: %v (n=%d)", i, err, n)
 		}
-		if m.(*wire.Ping).Seq != uint64(7+i) {
-			t.Fatalf("frame %d seq = %d", i, m.(*wire.Ping).Seq)
+		if m.(*wire.JoinRequest).Nonce != uint64(7+i) {
+			t.Fatalf("frame %d seq = %d", i, m.(*wire.JoinRequest).Nonce)
 		}
 		f = f[8+msg.WireSize():]
 	}
@@ -119,7 +119,7 @@ func TestTurnCoalescing(t *testing.T) {
 	const n = 500
 	runners[0].Invoke(func() {
 		for i := 0; i < n; i++ {
-			a.env.Send(1, &wire.Ping{From: 0, Seq: uint64(i)})
+			a.env.Send(1, &wire.JoinRequest{From: 0, Nonce: uint64(i)})
 		}
 	})
 	deadline := time.Now().Add(5 * time.Second)
@@ -128,8 +128,8 @@ func TestTurnCoalescing(t *testing.T) {
 		runners[1].Invoke(func() { got = append([]wire.Message(nil), b.got...) })
 		if len(got) == n {
 			for i, m := range got {
-				if m.(*wire.Ping).Seq != uint64(i) {
-					t.Fatalf("message %d has seq %d (reordered)", i, m.(*wire.Ping).Seq)
+				if m.(*wire.JoinRequest).Nonce != uint64(i) {
+					t.Fatalf("message %d has seq %d (reordered)", i, m.(*wire.JoinRequest).Nonce)
 				}
 			}
 			return
@@ -169,8 +169,8 @@ func TestConcurrentSendersAndClose(t *testing.T) {
 			r := runners[g%3]
 			for i := 0; i < 200; i++ {
 				r.Invoke(func() {
-					m.env.Send(wire.NodeID((g+1)%3), &wire.Ping{From: wire.NodeID(g % 3), Seq: uint64(i)})
-					m.env.Multicast([]wire.NodeID{0, 1, 2}, &wire.Ping{From: wire.NodeID(g % 3), Seq: uint64(i)})
+					m.env.Send(wire.NodeID((g+1)%3), &wire.JoinRequest{From: wire.NodeID(g % 3), Nonce: uint64(i)})
+					m.env.Multicast([]wire.NodeID{0, 1, 2}, &wire.JoinRequest{From: wire.NodeID(g % 3), Nonce: uint64(i)})
 				})
 			}
 		}(g)
@@ -209,7 +209,7 @@ func TestDrain(t *testing.T) {
 	go runners[1].Serve(nil)
 	const n = 100
 	for i := 0; i < n; i++ {
-		runners[0].Invoke(func() { a.env.Send(1, &wire.Ping{From: 0, Seq: 1}) })
+		runners[0].Invoke(func() { a.env.Send(1, &wire.JoinRequest{From: 0, Nonce: 1}) })
 	}
 	if !runners[0].Drain(2 * time.Second) {
 		t.Fatal("Drain timed out")
@@ -226,7 +226,7 @@ func TestSendToUnknownPeerDrops(t *testing.T) {
 	m := &countMachine{}
 	r.Attach(m)
 	// Must not panic or block.
-	r.Invoke(func() { m.env.Send(9, &wire.Ping{From: 0}) })
+	r.Invoke(func() { m.env.Send(9, &wire.JoinRequest{From: 0}) })
 	time.Sleep(50 * time.Millisecond)
 }
 
@@ -255,7 +255,7 @@ func TestManyConcurrentFrames(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		seq := uint64(i)
-		runners[0].Invoke(func() { a.env.Send(1, &wire.Ping{From: 0, Seq: seq}) })
+		runners[0].Invoke(func() { a.env.Send(1, &wire.JoinRequest{From: 0, Nonce: seq}) })
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -318,7 +318,7 @@ func TestRedialAfterListenerRestart(t *testing.T) {
 	send := func() {
 		seq++
 		s := seq
-		a.Invoke(func() { am.env.Send(1, &wire.Ping{From: 0, Seq: s}) })
+		a.Invoke(func() { am.env.Send(1, &wire.JoinRequest{From: 0, Nonce: s}) })
 	}
 	received := func(r *Runner, m *countMachine) int {
 		var n int

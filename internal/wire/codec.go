@@ -708,7 +708,9 @@ func readSeqAck(r *reader, m *SeqAck) {
 	m.Reject = r.boolean()
 }
 
-func (m *SeqEpoch) WireSize() int { return 1 + 8 + 4 + 8 + 8 + 8 + seqEntriesSize(m.Entries) }
+func (m *SeqEpoch) WireSize() int {
+	return 1 + 8 + 4 + 8 + 8 + 8 + seqEntriesSize(m.Entries) + 4 + 12*len(m.Delivered)
+}
 
 func (m *SeqEpoch) AppendTo(b []byte) []byte {
 	b = putU8(b, uint8(KindSeqEpoch))
@@ -717,7 +719,13 @@ func (m *SeqEpoch) AppendTo(b []byte) []byte {
 	b = putU64(b, m.Commit)
 	b = putU64(b, m.Seq)
 	b = putU64(b, m.PrevEpoch)
-	return appendSeqEntries(b, m.Entries)
+	b = appendSeqEntries(b, m.Entries)
+	b = putU32(b, uint32(len(m.Delivered)))
+	for _, d := range m.Delivered {
+		b = putNode(b, d.Origin)
+		b = putU64(b, d.OSeq)
+	}
+	return b
 }
 
 func readSeqEpoch(r *reader) *SeqEpoch {
@@ -728,6 +736,12 @@ func readSeqEpoch(r *reader) *SeqEpoch {
 	m.Seq = r.u64()
 	m.PrevEpoch = r.u64()
 	_, m.Entries = readSeqEntries(r, nil)
+	if n := r.count(12); n > 0 {
+		m.Delivered = make([]OriginSeq, n)
+		for i := range m.Delivered {
+			m.Delivered[i] = OriginSeq{Origin: r.node(), OSeq: r.u64()}
+		}
+	}
 	return m
 }
 
@@ -981,21 +995,6 @@ func readZabInform(r *reader) *ZabInform {
 
 // --- Liveness and membership ---
 
-func (m *Ping) WireSize() int { return 1 + 4 + 8 }
-
-func (m *Ping) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindPing))
-	b = putNode(b, m.From)
-	return putU64(b, m.Seq)
-}
-
-func readPing(r *reader) *Ping {
-	m := &Ping{}
-	m.From = r.node()
-	m.Seq = r.u64()
-	return m
-}
-
 func (m *GroupClosed) WireSize() int { return 1 + 4 + 4 }
 
 func (m *GroupClosed) AppendTo(b []byte) []byte {
@@ -1157,33 +1156,6 @@ func readJoinReply(r *reader) *JoinReply {
 	return m
 }
 
-func (m *Envelope) WireSize() int {
-	n := 1 + 4 + 1
-	if m.Payload != nil {
-		n += m.Payload.WireSize()
-	}
-	return n
-}
-
-func (m *Envelope) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindBroadcast))
-	b = putNode(b, m.Origin)
-	if m.Payload == nil {
-		return putBool(b, false)
-	}
-	b = putBool(b, true)
-	return m.Payload.AppendTo(b)
-}
-
-func readEnvelope(r *reader) *Envelope {
-	m := &Envelope{}
-	m.Origin = r.node()
-	if r.boolean() {
-		m.Payload = readMessage(r, Kind(r.u8()))
-	}
-	return m
-}
-
 // Decode decodes one message from the front of b, returning the message
 // and the number of bytes consumed.
 func Decode(b []byte) (Message, int, error) {
@@ -1246,16 +1218,12 @@ func readMessage(r *reader, k Kind) Message {
 		m = readZabCommit(r)
 	case KindZabInform:
 		m = readZabInform(r)
-	case KindPing:
-		m = readPing(r)
 	case KindGroupClosed:
 		m = readGroupClosed(r)
 	case KindJoinRequest:
 		m = readJoinRequest(r)
 	case KindJoinReply:
 		m = readJoinReply(r)
-	case KindBroadcast:
-		m = readEnvelope(r)
 	case KindLeafSeal:
 		m = readLeafSeal(r)
 	case KindEvictQuery:

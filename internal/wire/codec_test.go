@@ -37,7 +37,8 @@ func exemplars() []Message {
 				{Epoch: 9<<32 | 1, Origin: 2, OSeq: 8}}},
 		&SeqAck{Epoch: 9<<32 | 1, From: 2, Inc: 3, Match: 6, Reject: true},
 		&SeqEpoch{Epoch: 10<<32 | 2, From: 1, Commit: 4, Seq: 5, PrevEpoch: 9<<32 | 1,
-			Entries: []SeqEntry{{Epoch: 9<<32 | 1, Origin: 1, Payload: &GroupClosed{Origin: 0, Inc: 2}}}},
+			Entries:   []SeqEntry{{Epoch: 9<<32 | 1, Origin: 1, Payload: &GroupClosed{Origin: 0, Inc: 2}}},
+			Delivered: []OriginSeq{{Origin: 0, OSeq: 2<<32 | 5}, {Origin: 2, OSeq: 3}}},
 		&PreAccept{Replica: 1, Instance: 5, Ballot: 0, Batch: b, Seq: 2,
 			Deps: []InstanceRef{{Replica: 0, Instance: 4}}},
 		&PreAcceptReply{Replica: 1, Instance: 5, From: 2, OK: true, Seq: 3,
@@ -50,14 +51,32 @@ func exemplars() []Message {
 		&ZabAck{Epoch: 1, Zxid: 44, From: 3},
 		&ZabCommit{Epoch: 1, Zxid: 44},
 		&ZabInform{Epoch: 1, Zxid: 44, Batch: b},
-		&Ping{From: 2, Seq: 77},
 		&GroupClosed{Origin: 5},
 		&JoinRequest{From: 4, Nonce: 0x5eed},
 		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
 			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
 			Shards: [][]byte{[]byte("shard-0"), []byte("shard-1")}, Sessions: []byte("sessions"),
 			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond, SessionIdleCycles: -1},
-		&Envelope{Origin: 1, Payload: &Ping{From: 1, Seq: 2}},
+	}
+}
+
+// TestKindValuesAreStable pins the byte of every kind around the two
+// reserved ones (a retired broadcast flavour's heartbeat and envelope):
+// the kinds after them keep their values, and a reserved byte decodes as
+// an unknown kind.
+func TestKindValuesAreStable(t *testing.T) {
+	for k, want := range map[Kind]uint8{
+		KindZabInform: 16, KindGroupClosed: 18, KindJoinRequest: 19, KindJoinReply: 20,
+		KindLeafSeal: 22, KindEvicted: 25,
+	} {
+		if uint8(k) != want {
+			t.Errorf("%v is %d, want %d", k, uint8(k), want)
+		}
+	}
+	for _, reserved := range []byte{17, 21} {
+		if _, _, err := Decode([]byte{reserved, 0, 0, 0, 0}); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("reserved kind %d decoded with %v, want ErrUnknownKind", reserved, err)
+		}
 	}
 }
 

@@ -45,9 +45,9 @@ func TestDecoderReusesScratch(t *testing.T) {
 // entries themselves.
 func TestDecoderMessagesAreIndependent(t *testing.T) {
 	first := &SeqAppend{Epoch: 1 << 32, Seq: 2,
-		Entries: []SeqEntry{{Epoch: 1 << 32, Payload: &Ping{From: 3, Seq: 4}}}}
+		Entries: []SeqEntry{{Epoch: 1 << 32, Payload: &JoinRequest{From: 3, Nonce: 4}}}}
 	second := &SeqAppend{Epoch: 2 << 32, Seq: 10,
-		Entries: []SeqEntry{{Epoch: 2 << 32, Payload: &Ping{From: 5, Seq: 6}}}}
+		Entries: []SeqEntry{{Epoch: 2 << 32, Payload: &JoinRequest{From: 5, Nonce: 6}}}}
 	var d Decoder
 	m1, _, err := d.Decode(first.AppendTo(nil))
 	if err != nil {
@@ -70,7 +70,7 @@ func TestDecoderMessagesAreIndependent(t *testing.T) {
 	if _, _, err := d.Decode(first.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := kept.Payload.(*Ping); !ok || p.Seq != 6 {
+	if p, ok := kept.Payload.(*JoinRequest); !ok || p.Nonce != 6 {
 		t.Fatalf("an entry kept by value lost its payload to scratch reuse: %+v", kept)
 	}
 }

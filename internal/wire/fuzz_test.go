@@ -26,12 +26,13 @@ func fuzzSeeds() []Message {
 		&Proposal{Cycle: 9, Round: 2, VNode: "1", Origin: NoNode, Num: 44,
 			Batches: []*Batch{batch, fluid, batch, {Origin: 3, Reqs: []Request{}}, fluid}},
 		&ProposalRequest{Cycle: 7, Round: 2, VNode: "1.2", From: 5},
-		&SeqForward{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Match: 3, Payload: &Ping{From: 1, Seq: 9}},
+		&SeqForward{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Match: 3, Payload: &JoinRequest{From: 1, Nonce: 9}},
 		&SeqAppend{Epoch: 2<<32 | 1, Seq: 4, PrevEpoch: 1 << 32, Commit: 2, Trim: 1,
-			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Payload: &Ping{From: 1, Seq: 9}}, {Epoch: 2<<32 | 1}}},
+			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 1, OSeq: 4, Payload: &JoinRequest{From: 1, Nonce: 9}}, {Epoch: 2<<32 | 1}}},
 		&SeqAck{Epoch: 2<<32 | 1, From: 1, Inc: 1, Match: 3},
 		&SeqEpoch{Epoch: 3<<32 | 2, From: 2, Commit: 5, Seq: 6, PrevEpoch: 1 << 32,
-			Entries: []SeqEntry{{Epoch: 2<<32 | 1, Origin: 0, OSeq: 1 << 32, Payload: &Ping{From: 0, Seq: 1}}}},
+			Entries:   []SeqEntry{{Epoch: 2<<32 | 1, Origin: 0, OSeq: 1 << 32, Payload: &JoinRequest{From: 0, Nonce: 1}}},
+			Delivered: []OriginSeq{{Origin: 0, OSeq: 1 << 32}}},
 		&PreAccept{Replica: 1, Instance: 2, Ballot: 3, Batch: batch, Seq: 4,
 			Deps: []InstanceRef{{Replica: 0, Instance: 1}}},
 		&PreAcceptReply{Replica: 1, Instance: 2, Ballot: 3, From: 2, OK: true, Seq: 4,
@@ -44,18 +45,21 @@ func fuzzSeeds() []Message {
 		&ZabAck{Epoch: 1, Zxid: 2, From: 3},
 		&ZabCommit{Epoch: 1, Zxid: 2},
 		&ZabInform{Epoch: 1, Zxid: 2, Batch: batch},
-		&Ping{From: 1, Seq: 2},
 		&GroupClosed{Origin: 3},
 		&JoinRequest{From: 4},
 		&JoinReply{From: 1, StartCycle: 9, Alive: []NodeID{0, 1, 2}, Incarnations: []uint32{0, 1, 0},
 			Shards: [][]byte{[]byte("image")}, MaxInFlight: 8},
-		&Envelope{Origin: 2, Payload: &Ping{From: 2, Seq: 5}},
 		&Proposal{Cycle: 11, Round: 3, VNode: "1", Origin: NoNode, Num: 0, Resolve: true,
 			Updates: []MemberUpdate{{Node: 6, Leave: true}, {Node: 7, Leave: true}}},
 		&LeafSeal{Cycle: 11, VNode: "1.2", Initiator: 3},
 		&EvictQuery{Cycle: 11, VNode: "1.2", From: 4},
 		&EvictPromise{Cycle: 11, VNode: "1.2", From: 5},
 		&Evicted{From: 6},
+		// A forwarded failure cut, and an epoch answer whose log is all
+		// trimmed: no entries, only the delivered origin numbers.
+		&SeqForward{Epoch: 3<<32 | 2, Origin: 2, OSeq: 7, Match: 6, Payload: &GroupClosed{Origin: 1}},
+		&SeqEpoch{Epoch: 4<<32 | 1, From: 1, Commit: 9, Seq: 10, PrevEpoch: 3<<32 | 2,
+			Delivered: []OriginSeq{{Origin: 0, OSeq: 3}, {Origin: 1, OSeq: 5}, {Origin: 2, OSeq: 7}}},
 	}
 }
 

@@ -226,11 +226,11 @@ const (
 	KindZabInform
 
 	// Membership and liveness.
-	KindPing        // heartbeat for the switch-assisted broadcast variant
+	_               // reserved: was a heartbeat of a broadcast flavour
 	KindGroupClosed // barrier closing a failed origin's broadcast group
 	KindJoinRequest // restarted node asks a live peer to sponsor its re-join
 	KindJoinReply   // sponsor's snapshot + start cycle
-	KindBroadcast   // switch-assisted broadcast envelope
+	_               // reserved: was a broadcast flavour's envelope
 
 	// Leaf-granular fault tolerance (RCanopus direction).
 	KindLeafSeal     // intra-leaf broadcast: stop accepting a vnode's state for a cycle
@@ -259,11 +259,9 @@ var kindNames = [...]string{
 	KindZabAck:          "zab-ack",
 	KindZabCommit:       "zab-commit",
 	KindZabInform:       "zab-inform",
-	KindPing:            "ping",
 	KindGroupClosed:     "group-closed",
 	KindJoinRequest:     "join-request",
 	KindJoinReply:       "join-reply",
-	KindBroadcast:       "broadcast",
 	KindLeafSeal:        "leaf-seal",
 	KindEvictQuery:      "evict-query",
 	KindEvictPromise:    "evict-promise",
@@ -392,8 +390,9 @@ func (m *SeqAck) Kind() Kind { return KindSeqAck }
 // every member to stop accepting older epochs and to send its log above
 // Commit, the candidate's delivered prefix; a member's answer is a
 // SeqEpoch from it, whose Entries start at slot Seq, the slot before
-// which was stamped in PrevEpoch, and whose Commit is the member's own
-// delivered prefix.
+// which was stamped in PrevEpoch, whose Commit is the member's own
+// delivered prefix, and whose Delivered holds the highest origin number
+// it delivered of each origin, trimmed slots included.
 type SeqEpoch struct {
 	Epoch     uint64
 	From      NodeID
@@ -401,6 +400,13 @@ type SeqEpoch struct {
 	Seq       uint64
 	PrevEpoch uint64
 	Entries   []SeqEntry
+	Delivered []OriginSeq
+}
+
+// OriginSeq is an origin's broadcast number OSeq (see SeqEntry).
+type OriginSeq struct {
+	Origin NodeID
+	OSeq   uint64
 }
 
 func (m *SeqEpoch) Kind() Kind { return KindSeqEpoch }
@@ -526,15 +532,6 @@ type ZabInform struct {
 
 func (m *ZabInform) Kind() Kind { return KindZabInform }
 
-// Ping is the liveness heartbeat used by the switch-assisted broadcast
-// variant (the sequencer's appends and acks double as its heartbeat).
-type Ping struct {
-	From NodeID
-	Seq  uint64
-}
-
-func (m *Ping) Kind() Kind { return KindPing }
-
 // GroupClosed is the failure cut of Origin: the entry a super-leaf's
 // sequencer appends when Origin falls silent, or a new sequencer appends
 // for the one it replaces. Ordering it in the leaf's log gives all
@@ -642,13 +639,3 @@ type Evicted struct {
 }
 
 func (m *Evicted) Kind() Kind { return KindEvicted }
-
-// Envelope wraps a payload multicast through the switch-assisted
-// broadcast path, so receivers can tell an atomic-broadcast delivery from
-// a directly addressed message carrying the same payload type.
-type Envelope struct {
-	Origin  NodeID
-	Payload Message
-}
-
-func (m *Envelope) Kind() Kind { return KindBroadcast }
