@@ -49,13 +49,15 @@ var unitMetric = map[string]string{
 	"msgs/entry":    "msgs_per_entry",
 	"allocs/entry":  "allocs_per_entry",
 	"allocs/append": "allocs_per_append",
-	// The fixed cost of a consensus cycle (core BenchmarkCycleFixedCost).
+	// The fixed cost of a consensus cycle (core BenchmarkCycleFixedCost),
+	// in objects and in bytes, so that trading one for the other shows.
 	// Arming a timer (transport BenchmarkTimerRearm, allocs/After) is not
 	// gated here: its steady state is 0, against which any runtime
 	// background allocation is an infinite drift, and the benchmark fails
 	// itself above its own ceiling.
 	"allocs/cycle":      "allocs_per_cycle",
 	"allocs/node-cycle": "allocs_per_node_cycle",
+	"bytes/node-cycle":  "bytes_per_node_cycle",
 	"msgs/cycle":        "msgs_per_cycle",
 }
 

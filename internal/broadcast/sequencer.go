@@ -113,6 +113,31 @@ type Sequencer struct {
 	replacing wire.NodeID
 
 	dst []wire.NodeID // fan's destinations, reused
+
+	// What the sequencer sends every cycle comes out of chunks.
+	acks     chunk[wire.SeqAck]
+	forwards chunk[wire.SeqForward]
+	boxes    chunk[fanBox]
+}
+
+// chunkSize is how many messages of one type a chunk holds.
+const chunkSize = 16
+
+// chunk hands out the elements of arrays it allocates chunkSize at a time,
+// each element once: a message given to engine.Env.Send is the driver's
+// from then on, and the simulator delivers the pointer later, so nothing is
+// reused. An array lives until its last message is dropped. That pins
+// what the messages point to, a payload, no longer than the log keeps it:
+// retain slots, more than one chunk spans.
+type chunk[T any] struct{ free []T }
+
+func (c *chunk[T]) next() *T {
+	if len(c.free) == 0 {
+		c.free = make([]T, chunkSize)
+	}
+	v := &c.free[0]
+	c.free = c.free[1:]
+	return v
 }
 
 type ownEntry struct {
@@ -250,6 +275,11 @@ func (s *Sequencer) Broadcast(payload wire.Message) {
 	case s.sequencing():
 		s.stamp(wire.SeqEntry{Epoch: s.epoch, Origin: s.self, OSeq: s.oseq, Payload: payload})
 		s.replicate(wire.NoNode, false)
+		if s.quorum() == 1 {
+			// A leaf of one: committed, and delivered, at once.
+			s.commit(s.lastIndex(), 1, 1, s.self)
+			s.settle()
+		}
 	case s.following:
 		s.forward(s.oseq, payload)
 	}
@@ -258,7 +288,8 @@ func (s *Sequencer) Broadcast(payload wire.Message) {
 // forward sends an own broadcast to the sequencer, and in a leaf of more
 // than three seats to every other member too.
 func (s *Sequencer) forward(oseq uint64, payload wire.Message) {
-	f := &wire.SeqForward{Epoch: s.epoch, Origin: s.self, OSeq: oseq, Match: s.verified, Payload: payload}
+	f := s.forwards.next()
+	*f = wire.SeqForward{Epoch: s.epoch, Origin: s.self, OSeq: oseq, Match: s.verified, Payload: payload}
 	s.lastSent = s.env.Now()
 	s.dst = s.dst[:0]
 	for _, m := range s.members {
@@ -318,9 +349,10 @@ type fanBox struct {
 // fill builds the append that starts at slot next.
 func (s *Sequencer) fill(next uint64) *fanBox {
 	next = max(next, s.base+1)
-	box := &fanBox{full: wire.SeqAppend{
+	box := s.boxes.next()
+	box.full = wire.SeqAppend{
 		Epoch: s.epoch, Seq: next, PrevEpoch: s.epochAt(next - 1), Commit: s.ready, Trim: s.trim,
-	}}
+	}
 	if last := s.lastIndex(); next <= last {
 		// A copy: the log is trimmed and truncated in place, and the
 		// simulator delivers this message later.
@@ -589,7 +621,8 @@ func (s *Sequencer) allOwn(es []wire.SeqEntry) bool {
 // more than three seats) to every member.
 func (s *Sequencer) ack(match uint64, reject, all bool) {
 	s.lastSent = s.env.Now()
-	k := &wire.SeqAck{Epoch: s.epoch, From: s.self, Inc: s.inc[s.self], Match: match, Reject: reject}
+	k := s.acks.next()
+	*k = wire.SeqAck{Epoch: s.epoch, From: s.self, Inc: s.inc[s.self], Match: match, Reject: reject}
 	s.dst = s.dst[:0]
 	for _, m := range s.members {
 		if m != s.self && (all && !s.closed[m] || !all && m == s.leader()) {
@@ -854,7 +887,7 @@ func (s *Sequencer) Tick() {
 	now, hb := s.env.Now(), s.cfg.heartbeat()
 	switch {
 	case s.sequencing():
-		s.commit(s.lastIndex(), 1, s.quorum(), s.self) // a leaf of one commits here
+		s.commit(s.lastIndex(), 1, s.quorum(), s.self) // what a smaller quorum commits now
 		cuts := false
 		for _, m := range s.members {
 			if m != s.self && !s.cut[m] && now-s.heard[m] > s.cfg.failAfter() {

@@ -3,6 +3,7 @@ package broadcast
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -921,16 +922,16 @@ func TestLogTrimBoundsMemory(t *testing.T) {
 // per leaf size: messages and heap objects per forwarded broadcast. In a
 // leaf of three: the forward, two appends and the other member's
 // acknowledgement (the origin's rides its next forward); the objects are
-// the forward, the payload decoded at the sequencer and at the other
-// member (the origin's append elides it), one fan-out box holding both
-// appends, and the acknowledgement. In a leaf of five the origin sends its
-// forward to all four others, the sequencer four appends without
-// payloads, and each member its acknowledgement to the four others: 24
-// messages, and one forward, four payloads, one box and four
-// acknowledgements.
+// the payload decoded at the sequencer and at the other member (the
+// origin's append elides it), and a sixteenth each of a chunk of forwards,
+// of fan-out boxes (one holds both appends) and of acknowledgements: 2.18
+// (5 while each was an allocation of its own). In a leaf of five the
+// origin sends its forward to all four others, the sequencer four appends
+// without payloads, and each member its acknowledgement to the four
+// others: 24 messages, and four payloads plus six chunk shares, 4.36 (10).
 var seqCeilings = map[int]struct{ msgs, allocs float64 }{
-	3: {msgs: 4, allocs: 5},
-	5: {msgs: 24, allocs: 10},
+	3: {msgs: 4, allocs: 2.5},
+	5: {msgs: 24, allocs: 4.5},
 }
 
 // BenchmarkSequencedBroadcast is one broadcast forwarded by a member in a
@@ -979,8 +980,8 @@ func benchSequenced(b *testing.B, seats int) {
 		round() // reach the steady state in which every round trims
 	}
 	msgs := n.msgs
-	allocs := testing.AllocsPerRun(200, round)
-	perEntry := float64(n.msgs-msgs) / 201 // AllocsPerRun runs once to warm up
+	allocs := objectsPerRun(200, round)
+	perEntry := float64(n.msgs-msgs) / 201 // objectsPerRun runs once to warm up
 	for _, id := range ids {
 		if d := n.nodes[id].delivered; d != n.nodes[0].lastIndex() {
 			b.Fatalf("node %d delivered %d slots, the log holds %d", id, d, n.nodes[0].lastIndex())
@@ -998,6 +999,20 @@ func benchSequenced(b *testing.B, seats int) {
 		b.Fatalf("a broadcast takes %.1f messages, ceiling %v", perEntry, ceil.msgs)
 	}
 	if allocs > ceil.allocs {
-		b.Fatalf("a broadcast allocates %.0f objects, ceiling %v", allocs, ceil.allocs)
+		b.Fatalf("a broadcast allocates %.2f objects, ceiling %v", allocs, ceil.allocs)
 	}
+}
+
+// objectsPerRun is testing.AllocsPerRun without the truncation to an
+// integer: a chunk of messages counts by each message's share.
+func objectsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

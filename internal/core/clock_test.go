@@ -150,6 +150,30 @@ func TestClockRequestOnIdleLeafStartsAtOnce(t *testing.T) {
 	}
 }
 
+// A one-member leaf is its own quorum: its sequencer commits and delivers
+// an own broadcast inside Broadcast, so a write at the idle node commits in
+// the turn that submitted it. The parent stamped it there but committed it
+// at the sequencer's next tick, up to TickInterval later (here 3.7 ms).
+func TestClockOneMemberLeafCommitsAtOnce(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 1})
+	var submitted []time.Duration
+	for i := 1; i <= 5; i++ {
+		at := time.Duration(i)*20*time.Millisecond + 1300*time.Microsecond
+		submitted = append(submitted, at)
+		tc.submitAt(at, 0, wr(1, uint64(i), uint64(i), uint64(i)))
+	}
+	tc.run(120 * time.Millisecond)
+	reps := tc.replies[0]
+	if len(reps) != len(submitted) {
+		t.Fatalf("%d of %d writes answered", len(reps), len(submitted))
+	}
+	for i, r := range reps {
+		if lat := r.at - submitted[i]; lat > timerQuantum {
+			t.Errorf("write %d committed %v after its submit, want within %v", i+1, lat, timerQuantum)
+		}
+	}
+}
+
 // (b) Requests that arrive less than a pace after a start are proposed a
 // pace after that start, by the one pace timer — whether they arrived while
 // the cycle was in flight (the commit owes the start) or after it (the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -152,25 +153,45 @@ func (w *cycleNet) advance(tb testing.TB, d time.Duration) {
 
 // cycleFixedCostCeilings are the committed ceilings of
 // BenchmarkCycleFixedCost, per topology: heap objects per node and cycle
-// (15.2 and 9.7 today — 137 and 29 a cycle; 16.9 and 10.7 while followers
-// waited for the commit notice, 17.1 and 11.3 before the own proposal came
-// out of one box, 34.9 and 20.7 before PR 19), and messages per cycle,
-// which are exact: 15 broadcasts of 4 messages and 6 pushed states on
-// 3 x 3, 3 broadcasts on 1 x 3 (96 and 18 while a leaf of three sent
-// commit notices, 126 and 24 while they were answered). A change that
-// needs more of either spends what a faster
-// cycle clock would have to pay for (ROADMAP "Latency budget", PR 19) and
-// says so by raising a number here.
+// (7.4 and 4.5 today — 67 and 13.6 a cycle — since the broadcast's
+// messages and a decoded proposal's requests and values come out of
+// chunks and a merged state is one object; 15.2 and 9.7 before, 16.9 and
+// 10.7 while followers waited for the commit notice, 17.1 and 11.3 before
+// the own proposal came out of one box, 34.9 and 20.7 before that), and
+// messages per cycle, which are exact: 15 broadcasts of 4 messages and 6
+// pushed states on 3 x 3, 3 broadcasts on 1 x 3 (96 and 18 while a leaf
+// of three sent commit notices, 126 and 24 while they were answered). A
+// change that needs more of either spends what a faster cycle clock would
+// have to pay for (ROADMAP "Where the budget stands") and says so by raising
+// a number here. Heap bytes per node and cycle are reported, not capped:
+// 1942 and 1179 (1954 and 1192 before the chunks).
 var cycleFixedCostCeilings = map[string]struct{ allocsPerNodeCycle, msgsPerCycle float64 }{
-	"3x3": {allocsPerNodeCycle: 16, msgsPerCycle: 66},
-	"1x3": {allocsPerNodeCycle: 10, msgsPerCycle: 12},
+	"3x3": {allocsPerNodeCycle: 7.5, msgsPerCycle: 66},
+	"1x3": {allocsPerNodeCycle: 5, msgsPerCycle: 12},
+}
+
+// heapPerRun runs f once to warm up, then runs times, and returns the heap
+// objects and bytes allocated per run. Unlike testing.AllocsPerRun it does
+// not truncate the objects to an integer: an allocation shared by the
+// messages of several cycles counts by its share.
+func heapPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkCycleFixedCost is one consensus cycle that orders one 128-byte
 // write submitted at one node, everything else idle: the cost of a cycle
 // that a request count does not amortize. It reports heap objects per
-// cycle and per node and cycle, and messages per cycle, and fails above
-// cycleFixedCostCeilings.
+// cycle and per node and cycle, heap bytes per node and cycle (so a change
+// that trades objects for bytes shows), and messages per cycle, and fails
+// above cycleFixedCostCeilings.
 func BenchmarkCycleFixedCost(b *testing.B) {
 	for _, topo := range []struct{ leaves, perLeaf int }{{3, 3}, {1, 3}} {
 		name := fmt.Sprintf("%dx%d", topo.leaves, topo.perLeaf)
@@ -189,9 +210,9 @@ func BenchmarkCycleFixedCost(b *testing.B) {
 			}
 			const runs = 200
 			msgs, committed := w.msgs, w.nodes[0].Ordered()
-			allocs := testing.AllocsPerRun(runs, round)
+			allocs, bytes := heapPerRun(runs, round)
 			cycles := float64(w.nodes[0].Ordered() - committed)
-			if cycles != runs+1 { // AllocsPerRun runs once to warm up
+			if cycles != runs+1 { // heapPerRun runs once to warm up
 				b.Fatalf("%d rounds committed %v cycles; the benchmark wants one each", runs+1, cycles)
 			}
 			for _, n := range w.nodes {
@@ -201,6 +222,7 @@ func BenchmarkCycleFixedCost(b *testing.B) {
 			}
 			perCycle := float64(w.msgs-msgs) / cycles
 			perNode := allocs / float64(len(w.nodes))
+			bytesPerNode := bytes / float64(len(w.nodes))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -208,6 +230,7 @@ func BenchmarkCycleFixedCost(b *testing.B) {
 			}
 			b.ReportMetric(allocs, "allocs/cycle")
 			b.ReportMetric(perNode, "allocs/node-cycle")
+			b.ReportMetric(bytesPerNode, "bytes/node-cycle")
 			b.ReportMetric(perCycle, "msgs/cycle")
 			ceil := cycleFixedCostCeilings[name]
 			if perNode > ceil.allocsPerNodeCycle {

@@ -27,9 +27,12 @@ const (
 // and a loaded cluster runs 1/pace cycles a second, each costing its fixed
 // b heap objects (allocs_per_req = a + b·cycles/requests). At 2 — pace 1 ms
 // on the 2 ms loopback interval — that is 0.5 ms of waiting and at most
-// 1000 cycles/s; a full interval (1) waits twice as long, and a quarter
-// would double the cycles again, which b does not afford inside the
-// benchmark's allocs_per_req bound.
+// 1000 cycles/s; a full interval (1) waits twice as long. On write_9n's
+// 3 × 3 shape b is 67 objects a cycle (BenchmarkCycleFixedCost; 137 before
+// the broadcast's messages and decoded requests came out of chunks), so
+// 1000 cycles/s at its 4k req/s mid rate cost about 17 objects a request.
+// A quarter would double the cycles, and that share with them: b must
+// fall further first.
 const paceDivisor = 2
 
 // ownSet is a node's full request set for one cycle: reads and writes in

@@ -257,30 +257,55 @@ func (c *cycle) releaseProps(props []*wire.Proposal) {
 	c.props = props[:0]
 }
 
+// mergeBox4 and mergeBox16 let a merged state and its batch list come out
+// of one allocation: a super-leaf of three's height-1 state, and the
+// height-2 state of a 3 × 3 deployment. A larger merge allocates its list
+// apart. The box is not shared with other states: each is kept for as long
+// as the retention window keeps its cycle.
+type mergeBox4 struct {
+	p    wire.Proposal
+	ptrs [4]*wire.Batch
+}
+
+type mergeBox16 struct {
+	p    wire.Proposal
+	ptrs [16]*wire.Batch
+}
+
+// newMerged returns a zero proposal whose Batches has room for n.
+func newMerged(n int) *wire.Proposal {
+	switch {
+	case n == 0:
+		return &wire.Proposal{}
+	case n <= 4:
+		box := &mergeBox4{}
+		box.p.Batches = box.ptrs[:0]
+		return &box.p
+	case n <= 16:
+		box := &mergeBox16{}
+		box.p.Batches = box.ptrs[:0]
+		return &box.p
+	}
+	return &wire.Proposal{Batches: make([]*wire.Batch, 0, n)}
+}
+
 // mergeProposals builds the state of vnode target from its ordered
 // children: concatenated batches, the largest proposal number, and the
 // unions of membership and session updates. The result is a pure
 // function of the inputs, so every emulator of target computes an
 // identical message.
 func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []*wire.Proposal) *wire.Proposal {
-	out := &wire.Proposal{
-		Cycle:  cyc,
-		Round:  round,
-		VNode:  target,
-		Origin: wire.NoNode,
+	batches := 0
+	for _, p := range ordered {
+		batches += len(p.Batches)
 	}
+	out := newMerged(batches)
+	out.Cycle, out.Round, out.VNode, out.Origin = cyc, round, target, wire.NoNode
 	// The dedup maps are created lazily: most cycles carry no membership
 	// or session updates, and the maps would be two dead allocations per
 	// merge on the commit hot path.
 	var seenUpd map[wire.MemberUpdate]bool
 	var seenSess map[wire.SessionUpdate]bool
-	batches := 0
-	for _, p := range ordered {
-		batches += len(p.Batches)
-	}
-	if batches > 0 {
-		out.Batches = make([]*wire.Batch, 0, batches)
-	}
 	for _, p := range ordered {
 		if p.Num > out.Num {
 			out.Num = p.Num

@@ -95,9 +95,13 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 
 // TestStageReentrantDeliveryOnce: on the inline driver a consumer that
 // submits from Committed starts the next cycle inside the delivery of the
-// last. Each cycle still reaches the consumer once, in cycle order. (A
-// one-node leaf's sequencer delivers its own proposal at its next tick,
-// not inside Broadcast, so the stage's nested drain is not reached here.)
+// last, and a one-node leaf's sequencer commits its own round-1 proposal
+// inside Broadcast, so every cycle commits at the instant it was
+// submitted. Each cycle still reaches the consumer once, in cycle order,
+// and none inside another's delivery: the sequencer hands out a delivery
+// made during a delivery from its outer settle loop. The stage's nested
+// drain stays for what commits outside a settle (a gap cycle's
+// substitution on the tick, a root catch-up); this test does not reach it.
 func TestStageReentrantDeliveryOnce(t *testing.T) {
 	sim := netsim.NewSim()
 	runner := netsim.NewRunner(sim, netsim.SingleDC(1, 1, netsim.Params{}), netsim.DefaultCosts(), 1)
@@ -107,12 +111,19 @@ func TestStageReentrantDeliveryOnce(t *testing.T) {
 	}
 	var n *Node
 	var got []uint64
+	var at []time.Duration
+	depth := 0
 	n = NewNode(Config{Tree: tree, Self: 0}, kvstore.New(), Callbacks{Consumers: []Consumer{
 		ConsumerFunc(func(c *Commit) {
-			got = append(got, c.Cycle)
+			if depth > 0 {
+				t.Errorf("cycle %d delivered inside the delivery of another", c.Cycle)
+			}
+			depth++
+			got, at = append(got, c.Cycle), append(at, sim.Now())
 			if c.Cycle < 3 {
 				n.Submit(wr(1, c.Cycle+1, 1, c.Cycle+1))
 			}
+			depth--
 		}),
 	}})
 	runner.Register(0, n)
@@ -120,5 +131,8 @@ func TestStageReentrantDeliveryOnce(t *testing.T) {
 	sim.RunUntil(time.Second)
 	if !slices.Equal(got, []uint64{1, 2, 3}) {
 		t.Fatalf("delivered cycles %v, want [1 2 3]", got)
+	}
+	if !slices.Equal(at, []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}) {
+		t.Fatalf("cycles committed at %v, want each at 1ms, when it was submitted", at)
 	}
 }

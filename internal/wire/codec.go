@@ -63,8 +63,9 @@ type reader struct {
 	b   []byte
 	off int
 	err error
-	// vnodes, when non-nil, interns the vnode IDs read (see Decoder).
-	vnodes map[string]string
+	// dec, when non-nil, interns the vnode IDs read and holds the chunks
+	// a proposal's requests and values are carved from (see Decoder).
+	dec *Decoder
 }
 
 func (r *reader) fail() {
@@ -124,6 +125,14 @@ func (r *reader) boolean() bool {
 func (r *reader) node() NodeID { return NodeID(int32(r.u32())) }
 
 func (r *reader) str() string { return r.strInterned(nil) }
+
+// vnodes is the Decoder's intern table, nil without one.
+func (r *reader) vnodes() map[string]string {
+	if r.dec == nil {
+		return nil
+	}
+	return r.dec.vnodes
+}
 
 // maxInterned bounds a Decoder's vnode-ID table; a deployment has far
 // fewer vnodes, so only a corrupt or hostile peer ever reaches it.
@@ -494,11 +503,12 @@ func NewRoundOneProposal() (*Proposal, *Batch) {
 // many batches and requests it carries: the proposal with its batches
 // (newProposal), one slice holding every batch's requests, one holding
 // every request's value (both sized by a pre-scan, see scanBatches) and,
-// without an intern table, the vnode ID.
+// without an intern table, the vnode ID. Through a Decoder, the requests
+// and values mostly come out of its chunks instead.
 func readProposal(r *reader) *Proposal {
 	cycle := r.u64()
 	round := r.u8()
-	vnode := r.strInterned(r.vnodes)
+	vnode := r.strInterned(r.vnodes())
 	origin := r.node()
 	num := r.u64()
 	nb := r.count(18)
@@ -513,11 +523,18 @@ func readProposal(r *reader) *Proposal {
 	nreq, valueBytes := r.scanBatches(nb)
 	var slab []Request
 	var arena []byte
-	if nreq > 0 {
-		slab = make([]Request, 0, nreq)
-	}
-	if valueBytes > 0 {
-		arena = make([]byte, 0, valueBytes)
+	if r.dec != nil && valueBytes <= valChunk/4 {
+		// Only with the values in a chunk: a request chunk must point at
+		// value chunks alone, never at a neighbour's own allocation.
+		slab = r.dec.reqs.take(nreq, reqChunk)
+		arena = r.dec.vals.take(valueBytes, valChunk)
+	} else {
+		if nreq > 0 {
+			slab = make([]Request, 0, nreq)
+		}
+		if valueBytes > 0 {
+			arena = make([]byte, 0, valueBytes)
+		}
 	}
 	for i := range batches {
 		readBatchInto(r, &batches[i], &slab, &arena)
@@ -571,7 +588,7 @@ func (p *ProposalRequest) AppendTo(b []byte) []byte {
 func readProposalRequest(r *reader, p *ProposalRequest) {
 	p.Cycle = r.u64()
 	p.Round = r.u8()
-	p.VNode = r.strInterned(r.vnodes)
+	p.VNode = r.strInterned(r.vnodes())
 	p.From = r.node()
 }
 

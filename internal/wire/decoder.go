@@ -16,6 +16,19 @@ package wire
 // earlier message — short of writing to it after Reset — shows in a later
 // one.
 //
+// A decoded proposal's requests and their values are not scratch either,
+// but they come out of chunks the Decoder allocates and never reuses
+// (reqChunk requests, valChunk bytes): a chunk lives until the last
+// proposal carved from it is dropped. The proposals of one connection are
+// kept, and dropped, in about the order they arrive, so a chunk pins
+// little that is not alive anyway. A proposal whose requests or values
+// would take more than a quarter of a chunk gets allocations of its own,
+// and its requests do too when its values do: a request chunk points at
+// value chunks only, so a kept proposal pins chunks, never the values of
+// a dropped neighbour. The proposal itself (its box, see newProposal) is
+// never chunked: the retention window keeps some proposals much longer
+// than their neighbours, and each would pin a chunk's worth of others.
+//
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use.
 type Decoder struct {
@@ -25,6 +38,32 @@ type Decoder struct {
 	requests []ProposalRequest
 	entries  []SeqEntry
 	vnodes   map[string]string // interned ProposalRequest.VNode values
+	reqs     chunk[Request]
+	vals     chunk[byte]
+}
+
+// Chunk sizes of a Decoder's proposal requests and values.
+const (
+	reqChunk = 128
+	valChunk = 16 << 10
+)
+
+// chunk carves slices out of arrays it allocates and never reuses.
+type chunk[T any] struct{ free []T }
+
+// take returns an empty slice with room for n elements: from the current
+// array when it has the room, from a new one of size elements when n is
+// at most a quarter of size, and from an allocation of its own otherwise.
+func (c *chunk[T]) take(n, size int) []T {
+	if n > size/4 {
+		return make([]T, 0, n)
+	}
+	if len(c.free) < n {
+		c.free = make([]T, size)
+	}
+	s := c.free[:0:n]
+	c.free = c.free[n:]
+	return s
 }
 
 // Decode decodes one message from the front of b like the package-level
@@ -36,7 +75,7 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 	if d.vnodes == nil {
 		d.vnodes = make(map[string]string)
 	}
-	r := reader{b: b, off: 1, vnodes: d.vnodes}
+	r := reader{b: b, off: 1, dec: d}
 	var m Message
 	switch Kind(b[0]) {
 	case KindSeqForward:
