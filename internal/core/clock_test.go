@@ -218,15 +218,33 @@ func TestClockRefusedStartIsOwedByOnePaceTimer(t *testing.T) {
 // pace apart whatever phases the nodes' timers booted with. On the parent
 // the starts are the union of the loaded nodes' ticks: 0.7 and 1.3 ms
 // apart with the first offsets, 2 ms apart (500 a second) with the second.
+// The last row gathers 31 requests a node a pace, one short of fullBatch:
+// the floor keeps it on the pace. Mutation: a floor of 24 starts its
+// cycles 0.77 ms apart; none at all, a storm of small cycles.
 func TestClockLoadedLeafStartsEveryPace(t *testing.T) {
 	us := time.Microsecond
-	for _, boot := range [][]time.Duration{{0, 700 * us, 1400 * us}, {0, 0, 0}, {300 * us, 1900 * us, 1000 * us}} {
-		t.Run(fmt.Sprint(boot), func(t *testing.T) {
+	for _, row := range []struct {
+		boot    []time.Duration
+		perPace int // requests a loaded node gathers a pace
+	}{
+		{[]time.Duration{0, 700 * us, 1400 * us}, 20},
+		{[]time.Duration{0, 0, 0}, 20},
+		{[]time.Duration{300 * us, 1900 * us, 1000 * us}, 20},
+		{[]time.Duration{0, 700 * us, 1400 * us}, fullBatch - 1},
+	} {
+		name := fmt.Sprint(row.boot)
+		if row.perPace != 20 {
+			name += fmt.Sprintf("_%d_a_pace", row.perPace)
+		}
+		t.Run(name, func(t *testing.T) {
 			const from, until = 20 * time.Millisecond, 220 * time.Millisecond
+			// Rounded up, so that no window shorter than a pace holds more
+			// than perPace arrivals.
+			gap := (lanPace + time.Duration(row.perPace) - 1) / time.Duration(row.perPace)
 			pt, wrap := countPaceTimers()
-			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, bootAt: boot, wrap: wrap, trace: true})
+			tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, bootAt: row.boot, wrap: wrap, trace: true})
 			evs := &tc.trace.evs
-			tc.load([]wire.NodeID{0, 1}, 5*time.Millisecond, until, 50*time.Microsecond)
+			tc.load([]wire.NodeID{0, 1}, 5*time.Millisecond, until, gap)
 			tc.run(until)
 			first := firstStarts(*evs, anyNode)
 			var n int
@@ -253,6 +271,80 @@ func TestClockLoadedLeafStartsEveryPace(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// (c, the closed loop) A client that keeps 64 writes outstanding at one
+// node gets each batch back a cycle after it was proposed, and the idle
+// node starts the next cycle as soon as the batch is back (full), not a
+// pace after the last start: the loop runs at the speed of its cycles.
+// Every full start carries at least fullBatch of the node's requests, and
+// the refused starts are still owed by one pace timer. On the parent every
+// start waited out the pace, a pace apart.
+func TestClockClosedLoopStartsOnAFullBatch(t *testing.T) {
+	const window = 64
+	const from, until = 20 * time.Millisecond, 120 * time.Millisecond
+	pt, wrap := countPaceTimers()
+	tc := newTestCluster(t, clusterOpts{racks: 1, perRack: 3, cfg: lanClock, wrap: wrap, trace: true})
+	evs := &tc.trace.evs
+	var seq uint64
+	submit := func() {
+		seq++
+		tc.nodes[0].Submit(wr(1, seq, seq%512, seq))
+	}
+	carried := make(map[uint64]int) // node 0's requests, by cycle
+	tc.onCommit = func(id wire.NodeID, c *Commit) {
+		if id != 0 {
+			return
+		}
+		carried[c.Cycle] = len(c.Replies)
+		for range c.Replies {
+			if tc.sim.Now() < until+10*time.Millisecond {
+				tc.sim.At(tc.sim.Now(), submit) // the client's next write, on the reply
+			}
+		}
+	}
+	tc.sim.At(5*time.Millisecond, func() {
+		for range window {
+			submit()
+		}
+	})
+	tc.run(until + 20*time.Millisecond)
+	tc.requireAgreement()
+
+	first := firstStarts(*evs, anyNode)
+	n := 0
+	for k, e := range first {
+		next, ok := first[k+1]
+		if e.at < from || e.at >= until || !ok {
+			continue
+		}
+		n++
+		if gap := next.at - e.at; gap >= lanPace {
+			t.Fatalf("cycle %d started %v after cycle %d (%s); want a closed loop's starts closer than the pace (%v)",
+				k+1, gap, k, next.detail, lanPace)
+		}
+	}
+	if want := int((until - from) / lanPace); n <= want {
+		t.Fatalf("%d cycles in %v, want more than one a pace (%d)", n, until-from, want)
+	}
+	full := 0
+	for _, e := range starts(*evs) {
+		if e.self != 0 || e.detail != "full" {
+			continue
+		}
+		if e.at >= from && e.at < until {
+			full++
+		}
+		if carried[e.cycle] < fullBatch {
+			t.Fatalf("node 0 started cycle %d on a full batch of %d requests, want at least %d", e.cycle, carried[e.cycle], fullBatch)
+		}
+	}
+	if full < n*9/10 {
+		t.Fatalf("node 0 started %d of %d cycles on a full batch; want at least 90 %%", full, n)
+	}
+	if pt.most > 1 {
+		t.Fatalf("%d pace timers outstanding at one node", pt.most)
 	}
 }
 

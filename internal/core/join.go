@@ -192,7 +192,7 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 
 	// The clock starts over with the protocol state: a pace timer armed
 	// before this is not owed any more (its firing finds paceArmed clear).
-	n.paceArmed, n.lastCycleTook, n.emptyCycles = false, 0, 0
+	n.paceArmed, n.lastCycleTook, n.emptyCycles, n.lastBatch = false, 0, 0, 0
 	n.env.After(n.cfg.TickInterval, engine.Tag(tagTick, 0))
 	if n.cfg.CycleInterval > 0 {
 		n.nextCycleAt = n.env.Now() + n.cfg.CycleInterval

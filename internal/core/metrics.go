@@ -19,6 +19,9 @@ const (
 	causeCommit
 	// causePace: the one-shot pace timer paid a start the pace had refused.
 	causePace
+	// causeFull: an idle node's pending batch was back to its previous
+	// size (and at least fullBatch) before the pace had passed.
+	causeFull
 	// causeTickIdle: the cycle timer found the node idle with requests
 	// pending (the safety net behind the two above).
 	causeTickIdle
@@ -37,7 +40,7 @@ const (
 )
 
 var startCauseNames = [numStartCauses]string{
-	"request", "commit", "pace", "tick_idle", "tick_pipeline", "peer", "overflow", "other",
+	"request", "commit", "pace", "full", "tick_idle", "tick_pipeline", "peer", "overflow", "other",
 }
 
 func (c startCause) String() string { return startCauseNames[c] }

@@ -32,8 +32,19 @@ const (
 // the broadcast's messages and decoded requests came out of chunks), so
 // 1000 cycles/s at its 4k req/s mid rate cost about 17 objects a request.
 // A quarter would double the cycles, and that share with them: b must
-// fall further first.
+// fall further first. The pace bounds only open-loop starts: a closed loop
+// whose requests come back in a full batch starts without it (fullBatch).
 const paceDivisor = 2
+
+// fullBatch is the floor of the batch that lets an idle node start before
+// the pace has passed: its pending client requests must reach
+// max(fullBatch, lastBatch). A node-cycle's fixed cost is 4.5 (1 × 3) to
+// 7.4 (3 × 3) heap objects and 4–7 messages (BenchmarkCycleFixedCost), so a
+// cycle started early costs at most 7.4/32 ≈ 0.23 objects a request, and
+// an open-loop load that gathers fewer than 32 a pace keeps the pace. The
+// lastBatch half keeps a closed loop's batches from shrinking: each early
+// start carries at least what the previous cycle did.
+const fullBatch = 32
 
 // ownSet is a node's full request set for one cycle: reads and writes in
 // client arrival order. Only the writes travel in proposals; the set is
@@ -220,6 +231,9 @@ type Node struct {
 	// ordered nothing — no request, session or membership update — so an
 	// idle cluster stops pipelining (onCycleTimer).
 	emptyCycles int
+	// lastBatch is the number of client requests this node's last cycle
+	// carried (startSelfClocked, fullBatch).
+	lastBatch int
 	// paceArmed is set while the one-shot pace timer is outstanding
 	// (startSelfClocked arms it, Timer clears it).
 	paceArmed bool
@@ -554,8 +568,13 @@ func (n *Node) cyclesAreSlow() bool {
 // pending seats: a joiner is answered only when the cycle before its seat
 // commits.
 func (n *Node) pendingCount() int {
-	return len(n.accum.reqs) + int(n.fluidRead) + int(n.fluidWrite) + len(n.pendingSessions) +
-		len(n.pendingUpdates) + len(n.view.Pending())
+	return n.pendingRequests() + len(n.pendingSessions) + len(n.pendingUpdates) + len(n.view.Pending())
+}
+
+// pendingRequests is the number of client requests, explicit or fluid,
+// the next cycle would carry.
+func (n *Node) pendingRequests() int {
+	return len(n.accum.reqs) + int(n.fluidRead) + int(n.fluidWrite)
 }
 
 // Submit hands the node one client request (explicit mode). It must be
@@ -626,7 +645,8 @@ func (n *Node) afterSubmit() {
 // of any cause (so the peers of a leaf, which all record the start a
 // peer's proposal prompted, share one clock), and a start the pace refuses
 // is owed by the one-shot pace timer instead of waiting for the next
-// request or tick.
+// request or tick — unless the pending client requests are back to a full
+// batch, max(fullBatch, lastBatch): then it starts at once (full).
 func (n *Node) startSelfClocked(cause startCause) {
 	if n.started != n.committed {
 		return
@@ -634,6 +654,10 @@ func (n *Node) startSelfClocked(cause startCause) {
 	if n.cfg.CycleInterval > 0 {
 		pace := n.cfg.CycleInterval / paceDivisor
 		if wait := n.lastCycleStart + pace - n.env.Now(); wait > 0 {
+			if n.pendingRequests() >= max(fullBatch, n.lastBatch) {
+				n.tryStartCycles(n.started+1, causeFull)
+				return
+			}
 			if !n.paceArmed {
 				n.paceArmed = true
 				n.env.After(wait, engine.Tag(tagPace, 0))
@@ -716,6 +740,7 @@ func (n *Node) startCycle(k uint64, cause startCause) {
 	p, batch := wire.NewRoundOneProposal()
 	p.Cycle, p.Round, p.Origin = k, 1, n.cfg.Self
 	p.Num = n.env.Rand().Uint64()
+	n.lastBatch = n.pendingRequests()
 	n.proposed[k] = n.takeAccum(batch)
 	if batch.Requests() > 0 {
 		p.Batches = append(p.Batches, batch)
