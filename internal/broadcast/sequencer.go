@@ -142,7 +142,7 @@ func (c *chunk[T]) next() *T {
 
 type ownEntry struct {
 	oseq    uint64
-	payload wire.Message
+	payload wire.Encodable
 }
 
 // maxAppendEntries bounds one append; a longer backlog goes in several,
@@ -265,7 +265,7 @@ func (s *Sequencer) put(idx uint64, e wire.SeqEntry) {
 // Broadcast sends payload to the leaf: stamped at once on the sequencer,
 // forwarded otherwise, and kept until delivered here, to be forwarded
 // again to a new sequencer.
-func (s *Sequencer) Broadcast(payload wire.Message) {
+func (s *Sequencer) Broadcast(payload wire.Encodable) {
 	s.oseq++
 	if len(s.pending) == 0 {
 		s.pendingSince = s.env.Now()
@@ -287,7 +287,7 @@ func (s *Sequencer) Broadcast(payload wire.Message) {
 
 // forward sends an own broadcast to the sequencer, and in a leaf of more
 // than three seats to every other member too.
-func (s *Sequencer) forward(oseq uint64, payload wire.Message) {
+func (s *Sequencer) forward(oseq uint64, payload wire.Encodable) {
 	f := s.forwards.next()
 	*f = wire.SeqForward{Epoch: s.epoch, Origin: s.self, OSeq: oseq, Match: s.verified, Payload: payload}
 	s.lastSent = s.env.Now()
@@ -634,7 +634,7 @@ func (s *Sequencer) ack(match uint64, reject, all bool) {
 
 // payload is origin's broadcast oseq if this member holds it: its own
 // undelivered broadcast, or one its origin forwarded it.
-func (s *Sequencer) payload(origin wire.NodeID, oseq uint64) wire.Message {
+func (s *Sequencer) payload(origin wire.NodeID, oseq uint64) wire.Encodable {
 	list := s.pending
 	if origin != s.self {
 		list = s.held[origin]

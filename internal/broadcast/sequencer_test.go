@@ -956,7 +956,7 @@ func benchSequenced(b *testing.B, seats int) {
 	deliver := func() {
 		for i := 0; i < len(n.queue); i++ {
 			q := n.queue[i]
-			buf = q.m.AppendTo(buf[:0])
+			buf = q.m.(wire.Encodable).AppendTo(buf[:0])
 			m, _, err := dec[q.to].Decode(buf)
 			if err != nil {
 				b.Fatal(err)

@@ -55,7 +55,7 @@ func (e *cycleEnv) Rand() *rand.Rand   { return e.rng }
 func (e *cycleEnv) Send(to wire.NodeID, m wire.Message) {
 	w := e.net
 	off := len(w.buf)
-	w.buf = m.AppendTo(w.buf)
+	w.buf = m.(wire.Encodable).AppendTo(w.buf)
 	w.queue = append(w.queue, cycleMsg{from: e.id, to: to, off: off, end: len(w.buf)})
 }
 

@@ -47,6 +47,8 @@ type Env interface {
 	// modified again: the simulator delivers the pointer itself, later,
 	// and the live runner encodes a message handed to Send several times
 	// in a row only once. Sending one message to several nodes is fine.
+	// The simulator reads only m's WireSize; the live runner must encode
+	// m, so there it must be a wire.Encodable (anything else panics).
 	Send(to NodeID, m wire.Message)
 	// Multicast delivers m to every node in to, under Send's rules for m;
 	// to is lent for the call. Under the simulator this models

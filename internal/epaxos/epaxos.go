@@ -60,9 +60,9 @@ type StateMachine interface {
 type Callbacks struct {
 	// OnCommit fires at the command leader when one of its instances
 	// commits (this is when clients are answered in EPaxos).
-	OnCommit func(ref wire.InstanceRef, b *wire.Batch)
+	OnCommit func(ref InstanceRef, b *wire.Batch)
 	// OnExecute fires on every replica when an instance executes.
-	OnExecute func(ref wire.InstanceRef, b *wire.Batch)
+	OnExecute func(ref InstanceRef, b *wire.Batch)
 	// OnReply fires at the command leader per client request once its
 	// batch executes (reads carry the value).
 	OnReply func(req *wire.Request, val []byte)
@@ -79,10 +79,10 @@ const (
 )
 
 type instance struct {
-	ref    wire.InstanceRef
+	ref    InstanceRef
 	batch  *wire.Batch
 	seq    uint64
-	deps   []wire.InstanceRef
+	deps   []InstanceRef
 	ballot uint64
 	st     status
 
@@ -101,7 +101,7 @@ type Replica struct {
 	sm  StateMachine
 	cbs Callbacks
 
-	instances map[wire.InstanceRef]*instance
+	instances map[InstanceRef]*instance
 	nextSlot  uint64
 
 	// accumulating batch
@@ -113,11 +113,11 @@ type Replica struct {
 	// it wrote (batch-level interference, explicit mode only).
 	lastTouch map[uint64]keyTouch
 
-	execReady []wire.InstanceRef // commit-order execution queue
+	execReady []InstanceRef // commit-order execution queue
 }
 
 type keyTouch struct {
-	ref   wire.InstanceRef
+	ref   InstanceRef
 	wrote bool
 }
 
@@ -130,7 +130,7 @@ func New(cfg Config, sm StateMachine, cbs Callbacks) *Replica {
 		cfg:       cfg,
 		sm:        sm,
 		cbs:       cbs,
-		instances: make(map[wire.InstanceRef]*instance),
+		instances: make(map[InstanceRef]*instance),
 		lastTouch: make(map[uint64]keyTouch),
 	}
 }
@@ -197,7 +197,7 @@ func (r *Replica) flush() {
 	}
 
 	r.nextSlot++
-	ref := wire.InstanceRef{Replica: r.cfg.Self, Instance: r.nextSlot}
+	ref := InstanceRef{Replica: r.cfg.Self, Instance: r.nextSlot}
 	seq, deps := r.attrsFor(b, ref)
 	inst := &instance{
 		ref: ref, batch: b, seq: seq, deps: deps,
@@ -210,7 +210,7 @@ func (r *Replica) flush() {
 		r.commit(inst)
 		return
 	}
-	msg := &wire.PreAccept{
+	msg := &PreAccept{
 		Replica: r.cfg.Self, Instance: ref.Instance, Ballot: inst.ballot,
 		Batch: b, Seq: seq, Deps: deps,
 	}
@@ -223,9 +223,9 @@ func (r *Replica) flush() {
 
 // attrsFor computes the EPaxos attributes: seq one greater than any
 // conflicting instance's, deps the set of conflicting instances.
-func (r *Replica) attrsFor(b *wire.Batch, self wire.InstanceRef) (uint64, []wire.InstanceRef) {
+func (r *Replica) attrsFor(b *wire.Batch, self InstanceRef) (uint64, []InstanceRef) {
 	var seq uint64
-	depSet := make(map[wire.InstanceRef]bool)
+	depSet := make(map[InstanceRef]bool)
 	if b.Reqs != nil {
 		for i := range b.Reqs {
 			t, ok := r.lastTouch[b.Reqs[i].Key]
@@ -243,7 +243,7 @@ func (r *Replica) attrsFor(b *wire.Batch, self wire.InstanceRef) (uint64, []wire
 			}
 		}
 	}
-	deps := make([]wire.InstanceRef, 0, len(depSet))
+	deps := make([]InstanceRef, 0, len(depSet))
 	for ref := range depSet {
 		deps = append(deps, ref)
 	}
@@ -256,7 +256,7 @@ func (r *Replica) attrsFor(b *wire.Batch, self wire.InstanceRef) (uint64, []wire
 	return seq + 1, deps
 }
 
-func (r *Replica) recordTouch(b *wire.Batch, ref wire.InstanceRef) {
+func (r *Replica) recordTouch(b *wire.Batch, ref InstanceRef) {
 	if b.Reqs == nil {
 		return
 	}
@@ -281,21 +281,21 @@ func (r *Replica) slowQuorum() int { return len(r.cfg.Peers)/2 + 1 - 1 }
 // Recv implements engine.Machine.
 func (r *Replica) Recv(from wire.NodeID, m wire.Message) {
 	switch v := m.(type) {
-	case *wire.PreAccept:
+	case *PreAccept:
 		r.onPreAccept(from, v)
-	case *wire.PreAcceptReply:
+	case *PreAcceptReply:
 		r.onPreAcceptReply(v)
-	case *wire.Accept:
+	case *Accept:
 		r.onAccept(from, v)
-	case *wire.AcceptReply:
+	case *AcceptReply:
 		r.onAcceptReply(v)
-	case *wire.Commit:
+	case *Commit:
 		r.onCommitMsg(v)
 	}
 }
 
-func (r *Replica) onPreAccept(from wire.NodeID, m *wire.PreAccept) {
-	ref := wire.InstanceRef{Replica: m.Replica, Instance: m.Instance}
+func (r *Replica) onPreAccept(from wire.NodeID, m *PreAccept) {
+	ref := InstanceRef{Replica: m.Replica, Instance: m.Instance}
 	inst, ok := r.instances[ref]
 	if ok && inst.st >= statusCommitted {
 		return // already decided; reply is moot
@@ -311,25 +311,25 @@ func (r *Replica) onPreAccept(from wire.NodeID, m *wire.PreAccept) {
 	inst.deps = deps
 	inst.st = statusPreAccepted
 	r.recordTouch(m.Batch, ref)
-	r.env.Send(from, &wire.PreAcceptReply{
+	r.env.Send(from, &PreAcceptReply{
 		Replica: m.Replica, Instance: m.Instance, Ballot: m.Ballot,
 		From: r.cfg.Self, OK: true, Seq: seq, Deps: deps,
 	})
 }
 
-func (r *Replica) mergeAttrs(b *wire.Batch, self wire.InstanceRef, seq uint64, deps []wire.InstanceRef) (uint64, []wire.InstanceRef) {
+func (r *Replica) mergeAttrs(b *wire.Batch, self InstanceRef, seq uint64, deps []InstanceRef) (uint64, []InstanceRef) {
 	localSeq, localDeps := r.attrsFor(b, self)
 	if localSeq > seq {
 		seq = localSeq
 	}
-	merged := make(map[wire.InstanceRef]bool, len(deps)+len(localDeps))
+	merged := make(map[InstanceRef]bool, len(deps)+len(localDeps))
 	for _, d := range deps {
 		merged[d] = true
 	}
 	for _, d := range localDeps {
 		merged[d] = true
 	}
-	out := make([]wire.InstanceRef, 0, len(merged))
+	out := make([]InstanceRef, 0, len(merged))
 	for d := range merged {
 		out = append(out, d)
 	}
@@ -342,7 +342,7 @@ func (r *Replica) mergeAttrs(b *wire.Batch, self wire.InstanceRef, seq uint64, d
 	return seq, out
 }
 
-func depsEqual(a, b []wire.InstanceRef) bool {
+func depsEqual(a, b []InstanceRef) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -354,8 +354,8 @@ func depsEqual(a, b []wire.InstanceRef) bool {
 	return true
 }
 
-func (r *Replica) onPreAcceptReply(m *wire.PreAcceptReply) {
-	ref := wire.InstanceRef{Replica: m.Replica, Instance: m.Instance}
+func (r *Replica) onPreAcceptReply(m *PreAcceptReply) {
+	ref := InstanceRef{Replica: m.Replica, Instance: m.Instance}
 	inst := r.instances[ref]
 	if inst == nil || !inst.mine || inst.st != statusPreAccepted || m.Ballot != inst.ballot {
 		return
@@ -376,7 +376,7 @@ func (r *Replica) onPreAcceptReply(m *wire.PreAcceptReply) {
 	// Slow path: one Accept round on the merged attributes.
 	inst.st = statusAccepted
 	inst.acceptOKs = 0
-	msg := &wire.Accept{
+	msg := &Accept{
 		Replica: ref.Replica, Instance: ref.Instance, Ballot: inst.ballot,
 		Seq: inst.seq, Deps: inst.deps,
 	}
@@ -387,19 +387,19 @@ func (r *Replica) onPreAcceptReply(m *wire.PreAcceptReply) {
 	}
 }
 
-func (r *Replica) mergeReply(inst *instance, m *wire.PreAcceptReply) (uint64, []wire.InstanceRef) {
+func (r *Replica) mergeReply(inst *instance, m *PreAcceptReply) (uint64, []InstanceRef) {
 	seq := inst.seq
 	if m.Seq > seq {
 		seq = m.Seq
 	}
-	merged := make(map[wire.InstanceRef]bool, len(inst.deps)+len(m.Deps))
+	merged := make(map[InstanceRef]bool, len(inst.deps)+len(m.Deps))
 	for _, d := range inst.deps {
 		merged[d] = true
 	}
 	for _, d := range m.Deps {
 		merged[d] = true
 	}
-	out := make([]wire.InstanceRef, 0, len(merged))
+	out := make([]InstanceRef, 0, len(merged))
 	for d := range merged {
 		out = append(out, d)
 	}
@@ -412,8 +412,8 @@ func (r *Replica) mergeReply(inst *instance, m *wire.PreAcceptReply) (uint64, []
 	return seq, out
 }
 
-func (r *Replica) onAccept(from wire.NodeID, m *wire.Accept) {
-	ref := wire.InstanceRef{Replica: m.Replica, Instance: m.Instance}
+func (r *Replica) onAccept(from wire.NodeID, m *Accept) {
+	ref := InstanceRef{Replica: m.Replica, Instance: m.Instance}
 	inst := r.instances[ref]
 	if inst == nil {
 		inst = &instance{ref: ref, ballot: m.Ballot}
@@ -425,14 +425,14 @@ func (r *Replica) onAccept(from wire.NodeID, m *wire.Accept) {
 	inst.seq = m.Seq
 	inst.deps = m.Deps
 	inst.st = statusAccepted
-	r.env.Send(from, &wire.AcceptReply{
+	r.env.Send(from, &AcceptReply{
 		Replica: m.Replica, Instance: m.Instance, Ballot: m.Ballot,
 		From: r.cfg.Self, OK: true,
 	})
 }
 
-func (r *Replica) onAcceptReply(m *wire.AcceptReply) {
-	ref := wire.InstanceRef{Replica: m.Replica, Instance: m.Instance}
+func (r *Replica) onAcceptReply(m *AcceptReply) {
+	ref := InstanceRef{Replica: m.Replica, Instance: m.Instance}
 	inst := r.instances[ref]
 	if inst == nil || !inst.mine || inst.st != statusAccepted || m.Ballot != inst.ballot {
 		return
@@ -450,7 +450,7 @@ func (r *Replica) commit(inst *instance) {
 	if r.cbs.OnCommit != nil {
 		r.cbs.OnCommit(inst.ref, inst.batch)
 	}
-	msg := &wire.Commit{
+	msg := &Commit{
 		Replica: inst.ref.Replica, Instance: inst.ref.Instance,
 		Batch: inst.batch, Seq: inst.seq, Deps: inst.deps,
 	}
@@ -462,8 +462,8 @@ func (r *Replica) commit(inst *instance) {
 	r.tryExecute(inst)
 }
 
-func (r *Replica) onCommitMsg(m *wire.Commit) {
-	ref := wire.InstanceRef{Replica: m.Replica, Instance: m.Instance}
+func (r *Replica) onCommitMsg(m *Commit) {
+	ref := InstanceRef{Replica: m.Replica, Instance: m.Instance}
 	inst := r.instances[ref]
 	if inst == nil {
 		inst = &instance{ref: ref}
@@ -484,13 +484,13 @@ func (r *Replica) onCommitMsg(m *wire.Commit) {
 // dependents. Dependency cycles (possible in EPaxos) break in (seq,
 // replica) order, the protocol's canonical tie-break.
 func (r *Replica) tryExecute(inst *instance) {
-	if !r.execute(inst, make(map[wire.InstanceRef]bool)) {
+	if !r.execute(inst, make(map[InstanceRef]bool)) {
 		return
 	}
 	// A successful execution may unblock earlier-arrived commits.
 	for _, ref := range r.execReady {
 		if dep := r.instances[ref]; dep != nil && dep.st == statusCommitted {
-			r.execute(dep, make(map[wire.InstanceRef]bool))
+			r.execute(dep, make(map[InstanceRef]bool))
 		}
 	}
 	r.execReady = r.execReady[:0]
@@ -498,7 +498,7 @@ func (r *Replica) tryExecute(inst *instance) {
 
 // execute runs inst if every dependency has executed (or is part of a
 // cycle that inst dominates). Returns true if inst executed.
-func (r *Replica) execute(inst *instance, visiting map[wire.InstanceRef]bool) bool {
+func (r *Replica) execute(inst *instance, visiting map[InstanceRef]bool) bool {
 	if inst.st == statusExecuted {
 		return true
 	}

@@ -32,7 +32,7 @@ func newEPCluster(t *testing.T, n int, batch time.Duration) *epCluster {
 		id := wire.NodeID(i)
 		st := kvstore.New()
 		rep := New(Config{Self: id, Peers: peers, BatchDuration: batch}, st, Callbacks{
-			OnCommit: func(ref wire.InstanceRef, b *wire.Batch) { c.commits++ },
+			OnCommit: func(ref InstanceRef, b *wire.Batch) { c.commits++ },
 			OnReply: func(req *wire.Request, val []byte) {
 				c.replies[id] = append(c.replies[id], *req)
 			},
@@ -127,7 +127,7 @@ func TestReadsTravelThroughConsensus(t *testing.T) {
 func TestBatchingCoalesces(t *testing.T) {
 	c := newEPCluster(t, 3, 5*time.Millisecond)
 	commits0 := 0
-	c.replicas[0].cbs.OnCommit = func(ref wire.InstanceRef, b *wire.Batch) {
+	c.replicas[0].cbs.OnCommit = func(ref InstanceRef, b *wire.Batch) {
 		if ref.Replica == 0 {
 			commits0++
 		}

@@ -340,7 +340,7 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			rep := epaxos.New(epaxos.Config{
 				Self: id, Peers: peers, BatchDuration: spec.EPaxosBatch,
 			}, nil, epaxos.Callbacks{
-				OnCommit: func(ref wire.InstanceRef, b *wire.Batch) {
+				OnCommit: func(ref epaxos.InstanceRef, b *wire.Batch) {
 					rec.RecordBatch(sim.Now(), b)
 				},
 			})

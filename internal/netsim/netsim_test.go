@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"canopus/internal/engine"
+	"canopus/internal/epaxos"
 	"canopus/internal/wire"
+	"canopus/internal/zab"
 )
 
 func TestSimEventOrdering(t *testing.T) {
@@ -168,5 +170,26 @@ func TestRequestsIn(t *testing.T) {
 	}
 	if RequestsIn(&wire.JoinRequest{}) != 0 {
 		t.Fatal("ping has requests")
+	}
+	// The baselines' messages report their requests through
+	// RequestCarrier; one without a batch, or of a batchless type, has none.
+	three := &wire.Batch{Reqs: make([]wire.Request, 3), NumRead: 1, NumWrite: 2}
+	for _, c := range []struct {
+		m    wire.Message
+		want int
+	}{
+		{&epaxos.PreAccept{Batch: three}, 3},
+		{&epaxos.Commit{Batch: three}, 3},
+		{&epaxos.Commit{}, 0},
+		{&epaxos.PreAcceptReply{}, 0},
+		{&zab.ZabForward{Batch: three}, 3},
+		{&zab.ZabPropose{Batch: three}, 3},
+		{&zab.ZabInform{Batch: three}, 3},
+		{&zab.ZabInform{}, 0},
+		{&zab.ZabAck{}, 0},
+	} {
+		if got := RequestsIn(c.m); got != c.want {
+			t.Errorf("%T requests = %d, want %d", c.m, got, c.want)
+		}
 	}
 }

@@ -36,6 +36,13 @@ func DefaultCosts() CostParams {
 	}
 }
 
+// RequestCarrier is implemented by a message outside internal/wire that
+// carries client requests (the baselines' batch-carrying messages): it
+// reports how many, for per-request CPU accounting.
+type RequestCarrier interface {
+	Requests() int
+}
+
 // RequestsIn returns the number of client requests a message carries,
 // used for per-request CPU accounting.
 func RequestsIn(m wire.Message) int {
@@ -46,26 +53,6 @@ func RequestsIn(m wire.Message) int {
 			n += b.Requests()
 		}
 		return n
-	case *wire.PreAccept:
-		if v.Batch != nil {
-			return v.Batch.Requests()
-		}
-	case *wire.Commit:
-		if v.Batch != nil {
-			return v.Batch.Requests()
-		}
-	case *wire.ZabForward:
-		if v.Batch != nil {
-			return v.Batch.Requests()
-		}
-	case *wire.ZabPropose:
-		if v.Batch != nil {
-			return v.Batch.Requests()
-		}
-	case *wire.ZabInform:
-		if v.Batch != nil {
-			return v.Batch.Requests()
-		}
 	case *wire.SeqForward:
 		if v.Payload != nil {
 			return RequestsIn(v.Payload)
@@ -78,6 +65,8 @@ func RequestsIn(m wire.Message) int {
 			}
 		}
 		return n
+	case RequestCarrier:
+		return v.Requests()
 	}
 	return 0
 }

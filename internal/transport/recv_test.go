@@ -52,7 +52,7 @@ func (m *recorder) Init(env engine.Env)   { m.env = env }
 func (m *recorder) Timer(engine.TimerTag) {}
 func (m *recorder) Recv(from wire.NodeID, msg wire.Message) {
 	m.from = append(m.from, from)
-	m.got = append(m.got, msg.AppendTo(nil))
+	m.got = append(m.got, msg.(wire.Encodable).AppendTo(nil))
 	if m.echoTo != wire.NoNode {
 		m.env.Send(m.echoTo, &wire.JoinRequest{From: m.env.ID(), Nonce: uint64(len(m.got))})
 	}
@@ -90,7 +90,7 @@ func testStream() (stream []byte, frames [][]byte) {
 			{Client: 1, Seq: 2, Op: wire.OpWrite, Key: 11, Val: []byte("eleven")},
 		},
 	}}}
-	msgs := []wire.Message{
+	msgs := []wire.Encodable{
 		&wire.SeqAppend{Epoch: 1<<32 | 2, Seq: 7, PrevEpoch: 1<<32 | 2, Commit: 6, Trim: 2,
 			Entries: []wire.SeqEntry{{Epoch: 1<<32 | 2, Origin: 2, OSeq: 5, Payload: proposal}, {Epoch: 1<<32 | 2, Origin: 1}}},
 		&wire.SeqAck{Epoch: 1<<32 | 2, From: 1, Match: 8},

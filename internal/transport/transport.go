@@ -564,7 +564,16 @@ func (r *Runner) fireTimers(near bool) {
 // encoded once and copied for the rest: messages are immutable once
 // sent, so the same pointer (every wire.Message is one) means the same
 // bytes.
+//
+// Only a wire.Encodable has bytes to send. No machine a Runner hosts
+// sends anything else (the baselines' messages, which have no encoding,
+// run on the simulator only), so any other message is a program bug and
+// panics, naming its type.
 func (r *Runner) Send(to wire.NodeID, m wire.Message) {
+	e, ok := m.(wire.Encodable)
+	if !ok {
+		panic(fmt.Sprintf("transport: %T has no wire encoding", m))
+	}
 	buf, ok := r.pending[to]
 	if !ok {
 		buf = wire.EncodePool.Get(8 + m.WireSize())
@@ -574,7 +583,7 @@ func (r *Runner) Send(to wire.NodeID, m wire.Message) {
 		// Appending a buffer's own sub-slice to itself is well defined.
 		buf = append(buf, r.pending[last.to][last.off:last.end]...)
 	} else {
-		buf = appendFrame(buf, r.id, m)
+		buf = appendFrame(buf, r.id, e)
 		last.m = m
 	}
 	r.pending[to] = buf
@@ -591,7 +600,7 @@ func (r *Runner) Multicast(to []wire.NodeID, m wire.Message) {
 
 // appendFrame appends one length-prefixed frame ([u32 length][i32 sender]
 // [encoded message]) to b.
-func appendFrame(b []byte, from wire.NodeID, m wire.Message) []byte {
+func appendFrame(b []byte, from wire.NodeID, m wire.Encodable) []byte {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
 	b = m.AppendTo(b)

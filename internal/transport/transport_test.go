@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +229,35 @@ func TestSendToUnknownPeerDrops(t *testing.T) {
 	// Must not panic or block.
 	r.Invoke(func() { m.env.Send(9, &wire.JoinRequest{From: 0}) })
 	time.Sleep(50 * time.Millisecond)
+}
+
+// sizeOnly has a modeled size and no encoding, like the simulator-only
+// baselines' messages.
+type sizeOnly struct{}
+
+func (*sizeOnly) WireSize() int { return 1 }
+
+// TestSendRefusesAMessageWithoutEncoding: a message with no encoding
+// reaching Send is a program bug. Send panics naming its type, and queues
+// nothing.
+func TestSendRefusesAMessageWithoutEncoding(t *testing.T) {
+	r, err := NewRunner(0, "127.0.0.1:0", map[wire.NodeID]string{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var got any
+	var pending int
+	r.Invoke(func() {
+		defer func() { got, pending = recover(), len(r.pending) }()
+		r.Send(1, &sizeOnly{})
+	})
+	if msg, _ := got.(string); !strings.Contains(msg, "*transport.sizeOnly") {
+		t.Fatalf("Send of a message without encoding: recovered %v, want a panic naming *transport.sizeOnly", got)
+	}
+	if pending != 0 {
+		t.Fatalf("%d destinations have frames queued after the refusal, want 0", pending)
+	}
 }
 
 func TestManyConcurrentFrames(t *testing.T) {

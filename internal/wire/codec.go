@@ -331,16 +331,6 @@ func appendBatch(b []byte, bt *Batch) []byte {
 	return b
 }
 
-// readBatch decodes one batch on its own (the optional batch of an EPaxos
-// or Zab message).
-func readBatch(r *reader) *Batch {
-	bt := &Batch{}
-	nreq, valueBytes := r.scanBatches(1)
-	slab, arena := make([]Request, 0, nreq), make([]byte, 0, valueBytes)
-	readBatchInto(r, bt, &slab, &arena)
-	return bt
-}
-
 // readBatchInto decodes one batch into bt, taking its requests from *slab
 // and their values from *arena; both are sized by scanBatches, and a batch
 // that outgrows them (the scan stopped at a framing error) falls back to
@@ -640,21 +630,21 @@ func readSeqEntries(r *reader, entries []SeqEntry) (grown, read []SeqEntry) {
 }
 
 // appendOptional encodes a message that may be nil behind a presence flag.
-func appendOptional(b []byte, m Message) []byte {
+func appendOptional(b []byte, m Encodable) []byte {
 	if m == nil {
 		return putBool(b, false)
 	}
 	return m.AppendTo(putBool(b, true))
 }
 
-func optionalSize(m Message) int {
+func optionalSize(m Encodable) int {
 	if m == nil {
 		return 1
 	}
 	return 1 + m.WireSize()
 }
 
-func readOptional(r *reader) Message {
+func readOptional(r *reader) Encodable {
 	if !r.boolean() {
 		return nil
 	}
@@ -759,254 +749,6 @@ func readSeqEpoch(r *reader) *SeqEpoch {
 			m.Delivered[i] = OriginSeq{Origin: r.node(), OSeq: r.u64()}
 		}
 	}
-	return m
-}
-
-// --- EPaxos ---
-
-func depsSize(d []InstanceRef) int { return 4 + 12*len(d) }
-
-func appendDeps(b []byte, d []InstanceRef) []byte {
-	b = putU32(b, uint32(len(d)))
-	for _, ref := range d {
-		b = putNode(b, ref.Replica)
-		b = putU64(b, ref.Instance)
-	}
-	return b
-}
-
-func readDeps(r *reader) []InstanceRef {
-	n := r.count(12)
-	if n == 0 {
-		return nil
-	}
-	d := make([]InstanceRef, n)
-	for i := 0; i < n; i++ {
-		d[i].Replica = r.node()
-		d[i].Instance = r.u64()
-	}
-	return d
-}
-
-func optBatchSize(bt *Batch) int {
-	if bt == nil {
-		return 1
-	}
-	return 1 + batchSize(bt)
-}
-
-func appendOptBatch(b []byte, bt *Batch) []byte {
-	if bt == nil {
-		return putBool(b, false)
-	}
-	b = putBool(b, true)
-	return appendBatch(b, bt)
-}
-
-func readOptBatch(r *reader) *Batch {
-	if !r.boolean() {
-		return nil
-	}
-	return readBatch(r)
-}
-
-func (m *PreAccept) WireSize() int {
-	return 1 + 4 + 8 + 8 + optBatchSize(m.Batch) + 8 + depsSize(m.Deps)
-}
-
-func (m *PreAccept) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindPreAccept))
-	b = putNode(b, m.Replica)
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	b = appendOptBatch(b, m.Batch)
-	b = putU64(b, m.Seq)
-	return appendDeps(b, m.Deps)
-}
-
-func readPreAccept(r *reader) *PreAccept {
-	m := &PreAccept{}
-	m.Replica = r.node()
-	m.Instance = r.u64()
-	m.Ballot = r.u64()
-	m.Batch = readOptBatch(r)
-	m.Seq = r.u64()
-	m.Deps = readDeps(r)
-	return m
-}
-
-func (m *PreAcceptReply) WireSize() int {
-	return 1 + 4 + 8 + 8 + 4 + 1 + 8 + depsSize(m.Deps)
-}
-
-func (m *PreAcceptReply) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindPreAcceptReply))
-	b = putNode(b, m.Replica)
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	b = putNode(b, m.From)
-	b = putBool(b, m.OK)
-	b = putU64(b, m.Seq)
-	return appendDeps(b, m.Deps)
-}
-
-func readPreAcceptReply(r *reader) *PreAcceptReply {
-	m := &PreAcceptReply{}
-	m.Replica = r.node()
-	m.Instance = r.u64()
-	m.Ballot = r.u64()
-	m.From = r.node()
-	m.OK = r.boolean()
-	m.Seq = r.u64()
-	m.Deps = readDeps(r)
-	return m
-}
-
-func (m *Accept) WireSize() int { return 1 + 4 + 8 + 8 + 8 + depsSize(m.Deps) }
-
-func (m *Accept) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindAccept))
-	b = putNode(b, m.Replica)
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	b = putU64(b, m.Seq)
-	return appendDeps(b, m.Deps)
-}
-
-func readAccept(r *reader) *Accept {
-	m := &Accept{}
-	m.Replica = r.node()
-	m.Instance = r.u64()
-	m.Ballot = r.u64()
-	m.Seq = r.u64()
-	m.Deps = readDeps(r)
-	return m
-}
-
-func (m *AcceptReply) WireSize() int { return 1 + 4 + 8 + 8 + 4 + 1 }
-
-func (m *AcceptReply) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindAcceptReply))
-	b = putNode(b, m.Replica)
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	b = putNode(b, m.From)
-	return putBool(b, m.OK)
-}
-
-func readAcceptReply(r *reader) *AcceptReply {
-	m := &AcceptReply{}
-	m.Replica = r.node()
-	m.Instance = r.u64()
-	m.Ballot = r.u64()
-	m.From = r.node()
-	m.OK = r.boolean()
-	return m
-}
-
-func (m *Commit) WireSize() int {
-	return 1 + 4 + 8 + optBatchSize(m.Batch) + 8 + depsSize(m.Deps)
-}
-
-func (m *Commit) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindCommit))
-	b = putNode(b, m.Replica)
-	b = putU64(b, m.Instance)
-	b = appendOptBatch(b, m.Batch)
-	b = putU64(b, m.Seq)
-	return appendDeps(b, m.Deps)
-}
-
-func readCommit(r *reader) *Commit {
-	m := &Commit{}
-	m.Replica = r.node()
-	m.Instance = r.u64()
-	m.Batch = readOptBatch(r)
-	m.Seq = r.u64()
-	m.Deps = readDeps(r)
-	return m
-}
-
-// --- Zab ---
-
-func (m *ZabForward) WireSize() int { return 1 + 4 + optBatchSize(m.Batch) }
-
-func (m *ZabForward) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindZabForward))
-	b = putNode(b, m.From)
-	return appendOptBatch(b, m.Batch)
-}
-
-func readZabForward(r *reader) *ZabForward {
-	m := &ZabForward{}
-	m.From = r.node()
-	m.Batch = readOptBatch(r)
-	return m
-}
-
-func (m *ZabPropose) WireSize() int { return 1 + 8 + 8 + optBatchSize(m.Batch) }
-
-func (m *ZabPropose) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindZabPropose))
-	b = putU64(b, m.Epoch)
-	b = putU64(b, m.Zxid)
-	return appendOptBatch(b, m.Batch)
-}
-
-func readZabPropose(r *reader) *ZabPropose {
-	m := &ZabPropose{}
-	m.Epoch = r.u64()
-	m.Zxid = r.u64()
-	m.Batch = readOptBatch(r)
-	return m
-}
-
-func (m *ZabAck) WireSize() int { return 1 + 8 + 8 + 4 }
-
-func (m *ZabAck) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindZabAck))
-	b = putU64(b, m.Epoch)
-	b = putU64(b, m.Zxid)
-	return putNode(b, m.From)
-}
-
-func readZabAck(r *reader) *ZabAck {
-	m := &ZabAck{}
-	m.Epoch = r.u64()
-	m.Zxid = r.u64()
-	m.From = r.node()
-	return m
-}
-
-func (m *ZabCommit) WireSize() int { return 1 + 8 + 8 }
-
-func (m *ZabCommit) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindZabCommit))
-	b = putU64(b, m.Epoch)
-	return putU64(b, m.Zxid)
-}
-
-func readZabCommit(r *reader) *ZabCommit {
-	m := &ZabCommit{}
-	m.Epoch = r.u64()
-	m.Zxid = r.u64()
-	return m
-}
-
-func (m *ZabInform) WireSize() int { return 1 + 8 + 8 + optBatchSize(m.Batch) }
-
-func (m *ZabInform) AppendTo(b []byte) []byte {
-	b = putU8(b, uint8(KindZabInform))
-	b = putU64(b, m.Epoch)
-	b = putU64(b, m.Zxid)
-	return appendOptBatch(b, m.Batch)
-}
-
-func readZabInform(r *reader) *ZabInform {
-	m := &ZabInform{}
-	m.Epoch = r.u64()
-	m.Zxid = r.u64()
-	m.Batch = readOptBatch(r)
 	return m
 }
 
@@ -1175,7 +917,7 @@ func readJoinReply(r *reader) *JoinReply {
 
 // Decode decodes one message from the front of b, returning the message
 // and the number of bytes consumed.
-func Decode(b []byte) (Message, int, error) {
+func Decode(b []byte) (Encodable, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
@@ -1189,11 +931,11 @@ func Decode(b []byte) (Message, int, error) {
 
 // readMessage decodes the body of a message of kind k at the cursor. An
 // unknown kind, like any framing error, latches in r.err.
-func readMessage(r *reader, k Kind) Message {
+func readMessage(r *reader, k Kind) Encodable {
 	if r.err != nil {
 		return nil
 	}
-	var m Message
+	var m Encodable
 	switch k {
 	case KindProposal:
 		m = readProposal(r)
@@ -1215,26 +957,6 @@ func readMessage(r *reader, k Kind) Message {
 		m = v
 	case KindSeqEpoch:
 		m = readSeqEpoch(r)
-	case KindPreAccept:
-		m = readPreAccept(r)
-	case KindPreAcceptReply:
-		m = readPreAcceptReply(r)
-	case KindAccept:
-		m = readAccept(r)
-	case KindAcceptReply:
-		m = readAcceptReply(r)
-	case KindCommit:
-		m = readCommit(r)
-	case KindZabForward:
-		m = readZabForward(r)
-	case KindZabPropose:
-		m = readZabPropose(r)
-	case KindZabAck:
-		m = readZabAck(r)
-	case KindZabCommit:
-		m = readZabCommit(r)
-	case KindZabInform:
-		m = readZabInform(r)
 	case KindGroupClosed:
 		m = readGroupClosed(r)
 	case KindJoinRequest:

@@ -12,9 +12,10 @@ import (
 	"time"
 )
 
-// messages returns one exemplar of every message type with explicit
-// (encodable) content.
-func exemplars() []Message {
+// exemplars returns one exemplar of every message type with explicit
+// (encodable) content; TestRoundTripAllKinds checks that every kind Decode
+// accepts has one.
+func exemplars() []Encodable {
 	b := &Batch{
 		Origin: 3,
 		Reqs: []Request{
@@ -24,7 +25,7 @@ func exemplars() []Message {
 		NumRead: 1, NumWrite: 1,
 		Samples: []ArrivalSample{{At: 123, Count: 2, Read: true}},
 	}
-	return []Message{
+	return []Encodable{
 		&Proposal{Cycle: 7, Round: 2, VNode: "1.2", Origin: 4, Num: 99,
 			Batches:  []*Batch{b},
 			Updates:  []MemberUpdate{{Node: 5, Leave: true}},
@@ -39,62 +40,69 @@ func exemplars() []Message {
 		&SeqEpoch{Epoch: 10<<32 | 2, From: 1, Commit: 4, Seq: 5, PrevEpoch: 9<<32 | 1,
 			Entries:   []SeqEntry{{Epoch: 9<<32 | 1, Origin: 1, Payload: &GroupClosed{Origin: 0, Inc: 2}}},
 			Delivered: []OriginSeq{{Origin: 0, OSeq: 2<<32 | 5}, {Origin: 2, OSeq: 3}}},
-		&PreAccept{Replica: 1, Instance: 5, Ballot: 0, Batch: b, Seq: 2,
-			Deps: []InstanceRef{{Replica: 0, Instance: 4}}},
-		&PreAcceptReply{Replica: 1, Instance: 5, From: 2, OK: true, Seq: 3,
-			Deps: []InstanceRef{{Replica: 2, Instance: 1}}},
-		&Accept{Replica: 1, Instance: 5, Ballot: 1, Seq: 3},
-		&AcceptReply{Replica: 1, Instance: 5, Ballot: 1, From: 0, OK: true},
-		&Commit{Replica: 1, Instance: 5, Batch: b, Seq: 3},
-		&ZabForward{From: 6, Batch: b},
-		&ZabPropose{Epoch: 1, Zxid: 44, Batch: b},
-		&ZabAck{Epoch: 1, Zxid: 44, From: 3},
-		&ZabCommit{Epoch: 1, Zxid: 44},
-		&ZabInform{Epoch: 1, Zxid: 44, Batch: b},
 		&GroupClosed{Origin: 5},
 		&JoinRequest{From: 4, Nonce: 0x5eed},
 		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
 			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
 			Shards: [][]byte{[]byte("shard-0"), []byte("shard-1")}, Sessions: []byte("sessions"),
 			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond, SessionIdleCycles: -1},
+		&LeafSeal{Cycle: 11, VNode: "1.2", Initiator: 3},
+		&EvictQuery{Cycle: 11, VNode: "1.3", From: 4},
+		&EvictPromise{Cycle: 11, VNode: "1.3", From: 5},
+		&Evicted{From: 6},
 	}
 }
 
-// TestKindValuesAreStable pins the byte of every kind around the two
-// reserved ones (a retired broadcast flavour's heartbeat and envelope):
-// the kinds after them keep their values, and a reserved byte decodes as
-// an unknown kind.
+// reservedKinds are the kind bytes no message has any more: the EPaxos
+// and Zab baselines' (7–16), whose messages have no encoding, and a
+// retired broadcast flavour's heartbeat and envelope (17, 21).
+var reservedKinds = []byte{7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 21}
+
+// TestKindValuesAreStable pins the byte of every kind: WAL records and
+// frames written by earlier builds decode only if no kind moves. A
+// reserved byte decodes as an unknown kind.
 func TestKindValuesAreStable(t *testing.T) {
 	for k, want := range map[Kind]uint8{
-		KindZabInform: 16, KindGroupClosed: 18, KindJoinRequest: 19, KindJoinReply: 20,
-		KindLeafSeal: 22, KindEvicted: 25,
+		KindProposal: 1, KindProposalRequest: 2,
+		KindSeqForward: 3, KindSeqAppend: 4, KindSeqAck: 5, KindSeqEpoch: 6,
+		KindGroupClosed: 18, KindJoinRequest: 19, KindJoinReply: 20,
+		KindLeafSeal: 22, KindEvictQuery: 23, KindEvictPromise: 24, KindEvicted: 25,
 	} {
 		if uint8(k) != want {
 			t.Errorf("%v is %d, want %d", k, uint8(k), want)
 		}
 	}
-	for _, reserved := range []byte{17, 21} {
+	for _, reserved := range reservedKinds {
 		if _, _, err := Decode([]byte{reserved, 0, 0, 0, 0}); !errors.Is(err, ErrUnknownKind) {
 			t.Errorf("reserved kind %d decoded with %v, want ErrUnknownKind", reserved, err)
 		}
 	}
 }
 
+// TestRoundTripAllKinds round-trips every exemplar, and fails when a kind
+// byte Decode accepts has no exemplar, so no kind ships untested.
 func TestRoundTripAllKinds(t *testing.T) {
+	var covered [256]bool
 	for _, m := range exemplars() {
 		buf := m.AppendTo(nil)
+		covered[buf[0]] = true
 		if got, want := len(buf), m.WireSize(); got != want {
-			t.Errorf("%v: encoded %d bytes, WireSize says %d", m.Kind(), got, want)
+			t.Errorf("%T: encoded %d bytes, WireSize says %d", m, got, want)
 		}
 		dec, n, err := Decode(buf)
 		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Kind(), err)
+			t.Fatalf("%T: decode: %v", m, err)
 		}
 		if n != len(buf) {
-			t.Errorf("%v: consumed %d of %d bytes", m.Kind(), n, len(buf))
+			t.Errorf("%T: consumed %d of %d bytes", m, n, len(buf))
 		}
 		if !reflect.DeepEqual(m, dec) {
-			t.Errorf("%v: round trip mismatch:\n in: %#v\nout: %#v", m.Kind(), m, dec)
+			t.Errorf("%T: round trip mismatch:\n in: %#v\nout: %#v", m, m, dec)
+		}
+	}
+	for k := range covered {
+		if _, _, err := Decode([]byte{byte(k)}); !errors.Is(err, ErrUnknownKind) && !covered[k] {
+			t.Errorf("Decode accepts kind %v (%d), which has no exemplar", Kind(k), k)
 		}
 	}
 }
@@ -107,7 +115,7 @@ func TestDecodeTruncated(t *testing.T) {
 				// Truncation may still decode if the cut removed only
 				// trailing slice payloads whose counts shrank... it must
 				// not: counts are length-prefixed, so any cut must fail.
-				t.Fatalf("%v: decoding %d/%d bytes succeeded", m.Kind(), cut, len(buf))
+				t.Fatalf("%T: decoding %d/%d bytes succeeded", m, cut, len(buf))
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func (c *chunk[T]) take(n, size int) []T {
 
 // Decode decodes one message from the front of b like the package-level
 // Decode, returning the message and the number of bytes consumed.
-func (d *Decoder) Decode(b []byte) (Message, int, error) {
+func (d *Decoder) Decode(b []byte) (Encodable, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
@@ -76,7 +76,7 @@ func (d *Decoder) Decode(b []byte) (Message, int, error) {
 		d.vnodes = make(map[string]string)
 	}
 	r := reader{b: b, off: 1, dec: d}
-	var m Message
+	var m Encodable
 	switch Kind(b[0]) {
 	case KindSeqForward:
 		d.forwards = append(d.forwards, SeqForward{})

@@ -1,6 +1,7 @@
-// Package wire defines the message types exchanged by every protocol in
-// this repository (Canopus, EPaxos, Zab) together with a compact
-// binary codec.
+// Package wire defines the Canopus messages and their compact binary
+// codec. The baselines' messages (EPaxos, Zab) are not here: they run on
+// the simulator only, and live with their protocols, with a modeled size
+// and no encoding.
 //
 // Messages serve double duty:
 //
@@ -211,19 +212,19 @@ const (
 	KindSeqAck
 	KindSeqEpoch
 
-	// EPaxos baseline.
-	KindPreAccept
-	KindPreAcceptReply
-	KindAccept
-	KindAcceptReply
-	KindCommit
-
-	// Zab / ZooKeeper baseline.
-	KindZabForward
-	KindZabPropose
-	KindZabAck
-	KindZabCommit
-	KindZabInform
+	// The EPaxos and Zab baselines' messages had these bytes. They run on
+	// the simulator only and have no encoding now (internal/epaxos,
+	// internal/zab); the bytes stay reserved.
+	_ // reserved: an EPaxos message
+	_ // reserved: an EPaxos message
+	_ // reserved: an EPaxos message
+	_ // reserved: an EPaxos message
+	_ // reserved: an EPaxos message
+	_ // reserved: a Zab message
+	_ // reserved: a Zab message
+	_ // reserved: a Zab message
+	_ // reserved: a Zab message
+	_ // reserved: a Zab message
 
 	// Membership and liveness.
 	_               // reserved: was a heartbeat of a broadcast flavour
@@ -249,16 +250,6 @@ var kindNames = [...]string{
 	KindSeqAppend:       "seq-append",
 	KindSeqAck:          "seq-ack",
 	KindSeqEpoch:        "seq-epoch",
-	KindPreAccept:       "preaccept",
-	KindPreAcceptReply:  "preaccept-reply",
-	KindAccept:          "accept",
-	KindAcceptReply:     "accept-reply",
-	KindCommit:          "commit",
-	KindZabForward:      "zab-forward",
-	KindZabPropose:      "zab-propose",
-	KindZabAck:          "zab-ack",
-	KindZabCommit:       "zab-commit",
-	KindZabInform:       "zab-inform",
 	KindGroupClosed:     "group-closed",
 	KindJoinRequest:     "join-request",
 	KindJoinReply:       "join-reply",
@@ -275,15 +266,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Message is implemented by every protocol message.
+// Message is implemented by every protocol message, the baselines'
+// included: all a holder of one calls is its size.
 type Message interface {
-	// Kind identifies the concrete type.
-	Kind() Kind
 	// WireSize is the modeled encoded size in bytes. It must equal
-	// len(AppendTo(nil)) for explicit-mode messages; fluid-mode batches
-	// contribute their modeled ByteSize instead of encoded bytes.
+	// len(AppendTo(nil)) for an explicit-mode Encodable; fluid-mode
+	// batches contribute their modeled ByteSize instead of encoded bytes.
 	WireSize() int
-	// AppendTo appends the binary encoding of the message to b.
+}
+
+// Encodable is a Message with a binary encoding: every Canopus kind. It is
+// what Decode returns, what a broadcast entry carries, and what the TCP
+// transport and the WAL write.
+type Encodable interface {
+	Message
+	// AppendTo appends the binary encoding of the message, its kind byte
+	// first, to b.
 	AppendTo(b []byte) []byte
 }
 
@@ -318,8 +316,6 @@ type Proposal struct {
 	Resolve bool
 }
 
-func (p *Proposal) Kind() Kind { return KindProposal }
-
 // ProposalRequest asks an emulator of VNode for that vnode's state in the
 // given cycle and round (paper §4.2). The receiver answers with a Proposal
 // once it has computed the state, buffering the request if it has not.
@@ -329,8 +325,6 @@ type ProposalRequest struct {
 	VNode string
 	From  NodeID
 }
-
-func (p *ProposalRequest) Kind() Kind { return KindProposalRequest }
 
 // SeqEntry is one slot of a super-leaf's broadcast log: the payload an
 // origin broadcast, stamped by the sequencer of Epoch. OSeq numbers the
@@ -342,7 +336,7 @@ type SeqEntry struct {
 	Epoch   uint64
 	Origin  NodeID
 	OSeq    uint64
-	Payload Message // nil only in an append to the entry's origin, which holds it
+	Payload Encodable // nil only in an append to the entry's origin, which holds it
 }
 
 // SeqForward carries an origin's broadcast to the sequencer of Epoch,
@@ -353,10 +347,8 @@ type SeqForward struct {
 	Origin  NodeID
 	OSeq    uint64
 	Match   uint64
-	Payload Message
+	Payload Encodable
 }
-
-func (m *SeqForward) Kind() Kind { return KindSeqForward }
 
 // SeqAppend is the sequencer's fan-out: Entries occupy slots Seq, Seq+1,
 // ... of the log, after a slot Seq-1 stamped in PrevEpoch. Without
@@ -371,8 +363,6 @@ type SeqAppend struct {
 	Entries   []SeqEntry
 }
 
-func (m *SeqAppend) Kind() Kind { return KindSeqAppend }
-
 // SeqAck tells the sequencer of Epoch that From holds its log up to
 // Match or, with Reject, that an append did not fit after From's slot
 // Match.
@@ -383,8 +373,6 @@ type SeqAck struct {
 	Match  uint64
 	Reject bool
 }
-
-func (m *SeqAck) Kind() Kind { return KindSeqAck }
 
 // SeqEpoch opens a new epoch. From the candidate that Epoch names it asks
 // every member to stop accepting older epochs and to send its log above
@@ -409,8 +397,6 @@ type OriginSeq struct {
 	OSeq   uint64
 }
 
-func (m *SeqEpoch) Kind() Kind { return KindSeqEpoch }
-
 // SeqLeader is the member that sequences epoch e: an epoch number packs a
 // round above the sequencer's node ID, so two candidates never open the
 // same epoch.
@@ -420,117 +406,6 @@ func SeqLeader(e uint64) NodeID { return NodeID(int32(uint32(e))) }
 func SeqEpochOf(round uint32, leader NodeID) uint64 {
 	return uint64(round)<<32 | uint64(uint32(leader))
 }
-
-// PreAccept is the EPaxos fast-path proposal for one instance.
-type PreAccept struct {
-	Replica  NodeID // command leader
-	Instance uint64
-	Ballot   uint64
-	Batch    *Batch
-	Seq      uint64
-	Deps     []InstanceRef
-}
-
-func (m *PreAccept) Kind() Kind { return KindPreAccept }
-
-// InstanceRef names an EPaxos instance (replica, slot).
-type InstanceRef struct {
-	Replica  NodeID
-	Instance uint64
-}
-
-// PreAcceptReply is the fast-path acknowledgement.
-type PreAcceptReply struct {
-	Replica  NodeID
-	Instance uint64
-	Ballot   uint64
-	From     NodeID
-	OK       bool
-	Seq      uint64
-	Deps     []InstanceRef
-}
-
-func (m *PreAcceptReply) Kind() Kind { return KindPreAcceptReply }
-
-// Accept is the EPaxos slow-path round (used when fast-path replies
-// disagree; with zero command interference it never fires, but it is
-// implemented and tested).
-type Accept struct {
-	Replica  NodeID
-	Instance uint64
-	Ballot   uint64
-	Seq      uint64
-	Deps     []InstanceRef
-}
-
-func (m *Accept) Kind() Kind { return KindAccept }
-
-// AcceptReply acknowledges Accept.
-type AcceptReply struct {
-	Replica  NodeID
-	Instance uint64
-	Ballot   uint64
-	From     NodeID
-	OK       bool
-}
-
-func (m *AcceptReply) Kind() Kind { return KindAcceptReply }
-
-// Commit announces a committed EPaxos instance.
-type Commit struct {
-	Replica  NodeID
-	Instance uint64
-	Batch    *Batch
-	Seq      uint64
-	Deps     []InstanceRef
-}
-
-func (m *Commit) Kind() Kind { return KindCommit }
-
-// ZabForward carries a client write batch from a follower/observer to the
-// Zab leader.
-type ZabForward struct {
-	From  NodeID
-	Batch *Batch
-}
-
-func (m *ZabForward) Kind() Kind { return KindZabForward }
-
-// ZabPropose is the leader's proposal to voting followers.
-type ZabPropose struct {
-	Epoch uint64
-	Zxid  uint64
-	Batch *Batch
-}
-
-func (m *ZabPropose) Kind() Kind { return KindZabPropose }
-
-// ZabAck acknowledges a proposal.
-type ZabAck struct {
-	Epoch uint64
-	Zxid  uint64
-	From  NodeID
-}
-
-func (m *ZabAck) Kind() Kind { return KindZabAck }
-
-// ZabCommit commits a proposal on voting followers.
-type ZabCommit struct {
-	Epoch uint64
-	Zxid  uint64
-}
-
-func (m *ZabCommit) Kind() Kind { return KindZabCommit }
-
-// ZabInform delivers a committed transaction to observers, which do not
-// vote (paper §8.1.2: ZooKeeper configured with 5 followers + observers).
-type ZabInform struct {
-	Epoch uint64
-	Zxid  uint64
-	Batch *Batch
-}
-
-func (m *ZabInform) Kind() Kind { return KindZabInform }
 
 // GroupClosed is the failure cut of Origin: the entry a super-leaf's
 // sequencer appends when Origin falls silent, or a new sequencer appends
@@ -544,8 +419,6 @@ type GroupClosed struct {
 	Inc    uint32 // the incarnation cut: a later one of Origin is not
 }
 
-func (m *GroupClosed) Kind() Kind { return KindGroupClosed }
-
 // JoinRequest asks a live peer to sponsor this node's re-join (paper §3,
 // assumption 6: failed nodes rejoin via a join protocol).
 type JoinRequest struct {
@@ -554,8 +427,6 @@ type JoinRequest struct {
 	// process installs only a reply to its own request.
 	Nonce uint64
 }
-
-func (m *JoinRequest) Kind() Kind { return KindJoinRequest }
 
 // JoinReply carries the sponsor's state transfer: the cycle after which
 // the joiner takes part, the sponsor's membership view, its store image
@@ -588,8 +459,6 @@ type JoinReply struct {
 	SessionIdleCycles int64
 }
 
-func (m *JoinReply) Kind() Kind { return KindJoinReply }
-
 // LeafSeal is the intra-leaf broadcast that closes a (cycle, vnode) slot
 // during a leaf-eviction round. The leaf's sequencer puts it and the vnode
 // states one member may be re-broadcasting into one log, so every member
@@ -604,8 +473,6 @@ type LeafSeal struct {
 	Initiator NodeID // who to answer with EvictPromise (or the held state)
 }
 
-func (m *LeafSeal) Kind() Kind { return KindLeafSeal }
-
 // EvictQuery asks a member of another super-leaf to resolve a (cycle,
 // vnode) slot for an eviction round: reply with the vnode's state
 // (Resolve-flagged) if the leaf holds it, otherwise seal the slot and
@@ -616,8 +483,6 @@ type EvictQuery struct {
 	From  NodeID
 }
 
-func (m *EvictQuery) Kind() Kind { return KindEvictQuery }
-
 // EvictPromise is a leaf's binding answer to an EvictQuery: the (cycle,
 // vnode) slot is sealed leaf-wide and no member will accept or serve a
 // plain state for it.
@@ -627,8 +492,6 @@ type EvictPromise struct {
 	From  NodeID
 }
 
-func (m *EvictPromise) Kind() Kind { return KindEvictPromise }
-
 // Evicted tells a node that the rest of the cluster has removed its
 // super-leaf from the membership view. The receiver must stop
 // participating with its current state and rejoin through the join
@@ -637,5 +500,3 @@ func (m *EvictPromise) Kind() Kind { return KindEvictPromise }
 type Evicted struct {
 	From NodeID
 }
-
-func (m *Evicted) Kind() Kind { return KindEvicted }

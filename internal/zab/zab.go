@@ -174,7 +174,7 @@ func (n *Node) flush() {
 		n.propose(b)
 		return
 	}
-	n.env.Send(n.cfg.Leader, &wire.ZabForward{From: n.cfg.Self, Batch: b})
+	n.env.Send(n.cfg.Leader, &ZabForward{From: n.cfg.Self, Batch: b})
 }
 
 // propose runs at the leader: assign the zxid and replicate to voters.
@@ -187,7 +187,7 @@ func (n *Node) propose(b *wire.Batch) {
 		n.leaderCommit(zxid)
 		return
 	}
-	msg := &wire.ZabPropose{Epoch: 1, Zxid: zxid, Batch: b}
+	msg := &ZabPropose{Epoch: 1, Zxid: zxid, Batch: b}
 	for _, v := range n.cfg.Voters {
 		if v != n.cfg.Self {
 			n.env.Send(v, msg)
@@ -198,25 +198,25 @@ func (n *Node) propose(b *wire.Batch) {
 // Recv implements engine.Machine.
 func (n *Node) Recv(from wire.NodeID, m wire.Message) {
 	switch v := m.(type) {
-	case *wire.ZabForward:
+	case *ZabForward:
 		if n.isLeader {
 			n.propose(v.Batch)
 		}
-	case *wire.ZabPropose:
+	case *ZabPropose:
 		if n.isVoter && !n.isLeader {
 			n.log[v.Zxid] = v.Batch
-			n.env.Send(from, &wire.ZabAck{Epoch: v.Epoch, Zxid: v.Zxid, From: n.cfg.Self})
+			n.env.Send(from, &ZabAck{Epoch: v.Epoch, Zxid: v.Zxid, From: n.cfg.Self})
 		}
-	case *wire.ZabAck:
+	case *ZabAck:
 		if n.isLeader {
 			n.onAck(v)
 		}
-	case *wire.ZabCommit:
+	case *ZabCommit:
 		if n.isVoter && !n.isLeader {
 			n.commit[v.Zxid] = true
 			n.applyReady()
 		}
-	case *wire.ZabInform:
+	case *ZabInform:
 		if !n.isVoter {
 			n.log[v.Zxid] = v.Batch
 			n.commit[v.Zxid] = true
@@ -225,7 +225,7 @@ func (n *Node) Recv(from wire.NodeID, m wire.Message) {
 	}
 }
 
-func (n *Node) onAck(m *wire.ZabAck) {
+func (n *Node) onAck(m *ZabAck) {
 	if _, ok := n.proposal[m.Zxid]; !ok {
 		return
 	}
@@ -245,8 +245,8 @@ func (n *Node) leaderCommit(zxid uint64) {
 	n.commit[zxid] = true
 	n.applyReady()
 
-	cm := &wire.ZabCommit{Epoch: 1, Zxid: zxid}
-	inform := &wire.ZabInform{Epoch: 1, Zxid: zxid, Batch: b}
+	cm := &ZabCommit{Epoch: 1, Zxid: zxid}
+	inform := &ZabInform{Epoch: 1, Zxid: zxid, Batch: b}
 	for _, id := range n.cfg.All {
 		if id == n.cfg.Self {
 			continue
