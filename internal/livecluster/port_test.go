@@ -234,3 +234,173 @@ func TestWatchOrderedBetweenOps(t *testing.T) {
 		t.Fatalf("events %+v, want exactly one, for the write behind the WATCH", events)
 	}
 }
+
+// TestPortAnswers pins what the port answers, frame by frame, for every
+// shape an op arrives in — a single-op frame, a slot of a batch frame, a
+// transaction and a Cluster.Submit call — under every per-op rule: the
+// consistency split, the minCycle bound, a read miss, a session the
+// replicated table does not know, and a draining port. Each row sends one
+// frame over a raw v3 socket and compares the exact status, code and value
+// of the answer, and whether it carries a commit cycle (rejections made
+// before the node is asked carry none). The stall rule is not covered: no
+// live test here halts a node cheaply.
+func TestPortAnswers(t *testing.T) {
+	c := startCluster(t, 3)
+	defer c.Stop(5 * time.Second)
+	p := c.Port(0)
+	rc := dialRaw(t, c.ClientAddr(0))
+	rc.send(t, single(1, wire.OpWrite, 1, "one"))
+	if resp := rc.next(t); resp.Status != wire.ClientStatusOK {
+		t.Fatalf("seed write: %+v", resp)
+	}
+
+	const far = 1 << 40 // beyond maxMinCycleAhead of any test cluster's cycle
+	unknown := wire.SessionIDBit | 0xdead
+	ops := func(kv ...any) []wire.ClientOp {
+		var out []wire.ClientOp
+		for i := 0; i < len(kv); i += 3 {
+			op := wire.ClientOp{Op: kv[i].(wire.Op), Key: uint64(kv[i+1].(int))}
+			if v := kv[i+2].(string); v != "" {
+				op.Val = []byte(v)
+			}
+			out = append(out, op)
+		}
+		return out
+	}
+	stale := func(q wire.ClientRequestV2, minCycle uint64) wire.ClientRequestV2 {
+		q.Consistency, q.MinCycle = wire.Stale, minCycle
+		return q
+	}
+	session := func(q wire.ClientRequestV2, s uint64) wire.ClientRequestV2 {
+		q.Session, q.Seq = s, 1
+		return q
+	}
+	batch := func(kv ...any) wire.ClientRequestV2 {
+		return wire.ClientRequestV2{Batch: true, Ops: ops(kv...)}
+	}
+	type res = wire.ClientResult
+	committed := string(wire.AppendTxnResult(nil, wire.TxnResult{Committed: true, Failed: wire.TxnFailedNone}))
+	oversized := wire.ClientRequestV2{Batch: true, Ops: make([]wire.ClientOp, wire.MaxBatchOps+1)}
+	for i := range oversized.Ops {
+		oversized.Ops[i] = wire.ClientOp{Op: wire.OpRead, Key: uint64(i)}
+	}
+	txn := wire.ClientRequestV2{Txn: true, TxnOps: []wire.TxnOp{{Op: wire.OpWrite, Key: 3, Val: []byte("three")}}}
+
+	for i, tc := range []struct {
+		name     string
+		draining bool
+		frame    wire.ClientRequestV2
+		status   uint8  // single-op answers
+		code     uint8  // single-op answers; the frame code of a batch
+		val      string // single-op answers
+		results  []res  // batch answers, slot by slot
+		cycle    bool   // the answer carries a commit cycle
+	}{
+		{name: "single write", frame: single(0, wire.OpWrite, 2, "two"), cycle: true},
+		{name: "single linearizable hit", frame: single(0, wire.OpRead, 1, ""), val: "one", cycle: true},
+		{name: "single linearizable miss", frame: single(0, wire.OpRead, 99, ""),
+			status: wire.ClientStatusNil, cycle: true},
+		{name: "single stale hit", frame: stale(single(0, wire.OpRead, 1, ""), 0), val: "one", cycle: true},
+		{name: "single stale miss", frame: stale(single(0, wire.OpRead, 99, ""), 0),
+			status: wire.ClientStatusNil, cycle: true},
+		{name: "single minCycle too far ahead", frame: stale(single(0, wire.OpRead, 1, ""), far),
+			status: wire.ClientStatusErr, code: wire.CodeBadRequest, val: "minCycle too far ahead"},
+		{name: "single expired session", frame: session(single(0, wire.OpWrite, 4, "x"), unknown),
+			status: wire.ClientStatusErr, code: wire.CodeSessionExpired, val: "session expired", cycle: true},
+		{name: "single draining", draining: true, frame: single(0, wire.OpWrite, 4, "x"),
+			status: wire.ClientStatusErr, code: wire.CodeDraining, val: "draining"},
+		{name: "transaction", frame: txn, val: committed, cycle: true},
+		{name: "transaction on an expired session", frame: session(txn, unknown),
+			status: wire.ClientStatusErr, code: wire.CodeSessionExpired, val: "session expired", cycle: true},
+		{name: "batch linearizable", frame: batch(wire.OpWrite, 5, "five", wire.OpRead, 1, "", wire.OpRead, 99, ""),
+			results: []res{{}, {Val: []byte("one")}, {Status: wire.ClientStatusNil}}, cycle: true},
+		{name: "batch stale", frame: stale(batch(wire.OpRead, 1, "", wire.OpRead, 99, ""), 0),
+			results: []res{{Val: []byte("one")}, {Status: wire.ClientStatusNil}}, cycle: true},
+		{name: "batch minCycle too far ahead", frame: stale(batch(wire.OpRead, 1, "", wire.OpWrite, 6, "six"), far),
+			results: []res{{Status: wire.ClientStatusErr, Code: wire.CodeBadRequest, Val: []byte("minCycle too far ahead")}, {}},
+			cycle:   true},
+		{name: "batch expired session", frame: session(batch(wire.OpWrite, 7, "x", wire.OpRead, 1, ""), unknown),
+			results: []res{{Status: wire.ClientStatusErr, Code: wire.CodeSessionExpired, Val: []byte("session expired")},
+				{Val: []byte("one")}}, cycle: true},
+		{name: "batch draining", draining: true, frame: batch(wire.OpWrite, 8, "x"), code: wire.CodeDraining},
+		{name: "batch of MaxBatchOps+1 ops", frame: oversized, code: wire.CodeBadRequest},
+	} {
+		id := uint64(100 + i)
+		tc.frame.ID = id
+		p.draining.Store(tc.draining)
+		rc.send(t, tc.frame)
+		resp := rc.next(t)
+		p.draining.Store(false)
+		if resp.ID != id || resp.Batch != tc.frame.Batch {
+			t.Fatalf("%s: answered ID %d batch=%v, want ID %d batch=%v", tc.name, resp.ID, resp.Batch, id, tc.frame.Batch)
+		}
+		if (resp.Cycle > 0) != tc.cycle {
+			t.Errorf("%s: cycle %d, want one: %v", tc.name, resp.Cycle, tc.cycle)
+		}
+		if resp.Code != tc.code {
+			t.Errorf("%s: code %d, want %d", tc.name, resp.Code, tc.code)
+		}
+		if tc.frame.Batch {
+			if len(resp.Results) != len(tc.results) {
+				t.Fatalf("%s: %d results, want %d", tc.name, len(resp.Results), len(tc.results))
+			}
+			for i, r := range resp.Results {
+				w := tc.results[i]
+				if r.Status != w.Status || r.Code != w.Code || string(r.Val) != string(w.Val) {
+					t.Errorf("%s: slot %d answered %d/%d/%q, want %d/%d/%q",
+						tc.name, i, r.Status, r.Code, r.Val, w.Status, w.Code, w.Val)
+				}
+			}
+			continue
+		}
+		if resp.Status != tc.status || string(resp.Val) != tc.val {
+			t.Errorf("%s: answered %d/%q, want %d/%q", tc.name, resp.Status, resp.Val, tc.status, tc.val)
+		}
+	}
+
+	// Cluster.Submit: the done callback gets the value and ok=true when
+	// served (a miss is a nil value), and ok=false on a draining port —
+	// before Submit returns.
+	type answer struct {
+		val string
+		ok  bool
+	}
+	submit := func(op wire.Op, key uint64, val string) answer {
+		ch := make(chan answer, 1)
+		var v []byte
+		if val != "" {
+			v = []byte(val)
+		}
+		c.Submit(0, op, key, v, func(val []byte, ok bool) { ch <- answer{string(val), ok} })
+		select {
+		case a := <-ch:
+			return a
+		case <-time.After(10 * time.Second):
+			t.Fatal("Submit: no answer within 10 s")
+		}
+		panic("unreachable")
+	}
+	for _, tc := range []struct {
+		name     string
+		draining bool
+		op       wire.Op
+		key      uint64
+		val      string
+		want     answer
+	}{
+		{"Submit write", false, wire.OpWrite, 9, "nine", answer{"", true}},
+		{"Submit hit", false, wire.OpRead, 9, "", answer{"nine", true}},
+		{"Submit miss", false, wire.OpRead, 99, "", answer{"", true}},
+		{"Submit while draining", true, wire.OpWrite, 10, "x", answer{"", false}},
+	} {
+		p.draining.Store(tc.draining)
+		got := submit(tc.op, tc.key, tc.val)
+		p.draining.Store(false)
+		if got != tc.want {
+			t.Errorf("%s: done(%q, %v), want done(%q, %v)", tc.name, got.val, got.ok, tc.want.val, tc.want.ok)
+		}
+	}
+	if n := p.Outstanding(); n != 0 {
+		t.Errorf("%d requests still counted in flight after every answer", n)
+	}
+}
