@@ -85,7 +85,7 @@ type ClientPort struct {
 	// sessPending routes session-scoped submissions back to their
 	// serving connection: replies arrive keyed by the replicated
 	// (session, seq) identity, not the connection. Guarded by mu.
-	sessPending map[sessKey]sessEntry
+	sessPending map[sessKey]pendingEntry
 
 	// stats are the port's operational counters (see RegisterMetrics);
 	// the in-flight gauge is the outstanding counter above.
@@ -142,7 +142,7 @@ func newClientPort(runner *transport.Runner, addr string) (*ClientPort, error) {
 		runner:      runner,
 		ln:          ln,
 		conns:       make(map[uint64]*clientConn),
-		sessPending: make(map[sessKey]sessEntry),
+		sessPending: make(map[sessKey]pendingEntry),
 	}
 	// The SubmitLocal pseudo-connection has no socket and no writer:
 	// every pending entry completes through its done callback. It sits in
@@ -208,8 +208,9 @@ func (p *ClientPort) SetDropReplies(on bool) { p.dropReplies.Store(on) }
 func (p *ClientPort) Outstanding() int64 { return p.outstanding.Load() }
 
 // admitRequest counts one accepted request into the outstanding gauge
-// and the running total. Every submit path admits through here; the
-// completion paths undo only the gauge.
+// and the running total. submitOp and the session frames admit through
+// here; finishLocked undoes only the gauge, and the bulk retirements of a
+// dead connection (teardown, failPending) undo it for all of its entries.
 func (p *ClientPort) admitRequest() {
 	p.outstanding.Add(1)
 	p.stats.requests.Add(1)

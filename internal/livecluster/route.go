@@ -11,19 +11,14 @@ import (
 // sessKey identifies one in-flight session-scoped operation.
 type sessKey struct{ session, seq uint64 }
 
-// sessEntry is the completion target of one session-scoped operation.
-type sessEntry struct {
-	cc *clientConn
-	e  pendingEntry
-}
-
-// pendingEntry maps one submitted request back to its completion target:
-// a connection frame (optionally one slot of a batch) or a local done
-// callback.
+// pendingEntry is where one admitted op's answer goes: a SubmitLocal
+// done callback, one slot of a batch frame, or a single-op frame's
+// response on cc.
 type pendingEntry struct {
-	id   uint64                    // correlation ID
+	cc   *clientConn
+	id   uint64                    // the frame's correlation ID
 	done func(val []byte, ok bool) // SubmitLocal completion; nil for sockets
-	agg  *batchAgg                 // batch aggregation; nil for single ops
+	agg  *batchAgg                 // the batch frame's aggregate; nil otherwise
 	idx  int                       // slot in agg.results
 }
 
@@ -58,68 +53,61 @@ func freeBatchAgg(agg *batchAgg) {
 	aggPool.Put(agg)
 }
 
-// completeEntry delivers one completed consensus operation to its
-// destination: local callback, batch slot, or an encoded single-op
-// response. Runs with the port mutex held, on the node's apply stage. The
-// value is
-// encoded (or handed to the done callback) before returning: it may
-// alias store state that the next cycle's apply overwrites.
-func (p *ClientPort) completeEntry(cc *clientConn, entry pendingEntry, op wire.Op, val []byte) {
-	cycle := p.node().Committed()
+// finishLocked answers one admitted op and retires it from the in-flight
+// count: the one place an outcome becomes an answer, whether the op came
+// as a single-op frame, a batch slot, a transaction or a SubmitLocal
+// call. code is wire.CodeNone when the op was served — val is its result,
+// nil for a miss — and the rejection's code otherwise, with val its
+// reason; cycle is the commit cycle behind the answer, 0 when the node was
+// not asked. Runs with the port mutex held. The value is encoded, copied
+// or handed to done before this returns: it may alias store state that
+// the next cycle's apply overwrites.
+func (p *ClientPort) finishLocked(e pendingEntry, op wire.Op, code uint8, val []byte, cycle uint64) {
+	// Retired only once answered: Stop and teardown poll the count to
+	// decide when it is safe to close, so the answer must already be in
+	// the output buffer.
+	defer p.outstanding.Add(-1)
+	if e.done != nil {
+		if code != wire.CodeNone {
+			val = nil
+		}
+		e.done(val, code == wire.CodeNone)
+		return
+	}
+	status := wire.ClientStatusOK
 	switch {
-	case entry.done != nil:
-		entry.done(val, true)
-	case entry.agg != nil:
-		status := wire.ClientStatusOK
-		if op == wire.OpRead && val == nil {
-			status = wire.ClientStatusNil
-		}
-		p.completeBatchOp(cc, entry.agg, entry.idx, status, wire.CodeNone, val, cycle)
-		return // completeBatchOp owns the outstanding decrement
-	default:
-		resp := wire.ClientResponseV2{ID: entry.id, Status: wire.ClientStatusOK, Cycle: cycle, Val: val}
-		if op == wire.OpRead && val == nil {
-			resp.Status = wire.ClientStatusNil
-		}
-		if op == wire.OpTxn && val == nil {
-			// Duplicate txn whose recorded result was displaced by a later
-			// txn on the same session: the outcome is unknowable here, so
-			// say that instead of guessing — the client must re-read state.
-			resp.Status, resp.Val = wire.ClientStatusErr, []byte("txn result displaced")
-		}
-		cc.reply(&resp)
+	case code != wire.CodeNone:
+		status = wire.ClientStatusErr
+	case val != nil:
+	case op == wire.OpRead:
+		status = wire.ClientStatusNil
+	case op == wire.OpTxn:
+		// A duplicate txn whose recorded result was displaced by a later
+		// txn on the same session: the outcome is unknowable here, so say
+		// that instead of guessing — the client must re-read state.
+		status, val = wire.ClientStatusErr, []byte("txn result displaced")
 	}
-	p.outstanding.Add(-1)
-}
-
-// completeBatchOp fills one slot of a batch and pushes the aggregate
-// response when the batch is complete. Runs with the port mutex held.
-func (p *ClientPort) completeBatchOp(cc *clientConn, agg *batchAgg, idx int, status, code uint8, val []byte, cycle uint64) {
+	agg := e.agg
+	if agg == nil {
+		e.cc.reply(&wire.ClientResponseV2{ID: e.id, Status: status, Code: code, Cycle: cycle, Val: val})
+		return
+	}
 	if status == wire.ClientStatusOK && val != nil {
-		// A batch slot may outlive this completion callback (the frame
-		// encodes when its LAST slot fills, possibly cycles later), and
-		// reply values are only valid during the callback — copy.
-		v := make([]byte, len(val))
-		copy(v, val)
-		val = v
+		// The slot may outlive this call (the frame encodes when its LAST
+		// slot fills, possibly cycles later) — copy.
+		val = append([]byte(nil), val...)
 	}
-	agg.results[idx] = wire.ClientResult{Status: status, Code: code, Val: val}
-	if cycle > agg.cycle {
-		agg.cycle = cycle
-	}
+	agg.results[e.idx] = wire.ClientResult{Status: status, Code: code, Val: val}
+	agg.cycle = max(agg.cycle, cycle)
 	agg.remaining--
-	p.outstanding.Add(-1)
 	if agg.remaining == 0 {
-		// Encode now, inside this call: result values may alias store
-		// state (or stack-scoped error strings) that are only stable for
-		// the duration of the completion callback.
-		cc.reply(&wire.ClientResponseV2{ID: agg.id, Batch: true, Cycle: agg.cycle, Results: agg.results})
+		e.cc.reply(&wire.ClientResponseV2{ID: agg.id, Batch: true, Cycle: agg.cycle, Results: agg.results})
 		freeBatchAgg(agg)
 	}
 }
 
-// Committed is the port's share of the node's committed stream: it fans
-// one Commit's session rejections and completion records out to the
+// Committed is the port's share of the node's committed stream: it
+// answers one Commit's session rejections and completion records into the
 // owning connections' buffers (no socket writes on this path). It runs on
 // the node's apply stage — the machine lock is NOT held, which is the
 // point: reply materialization does not steal consensus time.
@@ -127,114 +115,61 @@ func (p *ClientPort) Committed(c *core.Commit) {
 	if len(c.Replies) == 0 && len(c.Rejected) == 0 {
 		return
 	}
+	cycle := p.node().Committed()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range c.Rejected {
-		p.sessionExpiredLocked(&c.Rejected[i])
+		// Deterministically NOT applied: the replicated table does not
+		// know the session.
+		if e, ok := p.takeLocked(&c.Rejected[i]); ok {
+			p.finishLocked(e, c.Rejected[i].Op, wire.CodeSessionExpired, []byte("session expired"), cycle)
+		}
 	}
 	for i := range c.Replies {
-		req := &c.Replies[i]
-		if wire.IsSessionID(req.Client) {
-			// Session-scoped op: route by the replicated (session, seq)
-			// identity. A duplicate commit of a (session, seq) the client
-			// already got answered simply finds no entry here.
-			k := sessKey{req.Client, req.Seq}
-			se, ok := p.sessPending[k]
-			if !ok {
-				continue
-			}
-			delete(p.sessPending, k)
-			p.completeEntry(se.cc, se.e, req.Op, c.Vals[i])
-			continue
+		if e, ok := p.takeLocked(&c.Replies[i]); ok {
+			p.finishLocked(e, c.Replies[i].Op, wire.CodeNone, c.Vals[i], cycle)
 		}
-		cc, ok := p.conns[req.Client]
-		if !ok {
-			p.stats.dropped.Add(1)
-			continue // connection gone; reply dropped
-		}
-		entry, ok := cc.pending[req.Seq]
-		if !ok {
-			continue
-		}
-		// Buffer the reply BEFORE retiring the pending entry: Stop and
-		// teardown poll Outstanding()/pending to decide when it is safe
-		// to set closing, so the response must already be in the output
-		// buffer (the writer flushes it before closing) by the time this
-		// request stops counting as outstanding.
-		p.completeEntry(cc, entry, req.Op, c.Vals[i])
-		delete(cc.pending, req.Seq)
 	}
 }
 
-// sessionExpiredLocked answers one rejected session-scoped op: it was
-// deterministically NOT applied; surface CodeSessionExpired instead of a
-// completion. Runs with the port mutex held.
-func (p *ClientPort) sessionExpiredLocked(req *wire.Request) {
-	k := sessKey{req.Client, req.Seq}
-	se, ok := p.sessPending[k]
+// takeLocked removes and returns the entry awaiting req's answer: by the
+// replicated (session, seq) identity for a session op, by connection and
+// seq otherwise. It reports false when nothing awaits it — a duplicate
+// commit of an op already answered, or a departed connection (counted as
+// a dropped reply). Runs with the port mutex held.
+func (p *ClientPort) takeLocked(req *wire.Request) (pendingEntry, bool) {
+	if wire.IsSessionID(req.Client) {
+		k := sessKey{req.Client, req.Seq}
+		e, ok := p.sessPending[k]
+		delete(p.sessPending, k)
+		return e, ok
+	}
+	cc, ok := p.conns[req.Client]
 	if !ok {
-		return
+		p.stats.dropped.Add(1)
+		return pendingEntry{}, false
 	}
-	delete(p.sessPending, k)
-	switch {
-	case se.e.agg != nil:
-		p.completeBatchOp(se.cc, se.e.agg, se.e.idx, wire.ClientStatusErr, wire.CodeSessionExpired,
-			[]byte("session expired"), p.node().Committed())
-	default:
-		se.cc.reply(&wire.ClientResponseV2{ID: se.e.id, Status: wire.ClientStatusErr,
-			Code: wire.CodeSessionExpired, Cycle: p.node().Committed(), Val: []byte("session expired")})
-		p.outstanding.Add(-1)
-	}
-}
-
-// putSessPendingLocked registers one session-scoped submission, retiring
-// any stale entry for the same (session, seq) — a retry looping back to
-// this node before its first submission's bookkeeping was torn down.
-// Runs with the port mutex held; owns the outstanding increment.
-func (p *ClientPort) putSessPendingLocked(k sessKey, se sessEntry) {
-	if _, ok := p.sessPending[k]; ok {
-		p.outstanding.Add(-1)
-	}
-	p.sessPending[k] = se
-	p.admitRequest()
+	e, ok := cc.pending[req.Seq]
+	delete(cc.pending, req.Seq)
+	return e, ok
 }
 
 // dropSessPendingLocked retires every session-scoped entry bound to one
 // (dead) connection. Runs with the port mutex held.
 func (p *ClientPort) dropSessPendingLocked(cc *clientConn) {
-	for k, se := range p.sessPending {
-		if se.cc == cc {
+	for k, e := range p.sessPending {
+		if e.cc == cc {
 			delete(p.sessPending, k)
 			p.outstanding.Add(-1)
 		}
 	}
 }
 
-// reject answers a request without consulting the node.
-func (p *ClientPort) reject(cc *clientConn, id uint64, code uint8, reason string) {
-	cc.reply(&wire.ClientResponseV2{ID: id, Status: wire.ClientStatusErr, Code: code, Val: []byte(reason)})
-}
-
-// rejectBatch answers an entire batch frame with a frame-level code.
-func (p *ClientPort) rejectBatch(cc *clientConn, id uint64, code uint8) {
-	cc.reply(&wire.ClientResponseV2{ID: id, Batch: true, Code: code})
-}
-
-// track registers one submission in the connection's pending map and
-// returns its per-connection sequence number. It reports ok=false when
-// the connection has been torn down concurrently.
-func (p *ClientPort) track(cc *clientConn, entry pendingEntry) (uint64, bool) {
-	p.mu.Lock()
-	if cc.pending == nil {
-		p.mu.Unlock()
-		return 0, false
-	}
-	cc.seq++
-	seq := cc.seq
-	cc.pending[seq] = entry
-	p.mu.Unlock()
-	p.admitRequest()
-	return seq, true
+// reject answers a whole frame without admitting it: a draining port, an
+// oversized batch, a watch the port cannot serve. A batch frame's answer
+// carries the code alone and no results.
+func (p *ClientPort) reject(cc *clientConn, q *wire.ClientRequestV2, code uint8, reason string) {
+	cc.reply(&wire.ClientResponseV2{ID: q.ID, Batch: q.Batch, Status: wire.ClientStatusErr, Code: code, Val: []byte(reason)})
 }
 
 // submit dispatches one parsed group in frame order. WATCH and UNWATCH
@@ -260,120 +195,59 @@ func (p *ClientPort) submit(cc *clientConn, group []wire.ClientRequestV2) {
 		group = group[n:]
 		if p.draining.Load() {
 			for i := range run {
-				if run[i].Batch {
-					p.rejectBatch(cc, run[i].ID, wire.CodeDraining)
-				} else {
-					p.reject(cc, run[i].ID, wire.CodeDraining, "draining")
-				}
+				p.reject(cc, &run[i], wire.CodeDraining, "draining")
 			}
 			continue
 		}
 		p.runner.Invoke(func() {
 			for i := range run {
-				if !p.submitFrame(cc, &run[i]) {
-					return // torn down concurrently
-				}
+				p.submitFrame(cc, &run[i])
 			}
 		})
 	}
 }
 
-// submitFrame hands one frame to the node. Linearizable operations (and
-// all mutations) enter consensus; Sequential/Stale reads take the
-// committed-state local path and never start a cycle. It reports false
-// when the connection was torn down concurrently. Runs inside the machine
-// turn.
-func (p *ClientPort) submitFrame(cc *clientConn, q *wire.ClientRequestV2) bool {
+// submitFrame hands one frame's ops to submitOp, inside the machine turn.
+// A single-op frame is a list of one op, and so is a transaction: its
+// body re-encodes into a fresh buffer (the parsed guards and ops alias the
+// read loop's arena, which dies with the group) and rides consensus as one
+// wire.OpTxn request. In a session frame the mutating ops carry session
+// seqs q.Seq, q.Seq+1, ... in frame order (reads consume none), mirroring
+// the client's assignment.
+func (p *ClientPort) submitFrame(cc *clientConn, q *wire.ClientRequestV2) {
 	switch {
 	case q.Register:
 		p.registerSession(cc, q.ID)
-		return true
+		return
 	case q.Expire:
 		p.expireSession(cc, q.ID, q.Session)
-		return true
-	case q.Txn:
-		p.submitTxn(cc, q)
-		return true
-	case q.Batch:
-		if len(q.Ops) > wire.MaxBatchOps {
-			// One batch is one machine turn; an oversized one
-			// would monopolize the node exactly as maxGroup
-			// exists to prevent for pipelined singles.
-			p.rejectBatch(cc, q.ID, wire.CodeBadRequest)
-			return true
+		return
+	case q.Batch && len(q.Ops) > wire.MaxBatchOps:
+		// One batch is one machine turn; an oversized one would
+		// monopolize the node exactly as maxGroup exists to prevent for
+		// pipelined singles.
+		p.reject(cc, q, wire.CodeBadRequest, "batch too large")
+		return
+	}
+	ops := q.Ops
+	var txn [1]wire.ClientOp
+	if q.Txn {
+		txn[0] = wire.ClientOp{Op: wire.OpTxn, Val: wire.AppendTxn(nil, &wire.Txn{Guards: q.TxnGuards, Ops: q.TxnOps})}
+		ops = txn[:]
+	}
+	var agg *batchAgg
+	if q.Batch {
+		agg = newBatchAgg(q.ID, len(ops))
+	}
+	seq := q.Seq
+	for i := range ops {
+		req := wire.Request{Op: ops[i].Op, Key: ops[i].Key, Val: ops[i].Val}
+		if q.Session != 0 && req.Op.Mutates() {
+			req.Client, req.Seq = q.Session, seq
+			seq++
 		}
-		p.submitBatch(cc, q)
-		return true
+		p.submitOp(pendingEntry{cc: cc, id: q.ID, agg: agg, idx: i}, req, q.Consistency, q.MinCycle)
 	}
-	op := &q.Ops[0]
-	if op.Op == wire.OpRead && q.Consistency != wire.Linearizable {
-		if !p.minCycleSane(q.MinCycle) {
-			p.reject(cc, q.ID, wire.CodeBadRequest, "minCycle too far ahead")
-			return true
-		}
-		p.localRead(cc, q.ID, op.Key, q.MinCycle)
-		return true
-	}
-	if p.node().Stalled() {
-		p.reject(cc, q.ID, wire.CodeStalled, "node stalled")
-		return true
-	}
-	if q.Session != 0 && op.Op.Mutates() {
-		// Session-scoped mutation: the replicated (session, seq)
-		// identity travels into consensus, so the apply-path
-		// dedup table recognizes a retried committed op.
-		p.mu.Lock()
-		p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID}})
-		p.mu.Unlock()
-		p.node().Submit(wire.Request{
-			Client: q.Session, Seq: q.Seq, Op: op.Op, Key: op.Key, Val: op.Val,
-		})
-		return true
-	}
-	seq, ok := p.track(cc, pendingEntry{id: q.ID})
-	if !ok {
-		return false
-	}
-	p.node().Submit(wire.Request{
-		Client: cc.id, Seq: seq, Op: op.Op, Key: op.Key, Val: op.Val,
-	})
-	return true
-}
-
-// registerSession proposes a fresh replicated session and answers with
-// its 8-byte ID once the registration commits. Runs inside the machine
-// turn.
-func (p *ClientPort) registerSession(cc *clientConn, id uint64) {
-	p.admitRequest()
-	p.node().RegisterSession(func(session uint64, ok bool) {
-		if !ok {
-			// Could not commit here (stall / shutdown): retryable
-			// elsewhere, exactly like a draining rejection.
-			p.reject(cc, id, wire.CodeDraining, "cannot register session")
-			p.outstanding.Add(-1)
-			return
-		}
-		val := make([]byte, 8)
-		binary.LittleEndian.PutUint64(val, session)
-		cc.reply(&wire.ClientResponseV2{ID: id, Status: wire.ClientStatusOK,
-			Cycle: p.node().Committed(), Val: val})
-		p.outstanding.Add(-1)
-	})
-}
-
-// expireSession proposes reclaiming a session and acknowledges once the
-// expiry commits. Runs inside the machine turn.
-func (p *ClientPort) expireSession(cc *clientConn, id, session uint64) {
-	p.admitRequest()
-	p.node().ExpireSession(session, func(ok bool) {
-		if !ok {
-			p.reject(cc, id, wire.CodeDraining, "cannot expire session")
-			p.outstanding.Add(-1)
-			return
-		}
-		cc.reply(&wire.ClientResponseV2{ID: id, Status: wire.ClientStatusOK, Cycle: p.node().Committed()})
-		p.outstanding.Add(-1)
-	})
 }
 
 // maxMinCycleAhead bounds how far beyond the replica's committed cycle
@@ -383,141 +257,112 @@ func (p *ClientPort) expireSession(cc *clientConn, id, session uint64) {
 // attempt to park unbounded state server-side.
 const maxMinCycleAhead = 1 << 16
 
-// minCycleSane validates a deferred read's target cycle against the
-// bound.
-func (p *ClientPort) minCycleSane(minCycle uint64) bool {
-	return minCycle <= p.node().Committed()+maxMinCycleAhead
-}
-
-// trackedReadLocal runs one committed-state read with the outstanding /
-// deferred-read accounting shared by the single-op and batch paths.
-// complete runs with the port mutex NOT held, on the node's apply stage,
-// with the op's status, value and serving cycle (status Err means the read was
-// abandoned: node shutting down, crashed, or stalled below the awaited
-// cycle) and is responsible for the matching outstanding decrement.
-func (p *ClientPort) trackedReadLocal(key, minCycle uint64, complete func(status uint8, val []byte, cycle uint64)) {
+// submitOp is the one way an op enters the node, whatever shape it came
+// in: it admits the op into the in-flight count, and from then on
+// finishLocked answers it, exactly once. A non-linearizable read is
+// served from committed state and never starts a cycle. Everything else
+// enters consensus: under the replicated (session, seq) identity req
+// carries — a session mutation, whose retry the apply-path dedup table
+// recognizes — or else under the connection's. Runs inside the machine
+// turn.
+func (p *ClientPort) submitOp(e pendingEntry, req wire.Request, c wire.Consistency, minCycle uint64) {
 	p.admitRequest()
-	// Whether this read will park is the apply stage's decision; the
-	// committed watermark is the best (conservative) estimate,
-	// and the completion settles the account using the same flag.
-	deferred := minCycle > p.node().Committed()
-	if deferred {
-		p.deferredLocal.Add(1)
-	}
-	p.node().ReadLocal(key, minCycle, func(val []byte, cycle uint64, ok bool) {
-		status := wire.ClientStatusOK
-		switch {
-		case !ok:
-			status, val = wire.ClientStatusErr, []byte("unavailable")
-		case val == nil:
-			status = wire.ClientStatusNil
+	if req.Op == wire.OpRead && c != wire.Linearizable {
+		committed := p.node().Committed()
+		if minCycle > committed+maxMinCycleAhead {
+			p.mu.Lock()
+			p.finishLocked(e, req.Op, wire.CodeBadRequest, []byte("minCycle too far ahead"), 0)
+			p.mu.Unlock()
+			return
 		}
-		complete(status, val, cycle)
+		// Whether this read will park is the apply stage's decision; the
+		// committed watermark is the best (conservative) estimate, and the
+		// answer settles the account using the same flag.
+		deferred := minCycle > committed
 		if deferred {
-			p.deferredLocal.Add(-1)
+			p.deferredLocal.Add(1)
 		}
-	})
-}
-
-// localRead serves one non-linearizable single-op read from committed
-// state.
-func (p *ClientPort) localRead(cc *clientConn, id uint64, key, minCycle uint64) {
-	p.trackedReadLocal(key, minCycle, func(status uint8, val []byte, cycle uint64) {
-		resp := wire.ClientResponseV2{ID: id, Status: status, Cycle: cycle, Val: val}
-		if status == wire.ClientStatusErr {
-			// Abandoned: tell the client to go elsewhere (retryable).
-			resp.Code = wire.CodeDraining
-		}
-		cc.reply(&resp)
-		p.outstanding.Add(-1)
-	})
-}
-
-// submitBatch registers one multi-op frame: consensus sub-ops and
-// local reads complete independently into the shared aggregate, and the
-// response goes out when the last slot fills. In a session batch the
-// frame's mutating ops carry session seqs q.Seq, q.Seq+1, ... in frame
-// order (reads consume none), mirroring the client's assignment. Runs
-// inside the machine turn.
-func (p *ClientPort) submitBatch(cc *clientConn, q *wire.ClientRequestV2) {
-	agg := newBatchAgg(q.ID, len(q.Ops))
-	stalled := p.node().Stalled()
-	sessSeq := q.Seq
-	for i := range q.Ops {
-		op := &q.Ops[i]
-		if op.Op == wire.OpRead && q.Consistency != wire.Linearizable {
-			if !p.minCycleSane(q.MinCycle) {
-				p.admitRequest() // completeBatchOp undoes it
-				p.mu.Lock()
-				p.completeBatchOp(cc, agg, i, wire.ClientStatusErr, wire.CodeBadRequest, []byte("minCycle too far ahead"), 0)
-				p.mu.Unlock()
-				continue
+		p.node().ReadLocal(req.Key, minCycle, func(val []byte, cycle uint64, ok bool) {
+			code := wire.CodeNone
+			if !ok {
+				// Abandoned — node shutting down, crashed, or stalled
+				// below the awaited cycle: the client goes elsewhere.
+				code, val = wire.CodeDraining, []byte("unavailable")
 			}
-			idx := i
-			p.trackedReadLocal(op.Key, q.MinCycle, func(status uint8, val []byte, cycle uint64) {
-				code := wire.CodeNone
-				if status == wire.ClientStatusErr {
-					code = wire.CodeDraining
-				}
-				p.mu.Lock()
-				p.completeBatchOp(cc, agg, idx, status, code, val, cycle)
-				p.mu.Unlock()
-			})
-			continue
-		}
-		if stalled {
-			p.admitRequest() // completeBatchOp undoes it; keeps one accounting path
 			p.mu.Lock()
-			p.completeBatchOp(cc, agg, i, wire.ClientStatusErr, wire.CodeStalled, []byte("node stalled"), 0)
+			p.finishLocked(e, wire.OpRead, code, val, cycle)
 			p.mu.Unlock()
-			continue
-		}
-		if q.Session != 0 && op.Op.Mutates() {
-			seq := sessSeq
-			sessSeq++
-			p.mu.Lock()
-			p.putSessPendingLocked(sessKey{q.Session, seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID, agg: agg, idx: i}})
-			p.mu.Unlock()
-			p.node().Submit(wire.Request{
-				Client: q.Session, Seq: seq, Op: op.Op, Key: op.Key, Val: op.Val,
-			})
-			continue
-		}
-		seq, ok := p.track(cc, pendingEntry{id: q.ID, agg: agg, idx: i})
-		if !ok {
-			return // torn down concurrently; teardown retired the accounting
-		}
-		p.node().Submit(wire.Request{
-			Client: cc.id, Seq: seq, Op: op.Op, Key: op.Key, Val: op.Val,
+			if deferred {
+				p.deferredLocal.Add(-1)
+			}
 		})
+		return
+	}
+	p.mu.Lock()
+	code, reason := wire.CodeNone, ""
+	switch {
+	case p.node().Stalled():
+		code, reason = wire.CodeStalled, "node stalled"
+	case e.cc.pending == nil:
+		// Torn down concurrently (Abort; Stop, for SubmitLocal).
+		code, reason = wire.CodeDraining, "draining"
+	case req.Client != 0:
+		k := sessKey{req.Client, req.Seq}
+		if old, ok := p.sessPending[k]; ok {
+			// A retry looping back to this node before the first
+			// submission's connection was torn down: its client has
+			// given up on that connection.
+			p.finishLocked(old, req.Op, wire.CodeDraining, []byte("superseded by a retry"), 0)
+		}
+		p.sessPending[k] = e
+	default:
+		e.cc.seq++
+		req.Client, req.Seq = e.cc.id, e.cc.seq
+		e.cc.pending[req.Seq] = e
+	}
+	if code != wire.CodeNone {
+		p.finishLocked(e, req.Op, code, []byte(reason), 0)
+	}
+	p.mu.Unlock()
+	if code == wire.CodeNone {
+		p.node().Submit(req)
 	}
 }
 
-// submitTxn hands one parsed transaction frame to the node: the body
-// re-encodes into a fresh buffer (the parsed guards/ops alias the read
-// loop's arena, which dies with the group) and rides consensus as a
-// single wire.OpTxn request. With a session the replicated (session,
-// seq) identity makes the txn exactly-once across failover, like any
-// session mutation; without one it submits at-most-once under the
-// connection identity. Runs inside the machine turn.
-func (p *ClientPort) submitTxn(cc *clientConn, q *wire.ClientRequestV2) {
-	if p.node().Stalled() {
-		p.reject(cc, q.ID, wire.CodeStalled, "node stalled")
-		return
-	}
-	body := wire.AppendTxn(nil, &wire.Txn{Guards: q.TxnGuards, Ops: q.TxnOps})
-	if q.Session != 0 {
+// registerSession proposes a fresh replicated session and answers with
+// its 8-byte ID once the registration commits. Runs inside the machine
+// turn.
+func (p *ClientPort) registerSession(cc *clientConn, id uint64) {
+	e := pendingEntry{cc: cc, id: id}
+	p.admitRequest()
+	p.node().RegisterSession(func(session uint64, ok bool) {
 		p.mu.Lock()
-		p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID}})
-		p.mu.Unlock()
-		p.node().Submit(wire.Request{Client: q.Session, Seq: q.Seq, Op: wire.OpTxn, Val: body})
-		return
-	}
-	seq, ok := p.track(cc, pendingEntry{id: q.ID})
-	if !ok {
-		return // torn down concurrently
-	}
-	p.node().Submit(wire.Request{Client: cc.id, Seq: seq, Op: wire.OpTxn, Val: body})
+		defer p.mu.Unlock()
+		if !ok {
+			// Could not commit here (stall / shutdown): retryable
+			// elsewhere, exactly like a draining rejection.
+			p.finishLocked(e, wire.OpWrite, wire.CodeDraining, []byte("cannot register session"), 0)
+			return
+		}
+		p.finishLocked(e, wire.OpWrite, wire.CodeNone, binary.LittleEndian.AppendUint64(nil, session), p.node().Committed())
+	})
+}
+
+// expireSession proposes reclaiming a session and acknowledges once the
+// expiry commits. Runs inside the machine turn. Both session frames are
+// answered as a mutation is: an empty value is a plain OK.
+func (p *ClientPort) expireSession(cc *clientConn, id, session uint64) {
+	e := pendingEntry{cc: cc, id: id}
+	p.admitRequest()
+	p.node().ExpireSession(session, func(ok bool) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if !ok {
+			p.finishLocked(e, wire.OpWrite, wire.CodeDraining, []byte("cannot expire session"), 0)
+			return
+		}
+		p.finishLocked(e, wire.OpWrite, wire.CodeNone, nil, p.node().Committed())
+	})
 }
 
 // SubmitLocal injects one operation directly into the node — no socket,
@@ -532,17 +377,7 @@ func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(v
 		done(nil, false)
 		return
 	}
-	cc := p.loc
 	p.runner.Invoke(func() {
-		if p.node().Stalled() {
-			done(nil, false)
-			return
-		}
-		seq, ok := p.track(cc, pendingEntry{done: done})
-		if !ok {
-			done(nil, false)
-			return
-		}
-		p.node().Submit(wire.Request{Client: cc.id, Seq: seq, Op: op, Key: key, Val: val})
+		p.submitOp(pendingEntry{cc: p.loc, done: done}, wire.Request{Op: op, Key: key, Val: val}, wire.Linearizable, 0)
 	})
 }

@@ -25,11 +25,11 @@ const watchOutBudget = 1 << 20
 // carry into a failover.
 func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	if p.hub() == nil {
-		p.reject(cc, q.ID, wire.CodeBadRequest, "watches not enabled")
+		p.reject(cc, q, wire.CodeBadRequest, "watches not enabled")
 		return
 	}
 	if p.draining.Load() {
-		p.reject(cc, q.ID, wire.CodeDraining, "draining")
+		p.reject(cc, q, wire.CodeDraining, "draining")
 		return
 	}
 	p.mu.Lock()
@@ -51,7 +51,7 @@ func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	if err != nil {
 		// Resume point already evicted (or the replay itself overflowed):
 		// the feed cannot be gap-free. The client must re-read state.
-		p.reject(cc, q.ID, wire.CodeWatchOverflow, "watch resume point evicted")
+		p.reject(cc, q, wire.CodeWatchOverflow, "watch resume point evicted")
 		return
 	}
 	p.mu.Lock()
