@@ -51,7 +51,7 @@ type Durability struct {
 }
 
 // Status is the /status body: one node's operational snapshot. The
-// digests are the sharded store's rolling state/log digests rendered as
+// digests are the store's rolling state/log digests rendered as
 // fixed-width hex; two nodes whose Applied cycles match must have equal
 // digest strings.
 type Status struct {

@@ -5,7 +5,7 @@
 // super-leaf, a discrete-event datacenter/WAN network simulator, and
 // the EPaxos, Zab/ZooKeeper and ZKCanopus systems of the paper's
 // evaluation (internal/harness). Every replica runs one state machine,
-// the sharded key-value store, whose image a WAL snapshot holds and a
+// the key-value store, whose image a WAL snapshot holds and a
 // joiner installs.
 //
 // The root package is a thin facade: protocol types are aliases of the

@@ -39,7 +39,7 @@ func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := &gatedStore{Store: kvstore.NewSharded(1), gate: make(chan struct{})}
+	slow := &gatedStore{Store: kvstore.New(), gate: make(chan struct{})}
 	replies := 0
 	var nodes []*Node
 	for i := 0; i < 3; i++ {

@@ -226,13 +226,12 @@ type StateMachine interface {
 	// (never nil). The apply stage is its only writer.
 	Sessions() *kvstore.SessionTable
 	// Image returns the state's image — contents, key metadata, apply-log
-	// chains and session table — which a WAL snapshot holds and a sponsor
+	// chain and session table — which a WAL snapshot holds and a sponsor
 	// sends a joiner. It must not alias live state: later writes keep
 	// applying while it is sent.
 	Image() kvstore.Image
-	// RestoreImage replaces the state with an image; it refuses one whose
-	// shard count differs from the machine's.
-	RestoreImage(img kvstore.Image) error
+	// RestoreImage replaces the state with an image.
+	RestoreImage(img kvstore.Image)
 }
 
 // Callbacks connect a node to its surroundings. They are fixed when the

@@ -80,7 +80,7 @@ func (cycleSM) ModCycle(uint64) uint64                            { return 0 }
 func (cycleSM) ExpireOwned(uint64) []uint64                       { return nil }
 func (m cycleSM) Sessions() *kvstore.SessionTable                 { return m.sessions }
 func (cycleSM) Image() kvstore.Image                              { return kvstore.Image{} }
-func (cycleSM) RestoreImage(kvstore.Image) error                  { return nil }
+func (cycleSM) RestoreImage(kvstore.Image)                        {}
 
 // benchInterval is the cycle and tick interval of the deployment, the one
 // the repository's end-to-end benchmark (benchmark/) runs.

@@ -36,7 +36,7 @@ import (
 //            At the commit of the cycle before the seat, every node seats
 //            J (its leaf-mates seat it in their broadcast) and S sends
 //            JoinReply{StartCycle: X + MaxInFlight - 1} with its store
-//            image (shards and session table), which J installs through
+//            image (contents and session table), which J installs through
 //            RestoreImage.
 //            S sends it again each joinRetryInterval until it commits the
 //            seat's cycle: the transport may lose the frame, and the cycle
@@ -144,10 +144,7 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 		// with the stage, possibly still applying off the machine lock).
 		var img kvstore.Image
 		n.stage.call(func() { img = n.sm.Image() })
-		reply.Shards = make([][]byte, len(img.Shards))
-		for i := range img.Shards {
-			reply.Shards[i] = kvstore.AppendShard(nil, &img.Shards[i])
-		}
+		reply.Contents = kvstore.AppendContents(nil, &img.Contents)
 		reply.Sessions = kvstore.AppendSessions(nil, img.Sessions)
 	}
 	n.trace("join-reply", cyc, slog.Int("joiner", int(joiner)))
@@ -156,9 +153,9 @@ func (n *Node) sendJoinReply(joiner wire.NodeID, nonce, cyc uint64) {
 
 // onJoinReply installs the sponsor's state and resumes participation. A
 // reply it cannot install — the sponsor runs another MaxInFlight,
-// LeafTimeout or SessionIdleCycles, or its image does not fit this node's
-// store — halts the node: it stays out of the cluster, whose next failure
-// cut retires the seat it was given.
+// LeafTimeout or SessionIdleCycles, or its image does not decode — halts
+// the node: it stays out of the cluster, whose next failure cut retires
+// the seat it was given.
 func (n *Node) onJoinReply(m *wire.JoinReply) {
 	if !n.rejoin || n.stalled || m.Nonce != n.joinNonce {
 		return // a duplicate, a refused join, or the answer to an earlier process's request
@@ -201,7 +198,7 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 }
 
 // installJoinImage checks a reply's cluster-wide settings against this
-// node's and installs its image — shards and session table, so retried
+// node's and installs its image — contents and session table, so retried
 // mutations classify here exactly as on replicas that never crashed — on
 // the apply stage, which owns the store. The applied watermark reaches
 // StartCycle with the store; the install is not a committed cycle, so no
@@ -214,11 +211,8 @@ func (n *Node) installJoinImage(m *wire.JoinReply) error {
 	var img kvstore.Image
 	var err error
 	if n.sm != nil {
-		img.Shards = make([]kvstore.ShardState, len(m.Shards))
-		for i, b := range m.Shards {
-			if img.Shards[i], err = kvstore.DecodeShard(b, true); err != nil {
-				return fmt.Errorf("shard %d image: %w", i, err)
-			}
+		if img.Contents, err = kvstore.DecodeContents(m.Contents); err != nil {
+			return fmt.Errorf("contents image: %w", err)
 		}
 		if img.Sessions, err = kvstore.DecodeSessions(m.Sessions); err != nil {
 			return fmt.Errorf("session image: %w", err)
@@ -226,12 +220,10 @@ func (n *Node) installJoinImage(m *wire.JoinReply) error {
 	}
 	n.stage.call(func() {
 		if n.sm != nil {
-			if err = n.sm.RestoreImage(img); err != nil {
-				return
-			}
+			n.sm.RestoreImage(img)
 		}
 		n.applied.Store(m.StartCycle)
 		n.stage.serveParked()
 	})
-	return err
+	return nil
 }

@@ -256,20 +256,18 @@ func TestJoinerInstallsItsSponsorsImage(t *testing.T) {
 
 // TestJoinerWithOtherClusterSettingsStaysOut: a node restarts as a
 // joiner that cannot share its peers' state — it runs MaxInFlight 8 where
-// they run the default 4, SessionIdleCycles 64 where they run the default
-// 4096, or its store has two shards where theirs has one. It must refuse its sponsor's reply, say why at Error level and take
-// no part; the cluster cuts the seat it was given, and a later joiner with
-// the cluster's settings is admitted and every write commits.
+// they run the default 4, or SessionIdleCycles 64 where they run the
+// default 4096. It must refuse its sponsor's reply, say why at Error level
+// and take no part; the cluster cuts the seat it was given, and a later
+// joiner with the cluster's settings is admitted and every write commits.
 func TestJoinerWithOtherClusterSettingsStaysOut(t *testing.T) {
 	for _, tt := range []struct {
-		name   string
-		cfg    Config
-		shards int
-		says   []string
+		name string
+		cfg  Config
+		says []string
 	}{
-		{"max-in-flight", Config{MaxInFlight: 8}, 1, []string{"max_in_flight=8", "sponsor_max_in_flight=4"}},
-		{"session-idle-cycles", Config{SessionIdleCycles: 64}, 1, []string{"session_idle_cycles=64", "sponsor_session_idle_cycles=4096"}},
-		{"shard-count", Config{}, 2, []string{"image has 1 shards, store has 2"}},
+		{"max-in-flight", Config{MaxInFlight: 8}, []string{"max_in_flight=8", "sponsor_max_in_flight=4"}},
+		{"session-idle-cycles", Config{SessionIdleCycles: 64}, []string{"session_idle_cycles=64", "sponsor_session_idle_cycles=4096"}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3})
@@ -279,7 +277,7 @@ func TestJoinerWithOtherClusterSettingsStaysOut(t *testing.T) {
 			tc.sim.At(500*time.Millisecond, func() {
 				cfg := tt.cfg
 				cfg.Tree, cfg.Self = tc.tree, 5
-				st := kvstore.NewShardedLogged(tt.shards)
+				st := kvstore.NewLogged()
 				log := slog.New(slog.NewTextHandler(&refusal, &slog.HandlerOptions{Level: slog.LevelError}))
 				joiner := NewJoiner(cfg, st, Callbacks{Log: log})
 				tc.nodes[5], tc.stores[5] = joiner, st

@@ -874,6 +874,10 @@ func (n *Node) Started() uint64 { return n.started }
 // Stalled reports whether the node has halted (§6 stall semantics).
 func (n *Node) Stalled() bool { return n.stalled }
 
+// Joining reports whether the node is a joiner still waiting for its
+// sponsor's state: like a stalled node, it drops what Submit hands it.
+func (n *Node) Joining() bool { return n.rejoin }
+
 // StallSuspected reports the liveness detector's verdict: true while
 // the node has made no commit progress past Config.StallThreshold (the
 // minority side of a partition), or has hard-halted (§6 stall or

@@ -15,7 +15,7 @@ import (
 // resolved); after a full-cluster power loss each node rebuilds from its
 // own disk instead of the join protocol's state transfer:
 //
-//  1. The wal manager restores the state machine — shards and session
+//  1. The wal manager restores the state machine — contents and session
 //     table, one image — from the latest snapshot and calls RestoreState
 //     with the snapshot's cycle.
 //  2. It replays the WAL tail through ReplayCommit, one committed root

@@ -25,7 +25,7 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 	}
 	for _, driver := range []string{"inline", "goroutine"} {
 		t.Run(driver, func(t *testing.T) {
-			n := NewNode(Config{Tree: tree, Self: 0}, kvstore.NewSharded(4), Callbacks{})
+			n := NewNode(Config{Tree: tree, Self: 0}, kvstore.New(), Callbacks{})
 			defer n.Close()
 			if driver == "goroutine" {
 				GoStage(n)

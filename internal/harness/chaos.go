@@ -154,7 +154,7 @@ type ChaosResult struct {
 	// Replicas is each replica's final commit position and digests
 	// (after the drain window). Replicas at the same committed cycle
 	// must agree on every digest — the replica-equality invariant the
-	// sharded store has to preserve.
+	// store has to preserve.
 	Replicas []ReplicaState
 }
 

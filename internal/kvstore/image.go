@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"canopus/internal/wire"
 )
@@ -13,36 +14,86 @@ import (
 // JoinReply carries the same payloads to a joiner, so a rejoined replica
 // and a recovered one install byte-identical state:
 //
-//	shard:    [u64 logLen][u64 logDigest][u32 numKeys]
+//	contents: [u64 logLen][u64 logDigest][u32 numKeys]
 //	          numKeys × [u64 key][u32 valLen][val][u64 modCycle][u64 owner]
-//	          (keys sorted; the version-1 layout omits modCycle/owner)
+//	          (keys sorted)
 //	sessions: [u32 count] count × [u64 id][u64 low][u64 lastActive][u32 n]
 //	          n × [u64 seq][u32 valLen or nilLen][val]
 //
 // Decoding arbitrary input yields an error, never a panic or an
 // allocation larger than the input can back.
 
-// Image is the store's whole replicated state: every shard's image and
-// the session table. A WAL snapshot and a JoinReply carry it.
+// Image is the store's whole replicated state: its contents and the
+// session table. A WAL snapshot and a JoinReply carry it.
 type Image struct {
-	Shards   []ShardState
+	Contents Contents
 	Sessions []wire.SessionState
 }
 
-// Image renders the store's image; it stays valid while later writes
-// apply.
-func (s *Store) Image() Image {
-	return Image{Shards: s.SnapshotShards(), Sessions: s.sessions.Snapshot()}
+// Contents is the store's key-value image: the order-sensitive commit
+// log plus every key in sorted order. AppendContents encodes it for a WAL
+// snapshot's contents section and for a JoinReply.
+type Contents struct {
+	LogLen    uint64
+	LogDigest uint64
+	Keys      []uint64
+	Vals      [][]byte
+	// Cycles and Owners align with Keys: each key's last-modified commit
+	// cycle and owning session.
+	Cycles []uint64
+	Owners []uint64
 }
 
-// RestoreImage replaces the store's contents and session table with an
-// image. Nothing changes when the shard count differs from the store's.
-func (s *Store) RestoreImage(img Image) error {
-	if err := s.RestoreShards(img.Shards); err != nil {
-		return err
-	}
+// Image renders the store's image, values copied: it stays valid while
+// later writes apply.
+func (s *Store) Image() Image {
+	return Image{Contents: s.contents(), Sessions: s.sessions.Snapshot()}
+}
+
+// RestoreImage replaces the store's contents, metadata, log chain and
+// session table with an image.
+func (s *Store) RestoreImage(img Image) {
+	s.restoreContents(&img.Contents)
 	s.sessions.Restore(img.Sessions)
-	return nil
+}
+
+func (s *Store) contents() Contents {
+	keys, valBytes := s.sortedKeys()
+	c := Contents{LogLen: s.logLen, LogDigest: s.logDigest, Keys: keys}
+	c.Vals = make([][]byte, len(c.Keys))
+	c.Cycles = make([]uint64, len(c.Keys))
+	c.Owners = make([]uint64, len(c.Keys))
+	arena := make([]byte, 0, valBytes)
+	for j, k := range c.Keys {
+		v := s.data[k]
+		arena = append(arena, v...)
+		c.Vals[j] = arena[len(arena)-len(v):]
+		m := s.meta[k]
+		c.Cycles[j], c.Owners[j] = m.cycle, m.owner
+	}
+	return c
+}
+
+func (s *Store) restoreContents(c *Contents) {
+	s.data = make(map[uint64][]byte, len(c.Keys))
+	s.meta, s.owned = nil, nil
+	for j, k := range c.Keys {
+		v := make([]byte, len(c.Vals[j]))
+		copy(v, c.Vals[j])
+		s.data[k] = v
+		m := keyMeta{cycle: c.Cycles[j], owner: c.Owners[j]}
+		if m == (keyMeta{}) {
+			continue
+		}
+		if s.meta == nil {
+			s.meta = make(map[uint64]keyMeta, len(c.Keys))
+		}
+		s.meta[k] = m
+		if m.owner != 0 {
+			s.attachOwner(m.owner, k)
+		}
+	}
+	s.logLen, s.logDigest = c.LogLen, c.LogDigest
 }
 
 // nilLen marks a nil cached reply, which is distinct from an empty one.
@@ -50,56 +101,45 @@ const nilLen = ^uint32(0)
 
 var errTruncated = errors.New("truncated")
 
-// AppendShard appends st's image to dst. A key without metadata (Cycles
-// or Owners shorter than Keys) is written with zeros.
-func AppendShard(dst []byte, st *ShardState) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, st.LogLen)
-	dst = binary.LittleEndian.AppendUint64(dst, st.LogDigest)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Keys)))
-	for j, k := range st.Keys {
+// AppendContents appends c's image to dst, growing dst once: the image
+// of a whole store runs to megabytes.
+func AppendContents(dst []byte, c *Contents) []byte {
+	n := 20 + 28*len(c.Keys)
+	for _, v := range c.Vals {
+		n += len(v)
+	}
+	dst = slices.Grow(dst, n)
+	dst = binary.LittleEndian.AppendUint64(dst, c.LogLen)
+	dst = binary.LittleEndian.AppendUint64(dst, c.LogDigest)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Keys)))
+	for j, k := range c.Keys {
 		dst = binary.LittleEndian.AppendUint64(dst, k)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Vals[j])))
-		dst = append(dst, st.Vals[j]...)
-		var cycle, owner uint64
-		if j < len(st.Cycles) {
-			cycle = st.Cycles[j]
-		}
-		if j < len(st.Owners) {
-			owner = st.Owners[j]
-		}
-		dst = binary.LittleEndian.AppendUint64(dst, cycle)
-		dst = binary.LittleEndian.AppendUint64(dst, owner)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Vals[j])))
+		dst = append(dst, c.Vals[j]...)
+		dst = binary.LittleEndian.AppendUint64(dst, c.Cycles[j])
+		dst = binary.LittleEndian.AppendUint64(dst, c.Owners[j])
 	}
 	return dst
 }
 
-// DecodeShard parses one AppendShard image; without meta it reads the
-// version-1 layout, whose keys decode with zero metadata. Values alias b.
-func DecodeShard(b []byte, meta bool) (ShardState, error) {
+// DecodeContents parses one AppendContents image. Values alias b.
+func DecodeContents(b []byte) (Contents, error) {
 	r := imageReader{b: b}
-	var st ShardState
-	st.LogLen = r.u64()
-	st.LogDigest = r.u64()
-	perKey := 12
-	if meta {
-		perKey = 28 // key + len + modCycle + owner
-	}
-	n := r.count(perKey)
-	st.Keys = make([]uint64, n)
-	st.Vals = make([][]byte, n)
-	// Allocated for version 1 too (left zero), so a decoded image
-	// re-encodes to an equal image whatever its source version.
-	st.Cycles = make([]uint64, n)
-	st.Owners = make([]uint64, n)
+	var c Contents
+	c.LogLen = r.u64()
+	c.LogDigest = r.u64()
+	n := r.count(28) // key + len + modCycle + owner
+	c.Keys = make([]uint64, n)
+	c.Vals = make([][]byte, n)
+	c.Cycles = make([]uint64, n)
+	c.Owners = make([]uint64, n)
 	for j := 0; j < n && r.err == nil; j++ {
-		st.Keys[j] = r.u64()
-		st.Vals[j] = r.take(int(r.u32()))
-		if meta {
-			st.Cycles[j] = r.u64()
-			st.Owners[j] = r.u64()
-		}
+		c.Keys[j] = r.u64()
+		c.Vals[j] = r.take(int(r.u32()))
+		c.Cycles[j] = r.u64()
+		c.Owners[j] = r.u64()
 	}
-	return st, r.done()
+	return c, r.done()
 }
 
 // AppendSessions appends the session table's image (SessionTable.Snapshot)

@@ -68,31 +68,25 @@ func TestStateDigestOrderInsensitive(t *testing.T) {
 // slices, so a write after it was taken could rewrite the bytes of an
 // in-flight state transfer. The image must be immutable once taken.
 func TestSnapshotDoesNotAliasLiveValues(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := NewSharded(shards)
-		s.ApplyWrite(w(1, "old-one"))
-		s.ApplyWrite(w(2, "old-two"))
-		img := s.SnapshotShards()
-		s.ApplyWrite(w(1, "NEW-ONE"))
-		s.ApplyWrite(&wire.Request{Op: wire.OpDelete, Key: 2})
-		got := map[uint64]string{}
-		for i := range img {
-			for j, k := range img[i].Keys {
-				got[k] = string(img[i].Vals[j])
-			}
-		}
-		if got[1] != "old-one" || got[2] != "old-two" {
-			t.Fatalf("shards=%d: image mutated by later writes: %v", shards, got)
-		}
+	s := New()
+	s.ApplyWrite(w(1, "old-one"))
+	s.ApplyWrite(w(2, "old-two"))
+	img := s.Image().Contents
+	s.ApplyWrite(w(1, "NEW-ONE"))
+	s.ApplyWrite(&wire.Request{Op: wire.OpDelete, Key: 2})
+	got := map[uint64]string{}
+	for j, k := range img.Keys {
+		got[k] = string(img.Vals[j])
+	}
+	if got[1] != "old-one" || got[2] != "old-two" {
+		t.Fatalf("image mutated by later writes: %v", got)
 	}
 }
 
-// TestShardedReplicaDeterminism pins the replica-equality contract of
-// the sharded store: replicas with equal shard counts applying the same
-// write sequence agree on LogLen/LogDigest/StateDigest; reordering
-// writes within one shard changes the log digest; and StateDigest is
-// shard-count independent.
-func TestShardedReplicaDeterminism(t *testing.T) {
+// TestReplicaDeterminism pins the replica-equality contract: replicas
+// applying the same write sequence agree on LogLen/LogDigest/StateDigest,
+// and swapping two writes to one key changes the log digest.
+func TestReplicaDeterminism(t *testing.T) {
 	seq := make([]*wire.Request, 0, 512)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 512; i++ {
@@ -103,32 +97,17 @@ func TestShardedReplicaDeterminism(t *testing.T) {
 		}
 		seq = append(seq, w(k, string(rune('a'+i%26))+"v"))
 	}
-	build := func(shards int) *Store {
-		s := NewShardedLogged(shards)
+	build := func(seq []*wire.Request) *Store {
+		s := NewLogged()
 		for _, req := range seq {
 			s.ApplyWrite(req)
 		}
 		return s
 	}
-	flat := build(1)
-	for _, shards := range []int{2, 4, 8} {
-		a, b := build(shards), build(shards)
-		if a.NumShards() != shards {
-			t.Fatalf("NumShards = %d, want %d", a.NumShards(), shards)
-		}
-		if a.LogDigest() != b.LogDigest() || a.LogLen() != b.LogLen() || a.StateDigest() != b.StateDigest() {
-			t.Fatalf("shards=%d: identical sequences disagree", shards)
-		}
-		if a.StateDigest() != flat.StateDigest() {
-			t.Fatalf("shards=%d: StateDigest depends on shard count", shards)
-		}
-		if a.LogLen() != flat.LogLen() {
-			t.Fatalf("shards=%d: LogLen depends on shard count", shards)
-		}
+	a, b := build(seq), build(seq)
+	if a.LogDigest() != b.LogDigest() || a.LogLen() != b.LogLen() || a.StateDigest() != b.StateDigest() {
+		t.Fatal("identical sequences disagree")
 	}
-	// In-shard reorder: swap two writes to the same key (same shard by
-	// construction) — the combined digest must notice.
-	reordered := NewShardedLogged(4)
 	swapped := append([]*wire.Request(nil), seq...)
 	var i, j = -1, -1
 	for x := 0; x < len(swapped) && j < 0; x++ {
@@ -147,38 +126,17 @@ func TestShardedReplicaDeterminism(t *testing.T) {
 		t.Fatal("test sequence has no same-key write pair")
 	}
 	swapped[i], swapped[j] = swapped[j], swapped[i]
-	for _, req := range swapped {
-		reordered.ApplyWrite(req)
-	}
-	if reordered.LogDigest() == build(4).LogDigest() {
-		t.Fatal("in-shard reorder not reflected in the combined log digest")
-	}
-}
-
-// TestShardOfStable pins that shard routing is a pure function of the
-// key and the shard count rounds up to a power of two.
-func TestShardOfStable(t *testing.T) {
-	s := NewSharded(5) // rounds to 8
-	if s.NumShards() != 8 {
-		t.Fatalf("NumShards = %d, want 8", s.NumShards())
-	}
-	for k := uint64(0); k < 1000; k++ {
-		sh := s.ShardOf(k)
-		if sh < 0 || sh >= 8 {
-			t.Fatalf("ShardOf(%d) = %d out of range", k, sh)
-		}
-		if s.ShardOf(k) != sh {
-			t.Fatalf("ShardOf(%d) unstable", k)
-		}
+	if build(swapped).LogDigest() == a.LogDigest() {
+		t.Fatal("a same-key reorder is not reflected in the log digest")
 	}
 }
 
 // Property: a store's image, through its encoding, rebuilds a store with
-// the same contents and the same apply-log chains, for any write
+// the same contents, key metadata and apply-log chain, for any write
 // sequence.
 func TestQuickSnapshotRebuild(t *testing.T) {
 	f := func(keys []uint64, vals []uint16) bool {
-		s := NewShardedLogged(4)
+		s := NewLogged()
 		for i, k := range keys {
 			v := "v"
 			if i < len(vals) {
@@ -186,18 +144,14 @@ func TestQuickSnapshotRebuild(t *testing.T) {
 			}
 			s.ApplyWriteAt(w(k%32, v), uint64(i+1), k%3)
 		}
-		img := s.SnapshotShards()
-		for i := range img {
-			st, err := DecodeShard(AppendShard(nil, &img[i]), true)
-			if err != nil || !reflect.DeepEqual(st, img[i]) {
-				return false
-			}
-			img[i] = st
-		}
-		r := NewShardedLogged(4)
-		if err := r.RestoreShards(img); err != nil {
+		img := s.Image()
+		c, err := DecodeContents(AppendContents(nil, &img.Contents))
+		if err != nil || !reflect.DeepEqual(c, img.Contents) {
 			return false
 		}
+		img.Contents = c
+		r := NewLogged()
+		r.RestoreImage(img)
 		for _, k := range keys {
 			if r.ModCycle(k%32) != s.ModCycle(k%32) || r.OwnerOf(k%32) != s.OwnerOf(k%32) {
 				return false

@@ -51,7 +51,7 @@ type sessionEntry struct {
 // registrations, expiries (explicit and idle) and the classification of
 // each mutation all happen as the committed total order applies, so every
 // replica holds an identical table (the same invariant as the store's
-// contents). A store image carries it beside the shards. The mutex lets
+// contents). A store image carries it beside the contents. The mutex lets
 // the machine turn ask Has while the stage writes.
 type SessionTable struct {
 	mu       sync.Mutex

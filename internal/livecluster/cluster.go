@@ -34,7 +34,7 @@ type Config struct {
 	// Seed randomizes proposal numbers per node.
 	Seed int64
 	// LoggedStores gives every node an apply-order-logging store
-	// (kvstore.NewShardedLogged) so tests can assert replica equality and
+	// (kvstore.NewLogged) so tests can assert replica equality and
 	// exactly-once application; off by default — the digest costs a hash
 	// per mutation on the benchmarked hot path.
 	LoggedStores bool

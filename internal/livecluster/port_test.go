@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"canopus/internal/core"
+	"canopus/internal/lot"
+	"canopus/internal/transport"
 	"canopus/internal/wire"
 )
 
@@ -242,8 +245,8 @@ func TestWatchOrderedBetweenOps(t *testing.T) {
 // replicated table does not know, and a draining port. Each row sends one
 // frame over a raw v3 socket and compares the exact status, code and value
 // of the answer, and whether it carries a commit cycle (rejections made
-// before the node is asked carry none). The stall rule is not covered: no
-// live test here halts a node cheaply.
+// before the node is asked carry none). The stall rule is covered by its
+// joiner arm only: no live test here halts a node cheaply.
 func TestPortAnswers(t *testing.T) {
 	c := startCluster(t, 3)
 	defer c.Stop(5 * time.Second)
@@ -403,4 +406,56 @@ func TestPortAnswers(t *testing.T) {
 	if n := p.Outstanding(); n != 0 {
 		t.Errorf("%d requests still counted in flight after every answer", n)
 	}
+
+	// A joiner whose sponsor never answers would drop what it is handed:
+	// its port refuses a write as stalled, so the client goes elsewhere at
+	// once instead of waiting out its timeout.
+	jp := bootSilentJoiner(t)
+	jc := dialRaw(t, jp.Addr())
+	jc.send(t, single(1, wire.OpWrite, 1, "x"))
+	if resp := jc.next(t); resp.Status != wire.ClientStatusErr || resp.Code != wire.CodeStalled ||
+		string(resp.Val) != "node joining" || resp.Cycle != 0 {
+		t.Errorf("joiner: answered %d/%d/%q cycle %d, want %d/%d/%q and no cycle",
+			resp.Status, resp.Code, resp.Val, resp.Cycle, wire.ClientStatusErr, wire.CodeStalled, "node joining")
+	}
+	if n := jp.Outstanding(); n != 0 {
+		t.Errorf("joiner: %d requests still counted in flight", n)
+	}
+}
+
+// bootSilentJoiner starts node 0 of a two-node super-leaf as a joiner
+// with a client port. Node 1, its only possible sponsor, is a listener
+// that never reads, so the join never completes.
+func bootSilentJoiner(t *testing.T) *ClientPort {
+	t.Helper()
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
+	peers := map[wire.NodeID]string{1: silent.Addr().String()}
+	runner, err := transport.NewRunner(0, "127.0.0.1:0", peers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Logf = func(string, ...interface{}) {}
+	peers[0] = runner.Addr().String()
+	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Boot(ReplicaConfig{Runner: runner, Node: core.Config{Tree: tree}, Join: true, ClientAddr: "127.0.0.1:0"})
+	if err != nil {
+		runner.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		r.Port().Abort()
+		runner.Close() // before r.Close: no machine turn may reach a closed node
+		r.Close()
+	})
+	runner.Attach(r.Node())
+	go runner.Serve(nil)
+	r.Start()
+	return r.Port()
 }

@@ -35,7 +35,7 @@ type ReplicaConfig struct {
 	// SnapshotCycles is the snapshot cadence (wal.Options.SnapshotCycles).
 	SnapshotCycles int
 	// LoggedStore gives the replica an apply-order-logging store
-	// (kvstore.NewShardedLogged; Config.LoggedStores).
+	// (kvstore.NewLogged; Config.LoggedStores).
 	LoggedStore bool
 	// ClientAddr is the client port's listen address; "" runs without one.
 	ClientAddr string
@@ -68,11 +68,6 @@ type Replica struct {
 	store *kvstore.Store
 	hub   *events.Hub
 }
-
-// storeShards is the partition count of every live replica's kvstore. A
-// constant: the snapshot format records it, and a data directory whose
-// snapshot was written with another count is refused at recovery.
-const storeShards = 8
 
 // Boot builds a replica in one fixed order: store and WAL, client port,
 // event hub, node, metrics, admin gateway, recovery; then it binds the
@@ -166,9 +161,9 @@ func (r *Replica) boot() (err error) {
 // newStore builds one replica's empty store.
 func newStore(logged bool) *kvstore.Store {
 	if logged {
-		return kvstore.NewShardedLogged(storeShards)
+		return kvstore.NewLogged()
 	}
-	return kvstore.NewSharded(storeShards)
+	return kvstore.New()
 }
 
 // newNode builds the protocol node (a joiner when join) over st. The hub

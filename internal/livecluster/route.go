@@ -303,6 +303,9 @@ func (p *ClientPort) submitOp(e pendingEntry, req wire.Request, c wire.Consisten
 	switch {
 	case p.node().Stalled():
 		code, reason = wire.CodeStalled, "node stalled"
+	case p.node().Joining():
+		// Submit would drop it, and the client would wait out its timeout.
+		code, reason = wire.CodeStalled, "node joining"
 	case e.cc.pending == nil:
 		// Torn down concurrently (Abort; Stop, for SubmitLocal).
 		code, reason = wire.CodeDraining, "draining"

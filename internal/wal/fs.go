@@ -1,7 +1,7 @@
 // Package wal is the per-node durability subsystem: a group-commit
 // write-ahead log of committed cycles, periodic checksummed snapshots of
-// the sharded state machine, and the crash-restart recovery path that
-// rebuilds a node from both. The Manager implements core.Durable, so the
+// the state machine, and the crash-restart recovery path that rebuilds a
+// node from both. The Manager implements core.Durable, so the
 // commit pipeline feeds it committed roots and fsync cadence directly
 // (see internal/core/stage.go); everything is keyed to the consensus
 // cycle number, the one watermark all of this shares with the protocol.

@@ -47,7 +47,7 @@ func fuzzSegment(tb testing.TB, n int) []byte {
 // fuzzSnapshot builds a valid snapshot container as seed input.
 func fuzzSnapshot(tb testing.TB) []byte {
 	tb.Helper()
-	st := kvstore.NewShardedLogged(2)
+	st := kvstore.NewLogged()
 	for i := uint64(0); i < 16; i++ {
 		req := wire.Request{Client: 1, Seq: i + 1, Op: wire.OpWrite, Key: i, Val: []byte("snap-seed")}
 		st.ApplyWrite(&req)
@@ -57,7 +57,7 @@ func fuzzSnapshot(tb testing.TB) []byte {
 			Applied: []wire.SessionReply{{Seq: 2, Val: []byte("ok")}, {Seq: 3}}},
 	}
 	fs := NewMemFS()
-	if err := writeSnapshot(fs, 16, st.SnapshotShards(), sessions, st.StateDigest(), st.LogDigest()); err != nil {
+	if err := writeSnapshot(fs, 16, withSessions(st, sessions), st.StateDigest(), st.LogDigest()); err != nil {
 		tb.Fatal(err)
 	}
 	f, err := fs.Open(snapName(16))
@@ -114,7 +114,9 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder:
-// never panic, reject corruption with ErrCorrupt, and any accepted image
+// never panic, refuse a version-1 or version-2 header with
+// ErrSnapshotVersion and anything else undecodable with ErrCorrupt, and
+// any accepted image
 // must re-encode to a container that decodes back to the same image
 // (round-trip fixed point — what recovery relies on when it re-snapshots
 // restored state).
@@ -129,17 +131,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped[len(flipped)-5] ^= 0x80
 	f.Add(flipped)
 	f.Add(bytes.Repeat([]byte{0x00}, 128))
+	v2 := append([]byte(nil), snap...)
+	v2[4] = 2 // the version field
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := DecodeSnapshot(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("decode error wraps neither ErrCorrupt nor ErrSnapshotVersion: %v", err)
 			}
 			return
 		}
 		fs := NewMemFS()
-		if err := writeSnapshot(fs, img.Cycle, img.Shards, img.Sessions, img.StateDigest, img.LogDigest); err != nil {
+		if err := writeSnapshot(fs, img.Cycle, &img.Image, img.StateDigest, img.LogDigest); err != nil {
 			t.Fatalf("re-encoding an accepted snapshot failed: %v", err)
 		}
 		fl, err := fs.Open(snapName(img.Cycle))

@@ -7,18 +7,17 @@ import (
 	"reflect"
 	"testing"
 
-	"canopus/internal/core"
 	"canopus/internal/kvstore"
 	"canopus/internal/wire"
 )
 
 // goldenCycle and goldenImage fix the snapshot testdata/golden.snap holds:
-// four shards of keys with and without metadata, an empty value, a deleted
-// key, and sessions whose cached replies are nil, empty and non-empty.
+// keys with and without metadata, an empty value, a deleted key, and
+// sessions whose cached replies are nil, empty and non-empty.
 const goldenCycle = 77
 
 func goldenImage() (*kvstore.Store, []wire.SessionState) {
-	st := kvstore.NewShardedLogged(4)
+	st := kvstore.NewLogged()
 	owner := wire.SessionIDBit | 5
 	for i := uint64(0); i < 24; i++ {
 		req := w(i%3+1, i+1, i*7, fmt.Sprintf("golden-%d", i))
@@ -43,10 +42,9 @@ func goldenImage() (*kvstore.Store, []wire.SessionState) {
 }
 
 // TestSnapshotBytesUnchanged pins the snapshot file format: the golden
-// image encodes to the bytes testdata/golden.snap holds, which the
-// writer produced before the shard and session encoders moved to
-// kvstore, and that file recovers to the image's digests, log chain,
-// key metadata and session table.
+// image encodes to the bytes testdata/golden.snap holds (version 3), and
+// that file recovers to the image's digests, log chain, key metadata and
+// session table.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	want, err := os.ReadFile("testdata/golden.snap")
 	if err != nil {
@@ -54,29 +52,14 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 	}
 	st, sessions := goldenImage()
 	fs := NewMemFS()
-	if err := writeSnapshot(fs, goldenCycle, st.SnapshotShards(), sessions, st.StateDigest(), st.LogDigest()); err != nil {
+	if err := writeSnapshot(fs, goldenCycle, withSessions(st, sessions), st.StateDigest(), st.LogDigest()); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, fs, snapName(goldenCycle)); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot encodes to %d bytes that differ from the %d golden ones", len(got), len(want))
 	}
 
-	disk := NewMemFS()
-	f, err := disk.Create(snapName(goldenCycle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(want); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	st2 := kvstore.NewShardedLogged(4)
-	mgr, err := Open(Options{FS: disk, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := core.NewNode(core.Config{Tree: testTree(t), Self: 0}, st2, core.Callbacks{})
-	info, err := mgr.Recover(node)
+	st2, node, info, err := recoverSnapshot(t, goldenCycle, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,4 +78,17 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 	if got := node.Sessions().Snapshot(); !reflect.DeepEqual(got, sessions) {
 		t.Fatalf("recovered sessions %+v, want %+v", got, sessions)
 	}
+}
+
+// TestRecoverRefusesV2Snapshot: testdata/golden-v2.snap is the golden
+// image as the previous release wrote it (version 2, four shard
+// sections). Recovery returns ErrSnapshotVersion for it and installs
+// nothing.
+func TestRecoverRefusesV2Snapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/golden-v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, node, info, err := recoverSnapshot(t, goldenCycle, data)
+	requireVersionRefused(t, 2, st, node, info, err)
 }

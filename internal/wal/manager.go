@@ -134,14 +134,14 @@ func (m *Manager) shouldSnapshot() bool {
 	return m.snapEvery > 0 && m.appended-m.snapCycle >= uint64(m.snapEvery)
 }
 
-// snapshot publishes the store's image — shards and session table, read
+// snapshot publishes the store's image — contents and session table, read
 // on the apply stage, which has applied exactly the appended cycles — at
 // the appended watermark and drops log segments (and older snapshots) the
 // new baseline supersedes.
 func (m *Manager) snapshot() error {
 	cycle := m.appended
 	img := m.store.Image()
-	err := writeSnapshot(m.fs, cycle, img.Shards, img.Sessions, m.store.StateDigest(), m.store.LogDigest())
+	err := writeSnapshot(m.fs, cycle, &img, m.store.StateDigest(), m.store.LogDigest())
 	if err != nil {
 		return err
 	}
@@ -278,7 +278,9 @@ var errGap = errors.New("wal: cycle gap in log")
 // WAL tail through core.Node.ReplayCommit, hand the records the snapshot
 // covers to core.Node.RetainRoot for peers' root catch-up, and leave the
 // log positioned to append into a fresh segment. Must run before n.Init and before any
-// appends. An empty directory is a clean first boot: nothing happens.
+// appends. An empty directory is a clean first boot: nothing happens. A
+// snapshot in a layout this release no longer reads stops recovery with
+// an error wrapping ErrSnapshotVersion, before anything is installed.
 func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	names, err := m.fs.List()
@@ -304,16 +306,13 @@ func (m *Manager) Recover(n *core.Node) (RecoveryInfo, error) {
 			continue
 		}
 		snap, err := DecodeSnapshot(data)
+		if errors.Is(err, ErrSnapshotVersion) {
+			return info, fmt.Errorf("%s: %w", snapName(snaps[i]), err)
+		}
 		if err != nil {
 			continue
 		}
-		if len(snap.Shards) != m.store.NumShards() {
-			return info, fmt.Errorf("wal: snapshot has %d shards, store configured with %d (shard count must be stable per data dir)",
-				len(snap.Shards), m.store.NumShards())
-		}
-		if err := m.store.RestoreImage(snap.Image); err != nil {
-			return info, err
-		}
+		m.store.RestoreImage(snap.Image)
 		if got := m.store.StateDigest(); got != snap.StateDigest {
 			return info, fmt.Errorf("%w: snapshot state digest mismatch (got %x want %x)", ErrCorrupt, got, snap.StateDigest)
 		}

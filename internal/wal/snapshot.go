@@ -2,42 +2,48 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strconv"
 	"strings"
 
 	"canopus/internal/kvstore"
-	"canopus/internal/wire"
 )
 
 // Snapshot container format (versioned, length-prefixed, checksummed):
 //
-//	[u32 magic "CSNP"][u32 version][u64 cycle][u32 numShards]
-//	numShards × shard section
+//	[u32 magic "CSNP"][u32 version][u64 cycle]
+//	contents section
 //	session section
 //	digest trailer section
 //
 // Every section is [u32 payloadLen][u32 crc32c][payload], independently
-// checksummed so the writer appends the container incrementally — one
-// shard at a time, straight off kvstore.Store.Image — without buffering
-// the whole encoded image. The shard and session payloads are the
-// store's image (kvstore.AppendShard, kvstore.AppendSessions: version 1
-// shards omit the key metadata), the same bytes a JoinReply carries; the
-// trailer is [u64 stateDigest][u64 logDigest].
+// checksummed. The contents and session payloads are the store's image
+// (kvstore.AppendContents, kvstore.AppendSessions), the same bytes a
+// JoinReply carries; the trailer is [u64 stateDigest][u64 logDigest].
 //
 // The trailer digests are recomputed from the restored store at load
 // time; a mismatch fails recovery rather than resurrecting a replica
 // that silently disagrees with its peers.
+//
+// Versions 1 and 2 split the contents into per-shard sections; they are
+// refused with ErrSnapshotVersion, not read.
 
 const (
 	snapMagic      uint32 = 0x504E5343 // "CSNP"
-	snapVersion    uint32 = 2          // writes v2; v1 images (no key metadata) still load
+	snapVersion    uint32 = 3
 	snapHeaderSize        = 16
 	snapPrefix            = "snap-"
 	snapSuffix            = ".snap"
 	snapTmpSuffix         = ".tmp"
 )
+
+// ErrSnapshotVersion reports a snapshot written by an older release in a
+// layout this one no longer reads. Recovery stops on it instead of
+// falling back to an older snapshot: every snapshot in the directory has
+// that layout.
+var ErrSnapshotVersion = errors.New("wal: snapshot version no longer read")
 
 func snapName(cycle uint64) string {
 	return fmt.Sprintf("%s%016x%s", snapPrefix, cycle, snapSuffix)
@@ -63,53 +69,41 @@ type Snapshot struct {
 	LogDigest   uint64
 }
 
-// appendSection frames one section payload.
-func appendSection(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// sectionHeader is the frame written ahead of a section's payload.
+func sectionHeader(payload []byte) []byte {
+	h := binary.LittleEndian.AppendUint32(make([]byte, 0, 8), uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, crcTable))
 }
 
-// writeSnapshot publishes the image as snap-<cycle>.snap: sections are
-// appended incrementally to a temp file, fsynced, then renamed into
-// place so a crash mid-write never shadows the previous snapshot.
-func writeSnapshot(fs FS, cycle uint64, shards []kvstore.ShardState, sessions []wire.SessionState, stateDigest, logDigest uint64) error {
+// writeSnapshot publishes the image as snap-<cycle>.snap: the sections
+// are written to a temp file, fsynced, then renamed into place so a crash
+// mid-write never shadows the previous snapshot.
+func writeSnapshot(fs FS, cycle uint64, img *kvstore.Image, stateDigest, logDigest uint64) error {
 	tmp := snapName(cycle) + snapTmpSuffix
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	var hdr [snapHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], cycle)
-	// numShards rides the first 4 bytes after the fixed header.
-	buf := binary.LittleEndian.AppendUint32(hdr[:], uint32(len(shards)))
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, snapHeaderSize), snapMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, cycle)
+	digests := binary.LittleEndian.AppendUint64(nil, stateDigest)
+	digests = binary.LittleEndian.AppendUint64(digests, logDigest)
+	// Each payload is written behind its frame, not copied into one
+	// buffer: the contents payload is the whole encoded store.
+	writes := [][]byte{hdr}
+	for _, payload := range [][]byte{
+		kvstore.AppendContents(nil, &img.Contents),
+		kvstore.AppendSessions(nil, img.Sessions),
+		digests,
+	} {
+		writes = append(writes, sectionHeader(payload), payload)
 	}
-	var section, payload []byte
-	for i := range shards {
-		payload = kvstore.AppendShard(payload[:0], &shards[i])
-		section = appendSection(section[:0], payload)
-		if _, err := f.Write(section); err != nil {
+	for _, b := range writes {
+		if _, err := f.Write(b); err != nil {
 			f.Close()
 			return err
 		}
-	}
-	payload = kvstore.AppendSessions(payload[:0], sessions)
-	section = appendSection(section[:0], payload)
-	if _, err := f.Write(section); err != nil {
-		f.Close()
-		return err
-	}
-	payload = binary.LittleEndian.AppendUint64(payload[:0], stateDigest)
-	payload = binary.LittleEndian.AppendUint64(payload, logDigest)
-	section = appendSection(section[:0], payload)
-	if _, err := f.Write(section); err != nil {
-		f.Close()
-		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -171,9 +165,10 @@ func (r *snapReader) section() (*snapReader, error) {
 	return &snapReader{b: payload}, nil
 }
 
-// DecodeSnapshot parses one container. Arbitrary input yields an error
-// wrapping ErrCorrupt, never a panic or an unbounded allocation — the
-// FuzzSnapshotDecode contract.
+// DecodeSnapshot parses one container. A version-1 or version-2 container
+// yields an error wrapping ErrSnapshotVersion; any other input it cannot
+// read, one wrapping ErrCorrupt — never a panic or an unbounded
+// allocation (the FuzzSnapshotDecode contract).
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	r := &snapReader{b: data}
 	magic, err := r.u32()
@@ -187,34 +182,25 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 && version != snapVersion {
+	if version == 1 || version == 2 {
+		return nil, fmt.Errorf("%w: version %d (per-shard sections); move the data directory away and restart the node with -join",
+			ErrSnapshotVersion, version)
+	}
+	if version != snapVersion {
 		return nil, fmt.Errorf("%w: unknown snapshot version %d", ErrCorrupt, version)
 	}
 	snap := &Snapshot{}
 	if snap.Cycle, err = r.u64(); err != nil {
 		return nil, err
 	}
-	numShards, err := r.u32()
+	s, err := r.section()
 	if err != nil {
 		return nil, err
 	}
-	// Every shard section needs at least its 8-byte frame: bound the
-	// shard-slice allocation by the bytes actually present.
-	if uint64(numShards) > uint64(len(r.b)/8)+1 {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrCorrupt, numShards)
+	if snap.Contents, err = kvstore.DecodeContents(s.b); err != nil {
+		return nil, fmt.Errorf("%w: contents: %v", ErrCorrupt, err)
 	}
-	snap.Shards = make([]kvstore.ShardState, numShards)
-	for i := range snap.Shards {
-		s, err := r.section()
-		if err != nil {
-			return nil, err
-		}
-		if snap.Shards[i], err = kvstore.DecodeShard(s.b, version >= 2); err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	s, err := r.section()
-	if err != nil {
+	if s, err = r.section(); err != nil {
 		return nil, err
 	}
 	if snap.Sessions, err = kvstore.DecodeSessions(s.b); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"canopus/internal/core"
@@ -38,6 +39,13 @@ func applyRoot(st *kvstore.Store, root *wire.Proposal) {
 			st.ApplyWrite(&b.Reqs[i])
 		}
 	}
+}
+
+// withSessions returns st's image carrying the given session table.
+func withSessions(st *kvstore.Store, sessions []wire.SessionState) *kvstore.Image {
+	img := st.Image()
+	img.Sessions = sessions
+	return &img
 }
 
 func readAll(t *testing.T, fs FS, name string) []byte {
@@ -199,7 +207,7 @@ func TestScanBitFlip(t *testing.T) {
 // TestSnapshotRoundTrip writes a snapshot container and restores it into
 // a fresh store, checking the digests and session table survive exactly.
 func TestSnapshotRoundTrip(t *testing.T) {
-	st := kvstore.NewShardedLogged(4)
+	st := kvstore.NewLogged()
 	for i := uint64(0); i < 100; i++ {
 		req := w(1, i+1, i*3, fmt.Sprintf("val-%d", i))
 		st.ApplyWrite(&req)
@@ -209,7 +217,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			Applied: []wire.SessionReply{{Seq: 3, Val: []byte("cached")}, {Seq: 4}}},
 	}
 	fs := NewMemFS()
-	if err := writeSnapshot(fs, 40, st.SnapshotShards(), sessions, st.StateDigest(), st.LogDigest()); err != nil {
+	if err := writeSnapshot(fs, 40, withSessions(st, sessions), st.StateDigest(), st.LogDigest()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := DecodeSnapshot(readAll(t, fs, snapName(40)))
@@ -219,10 +227,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if snap.Cycle != 40 || snap.StateDigest != st.StateDigest() || snap.LogDigest != st.LogDigest() {
 		t.Fatalf("snapshot header mismatch: %+v", snap)
 	}
-	st2 := kvstore.NewShardedLogged(4)
-	if err := st2.RestoreShards(snap.Shards); err != nil {
-		t.Fatal(err)
-	}
+	st2 := kvstore.NewLogged()
+	st2.RestoreImage(snap.Image)
 	if st2.StateDigest() != st.StateDigest() || st2.LogDigest() != st.LogDigest() || st2.LogLen() != st.LogLen() {
 		t.Fatal("restored store diverges from original")
 	}
@@ -238,7 +244,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // and checks the snapshot cadence fires and prefix segments get deleted.
 func TestManagerSnapshotAndTruncate(t *testing.T) {
 	fs := NewMemFS()
-	st := kvstore.NewShardedLogged(2)
+	st := kvstore.NewLogged()
 	mgr, err := Open(Options{FS: fs, Store: st, SegmentBytes: 128, SnapshotCycles: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +306,7 @@ func TestManagerSnapshotAndTruncate(t *testing.T) {
 func TestManagerRecover(t *testing.T) {
 	tree := testTree(t)
 	fs := NewMemFS()
-	st1 := kvstore.NewShardedLogged(2)
+	st1 := kvstore.NewLogged()
 	mgr1, err := Open(Options{FS: fs, Store: st1, SegmentBytes: 512, SnapshotCycles: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +336,7 @@ func TestManagerRecover(t *testing.T) {
 	}
 	// Crash: mgr1 is simply abandoned, never closed.
 
-	st2 := kvstore.NewShardedLogged(2)
+	st2 := kvstore.NewLogged()
 	mgr2, err := Open(Options{FS: fs, Store: st2, SegmentBytes: 512, SnapshotCycles: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +373,7 @@ func TestManagerRecover(t *testing.T) {
 	if err := mgr2.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	st3 := kvstore.NewShardedLogged(2)
+	st3 := kvstore.NewLogged()
 	mgr3, err := Open(Options{FS: fs, Store: st3, SegmentBytes: 512, SnapshotCycles: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +394,7 @@ func TestManagerRecover(t *testing.T) {
 // TestRecoverEmptyDir pins the first-boot path: nothing on disk, nothing
 // recovered, node untouched.
 func TestRecoverEmptyDir(t *testing.T) {
-	st := kvstore.NewSharded(1)
+	st := kvstore.New()
 	mgr, err := Open(Options{FS: NewMemFS(), Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -403,38 +409,10 @@ func TestRecoverEmptyDir(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsShardMismatch: a data dir written under one shard
-// count must not silently restore into a store with another.
-func TestRecoverRejectsShardMismatch(t *testing.T) {
-	fs := NewMemFS()
-	st := kvstore.NewShardedLogged(4)
-	mgr, err := Open(Options{FS: fs, Store: st, SnapshotCycles: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := makeRoot(1, w(1, 1, 1, "x"))
-	applyRoot(st, root)
-	if err := mgr.AppendCommit(1, root); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Sync(); err != nil { // cadence 1: snapshots immediately
-		t.Fatal(err)
-	}
-	st2 := kvstore.NewShardedLogged(8)
-	mgr2, err := Open(Options{FS: fs, Store: st2, SnapshotCycles: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := core.NewNode(core.Config{Tree: testTree(t), Self: 0}, st2, core.Callbacks{})
-	if _, err := mgr2.Recover(node); err == nil {
-		t.Fatal("recovery accepted a snapshot with a different shard count")
-	}
-}
-
-// TestSnapshotKeyMetadata checks the v2 container carries each key's
+// TestSnapshotKeyMetadata checks the container carries each key's
 // last-modified cycle and owner session through a restore.
 func TestSnapshotKeyMetadata(t *testing.T) {
-	st := kvstore.NewShardedLogged(2)
+	st := kvstore.NewLogged()
 	owner := wire.SessionIDBit | 9
 	for i := uint64(0); i < 8; i++ {
 		req := w(1, i+1, i, fmt.Sprintf("meta-%d", i))
@@ -445,17 +423,15 @@ func TestSnapshotKeyMetadata(t *testing.T) {
 		st.ApplyWriteAt(&req, 100+i, own)
 	}
 	fs := NewMemFS()
-	if err := writeSnapshot(fs, 8, st.SnapshotShards(), nil, st.StateDigest(), st.LogDigest()); err != nil {
+	if err := writeSnapshot(fs, 8, withSessions(st, nil), st.StateDigest(), st.LogDigest()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := DecodeSnapshot(readAll(t, fs, snapName(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := kvstore.NewShardedLogged(2)
-	if err := st2.RestoreShards(snap.Shards); err != nil {
-		t.Fatal(err)
-	}
+	st2 := kvstore.NewLogged()
+	st2.RestoreImage(snap.Image)
 	for i := uint64(0); i < 8; i++ {
 		if got := st2.ModCycle(i); got != 100+i {
 			t.Fatalf("key %d: mod cycle %d, want %d", i, got, 100+i)
@@ -473,52 +449,67 @@ func TestSnapshotKeyMetadata(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat hand-builds a version-1 container (no per-key
-// metadata) and checks it still decodes, with zero metadata.
-func TestSnapshotV1Compat(t *testing.T) {
-	st := kvstore.NewShardedLogged(1)
-	req := w(3, 1, 42, "legacy")
-	st.ApplyWrite(&req)
-	shards := st.SnapshotShards()
+// recoverSnapshot recovers a fresh logged store from a directory holding
+// only the given bytes as the snapshot of cycle.
+func recoverSnapshot(t *testing.T, cycle uint64, data []byte) (*kvstore.Store, *core.Node, RecoveryInfo, error) {
+	t.Helper()
+	disk := NewMemFS()
+	f, err := disk.Create(snapName(cycle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st := kvstore.NewLogged()
+	mgr, err := Open(Options{FS: disk, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := core.NewNode(core.Config{Tree: testTree(t), Self: 0}, st, core.Callbacks{})
+	info, err := mgr.Recover(node)
+	return st, node, info, err
+}
 
+// requireVersionRefused checks a recovery refused an old snapshot layout
+// by name — the version and the remedy — and installed nothing.
+func requireVersionRefused(t *testing.T, version int, st *kvstore.Store, node *core.Node, info RecoveryInfo, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("recovery from a version-%d snapshot returned %v, want ErrSnapshotVersion", version, err)
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", version), "move the data directory away", "-join"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not say %q", err, want)
+		}
+	}
+	if info != (RecoveryInfo{}) || node.Committed() != 0 || st.Len() != 0 || st.LogLen() != 0 || node.Sessions().Occupancy() != 0 {
+		t.Fatalf("refused recovery installed state: %+v committed=%d keys=%d", info, node.Committed(), st.Len())
+	}
+}
+
+// TestSnapshotV1Compat hand-builds a version-1 container (one shard
+// section without per-key metadata) and checks recovery refuses it with
+// ErrSnapshotVersion instead of skipping it or reading it.
+func TestSnapshotV1Compat(t *testing.T) {
+	var shard []byte
+	shard = binary.LittleEndian.AppendUint64(shard, 1) // logLen
+	shard = binary.LittleEndian.AppendUint64(shard, 0xfeed)
+	shard = binary.LittleEndian.AppendUint32(shard, 1) // one key
+	shard = binary.LittleEndian.AppendUint64(shard, 42)
+	shard = binary.LittleEndian.AppendUint32(shard, uint32(len("legacy")))
+	shard = append(shard, "legacy"...)
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint32(buf, snapMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, 1) // version 1
 	buf = binary.LittleEndian.AppendUint64(buf, 5) // cycle
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(shards)))
-	var payload []byte
-	for i := range shards {
-		sh := &shards[i]
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, sh.LogLen)
-		payload = binary.LittleEndian.AppendUint64(payload, sh.LogDigest)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sh.Keys)))
-		for j, k := range sh.Keys {
-			payload = binary.LittleEndian.AppendUint64(payload, k)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sh.Vals[j])))
-			payload = append(payload, sh.Vals[j]...)
-		}
-		buf = appendSection(buf, payload)
+	buf = binary.LittleEndian.AppendUint32(buf, 1) // one shard
+	for _, payload := range [][]byte{shard, binary.LittleEndian.AppendUint32(nil, 0), make([]byte, 16)} {
+		buf = append(append(buf, sectionHeader(payload)...), payload...)
 	}
-	buf = appendSection(buf, binary.LittleEndian.AppendUint32(nil, 0)) // no sessions
-	payload = binary.LittleEndian.AppendUint64(payload[:0], st.StateDigest())
-	payload = binary.LittleEndian.AppendUint64(payload, st.LogDigest())
-	buf = appendSection(buf, payload)
-
-	snap, err := DecodeSnapshot(buf)
-	if err != nil {
-		t.Fatalf("v1 container rejected: %v", err)
-	}
-	st2 := kvstore.NewShardedLogged(1)
-	if err := st2.RestoreShards(snap.Shards); err != nil {
-		t.Fatal(err)
-	}
-	if string(st2.Read(42)) != "legacy" || st2.StateDigest() != st.StateDigest() {
-		t.Fatal("v1 restore diverges")
-	}
-	if st2.ModCycle(42) != 0 || st2.OwnerOf(42) != 0 {
-		t.Fatal("v1 restore invented key metadata")
-	}
+	st, node, info, err := recoverSnapshot(t, 5, buf)
+	requireVersionRefused(t, 1, st, node, info, err)
 }
 
 // TestRecoveredSessionsAnswerLikeAReplica pins the session table a WAL
@@ -540,13 +531,13 @@ func TestRecoveredSessionsAnswerLikeAReplica(t *testing.T) {
 	// The writer applies each root, then logs it and syncs — the apply
 	// stage's order; its snapshot cadence takes the image at cycle 2.
 	fs := NewMemFS()
-	st := kvstore.NewSharded(2)
+	st := kvstore.New()
 	mgr, err := Open(Options{FS: fs, Store: st, SnapshotCycles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writer := core.NewNode(core.Config{Tree: tree, Self: 0}, st, core.Callbacks{})
-	replica := core.NewNode(core.Config{Tree: tree, Self: 0}, kvstore.NewSharded(2), core.Callbacks{})
+	replica := core.NewNode(core.Config{Tree: tree, Self: 0}, kvstore.New(), core.Callbacks{})
 	for i, root := range roots {
 		c := uint64(i + 1)
 		for _, n := range []*core.Node{writer, replica} {
@@ -562,7 +553,7 @@ func TestRecoveredSessionsAnswerLikeAReplica(t *testing.T) {
 		}
 	}
 
-	st2 := kvstore.NewSharded(2)
+	st2 := kvstore.New()
 	mgr2, err := Open(Options{FS: fs, Store: st2, SnapshotCycles: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -843,11 +843,8 @@ func readEvicted(r *reader) *Evicted {
 }
 
 func (m *JoinReply) WireSize() int {
-	n := 1 + 4 + 8 + 8 + 4 + 4*len(m.Alive) + 4 + 4*len(m.Incarnations) + 4 + 8*len(m.Seats) + 4
-	for _, sh := range m.Shards {
-		n += 4 + len(sh)
-	}
-	return n + 4 + len(m.Sessions) + 4 + 8 + 8
+	return 1 + 4 + 8 + 8 + 4 + 4*len(m.Alive) + 4 + 4*len(m.Incarnations) + 4 + 8*len(m.Seats) +
+		4 + len(m.Contents) + 4 + len(m.Sessions) + 4 + 8 + 8
 }
 
 func (m *JoinReply) AppendTo(b []byte) []byte {
@@ -867,10 +864,7 @@ func (m *JoinReply) AppendTo(b []byte) []byte {
 	for _, from := range m.Seats {
 		b = putU64(b, from)
 	}
-	b = putU32(b, uint32(len(m.Shards)))
-	for _, sh := range m.Shards {
-		b = putBytes(b, sh)
-	}
+	b = putBytes(b, m.Contents)
 	b = putBytes(b, m.Sessions)
 	b = putU32(b, m.MaxInFlight)
 	b = putU64(b, uint64(m.LeafTimeout))
@@ -902,12 +896,7 @@ func readJoinReply(r *reader) *JoinReply {
 			m.Seats[i] = r.u64()
 		}
 	}
-	if n := r.count(4); n > 0 {
-		m.Shards = make([][]byte, n)
-		for i := range m.Shards {
-			m.Shards[i] = r.bytes()
-		}
-	}
+	m.Contents = r.bytes()
 	m.Sessions = r.bytes()
 	m.MaxInFlight = r.u32()
 	m.LeafTimeout = time.Duration(r.u64())

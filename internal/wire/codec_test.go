@@ -44,7 +44,7 @@ func exemplars() []Encodable {
 		&JoinRequest{From: 4, Nonce: 0x5eed},
 		&JoinReply{From: 2, Nonce: 0x5eed, StartCycle: 12, Alive: []NodeID{0, 1, 2},
 			Incarnations: []uint32{0, 1, 0}, Seats: []uint64{0, 16, 0},
-			Shards: [][]byte{[]byte("shard-0"), []byte("shard-1")}, Sessions: []byte("sessions"),
+			Contents: []byte("contents"), Sessions: []byte("sessions"),
 			MaxInFlight: 4, LeafTimeout: 250 * time.Millisecond, SessionIdleCycles: -1},
 		&LeafSeal{Cycle: 11, VNode: "1.2", Initiator: 3},
 		&EvictQuery{Cycle: 11, VNode: "1.3", From: 4},

@@ -36,7 +36,7 @@ func fuzzSeeds() []Encodable {
 		&GroupClosed{Origin: 3},
 		&JoinRequest{From: 4},
 		&JoinReply{From: 1, StartCycle: 9, Alive: []NodeID{0, 1, 2}, Incarnations: []uint32{0, 1, 0},
-			Shards: [][]byte{[]byte("image")}, MaxInFlight: 8},
+			Contents: []byte("image"), MaxInFlight: 8},
 		&Proposal{Cycle: 11, Round: 3, VNode: "1", Origin: NoNode, Num: 0, Resolve: true,
 			Updates: []MemberUpdate{{Node: 6, Leave: true}, {Node: 7, Leave: true}}},
 		&LeafSeal{Cycle: 11, VNode: "1.2", Initiator: 3},

@@ -443,10 +443,10 @@ type JoinReply struct {
 	// Seats is aligned with Alive: the cycle a member's pending seat
 	// counts from, 0 for a member already seated.
 	Seats []uint64
-	// Shards is the sponsor's store image, one kvstore.AppendShard
-	// encoding per shard (none from a node without a state machine): the
-	// payloads of a WAL snapshot's shard sections.
-	Shards [][]byte
+	// Contents is the sponsor's store contents as kvstore.AppendContents
+	// encodes them (nil from a node without a state machine): the payload
+	// of a WAL snapshot's contents section.
+	Contents []byte
 	// Sessions is the store image's replicated client-session table as
 	// kvstore.AppendSessions encodes it, so a rejoined replica classifies
 	// retried mutations exactly like the replicas that never crashed.
