@@ -62,9 +62,9 @@ type Status struct {
 	Applied uint64 `json:"applied_cycle"`
 	Stalled bool   `json:"stalled"`
 	// Degraded carries the liveness detector's verdict: "stalled" while
-	// the node sees no commit progress past its configured StallThreshold
-	// (e.g. the minority side of a partition) or has hard-halted; empty
-	// when healthy or when detection is disabled. /healthz mirrors it as
+	// the node sees no commit progress for 4 × FetchTimeout with cycles
+	// outstanding (e.g. the minority side of a partition) or has
+	// hard-halted; empty when healthy. /healthz mirrors it as
 	// "degraded: stalled" with a 503.
 	Degraded string `json:"degraded,omitempty"`
 	// Watchers counts the live watch registrations on the node's event
@@ -187,12 +187,6 @@ func (c *Client) Digest(ctx context.Context) (Digest, error) {
 // (POST /snapshot). It returns an error when the node has no WAL.
 func (c *Client) TriggerSnapshot(ctx context.Context) error {
 	return c.post(ctx, "/snapshot", nil)
-}
-
-// Chaos injects a fault action (POST /chaos) — only honored when the
-// server was started with chaos enabled.
-func (c *Client) Chaos(ctx context.Context, action string) error {
-	return c.post(ctx, "/chaos", strings.NewReader(`{"action":`+strconv.Quote(action)+`}`))
 }
 
 // Metrics scrapes /metrics once and parses the Prometheus text into a

@@ -163,7 +163,7 @@ func NewSimCluster(opts SimOptions) (*SimCluster, error) {
 	if opts.WANRTT != nil {
 		topo = netsim.MultiDCFromRTT(opts.Racks, opts.NodesPerRack, opts.WANRTT)
 	} else {
-		topo = netsim.SingleDC(opts.Racks, opts.NodesPerRack, netsim.Params{})
+		topo = netsim.SingleDC(opts.Racks, opts.NodesPerRack)
 	}
 	sls := make([][]NodeID, opts.Racks)
 	for r := range sls {

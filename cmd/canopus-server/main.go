@@ -18,7 +18,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -43,11 +45,9 @@ func main() {
 	slFlag := flag.String("superleaves", "", "semicolon-separated super-leaves of comma-separated node IDs (default: all in one)")
 	clientAddr := flag.String("client", "", "client-facing listen address (default: none)")
 	adminAddr := flag.String("admin-addr", "", "HTTP admin gateway listen address: /metrics, /healthz, /status, POST /snapshot (default: none)")
-	adminChaos := flag.Bool("admin-chaos", false, "enable the gateway's POST /chaos fault-injection verb (game-days only)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound for in-flight client requests")
 	join := flag.Bool("join", false, "enter through the join protocol (§4.6) instead of participating from cycle 1 — how an evicted node re-enters a live cluster")
 	leafTimeout := flag.Duration("leaf-timeout", 0, "arm super-leaf eviction: a leaf silent for this long is evicted so the rest keeps committing (0 = stall forever, §6; same value on every node)")
-	stallThreshold := flag.Duration("stall-threshold", 0, "arm the liveness detector: /healthz degrades after this much commit-free wedge with cycles outstanding (0 = off)")
 	exitOnEvict := flag.Bool("exit-on-evict", false, "exit with status 3 when told this node's super-leaf was evicted, so a supervisor can restart it with -join")
 	dataDir := flag.String("data-dir", "", "durable storage directory: group-commit WAL + snapshots, recovered at boot (default: in-memory only)")
 	snapshotCycles := flag.Int("snapshot-cycles", 0, "snapshot cadence in committed cycles (0 = default, <0 = disable periodic snapshots)")
@@ -55,34 +55,9 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path at graceful shutdown")
 	flag.Parse()
 
-	addrs := strings.Split(*peersFlag, ",")
-	if len(addrs) < 1 || addrs[0] == "" {
-		log.Fatal("canopus-server: -peers is required")
-	}
-	peers := make(map[wire.NodeID]string, len(addrs))
-	for i, a := range addrs {
-		peers[wire.NodeID(i)] = strings.TrimSpace(a)
-	}
-
-	var sls [][]wire.NodeID
-	if *slFlag == "" {
-		var all []wire.NodeID
-		for i := range addrs {
-			all = append(all, wire.NodeID(i))
-		}
-		sls = [][]wire.NodeID{all}
-	} else {
-		for _, group := range strings.Split(*slFlag, ";") {
-			var members []wire.NodeID
-			for _, tok := range strings.Split(group, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(tok))
-				if err != nil {
-					log.Fatalf("canopus-server: bad -superleaves entry %q", tok)
-				}
-				members = append(members, wire.NodeID(v))
-			}
-			sls = append(sls, members)
-		}
+	peers, sls, err := topology(*id, *peersFlag, *slFlag)
+	if err != nil {
+		log.Fatal("canopus-server: ", err)
 	}
 	tree, err := lot.New(lot.Config{SuperLeaves: sls})
 	if err != nil {
@@ -106,15 +81,13 @@ func main() {
 	rc := livecluster.ReplicaConfig{
 		Runner: runner,
 		Node: core.Config{
-			Tree:           tree,
-			LeafTimeout:    *leafTimeout,
-			StallThreshold: *stallThreshold,
+			Tree:        tree,
+			LeafTimeout: *leafTimeout,
 		},
 		Join:           *join,
 		SnapshotCycles: *snapshotCycles,
 		ClientAddr:     *clientAddr,
 		AdminAddr:      *adminAddr,
-		FaultVerbs:     *adminChaos,
 	}
 	if *dataDir != "" {
 		if rc.Disk, err = wal.DirFS(*dataDir); err != nil {
@@ -142,7 +115,7 @@ func main() {
 	runner.Attach(rep.Node())
 	rep.Start()
 	if *adminAddr != "" {
-		log.Printf("node %v: admin gateway on %s (chaos %v)", self, *adminAddr, *adminChaos)
+		log.Printf("node %v: admin gateway on %s", self, *adminAddr)
 	}
 	port := rep.Port()
 	if port != nil {
@@ -171,4 +144,58 @@ func main() {
 		self, peers[self], tree.SuperLeafOf(self), tree.NumSuperLeaves(), tree.Height)
 	runner.Serve(nil)
 	log.Printf("node %v: shut down", self)
+}
+
+// topology parses -id, -peers and -superleaves into the peer addresses
+// and the super-leaves. It rejects an -id with no address, an empty
+// address, and super-leaves that name a node beyond -peers, name one
+// twice or leave a peer out: each would bind the wrong socket or build a
+// tree the node is not in.
+func topology(id int, peersFlag, slFlag string) (map[wire.NodeID]string, [][]wire.NodeID, error) {
+	if peersFlag == "" {
+		return nil, nil, errors.New("-peers is required")
+	}
+	addrs := strings.Split(peersFlag, ",")
+	peers := make(map[wire.NodeID]string, len(addrs))
+	for i, a := range addrs {
+		if a = strings.TrimSpace(a); a == "" {
+			return nil, nil, fmt.Errorf("-peers: address %d is empty", i)
+		}
+		peers[wire.NodeID(i)] = a
+	}
+	if id < 0 || id >= len(addrs) {
+		return nil, nil, fmt.Errorf("-id %d: want 0..%d, an index into -peers", id, len(addrs)-1)
+	}
+	if slFlag == "" {
+		all := make([]wire.NodeID, len(addrs))
+		for i := range all {
+			all[i] = wire.NodeID(i)
+		}
+		return peers, [][]wire.NodeID{all}, nil
+	}
+	var sls [][]wire.NodeID
+	seen := make(map[int]bool, len(addrs))
+	for _, group := range strings.Split(slFlag, ";") {
+		var members []wire.NodeID
+		for _, tok := range strings.Split(group, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(tok))
+			switch {
+			case err != nil:
+				return nil, nil, fmt.Errorf("-superleaves: bad entry %q", tok)
+			case v < 0 || v >= len(addrs):
+				return nil, nil, fmt.Errorf("-superleaves: node %d has no address in -peers (%d given)", v, len(addrs))
+			case seen[v]:
+				return nil, nil, fmt.Errorf("-superleaves: node %d appears twice", v)
+			}
+			seen[v] = true
+			members = append(members, wire.NodeID(v))
+		}
+		sls = append(sls, members)
+	}
+	for i := range addrs {
+		if !seen[i] {
+			return nil, nil, fmt.Errorf("-superleaves: node %d of -peers is in no super-leaf", i)
+		}
+	}
+	return peers, sls, nil
 }

@@ -15,8 +15,9 @@
 //   - evict-readmit: three single-node super-leaves, -leaf-timeout 500ms
 //     and -exit-on-evict. Exit status 3 is the eviction notice, and the
 //     rejoin restarts the process with -join (harness.EvictReadmit).
-//   - stall: super-leaves {0,1};{2}, -stall-threshold 200ms
-//     (harness.StallDetect).
+//   - stall: super-leaves {0,1};{2}, no extra flags: the stall
+//     detector is always on and trips after 4 × FetchTimeout, 200ms at
+//     the server's 50ms (harness.StallDetect).
 //
 // Usage:
 //
@@ -89,8 +90,9 @@ func evictReadmit(server string, wait time.Duration) (string, error) {
 }
 
 func stall(server string, wait time.Duration) (string, error) {
-	const threshold = 200 * time.Millisecond
-	flags := func(int) []string { return []string{"-stall-threshold", threshold.String()} }
+	// 4 × canopus-server's FetchTimeout (core.Config's 50ms default).
+	const threshold = 4 * 50 * time.Millisecond
+	flags := func(int) []string { return nil }
 	return campaign(server, "0,1;2", flags, wait, func(p *procs) (string, error) {
 		return harness.StallDetect(p, harness.Stall{
 			Threshold: threshold,

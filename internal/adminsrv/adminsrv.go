@@ -2,9 +2,8 @@
 // plane's on-ramp. Each node serves its own gateway (canopus-server
 // -admin-addr) with four endpoints — /metrics (Prometheus text from the
 // node's metrics.Registry), /healthz (readiness, "recovering" during WAL
-// replay), /status (the admin.Status JSON document), and the admin verbs
-// POST /snapshot and POST /chaos (the latter only when fault injection
-// is enabled at boot).
+// replay), /status (the admin.Status JSON document), and the admin verb
+// POST /snapshot.
 //
 // The gateway follows the client port's bind-early/accept-late shape,
 // shifted one notch: it binds AND serves before recovery starts, but
@@ -28,9 +27,8 @@ import (
 
 // Config wires one node's data sources into its gateway. Registry and
 // Status are required for their endpoints to be useful but may be nil
-// (the endpoint then serves an empty document); Snapshot and Chaos are
-// optional verbs — a nil Snapshot answers 404 (no WAL), a nil Chaos
-// answers 403 (not enabled).
+// (the endpoint then serves an empty document); Snapshot is an
+// optional verb — a nil Snapshot answers 404 (no WAL).
 type Config struct {
 	// Registry backs GET /metrics.
 	Registry *metrics.Registry
@@ -43,10 +41,6 @@ type Config struct {
 	Node int32
 	// Snapshot backs POST /snapshot (wal.Manager.RequestSnapshot).
 	Snapshot func() error
-	// Chaos backs POST /chaos with the decoded action string; an error
-	// maps to 400. canopus-server sets it under -admin-chaos, with the
-	// verbs drop-replies, serve-replies and kill; nothing else does.
-	Chaos func(action string) error
 	// Degraded, when set, is consulted on every /healthz and /status
 	// while the phase is "ok": a non-empty return (e.g. "stalled") makes
 	// /healthz answer 503 with status "degraded: <reason>" and fills
@@ -70,7 +64,6 @@ func NewHandler(cfg Config) *Handler {
 	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
 	h.mux.HandleFunc("GET /status", h.handleStatus)
 	h.mux.HandleFunc("POST /snapshot", h.handleSnapshot)
-	h.mux.HandleFunc("POST /chaos", h.handleChaos)
 	return h
 }
 
@@ -141,26 +134,6 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// The snapshot is taken at the next group commit, not inline.
 	w.WriteHeader(http.StatusAccepted)
 	io.WriteString(w, "snapshot requested\n")
-}
-
-func (h *Handler) handleChaos(w http.ResponseWriter, r *http.Request) {
-	if h.cfg.Chaos == nil {
-		http.Error(w, "chaos injection not enabled (start with -admin-chaos)", http.StatusForbidden)
-		return
-	}
-	var req struct {
-		Action string `json:"action"`
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil || json.Unmarshal(body, &req) != nil || req.Action == "" {
-		http.Error(w, `body must be {"action":"..."}`, http.StatusBadRequest)
-		return
-	}
-	if err := h.cfg.Chaos(req.Action); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fmt.Fprintf(w, "chaos action %q applied\n", req.Action)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -2,7 +2,6 @@ package adminsrv
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -119,32 +118,6 @@ func TestSnapshotVerb(t *testing.T) {
 	h = NewHandler(Config{Snapshot: func() error { called = true; return nil }})
 	if rec := post(t, h, "/snapshot", ""); rec.Code != http.StatusAccepted || !called {
 		t.Fatalf("/snapshot = %d called=%v, want 202 true", rec.Code, called)
-	}
-}
-
-// TestChaosVerb pins the gating: 403 unless enabled, 400 on bad
-// action/body, 200 on success.
-func TestChaosVerb(t *testing.T) {
-	h := NewHandler(Config{})
-	if rec := post(t, h, "/chaos", `{"action":"kill"}`); rec.Code != http.StatusForbidden {
-		t.Fatalf("ungated /chaos = %d, want 403", rec.Code)
-	}
-	var got string
-	h = NewHandler(Config{Chaos: func(a string) error {
-		if a == "bogus" {
-			return errors.New("unknown action")
-		}
-		got = a
-		return nil
-	}})
-	if rec := post(t, h, "/chaos", `not json`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad body /chaos = %d, want 400", rec.Code)
-	}
-	if rec := post(t, h, "/chaos", `{"action":"bogus"}`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown action /chaos = %d, want 400", rec.Code)
-	}
-	if rec := post(t, h, "/chaos", `{"action":"drop-replies"}`); rec.Code != http.StatusOK || got != "drop-replies" {
-		t.Fatalf("/chaos = %d got=%q", rec.Code, got)
 	}
 }
 

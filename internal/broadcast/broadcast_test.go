@@ -36,7 +36,7 @@ func (h *bcastHost) Timer(engine.TimerTag) {
 // fan-outs multicast through the switch or not.
 func runBroadcastTest(t *testing.T, multicast bool) {
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, 3, netsim.Params{})
+	topo := netsim.SingleDC(1, 3)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 8)
 	members := []wire.NodeID{0, 1, 2}
 	hosts := make([]*bcastHost, 3)

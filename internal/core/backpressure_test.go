@@ -33,7 +33,7 @@ func (g *gatedStore) ApplyWriteAt(req *wire.Request, cycle, owner uint64) []byte
 // 0.
 func TestApplyBackpressureRestartsIdleNode(t *testing.T) {
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, 3, netsim.Params{})
+	topo := netsim.SingleDC(1, 3)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 42)
 	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{topo.RackMembers(0)}})
 	if err != nil {

@@ -41,11 +41,9 @@ func (n *Node) commit(c *cycle) {
 	} else {
 		n.emptyCycles = 0
 	}
-	if n.cfg.StallThreshold > 0 || n.cfg.LeafTimeout > 0 {
-		n.lastCommitAt = n.env.Now()
-		if n.stallDetected.Load() {
-			n.stallDetected.Store(false)
-		}
+	n.lastCommitAt = n.env.Now()
+	if n.stallDetected.Load() {
+		n.stallDetected.Store(false)
 	}
 	n.trace("commit", c.id)
 

@@ -90,7 +90,8 @@ type Config struct {
 	// a cycle, for a pushed vnode state before it pulls it, and then for
 	// the answer before it asks another emulator. Default 50ms; wide-area
 	// deployments should exceed the largest one-way delay plus the spread
-	// of the super-leaves' cycle starts.
+	// of the super-leaves' cycle starts. It also sets when a node calls a
+	// cycle stuck (stuckAfter).
 	FetchTimeout time.Duration
 
 	// TickInterval drives heartbeats, elections and fetch-retry checks.
@@ -140,18 +141,6 @@ type Config struct {
 	// MaxInFlight. Eviction assumes crash-stop or symmetric partitions
 	// (both sides unreachable) — the fault model netsim injects.
 	LeafTimeout time.Duration
-
-	// StallThreshold, when positive, arms the liveness *detector*: a
-	// node holding started-but-uncommitted cycles with no commit
-	// progress for this long flags itself degraded (Node.StallSuspected,
-	// the canopus_core_stalled gauge, and "degraded: stalled" on the
-	// admin /healthz and /status). Detection is pure observation — no
-	// messages are sent, no timers armed, no protocol decision changes —
-	// so simulator replays stay bit-identical and nodes may configure it
-	// independently. The flag clears by itself when commits resume
-	// (e.g. after a partition heals). Zero (the default) keeps stock §6
-	// semantics: a minority side stalls silently.
-	StallThreshold time.Duration
 }
 
 func (c *Config) fill() {
@@ -185,6 +174,13 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// stuckAfter is how long the oldest uncommitted cycle may go without a
+// commit before the node calls it stuck: four fetch timeouts, by which
+// the push and three pulls of a missing state have each had their turn.
+// Every representative then pulls all missing states (retryFetches), and
+// the stall detector flags the node degraded (checkStall).
+func (c *Config) stuckAfter() time.Duration { return 4 * c.FetchTimeout }
 
 // retention is how many committed cycles' states a node keeps to serve
 // late fetches (see Node.recent).

@@ -77,9 +77,9 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		o.seed = 42
 	}
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(o.racks, o.perRack, netsim.Params{})
+	topo := netsim.SingleDC(o.racks, o.perRack)
 	if o.wan > 0 {
-		topo = netsim.MultiDC(o.racks, o.perRack, netsim.Params{WANDelay: netsim.UniformWANDelay(o.racks, o.wan)})
+		topo = netsim.MultiDC(o.racks, o.perRack, netsim.UniformWANDelay(o.racks, o.wan))
 	}
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), o.seed)
 
@@ -590,7 +590,7 @@ func TestCommitsArriveInCycleOrder(t *testing.T) {
 func ExampleNode_cycle() {
 	// The Figure 2 walkthrough: six nodes A..F in two super-leaves.
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(2, 3, netsim.Params{})
+	topo := netsim.SingleDC(2, 3)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 1)
 	tree, _ := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{
 		topo.RackMembers(0), topo.RackMembers(1),

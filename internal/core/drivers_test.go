@@ -91,7 +91,7 @@ func renderCommit(c *core.Commit) string {
 func runDriverSchedule(t *testing.T, goroutine bool) driverTrace {
 	t.Helper()
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, 3, netsim.Params{})
+	topo := netsim.SingleDC(1, 3)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 7)
 	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{topo.RackMembers(0)}})
 	if err != nil {

@@ -109,7 +109,7 @@ func (n *Node) driveEvictions() {
 				}
 				// Only the next cycle to commit is charged, and its silence
 				// clock starts at the later of its start and the previous
-				// commit. A leaf cannot
+				// commit (silentSince). A leaf cannot
 				// start cycle k before it commits k-MaxInFlight: while an
 				// earlier cycle here waits on a dead leaf, a healthy leaf
 				// held one cycle further back by the same dead leaf (a
@@ -124,8 +124,7 @@ func (n *Node) driveEvictions() {
 				if c.id != n.committed+1 {
 					continue
 				}
-				since := max(c.startedAt, n.lastCommitAt)
-				if now-since <= n.cfg.LeafTimeout {
+				if now-n.silentSince(c) <= n.cfg.LeafTimeout {
 					continue
 				}
 				n.driveEviction(c, u, now)

@@ -69,9 +69,9 @@ type nodeStats struct {
 	fetchRetries atomic.Uint64
 	// stalls counts transitions into the §6 stalled state.
 	stalls atomic.Uint64
-	// stallsDetected counts the StallThreshold liveness detector's
-	// trips (no commit progress past the threshold); it can exceed 1 —
-	// the flag clears when commits resume.
+	// stallsDetected counts the liveness detector's trips (no commit
+	// progress for 4 × FetchTimeout, checkStall); it can exceed 1 — the
+	// flag clears when commits resume.
 	stallsDetected atomic.Uint64
 	// replayed counts cycles re-committed from the WAL during recovery.
 	replayed atomic.Uint64
@@ -138,7 +138,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 		"Transitions into the stalled state (§6).",
 		n.stats.stalls.Load, labels...)
 	reg.GaugeFunc("canopus_core_stalled",
-		"1 while the node is hard-halted (§6 stall/eviction) or the StallThreshold detector sees no commit progress.",
+		"1 while the node is hard-halted (§6 stall/eviction) or the stall detector sees no commit progress for 4 × FetchTimeout.",
 		func() float64 {
 			if n.StallSuspected() {
 				return 1
@@ -146,7 +146,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 			return 0
 		}, labels...)
 	reg.CounterFunc("canopus_core_stall_detected_total",
-		"StallThreshold liveness-detector trips (clears on resumed commits; counts each trip).",
+		"Stall-detector trips: no commit progress for 4 × FetchTimeout (clears on resumed commits; counts each trip).",
 		n.stats.stallsDetected.Load, labels...)
 	reg.CounterFunc("canopus_core_replayed_cycles_total",
 		"Cycles re-committed from the WAL during crash recovery.",

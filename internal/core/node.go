@@ -238,11 +238,11 @@ type Node struct {
 	// (startSelfClocked arms it, Timer clears it).
 	paceArmed bool
 	// lastCommitAt is the machine time of the most recent commit: the
-	// stall detector and the leaf-eviction clock measure silence from it,
-	// so it is kept only while one of them is armed. stallDetected and halted are atomic mirrors for off-turn observers
-	// (metrics, /healthz) — stallDetected tracks the no-commit-progress
-	// detector (Config.StallThreshold), halted the hard §6 stall/eviction
-	// states.
+	// stall detector and the leaf-eviction clock measure silence from it
+	// (silentSince). stallDetected and halted are atomic mirrors for
+	// off-turn observers (metrics, /healthz) — stallDetected tracks the
+	// no-commit-progress detector (checkStall), halted the hard §6
+	// stall/eviction states.
 	lastCommitAt  time.Duration
 	stallDetected atomic.Bool
 	halted        atomic.Bool
@@ -488,34 +488,36 @@ func (n *Node) tick() {
 	n.driveEvictions()
 }
 
-// checkStall is the Config.StallThreshold liveness detector: a node
-// with started-but-uncommitted cycles and no commit progress past the
-// threshold flags itself degraded. Pure observation — it sends nothing
-// and arms nothing, so it costs one branch when disabled and never
-// perturbs replay determinism.
+// checkStall is the liveness detector: a node with started-but-
+// uncommitted cycles and no commit progress past stuckAfter flags itself
+// degraded. Pure observation — it sends nothing and arms nothing, so it
+// never perturbs replay determinism.
 func (n *Node) checkStall() {
-	if n.cfg.StallThreshold <= 0 {
-		return
-	}
 	if n.started <= n.committed {
 		if n.stallDetected.Load() {
 			n.stallDetected.Store(false)
 		}
 		return
 	}
-	// Progress reference: the later of the last commit and the start of
-	// the oldest uncommitted cycle (so a node that just started its
-	// first-ever cycle is not instantly "stalled").
-	ref := n.lastCommitAt
-	if c, ok := n.cycles[n.committed+1]; ok && c.started && c.startedAt > ref {
-		ref = c.startedAt
+	since := n.lastCommitAt
+	if c, ok := n.cycles[n.committed+1]; ok {
+		since = n.silentSince(c)
 	}
-	if n.env.Now()-ref <= n.cfg.StallThreshold {
+	if n.env.Now()-since <= n.cfg.stuckAfter() {
 		return
 	}
 	if !n.stallDetected.Swap(true) {
 		n.stats.stallsDetected.Add(1)
 	}
+}
+
+// silentSince is when the silence charged to the next cycle to commit
+// began: the later of its start and the previous commit, so a node that
+// just started its first cycle, or just readmitted a leaf (at a commit),
+// is not charged for time before. The stall detector and the leaf-
+// eviction clock both measure from it.
+func (n *Node) silentSince(c *cycle) time.Duration {
+	return max(c.startedAt, n.lastCommitAt)
 }
 
 // onCycleTimer is the §7.1 pipelining trigger: with cycles in flight that
@@ -879,10 +881,10 @@ func (n *Node) Stalled() bool { return n.stalled }
 func (n *Node) Joining() bool { return n.rejoin }
 
 // StallSuspected reports the liveness detector's verdict: true while
-// the node has made no commit progress past Config.StallThreshold (the
-// minority side of a partition), or has hard-halted (§6 stall or
-// eviction). It clears automatically when commits resume. Safe from any
-// goroutine, unlike Stalled.
+// the node has made no commit progress for 4 × FetchTimeout with cycles
+// outstanding (the minority side of a partition), or has hard-halted (§6
+// stall or eviction). It clears automatically when commits resume. Safe
+// from any goroutine, unlike Stalled.
 func (n *Node) StallSuspected() bool {
 	return n.stallDetected.Load() || n.halted.Load()
 }

@@ -639,7 +639,7 @@ func (n *Node) retryFetches() {
 		for _, u := range due {
 			n.sendFetch(c, u)
 		}
-		if liveRep && now-c.startedAt > 4*n.cfg.FetchTimeout {
+		if liveRep && now-c.startedAt > n.cfg.stuckAfter() {
 			n.pullMissing(c)
 		}
 	}

@@ -104,7 +104,7 @@ func TestStageReadsSerializeWithPlans(t *testing.T) {
 // substitution on the tick, a root catch-up); this test does not reach it.
 func TestStageReentrantDeliveryOnce(t *testing.T) {
 	sim := netsim.NewSim()
-	runner := netsim.NewRunner(sim, netsim.SingleDC(1, 1, netsim.Params{}), netsim.DefaultCosts(), 1)
+	runner := netsim.NewRunner(sim, netsim.SingleDC(1, 1), netsim.DefaultCosts(), 1)
 	tree, err := lot.New(lot.Config{SuperLeaves: [][]wire.NodeID{{0}}})
 	if err != nil {
 		t.Fatal(err)

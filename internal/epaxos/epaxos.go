@@ -36,17 +36,15 @@ type Config struct {
 	// BatchDuration accumulates client commands before proposing; the
 	// paper evaluates 5 ms (default) and 2 ms.
 	BatchDuration time.Duration
-	// MaxBatch flushes a batch early at this many commands (the paper's
-	// multi-DC runs use the same batch size as Canopus: 1000).
-	MaxBatch int
 }
+
+// maxBatch flushes a batch early at this many commands (the paper's
+// multi-DC runs use the same batch size as Canopus: 1000).
+const maxBatch = 1000
 
 func (c *Config) fill() {
 	if c.BatchDuration == 0 {
 		c.BatchDuration = 5 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1000
 	}
 }
 
@@ -152,7 +150,7 @@ func (r *Replica) Timer(tag engine.TimerTag) {
 // Submit accepts one client command (explicit mode).
 func (r *Replica) Submit(req wire.Request) {
 	r.reqs = append(r.reqs, req)
-	if len(r.reqs) >= r.cfg.MaxBatch {
+	if len(r.reqs) >= maxBatch {
 		r.flush()
 	}
 }
@@ -166,7 +164,7 @@ func (r *Replica) SubmitFluid(reads, writes, bytes uint32, samples []wire.Arriva
 	r.fluid.NumWrite += writes
 	r.fluid.ByteSize += bytes
 	r.fluid.Samples = append(r.fluid.Samples, samples...)
-	if int(r.fluid.NumRead+r.fluid.NumWrite) >= r.cfg.MaxBatch {
+	if int(r.fluid.NumRead+r.fluid.NumWrite) >= maxBatch {
 		r.flush()
 	}
 }

@@ -21,7 +21,7 @@ type epCluster struct {
 func newEPCluster(t *testing.T, n int, batch time.Duration) *epCluster {
 	t.Helper()
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, n, netsim.Params{})
+	topo := netsim.SingleDC(1, n)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 99)
 	peers := make([]wire.NodeID, n)
 	for i := range peers {

@@ -49,21 +49,11 @@ type ChaosSpec struct {
 	// crash or partition time). Zero disables the metric.
 	FaultAt time.Duration
 
-	// EvictRestartDelay is how long an evicted node (told so by an
-	// Evicted notice after its leaf was resolved dead — requires
-	// Node.LeafTimeout > 0) waits before restarting as a protocol-level
-	// joiner, modeling an operator bouncing the deposed rack. Defaults to
-	// 200ms when leaf eviction is enabled; negative disables the
-	// automatic restart (evicted nodes stay down).
-	EvictRestartDelay time.Duration
-
 	// Closed-loop client load.
 	Clients    int           // clients per node (default 2)
 	Keys       uint64        // key space size (default 128)
 	WriteRatio float64       // default 0.5
-	ThinkTime  time.Duration // mean pause between a client's ops (default 25ms)
 	OpTimeout  time.Duration // abandon an unacknowledged op after this (default 1s)
-	MaxOps     int           // global op budget; 0 = time-bound only
 
 	// Durable gives every node a storage engine (internal/wal) over a
 	// per-node in-memory disk that survives in-sim restarts: crashed
@@ -102,9 +92,6 @@ func (s *ChaosSpec) fill() {
 	if s.WriteRatio == 0 {
 		s.WriteRatio = 0.5
 	}
-	if s.ThinkTime == 0 {
-		s.ThinkTime = 25 * time.Millisecond
-	}
 	if s.OpTimeout == 0 {
 		s.OpTimeout = time.Second
 	}
@@ -114,10 +101,17 @@ func (s *ChaosSpec) fill() {
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
 	}
-	if s.Node.LeafTimeout > 0 && s.EvictRestartDelay == 0 {
-		s.EvictRestartDelay = 200 * time.Millisecond
-	}
 }
+
+const (
+	// thinkTime is the mean pause between a closed-loop client's ops.
+	thinkTime = 25 * time.Millisecond
+	// evictRestartDelay is how long an evicted node (told so by an
+	// Evicted notice after its leaf was resolved dead, which needs
+	// Node.LeafTimeout > 0) waits before restarting as a protocol-level
+	// joiner, modeling an operator bouncing the deposed rack.
+	evictRestartDelay = 200 * time.Millisecond
+)
 
 // ChaosResult is one chaos run's outcome.
 type ChaosResult struct {
@@ -203,7 +197,6 @@ type chaosRun struct {
 
 	history  []lincheck.Op
 	keyCount map[uint64]uint64
-	issued   int
 	done     int
 	failed   int
 
@@ -287,7 +280,7 @@ func runChaosInner(spec ChaosSpec) (ChaosResult, *chaosRun) {
 		}
 		r.clients = append(r.clients, cl)
 		// Stagger first invocations inside the first think window.
-		r.schedule(cl, time.Duration(cl.rng.Int63n(int64(spec.ThinkTime)))+time.Millisecond)
+		r.schedule(cl, time.Duration(cl.rng.Int63n(int64(thinkTime)))+time.Millisecond)
 	}
 
 	// Run past Duration so in-flight commits drain and every pending
@@ -397,7 +390,7 @@ func (r *chaosRun) newStore(id wire.NodeID) *kvstore.Store {
 
 func (r *chaosRun) callbacks(id wire.NodeID) core.Callbacks {
 	cbs := core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })}}
-	if r.spec.Node.LeafTimeout > 0 && r.spec.EvictRestartDelay > 0 {
+	if r.spec.Node.LeafTimeout > 0 {
 		cbs.OnEvicted = func() { r.onEvicted(id) }
 	}
 	return cbs
@@ -420,13 +413,13 @@ func (r *chaosRun) committed(id wire.NodeID, c *core.Commit) {
 // onEvicted handles an Evicted notice at node id: the rest of the
 // cluster resolved its super-leaf dead and committed its Leave, so the
 // node can never make progress in this incarnation. After
-// EvictRestartDelay the harness bounces it into a fresh joiner —
+// evictRestartDelay the harness bounces it into a fresh joiner —
 // deliberately including Durable runs: the committed Leave invalidates
 // the single-node cold-start recovery path, so an evicted node restarts
 // without its disk and re-enters through the §4.6 join protocol.
 func (r *chaosRun) onEvicted(id wire.NodeID) {
 	old := r.nodes[id]
-	r.sim.After(r.spec.EvictRestartDelay, func() {
+	r.sim.After(evictRestartDelay, func() {
 		if !r.runner.Alive(id) || r.nodes[id] != old {
 			return // crashed meanwhile, or a newer incarnation took over
 		}
@@ -474,9 +467,6 @@ func (r *chaosRun) invoke(cl *chaosClient) {
 	if now > r.spec.Duration {
 		return
 	}
-	if r.spec.MaxOps > 0 && r.issued >= r.spec.MaxOps {
-		return
-	}
 	node := r.nodes[cl.node]
 	if !r.runner.Alive(cl.node) || node.Stalled() {
 		// The client's node is down (or deposed): nothing was issued, so
@@ -494,7 +484,6 @@ func (r *chaosRun) invoke(cl *chaosClient) {
 		return
 	}
 	cl.seq++
-	r.issued++
 	isRead := cl.rng.Float64() >= r.spec.WriteRatio
 	op := lincheck.Op{Key: key, Invoke: int64(now)}
 	req := wire.Request{Client: cl.id, Seq: cl.seq, Key: key}
@@ -561,7 +550,7 @@ func (r *chaosRun) onReply(req *wire.Request, val []byte) {
 }
 
 func (r *chaosRun) think(cl *chaosClient) time.Duration {
-	return time.Duration(cl.rng.Int63n(int64(2*r.spec.ThinkTime))) + time.Millisecond
+	return time.Duration(cl.rng.Int63n(int64(2*thinkTime))) + time.Millisecond
 }
 
 // pickKey draws a key, steering away from keys whose history is near

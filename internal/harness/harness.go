@@ -80,13 +80,8 @@ type Spec struct {
 	// EPaxos knobs.
 	EPaxosBatch time.Duration
 
-	// Zab knobs.
-	ZabVoters int
-	ZabBatch  time.Duration
-
 	// Cost model; zero-valued fields take per-system defaults.
-	Costs     netsim.CostParams
-	ClientCPU time.Duration
+	Costs netsim.CostParams
 
 	Seed    int64
 	Warmup  time.Duration
@@ -120,12 +115,6 @@ func (s *Spec) fill() {
 	if s.EPaxosBatch == 0 {
 		s.EPaxosBatch = 5 * time.Millisecond
 	}
-	if s.ZabVoters == 0 {
-		s.ZabVoters = 5
-	}
-	if s.ZabBatch == 0 {
-		s.ZabBatch = 2 * time.Millisecond
-	}
 	if s.MaxInFlight == 0 {
 		if s.MultiDC {
 			// Deep pipeline: ~RTT/cycle plus slack (§7.1).
@@ -150,9 +139,6 @@ func (s *Spec) fill() {
 		} else {
 			s.FetchTimeout = 25 * time.Millisecond
 		}
-	}
-	if s.ClientCPU == 0 {
-		s.ClientCPU = 2 * time.Microsecond
 	}
 	if s.Costs == (netsim.CostParams{}) {
 		s.Costs = SystemCosts(s.System)
@@ -242,7 +228,6 @@ func Run(spec Spec, rate float64) Result {
 	wcfg := workload.Config{
 		Rate:       rate,
 		WriteRatio: spec.WriteRatio,
-		ClientCPU:  spec.ClientCPU,
 		LocalReads: spec.System == Zab,
 		Seed:       spec.Seed + 7,
 	}
@@ -273,7 +258,7 @@ func Run(spec Spec, rate float64) Result {
 
 func buildTopo(spec Spec) *netsim.Topology {
 	if !spec.MultiDC {
-		return netsim.SingleDC(spec.Groups, spec.PerGroup, netsim.Params{})
+		return netsim.SingleDC(spec.Groups, spec.PerGroup)
 	}
 	rtt := spec.WANRTT
 	if rtt == nil {
@@ -281,6 +266,10 @@ func buildTopo(spec Spec) *netsim.Topology {
 	}
 	return netsim.MultiDCFromRTT(spec.Groups, spec.PerGroup, rtt)
 }
+
+// zabVoters is ZooKeeper's ensemble size: the rest of a deployment's nodes
+// are observers.
+const zabVoters = 5
 
 // buildSystem instantiates the protocol nodes and returns one workload
 // target per node.
@@ -348,10 +337,7 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			targets[i] = epaxosTarget{r: rep}
 		}
 	case Zab:
-		voters := spec.ZabVoters
-		if voters > n {
-			voters = n
-		}
+		voters := min(zabVoters, n)
 		all := make([]wire.NodeID, n)
 		for i := range all {
 			all[i] = wire.NodeID(i)
@@ -360,7 +346,6 @@ func buildSystem(spec Spec, sim *netsim.Sim, topo *netsim.Topology, runner *nets
 			id := wire.NodeID(i)
 			node := zab.New(zab.Config{
 				Self: id, Leader: 0, Voters: all[:voters], All: all,
-				BatchDuration: spec.ZabBatch,
 			}, nil, zab.Callbacks{
 				OnDeliver: func(zxid uint64, b *wire.Batch) {
 					if b.Origin == id {

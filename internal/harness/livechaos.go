@@ -292,8 +292,9 @@ func EvictReadmit(d Deployment, e Eviction) (string, error) {
 }
 
 // Stall parameterizes the asymmetric-partition stall campaign: Wedged is
-// a node alone in its super-leaf with StallThreshold armed, Majority the
-// rest of the cluster.
+// a node alone in its super-leaf, Majority the rest of the cluster, and
+// Threshold the bound the always-on stall detector trips at, 4 ×
+// FetchTimeout of the deployment's nodes.
 type Stall struct {
 	Threshold time.Duration
 	Majority  []wire.NodeID

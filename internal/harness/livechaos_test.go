@@ -72,8 +72,9 @@ var lanNode = core.Config{
 //     latencies, because scheduler jitter, GC and the proxy hop do not
 //     shrink with them, and a LeafTimeout too close to a stalled cycle's
 //     resolution time evicts a healthy-but-slow leaf.
-//   - asymmetric-partition-stall: node 2, alone in its leaf with
-//     StallThreshold armed, hears nothing from the majority.
+//   - asymmetric-partition-stall: node 2, alone in its leaf, hears
+//     nothing from the majority; its stall detector trips at 4 ×
+//     FetchTimeout.
 //
 // What canopus-server processes cannot run (cmd/chaos-smoke): the geo
 // campaign needs FetchTimeout and CycleInterval values the server has
@@ -123,11 +124,9 @@ func TestLiveChaosCampaigns(t *testing.T) {
 			})
 		}},
 		{"asymmetric-partition-stall", func(t *testing.T) (string, error) {
-			node := lanNode
-			node.StallThreshold = 200 * time.Millisecond
-			p := startInProcess(t, [][]wire.NodeID{{0, 1}, {2}}, node, 24)
+			p := startInProcess(t, [][]wire.NodeID{{0, 1}, {2}}, lanNode, 24)
 			return StallDetect(p, Stall{
-				Threshold: node.StallThreshold,
+				Threshold: 4 * lanNode.FetchTimeout,
 				Majority:  []wire.NodeID{0, 1},
 				Wedged:    2,
 				Wait:      wait,

@@ -58,7 +58,6 @@ type Config struct {
 	// Admin gives every node an HTTP admin gateway on a loopback
 	// ephemeral port (see AdminAddr), serving the shared Metrics registry
 	// (or a private one when Metrics is nil) plus /status and /healthz.
-	// Its POST /chaos answers 403: faults come from Chaos.
 	Admin bool
 	// Chaos routes every inter-node transport connection through a
 	// chaosnet fabric: one TCP proxy per directed peer pair, so

@@ -200,8 +200,7 @@ func (p *ClientPort) Addr() string { return p.ln.Addr().String() }
 // of writing it to the socket: ops still enter consensus, commit and
 // apply, but their clients never hear back — the committed-but-
 // unacknowledged window that forces a client retry of a committed op,
-// made deterministic for crash-failover tests and the server's
-// drop-replies/serve-replies chaos verbs.
+// made deterministic for crash-failover tests.
 func (p *ClientPort) SetDropReplies(on bool) { p.dropReplies.Store(on) }
 
 // Outstanding returns the number of accepted, not-yet-answered requests.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"canopus/admin"
 	"canopus/internal/core"
 	"canopus/internal/lot"
 	"canopus/internal/transport"
@@ -420,6 +421,117 @@ func TestPortAnswers(t *testing.T) {
 	}
 	if n := jp.Outstanding(); n != 0 {
 		t.Errorf("joiner: %d requests still counted in flight", n)
+	}
+}
+
+// TestPortAnswersStalledNode pins the stalled-node rule: a node that
+// learned its super-leaf was evicted has halted, and its port refuses a
+// single-op write and a batch slot as "node stalled" at once, so the
+// client goes elsewhere instead of waiting out its timeout, and leaves
+// nothing in flight. Node 2, alone in its leaf, is cut off until a
+// survivor's /status shows the leaf evicted; after the heal a survivor's
+// Evicted notice halts it.
+func TestPortAnswersStalledNode(t *testing.T) {
+	c, err := Start(Config{
+		SuperLeaves: [][]wire.NodeID{{0}, {1}, {2}},
+		Node: core.Config{
+			CycleInterval: 2 * time.Millisecond,
+			TickInterval:  2 * time.Millisecond,
+			LeafTimeout:   250 * time.Millisecond,
+		},
+		Seed:  9,
+		Chaos: true,
+		Admin: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The write node 2 admitted before its halt is never answered (see
+	// below), so no drain can finish: give it a second, not five.
+	defer c.Stop(time.Second)
+	ctx := context.Background()
+	await := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !done(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s within 30 s", what)
+			}
+		}
+	}
+
+	c.Chaos().Partition([]wire.NodeID{2}, []wire.NodeID{0, 1})
+	// A write on the survivors' side starts the cycle that waits on the
+	// cut-off leaf: an idle cluster has no cycle to evict it in.
+	// A write at node 2 starts one there whose fetches, after the heal,
+	// draw the Evicted notice.
+	cl := dialClient(t, c, 0)
+	put := cl.PutAsync(1, []byte("a"))
+	vc := dialRaw(t, c.ClientAddr(2))
+	vc.send(t, single(1, wire.OpWrite, 1, "doomed"))
+	survivor := admin.New(c.AdminAddr(0))
+	await("eviction of node 2's leaf", func() bool {
+		st, err := survivor.Status(ctx)
+		if err != nil {
+			return false
+		}
+		for _, sl := range st.Membership {
+			if sl.Index == 2 {
+				return sl.Evicted
+			}
+		}
+		return false
+	})
+	if _, err := put.Wait(ctx); err != nil {
+		t.Fatalf("write committed by the survivors: %v", err)
+	}
+	c.Chaos().Heal()
+	await("halt of node 2", func() bool {
+		var stalled bool
+		c.Runner(2).Invoke(func() { stalled = c.Node(2).Stalled() })
+		return stalled
+	})
+
+	// The write node 2 admitted before its halt stays in flight: halt
+	// fails waiting reads and session completions, not admitted writes.
+	// The refusals must add nothing to it.
+	before := c.Port(2).Outstanding()
+	rc := dialRaw(t, c.ClientAddr(2))
+	for i, tc := range []struct {
+		name    string
+		frame   wire.ClientRequestV2
+		results []wire.ClientResult // batch answers, slot by slot
+	}{
+		{name: "single write", frame: single(0, wire.OpWrite, 1, "x")},
+		{name: "batch write", frame: wire.ClientRequestV2{Batch: true, Ops: []wire.ClientOp{{Op: wire.OpWrite, Key: 2, Val: []byte("y")}}},
+			results: []wire.ClientResult{{Status: wire.ClientStatusErr, Code: wire.CodeStalled, Val: []byte("node stalled")}}},
+	} {
+		id := uint64(100 + i)
+		tc.frame.ID = id
+		rc.send(t, tc.frame)
+		resp := rc.next(t)
+		if resp.ID != id || resp.Batch != tc.frame.Batch || resp.Cycle != 0 {
+			t.Fatalf("%s: answered ID %d batch=%v cycle %d, want ID %d batch=%v and no cycle",
+				tc.name, resp.ID, resp.Batch, resp.Cycle, id, tc.frame.Batch)
+		}
+		if !tc.frame.Batch {
+			if resp.Status != wire.ClientStatusErr || resp.Code != wire.CodeStalled || string(resp.Val) != "node stalled" {
+				t.Errorf("%s: answered %d/%d/%q, want %d/%d/%q", tc.name, resp.Status, resp.Code, resp.Val,
+					wire.ClientStatusErr, wire.CodeStalled, "node stalled")
+			}
+			continue
+		}
+		if resp.Code != wire.CodeNone || len(resp.Results) != len(tc.results) {
+			t.Fatalf("%s: frame code %d with %d results, want %d with %d", tc.name, resp.Code, len(resp.Results), wire.CodeNone, len(tc.results))
+		}
+		for j, r := range resp.Results {
+			w := tc.results[j]
+			if r.Status != w.Status || r.Code != w.Code || string(r.Val) != string(w.Val) {
+				t.Errorf("%s: slot %d answered %d/%d/%q, want %d/%d/%q", tc.name, j, r.Status, r.Code, r.Val, w.Status, w.Code, w.Val)
+			}
+		}
+	}
+	if n := c.Port(2).Outstanding(); n != before {
+		t.Errorf("%d requests in flight on the stalled node after the refusals, want %d", n, before)
 	}
 }
 

@@ -3,10 +3,8 @@ package livecluster
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
-	"time"
 
 	"canopus/admin"
 	"canopus/internal/adminsrv"
@@ -41,9 +39,6 @@ type ReplicaConfig struct {
 	ClientAddr string
 	// AdminAddr is the admin gateway's listen address; "" runs without one.
 	AdminAddr string
-	// FaultVerbs arms the gateway's POST /chaos with drop-replies,
-	// serve-replies and kill (canopus-server -admin-chaos).
-	FaultVerbs bool
 	// Registry, when set, receives the replica's instruments, labeled
 	// node="<id>".
 	Registry *metrics.Registry
@@ -134,9 +129,6 @@ func (r *Replica) boot() (err error) {
 		}
 		if r.mgr != nil {
 			acfg.Snapshot = func() error { r.mgr.RequestSnapshot(); return nil }
-		}
-		if r.cfg.FaultVerbs {
-			acfg.Chaos = r.faultVerb
 		}
 		if r.admin, err = adminsrv.Listen(r.cfg.AdminAddr, acfg); err != nil {
 			return err
@@ -316,30 +308,11 @@ func (r *Replica) status() admin.Status {
 }
 
 // degraded is the gateway's liveness hook: "stalled" while the current
-// node's stall detector (core.Config.StallThreshold) is raised.
+// node's stall detector is raised (no commit for 4 × FetchTimeout with
+// cycles outstanding) or the node has hard-halted.
 func (r *Replica) degraded() string {
 	if r.Node().StallSuspected() {
 		return "stalled"
 	}
 	return ""
-}
-
-// faultVerb is POST /chaos under FaultVerbs: drop-replies opens the
-// committed-but-unacknowledged reply-loss window, serve-replies closes
-// it, and kill crash-stops the process (exit 137, as SIGKILL would)
-// after a short delay so the HTTP response gets out first.
-func (r *Replica) faultVerb(action string) error {
-	switch action {
-	case "drop-replies", "serve-replies":
-		if r.port == nil {
-			return errors.New("no client port")
-		}
-		r.port.SetDropReplies(action == "drop-replies")
-	case "kill":
-		r.cfg.Runner.Logf("node %v: chaos kill requested", r.cfg.Runner.ID())
-		time.AfterFunc(100*time.Millisecond, func() { os.Exit(137) })
-	default:
-		return fmt.Errorf("unknown chaos action %q (want drop-replies, serve-replies or kill)", action)
-	}
-	return nil
 }

@@ -16,7 +16,7 @@ func pingAt(sim *Sim, m *echoMachine, at time.Duration, to wire.NodeID) {
 func faultPair(t *testing.T) (*Sim, *Runner, *echoMachine, *echoMachine) {
 	t.Helper()
 	sim := NewSim()
-	topo := SingleDC(2, 1, Params{}) // two racks, so the pair crosses the aggregation layer
+	topo := SingleDC(2, 1) // two racks, so the pair crosses the aggregation layer
 	r := NewRunner(sim, topo, DefaultCosts(), 1)
 	a, b := &echoMachine{}, &echoMachine{}
 	r.Register(0, a)
@@ -79,7 +79,7 @@ func TestLatencySpikeDelaysDelivery(t *testing.T) {
 func TestDropFaultIsProbabilisticAndDeterministic(t *testing.T) {
 	run := func() int {
 		sim := NewSim()
-		topo := SingleDC(2, 1, Params{})
+		topo := SingleDC(2, 1)
 		r := NewRunner(sim, topo, DefaultCosts(), 7)
 		a, b := &echoMachine{}, &echoMachine{}
 		r.Register(0, a)
@@ -135,7 +135,7 @@ func TestEmpty(t *testing.T) {
 
 func TestLeafPartitionKeepsIntraLeafLinks(t *testing.T) {
 	sim := NewSim()
-	topo := SingleDC(2, 2, Params{}) // racks {0,1} and {2,3}
+	topo := SingleDC(2, 2) // racks {0,1} and {2,3}
 	r := NewRunner(sim, topo, DefaultCosts(), 1)
 	ms := make([]*echoMachine, 4)
 	for i := range ms {

@@ -61,16 +61,16 @@ func TestLinkSerialization(t *testing.T) {
 }
 
 func TestPathsByTopology(t *testing.T) {
-	topo := SingleDC(2, 2, Params{})
+	topo := SingleDC(2, 2)
 	if len(topo.path(0, 1)) != 2 {
 		t.Fatalf("intra-rack path should be 2 links, got %d", len(topo.path(0, 1)))
 	}
 	if len(topo.path(0, 2)) != 4 {
 		t.Fatalf("inter-rack path should be 4 links, got %d", len(topo.path(0, 2)))
 	}
-	wan := MultiDC(2, 2, Params{WANDelay: [][]time.Duration{
+	wan := MultiDC(2, 2, [][]time.Duration{
 		{0, 50 * time.Millisecond}, {50 * time.Millisecond, 0},
-	}})
+	})
 	if len(wan.path(0, 2)) != 5 {
 		t.Fatalf("WAN path should be 5 links, got %d", len(wan.path(0, 2)))
 	}
@@ -99,7 +99,7 @@ func (m *echoMachine) Recv(from wire.NodeID, msg wire.Message) {
 
 func TestRunnerDeliversWithCosts(t *testing.T) {
 	sim := NewSim()
-	topo := SingleDC(1, 2, Params{})
+	topo := SingleDC(1, 2)
 	r := NewRunner(sim, topo, DefaultCosts(), 1)
 	a := &echoMachine{}
 	b := &echoMachine{reply: true}
@@ -118,7 +118,7 @@ func TestRunnerDeliversWithCosts(t *testing.T) {
 
 func TestCrashDropsTraffic(t *testing.T) {
 	sim := NewSim()
-	topo := SingleDC(1, 2, Params{})
+	topo := SingleDC(1, 2)
 	r := NewRunner(sim, topo, DefaultCosts(), 1)
 	a := &echoMachine{}
 	b := &echoMachine{}
@@ -142,7 +142,7 @@ func TestCrashDropsTraffic(t *testing.T) {
 
 func TestUseCPUQueues(t *testing.T) {
 	sim := NewSim()
-	topo := SingleDC(1, 1, Params{})
+	topo := SingleDC(1, 1)
 	r := NewRunner(sim, topo, DefaultCosts(), 1)
 	r.Register(0, &echoMachine{})
 	r.UseCPU(0, 5*time.Millisecond)

@@ -46,45 +46,20 @@ type NodeInfo struct {
 	Rack int // global rack index
 }
 
-// Params configures link speeds and delays for the topology builders.
-// Zero values are replaced by defaults matching the paper's testbed
-// (§8.1: 10 Gbps NICs and ToR links, 2×10 Gbps rack uplinks, Mellanox
-// SX1012 switches; §8.2: EC2 c3.4xlarge across 7 regions).
-type Params struct {
-	NodeBandwidth   float64       // node NIC, bytes/s (default 10 Gbps)
-	UplinkBandwidth float64       // rack ToR -> aggregation, bytes/s (default 2x10 Gbps)
-	WANBandwidth    float64       // per DC pair per direction, bytes/s (default 2.5 Gbps)
-	IntraRackDelay  time.Duration // NIC->ToR->NIC one-way (default 25us)
-	InterRackDelay  time.Duration // additional ToR->agg->ToR one-way (default 50us)
-	LoopbackDelay   time.Duration // self-send (default 5us)
-	// WANDelay[i][j] is the one-way delay from DC i to DC j. Required for
-	// multi-DC topologies.
-	WANDelay [][]time.Duration
-}
-
-func (p *Params) fill() {
-	if p.NodeBandwidth == 0 {
-		p.NodeBandwidth = 10e9 / 8
-	}
-	if p.UplinkBandwidth == 0 {
-		p.UplinkBandwidth = 20e9 / 8
-	}
-	if p.WANBandwidth == 0 {
-		p.WANBandwidth = 2.5e9 / 8
-	}
-	if p.IntraRackDelay == 0 {
-		p.IntraRackDelay = 25 * time.Microsecond
-	}
-	if p.InterRackDelay == 0 {
-		p.InterRackDelay = 50 * time.Microsecond
-	}
-	if p.LoopbackDelay == 0 {
-		p.LoopbackDelay = 5 * time.Microsecond
-	}
-}
+// Link speeds and delays of the paper's testbed (§8.1: 10 Gbps NICs and
+// ToR links, 2×10 Gbps rack uplinks, Mellanox SX1012 switches; §8.2: EC2
+// c3.4xlarge across 7 regions). Bandwidths are in bytes per second.
+const (
+	nodeBandwidth   = 10e9 / 8              // node NIC
+	uplinkBandwidth = 20e9 / 8              // rack ToR -> aggregation
+	wanBandwidth    = 2.5e9 / 8             // per DC pair per direction
+	intraRackDelay  = 25 * time.Microsecond // NIC -> ToR -> NIC one-way
+	interRackDelay  = 50 * time.Microsecond // additional ToR -> agg -> ToR one-way
+	loopbackDelay   = 5 * time.Microsecond  // self-send
+)
 
 // Emulated WAN latency classes: nominal one-way delays for common
-// geographic spans, used to build WANDelay matrices without hand-picking
+// geographic spans, used to build WAN delay matrices without hand-picking
 // per-pair numbers. They bracket the paper's Table 1 measurements (EC2,
 // 7 regions): same-metro pairs at a few hundred microseconds up to
 // transoceanic pairs above 100ms RTT.
@@ -99,8 +74,8 @@ const (
 	IntercontinentalOneWay = 75 * time.Millisecond
 )
 
-// UniformWANDelay builds a WANDelay matrix with the same one-way delay
-// between every distinct DC pair (zero diagonal).
+// UniformWANDelay builds a one-way WAN delay matrix (MultiDC) with the
+// same delay between every distinct DC pair (zero diagonal).
 func UniformWANDelay(dcs int, oneWay time.Duration) [][]time.Duration {
 	m := make([][]time.Duration, dcs)
 	for i := range m {
@@ -114,10 +89,10 @@ func UniformWANDelay(dcs int, oneWay time.Duration) [][]time.Duration {
 	return m
 }
 
-// GeoWANDelay builds a WANDelay matrix from per-DC latency classes:
-// class[i] is DC i's distance tier, and the delay between two DCs is the
-// larger of their classes — a metro DC talking to an intercontinental
-// one pays the intercontinental span. A symmetric, deterministic stand-in
+// GeoWANDelay builds a one-way WAN delay matrix (MultiDC) from per-DC
+// latency classes: class[i] is DC i's distance tier, and the delay
+// between two DCs is the larger of their classes — a metro DC talking to
+// an intercontinental one pays the intercontinental span. A symmetric, deterministic stand-in
 // for a measured matrix when the test only needs "geo-scale" shape.
 func GeoWANDelay(class []time.Duration) [][]time.Duration {
 	m := make([][]time.Duration, len(class))
@@ -139,8 +114,7 @@ func GeoWANDelay(class []time.Duration) [][]time.Duration {
 // Topology is the physical network: nodes placed in racks and
 // datacenters, and the directed links between them.
 type Topology struct {
-	Nodes  []NodeInfo
-	params Params
+	Nodes []NodeInfo
 
 	nodeUp   []*Link // node NIC transmit
 	nodeDown []*Link // node NIC receive
@@ -156,9 +130,8 @@ type Topology struct {
 // with `perRack` Canopus nodes each, dual-homed ToR switches feeding one
 // aggregation switch (§8.1). With 3 racks and 3/5/7/9 nodes per rack the
 // uplink oversubscription is 1.5/2.5/3.5/4.5, exactly the paper's setup.
-func SingleDC(racks, perRack int, p Params) *Topology {
-	p.fill()
-	t := &Topology{params: p, racks: racks, dcs: 1}
+func SingleDC(racks, perRack int) *Topology {
+	t := &Topology{racks: racks, dcs: 1}
 	id := wire.NodeID(0)
 	for r := 0; r < racks; r++ {
 		for n := 0; n < perRack; n++ {
@@ -166,19 +139,19 @@ func SingleDC(racks, perRack int, p Params) *Topology {
 			id++
 		}
 	}
-	t.buildLinks()
+	t.buildLinks(nil)
 	return t
 }
 
 // MultiDC builds the paper's wide-area deployment: `dcs` datacenters of
 // `perDC` nodes each (one rack per DC), with per-pair WAN links whose
-// delays come from p.WANDelay (Table 1 in the paper).
-func MultiDC(dcs, perDC int, p Params) *Topology {
-	p.fill()
-	if len(p.WANDelay) < dcs {
-		panic(fmt.Sprintf("netsim: WANDelay matrix %d smaller than dc count %d", len(p.WANDelay), dcs))
+// delays come from wanDelay: wanDelay[i][j] is the one-way delay from DC
+// i to DC j (Table 1 in the paper).
+func MultiDC(dcs, perDC int, wanDelay [][]time.Duration) *Topology {
+	if len(wanDelay) < dcs {
+		panic(fmt.Sprintf("netsim: WAN delay matrix %d smaller than dc count %d", len(wanDelay), dcs))
 	}
-	t := &Topology{params: p, racks: dcs, dcs: dcs}
+	t := &Topology{racks: dcs, dcs: dcs}
 	id := wire.NodeID(0)
 	for d := 0; d < dcs; d++ {
 		for n := 0; n < perDC; n++ {
@@ -186,7 +159,7 @@ func MultiDC(dcs, perDC int, p Params) *Topology {
 			id++
 		}
 	}
-	t.buildLinks()
+	t.buildLinks(wanDelay)
 	return t
 }
 
@@ -203,23 +176,22 @@ func MultiDCFromRTT(dcs, perDC int, rtt [][]time.Duration) *Topology {
 			}
 		}
 	}
-	return MultiDC(dcs, perDC, Params{WANDelay: oneway})
+	return MultiDC(dcs, perDC, oneway)
 }
 
-func (t *Topology) buildLinks() {
-	p := t.params
+func (t *Topology) buildLinks(wanDelay [][]time.Duration) {
 	t.nodeUp = make([]*Link, len(t.Nodes))
 	t.nodeDown = make([]*Link, len(t.Nodes))
 	for i := range t.Nodes {
 		t.nodeUp[i] = &Link{
 			Name:      fmt.Sprintf("n%d-up", i),
-			Bandwidth: p.NodeBandwidth,
-			Delay:     p.IntraRackDelay / 2,
+			Bandwidth: nodeBandwidth,
+			Delay:     intraRackDelay / 2,
 		}
 		t.nodeDown[i] = &Link{
 			Name:      fmt.Sprintf("n%d-down", i),
-			Bandwidth: p.NodeBandwidth,
-			Delay:     p.IntraRackDelay / 2,
+			Bandwidth: nodeBandwidth,
+			Delay:     intraRackDelay / 2,
 		}
 	}
 	t.rackUp = make([]*Link, t.racks)
@@ -227,13 +199,13 @@ func (t *Topology) buildLinks() {
 	for r := 0; r < t.racks; r++ {
 		t.rackUp[r] = &Link{
 			Name:      fmt.Sprintf("rack%d-up", r),
-			Bandwidth: p.UplinkBandwidth,
-			Delay:     p.InterRackDelay / 2,
+			Bandwidth: uplinkBandwidth,
+			Delay:     interRackDelay / 2,
 		}
 		t.rackDown[r] = &Link{
 			Name:      fmt.Sprintf("rack%d-down", r),
-			Bandwidth: p.UplinkBandwidth,
-			Delay:     p.InterRackDelay / 2,
+			Bandwidth: uplinkBandwidth,
+			Delay:     interRackDelay / 2,
 		}
 	}
 	if t.dcs > 1 {
@@ -246,8 +218,8 @@ func (t *Topology) buildLinks() {
 				}
 				t.wan[i][j] = &Link{
 					Name:      fmt.Sprintf("wan%d-%d", i, j),
-					Bandwidth: p.WANBandwidth,
-					Delay:     p.WANDelay[i][j],
+					Bandwidth: wanBandwidth,
+					Delay:     wanDelay[i][j],
 				}
 			}
 		}
@@ -295,7 +267,7 @@ func (t *Topology) path(src, dst wire.NodeID) []*Link {
 // the arrival time at dst.
 func (t *Topology) transmit(now time.Duration, src, dst wire.NodeID, size int) time.Duration {
 	if src == dst {
-		return now + t.params.LoopbackDelay
+		return now + loopbackDelay
 	}
 	at := now
 	for _, l := range t.path(src, dst) {
@@ -314,7 +286,7 @@ func (t *Topology) multicast(now time.Duration, src wire.NodeID, dsts []wire.Nod
 	for i, dst := range dsts {
 		switch {
 		case dst == src:
-			arrivals[i] = now + t.params.LoopbackDelay
+			arrivals[i] = now + loopbackDelay
 		case t.Nodes[dst].Rack == t.Nodes[src].Rack:
 			arrivals[i] = t.nodeDown[dst].Transmit(upDone, size)
 		default:

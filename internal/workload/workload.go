@@ -42,53 +42,41 @@ type Config struct {
 	Rate float64
 	// WriteRatio is the fraction of requests that are writes.
 	WriteRatio float64
-	// ValueBytes is the write payload size; the paper uses 16-byte
-	// key-value pairs (8-byte key + 8-byte value).
-	ValueBytes int
-	// Window is the aggregation granularity (default 1ms).
-	Window time.Duration
-	// SamplesPerWindow bounds latency samples per type per window
-	// (default 3).
-	SamplesPerWindow int
-	// ClientCPU is the per-request connection-handling cost charged to
-	// the serving node (parse, dispatch, reply) — a major per-node cost
-	// at high load (default 4µs).
-	ClientCPU time.Duration
 	// LocalReads, when true, answers reads at the serving node without
 	// involving the protocol engine (ZooKeeper semantics): their latency
 	// is the client RTT plus the node's CPU backlog.
 	LocalReads bool
-	// LocalReadRTT is the modeled client-to-node round trip for
-	// LocalReads (default 250µs).
-	LocalReadRTT time.Duration
 	// Seed randomizes arrivals.
 	Seed int64
 }
 
 func (c *Config) fill() {
-	if c.Window == 0 {
-		c.Window = time.Millisecond
-	}
-	if c.SamplesPerWindow == 0 {
-		c.SamplesPerWindow = 3
-	}
-	if c.ClientCPU == 0 {
-		c.ClientCPU = 4 * time.Microsecond
-	}
-	if c.LocalReadRTT == 0 {
-		c.LocalReadRTT = 250 * time.Microsecond
-	}
-	if c.ValueBytes == 0 {
-		c.ValueBytes = 8
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
+// The generator's fixed model.
+const (
+	// valueBytes is the write payload size; the paper uses 16-byte
+	// key-value pairs (8-byte key + 8-byte value).
+	valueBytes = 8
+	// window is the aggregation granularity.
+	window = time.Millisecond
+	// samplesPerWindow bounds latency samples per type per window.
+	samplesPerWindow = 3
+	// clientCPU is the per-request connection-handling cost charged to
+	// the serving node (parse, dispatch, reply) — a major per-node cost
+	// at high load.
+	clientCPU = 2 * time.Microsecond
+	// localReadRTT is the modeled client-to-node round trip of a read
+	// answered under LocalReads.
+	localReadRTT = 250 * time.Microsecond
+)
+
 // Request wire overhead: the encoded request size for an 8-byte-keyed
-// write with ValueBytes of payload (see wire.Request.PayloadBytes).
-func requestBytes(valueBytes int) uint32 { return uint32(29 + valueBytes) }
+// write with valueBytes of payload (see wire.Request.PayloadBytes).
+const writeRequestBytes uint32 = 29 + valueBytes
 
 const readRequestBytes uint32 = 29
 
@@ -176,8 +164,8 @@ func (g *Generator) Start(end time.Duration) {
 	for node := range g.targets {
 		n := node
 		// Stagger first windows so nodes do not tick in lockstep.
-		offset := time.Duration(g.rngs[n].Int63n(int64(g.cfg.Window)))
-		g.sim.After(g.cfg.Window+offset, func() { g.window(n) })
+		offset := time.Duration(g.rngs[n].Int63n(int64(window)))
+		g.sim.After(window+offset, func() { g.window(n) })
 	}
 }
 
@@ -192,12 +180,12 @@ func (g *Generator) window(node int) {
 		// offered load is lost, so it must not be recorded as completed.
 		// Keep the window clock running so generation resumes the moment
 		// a fault plan restarts the node.
-		g.sim.After(g.cfg.Window, func() { g.window(node) })
+		g.sim.After(window, func() { g.window(node) })
 		return
 	}
 	rng := g.rngs[node]
 	perNode := g.cfg.Rate / float64(len(g.targets))
-	w := g.cfg.Window.Seconds()
+	w := window.Seconds()
 	reads := poisson(rng, perNode*(1-g.cfg.WriteRatio)*w)
 	writes := poisson(rng, perNode*g.cfg.WriteRatio*w)
 	g.offeredReads += uint64(reads)
@@ -206,39 +194,39 @@ func (g *Generator) window(node int) {
 	// Client connection handling burns serving-node CPU regardless of
 	// protocol.
 	if total := reads + writes; total > 0 {
-		g.runner.UseCPU(wire.NodeID(node), time.Duration(total)*g.cfg.ClientCPU)
+		g.runner.UseCPU(wire.NodeID(node), time.Duration(total)*clientCPU)
 	}
 
 	samples := g.sample(rng, now, writes, false, nil)
 	if g.cfg.LocalReads {
 		if reads > 0 {
 			// Reads complete locally: latency = client RTT + CPU queue.
-			lat := g.cfg.LocalReadRTT + g.runner.CPUBacklog(wire.NodeID(node))
+			lat := localReadRTT + g.runner.CPUBacklog(wire.NodeID(node))
 			g.recorder.RecordRead(now, lat, uint64(reads))
 		}
 		if writes > 0 {
 			g.targets[node].Offer(0, uint32(writes), 0,
-				uint32(writes)*requestBytes(g.cfg.ValueBytes), samples)
+				uint32(writes)*writeRequestBytes, samples)
 		}
 	} else {
 		samples = g.sample(rng, now, reads, true, samples)
 		if reads+writes > 0 {
 			g.targets[node].Offer(uint32(reads), uint32(writes),
 				uint32(reads)*readRequestBytes,
-				uint32(writes)*requestBytes(g.cfg.ValueBytes), samples)
+				uint32(writes)*writeRequestBytes, samples)
 		}
 	}
 
-	g.sim.After(g.cfg.Window, func() { g.window(node) })
+	g.sim.After(window, func() { g.window(node) })
 }
 
-// sample appends up to SamplesPerWindow weighted arrival samples with
+// sample appends up to samplesPerWindow weighted arrival samples with
 // times uniform over the just-elapsed window.
 func (g *Generator) sample(rng *rand.Rand, now time.Duration, count int, read bool, into []wire.ArrivalSample) []wire.ArrivalSample {
 	if count <= 0 {
 		return into
 	}
-	k := g.cfg.SamplesPerWindow
+	k := samplesPerWindow
 	if count < k {
 		k = count
 	}
@@ -248,7 +236,7 @@ func (g *Generator) sample(rng *rand.Rand, now time.Duration, count int, read bo
 		if i < rem {
 			c++
 		}
-		at := now - time.Duration(rng.Int63n(int64(g.cfg.Window)))
+		at := now - time.Duration(rng.Int63n(int64(window)))
 		into = append(into, wire.ArrivalSample{At: int64(at), Count: uint32(c), Read: read})
 	}
 	return into

@@ -24,7 +24,7 @@ func (s *sink) Offer(reads, writes, readBytes, writeBytes uint32, samples []wire
 
 func TestGeneratorRateAndMix(t *testing.T) {
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, 4, netsim.Params{})
+	topo := netsim.SingleDC(1, 4)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 1)
 	sinks := make([]*sink, 4)
 	targets := make([]Target, 4)
@@ -93,7 +93,7 @@ func TestPoissonMoments(t *testing.T) {
 
 func TestLocalReadsMode(t *testing.T) {
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, 1, netsim.Params{})
+	topo := netsim.SingleDC(1, 1)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 1)
 	s := &sink{}
 	rec := &Recorder{WarmFrom: 0, ArriveUntil: time.Second}

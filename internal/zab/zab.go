@@ -30,19 +30,12 @@ type Config struct {
 	Leader wire.NodeID
 	Voters []wire.NodeID // voting members, including the leader
 	All    []wire.NodeID // every node (voters + observers)
-
-	BatchDuration time.Duration // local write batching window (default 2ms)
-	MaxBatch      int           // early flush threshold (default 1000)
 }
 
-func (c *Config) fill() {
-	if c.BatchDuration == 0 {
-		c.BatchDuration = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1000
-	}
-}
+const (
+	batchDuration = 2 * time.Millisecond // local write batching window
+	maxBatch      = 1000                 // early flush threshold
+)
 
 // StateMachine mirrors core.StateMachine.
 type StateMachine interface {
@@ -90,7 +83,6 @@ var _ engine.Machine = (*Node)(nil)
 
 // New builds a Zab node.
 func New(cfg Config, sm StateMachine, cbs Callbacks) *Node {
-	cfg.fill()
 	n := &Node{
 		cfg:      cfg,
 		sm:       sm,
@@ -112,14 +104,14 @@ func New(cfg Config, sm StateMachine, cbs Callbacks) *Node {
 // Init implements engine.Machine.
 func (n *Node) Init(env engine.Env) {
 	n.env = env
-	env.After(n.cfg.BatchDuration, engine.Tag(tagBatch, 0))
+	env.After(batchDuration, engine.Tag(tagBatch, 0))
 }
 
 // Timer implements engine.Machine.
 func (n *Node) Timer(tag engine.TimerTag) {
 	if engine.TagKind(tag) == tagBatch {
 		n.flush()
-		n.env.After(n.cfg.BatchDuration, engine.Tag(tagBatch, 0))
+		n.env.After(batchDuration, engine.Tag(tagBatch, 0))
 	}
 }
 
@@ -137,7 +129,7 @@ func (n *Node) Submit(req wire.Request) {
 		return
 	}
 	n.reqs = append(n.reqs, req)
-	if len(n.reqs) >= n.cfg.MaxBatch {
+	if len(n.reqs) >= maxBatch {
 		n.flush()
 	}
 }
@@ -150,7 +142,7 @@ func (n *Node) SubmitFluid(writes, bytes uint32, samples []wire.ArrivalSample) {
 	n.fluid.NumWrite += writes
 	n.fluid.ByteSize += bytes
 	n.fluid.Samples = append(n.fluid.Samples, samples...)
-	if int(n.fluid.NumWrite) >= n.cfg.MaxBatch {
+	if int(n.fluid.NumWrite) >= maxBatch {
 		n.flush()
 	}
 }

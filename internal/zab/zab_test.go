@@ -21,7 +21,7 @@ type zabCluster struct {
 func newZabCluster(t *testing.T, n, voters int) *zabCluster {
 	t.Helper()
 	sim := netsim.NewSim()
-	topo := netsim.SingleDC(1, n, netsim.Params{})
+	topo := netsim.SingleDC(1, n)
 	runner := netsim.NewRunner(sim, topo, netsim.DefaultCosts(), 5)
 	all := make([]wire.NodeID, n)
 	for i := range all {
