@@ -48,7 +48,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound for in-flight client requests")
 	join := flag.Bool("join", false, "enter through the join protocol (§4.6) instead of participating from cycle 1 — how an evicted node re-enters a live cluster")
 	leafTimeout := flag.Duration("leaf-timeout", 0, "arm super-leaf eviction: a leaf silent for this long is evicted so the rest keeps committing (0 = stall forever, §6; same value on every node)")
-	exitOnEvict := flag.Bool("exit-on-evict", false, "exit with status 3 when told this node's super-leaf was evicted, so a supervisor can restart it with -join")
+	exitOnEvict := flag.Bool("exit-on-evict", false, "exit with status 3 when told the cluster dropped this node (its leaf-mates cut it, or its super-leaf was evicted), so a supervisor can restart it with -join")
 	dataDir := flag.String("data-dir", "", "durable storage directory: group-commit WAL + snapshots, recovered at boot (default: in-memory only)")
 	snapshotCycles := flag.Int("snapshot-cycles", 0, "snapshot cadence in committed cycles (0 = default, <0 = disable periodic snapshots)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (stopped at graceful shutdown)")
@@ -98,12 +98,12 @@ func main() {
 		rc.Registry = metrics.NewRegistry()
 	}
 	if *exitOnEvict {
-		// Fires on the machine turn when an Evicted notice proves the
-		// rest of the cluster committed this node's Leave: this
-		// incarnation can never make progress again. The short delay
-		// lets the log line and any in-flight admin replies out first.
+		// Fires on the machine turn when the node learns the committed
+		// view dropped it: this incarnation can never make progress
+		// again. The short delay lets the log line and any in-flight
+		// admin replies out first.
 		rc.OnEvicted = func() {
-			log.Printf("node %v: super-leaf evicted by the cluster; exiting for a -join restart", self)
+			log.Printf("node %v: dropped from the cluster's view; exiting for a -join restart", self)
 			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
 		}
 	}

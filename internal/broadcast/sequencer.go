@@ -44,7 +44,8 @@ import (
 // GroupClosed for its incarnation, so every survivor reports PeerFailed
 // at the same slot; a member that has not heard from the sequencer for
 // failAfter times its rank — the live members below it — opens the next
-// epoch.
+// epoch. A sequencer that has heard from no majority for failAfter stands
+// for the next epoch instead of cutting (Raft's CheckQuorum).
 //
 // Joins. Expect stops the log's trim point; AddPeer seats the peer, whose
 // acknowledgement the trim point then waits for, and the sequencer sends
@@ -886,6 +887,8 @@ func (s *Sequencer) compact() {
 func (s *Sequencer) Tick() {
 	now, hb := s.env.Now(), s.cfg.heartbeat()
 	switch {
+	case s.sequencing() && !s.heardQuorum(now):
+		s.startEpoch()
 	case s.sequencing():
 		s.commit(s.lastIndex(), 1, s.quorum(), s.self) // what a smaller quorum commits now
 		cuts := false
@@ -928,6 +931,18 @@ func (s *Sequencer) Tick() {
 		}
 	}
 	s.settle()
+}
+
+// heardQuorum reports whether the sequencer has heard from a majority of
+// its members, itself included, within failAfter.
+func (s *Sequencer) heardQuorum(now time.Duration) bool {
+	n := 1
+	for _, m := range s.members {
+		if m != s.self && now-s.heard[m] <= s.cfg.failAfter() {
+			n++
+		}
+	}
+	return n >= s.quorum()
 }
 
 // RemovePeer drops a peer after its failure cut.

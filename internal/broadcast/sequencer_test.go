@@ -543,6 +543,50 @@ func TestSilentSequencerIsReplaced(t *testing.T) {
 	n.agree([]string{"0:1", "cut 0", "1:2", "2:3"}, 1, 2)
 }
 
+// TestSequencerWithoutQuorumStandsDown: a sequencer that has heard from
+// no majority for failAfter cannot commit the cuts of its silent members;
+// it stands for a new epoch instead and keeps asking its leaf-mates for
+// their logs, the word that reaches them once the partition heals. One
+// that hears a majority stays and cuts the silent member.
+func TestSequencerWithoutQuorumStandsDown(t *testing.T) {
+	n := newSeqNet(t, 3, 0, 1, 2)
+	n.run(testTick)
+	seq := n.nodes[0]
+	first := seq.epoch
+	asks := 0
+	n.drop = func(from, to wire.NodeID, m wire.Message) bool {
+		if (from == 0) == (to == 0) {
+			return false
+		}
+		if _, ok := m.(*wire.SeqEpoch); ok && from == 0 {
+			asks++
+		}
+		return true
+	}
+	n.run(failAfterTest + 2*testTick)
+	if seq.sequencing() || !seq.collecting || wire.SeqLeader(seq.epoch) != 0 || seq.epoch <= first {
+		t.Fatalf("cut-off sequencer: sequencing=%v collecting=%v epoch %x (was %x)", seq.sequencing(), seq.collecting, seq.epoch, first)
+	}
+	if len(seq.cut) != 0 {
+		t.Fatalf("cut-off sequencer cut %v", seq.cut)
+	}
+	before := asks
+	n.run(2 * heartbeatTest)
+	if asks <= before {
+		t.Fatal("the candidate stopped asking its leaf-mates")
+	}
+
+	n = newSeqNet(t, 3, 0, 1, 2)
+	n.run(testTick)
+	seq = n.nodes[0]
+	first = seq.epoch
+	n.down[2] = true
+	n.run(failAfterTest + 2*testTick)
+	if !seq.sequencing() || seq.epoch != first || !seq.cut[2] {
+		t.Fatalf("sequencer with a majority: sequencing=%v epoch %x (was %x) cut %v", seq.sequencing(), seq.epoch, first, seq.cut)
+	}
+}
+
 // TestCarriedSlotsCommitWithTheNewEpoch: a slot carried over from an
 // older epoch commits only with the new epoch's first entry, the cut
 // that follows it — never by counting copies of the old slot alone.

@@ -237,9 +237,9 @@ type Callbacks struct {
 	// every consumer sees every Commit, in list order.
 	Consumers []Consumer
 	// OnEvicted fires once, in the machine turn, when the node learns the
-	// rest of the cluster has evicted its super-leaf (an Evicted notice):
-	// its state is no longer part of consensus and it must restart through
-	// the join protocol.
+	// committed view dropped it (its leaf-mates cut it, or the cluster
+	// evicted its super-leaf): its state is no longer part of consensus
+	// and it must restart through the join protocol.
 	OnEvicted func()
 	// Log receives the node's protocol trace at Debug level: one record per
 	// event (start, commit, fetch, join-reply, ...), carrying the node and

@@ -171,12 +171,9 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 	}
 	n.trace("join-install", m.StartCycle)
 	n.rejoin = false
-	if n.cfg.LeafTimeout > 0 {
-		// Remotes that have not yet committed our Join still see us dead
-		// and answer our first messages with Evicted; absorb those for one
-		// leaf-timeout (see Node.evictGraceUntil).
-		n.evictGraceUntil = n.env.Now() + n.cfg.LeafTimeout
-	}
+	// Absorb the Evicted answers of remotes that have not committed our
+	// Join yet (see Node.evictGraceUntil).
+	n.evictGraceUntil = n.env.Now() + max(n.cfg.LeafTimeout, n.cfg.stuckAfter())
 	n.started = m.StartCycle
 	n.committed = m.StartCycle
 	n.orderedW.Store(m.StartCycle)

@@ -46,12 +46,10 @@ import (
 // served real state by the leaf before it died and always use full
 // eviction rounds.
 //
-// Evicted members — stalled survivors of a leaf-majority crash, healed
-// partition minorities, durable restarts of a dead leaf — are refused by
-// every live node (the dead-in-view gate in Recv answers them with
-// Evicted), so their pre-eviction state can never leak back into
-// consensus; they re-enter empty-handed through the join protocol, via a
-// cross-leaf sponsor when their whole leaf is gone.
+// Evicted members are refused like any node the committed view dropped
+// (Recv answers them with Evicted), so their pre-eviction state never
+// leaks back into consensus; they re-enter empty-handed through the join
+// protocol, via a cross-leaf sponsor when their whole leaf is gone.
 
 // evictState tracks one eviction round this node initiated for a
 // (cycle, vnode) slot.
@@ -468,14 +466,15 @@ func (n *Node) sendResolved(to wire.NodeID, p *wire.Proposal) {
 	n.env.Send(to, &cp)
 }
 
-// onEvictedNotice handles the cluster's verdict that this node's leaf is
-// out: behave like a stall, but tell the operator to restart through the
-// join protocol rather than wait.
+// onEvictedNotice handles the cluster's verdict that the committed view
+// dropped this node — its leaf evicted, or itself cut by its leaf-mates:
+// behave like a stall, but tell the operator to restart through the join
+// protocol rather than wait.
 func (n *Node) onEvictedNotice(m *wire.Evicted) {
 	if n.rejoin || n.evicted {
 		return
 	}
-	if n.cfg.LeafTimeout > 0 && n.env.Now() < n.evictGraceUntil {
+	if n.env.Now() < n.evictGraceUntil {
 		// A remote that has not yet committed our Join still sees us
 		// dead; real evictions keep re-notifying past the grace.
 		return
@@ -484,11 +483,11 @@ func (n *Node) onEvictedNotice(m *wire.Evicted) {
 }
 
 // halt stops this node's participation (§6 stall semantics): its
-// super-leaf deposed it or lost its majority, or — evicted — the rest of
-// the cluster evicted its leaf. Committed-state reads and session
-// completions waiting for cycles that will not commit here fail, and an
-// eviction tells the operator to restart the node through the join
-// protocol.
+// super-leaf lost its majority, or — evicted — the committed view dropped
+// it (its leaf-mates cut it, or the cluster evicted its leaf). Committed-
+// state reads and session completions waiting for cycles that will not
+// commit here fail, and an eviction tells the operator to restart the
+// node through the join protocol.
 func (n *Node) halt(evicted bool) {
 	n.halted.Store(true)
 	if evicted {

@@ -164,7 +164,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 		"Evicted super-leaves re-admitted by a member's rejoin.",
 		n.stats.leafReadmissions.Load, labels...)
 	reg.CounterFunc("canopus_core_evicted_self_total",
-		"Evicted notices this node acted on (halt until re-join).",
+		"Times this node learned the committed view dropped it (an Evicted notice or its leaf's cut of it) and halted until re-join.",
 		n.stats.evictedSelf.Load, labels...)
 	// The intra-leaf broadcast's messages by kind: with
 	// canopus_transport_writes_total they attribute a cycle's socket

@@ -194,24 +194,19 @@ type Node struct {
 	stats nodeStats
 
 	stalled bool
-	// evicted latches when the node learns (via a wire.Evicted notice)
-	// that the cluster removed its super-leaf: it behaves like stalled
-	// but fires Callbacks.OnEvicted so the operator restarts it through
-	// the join protocol.
+	// evicted latches when the node learns that the committed view
+	// dropped it — a wire.Evicted notice, or its own leaf's failure cut
+	// of it: it behaves like stalled but fires Callbacks.OnEvicted so the
+	// operator restarts it through the join protocol.
 	evicted bool
 	// evictGraceUntil absorbs spurious Evicted notices right after a
 	// join: a remote whose view has not yet committed this node's Join
-	// still sees it dead and reflexively refuses its first fetches. Real
-	// evictions re-notify on every refused message, so compliance is
-	// only delayed by the grace, never lost.
+	// still sees it dead and refuses its first messages. Real evictions
+	// re-notify on every refused message, so the grace only delays them.
 	evictGraceUntil time.Duration
 	rejoin          bool
 	joinSeq         int
 	joinNonce       uint64 // this joining process's JoinRequest.Nonce
-	// recovered marks a node restarted from durable state (see
-	// recovery.go): it enables the root catch-up path that closes the
-	// watermark gap against peers after a full-cluster restart.
-	recovered bool
 	// durFailed latches after the first Durability error (fail-stop
 	// logging); durErr holds that error for external observers. unsynced
 	// is set while an appended record awaits its Sync. All three belong to
@@ -406,13 +401,11 @@ func (n *Node) Recv(from wire.NodeID, m wire.Message) {
 	if n.rejoin || n.stalled {
 		return // not participating; peers retry what matters
 	}
-	if n.cfg.LeafTimeout > 0 && n.view != nil && from != n.cfg.Self &&
-		n.tree.SuperLeafOf(from) >= 0 && !n.view.Alive(from) {
-		// Dead-in-view sender: an evicted leaf's member (possibly a healed
-		// partition minority, or a durable restart of the old incarnation)
-		// is still talking with pre-eviction state. Refusing it — and
-		// telling it why — is what keeps the evicted state from leaking
-		// back into consensus.
+	if n.view != nil && from != n.cfg.Self && n.tree.SuperLeafOf(from) >= 0 && !n.view.Alive(from) {
+		// Dead-in-view sender: a node the committed view dropped — cut by
+		// its leaf, or its leaf evicted — still talking with its old
+		// state. Refusing it, and telling it why, keeps that state out of
+		// consensus and sends it back through the join protocol.
 		n.env.Send(from, &wire.Evicted{From: n.cfg.Self})
 		return
 	}

@@ -246,3 +246,44 @@ func TestPushStartsIdleLeaf(t *testing.T) {
 		t.Fatalf("%d pulls: the idle leaf should have been started by the push", n)
 	}
 }
+
+// (d) Through a global stall every stuck node asks for the committed root
+// of its next cycle after stuckAfter, and nobody holds it: a peer drops
+// such a request rather than buffer it, so a long stall queues nothing,
+// and the cycle commits the normal way once the partition heals.
+func TestRootRequestForAnUncommittedCycleIsDropped(t *testing.T) {
+	const t0, timeout, heal = 10 * time.Millisecond, 50 * time.Millisecond, 600 * time.Millisecond
+	cfg := Config{TickInterval: time.Millisecond, FetchTimeout: timeout}
+	tc := newTestCluster(t, clusterOpts{racks: 2, perRack: 3, cfg: cfg, trace: true})
+	sl0, sl1 := tc.topo.RackMembers(0), tc.topo.RackMembers(1)
+	tc.runner.InstallFaults(netsim.FaultPlan{Partitions: []netsim.PartitionFault{
+		{At: 0, Heal: heal, A: sl0, B: sl1},
+	}}, nil)
+	tc.submitAt(t0, sl0[0], wr(1, 1, 7, 7))
+	tc.run(heal - timeout)
+
+	root := tc.nodes[0].rootVNode()
+	asked := 0
+	for _, e := range tc.trace.evs {
+		if e.event == "fetch-req" && e.detail == root {
+			asked++
+		}
+	}
+	if asked == 0 {
+		t.Fatal("no node asked a peer for the stuck cycle's root")
+	}
+	for id, node := range tc.nodes {
+		for _, c := range node.cycles {
+			for _, w := range c.waiting {
+				if w.vnode == root {
+					t.Fatalf("node %v buffered a root request of node %v for cycle %d", id, w.from, c.id)
+				}
+			}
+		}
+	}
+	tc.run(time.Second)
+	tc.requireAgreement()
+	if reps := tc.replies[sl0[0]]; len(reps) != 1 {
+		t.Fatalf("%d replies, want 1", len(reps))
+	}
+}

@@ -24,30 +24,28 @@ import (
 //     — bit-identical to the original commits, because both consume the
 //     same total order with the same session table.
 //  3. Init starts the node normally. Durable watermarks differ across
-//     replicas by the group-commit lag, so the node marked `recovered`
-//     closes the gap through root catch-up (rounds.go): the cycle at
-//     committed+1, stuck past the fetch timeout in any round, fetches
-//     the ROOT vnode state — which peers serve from their retained
-//     recent window, filled by ReplayCommit and RetainRoot — and
-//     installs it as the committed result directly.
+//     replicas by the group-commit lag, and a node behind closes the gap
+//     through root catch-up (rounds.go), which every node runs: the
+//     cycle at committed+1, stuck for 4 × FetchTimeout (stuckAfter) in
+//     any round, fetches the ROOT vnode state — which peers serve from
+//     their retained recent window, filled by ReplayCommit and
+//     RetainRoot — and installs it as the committed result directly.
 //
 // Scope: recovery is the cold-start path. Membership updates in replayed
 // roots are intentionally NOT re-applied — the view resets to the
 // configured tree (a full-cluster restart brings everyone back). A
 // single node restarting into a live cluster still uses the join
-// protocol: its peers committed its Leave, and only a Join update
-// re-admits it to its leaf's broadcast.
+// protocol: its peers committed its Leave and answer it with the Evicted
+// notice, and only a Join update re-admits it to its leaf's broadcast.
 
-// RestoreState installs recovered baseline state. Must be called before
-// Init, after the caller restored the state machine's image: it sets
-// every watermark to cycle and marks the node recovered (enabling root
-// catch-up).
+// RestoreState installs the baseline state a snapshot holds. Must be
+// called before Init, after the caller restored the state machine's
+// image: it sets every watermark to cycle.
 func (n *Node) RestoreState(cycle uint64) {
 	n.committed = cycle
 	n.started = cycle
 	n.orderedW.Store(cycle)
 	n.applied.Store(cycle)
-	n.recovered = true
 }
 
 // ReplayCommit re-commits one durable cycle from its logged root
@@ -75,7 +73,6 @@ func (n *Node) ReplayCommit(cycle uint64, root *wire.Proposal) error {
 	if old := cycle - n.retention(); old > 0 && old <= cycle {
 		n.dropRecent(old)
 	}
-	n.recovered = true
 	n.stats.replayed.Add(1)
 	return nil
 }
@@ -99,9 +96,6 @@ func (n *Node) retainRoot(cycle uint64, root *wire.Proposal) {
 	states[n.tree.Height] = root
 	n.recent[cycle] = states
 }
-
-// Recovered reports whether this node restarted from durable state.
-func (n *Node) Recovered() bool { return n.recovered }
 
 // DurabilityError returns the first error the Durability hook reported,
 // or nil. Logging is fail-stop: after an error no further appends are
@@ -149,15 +143,15 @@ func (n *Node) syncDurable() {
 // the catch-up path.
 func (n *Node) rootVNode() string { return n.tree.Ancestor(n.sl, n.tree.Height) }
 
-// onRootState installs a fetched committed root: the recovered node was
-// stuck on this cycle because its peers are already past it — they drop
-// its round-1 proposals as stale, and one that replayed the cycle from its
-// log holds its root but not the vnode states a later round pulls — so
-// consensus can never finish locally. But the cycle's result is already
-// agreed, and installing the root verbatim commits exactly what every
-// other replica committed.
+// onRootState installs a fetched committed root: the node was stuck on
+// this cycle because its peers are already past it — they drop its
+// round-1 proposals as stale, one that replayed the cycle from its log
+// holds its root but not the vnode states a later round pulls, and
+// retention may have dropped even those — so consensus can never finish
+// locally. But the cycle's result is already agreed, and installing the
+// root verbatim commits exactly what every other replica committed.
 func (n *Node) onRootState(p *wire.Proposal) {
-	if !n.recovered || p.Cycle != n.committed+1 {
+	if p.Cycle != n.committed+1 {
 		return
 	}
 	c, ok := n.cycles[p.Cycle]

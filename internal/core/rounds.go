@@ -73,8 +73,8 @@ func (n *Node) onPeerFailed(peer wire.NodeID) {
 	if peer == n.cfg.Self {
 		// The super-leaf cut this node from its broadcast: the rest of
 		// the rack considers us dead. Crash-stop semantics forbid
-		// continuing; halt until restarted through the join protocol.
-		n.halt(false)
+		// continuing; halt and, as on an Evicted notice, ask for a rejoin.
+		n.halt(true)
 		return
 	}
 	if n.closedPeers[peer] {
@@ -549,9 +549,14 @@ func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
 			}
 		}
 		// Beyond the retention window the requester's retries rotate to
-		// another emulator; backpressure (MaxInFlight) bounds how far any
-		// super-leaf can trail, so retention covers all reachable lags.
+		// another emulator. Backpressure (MaxInFlight) bounds how far a
+		// seated node's leaf trails, and a seated member holds its own
+		// leaf back, so retention covers a seated node; Recv refuses an
+		// unseated one with the Evicted notice.
 		return
+	}
+	if m.VNode == n.rootVNode() {
+		return // not buffered: a global stall would queue every retry
 	}
 	if m.Cycle > n.started {
 		n.tryStartCycles(m.Cycle, causePeer)
@@ -576,7 +581,7 @@ func (n *Node) onFetchResponse(p *wire.Proposal) {
 	}
 	if p.VNode == n.rootVNode() {
 		// Root states are never fetched by the normal rounds — this is a
-		// recovery catch-up response (see recovery.go).
+		// root catch-up response (see recovery.go).
 		n.onRootState(p)
 		return
 	}
@@ -613,12 +618,13 @@ func (n *Node) retryFetches() {
 		if !ok || !c.started || c.complete {
 			continue
 		}
-		if n.recovered && k == n.committed+1 && now-c.startedAt > 2*n.cfg.FetchTimeout {
+		if k == n.committed+1 && now-c.startedAt > n.cfg.stuckAfter() {
 			// Root catch-up (recovery.go): the cycle cannot complete when
 			// peers are already past it — they drop its round-1 proposals,
 			// and a peer that replayed it holds only its root, not the
 			// states round 2 pulls — so fetch the committed root instead.
-			// Re-sends ride the normal deadline rotation.
+			// Re-sends ride the normal deadline rotation. A node the view
+			// dropped draws the Evicted notice this way.
 			root := n.rootVNode()
 			if dl, armed := c.fetchDeadline[root]; !armed || now >= dl {
 				n.sendFetch(c, root)

@@ -58,11 +58,8 @@ type ChaosSpec struct {
 	// Durable gives every node a storage engine (internal/wal) over a
 	// per-node in-memory disk that survives in-sim restarts: crashed
 	// nodes with a RestartAt come back by recovering their snapshot + WAL
-	// instead of re-entering through the join protocol. Designed for
-	// power-loss plans — every node crashed and restarted — which is the
-	// only crash shape the cold-start recovery path claims (a single node
-	// restarting into a live cluster must still join: its peers committed
-	// its Leave).
+	// instead of re-entering through the join protocol. One whose Leave
+	// its peers committed meanwhile is told so and rejoins (onEvicted).
 	Durable bool
 	// SnapshotCycles is the durable snapshot cadence (wal default when
 	// 0); small values make restarts recover snapshot + WAL tail rather
@@ -106,10 +103,10 @@ func (s *ChaosSpec) fill() {
 const (
 	// thinkTime is the mean pause between a closed-loop client's ops.
 	thinkTime = 25 * time.Millisecond
-	// evictRestartDelay is how long an evicted node (told so by an
-	// Evicted notice after its leaf was resolved dead, which needs
-	// Node.LeafTimeout > 0) waits before restarting as a protocol-level
-	// joiner, modeling an operator bouncing the deposed rack.
+	// evictRestartDelay is how long a node the committed view dropped
+	// (its leaf-mates cut it, or its leaf was resolved dead) waits after
+	// learning it before restarting as a protocol-level joiner, modeling
+	// an operator bouncing the deposed node.
 	evictRestartDelay = 200 * time.Millisecond
 )
 
@@ -148,13 +145,15 @@ type ChaosResult struct {
 	// Replicas is each replica's final commit position and digests
 	// (after the drain window). Replicas at the same committed cycle
 	// must agree on every digest — the replica-equality invariant the
-	// store has to preserve.
+	// store has to preserve; once every fault heals, all live replicas
+	// stand at the reference's cycle.
 	Replicas []ReplicaState
 }
 
 // ReplicaState is one replica's post-run position and digests.
 type ReplicaState struct {
 	Node      wire.NodeID
+	Alive     bool // running at the end of the run
 	Committed uint64
 	// Restarted reports the replica was replaced at least once during
 	// the run — by the fault plan (crash/power-loss restart) or by the
@@ -313,6 +312,7 @@ func runChaosInner(spec ChaosSpec) (ChaosResult, *chaosRun) {
 	for i, node := range r.nodes {
 		res.Replicas = append(res.Replicas, ReplicaState{
 			Node:        wire.NodeID(i),
+			Alive:       r.runner.Alive(wire.NodeID(i)),
 			Committed:   node.Committed(),
 			Restarted:   r.restarted[wire.NodeID(i)],
 			LogLen:      r.stores[i].LogLen(),
@@ -389,11 +389,10 @@ func (r *chaosRun) newStore(id wire.NodeID) *kvstore.Store {
 }
 
 func (r *chaosRun) callbacks(id wire.NodeID) core.Callbacks {
-	cbs := core.Callbacks{Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })}}
-	if r.spec.Node.LeafTimeout > 0 {
-		cbs.OnEvicted = func() { r.onEvicted(id) }
+	return core.Callbacks{
+		Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })},
+		OnEvicted: func() { r.onEvicted(id) },
 	}
-	return cbs
 }
 
 // committed records node id's committed stream: every reply, and — at the
@@ -410,13 +409,12 @@ func (r *chaosRun) committed(id wire.NodeID, c *core.Commit) {
 	}
 }
 
-// onEvicted handles an Evicted notice at node id: the rest of the
-// cluster resolved its super-leaf dead and committed its Leave, so the
-// node can never make progress in this incarnation. After
-// evictRestartDelay the harness bounces it into a fresh joiner —
-// deliberately including Durable runs: the committed Leave invalidates
-// the single-node cold-start recovery path, so an evicted node restarts
-// without its disk and re-enters through the §4.6 join protocol.
+// onEvicted handles node id learning that the committed view dropped it
+// (an Evicted notice, or its leaf's cut of it): it can never make
+// progress in this incarnation. After evictRestartDelay the harness
+// bounces it into a fresh joiner, Durable runs included: the committed
+// Leave voids its disk's claim, so it re-enters through the §4.6 join
+// protocol without it.
 func (r *chaosRun) onEvicted(id wire.NodeID) {
 	old := r.nodes[id]
 	r.sim.After(evictRestartDelay, func() {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,10 +9,38 @@ import (
 	"canopus/internal/wire"
 )
 
+// convergence reports the first replica alive at the end of run r that
+// does not stand at the reference replica's committed cycle with the
+// digests of the other live replicas: every catalog fault heals, and a
+// node left behind, or apart, is a node the cluster lost.
+func convergence(r ChaosResult) error {
+	var ref *ReplicaState
+	for i := range r.Replicas {
+		rep := &r.Replicas[i]
+		if !rep.Alive {
+			continue
+		}
+		if rep.Committed != r.Commits {
+			return fmt.Errorf("replica %v ends at cycle %d, the reference at %d", rep.Node, rep.Committed, r.Commits)
+		}
+		if ref == nil {
+			ref = rep
+			continue
+		}
+		if rep.LogLen != ref.LogLen || rep.LogDigest != ref.LogDigest || rep.StateDigest != ref.StateDigest {
+			return fmt.Errorf("replicas %v and %v diverge at cycle %d: loglen %d/%d logdigest %x/%x state %x/%x",
+				ref.Node, rep.Node, rep.Committed, ref.LogLen, rep.LogLen,
+				ref.LogDigest, rep.LogDigest, ref.StateDigest, rep.StateDigest)
+		}
+	}
+	return nil
+}
+
 // TestScenarioCatalog runs every cataloged chaos scenario and checks the
-// three invariants all of them share: the system keeps (or resumes)
-// committing, the completed-operation history is linearizable, and the
-// run is reproducible. Under -short only the QuickScenarios subset runs.
+// four invariants all of them share: the system keeps (or resumes)
+// committing, the completed-operation history is linearizable, every
+// live replica ends at one cycle with one state, and the run is
+// reproducible. Under -short only the QuickScenarios subset runs.
 func TestScenarioCatalog(t *testing.T) {
 	scenarios := Scenarios(11)
 	if testing.Short() {
@@ -31,7 +60,41 @@ func TestScenarioCatalog(t *testing.T) {
 			if sc.Spec.FaultAt > 0 && !r.Recovered {
 				t.Fatalf("no commit after the fault at %v (longest stall %v)", sc.Spec.FaultAt, r.LongestStall)
 			}
+			if err := convergence(r); err != nil {
+				t.Fatal(err)
+			}
 		})
+	}
+}
+
+// TestMemberCutRejoins: a member its leaf-mates cut in stock mode — no
+// LeafTimeout — learns it at the heal, restarts through the join
+// protocol and ends where every other replica does, a follower or the
+// leaf's sequencer, with and without durable disks.
+func TestMemberCutRejoins(t *testing.T) {
+	seeds := int64(20)
+	if testing.Short() {
+		seeds = 5
+	}
+	for _, victim := range []int{4, 3} {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", ScenarioMemberCut(1, victim).Name, durable), func(t *testing.T) {
+				for seed := int64(1); seed <= seeds; seed++ {
+					spec := ScenarioMemberCut(seed, victim).Spec
+					spec.Durable = durable
+					r := RunChaos(spec)
+					if !r.Linearizable {
+						t.Errorf("seed %d: history of %d ops is not linearizable", seed, len(r.History))
+					}
+					if err := convergence(r); err != nil {
+						t.Errorf("seed %d: %v", seed, err)
+					}
+					if !r.Replicas[victim].Restarted {
+						t.Errorf("seed %d: node %d was never restarted", seed, victim)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -157,8 +220,8 @@ func TestPowerLossRecoversAtEverySeed(t *testing.T) {
 // TestPowerLossDurableRecovery is the acceptance scenario for the
 // storage engine: every node is killed at the same instant and restarts
 // from its durable disk. Commits must resume, the history spanning the
-// outage must be linearizable, replicas at equal commit positions must
-// hold identical state, and replaying the same seed + plan — recovery
+// outage must be linearizable, every replica must end at one cycle with
+// identical state, and replaying the same seed + plan — recovery
 // included — must be bit-identical.
 func TestPowerLossDurableRecovery(t *testing.T) {
 	sc := ScenarioPowerLoss(9)
@@ -176,25 +239,10 @@ func TestPowerLossDurableRecovery(t *testing.T) {
 	if r1.LongestStall < time.Second {
 		t.Fatalf("longest stall %v; the power loss did not bite", r1.LongestStall)
 	}
-	// Durable recovery must preserve replica equality: any two replicas
-	// at the same committed cycle agree on every digest.
-	for i := range r1.Replicas {
-		for j := i + 1; j < len(r1.Replicas); j++ {
-			a, b := r1.Replicas[i], r1.Replicas[j]
-			if a.Committed != b.Committed {
-				continue
-			}
-			if a.LogLen != b.LogLen || a.LogDigest != b.LogDigest || a.StateDigest != b.StateDigest {
-				t.Fatalf("replicas %v and %v diverge at cycle %d: loglen %d/%d logdigest %x/%x state %x/%x",
-					a.Node, b.Node, a.Committed, a.LogLen, b.LogLen,
-					a.LogDigest, b.LogDigest, a.StateDigest, b.StateDigest)
-			}
-		}
-	}
-	for _, rep := range r1.Replicas {
-		if rep.Committed == 0 {
-			t.Fatalf("replica %v never committed after recovery", rep.Node)
-		}
+	// Durable recovery must preserve replica equality, and every replica
+	// must catch up: all six end at one cycle with one state.
+	if err := convergence(r1); err != nil {
+		t.Fatal(err)
 	}
 
 	r2 := RunChaos(sc.Spec)

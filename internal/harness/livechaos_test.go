@@ -75,6 +75,11 @@ var lanNode = core.Config{
 //   - asymmetric-partition-stall: node 2, alone in its leaf, hears
 //     nothing from the majority; its stall detector trips at 4 ×
 //     FetchTimeout.
+//   - member-cut-rejoin: a 3 × 3 tree without LeafTimeout, one idle
+//     member of leaf 1 partitioned from everyone for 1 s — follower 4,
+//     then the leaf's sequencer 3. Its leaf-mates cut it; after the heal
+//     it draws the Evicted notice, is restarted as a joiner, and every
+//     node converges.
 //
 // What canopus-server processes cannot run (cmd/chaos-smoke): the geo
 // campaign needs FetchTimeout and CycleInterval values the server has
@@ -132,6 +137,12 @@ func TestLiveChaosCampaigns(t *testing.T) {
 				Wait:      wait,
 			})
 		}},
+		{"member-cut-rejoin/follower-4", func(t *testing.T) (string, error) {
+			return memberCut(t, 4, 26)
+		}},
+		{"member-cut-rejoin/sequencer-3", func(t *testing.T) (string, error) {
+			return memberCut(t, 3, 27)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			line, err := tc.run(t)
@@ -141,6 +152,59 @@ func TestLiveChaosCampaigns(t *testing.T) {
 			t.Log(line)
 		})
 	}
+}
+
+// memberCut is the member-cut campaign on a 3 × 3 in-process cluster in
+// stock mode: the idle victim is partitioned from everyone for one second,
+// past the broadcast's failure detection, while writes go on through node
+// 0, then healed. Its leaf-mates cut it and commit its Leave; the
+// victim starts no cycle, yet must learn that — a leaf-mate answers its
+// broadcast layer's next word with the Evicted notice — be restarted as a
+// joiner, and converge. It runs in-process only: chaos-smoke's processes
+// form one-node leaves.
+func memberCut(t *testing.T, victim wire.NodeID, seed int64) (string, error) {
+	p := startInProcess(t, [][]wire.NodeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}, lanNode, seed)
+	var others []wire.NodeID
+	for i := wire.NodeID(0); i < 9; i++ {
+		if i != victim {
+			others = append(others, i)
+		}
+	}
+	cl, err := Dial(p, int(others[0]))
+	if err != nil {
+		return "", err
+	}
+	defer cl.Close()
+	p.Chaos().Partition([]wire.NodeID{victim}, others)
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if err := cl.Put(context.Background(), 1, []byte("cut")); err != nil {
+			return "", fmt.Errorf("put during the cut: %w", err)
+		}
+	}
+	p.Chaos().Heal()
+	healed := time.Now()
+	if err := Await(p, 30*time.Second, fmt.Sprintf("node %d to learn it was cut", victim), func() bool {
+		select {
+		case i := <-p.Evicted():
+			if err = p.Rejoin(i); i == int(victim) || err != nil {
+				return true
+			}
+		default:
+		}
+		return false
+	}); err != nil {
+		return "", err
+	}
+	if err != nil {
+		return "", fmt.Errorf("rejoin: %w", err)
+	}
+	told := time.Since(healed)
+	state, err := Converge(p, 30*time.Second)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("node %d told %v after the heal, converged after %v, digest %016x on all 9 nodes",
+		victim, told.Round(time.Millisecond), time.Since(healed).Round(time.Millisecond), state), nil
 }
 
 // TestLiveTimeoutQuotesStatus: a wait that runs out says where every

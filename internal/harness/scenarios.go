@@ -13,46 +13,15 @@ import (
 // concedes Canopus stalls when a whole super-leaf fails (§6); these
 // scenarios pin down exactly what the implementation does under the
 // failures RCanopus (arXiv:1810.09300) was written to address, within
-// this repo's crash-stop model:
+// this repo's crash-stop model. Each Scenario function below documents
+// its fault and the outcome it expects. The leaf-eviction scenarios
+// (ScenarioLeaf…, ScenarioGeoLeafEvictReadmit) run with Node.LeafTimeout
+// set, replacing the stall-forever answer with the RCanopus-style
+// degraded mode (internal/core leaf.go); the rest run in stock mode.
 //
-//   - minority-crash: a super-leaf loses one of three members and keeps
-//     committing after the failure cut.
-//   - representative-crash-mid-cycle: the fetch-responsible
-//     representative dies with a cycle in flight; survivors take over
-//     its fetch assignment and drive the cycle to commit.
-//   - wan-partition-heal: a datacenter is cut off; commits stall
-//     globally (stall semantics, §6) and resume after the heal.
-//   - flapping-link: the inter-rack path degrades repeatedly (latency
-//     spikes + 30% loss); fetch retries ride it out with no stall longer
-//     than the flap period.
-//   - rolling-restarts: nodes crash with total state loss and rejoin
-//     through the §4.6 join protocol, one after another.
-//   - power-loss-durable: every node crashes at the same instant and
-//     restarts from its durable state (group-commit WAL + snapshots);
-//     the cluster resumes committing where it left off.
-//
-// The leaf-eviction scenarios run with Node.LeafTimeout set, replacing
-// the stall-forever answer with the RCanopus-style degraded mode
-// (internal/core leaf.go): the survivors resolve the dead super-leaf's
-// slots to tombstones, commit its members' Leaves, and keep serving;
-// evicted nodes restart through the join protocol and re-admit the leaf:
-//
-//   - leaf-partition-evict: a whole super-leaf is cut off, evicted after
-//     LeafTimeout, and — once the partition heals — bounced back in as
-//     joiners.
-//   - leaf-majority-crash: a super-leaf loses its broadcast quorum; the
-//     stalled survivor is evicted with its leaf and everyone re-enters
-//     through the join protocol.
-//   - leaf-power-loss-durable: a whole rack loses power in a Durable
-//     deployment. The eviction invalidates the rack's cold-start recovery
-//     claim, so the restarted nodes recover their disks, learn they were
-//     evicted, and re-enter state-less through the join protocol.
-//   - geo-leaf-evict-readmit: five datacenters at mixed WAN latency
-//     classes (metro to transoceanic); the farthest DC is cut off,
-//     evicted across real geo delays, and readmitted after the heal.
-//
-// Every scenario's history must check out linearizable, and replaying
-// the same seed + plan must reproduce the commit log bit-identically.
+// Every scenario's history must check out linearizable, every live
+// replica must end at one cycle with one state, and replaying the same
+// seed + plan must reproduce the commit log bit-identically.
 
 // Scenario is one named chaos experiment.
 type Scenario struct {
@@ -219,6 +188,31 @@ func ScenarioPowerLoss(seed int64) Scenario {
 	}
 }
 
+// ScenarioMemberCut partitions one member of super-leaf 1 (nodes 3–5 of
+// three racks) from the other eight for 600 ms in stock mode, well past
+// the broadcast's failure detection (100 ms at the 1 ms chaos tick). Its
+// leaf-mates cut it and commit its Leave; after the heal a peer answers
+// it with the Evicted notice, and it restarts as a joiner and converges.
+// Victim 3 is the leaf's sequencer (the lowest member opens the first
+// epoch), 4 a follower.
+func ScenarioMemberCut(seed int64, victim int) Scenario {
+	name, rest := "member-cut-follower", ids(0, 1, 2, 3, 5, 6, 7, 8)
+	if victim == 3 {
+		name, rest = "member-cut-sequencer", ids(0, 1, 2, 4, 5, 6, 7, 8)
+	}
+	return Scenario{
+		Name: name,
+		Spec: ChaosSpec{
+			Groups: 3, PerGroup: 3, Seed: seed,
+			Duration: 5 * time.Second,
+			FaultAt:  1500 * time.Millisecond,
+			Faults: netsim.FaultPlan{Partitions: []netsim.PartitionFault{
+				{At: 1500 * time.Millisecond, Heal: 2100 * time.Millisecond, A: ids(victim), B: rest},
+			}},
+		},
+	}
+}
+
 // evictionNode is the protocol tuning the leaf scenarios share: leaf
 // eviction armed at 600ms (multiples of the broadcast failure-detection
 // settle time at the chaos default 1ms tick), fetch retries fast enough
@@ -353,6 +347,8 @@ func Scenarios(seed int64) []Scenario {
 		ScenarioFlappingLink(seed),
 		ScenarioRollingRestarts(seed),
 		ScenarioPowerLoss(seed),
+		ScenarioMemberCut(seed, 4),
+		ScenarioMemberCut(seed, 3),
 		ScenarioLeafPartitionEvict(seed),
 		ScenarioLeafMajorityCrash(seed),
 		ScenarioLeafPowerLossDurable(seed),
@@ -361,15 +357,17 @@ func Scenarios(seed int64) []Scenario {
 }
 
 // QuickScenarios is the -short subset: one fast representative of each
-// fault family (a crash, a WAN partition, and a leaf eviction), chosen
-// for low virtual duration and small topologies. Tests that run the
-// catalog under -short take this slice instead of maintaining their own
-// hard-coded subsets, so new catalog entries get smoke coverage by
-// updating one place.
+// fault family (a crash, a WAN partition, a member cut — with either
+// victim — and a leaf eviction), chosen for low virtual duration and
+// small topologies. Tests that run the catalog under -short take this
+// slice instead of maintaining their own hard-coded subsets, so new
+// catalog entries get smoke coverage by updating one place.
 func QuickScenarios(seed int64) []Scenario {
 	return []Scenario{
 		ScenarioMinorityCrash(seed),
 		ScenarioWANPartitionHeal(seed),
+		ScenarioMemberCut(seed, 4),
+		ScenarioMemberCut(seed, 3),
 		ScenarioLeafPartitionEvict(seed),
 	}
 }

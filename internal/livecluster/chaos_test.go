@@ -20,8 +20,9 @@ import (
 // TestAdminGatewayUnderPartition drives the fabric through its Go API beside a
 // live admin gateway: a cross-leaf partition wedges a write (the cycle
 // cannot fetch the remote leaf's state), heal releases it. The cut runs
-// between super-leaves — intra-leaf cuts are crash-stop for the minority
-// member, not a heal-recoverable fault.
+// between super-leaves: cut within a leaf, the minority member is cut by
+// its leaf-mates and comes back only by rejoining after the heal (the
+// member-cut-rejoin campaign of internal/harness), not by the heal alone.
 func TestAdminGatewayUnderPartition(t *testing.T) {
 	c, err := Start(Config{
 		SuperLeaves: [][]wire.NodeID{{0, 1}, {2, 3}},

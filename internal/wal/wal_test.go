@@ -352,8 +352,9 @@ func TestManagerRecover(t *testing.T) {
 	if info.SnapshotCycle == 0 || info.Replayed != int(synced-info.SnapshotCycle) {
 		t.Fatalf("recovery shape: %+v (want snapshot baseline + contiguous tail)", info)
 	}
-	if node.Committed() != synced || !node.Recovered() {
-		t.Fatalf("node watermark %d recovered=%v", node.Committed(), node.Recovered())
+	if node.Committed() != synced || node.Ordered() != synced || node.Started() != synced {
+		t.Fatalf("node watermarks applied/ordered/started %d/%d/%d, want %d",
+			node.Committed(), node.Ordered(), node.Started(), synced)
 	}
 	if st2.StateDigest() != wantState || st2.LogDigest() != wantLog || st2.LogLen() != wantLen {
 		t.Fatalf("replica mismatch after recovery: state %x/%x log %x/%x len %d/%d",
@@ -404,8 +405,9 @@ func TestRecoverEmptyDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info != (RecoveryInfo{}) || node.Committed() != 0 || node.Recovered() {
-		t.Fatalf("empty dir recovered something: %+v committed=%d", info, node.Committed())
+	if info != (RecoveryInfo{}) || node.Committed() != 0 || node.Ordered() != 0 || node.Started() != 0 {
+		t.Fatalf("empty dir recovered something: %+v applied/ordered/started %d/%d/%d",
+			info, node.Committed(), node.Ordered(), node.Started())
 	}
 }
 

@@ -492,11 +492,11 @@ type EvictPromise struct {
 	From  NodeID
 }
 
-// Evicted tells a node that the rest of the cluster has removed its
-// super-leaf from the membership view. The receiver must stop
-// participating with its current state and rejoin through the join
-// protocol; the sender also uses this reactively to refuse messages from
-// nodes its view says are dead.
+// Evicted tells a node that the committed membership view dropped it:
+// its leaf-mates cut it, or the cluster evicted its super-leaf. The
+// receiver must stop participating with its current state and rejoin
+// through the join protocol. An eviction round sends it to the evicted
+// leaf's members, and every node answers a dead-in-view sender with it.
 type Evicted struct {
 	From NodeID
 }
