@@ -51,14 +51,12 @@ package client
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"canopus/internal/clientio"
 	"canopus/internal/wire"
 )
 
@@ -210,38 +208,11 @@ type Stats struct {
 }
 
 // Client is a Canopus cluster client. It is safe for concurrent use;
-// all operations share one pipelined connection.
+// all operations share one pipelined connection. It is the socket driver
+// of the client machine (machine.go): the machine decides, the Client
+// dials, reads and writes.
 type Client struct {
-	cfg Config
-
-	mu        sync.Mutex
-	conn      *conn
-	next      int // endpoint cursor
-	closed    bool
-	dialing   bool          // a dial is in flight (single-flight)
-	dialDone  chan struct{} // closed when the in-flight dial finishes
-	dialFails int           // consecutive full-scan dial failures (backoff exponent)
-	old       []*conn       // retired connections still draining replies
-
-	lastCycle atomic.Uint64 // highest commit cycle observed (session clock)
-	failovers atomic.Uint64
-	retries   atomic.Uint64
-
-	// Replicated-session state: session is the committed session ID (0 =
-	// none yet), seqCtr the per-session mutation sequence counter. regMu
-	// guards the registration single-flight and its parked mutations.
-	session atomic.Uint64
-	seqCtr  atomic.Uint64
-	regMu   sync.Mutex
-	regWait []*pendingOp
-	regBusy bool
-
-	// Watch registry: client-assigned watch ID -> live watch. EVENT
-	// frames dispatch through it; connection failures re-register every
-	// affected watch from its resume point.
-	watchMu  sync.Mutex
-	watches  map[uint64]*Watch
-	watchCtr uint64
+	machine
 }
 
 // New validates cfg and returns a Client. Connections are established
@@ -251,55 +222,45 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Client{cfg: cfg}, nil
+	c := &Client{}
+	c.cfg, c.env = cfg, &sockets{cfg: cfg, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	return c, nil
+}
+
+func init() {
+	clientio.NewClient = func(endpoints []string, env clientio.Env) any {
+		c := &Client{}
+		c.cfg, c.env = Config{Endpoints: endpoints}, env
+		_ = c.cfg.fill() // fails only on no endpoints; a simulator lists its nodes
+		return c
+	}
 }
 
 // Close tears the client down; in-flight operations fail with ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	cn := c.conn
-	c.conn = nil
-	old := c.old
-	c.old = nil
-	c.mu.Unlock()
-	if cn != nil {
-		cn.fail(ErrClosed)
-	}
-	for _, o := range old {
-		o.fail(ErrClosed)
-	}
-	c.watchMu.Lock()
-	ws := make([]*Watch, 0, len(c.watches))
-	for _, w := range c.watches {
-		ws = append(ws, w)
-	}
-	c.watchMu.Unlock()
-	for _, w := range ws {
-		c.failWatch(w, ErrClosed)
-	}
+	c.close()
+	c.unlock()
 	return nil
 }
 
 // Stats returns the client's recovery counters.
 func (c *Client) Stats() Stats {
-	return Stats{Failovers: c.failovers.Load(), Retries: c.retries.Load()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Failovers: c.failovers, Retries: c.retries}
 }
 
 // LastCycle returns the highest consensus commit cycle this client has
 // observed — the session's read timestamp. A Sequential read handed this
 // value (or issued through the same client) observes at least that
 // state on any replica.
-func (c *Client) LastCycle() uint64 { return c.lastCycle.Load() }
+func (c *Client) LastCycle() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.lastCycle }
 
 // SessionID returns the client's replicated session ID, or 0 when no
 // session is registered yet (no mutation has been issued, or the last
 // session expired and no mutation has re-registered one).
-func (c *Client) SessionID() uint64 { return c.session.Load() }
+func (c *Client) SessionID() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.session }
 
 // EndSession expires the client's replicated session through a
 // consensus cycle, releasing its dedup state on every replica, and
@@ -308,12 +269,16 @@ func (c *Client) SessionID() uint64 { return c.session.Load() }
 // fresh session automatically. A client with no session returns nil
 // immediately.
 func (c *Client) EndSession(ctx context.Context) error {
-	sess := c.session.Swap(0)
+	c.mu.Lock()
+	sess := c.session
+	c.session = 0
 	if sess == 0 {
+		c.mu.Unlock()
 		return nil
 	}
 	f := newFuture(c.cfg.RequestTimeout)
 	c.start(&pendingOp{expire: true, session: sess, fn: f.complete})
+	c.unlock()
 	_, err := f.Wait(ctx)
 	return err
 }
@@ -324,13 +289,14 @@ func (c *Client) EndSession(ctx context.Context) error {
 // first mutation would have registered it implicitly.
 func (c *Client) EnsureSession(ctx context.Context) (uint64, error) {
 	for {
-		if sess := c.session.Load(); sess != 0 {
+		c.mu.Lock()
+		if sess := c.session; sess != 0 {
+			c.mu.Unlock()
 			return sess, nil
 		}
 		f := newFuture(c.cfg.RequestTimeout)
-		if !c.parkForSession(&pendingOp{ensure: true, fn: f.complete}) {
-			continue // a session appeared concurrently; re-read it
-		}
+		c.park(&pendingOp{ensure: true, fn: f.complete})
+		c.unlock()
 		if _, err := f.Wait(ctx); err != nil {
 			return 0, err
 		}
@@ -447,7 +413,7 @@ func (c *Client) BatchAsync(ops []Op) *Future {
 			return f
 		}
 	}
-	c.asyncBatch(ops, f)
+	c.issue(&pendingOp{op: ops[0], batch: ops, fn: f.complete})
 	return f
 }
 
@@ -461,354 +427,27 @@ func buildOp(kind Kind, key uint64, val []byte, opts []Option) Op {
 
 // Async is the low-level asynchronous primitive: it issues op and
 // invokes fn exactly once when the result (or a terminal error) is
-// known. fn runs on the client's reader goroutine — or synchronously,
-// when the operation cannot be issued — and must not block.
+// known. fn runs on the client's reader goroutine — or on the caller's,
+// when the operation cannot be issued — never with the client's lock
+// held, and must not block.
 func (c *Client) Async(op Op, fn func(Result, error)) {
-	c.start(&pendingOp{op: op, fn: fn})
+	c.issue(&pendingOp{op: op, fn: fn})
 }
 
 // AsyncOk issues op and invokes done exactly once with whether it
 // succeeded — the allocation-lean shape load generators want: passing a
 // long-lived done callback costs no allocation per operation (the
 // pendingOp is recycled when it completes) and zero adapter closures.
-// done follows the Async callback contract (reader goroutine or
-// synchronous; must not block).
+// done follows the Async callback contract.
 func (c *Client) AsyncOk(op Op, done func(ok bool)) {
 	p := okOpPool.Get().(*pendingOp)
 	p.op, p.okFn = op, done
+	c.issue(p)
+}
+
+// issue hands p to the machine under the client's lock.
+func (c *Client) issue(p *pendingOp) {
+	c.mu.Lock()
 	c.start(p)
-}
-
-func (c *Client) asyncBatch(ops []Op, f *Future) {
-	c.start(&pendingOp{op: ops[0], batch: ops, fn: f.complete})
-}
-
-// start places p on the current connection, dialing one as needed. It
-// is also the retry path: a pendingOp whose connection failed re-enters
-// here once. Dials are single-flighted and run with no lock held, so a
-// slow endpoint never blocks traffic already flowing on a live
-// connection. It returns the terminal error delivered to p (already
-// passed to p.fn), or nil once p is enqueued — callers re-issuing many
-// operations use it to short-circuit a dead cluster instead of paying a
-// full dial scan per operation.
-//
-// Mutations are bound to the replicated session here, exactly once per
-// operation (retries keep their original (session, seq) — that identity
-// is what the server-side dedup recognizes). The first mutation parks
-// while a session registration round-trips through consensus.
-func (c *Client) start(p *pendingOp) error {
-	if p.ensure {
-		// EnsureSession sentinel: it only ever parks behind the session
-		// registration; once restarted (the session exists) it completes
-		// without touching the wire.
-		p.complete(Result{}, nil)
-		return nil
-	}
-	if p.session == 0 && p.needsSession() {
-		// Loop until bound or parked: parkForSession refusing (a session
-		// exists under its lock) and the session expiring again can
-		// interleave, and an unbound mutation must never reach the wire
-		// — it would carry no dedup identity.
-		for {
-			if sess := c.session.Load(); sess != 0 {
-				c.bindSession(p, sess)
-				break
-			}
-			if c.parkForSession(p) {
-				return nil // resumes via onRegistered
-			}
-		}
-	}
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			p.complete(Result{}, ErrClosed)
-			return ErrClosed
-		}
-		if cn := c.conn; cn != nil {
-			c.mu.Unlock()
-			if cn.enqueue(p) {
-				return nil
-			}
-			// The connection failed between selection and enqueue; its
-			// failure handler owns its pending set. Retire it if the
-			// handler has not yet, and try again on a fresh one.
-			c.mu.Lock()
-			c.retireCurrentLocked(cn)
-			c.mu.Unlock()
-			continue
-		}
-		if c.dialing {
-			wait := c.dialDone
-			c.mu.Unlock()
-			<-wait
-			continue
-		}
-		c.dialing = true
-		c.dialDone = make(chan struct{})
-		c.mu.Unlock()
-
-		cn, err := c.dial()
-
-		c.mu.Lock()
-		c.dialing = false
-		close(c.dialDone)
-		if err != nil {
-			c.mu.Unlock()
-			p.complete(Result{}, err)
-			return err
-		}
-		if c.closed {
-			c.mu.Unlock()
-			cn.fail(ErrClosed)
-			p.complete(Result{}, ErrClosed)
-			return ErrClosed
-		}
-		c.conn = cn
-		c.mu.Unlock()
-	}
-}
-
-// parkForSession queues a mutation behind the session registration,
-// starting the (single-flight) registration if none is running. It
-// reports false when a session appeared concurrently — the caller binds
-// and proceeds.
-func (c *Client) parkForSession(p *pendingOp) bool {
-	c.regMu.Lock()
-	if c.session.Load() != 0 {
-		c.regMu.Unlock()
-		return false
-	}
-	c.regWait = append(c.regWait, p)
-	launch := !c.regBusy
-	c.regBusy = true
-	c.regMu.Unlock()
-	if launch {
-		go c.start(&pendingOp{register: true, fn: c.onRegistered})
-	}
-	return true
-}
-
-// bindSession stamps p with its session identity: the session ID and a
-// fresh per-session sequence number per mutating op (a batch consumes a
-// contiguous block, in frame order, mirroring the server). The binding
-// is permanent — failover retries re-send the same identity.
-func (c *Client) bindSession(p *pendingOp, sess uint64) {
-	p.session = sess
-	if p.batch != nil {
-		muts := uint64(0)
-		for i := range p.batch {
-			if p.batch[i].Kind.Mutates() {
-				muts++
-			}
-		}
-		p.seq = c.seqCtr.Add(muts) - muts + 1
-		return
-	}
-	p.seq = c.seqCtr.Add(1)
-}
-
-// onRegistered completes the session registration round-trip: parse the
-// committed session ID, publish it, and release the parked mutations.
-// Runs on a connection's reader goroutine (or synchronously on a
-// terminal error), so the parked operations restart on their own
-// goroutine — start may need to dial.
-func (c *Client) onRegistered(res Result, err error) {
-	if err == nil {
-		if len(res.Val) == 8 {
-			// Reset the seq counter BEFORE publishing the session: every
-			// binding against the new session must draw from the fresh
-			// counter, or a seq could repeat within one session.
-			c.seqCtr.Store(0)
-			c.session.Store(binary.LittleEndian.Uint64(res.Val))
-		} else {
-			err = fmt.Errorf("%w: malformed session registration reply", ErrRejected)
-		}
-	}
-	c.regMu.Lock()
-	waiting := c.regWait
-	c.regWait = nil
-	c.regBusy = false
-	c.regMu.Unlock()
-	if err != nil {
-		for _, p := range waiting {
-			p.complete(Result{}, err)
-		}
-		return
-	}
-	if len(waiting) > 0 {
-		go func() {
-			for _, p := range waiting {
-				c.start(p)
-			}
-		}()
-	}
-}
-
-// sessionExpired retires a session the server reported reclaimed; the
-// next mutation registers a fresh one.
-func (c *Client) sessionExpired(sess uint64) {
-	if sess != 0 {
-		c.session.CompareAndSwap(sess, 0)
-	}
-}
-
-// dial tries every endpoint once, starting at the cursor, and returns a
-// running connection. Runs with no lock held. After a scan in which
-// EVERY endpoint refused, the next dial waits a capped, jittered
-// exponential backoff first (see Config.RetryBackoff) — a failover that
-// still finds a live endpoint pays nothing.
-func (c *Client) dial() (*conn, error) {
-	c.mu.Lock()
-	start := c.next
-	fails := c.dialFails
-	c.mu.Unlock()
-	if d := c.retryDelay(fails); d > 0 {
-		time.Sleep(d)
-	}
-	var lastErr error
-	for i := 0; i < len(c.cfg.Endpoints); i++ {
-		idx := (start + i) % len(c.cfg.Endpoints)
-		cn, err := dialConn(c, c.cfg.Endpoints[idx], c.cfg.DialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.mu.Lock()
-		c.next = idx
-		c.dialFails = 0
-		c.mu.Unlock()
-		return cn, nil
-	}
-	c.mu.Lock()
-	c.dialFails++
-	c.mu.Unlock()
-	return nil, fmt.Errorf("%w: %v", ErrClusterDown, lastErr)
-}
-
-// retryDelay maps a consecutive-failure count to the pre-scan wait:
-// base·2^(fails-1) capped at RetryBackoffMax, jittered uniformly into
-// [delay/2, delay).
-func (c *Client) retryDelay(fails int) time.Duration {
-	if fails <= 0 {
-		return 0
-	}
-	d := c.cfg.RetryBackoff
-	for i := 1; i < fails && d < c.cfg.RetryBackoffMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryBackoffMax {
-		d = c.cfg.RetryBackoffMax
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
-// observeCycle folds a response's commit cycle into the session clock.
-func (c *Client) observeCycle(cycle uint64) {
-	for {
-		old := c.lastCycle.Load()
-		if cycle <= old || c.lastCycle.CompareAndSwap(old, cycle) {
-			return
-		}
-	}
-}
-
-// onConnFailure retires a dead connection and re-issues its pending
-// operations on the next endpoint — each exactly once. Operations that
-// already failed over once, and everything when the client is closed,
-// complete with the connection error.
-func (c *Client) onConnFailure(cn *conn, pend []*pendingOp, cause error) {
-	c.mu.Lock()
-	c.retireCurrentLocked(cn)
-	c.dropOldLocked(cn)
-	closed := c.closed
-	c.mu.Unlock()
-	// down, once set, short-circuits the remaining retries: the first
-	// failed re-issue already scanned every endpoint, so repeating the
-	// scan (and its dial timeouts) once per pending op would only delay
-	// the inevitable for the whole pipeline.
-	var down error
-	for _, p := range pend {
-		if closed || errors.Is(cause, ErrClosed) || p.retried {
-			p.complete(Result{}, connError(cause))
-			continue
-		}
-		if down != nil {
-			p.complete(Result{}, down)
-			continue
-		}
-		p.retried = true
-		c.retries.Add(1)
-		if err := c.start(p); errors.Is(err, ErrClusterDown) {
-			down = err
-		}
-	}
-}
-
-// retireCurrentLocked is the one place a connection stops being current,
-// whichever of its observers notices first — its failure handler, a start
-// that finds it already failed, a retryable rejection: new traffic moves
-// to the next endpoint and the switch is counted, once. It reports whether
-// cn was current (Close clears c.conn, so a closed client never counts).
-// Called with c.mu held.
-func (c *Client) retireCurrentLocked(cn *conn) bool {
-	if c.conn != cn {
-		return false
-	}
-	c.conn = nil
-	c.next = (c.next + 1) % len(c.cfg.Endpoints)
-	c.failovers.Add(1)
-	return true
-}
-
-// dropOld forgets a connection that no longer needs tracking (it fully
-// drained or died).
-func (c *Client) dropOld(cn *conn) {
-	c.mu.Lock()
-	c.dropOldLocked(cn)
-	c.mu.Unlock()
-}
-
-// dropOldLocked forgets a connection that no longer needs tracking.
-// Called with c.mu held.
-func (c *Client) dropOldLocked(cn *conn) {
-	for i, o := range c.old {
-		if o == cn {
-			c.old = append(c.old[:i], c.old[i+1:]...)
-			return
-		}
-	}
-}
-
-// retryElsewhere handles a retryable server rejection (draining or
-// stalled): point the client at the next endpoint for new traffic and
-// re-issue just this operation there, once. In-flight neighbours on the
-// old connection are NOT disturbed — it is retired, keeps delivering
-// the replies the server already accepted, and is closed once the last
-// one drains. The retry itself runs on its own goroutine so the
-// retired connection's reader is never blocked behind a dial.
-func (c *Client) retryElsewhere(cn *conn, p *pendingOp, cause error) {
-	c.mu.Lock()
-	if c.retireCurrentLocked(cn) {
-		c.old = append(c.old, cn)
-	}
-	closed := c.closed
-	c.mu.Unlock()
-	cn.retire()
-	if closed || p.retried {
-		p.complete(Result{}, cause)
-		return
-	}
-	p.retried = true
-	c.retries.Add(1)
-	go c.start(p)
-}
-
-func connError(cause error) error {
-	if errors.Is(cause, ErrClosed) || errors.Is(cause, ErrClusterDown) {
-		return cause
-	}
-	return fmt.Errorf("%w: connection failed: %v", ErrClusterDown, cause)
+	c.unlock()
 }

@@ -121,7 +121,7 @@ func (c *Client) TxnAsync(t *Txn) *TxnFuture {
 		f.complete(Result{}, fmt.Errorf("%w: txn has %d ops (max %d)",
 			ErrRejected, len(t.ops), wire.MaxTxnOps))
 	default:
-		c.start(&pendingOp{txn: t, fn: f.complete})
+		c.issue(&pendingOp{txn: t, fn: f.complete})
 	}
 	return &TxnFuture{f: f}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"sync"
 
 	"canopus/internal/wire"
 )
@@ -38,8 +37,8 @@ type Watch struct {
 
 	ch chan WatchEvent
 
-	mu       sync.Mutex
-	cn       *conn  // registration connection; events from others are stale
+	// Guarded by the client's lock.
+	cn       *link  // registration connection; events from others are stale
 	inflight bool   // a (re)registration frame is in flight
 	last     uint64 // highest delivered (or server-acked) cycle
 	err      error
@@ -90,25 +89,21 @@ func (c *Client) Watch(ctx context.Context, key uint64, opts ...WatchOption) (*W
 	if cfg.since > 0 {
 		w.last = cfg.since - 1
 	}
-	c.watchMu.Lock()
+	f := newFuture(c.cfg.RequestTimeout)
+	c.mu.Lock()
 	c.watchCtr++
 	w.id = c.watchCtr
 	if c.watches == nil {
 		c.watches = make(map[uint64]*Watch)
 	}
 	c.watches[w.id] = w
-	c.watchMu.Unlock()
-
-	w.mu.Lock()
 	w.inflight = true
-	w.mu.Unlock()
-	f := newFuture(c.cfg.RequestTimeout)
-	c.start(&pendingOp{wreg: w, wsince: cfg.since, fn: func(res Result, err error) {
-		w.ack(res, err)
-		f.complete(res, err)
-	}})
+	c.start(&pendingOp{wreg: w, wsince: cfg.since, fn: f.complete})
+	c.unlock()
 	if _, err := f.Wait(ctx); err != nil {
+		c.mu.Lock()
 		c.failWatch(w, err)
+		c.unlock()
 		return nil, err
 	}
 	return w, nil
@@ -119,56 +114,39 @@ func (c *Client) Watch(ctx context.Context, key uint64, opts ...WatchOption) (*W
 func (w *Watch) Events() <-chan WatchEvent { return w.ch }
 
 // Err reports why the watch died (nil while live, or after Close).
-func (w *Watch) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *Watch) Err() error { w.cl.mu.Lock(); defer w.cl.mu.Unlock(); return w.err }
 
 // LastCycle reports the highest commit cycle the watch has delivered
 // (or confirmed empty at registration) — the resume point a successor
 // watch would continue from, exclusive.
-func (w *Watch) LastCycle() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.last
-}
+func (w *Watch) LastCycle() uint64 { w.cl.mu.Lock(); defer w.cl.mu.Unlock(); return w.last }
 
 // Close cancels the watch: the Events channel closes, Err stays nil,
 // and the server-side registration is released best-effort (a lost
 // cancel only costs the server a dead registration until the
 // connection closes).
 func (w *Watch) Close() error {
-	w.cl.watchMu.Lock()
-	delete(w.cl.watches, w.id)
-	w.cl.watchMu.Unlock()
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
+	m := &w.cl.machine
+	m.mu.Lock()
+	if !w.closed {
+		m.failWatch(w, nil)
+		m.unwatch(w.id)
 	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.ch)
-	w.cl.unwatchAsync(w.id)
+	m.unlock()
 	return nil
 }
 
-// ack completes one (re)registration round-trip: raise the resume
+// ackWatch completes one (re)registration round-trip: raise the resume
 // watermark to the server's acknowledged cycle (replayed frames precede
 // the ack on the wire, so everything at or below it has been delivered)
 // and let future connection failures re-register again.
-func (w *Watch) ack(res Result, err error) {
+func (m *machine) ackWatch(w *Watch, res Result, err error) {
 	if err != nil {
-		w.cl.failWatch(w, err)
+		m.failWatch(w, err)
 		return
 	}
-	w.mu.Lock()
 	w.inflight = false
-	if res.Cycle > w.last {
-		w.last = res.Cycle
-	}
-	w.mu.Unlock()
+	w.last = max(w.last, res.Cycle)
 }
 
 // dispatchEvent routes one server-push EVENT frame to its watch. Only
@@ -177,25 +155,13 @@ func (w *Watch) ack(res Result, err error) {
 // stale pushes with the new registration's replay. Within the live
 // connection, cycles at or below the watermark are duplicates from a
 // resume overlap and are dropped.
-func (c *Client) dispatchEvent(cn *conn, resp *wire.ClientResponseV2) {
-	c.watchMu.Lock()
-	w := c.watches[resp.ID]
-	c.watchMu.Unlock()
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.closed || w.cn != cn {
-		w.mu.Unlock()
+func (m *machine) dispatchEvent(l *link, resp *wire.ClientResponseV2) {
+	w := m.watches[resp.ID]
+	if w == nil || w.closed || w.cn != l || resp.Cycle <= w.last && !resp.Overflow {
 		return
 	}
 	if resp.Overflow {
-		w.mu.Unlock()
-		c.failWatch(w, ErrWatchOverflow)
-		return
-	}
-	if resp.Cycle <= w.last {
-		w.mu.Unlock()
+		m.failWatch(w, ErrWatchOverflow)
 		return
 	}
 	evs := make([]Event, len(resp.Events))
@@ -206,13 +172,11 @@ func (c *Client) dispatchEvent(cn *conn, resp *wire.ClientResponseV2) {
 	select {
 	case w.ch <- WatchEvent{Cycle: resp.Cycle, Events: evs}:
 		w.last = resp.Cycle
-		w.mu.Unlock()
 	default:
 		// Consumer a full buffer behind: client-side overflow. Kill the
 		// watch and release the server registration best-effort.
-		w.mu.Unlock()
-		c.failWatch(w, ErrWatchOverflow)
-		c.unwatchAsync(w.id)
+		m.failWatch(w, ErrWatchOverflow)
+		m.unwatch(w.id)
 	}
 }
 
@@ -220,66 +184,28 @@ func (c *Client) dispatchEvent(cn *conn, resp *wire.ClientResponseV2) {
 // (or drained after retirement), resuming each from its watermark.
 // Watches with a registration frame still in flight are skipped — the
 // frame's own failover retry re-registers them.
-func (c *Client) rewatch(cn *conn) {
-	c.watchMu.Lock()
-	ws := make([]*Watch, 0, len(c.watches))
-	for _, w := range c.watches {
-		ws = append(ws, w)
-	}
-	c.watchMu.Unlock()
-	var again []*Watch
-	var sinces []uint64
-	for _, w := range ws {
-		w.mu.Lock()
-		if w.closed || w.inflight || w.cn != cn {
-			w.mu.Unlock()
+func (m *machine) rewatch(l *link) {
+	for _, w := range m.watches {
+		if w.closed || w.inflight || w.cn != l {
 			continue
 		}
-		w.cn = nil
-		w.inflight = true
-		again = append(again, w)
-		sinces = append(sinces, w.last+1)
-		w.mu.Unlock()
+		w.cn, w.inflight = nil, true
+		m.start(&pendingOp{wreg: w, wsince: w.last + 1})
 	}
-	if len(again) == 0 {
-		return
-	}
-	// Off this goroutine: rewatch runs on the dead connection's reader or
-	// writer, and start may need to dial.
-	go func() {
-		for i, w := range again {
-			c.start(&pendingOp{wreg: w, wsince: sinces[i], fn: w.ack})
-		}
-	}()
 }
 
 // failWatch kills a watch: remove it from the registry, record why and
-// close the channel. Idempotent; safe from any goroutine.
-func (c *Client) failWatch(w *Watch, err error) {
-	c.watchMu.Lock()
-	delete(c.watches, w.id)
-	c.watchMu.Unlock()
-	w.mu.Lock()
+// close the channel. Idempotent.
+func (m *machine) failWatch(w *Watch, err error) {
+	delete(m.watches, w.id)
 	if w.closed {
-		w.mu.Unlock()
 		return
 	}
-	w.closed = true
-	w.err = err
-	w.mu.Unlock()
+	w.closed, w.err = true, err
 	close(w.ch)
 }
 
-// setConn pins the watch to the connection its registration frame is
-// being written to; called from enqueue.
-func (w *Watch) setConn(cn *conn) {
-	w.mu.Lock()
-	w.cn = cn
-	w.mu.Unlock()
-}
-
-// unwatchAsync releases a server-side watch registration best-effort,
-// off the caller's goroutine (the send may need to dial).
-func (c *Client) unwatchAsync(id uint64) {
-	go c.start(&pendingOp{unwatch: true, unwatchID: id, fn: func(Result, error) {}})
+// unwatch releases a server-side watch registration best-effort.
+func (m *machine) unwatch(id uint64) {
+	m.start(&pendingOp{unwatch: true, unwatchID: id})
 }

@@ -341,6 +341,9 @@ func (n *Node) Init(env engine.Env) {
 	}
 	n.view = lot.NewView(n.tree)
 	n.initBroadcast()
+	if n.committed > 0 {
+		n.owedStart = n.committed + 1 // recovered from disk: see recovery.go, step 3
+	}
 	env.After(n.cfg.TickInterval, engine.Tag(tagTick, 0))
 	if n.cfg.CycleInterval > 0 {
 		n.nextCycleAt = n.env.Now() + n.cfg.CycleInterval

@@ -23,11 +23,13 @@ import (
 //     first step (session classification and idle reclamation included)
 //     — bit-identical to the original commits, because both consume the
 //     same total order with the same session table.
-//  3. Init starts the node normally. Durable watermarks differ across
-//     replicas by the group-commit lag, and a node behind closes the gap
-//     through root catch-up (rounds.go), which every node runs: the
-//     cycle at committed+1, stuck for 4 × FetchTimeout (stuckAfter) in
-//     any round, fetches the ROOT vnode state — which peers serve from
+//  3. Init starts the node and owes the next cycle to its first tick, so
+//     a node its peers evicted meanwhile learns it from their answers
+//     without waiting for a client request. Durable watermarks differ
+//     across replicas by the group-commit lag, and a node behind closes
+//     the gap through root catch-up (rounds.go), which every node runs:
+//     the cycle at committed+1, stuck for 4 × FetchTimeout (stuckAfter)
+//     in any round, fetches the ROOT vnode state — which peers serve from
 //     their retained recent window, filled by ReplayCommit and
 //     RetainRoot — and installs it as the committed result directly.
 //

@@ -8,10 +8,13 @@ import (
 	"math/rand"
 	"time"
 
+	"canopus/client"
+	"canopus/internal/clientio"
 	"canopus/internal/core"
 	"canopus/internal/engine"
 	"canopus/internal/kvstore"
 	"canopus/internal/lincheck"
+	"canopus/internal/livecluster"
 	"canopus/internal/lot"
 	"canopus/internal/metrics"
 	"canopus/internal/netsim"
@@ -25,9 +28,11 @@ import (
 // workload used for throughput figures, every operation here is a real
 // keyed read or write whose invocation/response interval is recorded, so
 // the committed history of each run is checked for linearizability with
-// internal/lincheck. Runs are bit-identically replayable: the same
-// ChaosSpec always yields the same commit log, state digest and event
-// count.
+// internal/lincheck. Each client is a canopus/client machine — sessions,
+// retries, failover — talking to its node's client-port rules over a
+// simulated link (simlink.go). Runs are bit-identically replayable: the
+// same ChaosSpec always yields the same commit log, state digest and
+// event count.
 
 // ChaosSpec describes one fault-injection experiment.
 type ChaosSpec struct {
@@ -50,10 +55,11 @@ type ChaosSpec struct {
 	FaultAt time.Duration
 
 	// Closed-loop client load.
-	Clients    int           // clients per node (default 2)
-	Keys       uint64        // key space size (default 128)
-	WriteRatio float64       // default 0.5
-	OpTimeout  time.Duration // abandon an unacknowledged op after this (default 1s)
+	Clients    int             // clients per node (default 2)
+	Keys       uint64          // key space size (default 128)
+	WriteRatio float64         // default 0.5
+	OpTimeout  time.Duration   // abandon an unacknowledged op after this (default 1s)
+	Resets     []time.Duration // instants at which every client link is reset; the nodes keep running
 
 	// Durable gives every node a storage engine (internal/wal) over a
 	// per-node in-memory disk that survives in-sim restarts: crashed
@@ -171,16 +177,13 @@ type ReplicaState struct {
 // the check stays cheap).
 const perKeyCap = 55
 
-// chaosClient is one closed-loop client.
-type chaosClient struct {
-	id   uint64
-	node wire.NodeID
-	rng  *rand.Rand
-	seq  uint64
-
-	pendingSeq    uint64 // 0 = idle
-	pendingOp     lincheck.Op
-	pendingIsRead bool
+// worker is one closed-loop client of the workload: a client machine
+// homed on one node, and the draws of its think times, keys and kinds.
+type worker struct {
+	id  uint64
+	cl  *client.Client
+	rng *rand.Rand
+	seq uint64 // operations issued
 }
 
 // chaosRun carries the mutable state of one experiment.
@@ -192,7 +195,9 @@ type chaosRun struct {
 	nodes   []*core.Node
 	stores  []*kvstore.Store
 	disks   []*wal.MemFS // per-node durable disks (Durable only)
-	clients []*chaosClient
+	ports   []*livecluster.ClientPort
+	links   []*simLink
+	workers []*worker
 
 	history  []lincheck.Op
 	keyCount map[uint64]uint64
@@ -234,6 +239,7 @@ func runChaosInner(spec ChaosSpec) (ChaosResult, *chaosRun) {
 	n := topo.NumNodes()
 	r.ref = referenceNode(n, spec.Faults)
 	r.nodes = make([]*core.Node, n)
+	r.ports = make([]*livecluster.ClientPort, n)
 	r.stores = make([]*kvstore.Store, n)
 	if spec.Durable {
 		r.disks = make([]*wal.MemFS, n)
@@ -243,14 +249,11 @@ func runChaosInner(spec ChaosSpec) (ChaosResult, *chaosRun) {
 	}
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
-		var node *core.Node
 		if spec.Durable {
-			node = r.newDurableNode(id)
+			r.runner.Register(id, r.newDurableNode(id))
 		} else {
-			node = core.NewNode(r.nodeConfig(id), r.newStore(id), r.callbacks(id))
+			r.runner.Register(id, r.bind(id, core.NewNode(r.nodeConfig(id), r.newStore(id), r.callbacks(id))))
 		}
-		r.nodes[i] = node
-		r.runner.Register(id, node)
 	}
 
 	r.runner.InstallFaults(spec.Faults, func(id wire.NodeID) engine.Machine {
@@ -259,33 +262,35 @@ func runChaosInner(spec ChaosSpec) (ChaosResult, *chaosRun) {
 			// Power loss: the replacement recovers from its own disk —
 			// snapshot restore plus WAL replay — and closes any remaining
 			// gap to its peers through root catch-up.
-			node := r.newDurableNode(id)
-			r.nodes[id] = node
-			return node
+			return r.newDurableNode(id)
 		}
 		// State loss: the replacement machine starts from an empty store
 		// and recovers through the §4.6 join protocol's state transfer.
-		node := core.NewJoiner(r.nodeConfig(id), r.newStore(id), r.callbacks(id))
-		r.nodes[id] = node
-		return node
+		return r.bind(id, core.NewJoiner(r.nodeConfig(id), r.newStore(id), r.callbacks(id)))
 	})
+	// A crashed node's client connections reset, as a dead process's do.
+	for _, cf := range spec.Faults.Crashes {
+		r.sim.At(cf.At, func() { r.resetLinks(int(cf.Node)) })
+	}
+	for _, at := range spec.Resets {
+		r.sim.At(at, func() { r.resetLinks(-1) })
+	}
 
-	// Closed-loop clients, spread across nodes.
+	// Closed-loop clients, spread across nodes: each lists its home node
+	// first, then the rest (clientEnv.Dial maps an endpoint index to a node).
+	endpoints := make([]string, n)
 	for c := 0; c < spec.Clients*n; c++ {
-		cl := &chaosClient{
-			id:   uint64(c + 1),
-			node: wire.NodeID(c % n),
-			rng:  rand.New(rand.NewSource(spec.Seed + int64(c)*104729 + 13)),
-		}
-		r.clients = append(r.clients, cl)
+		env := &clientEnv{r: r, rng: rand.New(rand.NewSource(spec.Seed*7919 + int64(c))), home: c % n}
+		cl := clientio.NewClient(endpoints, env).(*client.Client)
+		w := &worker{id: uint64(c + 1), cl: cl, rng: rand.New(rand.NewSource(spec.Seed + int64(c)*104729 + 13))}
+		r.workers = append(r.workers, w)
 		// Stagger first invocations inside the first think window.
-		r.schedule(cl, time.Duration(cl.rng.Int63n(int64(thinkTime)))+time.Millisecond)
+		r.schedule(w, time.Duration(w.rng.Int63n(int64(thinkTime)))+time.Millisecond)
 	}
 
 	// Run past Duration so in-flight commits drain and every pending
-	// op's watchdog fires: abandon() records unacknowledged writes as
-	// open intervals, so by the time RunUntil returns the history is
-	// complete.
+	// op's timeout fires: unacknowledged writes are recorded as open
+	// intervals, so by the time RunUntil returns the history is complete.
 	r.sim.RunUntil(spec.Duration + 2*spec.OpTimeout)
 
 	res := ChaosResult{
@@ -368,7 +373,7 @@ func (r *chaosRun) newDurableNode(id wire.NodeID) *core.Node {
 	}
 	cfg := r.nodeConfig(id)
 	cfg.Durability = mgr
-	node := core.NewNode(cfg, st, r.callbacks(id))
+	node := r.bind(id, core.NewNode(cfg, st, r.callbacks(id)))
 	if _, err := mgr.Recover(node); err != nil {
 		panic(fmt.Sprintf("chaos: node %d recovery: %v", id, err))
 	}
@@ -388,20 +393,27 @@ func (r *chaosRun) newStore(id wire.NodeID) *kvstore.Store {
 	return st
 }
 
+// callbacks builds the consumers of a new incarnation of node id: a fresh
+// client port, as a restarted server has, and the run's own recorder.
 func (r *chaosRun) callbacks(id wire.NodeID) core.Callbacks {
+	r.ports[id] = livecluster.NewPort(id, nil)
 	return core.Callbacks{
-		Consumers: []core.Consumer{core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })},
+		Consumers: []core.Consumer{r.ports[id], core.ConsumerFunc(func(c *core.Commit) { r.committed(id, c) })},
 		OnEvicted: func() { r.onEvicted(id) },
 	}
 }
 
-// committed records node id's committed stream: every reply, and — at the
-// reference node — each committed cycle, into the commit digest and the
-// availability trace.
+// bind makes node the serving incarnation of id, behind the port its
+// callbacks built.
+func (r *chaosRun) bind(id wire.NodeID, node *core.Node) *core.Node {
+	r.nodes[id] = node
+	r.ports[id].SetNode(node, nil)
+	return node
+}
+
+// committed records, at the reference node, each committed cycle into
+// the commit digest and the availability trace.
 func (r *chaosRun) committed(id wire.NodeID, c *core.Commit) {
-	for i := range c.Replies {
-		r.onReply(&c.Replies[i], c.Vals[i])
-	}
 	if id == r.ref {
 		r.commits = c.Cycle
 		r.avail.Record(r.sim.Now())
@@ -422,10 +434,9 @@ func (r *chaosRun) onEvicted(id wire.NodeID) {
 			return // crashed meanwhile, or a newer incarnation took over
 		}
 		r.runner.Crash(id)
+		r.resetLinks(int(id))
 		r.restarted[id] = true
-		node := core.NewJoiner(r.nodeConfig(id), r.newStore(id), r.callbacks(id))
-		r.nodes[id] = node
-		r.runner.Restart(id, node)
+		r.runner.Restart(id, r.bind(id, core.NewJoiner(r.nodeConfig(id), r.newStore(id), r.callbacks(id))))
 	})
 }
 
@@ -453,102 +464,65 @@ func digestCommit(prev uint64, cycle uint64, order []*wire.Batch) uint64 {
 	return h.Sum64()
 }
 
-// schedule queues cl's next operation at now+delay.
-func (r *chaosRun) schedule(cl *chaosClient, delay time.Duration) {
-	r.sim.After(delay, func() { r.invoke(cl) })
+// schedule queues w's next operation at now+delay.
+func (r *chaosRun) schedule(w *worker, delay time.Duration) {
+	r.sim.After(delay, func() { r.issue(w) })
 }
 
-// invoke issues cl's next operation, or re-probes later if the client's
-// node is currently unusable or the run is winding down.
-func (r *chaosRun) invoke(cl *chaosClient) {
+// issue hands w's next operation to its client and records its
+// invocation, and its outcome when the client completes it or OpTimeout
+// passes, whichever is first: a write that failed or timed out stays in
+// the history with an open interval (it may still commit later), and
+// such a read constrains nothing and is dropped.
+func (r *chaosRun) issue(w *worker) {
 	now := r.sim.Now()
 	if now > r.spec.Duration {
 		return
 	}
-	node := r.nodes[cl.node]
-	if !r.runner.Alive(cl.node) || node.Stalled() {
-		// The client's node is down (or deposed): nothing was issued, so
-		// nothing counts as failed. Probe again later so load resumes
-		// the moment the node rejoins.
-		r.schedule(cl, r.spec.OpTimeout)
-		return
-	}
-
-	key, ok := r.pickKey(cl)
+	key, ok := r.pickKey(w)
 	if !ok {
 		// Every key is at lincheck's per-key budget: the run has issued
 		// all the checkable load it can. Park this client for good
 		// rather than overflow a history past the checker's hard limit.
 		return
 	}
-	cl.seq++
-	isRead := cl.rng.Float64() >= r.spec.WriteRatio
-	op := lincheck.Op{Key: key, Invoke: int64(now)}
-	req := wire.Request{Client: cl.id, Seq: cl.seq, Key: key}
-	if isRead {
-		op.Kind = lincheck.OpRead
-		req.Op = wire.OpRead
-	} else {
-		op.Kind = lincheck.OpWrite
-		op.Value = cl.id<<20 | cl.seq
-		req.Op = wire.OpWrite
-		req.Val = binary.LittleEndian.AppendUint64(nil, op.Value)
+	w.seq++
+	op := lincheck.Op{Kind: lincheck.OpRead, Key: key, Invoke: int64(now)}
+	cop := client.Op{Kind: client.OpGet, Key: key}
+	if w.rng.Float64() < r.spec.WriteRatio {
+		op.Kind, op.Value = lincheck.OpWrite, w.id<<20|w.seq
+		cop = client.Op{Kind: client.OpPut, Key: key, Val: binary.LittleEndian.AppendUint64(nil, op.Value)}
 	}
-	cl.pendingSeq, cl.pendingOp, cl.pendingIsRead = cl.seq, op, isRead
 	r.keyCount[key]++
-	node.Submit(req)
-
-	// Watchdog: abandon the op if no reply arrives in time. A Submit to
-	// a node that crashes or stalls before commit is silently dropped
-	// (the paper's stall semantics), so clients must time out.
-	seq := cl.seq
-	r.sim.After(r.spec.OpTimeout, func() {
-		if cl.pendingSeq != seq {
-			return // acknowledged in time
+	settled := false
+	settle := func(res client.Result, err error) {
+		if settled {
+			return
 		}
-		r.abandon(cl)
-	})
-}
-
-// abandon closes out an unacknowledged op: abandoned writes stay in the
-// history with an open interval (they may still commit later); abandoned
-// reads constrain nothing and are dropped.
-func (r *chaosRun) abandon(cl *chaosClient) {
-	if !cl.pendingIsRead {
-		op := cl.pendingOp
-		op.Return = math.MaxInt64
-		r.history = append(r.history, op)
-	}
-	cl.pendingSeq = 0
-	r.failed++
-	r.schedule(cl, r.think(cl))
-}
-
-// onReply completes the matching client's pending op.
-func (r *chaosRun) onReply(req *wire.Request, val []byte) {
-	idx := int(req.Client) - 1
-	if idx < 0 || idx >= len(r.clients) {
-		return
-	}
-	cl := r.clients[idx]
-	if cl.pendingSeq != req.Seq {
-		return // late reply for an op the watchdog already closed out
-	}
-	op := cl.pendingOp
-	op.Return = int64(r.sim.Now())
-	if op.Kind == lincheck.OpRead {
-		if len(val) >= 8 {
-			op.Value = binary.LittleEndian.Uint64(val)
+		settled = true
+		switch {
+		case err == nil:
+			op.Return = int64(r.sim.Now())
+			if op.Kind == lincheck.OpRead && len(res.Val) >= 8 {
+				op.Value = binary.LittleEndian.Uint64(res.Val)
+			}
+			r.history = append(r.history, op)
+			r.done++
+		case op.Kind == lincheck.OpWrite:
+			op.Return = math.MaxInt64
+			r.history = append(r.history, op)
+			fallthrough
+		default:
+			r.failed++
 		}
+		r.schedule(w, r.think(w))
 	}
-	r.history = append(r.history, op)
-	cl.pendingSeq = 0
-	r.done++
-	r.schedule(cl, r.think(cl))
+	w.cl.Async(cop, settle)
+	r.sim.After(r.spec.OpTimeout, func() { settle(client.Result{}, client.ErrTimeout) })
 }
 
-func (r *chaosRun) think(cl *chaosClient) time.Duration {
-	return time.Duration(cl.rng.Int63n(int64(2*thinkTime))) + time.Millisecond
+func (r *chaosRun) think(w *worker) time.Duration {
+	return time.Duration(w.rng.Int63n(int64(2*thinkTime))) + time.Millisecond
 }
 
 // pickKey draws a key, steering away from keys whose history is near
@@ -557,8 +531,8 @@ func (r *chaosRun) think(cl *chaosClient) time.Duration {
 // driver must stop issuing rather than overflow (long Durations against
 // a small Keys space hit this; size Keys ≥ expected-ops/55 to avoid
 // starving the tail of a run).
-func (r *chaosRun) pickKey(cl *chaosClient) (uint64, bool) {
-	key := uint64(cl.rng.Int63n(int64(r.spec.Keys)))
+func (r *chaosRun) pickKey(w *worker) (uint64, bool) {
+	key := uint64(w.rng.Int63n(int64(r.spec.Keys)))
 	for i := uint64(0); i < r.spec.Keys; i++ {
 		k := (key + i) % r.spec.Keys
 		if r.keyCount[k] < perKeyCap {

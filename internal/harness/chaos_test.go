@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
+
+	"canopus/internal/lincheck"
 
 	"canopus/internal/netsim"
 	"canopus/internal/wire"
@@ -34,6 +37,63 @@ func convergence(r ChaosResult) error {
 		}
 	}
 	return nil
+}
+
+// acknowledgedApplied reports the first live replica whose final state
+// loses an acknowledged write: one read of every key at the run's end,
+// answered from that replica's store, must keep the history linearizable
+// — the value read is the last write to land, and no acknowledged write
+// can have been invoked after it returned.
+func acknowledgedApplied(res ChaosResult, run *chaosRun) error {
+	end := int64(run.spec.Duration + 3*run.spec.OpTimeout)
+	keys := map[uint64]bool{}
+	for _, op := range res.History {
+		keys[op.Key] = true
+	}
+	for i, rep := range res.Replicas {
+		if !rep.Alive {
+			continue
+		}
+		h := append([]lincheck.Op(nil), res.History...)
+		for k := range keys {
+			var v uint64
+			if b := run.stores[i].Read(k); len(b) >= 8 {
+				v = binary.LittleEndian.Uint64(b)
+			}
+			h = append(h, lincheck.Op{Kind: lincheck.OpRead, Key: k, Value: v, Invoke: end, Return: end})
+		}
+		if !lincheck.Check(h) {
+			return fmt.Errorf("replica %v lost an acknowledged write", rep.Node)
+		}
+	}
+	return nil
+}
+
+// TestConnectionResetScenario runs ScenarioConnectionReset at seeds 1–5:
+// the resets find operations in flight, which fail over, and the history
+// stays linearizable with every acknowledged write applied on every
+// replica.
+func TestConnectionResetScenario(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		res, run := runChaosInner(ScenarioConnectionReset(seed).Spec)
+		retries := uint64(0)
+		for _, w := range run.workers {
+			retries += w.cl.Stats().Retries
+		}
+		t.Logf("seed %d: %s retries=%d", seed, res, retries)
+		if retries == 0 {
+			t.Fatalf("seed %d: no operation was in flight at a reset; scenario premise broken", seed)
+		}
+		if !res.Linearizable {
+			t.Fatalf("seed %d: history of %d ops is not linearizable", seed, len(res.History))
+		}
+		if err := acknowledgedApplied(res, run); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := convergence(res); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
 }
 
 // TestScenarioCatalog runs every cataloged chaos scenario and checks the

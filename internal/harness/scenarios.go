@@ -338,6 +338,25 @@ func ScenarioGeoLeafEvictReadmit(seed int64) Scenario {
 	}
 }
 
+// ScenarioConnectionReset resets every client link three times under
+// load in stock mode — 3 × 3, eight clients per node, cycles 20 ms apart,
+// so a reset finds about half the clients waiting — as a middlebox would:
+// the nodes keep running, and each client fails what it had in flight
+// over once, under its (session, seq) identity. The simulator's twin of
+// the live client.TestAsyncOkConnectionResetMidLoad.
+func ScenarioConnectionReset(seed int64) Scenario {
+	return Scenario{
+		Name: "connection-reset",
+		Spec: ChaosSpec{
+			Groups: 3, PerGroup: 3, Seed: seed,
+			Clients: 8, Keys: 256,
+			Duration: 4 * time.Second,
+			Node:     core.Config{CycleInterval: 20 * time.Millisecond},
+			Resets:   []time.Duration{time.Second, 2 * time.Second, 3 * time.Second},
+		},
+	}
+}
+
 // Scenarios returns the full catalog at one seed.
 func Scenarios(seed int64) []Scenario {
 	return []Scenario{
@@ -353,13 +372,14 @@ func Scenarios(seed int64) []Scenario {
 		ScenarioLeafMajorityCrash(seed),
 		ScenarioLeafPowerLossDurable(seed),
 		ScenarioGeoLeafEvictReadmit(seed),
+		ScenarioConnectionReset(seed),
 	}
 }
 
 // QuickScenarios is the -short subset: one fast representative of each
 // fault family (a crash, a WAN partition, a member cut — with either
-// victim — and a leaf eviction), chosen for low virtual duration and
-// small topologies. Tests that run the catalog under -short take this
+// victim — a leaf eviction and client connection resets), chosen for
+// low virtual duration and small topologies. Tests that run the catalog under -short take this
 // slice instead of maintaining their own hard-coded subsets, so new
 // catalog entries get smoke coverage by updating one place.
 func QuickScenarios(seed int64) []Scenario {
@@ -369,5 +389,6 @@ func QuickScenarios(seed int64) []Scenario {
 		ScenarioMemberCut(seed, 4),
 		ScenarioMemberCut(seed, 3),
 		ScenarioLeafPartitionEvict(seed),
+		ScenarioConnectionReset(seed),
 	}
 }

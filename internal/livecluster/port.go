@@ -3,7 +3,9 @@ package livecluster
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +41,13 @@ const maxGroup = 512
 // port is one of the node's core.Consumers — called on the node's apply
 // stage, not inside the machine turn — and one committed cycle costs one
 // pass over its completion records, encoded into per-connection output
-// buffers (pooled) that per-connection writer goroutines flush. Neither
-// the reply encode nor the socket write ever holds the node's machine
-// lock.
+// buffers (pooled) that each Conn's driver drains: a writer goroutine
+// (acceptLoop, handle and writeLoop are the socket driver), or
+// internal/harness's simulated link. Neither the reply encode nor the
+// socket write ever holds the node's machine lock.
 type ClientPort struct {
-	runner *transport.Runner
+	id     wire.NodeID
+	runner *transport.Runner // nil: turns run inline (the simulator)
 	// nodeP is the serving protocol node. It is an atomic pointer, not a
 	// plain field, because SetNode swaps in a replacement joiner when a
 	// node restarts in place (chaos eviction/readmission) while reader
@@ -79,8 +83,8 @@ type ClientPort struct {
 	// serializing against consensus.
 	mu     sync.Mutex
 	nextID uint64
-	conns  map[uint64]*clientConn
-	loc    *clientConn // pseudo-connection carrying SubmitLocal traffic
+	conns  map[uint64]*Conn
+	loc    *Conn // pseudo-connection carrying SubmitLocal traffic
 
 	// sessPending routes session-scoped submissions back to their
 	// serving connection: replies arrive keyed by the replicated
@@ -105,9 +109,11 @@ type portStats struct {
 	dropped     atomic.Uint64 // reply buffers discarded instead of delivered
 }
 
-type clientConn struct {
-	id   uint64
-	conn net.Conn // nil for the SubmitLocal pseudo-connection
+// Conn is one client connection as the port's rules see it: its
+// requests in flight, its watches, and the answers awaiting its driver.
+type Conn struct {
+	id uint64
+	p  *ClientPort
 
 	// pending maps request Seq -> entry; seq is the per-connection
 	// submission counter. Both are guarded by the port mutex.
@@ -120,10 +126,18 @@ type clientConn struct {
 	// take the port mutex — which is harmless: hub.Cancel is idempotent.
 	watches map[uint64]uint64
 
+	// group holds the requests parsed from one read, submitted as one
+	// machine turn when the read ends or the group is full (see frame);
+	// arena holds their values, copied once, and travels into consensus
+	// with them. Only the connection's reader touches either.
+	group []wire.ClientRequestV2
+	arena []byte
+
 	outMu   sync.Mutex
 	out     []byte // encoded responses awaiting flush
-	wake    chan struct{}
 	closing bool
+	wake    func() // tells the driver that out has grown or closing is set
+	hangup  func() // the driver's close at once (nil: none); see shut
 }
 
 // newClientPort binds the client protocol for the node runner serves on
@@ -138,29 +152,42 @@ func newClientPort(runner *transport.Runner, addr string) (*ClientPort, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client listen %s: %w", addr, err)
 	}
+	p := NewPort(runner.ID(), runner)
+	p.ln = ln
+	return p, nil
+}
+
+// NewPort builds a port with no listener for node id, whose machine
+// turns runner serializes — or, with a nil runner, that runs on the
+// caller's goroutine, as every node of the simulator does. Its
+// connections come from Connect; bind it with SetNode.
+func NewPort(id wire.NodeID, runner *transport.Runner) *ClientPort {
 	p := &ClientPort{
+		id:          id,
 		runner:      runner,
-		ln:          ln,
-		conns:       make(map[uint64]*clientConn),
+		conns:       make(map[uint64]*Conn),
 		sessPending: make(map[sessKey]pendingEntry),
 	}
-	// The SubmitLocal pseudo-connection has no socket and no writer:
-	// every pending entry completes through its done callback. It sits in
-	// conns like any other, so Stop and Abort retire it with the rest.
-	p.nextID++
-	p.loc = &clientConn{
-		id:      p.connID(p.nextID),
-		pending: make(map[uint64]pendingEntry),
-		wake:    make(chan struct{}, 1),
-	}
-	p.conns[p.loc.id] = p.loc
-	return p, nil
+	// The SubmitLocal pseudo-connection has no driver: every pending entry
+	// completes through its done callback. It sits in conns like any
+	// other, so Stop and Abort retire it with the rest.
+	p.loc = p.Connect(func() {}, nil)
+	return p
 }
 
 // connID is the request Client identity of the port's n-th connection:
 // unique across the deployment, because it carries the node's ID.
 func (p *ClientPort) connID(n uint64) uint64 {
-	return (uint64(int64(p.runner.ID())+1) << 32) | n
+	return (uint64(int64(p.id)+1) << 32) | n
+}
+
+// invoke runs fn as one turn of the node's machine.
+func (p *ClientPort) invoke(fn func()) {
+	if p.runner == nil {
+		fn()
+		return
+	}
+	p.runner.Invoke(fn)
 }
 
 // AcceptClients starts accepting client connections. Idempotent; see
@@ -208,8 +235,8 @@ func (p *ClientPort) Outstanding() int64 { return p.outstanding.Load() }
 
 // admitRequest counts one accepted request into the outstanding gauge
 // and the running total. submitOp and the session frames admit through
-// here; finishLocked undoes only the gauge, and the bulk retirements of a
-// dead connection (teardown, failPending) undo it for all of its entries.
+// here; finishLocked undoes only the gauge, and failPending, retiring a
+// dead connection, undoes it for all of its entries.
 func (p *ClientPort) admitRequest() {
 	p.outstanding.Add(1)
 	p.stats.requests.Add(1)
@@ -244,19 +271,56 @@ func (p *ClientPort) RegisterMetrics(reg *metrics.Registry, labels ...metrics.La
 		p.stats.dropped.Load, labels...)
 }
 
-func (p *ClientPort) newConn(conn net.Conn) *clientConn {
+// Connect opens a connection whose driver wake calls (without blocking)
+// whenever answers are buffered for Take or the port closes it, and
+// hangup, when not nil, when the port drops it without a flush.
+func (p *ClientPort) Connect(wake, hangup func()) *Conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nextID++
-	cc := &clientConn{
-		id:      p.connID(p.nextID),
-		conn:    conn,
-		pending: make(map[uint64]pendingEntry),
-		wake:    make(chan struct{}, 1),
-	}
+	cc := &Conn{id: p.connID(p.nextID), p: p, pending: make(map[uint64]pendingEntry), wake: wake, hangup: hangup}
 	p.conns[cc.id] = cc
-	p.stats.conns.Add(1)
 	return cc
+}
+
+// Take hands the driver the answers buffered so far (a wire.EncodePool
+// buffer, nil when there are none) and whether the port is closing the
+// connection.
+func (cc *Conn) Take() ([]byte, bool) {
+	cc.outMu.Lock()
+	defer cc.outMu.Unlock()
+	buf := cc.out
+	cc.out = nil
+	return buf, cc.closing
+}
+
+// Serve submits the whole request frames in b, grouped as one socket
+// read of them is.
+func (cc *Conn) Serve(b []byte) error {
+	err := wire.EachClientFrame(b, cc.frame)
+	cc.flush()
+	return err
+}
+
+// frame parses one request into the group and submits a full group.
+func (cc *Conn) frame(payload []byte) error {
+	cc.group = slices.Grow(cc.group, 1)[:len(cc.group)+1] // slots keep their Ops backing arrays
+	if err := wire.ParseClientRequestV3Into(payload, &cc.group[len(cc.group)-1], &cc.arena); err != nil {
+		cc.group = cc.group[:len(cc.group)-1]
+		return err
+	}
+	if len(cc.group) == maxGroup {
+		cc.flush()
+	}
+	return nil
+}
+
+// flush submits the group; its arena does not outlive it.
+func (cc *Conn) flush() {
+	if len(cc.group) > 0 {
+		cc.p.submit(cc, cc.group)
+		cc.group, cc.arena = cc.group[:0], nil
+	}
 }
 
 func (p *ClientPort) acceptLoop() {
@@ -265,10 +329,17 @@ func (p *ClientPort) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		cc := p.newConn(conn)
+		p.stats.conns.Add(1)
+		wake := make(chan struct{}, 1)
+		cc := p.Connect(func() {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}, func() { conn.Close() })
 		p.writers.Add(1)
-		go p.writeLoop(cc)
-		go p.handle(cc)
+		go p.writeLoop(cc, conn, wake)
+		go p.handle(cc, conn)
 	}
 }
 
@@ -285,95 +356,84 @@ var preambleTimeout = 10 * time.Second
 const badPreambleReply = "ERR canopus: binary protocol v3 only (use canopus-client)\n"
 
 // handle drives one connection's read side until EOF or protocol error:
-// the preamble, then every complete frame a socket read returned parsed
-// into one group — values copied once, into one arena that travels into
-// consensus with the requests — and submitted when the burst ends or the
-// group is full.
-func (p *ClientPort) handle(cc *clientConn) {
-	defer p.teardown(cc)
+// the preamble, then every complete frame a socket read returned, parsed
+// into one group (see Conn.frame) and submitted when the burst ends.
+func (p *ClientPort) handle(cc *Conn, conn net.Conn) {
+	defer func() {
+		// The read side is done (EOF or protocol error), but submitted
+		// requests may still be in consensus: wait briefly so their
+		// replies are flushed before the writer closes the socket (a
+		// client that half-closes after its last request still gets every
+		// answer).
+		p.dropWatches(cc)
+		await(time.Now().Add(5*time.Second), 200*time.Microsecond, func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return len(cc.pending) == 0
+		})
+		p.Disconnect(cc)
+	}()
 	var magic [4]byte
-	cc.conn.SetReadDeadline(time.Now().Add(preambleTimeout))
-	_, err := io.ReadFull(cc.conn, magic[:])
+	conn.SetReadDeadline(time.Now().Add(preambleTimeout))
+	_, err := io.ReadFull(conn, magic[:])
 	if err != nil || magic != wire.ClientMagicV3 {
 		p.stats.badPreamble.Add(1)
 		if err == nil {
 			// Nothing was submitted, so the writer has nothing to write:
 			// this goroutine may. Best effort: the connection is closed
 			// whether or not the peer still takes the line.
-			cc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			_, _ = io.WriteString(cc.conn, badPreambleReply)
+			conn.SetWriteDeadline(time.Now().Add(time.Second))
+			_, _ = io.WriteString(conn, badPreambleReply)
 		}
 		return
 	}
-	cc.conn.SetReadDeadline(time.Time{})
+	conn.SetReadDeadline(time.Time{})
 
-	group := make([]wire.ClientRequestV2, 0, maxGroup)
-	var arena []byte
-	flush := func() {
-		if len(group) > 0 {
-			p.submit(cc, group)
-			// Slots keep their Ops backing arrays; the arena does not
-			// outlive its group.
-			group, arena = group[:0], nil
-		}
-	}
+	cc.group = make([]wire.ClientRequestV2, 0, maxGroup)
 	// Whatever ends the read side — EOF, a reset, a malformed frame — is
-	// answered the same way, by teardown.
-	_ = wire.ReadClientFrames(cc.conn, func(payload []byte) error {
-		group = group[:len(group)+1] // a full group was flushed, so there is room
-		if err := wire.ParseClientRequestV3Into(payload, &group[len(group)-1], &arena); err != nil {
-			group = group[:len(group)-1]
-			return err
-		}
-		if len(group) == maxGroup {
-			flush()
-		}
-		return nil
-	}, flush)
+	// answered the same way, by the deferred Disconnect.
+	_ = wire.ReadClientFrames(conn, cc.frame, cc.flush)
 }
 
-// teardown retires the connection. The read side is already done (EOF
-// or protocol error), but submitted requests may still be in consensus:
-// wait briefly so their replies reach the output buffer and are flushed
-// before the writer closes the socket (a client that half-closes after
-// its last request still gets every answer).
-func (p *ClientPort) teardown(cc *clientConn) {
-	// Watches die with the read side: no one is left to UNWATCH, and the
-	// writer is about to close, so stop the event flow now rather than
-	// letting every future cycle render frames nobody will read.
+// Disconnect retires a connection whose client is gone: its watches stop
+// and its requests in flight are no longer awaited (their answers, if
+// they commit, are dropped).
+func (p *ClientPort) Disconnect(cc *Conn) {
 	p.dropWatches(cc)
-	p.waitIdle(cc, 5*time.Second)
+	p.failPending(cc)
 	p.mu.Lock()
 	delete(p.conns, cc.id)
-	if n := len(cc.pending); n > 0 {
-		p.outstanding.Add(int64(-n))
-	}
-	cc.pending = nil
-	p.dropSessPendingLocked(cc)
 	p.mu.Unlock()
+	cc.shut(false)
+}
+
+// shut marks the connection closing and tells its driver. With drop set
+// it also discards the answers not yet taken and hangs up at once, even
+// under a writer blocked on a client that does not read.
+func (cc *Conn) shut(drop bool) {
 	cc.outMu.Lock()
 	cc.closing = true
+	if drop && cc.out != nil {
+		wire.EncodePool.Put(cc.out)
+		cc.out = nil
+	}
 	cc.outMu.Unlock()
-	select {
-	case cc.wake <- struct{}{}:
-	default:
+	cc.wake()
+	if drop && cc.hangup != nil {
+		cc.hangup()
 	}
 }
 
 // writeLoop flushes one connection's response buffer: each wakeup writes
 // everything accumulated since the last flush with a single syscall.
-func (p *ClientPort) writeLoop(cc *clientConn) {
+func (p *ClientPort) writeLoop(cc *Conn, conn net.Conn, wake chan struct{}) {
 	defer p.writers.Done()
-	for range cc.wake {
+	defer conn.Close()
+	for range wake {
 		for {
-			cc.outMu.Lock()
-			buf := cc.out
-			cc.out = nil
-			closing := cc.closing
-			cc.outMu.Unlock()
+			buf, closing := cc.Take()
 			if len(buf) == 0 {
 				if closing {
-					cc.conn.Close()
 					return
 				}
 				break
@@ -387,11 +447,10 @@ func (p *ClientPort) writeLoop(cc *clientConn) {
 				wire.EncodePool.Put(buf)
 				continue
 			}
-			cc.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			_, err := cc.conn.Write(buf)
+			conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			_, err := conn.Write(buf)
 			wire.EncodePool.Put(buf)
 			if err != nil {
-				cc.conn.Close()
 				return
 			}
 		}
@@ -400,7 +459,7 @@ func (p *ClientPort) writeLoop(cc *clientConn) {
 
 // reply appends one encoded response to the connection's output buffer
 // and rings its writer.
-func (cc *clientConn) reply(resp *wire.ClientResponseV2) {
+func (cc *Conn) reply(resp *wire.ClientResponseV2) {
 	cc.pushBudget(resp, 0, true)
 }
 
@@ -409,7 +468,7 @@ func (cc *clientConn) reply(resp *wire.ClientResponseV2) {
 // frames are exempt: an overflow notice must reach the client even
 // though the buffer is exactly what overflowed. A closing connection
 // also reports false.
-func (cc *clientConn) pushBudget(resp *wire.ClientResponseV2, budget int, terminal bool) bool {
+func (cc *Conn) pushBudget(resp *wire.ClientResponseV2, budget int, terminal bool) bool {
 	cc.outMu.Lock()
 	if cc.closing {
 		cc.outMu.Unlock()
@@ -424,26 +483,20 @@ func (cc *clientConn) pushBudget(resp *wire.ClientResponseV2, budget int, termin
 	}
 	cc.out = wire.AppendClientResponseV3(cc.out, resp)
 	cc.outMu.Unlock()
-	select {
-	case cc.wake <- struct{}{}:
-	default:
-	}
+	cc.wake()
 	return true
 }
 
-// waitIdle blocks until the connection has no pending requests (its
-// replies are buffered for the writer) or timeout elapses.
-func (p *ClientPort) waitIdle(cc *clientConn, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		p.mu.Lock()
-		n := len(cc.pending)
-		p.mu.Unlock()
-		if n == 0 || time.Now().After(deadline) {
-			return
+// await polls done every interval until it reports true, which await
+// then returns, or deadline passes.
+func await(deadline time.Time, every time.Duration, done func() bool) bool {
+	for !done() {
+		if time.Now().After(deadline) {
+			return false
 		}
-		time.Sleep(200 * time.Microsecond)
+		time.Sleep(every)
 	}
+	return true
 }
 
 // Stop shuts the port down gracefully: stop accepting, reject new
@@ -454,62 +507,28 @@ func (p *ClientPort) Stop(drain time.Duration) bool {
 	p.draining.Store(true)
 	p.ln.Close()
 	deadline := time.Now().Add(drain)
-	drained := true
 	// Deferred Sequential reads (parked on a future commit cycle) do not
 	// gate the drain: on an idle or stalling node they would never
 	// complete, so only genuinely in-flight work is awaited and the
 	// stragglers are then rejected with a draining code.
-	for p.outstanding.Load() > p.deferredLocal.Load() {
-		if time.Now().After(deadline) {
-			drained = false
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	drained := await(deadline, time.Millisecond, func() bool { return p.outstanding.Load() <= p.deferredLocal.Load() })
 	if p.outstanding.Load() > 0 {
-		p.runner.Invoke(func() {
-			p.node().FailLocalReads()
-			p.node().FailSessionWaiters()
-		})
+		p.failWaiters()
 		// Parked reads fail on the apply stage; give the failure a moment to propagate through the accounting.
-		for p.outstanding.Load() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if p.outstanding.Load() > 0 {
-			drained = false
-		}
+		drained = await(deadline, time.Millisecond, func() bool { return p.outstanding.Load() == 0 }) && drained
 	}
 	// Local (Cluster.Submit) operations still unanswered after the drain
 	// will never complete once the transport closes; honor the done
 	// contract (ok=false) now.
 	p.failPending(p.loc)
-	p.mu.Lock()
-	conns := make([]*clientConn, 0, len(p.conns))
-	for _, cc := range p.conns {
-		conns = append(conns, cc)
-	}
-	p.mu.Unlock()
-	for _, cc := range conns {
-		p.dropWatches(cc)
-		cc.outMu.Lock()
-		cc.closing = true
-		cc.outMu.Unlock()
-		select {
-		case cc.wake <- struct{}{}:
-		default:
-		}
-	}
+	p.shutAll(false)
 	done := make(chan struct{})
 	go func() { p.writers.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
+		p.shutAll(true) // a writer blocked on a client that does not read
 		drained = false
-		for _, cc := range conns {
-			if cc.conn != nil {
-				cc.conn.Close()
-			}
-		}
 	}
 	return drained
 }
@@ -520,49 +539,44 @@ func (p *ClientPort) Stop(drain time.Duration) bool {
 func (p *ClientPort) Abort() {
 	p.draining.Store(true)
 	p.ln.Close()
-	p.mu.Lock()
-	conns := make([]*clientConn, 0, len(p.conns))
-	for _, cc := range p.conns {
-		conns = append(conns, cc)
-	}
-	p.mu.Unlock()
-	for _, cc := range conns {
-		p.dropWatches(cc)
-		cc.outMu.Lock()
-		cc.closing = true
-		cc.outMu.Unlock()
-		if cc.conn != nil {
-			cc.conn.Close()
-		}
-		select {
-		case cc.wake <- struct{}{}:
-		default:
-		}
-	}
 	// The node is dead: its in-flight requests will never be answered,
 	// so retire their accounting. Socket clients recover via failover;
 	// local (Cluster.Submit) callers are owed their done callback, with
 	// ok=false — and deferred local reads their abandonment.
-	p.runner.Invoke(func() {
-		p.node().FailLocalReads()
-		p.node().FailSessionWaiters()
-	})
+	conns := p.shutAll(true)
+	p.failWaiters()
 	for _, cc := range conns {
 		p.failPending(cc)
 	}
 }
 
+// failWaiters fails the node's parked local reads and session waiters.
+func (p *ClientPort) failWaiters() {
+	p.invoke(func() {
+		p.node().FailLocalReads()
+		p.node().FailSessionWaiters()
+	})
+}
+
+// shutAll stops every connection's watches and closes it (see shut),
+// returning the connections.
+func (p *ClientPort) shutAll(drop bool) []*Conn {
+	p.mu.Lock()
+	conns := slices.Collect(maps.Values(p.conns))
+	p.mu.Unlock()
+	for _, cc := range conns {
+		p.dropWatches(cc)
+		cc.shut(drop)
+	}
+	return conns
+}
+
 // failPending retires every pending entry of one connection, completing
 // local done callbacks with ok=false (the Cluster.Submit contract: done
 // always fires).
-func (p *ClientPort) failPending(cc *clientConn) {
+func (p *ClientPort) failPending(cc *Conn) {
 	p.mu.Lock()
 	p.dropSessPendingLocked(cc)
-	if len(cc.pending) == 0 {
-		cc.pending = nil
-		p.mu.Unlock()
-		return
-	}
 	p.outstanding.Add(int64(-len(cc.pending)))
 	pending := cc.pending
 	cc.pending = nil

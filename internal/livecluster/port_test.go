@@ -404,7 +404,7 @@ func TestPortAnswers(t *testing.T) {
 			t.Errorf("%s: done(%q, %v), want done(%q, %v)", tc.name, got.val, got.ok, tc.want.val, tc.want.ok)
 		}
 	}
-	if n := p.Outstanding(); n != 0 {
+	if n := settledOutstanding(p); n != 0 {
 		t.Errorf("%d requests still counted in flight after every answer", n)
 	}
 
@@ -419,9 +419,20 @@ func TestPortAnswers(t *testing.T) {
 		t.Errorf("joiner: answered %d/%d/%q cycle %d, want %d/%d/%q and no cycle",
 			resp.Status, resp.Code, resp.Val, resp.Cycle, wire.ClientStatusErr, wire.CodeStalled, "node joining")
 	}
-	if n := jp.Outstanding(); n != 0 {
+	if n := settledOutstanding(jp); n != 0 {
 		t.Errorf("joiner: %d requests still counted in flight", n)
 	}
+}
+
+// settledOutstanding reads p's in-flight count once it reaches 0, or
+// after a second: finishLocked retires an answered request just after
+// queuing its answer, so a client can read the answer before the count
+// drops.
+func settledOutstanding(p *ClientPort) int64 {
+	for deadline := time.Now().Add(time.Second); p.Outstanding() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return p.Outstanding()
 }
 
 // TestPortAnswersStalledNode pins the stalled-node rule: a node that

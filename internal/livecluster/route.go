@@ -15,7 +15,7 @@ type sessKey struct{ session, seq uint64 }
 // done callback, one slot of a batch frame, or a single-op frame's
 // response on cc.
 type pendingEntry struct {
-	cc   *clientConn
+	cc   *Conn
 	id   uint64                    // the frame's correlation ID
 	done func(val []byte, ok bool) // SubmitLocal completion; nil for sockets
 	agg  *batchAgg                 // the batch frame's aggregate; nil otherwise
@@ -63,9 +63,9 @@ func freeBatchAgg(agg *batchAgg) {
 // or handed to done before this returns: it may alias store state that
 // the next cycle's apply overwrites.
 func (p *ClientPort) finishLocked(e pendingEntry, op wire.Op, code uint8, val []byte, cycle uint64) {
-	// Retired only once answered: Stop and teardown poll the count to
-	// decide when it is safe to close, so the answer must already be in
-	// the output buffer.
+	// Retired only once answered: Stop and the socket reader poll the
+	// count to decide when it is safe to close, so the answer must
+	// already be in the output buffer.
 	defer p.outstanding.Add(-1)
 	if e.done != nil {
 		if code != wire.CodeNone {
@@ -156,7 +156,7 @@ func (p *ClientPort) takeLocked(req *wire.Request) (pendingEntry, bool) {
 
 // dropSessPendingLocked retires every session-scoped entry bound to one
 // (dead) connection. Runs with the port mutex held.
-func (p *ClientPort) dropSessPendingLocked(cc *clientConn) {
+func (p *ClientPort) dropSessPendingLocked(cc *Conn) {
 	for k, e := range p.sessPending {
 		if e.cc == cc {
 			delete(p.sessPending, k)
@@ -168,7 +168,7 @@ func (p *ClientPort) dropSessPendingLocked(cc *clientConn) {
 // reject answers a whole frame without admitting it: a draining port, an
 // oversized batch, a watch the port cannot serve. A batch frame's answer
 // carries the code alone and no results.
-func (p *ClientPort) reject(cc *clientConn, q *wire.ClientRequestV2, code uint8, reason string) {
+func (p *ClientPort) reject(cc *Conn, q *wire.ClientRequestV2, code uint8, reason string) {
 	cc.reply(&wire.ClientResponseV2{ID: q.ID, Batch: q.Batch, Status: wire.ClientStatusErr, Code: code, Val: []byte(reason)})
 }
 
@@ -176,7 +176,7 @@ func (p *ClientPort) reject(cc *clientConn, q *wire.ClientRequestV2, code uint8,
 // are handled right here on the read goroutine (the hub has its own lock;
 // no machine turn involved), and each contiguous run between them goes to
 // the node in one machine turn.
-func (p *ClientPort) submit(cc *clientConn, group []wire.ClientRequestV2) {
+func (p *ClientPort) submit(cc *Conn, group []wire.ClientRequestV2) {
 	for len(group) > 0 {
 		if q := &group[0]; q.Watch || q.Unwatch {
 			if q.Watch {
@@ -199,7 +199,7 @@ func (p *ClientPort) submit(cc *clientConn, group []wire.ClientRequestV2) {
 			}
 			continue
 		}
-		p.runner.Invoke(func() {
+		p.invoke(func() {
 			for i := range run {
 				p.submitFrame(cc, &run[i])
 			}
@@ -214,13 +214,10 @@ func (p *ClientPort) submit(cc *clientConn, group []wire.ClientRequestV2) {
 // wire.OpTxn request. In a session frame the mutating ops carry session
 // seqs q.Seq, q.Seq+1, ... in frame order (reads consume none), mirroring
 // the client's assignment.
-func (p *ClientPort) submitFrame(cc *clientConn, q *wire.ClientRequestV2) {
+func (p *ClientPort) submitFrame(cc *Conn, q *wire.ClientRequestV2) {
 	switch {
-	case q.Register:
-		p.registerSession(cc, q.ID)
-		return
-	case q.Expire:
-		p.expireSession(cc, q.ID, q.Session)
+	case q.Register || q.Expire:
+		p.sessionFrame(cc, q)
 		return
 	case q.Batch && len(q.Ops) > wire.MaxBatchOps:
 		// One batch is one machine turn; an oversized one would
@@ -332,40 +329,28 @@ func (p *ClientPort) submitOp(e pendingEntry, req wire.Request, c wire.Consisten
 	}
 }
 
-// registerSession proposes a fresh replicated session and answers with
-// its 8-byte ID once the registration commits. Runs inside the machine
-// turn.
-func (p *ClientPort) registerSession(cc *clientConn, id uint64) {
-	e := pendingEntry{cc: cc, id: id}
+// sessionFrame proposes a fresh replicated session, or the expiry of
+// q.Session, and answers once it commits: a registration with the 8-byte
+// session ID, an expiry with a plain OK, both as a mutation is answered.
+// One that cannot commit here (stall, shutdown) is retryable elsewhere,
+// exactly like a draining rejection. Runs inside the machine turn.
+func (p *ClientPort) sessionFrame(cc *Conn, q *wire.ClientRequestV2) {
+	e := pendingEntry{cc: cc, id: q.ID}
 	p.admitRequest()
-	p.node().RegisterSession(func(session uint64, ok bool) {
+	answer := func(val []byte, ok bool) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		if !ok {
-			// Could not commit here (stall / shutdown): retryable
-			// elsewhere, exactly like a draining rejection.
-			p.finishLocked(e, wire.OpWrite, wire.CodeDraining, []byte("cannot register session"), 0)
+			p.finishLocked(e, wire.OpWrite, wire.CodeDraining, []byte("session change not committed"), 0)
 			return
 		}
-		p.finishLocked(e, wire.OpWrite, wire.CodeNone, binary.LittleEndian.AppendUint64(nil, session), p.node().Committed())
-	})
-}
-
-// expireSession proposes reclaiming a session and acknowledges once the
-// expiry commits. Runs inside the machine turn. Both session frames are
-// answered as a mutation is: an empty value is a plain OK.
-func (p *ClientPort) expireSession(cc *clientConn, id, session uint64) {
-	e := pendingEntry{cc: cc, id: id}
-	p.admitRequest()
-	p.node().ExpireSession(session, func(ok bool) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if !ok {
-			p.finishLocked(e, wire.OpWrite, wire.CodeDraining, []byte("cannot expire session"), 0)
-			return
-		}
-		p.finishLocked(e, wire.OpWrite, wire.CodeNone, nil, p.node().Committed())
-	})
+		p.finishLocked(e, wire.OpWrite, wire.CodeNone, val, p.node().Committed())
+	}
+	if q.Expire {
+		p.node().ExpireSession(q.Session, func(ok bool) { answer(nil, ok) })
+		return
+	}
+	p.node().RegisterSession(func(s uint64, ok bool) { answer(binary.LittleEndian.AppendUint64(nil, s), ok) })
 }
 
 // SubmitLocal injects one operation directly into the node — no socket,
@@ -380,7 +365,7 @@ func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(v
 		done(nil, false)
 		return
 	}
-	p.runner.Invoke(func() {
+	p.invoke(func() {
 		p.submitOp(pendingEntry{cc: p.loc, done: done}, wire.Request{Op: op, Key: key, Val: val}, wire.Linearizable, 0)
 	})
 }

@@ -23,7 +23,7 @@ const watchOutBudget = 1 << 20
 // to, which the hub does not publish): the feed is complete from that
 // cycle (exclusive) on, which is exactly the resume point a client should
 // carry into a failover.
-func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
+func (p *ClientPort) handleWatch(cc *Conn, q *wire.ClientRequestV2) {
 	if p.hub() == nil {
 		p.reject(cc, q, wire.CodeBadRequest, "watches not enabled")
 		return
@@ -69,7 +69,7 @@ func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 // handleUnwatch cancels one watch. Idempotent — cancelling an unknown
 // or already-overflowed watch still acks, so client and server never
 // deadlock over who forgot whom. Runs on the read goroutine.
-func (p *ClientPort) handleUnwatch(cc *clientConn, q *wire.ClientRequestV2) {
+func (p *ClientPort) handleUnwatch(cc *Conn, q *wire.ClientRequestV2) {
 	p.mu.Lock()
 	hubID, ok := cc.watches[q.WatchID]
 	delete(cc.watches, q.WatchID)
@@ -87,7 +87,7 @@ func (p *ClientPort) handleUnwatch(cc *clientConn, q *wire.ClientRequestV2) {
 // the port mutex (the submit paths hold it while calling into the hub).
 // The buffer budget turns a non-reading client into a watch overflow;
 // the terminal overflow notice itself bypasses the budget.
-func (p *ClientPort) watchSink(cc *clientConn, watchID uint64) events.Sink {
+func (p *ClientPort) watchSink(cc *Conn, watchID uint64) events.Sink {
 	return func(n events.Notification) bool {
 		return cc.pushBudget(&wire.ClientResponseV2{ID: watchID, Event: true, Cycle: n.Cycle,
 			Overflow: n.Overflow, Events: n.Events}, watchOutBudget, n.Overflow)
@@ -97,7 +97,7 @@ func (p *ClientPort) watchSink(cc *clientConn, watchID uint64) events.Sink {
 // dropWatches cancels every hub registration of one connection:
 // collect under the port mutex, cancel outside it (port mutex → hub
 // mutex is the allowed order, but shorter critical sections win).
-func (p *ClientPort) dropWatches(cc *clientConn) {
+func (p *ClientPort) dropWatches(cc *Conn) {
 	if p.hub() == nil {
 		return
 	}

@@ -167,6 +167,25 @@ func ReadClientFrames(r io.Reader, frame func(payload []byte) error, burst func(
 	}
 }
 
+// EachClientFrame calls frame for each frame in b, which holds whole
+// frames only.
+func EachClientFrame(b []byte, frame func(payload []byte) error) error {
+	for len(b) > 0 {
+		size, err := 0, ErrClientFrame
+		if len(b) >= 4 {
+			size, err = clientFrameLen(b)
+		}
+		if err != nil || len(b) < 4+size {
+			return ErrClientFrame
+		}
+		if err := frame(b[4 : 4+size]); err != nil {
+			return err
+		}
+		b = b[4+size:]
+	}
+	return nil
+}
+
 // Consistency is a client read-consistency level.
 type Consistency uint8
 
