@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"canopus/internal/chunk"
 	"canopus/internal/engine"
 	"canopus/internal/wire"
 )
@@ -116,30 +117,18 @@ type Sequencer struct {
 	dst []wire.NodeID // fan's destinations, reused
 
 	// What the sequencer sends every cycle comes out of chunks.
-	acks     chunk[wire.SeqAck]
-	forwards chunk[wire.SeqForward]
-	boxes    chunk[fanBox]
+	acks     chunk.Of[wire.SeqAck]
+	forwards chunk.Of[wire.SeqForward]
+	boxes    chunk.Of[fanBox]
 }
 
-// chunkSize is how many messages of one type a chunk holds.
+// chunkSize is how many messages of one type a chunk holds. Each is handed
+// out once: a message given to engine.Env.Send is the driver's from then
+// on, and the simulator delivers the pointer later. A chunk lives until
+// its last message is dropped. That pins what the messages point to, a
+// payload, no longer than the log keeps it: retain slots, more than one
+// chunk spans.
 const chunkSize = 16
-
-// chunk hands out the elements of arrays it allocates chunkSize at a time,
-// each element once: a message given to engine.Env.Send is the driver's
-// from then on, and the simulator delivers the pointer later, so nothing is
-// reused. An array lives until its last message is dropped. That pins
-// what the messages point to, a payload, no longer than the log keeps it:
-// retain slots, more than one chunk spans.
-type chunk[T any] struct{ free []T }
-
-func (c *chunk[T]) next() *T {
-	if len(c.free) == 0 {
-		c.free = make([]T, chunkSize)
-	}
-	v := &c.free[0]
-	c.free = c.free[1:]
-	return v
-}
 
 type ownEntry struct {
 	oseq    uint64
@@ -289,7 +278,7 @@ func (s *Sequencer) Broadcast(payload wire.Encodable) {
 // forward sends an own broadcast to the sequencer, and in a leaf of more
 // than three seats to every other member too.
 func (s *Sequencer) forward(oseq uint64, payload wire.Encodable) {
-	f := s.forwards.next()
+	f := s.forwards.Next(chunkSize)
 	*f = wire.SeqForward{Epoch: s.epoch, Origin: s.self, OSeq: oseq, Match: s.verified, Payload: payload}
 	s.lastSent = s.env.Now()
 	s.dst = s.dst[:0]
@@ -350,7 +339,7 @@ type fanBox struct {
 // fill builds the append that starts at slot next.
 func (s *Sequencer) fill(next uint64) *fanBox {
 	next = max(next, s.base+1)
-	box := s.boxes.next()
+	box := s.boxes.Next(chunkSize)
 	box.full = wire.SeqAppend{
 		Epoch: s.epoch, Seq: next, PrevEpoch: s.epochAt(next - 1), Commit: s.ready, Trim: s.trim,
 	}
@@ -622,7 +611,7 @@ func (s *Sequencer) allOwn(es []wire.SeqEntry) bool {
 // more than three seats) to every member.
 func (s *Sequencer) ack(match uint64, reject, all bool) {
 	s.lastSent = s.env.Now()
-	k := s.acks.next()
+	k := s.acks.Next(chunkSize)
 	*k = wire.SeqAck{Epoch: s.epoch, From: s.self, Inc: s.inc[s.self], Match: match, Reject: reject}
 	s.dst = s.dst[:0]
 	for _, m := range s.members {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"canopus/internal/engine"
 	"canopus/internal/kvstore"
@@ -153,21 +154,24 @@ func (w *cycleNet) advance(tb testing.TB, d time.Duration) {
 
 // cycleFixedCostCeilings are the committed ceilings of
 // BenchmarkCycleFixedCost, per topology: heap objects per node and cycle
-// (7.4 and 4.5 today — 67 and 13.6 a cycle — since the broadcast's
-// messages and a decoded proposal's requests and values come out of
-// chunks and a merged state is one object; 15.2 and 9.7 before, 16.9 and
-// 10.7 while followers waited for the commit notice, 17.1 and 11.3 before
-// the own proposal came out of one box, 34.9 and 20.7 before that), and
+// (0.87 and 0.77 today — 7.8 and 2.3 a cycle — since a small proposal's
+// box, decoded or a node's own, and a small merged state come out of
+// chunks too; 7.4 and 4.5 while only the broadcast's messages and a
+// decoded proposal's requests and values did and a merged state was one
+// object, 15.2 and 9.7 before those chunks, 16.9 and 10.7 while
+// followers waited for the commit notice, 17.1 and 11.3 before the own
+// proposal came out of one box, 34.9 and 20.7 before that), and
 // messages per cycle, which are exact: 15 broadcasts of 4 messages and 6
 // pushed states on 3 x 3, 3 broadcasts on 1 x 3 (96 and 18 while a leaf
 // of three sent commit notices, 126 and 24 while they were answered). A
 // change that needs more of either spends what a faster cycle clock would
 // have to pay for (ROADMAP "Where the budget stands") and says so by raising
 // a number here. Heap bytes per node and cycle are reported, not capped:
-// 1942 and 1179 (1954 and 1192 before the chunks).
+// 2011 and 1196 (1942 and 1179 before the boxes came out of chunks, 1954
+// and 1192 before any chunk).
 var cycleFixedCostCeilings = map[string]struct{ allocsPerNodeCycle, msgsPerCycle float64 }{
-	"3x3": {allocsPerNodeCycle: 7.5, msgsPerCycle: 66},
-	"1x3": {allocsPerNodeCycle: 5, msgsPerCycle: 12},
+	"3x3": {allocsPerNodeCycle: 1.5, msgsPerCycle: 66},
+	"1x3": {allocsPerNodeCycle: 1.5, msgsPerCycle: 12},
 }
 
 // heapPerRun runs f once to warm up, then runs times, and returns the heap
@@ -238,6 +242,76 @@ func BenchmarkCycleFixedCost(b *testing.B) {
 			}
 			if perCycle > ceil.msgsPerCycle {
 				b.Fatalf("a cycle takes %.1f messages, ceiling %v", perCycle, ceil.msgsPerCycle)
+			}
+		})
+	}
+}
+
+// TestKeptStatesPinOnlyTheirChunks is wire.TestKeptProposalPinsOnlyItsChunks
+// for the boxes a node carves itself: what a node keeps of a cycle, its
+// own round-1 proposal and its root state, pins the chunks those boxes lie
+// in and no dropped neighbour's own allocations. Node 0 of a 3 × 3
+// deployment orders one write in each of 255 cycles and the test keeps
+// both boxes of the last; after a collection the live heap holds them plus
+// at most a few chunks. A "small" cycle's write is 128 bytes and its boxes
+// come out of chunks of boxChunk, whose neighbours then point at little;
+// a "big" one's write is 64 KiB, and its boxes are allocations of their
+// own. Were a big cycle's boxes chunked, a kept small one would pin the
+// values of the big ones beside it.
+func TestKeptStatesPinOnlyTheirChunks(t *testing.T) {
+	const (
+		cycles = 255 // not a multiple of boxChunk: a neighbour shares the kept ones' chunk
+		small  = 128
+		big    = 64 << 10
+	)
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // and the sync.Pools' victims
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run := func(t *testing.T, isBig func(i int) bool) (own, root *wire.Proposal) {
+		w := newCycleNet(t, 3, 3)
+		n := w.nodes[0]
+		for i := 0; i < cycles; i++ {
+			size := small
+			if isBig(i) {
+				size = big
+			}
+			n.Submit(wire.Request{Client: 1, Seq: uint64(i + 1), Op: wire.OpWrite, Key: uint64(i), Val: make([]byte, size)})
+			if c := n.cycles[n.started]; c != nil && c.own != nil {
+				own = c.own
+			}
+			w.pump(t)
+			w.advance(t, benchInterval)
+			states := n.recent[n.Ordered()]
+			root = states[len(states)-1]
+		}
+		return own, root
+	}
+	for _, tc := range []struct {
+		name  string
+		isBig func(i int) bool
+	}{
+		{"small", func(int) bool { return false }},
+		{"alternating", func(i int) bool { return i%2 == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := live()
+			own, root := run(t, tc.isBig)
+			used := int64(live()) - int64(base)
+			// The kept boxes share one small write; the chunks are the
+			// own box's, with each neighbour's write, and a merged box's
+			// of each size, each with the one it lies in and the one after.
+			perOwn := int64(unsafe.Sizeof(ownBox{}) + unsafe.Sizeof(wire.Request{}) + small)
+			merged := int64(unsafe.Sizeof(mergeBox4{}) + unsafe.Sizeof(mergeBox16{}))
+			bound := 1<<10 + small + 2*boxChunk*(perOwn+merged)
+			if used > bound {
+				t.Fatalf("a kept own proposal and root state of %d cycles leave %d live bytes, bound %d", cycles, used, bound)
+			}
+			if len(own.Batches) != 1 || len(root.Batches) != 1 || root.Batches[0].Reqs[0].Key != own.Batches[0].Reqs[0].Key {
+				t.Fatal("the kept boxes lost their write")
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"canopus/internal/broadcast"
+	"canopus/internal/chunk"
 	"canopus/internal/engine"
 	"canopus/internal/lot"
 	"canopus/internal/wire"
@@ -28,19 +29,21 @@ const (
 // b heap objects (allocs_per_req = a + b·cycles/requests). At 2 — pace 1 ms
 // on the 2 ms loopback interval — that is 0.5 ms of waiting and at most
 // 1000 cycles/s; a full interval (1) waits twice as long. On write_9n's
-// 3 × 3 shape b is 67 objects a cycle (BenchmarkCycleFixedCost; 137 before
-// the broadcast's messages and decoded requests came out of chunks), so
-// 1000 cycles/s at its 4k req/s mid rate cost about 17 objects a request.
-// A quarter would double the cycles, and that share with them: b must
-// fall further first. The pace bounds only open-loop starts: a closed loop
+// 3 × 3 shape b is 7.8 objects a cycle (BenchmarkCycleFixedCost; 67
+// before small proposal boxes and merged states came out of chunks, 137
+// before the broadcast's messages and decoded requests did), so 1000
+// cycles/s at its 4k req/s mid rate cost about 2 objects a request. A
+// quarter would double the cycles and that share with them: write_9n's
+// allocs_per_req read 11.1 → 12.4 at 4 (+11 %, one run on 2 cores;
+// +61 % while b was 67). The pace bounds only open-loop starts: a closed loop
 // whose requests come back in a full batch starts without it (fullBatch).
 const paceDivisor = 2
 
 // fullBatch is the floor of the batch that lets an idle node start before
 // the pace has passed: its pending client requests must reach
-// max(fullBatch, lastBatch). A node-cycle's fixed cost is 4.5 (1 × 3) to
-// 7.4 (3 × 3) heap objects and 4–7 messages (BenchmarkCycleFixedCost), so a
-// cycle started early costs at most 7.4/32 ≈ 0.23 objects a request, and
+// max(fullBatch, lastBatch). A node-cycle's fixed cost is 0.77 (1 × 3) to
+// 0.87 (3 × 3) heap objects and 4–7 messages (BenchmarkCycleFixedCost), so
+// a cycle started early costs at most 0.87/32 ≈ 0.03 objects a request, and
 // an open-loop load that gathers fewer than 32 a pace keeps the pace. The
 // lastBatch half keeps a closed loop's batches from shrinking: each early
 // start carries at least what the previous cycle did.
@@ -133,6 +136,10 @@ type Node struct {
 
 	// proposed maps a cycle to the request set it ordered.
 	proposed map[uint64]*ownSet
+	// The boxes of small own proposals and merged states (see ownBox).
+	ownBoxes chunk.Of[ownBox]
+	merged4  chunk.Of[mergeBox4]
+	merged16 chunk.Of[mergeBox16]
 
 	cycles    map[uint64]*cycle
 	started   uint64
@@ -733,15 +740,25 @@ func (n *Node) startCycle(k uint64, cause startCause) {
 	n.lastCycleStart = c.startedAt
 	n.trace("start", k, slog.String("cause", cause.String()))
 
-	// The proposal, its batch list and its batch are one heap object, the
-	// writes a second: what a cycle costs the node that has requests.
-	p, batch := wire.NewRoundOneProposal()
+	// The proposal, its batch list and its batch are one box, from a
+	// chunk when the batch is small; the writes are one more object.
+	var batch wire.Batch
+	n.lastBatch = n.pendingRequests()
+	n.proposed[k] = n.takeAccum(&batch)
+	var fp wire.Footprint
+	fp.Add(&batch)
+	boxes := &n.ownBoxes
+	if !fp.Small() {
+		boxes = nil
+	}
+	box := boxes.Next(boxChunk)
+	p := &box.p
 	p.Cycle, p.Round, p.Origin = k, 1, n.cfg.Self
 	p.Num = n.env.Rand().Uint64()
-	n.lastBatch = n.pendingRequests()
-	n.proposed[k] = n.takeAccum(batch)
+	p.Batches = box.ptrs[:0]
 	if batch.Requests() > 0 {
-		p.Batches = append(p.Batches, batch)
+		box.batch = batch
+		p.Batches = append(p.Batches, &box.batch)
 	}
 	if len(n.pendingUpdates) > 0 {
 		p.Updates = n.pendingUpdates

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"canopus/internal/chunk"
 	"canopus/internal/wire"
 )
 
@@ -257,11 +258,19 @@ func (c *cycle) releaseProps(props []*wire.Proposal) {
 	c.props = props[:0]
 }
 
-// mergeBox4 and mergeBox16 let a merged state and its batch list come out
-// of one allocation: a super-leaf of three's height-1 state, and the
-// height-2 state of a 3 × 3 deployment. A larger merge allocates its list
-// apart. The box is not shared with other states: each is kept for as long
-// as the retention window keeps its cycle.
+// ownBox is a node's round-1 proposal, its batch list and its batch in one
+// allocation; mergeBox4 and mergeBox16 are a merged state and its batch
+// list: a super-leaf of three's height-1 state, and the height-2 state of
+// a 3 × 3 deployment. A larger merge allocates its list apart. The
+// retention window keeps each for its cycle, so a box comes out of a chunk
+// of boxChunk, which a kept one pins whole, only when its batches are
+// small (wire.Footprint): its neighbours then point at little too.
+type ownBox struct {
+	p     wire.Proposal
+	ptrs  [1]*wire.Batch
+	batch wire.Batch
+}
+
 type mergeBox4 struct {
 	p    wire.Proposal
 	ptrs [4]*wire.Batch
@@ -272,17 +281,19 @@ type mergeBox16 struct {
 	ptrs [16]*wire.Batch
 }
 
-// newMerged returns a zero proposal whose Batches has room for n.
-func newMerged(n int) *wire.Proposal {
+// boxChunk is how many boxes of one kind a chunk holds.
+const boxChunk = 16
+
+// newMerged returns a zero proposal whose Batches has room for n, its box
+// from box4 or box16 (an allocation of its own when nil).
+func newMerged(n int, box4 *chunk.Of[mergeBox4], box16 *chunk.Of[mergeBox16]) *wire.Proposal {
 	switch {
-	case n == 0:
-		return &wire.Proposal{}
 	case n <= 4:
-		box := &mergeBox4{}
+		box := box4.Next(boxChunk)
 		box.p.Batches = box.ptrs[:0]
 		return &box.p
 	case n <= 16:
-		box := &mergeBox16{}
+		box := box16.Next(boxChunk)
 		box.p.Batches = box.ptrs[:0]
 		return &box.p
 	}
@@ -296,10 +307,18 @@ func newMerged(n int) *wire.Proposal {
 // identical message.
 func (n *Node) mergeProposals(cyc uint64, round uint8, target string, ordered []*wire.Proposal) *wire.Proposal {
 	batches := 0
+	var fp wire.Footprint
 	for _, p := range ordered {
 		batches += len(p.Batches)
+		for _, b := range p.Batches {
+			fp.Add(b)
+		}
 	}
-	out := newMerged(batches)
+	box4, box16 := &n.merged4, &n.merged16
+	if !fp.Small() {
+		box4, box16 = nil, nil
+	}
+	out := newMerged(batches, box4, box16)
 	out.Cycle, out.Round, out.VNode, out.Origin = cyc, round, target, wire.NoNode
 	// The dedup maps are created lazily: most cycles carry no membership
 	// or session updates, and the maps would be two dead allocations per

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"canopus/internal/chunk"
 	"canopus/internal/core"
 	"canopus/internal/metrics"
 	"canopus/internal/wire"
@@ -113,6 +114,8 @@ type Hub struct {
 	histBytes int
 	maxCycles int
 	maxBytes  int
+	// events holds the records' event copies (see retain).
+	events chunk.Of[wire.Event]
 
 	// evictedThrough is the highest cycle whose events may be lost:
 	// resume is gap-free iff SinceCycle > evictedThrough.
@@ -209,11 +212,17 @@ func (h *Hub) Publish(cycle uint64, evs []wire.Event) {
 	}
 }
 
+// eventChunk is how many events a chunk of the history holds.
+const eventChunk = 256
+
 // retain adds one cycle's events to the history ring — the event list is
 // copied, the immutable values are shared — and evicts from the front
-// until the bounds hold.
+// until the bounds hold. The copy comes out of a chunk, unless it needs
+// more than a quarter of one: records are evicted oldest first, so a chunk
+// dies with the last of its cycles, and an evicted record's events are
+// cleared so that the chunk pins none of their values meanwhile.
 func (h *Hub) retain(cycle uint64, evs []wire.Event) {
-	rec := cycleRecord{cycle: cycle, evs: append([]wire.Event(nil), evs...)}
+	rec := cycleRecord{cycle: cycle, evs: append(h.events.Take(len(evs), eventChunk), evs...)}
 	for i := range evs {
 		rec.bytes += 17 + len(evs[i].Val)
 	}
@@ -221,6 +230,8 @@ func (h *Hub) retain(cycle uint64, evs []wire.Event) {
 	h.histBytes += rec.bytes
 	for len(h.hist) > h.maxCycles || (h.histBytes > h.maxBytes && len(h.hist) > 1) {
 		front := h.hist[0]
+		clear(front.evs)
+		h.hist[0] = cycleRecord{}
 		h.hist = h.hist[1:]
 		h.histBytes -= front.bytes
 		h.evictedThrough = front.cycle

@@ -3,7 +3,9 @@ package events
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"canopus/internal/wire"
 )
@@ -137,6 +139,40 @@ func TestHistoryByteBound(t *testing.T) {
 	c := &collect{}
 	if _, err := h.Watch(Spec{PrefixBits: 0, SinceCycle: 2}, c.sink); err != nil || len(c.notes) != 1 {
 		t.Fatalf("resume from retained: err=%v notes=%+v", err, c.notes)
+	}
+}
+
+// TestEvictedHistoryPinsOneChunk: the history's event copies come out of
+// chunks of eventChunk, and eviction clears what it evicts, so after a
+// long run the live heap holds the retained cycles and at most one chunk
+// beyond the one they lie in, never the values of evicted cycles that
+// share a chunk with retained ones. Each of 1000 cycles, not a multiple of
+// the chunk size, has one event with a fresh KiB value.
+func TestEvictedHistoryPinsOneChunk(t *testing.T) {
+	const (
+		cycles = 1000
+		kept   = 8
+		val    = 1 << 10
+	)
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := live()
+	h := NewHub(Options{HistoryCycles: kept})
+	for cyc := uint64(1); cyc <= cycles; cyc++ {
+		h.Publish(cyc, []wire.Event{{Op: wire.OpWrite, Key: cyc, Val: make([]byte, val)}})
+	}
+	used := int64(live()) - int64(base)
+	// The retained values, the hub and its ring in a KiB, two chunks.
+	bound := kept*val + 1<<10 + 2*eventChunk*int64(unsafe.Sizeof(wire.Event{}))
+	if used > bound {
+		t.Fatalf("%d retained cycles of %d leave %d live bytes, bound %d", kept, cycles, used, bound)
+	}
+	if h.LastCycle() != cycles || len(h.hist) != kept {
+		t.Fatalf("history holds %d cycles through %d", len(h.hist), h.LastCycle())
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"canopus/internal/chunk"
 )
 
 // Binary layout: little-endian fixed-width integers, length-prefixed
@@ -254,12 +256,13 @@ func scanRequests(b []byte, off, n int) (end, reqs, valueBytes int) {
 }
 
 // scanBatches walks the n batches encoded at the cursor without consuming
-// them and returns how many requests they hold and the sum of their value
-// lengths. A framing error ends the walk early: the decode that follows
-// reports it, and only sizes its allocations by what was counted.
-func (r *reader) scanBatches(n int) (reqs, valueBytes int) {
+// them and returns how many requests they hold and their footprint: the
+// requests and samples, and the sum of the requests' value lengths. A
+// framing error ends the walk early: the decode that follows reports it,
+// and only sizes its allocations by what was counted.
+func (r *reader) scanBatches(n int) (reqs int, fp Footprint) {
 	if r.err != nil {
-		return 0, 0
+		return 0, fp
 	}
 	b, off := r.b, r.off
 	for i := 0; i < n; i++ {
@@ -274,7 +277,7 @@ func (r *reader) scanBatches(n int) (reqs, valueBytes int) {
 			}
 			want := int(binary.LittleEndian.Uint32(b[off:]))
 			end, nr, nv := scanRequests(b, off+4, want)
-			reqs, valueBytes = reqs+nr, valueBytes+nv
+			reqs, fp.items, fp.valueBytes = reqs+nr, fp.items+nr, fp.valueBytes+nv
 			if nr < want {
 				return
 			}
@@ -288,6 +291,7 @@ func (r *reader) scanBatches(n int) (reqs, valueBytes int) {
 		if ns > (len(b)-off)/sampleSize {
 			return
 		}
+		fp.items += ns
 		off += ns * sampleSize
 	}
 	return
@@ -465,28 +469,21 @@ type proposalBox4 struct {
 }
 
 // newProposal returns a zero proposal whose Batches has room for nb
-// entries, and the batches those entries are to point at.
-func newProposal(nb int) (*Proposal, []Batch) {
+// entries, and the batches those entries are to point at. A box of up to
+// four batches comes out of one or four, each an allocation of its own
+// when nil.
+func newProposal(nb int, one *chunk.Of[proposalBox1], four *chunk.Of[proposalBox4]) (*Proposal, []Batch) {
 	switch {
 	case nb <= 1:
-		box := &proposalBox1{}
+		box := one.Next(boxChunk)
 		box.p.Batches = box.ptrs[:0]
 		return &box.p, box.batches[:nb]
 	case nb <= 4:
-		box := &proposalBox4{}
+		box := four.Next(boxChunk)
 		box.p.Batches = box.ptrs[:0]
 		return &box.p, box.batches[:nb]
 	}
 	return &Proposal{Batches: make([]*Batch, 0, nb)}, make([]Batch, nb)
-}
-
-// NewRoundOneProposal returns a zero proposal and the one batch a round-1
-// proposal carries, from one allocation — the shape readProposal gives the
-// same proposal at its receivers. The batch is not in p.Batches yet: the
-// caller fills it and appends it, or leaves p without a batch.
-func NewRoundOneProposal() (*Proposal, *Batch) {
-	p, batches := newProposal(1)
-	return p, &batches[0]
 }
 
 // readProposal decodes a proposal in at most four allocations, however
@@ -494,7 +491,8 @@ func NewRoundOneProposal() (*Proposal, *Batch) {
 // (newProposal), one slice holding every batch's requests, one holding
 // every request's value (both sized by a pre-scan, see scanBatches) and,
 // without an intern table, the vnode ID. Through a Decoder, the requests
-// and values mostly come out of its chunks instead.
+// and values mostly come out of its chunks instead, and a small proposal's
+// box too.
 func readProposal(r *reader) *Proposal {
 	cycle := r.u64()
 	round := r.u8()
@@ -502,7 +500,20 @@ func readProposal(r *reader) *Proposal {
 	origin := r.node()
 	num := r.u64()
 	nb := r.count(18)
-	p, batches := newProposal(nb)
+	nreq, fp := r.scanBatches(nb)
+	var reqs *chunk.Of[Request]
+	var vals *chunk.Of[byte]
+	var one *chunk.Of[proposalBox1]
+	var four *chunk.Of[proposalBox4]
+	if d := r.dec; d != nil && fp.valueBytes <= valChunk/4 {
+		// Only with the values in a chunk: a request chunk must point at
+		// value chunks alone, never at a neighbour's own allocation.
+		reqs, vals = &d.reqs, &d.vals
+		if fp.Small() {
+			one, four = &d.box1, &d.box4
+		}
+	}
+	p, batches := newProposal(nb, one, four)
 	p.Cycle = cycle
 	hasSessions := round&proposalSessionsFlag != 0
 	p.Resolve = round&proposalResolveFlag != 0
@@ -510,22 +521,8 @@ func readProposal(r *reader) *Proposal {
 	p.VNode = vnode
 	p.Origin = origin
 	p.Num = num
-	nreq, valueBytes := r.scanBatches(nb)
-	var slab []Request
-	var arena []byte
-	if r.dec != nil && valueBytes <= valChunk/4 {
-		// Only with the values in a chunk: a request chunk must point at
-		// value chunks alone, never at a neighbour's own allocation.
-		slab = r.dec.reqs.take(nreq, reqChunk)
-		arena = r.dec.vals.take(valueBytes, valChunk)
-	} else {
-		if nreq > 0 {
-			slab = make([]Request, 0, nreq)
-		}
-		if valueBytes > 0 {
-			arena = make([]byte, 0, valueBytes)
-		}
-	}
+	slab := reqs.Take(nreq, reqChunk)
+	arena := vals.Take(fp.valueBytes, valChunk)
 	for i := range batches {
 		readBatchInto(r, &batches[i], &slab, &arena)
 		p.Batches = append(p.Batches, &batches[i])

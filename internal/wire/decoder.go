@@ -1,5 +1,7 @@
 package wire
 
+import "canopus/internal/chunk"
+
 // Decoder decodes the messages of one inbound connection. The leaf
 // broadcast's control traffic — SeqForward, SeqAppend, SeqAck — and
 // ProposalRequest ride every consensus cycle and no receiver keeps them,
@@ -25,9 +27,12 @@ package wire
 // would take more than a quarter of a chunk gets allocations of its own,
 // and its requests do too when its values do: a request chunk points at
 // value chunks only, so a kept proposal pins chunks, never the values of
-// a dropped neighbour. The proposal itself (its box, see newProposal) is
-// never chunked: the retention window keeps some proposals much longer
-// than their neighbours, and each would pin a chunk's worth of others.
+// a dropped neighbour. The proposal itself (its box, see newProposal)
+// comes out of a chunk of boxChunk only when it is small (Footprint): it
+// then points at chunk memory and small allocations alone, and so do the
+// neighbours a kept box pins. The retention window keeps some proposals
+// much longer than their neighbours, and a big one's box would pin a
+// chunk's worth of others' own allocations.
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use.
@@ -38,33 +43,39 @@ type Decoder struct {
 	requests []ProposalRequest
 	entries  []SeqEntry
 	vnodes   map[string]string // interned ProposalRequest.VNode values
-	reqs     chunk[Request]
-	vals     chunk[byte]
+	reqs     chunk.Of[Request]
+	vals     chunk.Of[byte]
+	box1     chunk.Of[proposalBox1]
+	box4     chunk.Of[proposalBox4]
 }
 
-// Chunk sizes of a Decoder's proposal requests and values.
+// Chunk sizes of a Decoder's proposal requests, values and boxes.
 const (
 	reqChunk = 128
 	valChunk = 16 << 10
+	boxChunk = 16
 )
 
-// chunk carves slices out of arrays it allocates and never reuses.
-type chunk[T any] struct{ free []T }
+// Footprint counts what a proposal's batches point to: requests and
+// arrival samples, and the requests' value bytes.
+type Footprint struct{ items, valueBytes int }
 
-// take returns an empty slice with room for n elements: from the current
-// array when it has the room, from a new one of size elements when n is
-// at most a quarter of size, and from an allocation of its own otherwise.
-func (c *chunk[T]) take(n, size int) []T {
-	if n > size/4 {
-		return make([]T, 0, n)
+// Add counts b. Once the items are too many for Small, the values are not
+// summed.
+func (f *Footprint) Add(b *Batch) {
+	f.items += len(b.Reqs) + len(b.Samples)
+	for i := 0; i < len(b.Reqs) && f.items <= reqChunk/4; i++ {
+		f.valueBytes += len(b.Reqs[i].Val)
 	}
-	if len(c.free) < n {
-		c.free = make([]T, size)
-	}
-	s := c.free[:0:n]
-	c.free = c.free[n:]
-	return s
 }
+
+// Small reports whether the items take at most a quarter of a Decoder's
+// request chunk and the value bytes a quarter of its value chunk. A
+// proposal this small may take its box from a chunk: everything a kept box
+// pins, the other boxes of its chunk and what they point to, is small or
+// chunk memory itself. A node's own proposals and merged states follow the
+// same rule.
+func (f Footprint) Small() bool { return f.items <= reqChunk/4 && f.valueBytes <= valChunk/4 }
 
 // Decode decodes one message from the front of b like the package-level
 // Decode, returning the message and the number of bytes consumed.

@@ -77,17 +77,17 @@ func TestDecoderMessagesAreIndependent(t *testing.T) {
 }
 
 // TestProposalDecodeAllocations bounds what a proposal costs to decode
-// through a Decoder, however many batches and requests it carries: the
-// proposal with its batches, and a share of the Decoder's request and value
-// chunks — their own allocations once they outgrow a quarter of a chunk,
-// here the 36 requests of nine batches — and nothing for the vnode ID a
-// Decoder has seen before. The batch counts cover the two boxes and the
-// path beyond them (see newProposal).
+// through a Decoder, however many batches and requests it carries: a share
+// of the Decoder's box, request and value chunks — their own allocations
+// once the box holds more than four batches or the requests and values
+// outgrow a quarter of a chunk, here the nine batches of 36 requests — and
+// nothing for the vnode ID a Decoder has seen before. The batch counts
+// cover the two boxes and the path beyond them (see newProposal).
 func TestProposalDecodeAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		batches int
 		ceil    float64
-	}{{0, 1}, {1, 1.1}, {3, 1.2}, {4, 1.2}, {9, 4.1}} {
+	}{{0, 0.07}, {1, 0.1}, {3, 0.18}, {4, 0.21}, {9, 4.1}} {
 		p := &Proposal{Cycle: 7, Round: 2, VNode: "1.2", Origin: NoNode, Num: 42}
 		for b := 0; b < tc.batches; b++ {
 			bt := &Batch{Origin: NodeID(b), NumWrite: 4}
@@ -126,14 +126,16 @@ func TestProposalDecodeAllocations(t *testing.T) {
 }
 
 // TestKeptProposalPinsOnlyItsChunks: what a Decoder carves a proposal from
-// lives as long as that proposal and pins no dropped neighbour. Proposals
-// decoded through one Decoder are all dropped but the last two, and after
-// a collection the live heap holds those two plus at most a few chunks.
-// Each "big" proposal carries 64 KiB of values, an allocation of its own;
-// each "small" one eight short requests from the chunks. Were the proposal
-// boxes chunked, a kept big proposal would pin a dropped big neighbour; were
-// a big proposal's requests in the request chunk, a kept small proposal
-// would pin the values of the big ones beside it.
+// lives as long as that proposal and pins no dropped neighbour's own
+// allocations. Proposals decoded through one Decoder are all dropped but
+// the last two, and after a collection the live heap holds those two plus
+// at most a few chunks. Each "big" proposal carries 64 KiB of values and
+// has allocations of its own, its box included; each "small" one has eight
+// short requests from the chunks and its box from a chunk of boxes, which
+// a kept one pins whole, with neighbours that point only at chunks. Were a
+// big proposal's box chunked, a kept proposal would pin dropped big
+// neighbours; were a big proposal's requests in the request chunk, a kept
+// small proposal would pin the values of the big ones beside it.
 func TestKeptProposalPinsOnlyItsChunks(t *testing.T) {
 	const (
 		decoded = 255 // not a multiple of any chunk size: a neighbour shares the kept ones' chunk
@@ -162,6 +164,7 @@ func TestKeptProposalPinsOnlyItsChunks(t *testing.T) {
 	}{
 		{"big", func(int) bool { return true }},
 		{"alternating", func(i int) bool { return i%2 == 1 }},
+		{"small", func(int) bool { return false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var d Decoder
@@ -216,9 +219,10 @@ func objectsPerRun(runs int, f func()) float64 {
 // BenchmarkDecodeSeqAppend decodes the append that carries one round-1
 // proposal (a batch of 8 writes of 128 B — write_9n's shape) the way a
 // transport reader does: Decoder, then Reset. allocs/append is what is
-// left once the header and the entry slice are scratch: the payload's box,
-// and a sixteenth each of a request chunk and a value chunk (3 while the
-// requests and the values were allocations of the payload's own).
+// left once the header and the entry slice are scratch: a sixteenth each
+// of a box chunk, a request chunk and a value chunk (1.125 while the box
+// was an allocation of the payload's own, 3 while the requests and the
+// values were too).
 func BenchmarkDecodeSeqAppend(b *testing.B) {
 	reqs := make([]Request, 8)
 	for i := range reqs {
