@@ -15,6 +15,11 @@
 // accepting client requests, waits for in-flight requests to be
 // answered (bounded by -drain), flushes its peers' transport queues and
 // only then closes the sockets — clients never see torn frames.
+//
+// When the cluster drops the node (its leaf-mates cut it, or its
+// super-leaf was evicted), the process stays up and the node rejoins in
+// place through the join protocol (§4.6), on the same ports and without
+// its -data-dir (livecluster.Replica).
 package main
 
 import (
@@ -46,9 +51,8 @@ func main() {
 	clientAddr := flag.String("client", "", "client-facing listen address (default: none)")
 	adminAddr := flag.String("admin-addr", "", "HTTP admin gateway listen address: /metrics, /healthz, /status, POST /snapshot (default: none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound for in-flight client requests")
-	join := flag.Bool("join", false, "enter through the join protocol (§4.6) instead of participating from cycle 1 — how an evicted node re-enters a live cluster")
+	join := flag.Bool("join", false, "enter through the join protocol (§4.6) instead of participating from cycle 1 — how a node replaced after the cluster dropped it re-enters; a running node rejoins in place by itself")
 	leafTimeout := flag.Duration("leaf-timeout", 0, "arm super-leaf eviction: a leaf silent for this long is evicted so the rest keeps committing (0 = stall forever, §6; same value on every node)")
-	exitOnEvict := flag.Bool("exit-on-evict", false, "exit with status 3 when told the cluster dropped this node (its leaf-mates cut it, or its super-leaf was evicted), so a supervisor can restart it with -join")
 	dataDir := flag.String("data-dir", "", "durable storage directory: group-commit WAL + snapshots, recovered at boot (default: in-memory only)")
 	snapshotCycles := flag.Int("snapshot-cycles", 0, "snapshot cadence in committed cycles (0 = default, <0 = disable periodic snapshots)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (stopped at graceful shutdown)")
@@ -96,16 +100,6 @@ func main() {
 	}
 	if *adminAddr != "" {
 		rc.Registry = metrics.NewRegistry()
-	}
-	if *exitOnEvict {
-		// Fires on the machine turn when the node learns the committed
-		// view dropped it: this incarnation can never make progress
-		// again. The short delay lets the log line and any in-flight
-		// admin replies out first.
-		rc.OnEvicted = func() {
-			log.Printf("node %v: dropped from the cluster's view; exiting for a -join restart", self)
-			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
-		}
 	}
 	rep, err := livecluster.Boot(rc)
 	if err != nil {

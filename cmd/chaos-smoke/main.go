@@ -10,11 +10,11 @@
 //     convergence, a /metrics inventory and /status durability check,
 //     SIGKILL of every process, a restart from the same directories, the
 //     exact pre-kill digest and the applied watermarks back at or above
-//     the pre-kill durable cycle. In-process clusters cannot run it:
-//     livecluster.RestartNode refuses a node with a disk.
-//   - evict-readmit: three single-node super-leaves, -leaf-timeout 500ms
-//     and -exit-on-evict. Exit status 3 is the eviction notice, and the
-//     rejoin restarts the process with -join (harness.EvictReadmit).
+//     the pre-kill durable cycle. In-process clusters cannot run it: a
+//     SIGKILL leaves the process no shutdown path to run.
+//   - evict-readmit: three single-node super-leaves, -leaf-timeout 500ms.
+//     The evicted process stays up and its node rejoins in place
+//     (harness.EvictReadmit).
 //   - stall: super-leaves {0,1};{2}, no extra flags: the stall
 //     detector is always on and trips after 4 × FetchTimeout, 200ms at
 //     the server's 50ms (harness.StallDetect).
@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -78,7 +77,7 @@ func main() {
 
 func evictReadmit(server string, wait time.Duration) (string, error) {
 	const leafTimeout = 500 * time.Millisecond
-	flags := func(int) []string { return []string{"-leaf-timeout", leafTimeout.String(), "-exit-on-evict"} }
+	flags := func(int) []string { return []string{"-leaf-timeout", leafTimeout.String()} }
 	return campaign(server, "0;1;2", flags, wait, func(p *procs) (string, error) {
 		return harness.EvictReadmit(p, harness.Eviction{
 			LeafTimeout: leafTimeout,
@@ -290,10 +289,7 @@ type procs struct {
 	peers       [][]string // peers[i][j]: node i's address for node j
 	client      []string
 	admin       []string
-	evicted     chan int
-
-	mu   sync.Mutex
-	proc [nodes]*proc
+	proc        [nodes]*proc
 }
 
 // proc is one process; done closes once it has exited.
@@ -312,7 +308,6 @@ func boot(server, superLeaves string, extra func(i int) []string) (*procs, error
 		peers:       make([][]string, nodes),
 		client:      reservePorts(nodes),
 		admin:       reservePorts(nodes),
-		evicted:     make(chan int, nodes), // one exit per process at a time
 	}
 	listen := reservePorts(nodes)
 	for i := range p.peers {
@@ -343,14 +338,9 @@ func (p *procs) Chaos() *chaosnet.Net    { return p.fabric }
 func (p *procs) NumNodes() int           { return nodes }
 func (p *procs) ClientAddr(i int) string { return p.client[i] }
 func (p *procs) AdminAddr(i int) string  { return p.admin[i] }
-func (p *procs) Evicted() <-chan int     { return p.evicted }
 
-// Rejoin restarts node i, whose process has exited, with -join.
-func (p *procs) Rejoin(i int) error { return p.start(i, "-join") }
-
-// start launches node i. Exit status 3 (-exit-on-evict) is the eviction
-// notice: it feeds the Evicted stream once the process is gone.
-func (p *procs) start(i int, flags ...string) error {
+// start launches node i.
+func (p *procs) start(i int) error {
 	args := []string{
 		"-id", strconv.Itoa(i),
 		"-peers", strings.Join(p.peers[i], ","),
@@ -360,7 +350,7 @@ func (p *procs) start(i int, flags ...string) error {
 	if p.superLeaves != "" {
 		args = append(args, "-superleaves", p.superLeaves)
 	}
-	cmd := exec.Command(p.server, append(append(args, p.extra(i)...), flags...)...)
+	cmd := exec.Command(p.server, append(args, p.extra(i)...)...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -370,26 +360,17 @@ func (p *procs) start(i int, flags ...string) error {
 	go func() {
 		cmd.Wait()
 		close(pr.done)
-		if code := cmd.ProcessState.ExitCode(); code == 3 {
-			select {
-			case p.evicted <- i:
-			default:
-			}
-		} else if code > 0 {
+		if code := cmd.ProcessState.ExitCode(); code > 0 {
 			log.Printf("chaos-smoke: node %d exited %d", i, code)
 		}
 	}()
-	p.mu.Lock()
 	p.proc[i] = pr
-	p.mu.Unlock()
 	return nil
 }
 
 // signal sends sig to every process and waits for all to exit.
 func (p *procs) signal(sig os.Signal) [nodes]*proc {
-	p.mu.Lock()
 	running := p.proc
-	p.mu.Unlock()
 	for _, pr := range running {
 		if pr != nil {
 			pr.cmd.Process.Signal(sig)

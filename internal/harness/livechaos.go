@@ -2,10 +2,8 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"canopus/admin"
@@ -19,17 +17,14 @@ import (
 // against it and run by two backends — an in-process livecluster
 // (TestLiveChaosCampaigns) and real canopus-server processes
 // (cmd/chaos-smoke). They observe the nodes only through canopus/client
-// and canopus/admin, and act on them only through the fabric and Rejoin.
+// and canopus/admin, and act on them only through the fabric. A node the
+// cluster drops rejoins by itself (livecluster.Replica), on both.
 type Deployment interface {
 	// Chaos is the fabric every inter-node byte crosses.
 	Chaos() *chaosnet.Net
 	NumNodes() int
 	ClientAddr(i int) string
 	AdminAddr(i int) string
-	// Evicted streams the nodes that learned the cluster evicted them.
-	Evicted() <-chan int
-	// Rejoin restarts node i as a joiner (§4.6).
-	Rejoin(i int) error
 }
 
 // Await polls cond every 10 ms until it holds or budget runs out. The
@@ -136,10 +131,10 @@ type Eviction struct {
 
 // EvictReadmit runs the super-leaf outage storyline (§6 and RCanopus'
 // answer to it): blackhole the victims' leaf, require the survivors to
-// evict it within 4×LeafTimeout and keep committing, heal, restart every
-// node that learns it was evicted as a joiner, and require the leaf's
-// readmission and one state digest on every node. It returns a one-line
-// outcome summary.
+// evict it within 4×LeafTimeout and keep committing, heal, and require
+// the leaf's readmission — each member rejoins by itself once it learns
+// its eviction — and one state digest on every node. It returns a
+// one-line outcome summary.
 func EvictReadmit(d Deployment, e Eviction) (string, error) {
 	ctx := context.Background()
 	ref := int(e.Survivors[0])
@@ -197,68 +192,16 @@ func EvictReadmit(d Deployment, e Eviction) (string, error) {
 		}
 	}
 
-	// Heal; the wedged members' fetch retries now reach the survivors,
-	// draw Evicted notices, and each is bounced back in as a joiner. The
-	// drain restarts ANY evicted node for the rest of the campaign —
-	// under real wall clocks a healthy-but-slow leaf can occasionally
-	// lose the eviction race too, and the operator answer is the same
-	// bounce — but the cut leaf's members must be among them.
+	// Heal; the wedged members' fetch retries now reach the survivors
+	// and draw Evicted notices, and each member rejoins as a joiner.
+	// Under real wall clocks a healthy-but-slow leaf can occasionally
+	// lose the eviction race too; it rejoins the same way.
 	d.Chaos().Heal()
 	healed := time.Now()
-	var mu sync.Mutex
-	restarted := map[int]bool{}
-	var restartErr error
-	drainDone, drained := make(chan struct{}), make(chan struct{})
-	defer func() {
-		close(drainDone)
-		<-drained // no Rejoin may outlive the campaign
-	}()
-	go func() {
-		defer close(drained)
-		for {
-			select {
-			case i := <-d.Evicted():
-				mu.Lock()
-				again := restarted[i]
-				restarted[i] = true
-				mu.Unlock()
-				if again {
-					continue
-				}
-				if err := d.Rejoin(i); err != nil {
-					mu.Lock()
-					restartErr = errors.Join(restartErr, fmt.Errorf("rejoin node %d: %w", i, err))
-					mu.Unlock()
-				}
-			case <-drainDone:
-				return
-			}
-		}
-	}()
-	if err := Await(d, e.Wait, "the cut leaf's members to learn their eviction", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if restartErr != nil {
-			return true
-		}
-		for _, v := range e.Victims {
-			if !restarted[int(v)] {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return "", err
-	}
-	mu.Lock()
-	err = restartErr
-	mu.Unlock()
-	if err != nil {
-		return "", err
-	}
 
-	// Readmission at a survivor, then one state digest everywhere —
-	// the rejoined joiners' included.
+	// Readmission at a survivor, then one state digest everywhere — the
+	// rejoined joiners' included: a member that never rejoined holds
+	// another.
 	if err := Await(d, e.Wait, "the victims' leaf alive again at a survivor", func() bool {
 		sl, ok := leafAt(d, ref, e.Victims[0])
 		return ok && !sl.Evicted && len(sl.Alive) > 0
@@ -280,15 +223,8 @@ func EvictReadmit(d Deployment, e Eviction) (string, error) {
 	if v, err := vcl.Get(ctx, 104); err != nil || string(v) != "post" {
 		return "", fmt.Errorf("Get(104) via rejoined node = %q, %v", v, err)
 	}
-	mu.Lock()
-	extra := len(restarted) - len(e.Victims)
-	mu.Unlock()
-	line := fmt.Sprintf("evicted in %v, readmitted in %v, digest %016x on all %d nodes",
-		evictIn.Round(time.Millisecond), readmitIn.Round(time.Millisecond), state, d.NumNodes())
-	if extra > 0 {
-		line += fmt.Sprintf(" (+%d bystander evictions bounced)", extra)
-	}
-	return line, nil
+	return fmt.Sprintf("evicted in %v, readmitted in %v, digest %016x on all %d nodes",
+		evictIn.Round(time.Millisecond), readmitIn.Round(time.Millisecond), state, d.NumNodes()), nil
 }
 
 // Stall parameterizes the asymmetric-partition stall campaign: Wedged is

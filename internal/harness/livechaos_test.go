@@ -13,42 +13,22 @@ import (
 	"canopus/internal/wire"
 )
 
-// inProcess is the in-process Deployment: a livecluster with the chaos
-// fabric and admin gateways on, OnEvicted relayed into a channel and
-// Rejoin as RestartNode.
-type inProcess struct {
-	*livecluster.Cluster
-	evicted chan int
-}
-
-func (p *inProcess) Evicted() <-chan int { return p.evicted }
-func (p *inProcess) Rejoin(i int) error  { return p.RestartNode(i) }
-
-func startInProcess(t *testing.T, superLeaves [][]wire.NodeID, node core.Config, seed int64) *inProcess {
+// startInProcess boots the in-process Deployment: a livecluster with the
+// chaos fabric and admin gateways on.
+func startInProcess(t *testing.T, superLeaves [][]wire.NodeID, node core.Config, seed int64) *livecluster.Cluster {
 	t.Helper()
-	// Evicted notices arrive on the machine turn; the non-blocking relay
-	// keeps the callback from ever stalling a node, and the buffer holds
-	// the repeated notices every node of a cut leaf can draw.
-	p := &inProcess{evicted: make(chan int, 64)}
 	c, err := livecluster.Start(livecluster.Config{
 		SuperLeaves: superLeaves,
 		Node:        node,
 		Seed:        seed,
 		Chaos:       true,
 		Admin:       true,
-		OnEvicted: func(i int) {
-			select {
-			case p.evicted <- i:
-			default:
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Stop(10 * time.Second) })
-	p.Cluster = c
-	return p
+	return c
 }
 
 // lanNode is the loopback timing every LAN campaign runs: LeafTimeout
@@ -78,8 +58,8 @@ var lanNode = core.Config{
 //   - member-cut-rejoin: a 3 × 3 tree without LeafTimeout, one idle
 //     member of leaf 1 partitioned from everyone for 1 s — follower 4,
 //     then the leaf's sequencer 3. Its leaf-mates cut it; after the heal
-//     it draws the Evicted notice, is restarted as a joiner, and every
-//     node converges.
+//     it draws the Evicted notice, rejoins in place as a joiner, and
+//     every node converges.
 //
 // What canopus-server processes cannot run (cmd/chaos-smoke): the geo
 // campaign needs FetchTimeout and CycleInterval values the server has
@@ -159,11 +139,12 @@ func TestLiveChaosCampaigns(t *testing.T) {
 // past the broadcast's failure detection, while writes go on through node
 // 0, then healed. Its leaf-mates cut it and commit its Leave; the
 // victim starts no cycle, yet must learn that — a leaf-mate answers its
-// broadcast layer's next word with the Evicted notice — be restarted as a
-// joiner, and converge. It runs in-process only: chaos-smoke's processes
-// form one-node leaves.
+// broadcast layer's next word with the Evicted notice — rejoin in place
+// as a joiner, and converge. It runs in-process only: chaos-smoke's
+// processes form one-node leaves.
 func memberCut(t *testing.T, victim wire.NodeID, seed int64) (string, error) {
 	p := startInProcess(t, [][]wire.NodeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}, lanNode, seed)
+	cut := p.Node(int(victim))
 	var others []wire.NodeID
 	for i := wire.NodeID(0); i < 9; i++ {
 		if i != victim {
@@ -183,27 +164,17 @@ func memberCut(t *testing.T, victim wire.NodeID, seed int64) (string, error) {
 	}
 	p.Chaos().Heal()
 	healed := time.Now()
-	if err := Await(p, 30*time.Second, fmt.Sprintf("node %d to learn it was cut", victim), func() bool {
-		select {
-		case i := <-p.Evicted():
-			if err = p.Rejoin(i); i == int(victim) || err != nil {
-				return true
-			}
-		default:
-		}
-		return false
+	if err := Await(p, 30*time.Second, fmt.Sprintf("node %d to rejoin", victim), func() bool {
+		return p.Node(int(victim)) != cut
 	}); err != nil {
 		return "", err
-	}
-	if err != nil {
-		return "", fmt.Errorf("rejoin: %w", err)
 	}
 	told := time.Since(healed)
 	state, err := Converge(p, 30*time.Second)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("node %d told %v after the heal, converged after %v, digest %016x on all 9 nodes",
+	return fmt.Sprintf("node %d rejoined %v after the heal, converged after %v, digest %016x on all 9 nodes",
 		victim, told.Round(time.Millisecond), time.Since(healed).Round(time.Millisecond), state), nil
 }
 

@@ -65,15 +65,11 @@ type Config struct {
 	// runtime on real sockets (Cluster.Chaos). Client ports are not
 	// proxied — chaos hits the replication path, not the client edge.
 	Chaos bool
-	// OnEvicted, when set, fires from node i's machine turn when the
-	// rest of the cluster evicts it (core.Callbacks.OnEvicted). It must
-	// not block and must not call RestartNode inline — hand off to a
-	// goroutine (RestartNode re-enters the runner's serialization lock).
-	OnEvicted func(i int)
 }
 
 // Cluster is a running loopback deployment: one Replica per node, booted
-// by the same Boot canopus-server runs.
+// by the same Boot canopus-server runs. A node the rest of the cluster
+// drops rejoins in place as its replica's joiner.
 type Cluster struct {
 	Tree     *lot.Tree
 	reg      *metrics.Registry
@@ -173,9 +169,6 @@ func Start(cfg Config) (*Cluster, error) {
 		if cfg.DataFS != nil {
 			rc.Disk = cfg.DataFS(i)
 		}
-		if cfg.OnEvicted != nil {
-			rc.OnEvicted = func() { cfg.OnEvicted(i) }
-		}
 		r, err := Boot(rc)
 		if err != nil {
 			return fail(err)
@@ -197,25 +190,6 @@ func Start(cfg Config) (*Cluster, error) {
 // Chaos returns the fault-injection fabric, nil without Config.Chaos.
 func (c *Cluster) Chaos() *chaosnet.Net { return c.chaos }
 
-// RestartNode replaces protocol node i in place: the old node is
-// detached and closed, and a fresh joiner (core.NewJoiner) re-enters the
-// running cluster through the §4.6 join protocol — state fetch, view
-// adoption, readmission if the node was evicted. The transport runner,
-// client port, admin gateway and chaos links all persist; only the
-// protocol node, store and event hub are rebuilt, exactly as if the
-// process had restarted with an empty disk. Not supported with
-// durability (the WAL manager is bound to the original node's apply
-// pipeline); restart durable nodes as real processes instead.
-//
-// Must not be called from a node callback or machine turn (it re-enters
-// the runner's serialization lock via Attach).
-func (c *Cluster) RestartNode(i int) error {
-	if err := c.replicas[i].restart(); err != nil {
-		return fmt.Errorf("livecluster: RestartNode(%d): %w", i, err)
-	}
-	return nil
-}
-
 // NumNodes returns the deployment size.
 func (c *Cluster) NumNodes() int { return len(c.replicas) }
 
@@ -223,7 +197,7 @@ func (c *Cluster) NumNodes() int { return len(c.replicas) }
 func (c *Cluster) ClientAddr(i int) string { return c.replicas[i].port.Addr() }
 
 // Node returns protocol node i (for tests and tooling) — the current
-// one, after any RestartNode.
+// one, a joiner after a rejoin.
 func (c *Cluster) Node(i int) *core.Node { return c.replicas[i].Node() }
 
 // Store returns node i's local replica state (for tests and tooling).
@@ -248,8 +222,8 @@ func (c *Cluster) InspectStore(i int, fn func(st *kvstore.Store)) {
 func (c *Cluster) Port(i int) *ClientPort { return c.replicas[i].port }
 
 // Durability returns node i's storage engine (nil when the cluster runs
-// without DataFS).
-func (c *Cluster) Durability(i int) *wal.Manager { return c.replicas[i].mgr }
+// without DataFS, and after node i rejoined without its disk).
+func (c *Cluster) Durability(i int) *wal.Manager { return c.replicas[i].durability() }
 
 // Runner returns node i's transport runner.
 func (c *Cluster) Runner(i int) *transport.Runner { return c.replicas[i].cfg.Runner }
@@ -295,9 +269,10 @@ func (c *Cluster) Crash(i int) {
 	r.port.Abort()
 	r.cfg.Runner.Close()
 	// The transport is closed (no further machine turns); stop the node's
-	// apply stage. Queued cycles finish applying first, so a post-mortem
-	// Store inspection still sees everything ordered here.
-	r.Node().Close()
+	// apply stage, and any rejoin with it. Queued cycles finish applying
+	// first, so a post-mortem Store inspection still sees everything
+	// ordered here. The WAL stays as the crash left it.
+	r.halt()
 }
 
 // Stop shuts the deployment down gracefully: drain every client port

@@ -207,7 +207,7 @@ func (p *ClientPort) hub() *events.Hub { return p.hubP.Load() }
 // Call it after crash recovery and before the node is attached: the
 // port records the recovered watermark for its WATCH acks. It is the one
 // way a port is bound: at boot, and on the in-place restart path
-// (Cluster.RestartNode), where an evicted node comes back as a
+// (Replica.restart), where an evicted node comes back as a
 // protocol-level joiner on the same runner, ports and addresses.
 // Operations in flight against the old node complete through its draining
 // apply stage or are failed by the caller. Existing watches die with the

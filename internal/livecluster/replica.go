@@ -42,26 +42,25 @@ type ReplicaConfig struct {
 	// Registry, when set, receives the replica's instruments, labeled
 	// node="<id>".
 	Registry *metrics.Registry
-	// OnEvicted fires from the machine turn when the rest of the cluster
-	// evicts this node (core.Callbacks.OnEvicted).
-	OnEvicted func()
 }
 
 // Replica is one live node — protocol node, store, event hub, WAL,
 // client port and admin gateway — built around one transport runner.
-// canopus-server runs one; Cluster runs one per node.
+// canopus-server runs one; Cluster runs one per node. When the cluster
+// drops its node, the replica rejoins in place (restart).
 type Replica struct {
 	cfg   ReplicaConfig
 	port  *ClientPort      // nil without ClientAddr
-	mgr   *wal.Manager     // nil without Disk
 	admin *adminsrv.Server // nil without AdminAddr
 
-	// mu guards the node, its store and its hub, which restart swaps
-	// while everything else persists.
-	mu    sync.Mutex
-	node  *core.Node
-	store *kvstore.Store
-	hub   *events.Hub
+	// mu guards the node, its store, its hub and the WAL, which restart
+	// swaps or drops while everything else persists, and closed.
+	mu     sync.Mutex
+	node   *core.Node
+	store  *kvstore.Store
+	hub    *events.Hub
+	mgr    *wal.Manager // nil without Disk, and after a restart
+	closed bool         // Close or Crash ran: no eviction restarts the node
 }
 
 // Boot builds a replica in one fixed order: store and WAL, client port,
@@ -108,11 +107,10 @@ func (r *Replica) boot() (err error) {
 	r.hub = events.NewHub(events.Options{})
 	r.node = r.newNode(r.cfg.Join, r.store, r.hub)
 	self := r.cfg.Node.Self
+	r.registerNode(r.node, r.hub)
 	if reg := r.cfg.Registry; reg != nil {
-		label := metrics.Label{Key: "node", Value: strconv.Itoa(int(self))}
-		r.node.RegisterMetrics(reg, label)
+		label := r.label()
 		r.cfg.Runner.RegisterMetrics(reg, label)
-		r.hub.RegisterMetrics(reg, label)
 		if r.port != nil {
 			r.port.RegisterMetrics(reg, label)
 		}
@@ -128,7 +126,7 @@ func (r *Replica) boot() (err error) {
 			Degraded: r.degraded,
 		}
 		if r.mgr != nil {
-			acfg.Snapshot = func() error { r.mgr.RequestSnapshot(); return nil }
+			acfg.Snapshot = r.snapshot
 		}
 		if r.admin, err = adminsrv.Listen(r.cfg.AdminAddr, acfg); err != nil {
 			return err
@@ -158,18 +156,40 @@ func newStore(logged bool) *kvstore.Store {
 	return kvstore.New()
 }
 
+// label is the node="<id>" label every series of the replica carries.
+func (r *Replica) label() metrics.Label {
+	return metrics.Label{Key: "node", Value: strconv.Itoa(int(r.cfg.Node.Self))}
+}
+
+// registerNode points the node's and the hub's series at node and hub:
+// at boot, and again after a restart, so /metrics follows the serving
+// incarnation (registering a series again replaces its sampling func).
+func (r *Replica) registerNode(node *core.Node, hub *events.Hub) {
+	if reg := r.cfg.Registry; reg != nil {
+		node.RegisterMetrics(reg, r.label())
+		hub.RegisterMetrics(reg, r.label())
+	}
+}
+
 // newNode builds the protocol node (a joiner when join) over st. The hub
 // and then the client port consume its committed stream, so a cycle's
-// events are published before its replies go out.
+// events are published before its replies go out. Its eviction notice
+// restarts the replica off the machine turn.
 func (r *Replica) newNode(join bool, st *kvstore.Store, hub *events.Hub) *core.Node {
-	cbs := core.Callbacks{Consumers: []core.Consumer{hub}, OnEvicted: r.cfg.OnEvicted}
+	var node *core.Node
+	cbs := core.Callbacks{
+		Consumers: []core.Consumer{hub},
+		OnEvicted: func() { go r.restart(node) },
+	}
 	if r.port != nil {
 		cbs.Consumers = append(cbs.Consumers, r.port)
 	}
 	if join {
-		return core.NewJoiner(r.cfg.Node, st, cbs)
+		node = core.NewJoiner(r.cfg.Node, st, cbs)
+	} else {
+		node = core.NewNode(r.cfg.Node, st, cbs)
 	}
-	return core.NewNode(r.cfg.Node, st, cbs)
+	return node
 }
 
 // Start opens the booted replica to the world: the client port accepts
@@ -196,31 +216,62 @@ func (r *Replica) current() (*core.Node, *kvstore.Store, *events.Hub) {
 	return r.node, r.store, r.hub
 }
 
-// restart replaces the protocol node in place: a fresh joiner on an empty
-// store and hub re-enters the running cluster through the §4.6 join
-// protocol, exactly as if the process had restarted with an empty disk.
-// The runner, client port and admin gateway persist. Not supported with
-// durability: the WAL is bound to the original node's apply stage.
-func (r *Replica) restart() error {
-	if r.mgr != nil {
-		return errors.New("not supported with durability")
-	}
-	st, hub := newStore(r.cfg.LoggedStore), events.NewHub(events.Options{})
-	node := r.newNode(true, st, hub)
+// restart answers old's eviction notice (§4.6): the committed view
+// dropped old, so it can never make progress again. A fresh joiner on an
+// empty store and hub replaces it in place and re-enters the running
+// cluster through the join protocol, as if the process had restarted
+// with an empty disk. A durable replica closes its WAL and goes on
+// without a disk: the committed Leave voids the disk's claim, the rule
+// Boot applies to every joiner. The runner, client port and admin
+// gateway persist. A notice from a replaced incarnation, or one after
+// Close or Crash, starts nothing; mu is held to the end, so a Close
+// that comes meanwhile waits and closes the joiner.
+func (r *Replica) restart(old *core.Node) {
 	r.mu.Lock()
-	old := r.node
-	r.node, r.store, r.hub = node, st, hub
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.closed || r.node != old {
+		return
+	}
+	r.cfg.Runner.Logf("node %v: dropped from the cluster's view; rejoining in place", r.cfg.Node.Self)
+	mgr := r.mgr
+	r.cfg.Node.Durability, r.mgr = nil, nil
+	r.store, r.hub = newStore(r.cfg.LoggedStore), events.NewHub(events.Options{})
+	r.node = r.newNode(true, r.store, r.hub)
+	r.registerNode(r.node, r.hub)
 	// Swap the client port first so no request reaches the dying node,
 	// then attach the joiner (Init sends its JoinRequest through the
 	// runner; the old node's armed timers die with it — transport drops
-	// timers whose arming machine was replaced).
+	// timers whose arming machine was replaced). The WAL closes after
+	// the old node's apply stage, which flushes its last batch.
 	if r.port != nil {
-		r.port.SetNode(node, hub)
+		r.port.SetNode(r.node, r.hub)
 	}
-	r.cfg.Runner.Attach(node)
+	r.cfg.Runner.Attach(r.node)
 	old.Close()
-	return nil
+	closeWAL(r.cfg.Runner, mgr)
+}
+
+// closeWAL closes mgr, when there is one, and logs a failure.
+func closeWAL(runner *transport.Runner, mgr *wal.Manager) {
+	if mgr == nil {
+		return
+	}
+	if err := mgr.Close(); err != nil {
+		runner.Logf("node %v: wal close: %v", runner.ID(), err)
+	}
+}
+
+// halt marks the replica closed, so no later eviction notice restarts
+// it, and stops its node's apply stage. It returns the WAL, which the
+// caller closes or, to model a crash, leaves as the process left it.
+func (r *Replica) halt() *wal.Manager {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	if r.node != nil {
+		r.node.Close()
+	}
+	return r.mgr
 }
 
 // Close stops the admin gateway, the client port's listener and the
@@ -234,14 +285,24 @@ func (r *Replica) Close() {
 	if r.port != nil {
 		r.port.ln.Close()
 	}
-	if node := r.Node(); node != nil {
-		node.Close()
+	closeWAL(r.cfg.Runner, r.halt())
+}
+
+// durability returns the WAL, nil without a disk or after a restart.
+func (r *Replica) durability() *wal.Manager {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.mgr
+}
+
+// snapshot is the gateway's POST /snapshot verb.
+func (r *Replica) snapshot() error {
+	mgr := r.durability()
+	if mgr == nil {
+		return errors.New("no durable storage: the node rejoined without its disk")
 	}
-	if r.mgr != nil {
-		if err := r.mgr.Close(); err != nil {
-			r.cfg.Runner.Logf("node %v: wal close: %v", r.cfg.Runner.ID(), err)
-		}
-	}
+	mgr.RequestSnapshot()
+	return nil
 }
 
 // digest reads (committed cycle, state digest, log digest) on the node's
@@ -260,6 +321,7 @@ func digest(node *core.Node, st *kvstore.Store) (cycle, state, logd uint64) {
 // machine turn, where the view is stable.
 func (r *Replica) status() admin.Status {
 	node, st, hub := r.current()
+	mgr := r.durability()
 	cycle, state, logd := digest(node, st)
 	s := admin.Status{
 		Applied:     cycle,
@@ -294,8 +356,8 @@ func (r *Replica) status() admin.Status {
 			s.Membership = append(s.Membership, sl)
 		}
 	})
-	if r.mgr != nil {
-		ds := r.mgr.Stats()
+	if mgr != nil {
+		ds := mgr.Stats()
 		s.Durability = &admin.Durability{
 			DurableCycle:  ds.DurableCycle,
 			Syncs:         ds.Syncs,

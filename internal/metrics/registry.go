@@ -83,8 +83,7 @@ type series struct {
 
 	c  *Counter
 	g  *Gauge
-	cf func() uint64
-	gf func() float64
+	fn atomic.Pointer[func() float64] // CounterFunc, GaugeFunc
 	h  *LatencyHistogram
 }
 
@@ -125,23 +124,26 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // CounterFunc registers a counter sampled from fn at scrape time —
 // the way to export a monotone atomic a subsystem already maintains
-// without adding anything to its hot path.
+// without adding anything to its hot path. Registering the series again
+// replaces fn, also while a scrape runs.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
 	}
 	if s := r.register(name, help, counterFuncKind, labels); s != nil {
-		s.cf = fn
+		f := func() float64 { return float64(fn()) }
+		s.fn.Store(&f)
 	}
 }
 
-// GaugeFunc registers a gauge sampled from fn at scrape time.
+// GaugeFunc registers a gauge sampled from fn at scrape time; registering
+// it again replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
 	if s := r.register(name, help, gaugeFuncKind, labels); s != nil {
-		s.gf = fn
+		s.fn.Store(&fn)
 	}
 }
 
@@ -246,10 +248,9 @@ func (s *series) value() float64 {
 		return float64(s.c.Load())
 	case s.g != nil:
 		return float64(s.g.Load())
-	case s.cf != nil:
-		return float64(s.cf())
-	case s.gf != nil:
-		return s.gf()
+	}
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return 0
 }

@@ -476,7 +476,7 @@ func (h *timerHeap) pop() pendingTimer {
 // if it lies less than fineDeadline ahead — and that heap's deadline
 // source is re-armed only when the new deadline is its earliest.
 // The arming machine is recorded so a timer never fires into a successor
-// installed by a later Attach (livecluster.RestartNode replaces an evicted
+// installed by a later Attach (a livecluster replica replaces its evicted
 // node with a joiner on the same runner; the old node's tick chain must
 // die with it, not double the new node's).
 func (r *Runner) After(d time.Duration, tag engine.TimerTag) {
